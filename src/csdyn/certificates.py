@@ -752,19 +752,32 @@ def cert_attractor_negative_control(seed=7):
     )
 
 
-def cert_isotropy(seed=7):
-    """Acceptance 9: zero-section, graph negative control, saddle manifold."""
-    from .geometry import CoordinateSpec, ANGLE, LINE
+def _open_graph_control(rng):
+    """Canonical omega on T^2 x R^2, the graph of sin(2pi q1) dq2 and its frames.
 
-    rng = np.random.default_rng(seed)
-    spec4 = CoordinateSpec((ANGLE, ANGLE, LINE, LINE))
+    The q1 grid contains q1 = 0, where the defect coefficient 2 pi cos(2 pi q1)
+    attains its supremum; q2 is drawn from rng.
+    """
     omega4 = np.zeros((4, 4))
     omega4[0, 2], omega4[2, 0] = 1.0, -1.0
     omega4[1, 3], omega4[3, 1] = 1.0, -1.0
+    q1 = np.linspace(0.0, 1.0, 64, endpoint=False)
+    q = np.stack([q1, rng.uniform(0, 1, 64)], axis=1)
+    pts = np.concatenate([q, np.zeros((64, 1)), np.sin(TWO_PI * q[:, :1])], axis=1)
+    frames = np.zeros((64, 4, 2))
+    frames[:, 0, 0] = 1.0
+    frames[:, 3, 0] = TWO_PI * np.cos(TWO_PI * q[:, 0])
+    frames[:, 1, 1] = 1.0
+    return omega4, pts, frames
 
+
+def cert_isotropy(seed=7):
+    """Acceptance 9: zero-section, graph negative control, saddle manifold."""
+    rng = np.random.default_rng(seed)
     pts = np.concatenate(
         [rng.uniform(0, 1, (50, 2)), np.zeros((50, 2))], axis=1
     )
+    omega4, gpts, gframes = _open_graph_control(rng)
     frames = np.zeros((50, 4, 2))
     frames[:, 0, 0] = 1.0
     frames[:, 1, 1] = 1.0
@@ -772,17 +785,7 @@ def cert_isotropy(seed=7):
     ratios = {"zero_section": zero_defect / 1e-14 if zero_defect else 0.0}
     details = {"zero_section_defect": zero_defect}
 
-    # negative control: the graph of the non-closed form sin(2pi q1) dq2;
-    # the grid contains q1 = 0 where the defect coefficient 2 pi cos(2 pi q1)
-    # attains its supremum
-    g1 = np.linspace(0.0, 1.0, 64, endpoint=False)
-    g2 = rng.uniform(0, 1, 64)
-    q = np.stack([g1, g2], axis=1)
-    gpts = np.concatenate([q, np.zeros((64, 1)), np.sin(TWO_PI * q[:, :1])], axis=1)
-    gframes = np.zeros((64, 4, 2))
-    gframes[:, 0, 0] = 1.0
-    gframes[:, 3, 0] = TWO_PI * np.cos(TWO_PI * q[:, 0])
-    gframes[:, 1, 1] = 1.0
+    # negative control: the graph of the non-closed form sin(2pi q1) dq2
     graph_defect = isotropy_defect(gpts, gframes, lambda x: omega4, normalize=False)
     details["graph_defect"] = graph_defect
     ratios["graph_control"] = abs(graph_defect - TWO_PI) / 1e-6
@@ -957,17 +960,7 @@ def cert_recurrence_negative_control(seed=7):
 
 def cert_isotropy_negative_control(seed=7):
     """The graph of a non-closed form must show the full 2*pi defect."""
-    rng = np.random.default_rng(seed)
-    omega4 = np.zeros((4, 4))
-    omega4[0, 2], omega4[2, 0] = 1.0, -1.0
-    omega4[1, 3], omega4[3, 1] = 1.0, -1.0
-    q1 = np.linspace(0.0, 1.0, 64, endpoint=False)
-    q = np.stack([q1, rng.uniform(0, 1, 64)], axis=1)
-    pts = np.concatenate([q, np.zeros((64, 1)), np.sin(TWO_PI * q[:, :1])], axis=1)
-    frames = np.zeros((64, 4, 2))
-    frames[:, 0, 0] = 1.0
-    frames[:, 3, 0] = TWO_PI * np.cos(TWO_PI * q[:, 0])
-    frames[:, 1, 1] = 1.0
+    omega4, pts, frames = _open_graph_control(np.random.default_rng(seed))
     defect = isotropy_defect(pts, frames, lambda x: omega4, normalize=False)
     return _result(
         "isotropy-open-graph-control", "graph of sin(2 pi q1) dq2", {},

@@ -21,6 +21,7 @@ from .diagnostics import (
     attractor_estimate,
     classify_ensemble,
     conformal_transport_check,
+    emit_basin_grid,
     escape_statistics,
     find_periodic_orbit,
     loop_cohomology_check,
@@ -30,11 +31,10 @@ from .errors import ConfigError, CsdynError
 from .flows import (
     IntegratorConfig,
     SectionSpec,
-    flow_ensemble,
     integrate_flow,
     integrate_variational,
 )
-from .geometry import conformality_ratio_estimate, torus_distance
+from .geometry import conformality_ratio_estimate
 from .models import instantiate_model, registered_models, sample_states
 from .output import (
     write_cloud_csv,
@@ -306,35 +306,6 @@ def _op_escape(cfg):
     )
     print(f"escape {m.name}: {stats.escaped}/{stats.total} within {n_steps} steps")
     return EXIT_OK
-
-
-def emit_basin_grid(m, grid, p_range, targets, t_max=60.0, capture=1e-2, h=0.02,
-                    blowup_threshold=1e8):
-    """Label a (q, p) grid by the nearest target of the relaxed state.
-
-    Returns (labels, q_axis, p_axis): label k >= 1 means targets[k-1],
-    0 undetermined, -1 escaped.  Only d = 1 cotangent models are gridded.
-    """
-    if not targets:
-        raise CsdynError("basin grid needs a non-empty target list")
-    if grid < 1:
-        raise CsdynError("basin grid needs at least one cell per axis")
-    if m.d != 1:
-        raise CsdynError("basin grids are drawn for d = 1 models")
-    q_axis = np.linspace(0.0, 1.0, grid, endpoint=False)
-    p_axis = np.linspace(-p_range, p_range, grid)
-    mesh = np.stack(np.meshgrid(q_axis, p_axis, indexing="ij"), axis=-1).reshape(-1, 2)
-    final, alive = flow_ensemble(m, mesh, t_max, h=h, blowup_threshold=blowup_threshold)
-    targets = np.asarray(targets, dtype=float)
-    labels = np.zeros(len(mesh), dtype=np.int64)
-    dists = np.stack(
-        [torus_distance(m.spec, final, tgt) for tgt in targets], axis=1
-    )
-    nearest = np.argmin(dists, axis=1)
-    captured = dists[np.arange(len(mesh)), nearest] <= capture
-    labels[captured] = nearest[captured] + 1
-    labels[~alive] = -1
-    return labels.reshape(grid, grid), q_axis, p_axis
 
 
 def _op_basin(cfg):

@@ -16,6 +16,7 @@ import numpy as np
 from .errors import (
     BlowUpError,
     ConvergenceError,
+    CsdynError,
     NonHyperbolicError,
     ParamError,
     SectionError,
@@ -24,6 +25,8 @@ from .errors import (
 from .flows import (
     BLOWUP,
     IntegratorConfig,
+    _fixed_step_engine,
+    _n_steps,
     flow_ensemble,
     integrate_flow,
     integrate_variational,
@@ -468,6 +471,35 @@ def attractor_estimate(m, R=None, t_relax=60.0, grid=33, cfg=None, box=None,
     )
 
 
+def emit_basin_grid(m, grid, p_range, targets, t_max=60.0, capture=1e-2, h=0.02,
+                    blowup_threshold=1e8):
+    """Label a (q, p) grid by the nearest target of the relaxed state.
+
+    Returns (labels, q_axis, p_axis): label k >= 1 means targets[k-1],
+    0 undetermined, -1 escaped.  Only d = 1 cotangent models are gridded.
+    """
+    if not targets:
+        raise CsdynError("basin grid needs a non-empty target list")
+    if grid < 1:
+        raise CsdynError("basin grid needs at least one cell per axis")
+    if m.d != 1:
+        raise CsdynError("basin grids are drawn for d = 1 models")
+    q_axis = np.linspace(0.0, 1.0, grid, endpoint=False)
+    p_axis = np.linspace(-p_range, p_range, grid)
+    mesh = np.stack(np.meshgrid(q_axis, p_axis, indexing="ij"), axis=-1).reshape(-1, 2)
+    final, alive = flow_ensemble(m, mesh, t_max, h=h, blowup_threshold=blowup_threshold)
+    targets = np.asarray(targets, dtype=float)
+    labels = np.zeros(len(mesh), dtype=np.int64)
+    dists = np.stack(
+        [torus_distance(m.spec, final, tgt) for tgt in targets], axis=1
+    )
+    nearest = np.argmin(dists, axis=1)
+    captured = dists[np.arange(len(mesh)), nearest] <= capture
+    labels[captured] = nearest[captured] + 1
+    labels[~alive] = -1
+    return labels.reshape(grid, grid), q_axis, p_axis
+
+
 def refine_equilibrium(m, z0, max_iter=80, tol=1e-12):
     """Damped Gauss-Newton polish of a field zero from a nearby seed."""
     z = np.asarray(z0, dtype=float).copy()
@@ -815,65 +847,66 @@ def classify_orbit(m, x0, T, cfg=None, thresholds=None):
 
 
 def classify_ensemble(m, starts, T, cfg=None, thresholds=None, h=1e-3):
-    """Vectorized finite-time conservative/dissipative classification."""
+    """Vectorized finite-time conservative/dissipative classification.
+
+    Orbits run on the fixed-step RK4 engine with the Lee integral r_t as an
+    extra channel; a row that dies (non-finite, or a line coordinate past
+    cfg.blowup_threshold) is undetermined.
+    """
     if m.eta is None or m.H is None:
         raise StructureError("classification needs both eta and H")
+    if not T > 0:
+        raise ParamError("classification needs a positive horizon T")
     th = thresholds or ClassifyThresholds()
     cfg = cfg or IntegratorConfig()
     starts = np.asarray(starts, dtype=float)
     n_orb, dim = starts.shape
-    n_steps = int(math.ceil(T / h))
-    r_series = np.zeros((n_orb, n_steps + 1))
+    n_steps = _n_steps(T, h)
+    # regression slope of r_t over the last half, accumulated step by step
+    # (r_0 = 0 adds nothing); each row's sum is its own, whatever the batch
+    half = n_steps // 2
+    ts = h * np.arange(n_steps + 1)[half:]
+    ts_c = ts - ts.mean()
+    r_moment = np.zeros(n_orb)
     h_abs_late = np.zeros(n_orb)
     r_abs_max = np.zeros(n_orb)
     min_ret = np.full(n_orb, np.inf)
     settle = max(1, int(0.01 * n_steps))
     late_start = int(0.9 * n_steps)
+    previous = {"x": starts}
 
-    from .flows import _eta_contraction, _rk4_step
-
-    eta_dot = _eta_contraction(m)
-
-    def rhs(y):
-        x = y[..., :dim]
-        f = np.asarray(m.X(x), dtype=float)
-        rdot = np.asarray(eta_dot(x), dtype=float)
-        return np.concatenate([f, rdot[..., None]], axis=-1)
-
-    Y = np.concatenate([starts, np.zeros((n_orb, 1))], axis=-1)
-    for k in range(n_steps):
-        hh = min(h, T - k * h)
-        X_old = Y[:, :dim].copy()
-        Y = _rk4_step(rhs, Y, hh)
-        r = Y[:, dim]
-        r_series[:, k + 1] = r
-        r_abs_max = np.maximum(r_abs_max, np.abs(r))
+    def on_step(k, Y):
+        x = Y[:, :dim]
+        if k + 1 >= half:
+            np.add(r_moment, ts_c[k + 1 - half] * Y[:, dim], out=r_moment)
+        np.maximum(r_abs_max, np.abs(Y[:, dim]), out=r_abs_max)
         if k >= settle:
             # closest approach of the linear step segment to the start point
-            a = m.spec.delta(starts, X_old)
-            b = m.spec.delta(starts, Y[:, :dim])
+            a = m.spec.delta(starts, previous["x"])
+            b = m.spec.delta(starts, x)
             ab = b - a
             denom = np.sum(ab * ab, axis=1)
             s = np.clip(
                 -np.sum(a * ab, axis=1) / np.maximum(denom, 1e-300), 0.0, 1.0
             )
             seg = a + s[:, None] * ab
-            min_ret = np.minimum(min_ret, np.sqrt(np.sum(seg * seg, axis=1)))
+            np.minimum(min_ret, np.sqrt(np.sum(seg * seg, axis=1)), out=min_ret)
         if k >= late_start:
-            h_abs_late = np.maximum(
-                h_abs_late, np.abs(np.asarray(m.H(Y[:, :dim]), dtype=float))
-            )
+            np.maximum(h_abs_late, np.abs(np.asarray(m.H(x), dtype=float)), out=h_abs_late)
+        previous["x"] = x.copy()
 
-    # regression slope of r_t over the last half
-    half = n_steps // 2
-    ts = h * np.arange(n_steps + 1)[half:]
-    ts_c = ts - ts.mean()
-    denom = float(np.sum(ts_c * ts_c))
-    slopes = (r_series[:, half:] @ ts_c) / denom
+    _, alive = _fixed_step_engine(
+        m, np.concatenate([starts, np.zeros((n_orb, 1))], axis=-1), T, h, racc=True,
+        blowup_threshold=cfg.blowup_threshold, on_step=on_step,
+    )
+
+    slopes = r_moment / float(np.sum(ts_c * ts_c))
 
     out = []
     for i in range(n_orb):
-        if slopes[i] <= th.dissipative_slope and h_abs_late[i] <= th.dissipative_h:
+        if not alive[i]:
+            verdict = "undetermined"
+        elif slopes[i] <= th.dissipative_slope and h_abs_late[i] <= th.dissipative_h:
             verdict = "dissipative"
         elif r_abs_max[i] <= th.conservative_r and min_ret[i] <= th.return_dist:
             verdict = "conservative"

@@ -18,7 +18,7 @@ for every h, a structural rather than asymptotic property.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -231,39 +231,31 @@ class _AdaptivePath:
         self.status = BLOWUP
         self.t_escape = t_star
 
-    @property
-    def t_end(self):
-        return self.ts[-1]
 
-    def sample(self, times):
-        """Dense cubic Hermite evaluation at sorted times within the path."""
-        ts = np.asarray(self.ts)
-        out = np.empty((len(times),) + self.ys[0].shape)
-        for j, t in enumerate(times):
-            i = int(np.searchsorted(ts, t, side="right")) - 1
-            i = min(max(i, 0), len(ts) - 2)
-            if t <= ts[0]:
-                out[j] = self.ys[0]
-            elif t >= ts[-1]:
-                out[j] = self.ys[-1]
-            else:
-                out[j] = _hermite(
-                    ts[i], self.ys[i], self.fs[i], ts[i + 1], self.ys[i + 1],
-                    self.fs[i + 1], t,
-                )
-        return out
+def _sample(ts, ys, fs, times):
+    """Dense cubic Hermite evaluation of nodes (ts, ys, fs) at sorted times."""
+    ts = np.asarray(ts)
+    out = np.empty((len(times),) + ys[0].shape)
+    for j, t in enumerate(times):
+        i = int(np.searchsorted(ts, t, side="right")) - 1
+        i = min(max(i, 0), len(ts) - 2)
+        if t <= ts[0]:
+            out[j] = ys[0]
+        elif t >= ts[-1]:
+            out[j] = ys[-1]
+        else:
+            out[j] = _hermite(ts[i], ys[i], fs[i], ts[i + 1], ys[i + 1], fs[i + 1], t)
+    return out
 
 
-def _line_indices(m, augmented_dim=None):
-    idx = np.nonzero(~m.spec.angle_mask)[0]
-    return idx
+def _line_indices(m):
+    return np.nonzero(~m.spec.angle_mask)[0]
 
 
 def _eta_contraction(m):
     """eta(X) as a batched scalar field, analytic when the model provides it."""
-    eta_x = getattr(m, "eta_X", None)
-    if eta_x is not None:
-        return eta_x
+    if m.eta_X is not None:
+        return m.eta_X
 
     def contraction(x):
         x = np.asarray(x, dtype=float)
@@ -308,9 +300,8 @@ def _integrate_core(m, x0, t_span, cfg, with_frames, times, samples, initial_fra
     x0 = np.asarray(x0, dtype=float)
 
     if backward:
-        inner = _ModelView(m, negate=True)
         traj = _integrate_core(
-            inner, x0, (0.0, t0 - t1), cfg, with_frames, None,
+            time_reversed_view(m), x0, (0.0, t0 - t1), cfg, with_frames, None,
             samples, initial_frame,
         )
         phys = t0 - traj.times
@@ -340,21 +331,25 @@ def _integrate_core(m, x0, t_span, cfg, with_frames, times, samples, initial_fra
         y0.append([0.0])
     y0 = np.concatenate(y0)
 
-    if cfg.method in (SPLITTING, RK4):
-        return _fixed_step_trajectory(m, x0, t0, t1, cfg, with_frames, with_racc)
-
-    path = _AdaptivePath(
-        _flow_rhs(m, with_frames, with_racc), t0, t1, y0, cfg,
-        line_slice=_line_indices(m),
-    )
+    if cfg.method == REFERENCE:
+        path = _AdaptivePath(
+            _flow_rhs(m, with_frames, with_racc), t0, t1, y0, cfg,
+            line_slice=_line_indices(m),
+        )
+        ts, ys, fs, status, t_escape = path.ts, path.ys, path.fs, path.status, path.t_escape
+    else:
+        ts, ys, fs, status, t_escape = _fixed_step_nodes(
+            m, y0, t0, t1, cfg, with_frames, with_racc
+        )
+    t_end = ts[-1]
     if times is None:
-        times = np.linspace(t0, path.t_end, samples)
+        times = np.linspace(t0, t_end, samples)
     else:
         times = np.asarray(times, dtype=float)
-        times = times[(times >= t0) & (times <= path.t_end + 1e-15)]
-        if len(times) == 0 or times[-1] < path.t_end:
-            times = np.append(times, path.t_end)
-    ys = path.sample(times)
+        times = times[(times >= t0) & (times <= t_end + 1e-15)]
+        if len(times) == 0 or times[-1] < t_end:
+            times = np.append(times, t_end)
+    ys = _sample(ts, ys, fs, times)
     states = m.spec.wrap(ys[:, :n])
     frames = None
     if with_frames:
@@ -364,42 +359,28 @@ def _integrate_core(m, x0, t_span, cfg, with_frames, times, samples, initial_fra
     racc = ys[:, -1] if with_racc else None
     return Trajectory(
         times=times, states=states, frames=frames, r_accum=racc,
-        status=path.status, t_escape=path.t_escape,
+        status=status, t_escape=t_escape,
     )
 
 
-class _ModelView:
-    """Lightweight field-negated view of a model, for backward-time runs."""
-
-    def __init__(self, m, negate):
-        self._m = m
-        self._sign = -1.0 if negate else 1.0
-        for attr in (
-            "name", "spec", "kind", "params", "alpha", "H", "dH", "lam",
-            "Omega", "dim", "d", "exact_symplectic", "conformal_pair",
-            "h_scales", "flow_exact",
-        ):
-            setattr(self, attr, getattr(m, attr))
-        self.eta = m.eta
-        self.DX = m.DX
-        if getattr(m, "eta_X", None) is not None:
-            base_eta_x = m.eta_X
-            sign = self._sign
-            self.eta_X = lambda x: sign * np.asarray(base_eta_x(x), dtype=float)
-        else:
-            self.eta_X = None
-
-    def X(self, x):
-        return self._sign * np.asarray(self._m.X(x), dtype=float)
-
-    def jacobian(self, x):
-        return self._sign * self._m.jacobian(x)
+def _negated(f):
+    return None if f is None else (lambda x: -np.asarray(f(x), dtype=float))
 
 
 def time_reversed_view(m):
-    """The flow of -X; repelling orbits of m are attracting for this view."""
+    """The flow of -X as a ModelSpec; repelling orbits of m are attracting for it.
+
+    Splitting is switched off: the reversed field is not dissipative.
+    """
     _require_flow(m)
-    return _ModelView(m, negate=True)
+    fe = m.flow_exact
+    return replace(
+        m, X=_negated(m.X), DX=_negated(m.DX), DX_batch=_negated(m.DX_batch),
+        eta_X=_negated(m.eta_X), cotangent_splittable=False,
+        flow_exact=None if fe is None else (
+            lambda x, t: fe(x, -np.asarray(t, dtype=float))
+        ),
+    )
 
 
 def integrate_flow(m, x0, t_span, cfg=None, samples=201, times=None):
@@ -472,49 +453,23 @@ def conformal_splitting_step(m, x, h, cfg=None):
     return z, contract @ J_inner @ contract
 
 
-def _fixed_step_trajectory(m, x0, t0, t1, cfg, with_frames, with_racc):
-    n = m.dim
-    n_steps = int(math.ceil((t1 - t0) / cfg.h - 1e-12))
-    ts = [t0]
-    xs = [np.asarray(x0, dtype=float)]
-    frames = [np.eye(n)] if with_frames else None
-    racc = [0.0] if with_racc else None
-    status, t_escape = COMPLETED, None
-    line_idx = _line_indices(m)
-    t = t0
-    x = xs[0]
-    for k in range(n_steps):
-        h = min(cfg.h, t1 - t)
-        if cfg.method == SPLITTING:
-            x_new, J = conformal_splitting_step(m, x, h, cfg)
-        else:
-            x_new = _rk4_step(m.X, x, h)
-            J = None
-            if with_frames:
-                J = _rk4_frame_step(m, x, h)
-        if with_racc:
-            # Simpson on eta(X) along the step
-            eta_dot = _eta_contraction(m)
-            xm = 0.5 * (x + x_new)
-            vals = [float(eta_dot(p)) for p in (x, xm, x_new)]
-            racc.append(racc[-1] + h * (vals[0] + 4 * vals[1] + vals[2]) / 6.0)
-        t = t + h
-        ts.append(t)
-        xs.append(x_new)
-        if with_frames:
-            frames.append(J @ frames[-1])
-        if len(line_idx) and float(np.max(np.abs(x_new[line_idx]))) > cfg.blowup_threshold:
-            status, t_escape = BLOWUP, t
-            break
-        x = x_new
-    return Trajectory(
-        times=np.array(ts),
-        states=m.spec.wrap(np.array(xs)),
-        frames=None if frames is None else np.array(frames),
-        r_accum=None if racc is None else np.array(racc),
-        status=status,
-        t_escape=t_escape,
+def _fixed_step_nodes(m, y0, t0, t1, cfg, with_frames, with_racc):
+    """Nodes (ts, ys, fs, status, t_escape) of one rk4 or splitting run from y0."""
+    k = m.dim if with_frames else 0
+    ys = [y0]
+    _, alive = _fixed_step_engine(
+        m, y0[None, :].copy(), t1 - t0, cfg.h, k, with_racc, cfg.blowup_threshold,
+        on_step=lambda step, Y: ys.append(Y[0].copy()),
+        splitting=cfg if cfg.method == SPLITTING else None,
     )
+    ys = np.array(ys)
+    ts = t0 + np.minimum(cfg.h * np.arange(len(ys)), t1 - t0)
+    if not np.all(np.isfinite(ys[-1])):
+        raise PoisonedStateError(
+            f"fixed-step state became non-finite at t={ts[-1]}", t=ts[-1], state=ys[-1]
+        )
+    status, t_escape = (COMPLETED, None) if alive[0] else (BLOWUP, float(ts[-1]))
+    return ts, ys, _batched_rhs(m, k, with_racc)(ys), status, t_escape
 
 
 def _rk4_step(rhs, x, h):
@@ -525,66 +480,109 @@ def _rk4_step(rhs, x, h):
     return x + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
 
 
-def _rk4_frame_step(m, x, h):
+def _splitting_rows(m, rows, h, k, cfg):
+    """One conformal splitting step per row, carrying k tangent columns."""
     n = m.dim
+    out = rows.copy()
+    for row in out:
+        x, J = conformal_splitting_step(m, row[:n], h, cfg)
+        row[:n] = x
+        row[n:] = (J @ row[n:].reshape(n, k)).ravel()
+    return out
 
-    def aug(y):
-        xx = y[:n]
-        F = y[n:].reshape(n, n)
-        return np.concatenate([m.X(xx), (m.jacobian(xx) @ F).ravel()])
 
-    y = np.concatenate([x, np.eye(n).ravel()])
-    y_new = _rk4_step(aug, y, h)
-    return y_new[n:].reshape(n, n)
+def _batched_rhs(m, k, racc):
+    """Field of the rows [x | n*k tangent entries, row-major n x k | r]."""
+    n = m.dim
+    if not k and not racc:
+        return lambda y: np.asarray(m.X(y), dtype=float)
+    DX = m.DX_batch
+    if DX is None:
+        def DX(x):
+            return np.stack([m.jacobian(row) for row in x])
+    eta_dot = _eta_contraction(m) if racc else None
+
+    def rhs(y):
+        x = y[..., :n]
+        parts = [np.asarray(m.X(x), dtype=float)]
+        if k == 1:
+            parts.append(np.einsum("...ij,...j->...i", DX(x), y[..., n : 2 * n]))
+        elif k:
+            F = y[..., n : n + n * k].reshape(y.shape[:-1] + (n, k))
+            parts.append((DX(x) @ F).reshape(y.shape[:-1] + (n * k,)))
+        if racc:
+            parts.append(np.asarray(eta_dot(x), dtype=float)[..., None])
+        return np.concatenate(parts, axis=-1)
+
+    return rhs
+
+
+def _n_steps(t, h):
+    return int(math.ceil(t / h - 1e-12))
+
+
+def _fixed_step_engine(m, Y, t, h, k=0, racc=False, blowup_threshold=1e8,
+                       on_step=None, splitting=None):
+    """Masked fixed-step integration of the rows of Y = [x | n*k tangent | r].
+
+    RK4 on the joint field, or one conformal splitting step per row when
+    `splitting` holds its IntegratorConfig.  A row dies, frozen where it
+    stopped, once its state is non-finite or a line coordinate passes the
+    threshold.  While every row lives the batch steps whole; the index of
+    live rows is rebuilt only when one dies.  `on_step(step, Y)` sees each
+    step and must not mutate Y.  Y may be overwritten; returns (Y, alive).
+    """
+    if t < 0:
+        raise ParamError(f"fixed-step integration needs t >= 0, got t={t}")
+    n = m.dim
+    if splitting is None:
+        rhs = _batched_rhs(m, k, racc)
+
+        def advance(rows, hh):
+            return _rk4_step(rhs, rows, hh)
+    elif racc:
+        raise KindError("splitting does not integrate the Lee-form channel")
+    else:
+        def advance(rows, hh):
+            return _splitting_rows(m, rows, hh, k, splitting)
+    line_cols = _line_indices(m).tolist()
+    line = (~m.spec.angle_mask).astype(float)  # inf or nan times 0 stays nan
+    alive = np.all(np.isfinite(Y[:, :n]), axis=1)
+    act = None if len(Y) and alive.all() else np.nonzero(alive)[0]
+    tau = 0.0
+    for step in range(_n_steps(t, h)):
+        hh = min(h, t - tau)
+        if act is None:
+            Y = rows = advance(Y, hh)
+        elif len(act):
+            rows = advance(Y[act], hh)
+            Y[act] = rows
+        else:
+            break
+        tau += hh
+        # whole-block screen first: per-row reductions over a few columns are slow
+        if not (math.isfinite(rows.sum()) and all(
+            np.abs(rows[:, j]).max() <= blowup_threshold for j in line_cols
+        )):
+            dead = ~(np.max(np.abs(rows[:, :n]) * line, axis=1) <= blowup_threshold)
+            alive[np.nonzero(alive)[0][dead]] = False
+            act = np.nonzero(alive)[0]
+        if on_step is not None:
+            on_step(step, Y)
+    return Y, alive
 
 
 def transport_tangents(m, states, vectors, t, h=1e-3, blowup_threshold=1e8):
     """Batched transport of one tangent vector per state along the flow.
 
-    Fixed-step RK4 on the joint system (x, v) with v' = DX(x) v; needs the
-    model's batched Jacobian (falls back to per-point variational runs).
+    Fixed-step RK4 on the joint system (x, v) with v' = DX(x) v.
     Returns (final_states, final_vectors, alive_mask).
     """
     _require_flow(m)
     states = np.array(states, dtype=float)
-    vectors = np.array(vectors, dtype=float)
-    if m.DX_batch is None:
-        cfg = IntegratorConfig(rel_tol=1e-10, abs_tol=1e-12)
-        outs, vecs, alive = [], [], []
-        for x, v in zip(states, vectors):
-            traj = integrate_variational(m, x, (0.0, t), cfg, samples=2)
-            outs.append(traj.final_state)
-            vecs.append(traj.final_frame @ v)
-            alive.append(traj.status == COMPLETED)
-        return np.array(outs), np.array(vecs), np.array(alive)
     n = states.shape[-1]
-    Y = np.concatenate([states, vectors], axis=-1)
-
-    def rhs(y):
-        x, v = y[..., :n], y[..., n:]
-        return np.concatenate(
-            [
-                np.asarray(m.X(x), dtype=float),
-                np.einsum("...ij,...j->...i", m.DX_batch(x), v),
-            ],
-            axis=-1,
-        )
-
-    n_steps = int(math.ceil(t / h - 1e-12))
-    alive = np.ones(len(Y), dtype=bool)
-    line_idx = _line_indices(m)
-    tau = 0.0
-    for _ in range(n_steps):
-        hh = min(h, t - tau)
-        act = np.nonzero(alive)[0]
-        if len(act) == 0:
-            break
-        Y[act] = _rk4_step(rhs, Y[act], hh)
-        tau += hh
-        if len(line_idx):
-            bad = np.max(np.abs(Y[act][:, :n][:, line_idx]), axis=1) > blowup_threshold
-            if np.any(bad):
-                alive[act[bad]] = False
+    Y = np.concatenate([states, np.array(vectors, dtype=float)], axis=-1)
+    Y, alive = _fixed_step_engine(m, Y, t, h, k=1, blowup_threshold=blowup_threshold)
     return m.spec.wrap(Y[:, :n]), Y[:, n:], alive
 
 
@@ -593,52 +591,28 @@ def flow_ensemble(m, states, t, h=0.01, blowup_threshold=1e8, racc=False,
     """Vectorized fixed-step RK4 transport of a batch of states.
 
     Returns (final_states, alive_mask[, r_accum]).  Escaped samples (line
-    coordinates past the threshold) are frozen where they died.  Rows evolve
-    independently, so results do not depend on how a caller slices the batch.
-    `callback` receives (step_index, states) every `callback_every` steps for
-    online statistics; it must not mutate the batch.
+    coordinates past the threshold) and non-finite ones are frozen where they
+    died.  Rows evolve independently, so results do not depend on how a
+    caller slices the batch.  `callback` receives (step_index, states) every
+    `callback_every` steps for online statistics; it must not mutate the batch.
     """
     _require_flow(m)
     X = np.array(states, dtype=float)
     n = X.shape[-1]
-    n_steps = int(math.ceil(t / h - 1e-12))
-    alive = np.ones(len(X), dtype=bool)
-    line_idx = _line_indices(m)
+    Y = np.concatenate([X, np.zeros((len(X), 1))], axis=-1) if racc else X
+    on_step = None
+    if callback is not None:
+        last = _n_steps(t, h) - 1
 
-    if racc:
-        eta_dot = _eta_contraction(m)
+        def on_step(k, Y):
+            if k % callback_every == 0 or k == last:
+                callback(k, Y[:, :n])
 
-        def rhs(y):
-            x = y[..., :n]
-            f = np.asarray(m.X(x), dtype=float)
-            rdot = np.asarray(eta_dot(x), dtype=float)
-            return np.concatenate([f, rdot[..., None]], axis=-1)
-
-        Y = np.concatenate([X, np.zeros((len(X), 1))], axis=-1)
-    else:
-        def rhs(y):
-            return np.asarray(m.X(y), dtype=float)
-
-        Y = X
-
-    tau = 0.0
-    for k in range(n_steps):
-        hh = min(h, t - tau)
-        act = np.nonzero(alive)[0]
-        if len(act) == 0:
-            break
-        Y[act] = _rk4_step(rhs, Y[act], hh)
-        tau += hh
-        if len(line_idx):
-            bad = np.max(np.abs(Y[act][:, : n][:, line_idx]), axis=1) > blowup_threshold
-            if np.any(bad):
-                alive[act[bad]] = False
-        if callback is not None and (k % callback_every == 0 or k == n_steps - 1):
-            callback(k, Y[:, :n])
+    Y, alive = _fixed_step_engine(
+        m, Y, t, h, racc=racc, blowup_threshold=blowup_threshold, on_step=on_step
+    )
     out = (m.spec.wrap(Y[:, :n]), alive)
-    if racc:
-        out = out + (Y[:, n],)
-    return out
+    return out + (Y[:, n],) if racc else out
 
 
 # ---------------------------------------------------------------------------
@@ -695,7 +669,7 @@ def time_t_map(m, t, cfg=None, batch_h=1e-3):
         return traj
 
     def _run_batch(x, forward):
-        view = m if forward else _ModelView(m, negate=True)
+        view = m if forward else time_reversed_view(m)
         out, alive = flow_ensemble(
             view, x, abs(t), h=batch_h, blowup_threshold=cfg.blowup_threshold
         )
@@ -856,6 +830,6 @@ def poincare_return(m, sec, x0, k, cfg=None, t_max=1e4, chunk=4.0):
         if path.status == BLOWUP:
             raise BlowUpError("orbit blew up before the requested crossings",
                               t_escape=path.t_escape)
-        t_base = path.t_end
+        t_base = path.ts[-1]
         y_start = path.ys[-1]
     raise SectionError(f"only {len(crossings)} of {k} crossings found before t={t_max}")

@@ -49,9 +49,13 @@ MAP = "map"
 FLOW = "flow"
 
 
-@dataclass
+@dataclass(frozen=True)
 class ModelSpec:
-    """A registered dynamical system with evaluators and structure flags."""
+    """A registered dynamical system with evaluators and structure flags.
+
+    Frozen: derived models such as time-reversed views are built with
+    dataclasses.replace, so a model cannot change after a view was taken.
+    """
 
     name: str
     spec: CoordinateSpec
@@ -75,6 +79,9 @@ class ModelSpec:
     DX_sym: object = None
     grad_V: object = None       # mechanical models only
     hess_V: object = None
+    V: object = None            # mechanical potential
+    Y: object = None            # Mane drift field on the base, and its Jacobian
+    DY: object = None
     flow_exact: object = None   # closed-form flow (x, t) -> state, if any
     exact_symplectic: bool = False
     conformal_pair: bool = False
@@ -483,7 +490,7 @@ def _build_mane(params):
         q, pv = x[..., :d], x[..., d:]
         return np.concatenate([DYt_p(q, pv), pv + Y(q)], axis=-1)
 
-    m = ModelSpec(
+    return ModelSpec(
         name="mane",
         spec=spec,
         kind=FLOW,
@@ -500,10 +507,9 @@ def _build_mane(params):
         exact_symplectic=True,
         cotangent_splittable=True,
         fiber_convex=True,
+        Y=Y,
+        DY=DY,
     )
-    m.Y = Y
-    m.DY = DY
-    return m
 
 
 def _build_damped_mechanical(params):
@@ -608,7 +614,7 @@ def _build_damped_mechanical(params):
         z for z in candidates if float(np.max(np.abs(grad_V(z[:d])))) < 1e-12
     )
 
-    m = ModelSpec(
+    return ModelSpec(
         name="damped-mechanical",
         spec=spec,
         kind=FLOW,
@@ -623,6 +629,7 @@ def _build_damped_mechanical(params):
         dH=dH,
         lam=_tautological_lambda(d),
         Omega=_const(_canonical_omega(d)),
+        V=V,
         grad_V=grad_V,
         hess_V=hess_V,
         exact_symplectic=True,
@@ -631,8 +638,6 @@ def _build_damped_mechanical(params):
         fiber_convex=True,
         equilibria=equilibria,
     )
-    m.V = V
-    return m
 
 
 def _nonexact_omega():

@@ -1,0 +1,249 @@
+"""The fixed-step RK4 engine behind flow_ensemble, transport_tangents,
+classify_ensemble and the method="rk4" trajectories."""
+
+import math
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from csdyn.diagnostics import classify_ensemble, classify_orbit
+from csdyn.errors import KindError, ParamError
+from csdyn.flows import (
+    IntegratorConfig,
+    flow_ensemble,
+    integrate_flow,
+    integrate_variational,
+    time_reversed_view,
+    transport_tangents,
+)
+from csdyn.geometry import ANGLE, LINE, CoordinateSpec, torus_distance
+from csdyn.models import FLOW, ModelSpec, instantiate_model, sample_states
+
+TWO_PI = 2.0 * math.pi
+RK4 = IntegratorConfig(method="rk4", h=0.01)
+
+
+def riccati_pair():
+    """theta' = 1, r' = r^2 with H = r and a zero Lee form: r(0) = 1 blows up at t = 1."""
+    omega = np.array([[0.0, 1.0], [-1.0, 0.0]])
+    return ModelSpec(
+        name="riccati-pair", spec=CoordinateSpec((ANGLE, LINE)), kind=FLOW, params={},
+        X=lambda x: np.stack([np.ones_like(x[..., 0]), x[..., 1] ** 2], axis=-1),
+        H=lambda x: x[..., 1], eta=lambda x: np.zeros(2), Omega=lambda x: omega,
+    )
+
+
+# ---------------------------------------------------------------------------
+# loud errors
+# ---------------------------------------------------------------------------
+
+def test_flow_ensemble_rejects_negative_time():
+    m = instantiate_model("circle-linear", alpha=1.0)
+    with pytest.raises(ParamError):
+        flow_ensemble(m, np.array([[0.1, 0.2]]), -1.0)
+
+
+def test_transport_tangents_rejects_negative_time():
+    m = instantiate_model("circle-linear", alpha=1.0)
+    with pytest.raises(ParamError):
+        transport_tangents(m, np.array([[0.1, 0.2]]), np.array([[1.0, 0.0]]), -1.0)
+
+
+def test_flow_ensemble_marks_non_finite_rows_dead():
+    m = instantiate_model("circle-linear", alpha=1.0)
+    batch = np.array([[0.1, 0.2], [np.nan, 0.3], [0.4, np.inf], [0.7, -0.5]])
+    _, alive = flow_ensemble(m, batch, 0.5)
+    assert alive.tolist() == [True, False, False, True]
+
+
+def test_classify_takes_blowup_threshold_from_cfg():
+    m = riccati_pair()
+    starts = np.array([[0.1, 1.0], [0.3, 0.0]])
+    cfg = IntegratorConfig(blowup_threshold=10.0)
+    dead, calm = classify_ensemble(m, starts, 2.0, cfg)
+    assert dead.verdict == "undetermined"
+    # frozen where it crossed the threshold instead of running on to inf/nan
+    assert 10.0 < dead.omega_H_max < 20.0
+    assert calm == classify_ensemble(m, starts[1:], 2.0, cfg)[0]
+
+
+def test_backward_splitting_raises_kind_error():
+    m = instantiate_model("damped-mechanical", alpha=0.5, d=1, v_cos=1.0)
+    cfg = IntegratorConfig(method="splitting", h=0.01)
+    with pytest.raises(KindError):
+        integrate_flow(m, np.array([0.2, 0.3]), (1.0, 0.0), cfg)
+
+
+# ---------------------------------------------------------------------------
+# method="rk4" trajectories share the dense-output tail
+# ---------------------------------------------------------------------------
+
+def test_rk4_variational_honours_initial_frame():
+    m = instantiate_model("circle-linear", alpha=1.0)
+    x0, F0 = np.array([0.13, 0.7]), np.diag([2.0, 3.0])
+    ref = integrate_variational(m, x0, (0.0, 1.0), samples=2, initial_frame=F0)
+    traj = integrate_variational(m, x0, (0.0, 1.0), RK4, samples=2, initial_frame=F0)
+    assert np.array_equal(traj.frames[0], F0)
+    # the frame grows to ~600 along this orbit; RK4 at h = 0.01 keeps 1e-6 relative
+    scale = np.max(np.abs(ref.final_frame))
+    assert np.max(np.abs(traj.final_frame - ref.final_frame)) < 1e-6 * scale
+
+
+def test_rk4_honours_samples_and_times():
+    m = instantiate_model("circle-linear", alpha=1.0)
+    x0 = np.array([0.13, 0.7])
+    traj = integrate_flow(m, x0, (0.0, 1.0), RK4, samples=11)
+    assert np.allclose(traj.times, np.linspace(0.0, 1.0, 11), rtol=0.0, atol=1e-15)
+    times = np.array([0.0, 0.123, 0.5])
+    picked = integrate_flow(m, x0, (0.0, 1.0), RK4, times=times)
+    assert np.array_equal(picked.times[:3], times) and picked.times[-1] == 1.0
+    ref = integrate_flow(m, x0, (0.0, 1.0), times=times)
+    err = torus_distance(m.spec, picked.states, ref.states)
+    assert np.all(err < 1e-6 * (1.0 + np.abs(ref.states[:, 1])))
+
+
+def test_splitting_trajectory_honours_samples_and_stays_conformal():
+    m = instantiate_model("damped-mechanical", alpha=0.5, d=1, v_cos=1.0)
+    cfg = IntegratorConfig(method="splitting", h=0.01)
+    traj = integrate_variational(m, np.array([0.2, 0.3]), (0.0, 1.0), cfg, samples=11)
+    assert len(traj.times) == 11
+    # the last sample is the last node: a product of exactly conformal steps
+    assert abs(np.linalg.det(traj.final_frame) - math.exp(-0.5)) < 1e-13
+
+
+def test_rk4_r_final_is_rk4_accurate():
+    m = instantiate_model("t2-pair-theta2")
+    x0 = np.array([0.1, 0.2])
+    ref = integrate_flow(m, x0, (0.0, 1.0), samples=2).r_final
+    _, _, r_batch = flow_ensemble(m, x0[None, :], 1.0, h=0.01, racc=True)
+    r_rk4 = integrate_flow(m, x0, (0.0, 1.0), RK4, samples=2).r_final
+    assert abs(r_rk4 - ref) < 1e-3
+    assert r_rk4 == pytest.approx(r_batch[0], abs=1e-12)
+
+
+def test_rk4_blowup_status_and_time():
+    m = instantiate_model("circle-quadratic", alpha=1.0)
+    t_star = math.log(TWO_PI / (TWO_PI - 1.0))
+    traj = integrate_flow(m, np.array([0.0, -1.0]), (0.0, 2.0), RK4)
+    assert traj.status == "blowup"
+    assert abs(traj.t_escape - t_star) < 0.02
+
+
+# ---------------------------------------------------------------------------
+# transport_tangents against the variational reference
+# ---------------------------------------------------------------------------
+
+TRANSPORT_MODELS = {
+    "circle-linear": lambda: instantiate_model("circle-linear", alpha=1.0),
+    "mane": lambda: instantiate_model("mane", alpha=0.5, d=1, y0=0.5, y_sin=-0.5 / TWO_PI),
+    "reversed-circle-linear": lambda: time_reversed_view(
+        instantiate_model("circle-linear", alpha=1.0)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(TRANSPORT_MODELS))
+def test_transport_tangents_matches_variational(name):
+    m = TRANSPORT_MODELS[name]()
+    rng = np.random.default_rng(3)
+    states = sample_states(m, 4, rng, 0.5)
+    vectors = rng.standard_normal((4, m.dim))
+    final, moved, alive = transport_tangents(m, states, vectors, 0.5)
+    assert alive.all()
+    for x, v, xf, vf in zip(states, vectors, final, moved):
+        ref = integrate_variational(m, x, (0.0, 0.5), samples=2)
+        assert torus_distance(m.spec, xf, ref.final_state) < 1e-8
+        assert np.max(np.abs(vf - ref.final_frame @ v)) < 1e-8
+
+
+# ---------------------------------------------------------------------------
+# the time-reversed view is a ModelSpec
+# ---------------------------------------------------------------------------
+
+def test_time_reversed_view_is_a_model_spec():
+    m = instantiate_model("mane", alpha=0.5, d=1, y0=0.5, y_sin=-0.5 / TWO_PI)
+    view = time_reversed_view(m)
+    assert isinstance(view, ModelSpec)
+    assert view.Y is m.Y
+    x = np.array([0.3, -0.2])
+    assert np.array_equal(view.X(x), -m.X(x))
+    assert np.array_equal(view.jacobian(x), -m.jacobian(x))
+    assert not view.cotangent_splittable
+
+
+def test_time_reversed_view_reverses_closed_form_flow():
+    m = instantiate_model("lee-twisted-t1t2")
+    x = np.array([0.1, 0.2, 0.3, 0.4])
+    assert np.array_equal(time_reversed_view(m).flow_exact(x, 0.7), m.flow_exact(x, -0.7))
+
+
+# ---------------------------------------------------------------------------
+# row independence (property test)
+# ---------------------------------------------------------------------------
+
+def _split_rows(run, batch, cut):
+    head, tail = run(batch[:cut]), run(batch[cut:])
+    return [np.concatenate([a, b]) for a, b in zip(head, tail)]
+
+
+def _classify_rows(m, batch, T):
+    out = classify_ensemble(m, batch, T)
+    return (
+        np.array([r.verdict for r in out]),
+        np.array([[r.r_slope, r.omega_H_max, r.min_return_dist, r.r_abs_max] for r in out]),
+    )
+
+
+ENGINE_CALLS = {
+    "flow": (
+        lambda: instantiate_model("circle-quadratic", alpha=1.0),
+        lambda m, b: flow_ensemble(m, b, 0.3, h=0.01, blowup_threshold=1e3),
+    ),
+    "transport": (
+        lambda: instantiate_model("circle-quadratic", alpha=1.0),
+        lambda m, b: transport_tangents(
+            m, b, np.ones_like(b), 0.3, h=0.01, blowup_threshold=1e3),
+    ),
+    "classify": (
+        lambda: instantiate_model("t2-pair-theta2"),
+        lambda m, b: _classify_rows(m, b, 0.3),
+    ),
+}
+
+
+@pytest.mark.parametrize("call", sorted(ENGINE_CALLS))
+@settings(max_examples=8, deadline=None)
+@given(
+    seed=st.integers(0, 2**16),
+    n=st.integers(2, 6),
+    data=st.data(),
+)
+def test_rows_are_independent(call, seed, n, data):
+    build, run = ENGINE_CALLS[call]
+    m = build()
+    batch = sample_states(m, n, np.random.default_rng(seed), 0.5)
+    cut = data.draw(st.integers(1, n - 1), label="cut")
+    full = run(m, batch)
+    for a, b in zip(full, _split_rows(lambda part: run(m, part), batch, cut)):
+        if a.dtype.kind == "f":
+            assert np.allclose(a, b, rtol=0.0, atol=1e-12, equal_nan=True)
+        else:
+            assert np.array_equal(a, b)
+    # a poisoned row dies alone: NaN from the start, or a blow-up on the way
+    at = data.draw(st.integers(0, n), label="at")
+    poison = np.full(m.dim, np.nan)
+    if call != "classify" and data.draw(st.booleans(), label="blowup"):
+        poison = np.array([0.0, -1.0])  # Riccati escape at t ~ 0.17
+    poisoned = run(m, np.insert(batch, at, poison, axis=0))
+    for a, b in zip(full, poisoned):
+        assert np.array_equal(np.delete(b, at, axis=0), a)
+    if call == "classify":
+        assert poisoned[0][at] == "undetermined"
+    else:
+        assert not poisoned[-1][at]
+
+
+def test_classify_rejects_non_positive_horizon():
+    m = instantiate_model("t2-pair-theta2")
+    with pytest.raises(ParamError):
+        classify_orbit(m, np.array([0.1, 0.2]), 0.0)

@@ -299,3 +299,23 @@ def test_identity_residual_requires_structure():
     m = instantiate_model("anosov-cover")
     with pytest.raises(StructureError):
         field_identity_residual(m, np.zeros(4))
+
+
+def test_model_spec_is_frozen():
+    import dataclasses
+
+    m = instantiate_model("circle-linear", alpha=1.0)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        m.alpha = 3.0
+    assert m.alpha == 1.0
+
+
+def test_auxiliary_fields_are_model_fields():
+    from csdyn.flows import time_reversed_view
+
+    mane = instantiate_model("mane", alpha=0.5, d=1, y0=0.5, y_sin=-0.5 / TWO_PI)
+    assert time_reversed_view(mane).Y is mane.Y
+    assert time_reversed_view(mane).DY is mane.DY
+    damped = instantiate_model("damped-mechanical", alpha=0.5, d=1, v_cos=1.0)
+    assert damped.V(np.array([0.0])) == pytest.approx(1.0)
+    assert instantiate_model("circle-linear").V is None
