@@ -134,7 +134,7 @@ def _error_norm(delta, y_old, y_new, rel, abs_):
 
 
 class _AdaptivePath:
-    """Accepted Dormand-Prince nodes of one integration, with dense output."""
+    """Accepted Dormand-Prince nodes of the autonomous rhs(y), with dense output."""
 
     def __init__(self, rhs, t0, t1, y0, cfg, line_slice=None):
         self.rhs = rhs
@@ -149,7 +149,7 @@ class _AdaptivePath:
         self._run(t0, t1)
 
     def _eval(self, t, y):
-        f = np.asarray(self.rhs(t, y), dtype=float)
+        f = np.asarray(self.rhs(y), dtype=float)
         if not np.all(np.isfinite(f)):
             raise PoisonedStateError(
                 f"field evaluation returned non-finite values at t={t}", t=t, state=y
@@ -266,20 +266,29 @@ def _eta_contraction(m):
     return contraction
 
 
-def _flow_rhs(m, with_frames, with_racc):
-    n = m.dim
-    eta_dot = _eta_contraction(m) if with_racc else None
+def _joint_rhs(m, k, racc):
+    """Joint field of the rows y = [x | n*k tangent entries, row-major n x k | r].
 
-    def rhs(t, y):
-        x = y[:n]
-        xdot = np.asarray(m.X(x), dtype=float)
-        parts = [xdot]
-        if with_frames:
-            F = y[n : n + n * n].reshape(n, n)
-            parts.append((m.jacobian(x) @ F).ravel())
-        if with_racc:
-            parts.append(np.array([float(eta_dot(x))]))
-        return np.concatenate(parts)
+    Both integrators use it: the adaptive path on one row, the fixed-step
+    engine on (N, w) batches.
+    """
+    n = m.dim
+    if not k and not racc:
+        return lambda y: np.asarray(m.X(y), dtype=float)
+    DX = m.jacobian
+    eta_dot = _eta_contraction(m) if racc else None
+
+    def rhs(y):
+        x = y[..., :n]
+        parts = [np.asarray(m.X(x), dtype=float)]
+        if k == 1:
+            parts.append(np.einsum("...ij,...j->...i", DX(x), y[..., n : 2 * n]))
+        elif k:
+            F = y[..., n : n + n * k].reshape(y.shape[:-1] + (n, k))
+            parts.append((DX(x) @ F).reshape(y.shape[:-1] + (n * k,)))
+        if racc:
+            parts.append(np.asarray(eta_dot(x), dtype=float)[..., None])
+        return np.concatenate(parts, axis=-1)
 
     return rhs
 
@@ -300,8 +309,9 @@ def _integrate_core(m, x0, t_span, cfg, with_frames, times, samples, initial_fra
     x0 = np.asarray(x0, dtype=float)
 
     if backward:
+        rev_times = None if times is None else np.sort(t0 - np.asarray(times, float))
         traj = _integrate_core(
-            time_reversed_view(m), x0, (0.0, t0 - t1), cfg, with_frames, None,
+            time_reversed_view(m), x0, (0.0, t0 - t1), cfg, with_frames, rev_times,
             samples, initial_frame,
         )
         phys = t0 - traj.times
@@ -333,7 +343,7 @@ def _integrate_core(m, x0, t_span, cfg, with_frames, times, samples, initial_fra
 
     if cfg.method == REFERENCE:
         path = _AdaptivePath(
-            _flow_rhs(m, with_frames, with_racc), t0, t1, y0, cfg,
+            _joint_rhs(m, n if with_frames else 0, with_racc), t0, t1, y0, cfg,
             line_slice=_line_indices(m),
         )
         ts, ys, fs, status, t_escape = path.ts, path.ys, path.fs, path.status, path.t_escape
@@ -370,13 +380,16 @@ def _negated(f):
 def time_reversed_view(m):
     """The flow of -X as a ModelSpec; repelling orbits of m are attracting for it.
 
-    Splitting is switched off: the reversed field is not dissipative.
+    -X has the defining identity of m with -alpha and -H (eta and lambda
+    stay), and X_H negates with it.  Splitting is off and -H is not
+    fiber-convex.
     """
     _require_flow(m)
     fe = m.flow_exact
     return replace(
-        m, X=_negated(m.X), DX=_negated(m.DX), DX_batch=_negated(m.DX_batch),
-        eta_X=_negated(m.eta_X), cotangent_splittable=False,
+        m, alpha=-m.alpha, X=_negated(m.X), DX=_negated(m.DX), H=_negated(m.H),
+        dH=_negated(m.dH), X_sym=_negated(m.X_sym), DX_sym=_negated(m.DX_sym),
+        eta_X=_negated(m.eta_X), cotangent_splittable=False, fiber_convex=False,
         flow_exact=None if fe is None else (
             lambda x, t: fe(x, -np.asarray(t, dtype=float))
         ),
@@ -469,7 +482,7 @@ def _fixed_step_nodes(m, y0, t0, t1, cfg, with_frames, with_racc):
             f"fixed-step state became non-finite at t={ts[-1]}", t=ts[-1], state=ys[-1]
         )
     status, t_escape = (COMPLETED, None) if alive[0] else (BLOWUP, float(ts[-1]))
-    return ts, ys, _batched_rhs(m, k, with_racc)(ys), status, t_escape
+    return ts, ys, _joint_rhs(m, k, with_racc)(ys), status, t_escape
 
 
 def _rk4_step(rhs, x, h):
@@ -491,32 +504,6 @@ def _splitting_rows(m, rows, h, k, cfg):
     return out
 
 
-def _batched_rhs(m, k, racc):
-    """Field of the rows [x | n*k tangent entries, row-major n x k | r]."""
-    n = m.dim
-    if not k and not racc:
-        return lambda y: np.asarray(m.X(y), dtype=float)
-    DX = m.DX_batch
-    if DX is None:
-        def DX(x):
-            return np.stack([m.jacobian(row) for row in x])
-    eta_dot = _eta_contraction(m) if racc else None
-
-    def rhs(y):
-        x = y[..., :n]
-        parts = [np.asarray(m.X(x), dtype=float)]
-        if k == 1:
-            parts.append(np.einsum("...ij,...j->...i", DX(x), y[..., n : 2 * n]))
-        elif k:
-            F = y[..., n : n + n * k].reshape(y.shape[:-1] + (n, k))
-            parts.append((DX(x) @ F).reshape(y.shape[:-1] + (n * k,)))
-        if racc:
-            parts.append(np.asarray(eta_dot(x), dtype=float)[..., None])
-        return np.concatenate(parts, axis=-1)
-
-    return rhs
-
-
 def _n_steps(t, h):
     return int(math.ceil(t / h - 1e-12))
 
@@ -536,7 +523,7 @@ def _fixed_step_engine(m, Y, t, h, k=0, racc=False, blowup_threshold=1e8,
         raise ParamError(f"fixed-step integration needs t >= 0, got t={t}")
     n = m.dim
     if splitting is None:
-        rhs = _batched_rhs(m, k, racc)
+        rhs = _joint_rhs(m, k, racc)
 
         def advance(rows, hh):
             return _rk4_step(rhs, rows, hh)
@@ -775,7 +762,7 @@ def poincare_return(m, sec, x0, k, cfg=None, t_max=1e4, chunk=4.0):
         )
     n = m.dim
     with_racc = m.eta is not None
-    rhs = _flow_rhs(m, True, with_racc)
+    rhs = _joint_rhs(m, n, with_racc)
     grad = sec.gradient(n)
     x0 = np.asarray(x0, dtype=float)
     guard = 0.25 if (sec.axis is not None and m.spec.axes[sec.axis] == "angle") else math.inf

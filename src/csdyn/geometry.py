@@ -175,15 +175,18 @@ def fd_gradient(f, x, h=1e-6):
 
 
 def fd_jacobian(f, x, h=1e-6):
-    """Central-difference Jacobian of a vector function, rows = components."""
+    """Central-difference Jacobian, rows = components; x (..., n) -> (..., m, n).
+
+    h is one step, or one step per state of shape (...).
+    """
     x = np.asarray(x, dtype=float)
-    f0 = np.asarray(f(x), dtype=float)
-    jac = np.zeros((f0.size, x.size))
-    for i in range(x.size):
+    h = np.asarray(h, dtype=float)
+    cols = []
+    for i in range(x.shape[-1]):
         e = np.zeros_like(x)
-        e[i] = h
-        jac[:, i] = (np.asarray(f(x + e)) - np.asarray(f(x - e))) / (2 * h)
-    return jac
+        e[..., i] = h
+        cols.append((np.asarray(f(x + e)) - np.asarray(f(x - e))) / (2 * h[..., None]))
+    return np.stack(cols, axis=-1)
 
 
 def fd_exterior_derivative_one_form(lambda_eval, x, h=1e-6):

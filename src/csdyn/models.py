@@ -64,8 +64,8 @@ class ModelSpec:
     alpha: float = 0.0
     ratio_a: float | None = None
     X: object = None            # flow field, state -> tangent
-    DX: object = None           # analytic Jacobian of X at a single state
-    DX_batch: object = None     # analytic Jacobians on an (N, dim) batch
+    DX: object = None           # Jacobian of X, (..., dim) -> (..., dim, dim)
+    DX_batch: object = None     # retired, must stay None: DX broadcasts
     f: object = None            # map, state -> state
     Df: object = None           # map Jacobian
     f_inv: object = None        # closed-form inverse map
@@ -102,6 +102,8 @@ class ModelSpec:
             raise ParamError("map models must define f and not X")
         if self.Omega is None:
             raise ParamError("models must define Omega")
+        if self.DX_batch is not None:
+            raise ParamError("DX_batch is retired; DX broadcasts over (..., dim)")
 
     @property
     def dim(self):
@@ -112,11 +114,11 @@ class ModelSpec:
         return self.spec.dim // 2
 
     def jacobian(self, x):
-        """Analytic field Jacobian, central-difference fallback."""
+        """Field Jacobian over (..., dim): DX, else central differences of X."""
         if self.DX is not None:
-            return np.asarray(self.DX(x), dtype=float)
+            return self.DX(x)
         x = np.asarray(x, dtype=float)
-        h = max(1e-6, 1e-6 * float(np.linalg.norm(x)))
+        h = np.maximum(1e-6, 1e-6 * np.linalg.norm(x, axis=-1))
         return fd_jacobian(self.X, x, h=h)
 
 
@@ -285,23 +287,15 @@ def _build_circle_linear(params):
             [np.sin(TWO_PI * th), -TWO_PI * np.cos(TWO_PI * th) * r], axis=-1
         )
 
-    def DX_batch(x):
+    def _dx(x, a):
         x = np.asarray(x, dtype=float)
-        th, r = x[..., 0], x[..., 1]
-        c, s = np.cos(TWO_PI * th), np.sin(TWO_PI * th)
+        w, r = TWO_PI * x[..., 0], x[..., 1]
+        c, s = np.cos(w), np.sin(w)
         out = np.zeros(x.shape[:-1] + (2, 2))
         out[..., 0, 0] = TWO_PI * c
         out[..., 1, 0] = TWO_PI * TWO_PI * s * r
-        out[..., 1, 1] = -(alpha + TWO_PI * c)
+        out[..., 1, 1] = -(a + TWO_PI * c)
         return out
-
-    def DX(x):
-        return DX_batch(np.asarray(x, dtype=float))
-
-    def DX_sym(x):
-        th, r = float(x[0]), float(x[1])
-        c, s = math.cos(TWO_PI * th), math.sin(TWO_PI * th)
-        return np.array([[TWO_PI * c, 0.0], [TWO_PI * TWO_PI * s * r, -TWO_PI * c]])
 
     def H(x):
         x = np.asarray(x, dtype=float)
@@ -319,10 +313,9 @@ def _build_circle_linear(params):
         params=p,
         alpha=alpha,
         X=X,
-        DX=DX,
-        DX_batch=DX_batch,
+        DX=lambda x: _dx(x, alpha),
         X_sym=X_sym,
-        DX_sym=DX_sym,
+        DX_sym=lambda x: _dx(x, 0.0),
         H=H,
         dH=dH,
         lam=_tautological_lambda(1),
@@ -361,29 +354,16 @@ def _build_circle_quadratic(params):
             axis=-1,
         )
 
-    def DX_batch(x):
+    def _dx(x, a):
         x = np.asarray(x, dtype=float)
-        th, r = x[..., 0], x[..., 1]
-        c, s = np.cos(TWO_PI * th), np.sin(TWO_PI * th)
+        w, r = TWO_PI * x[..., 0], x[..., 1]
+        c, s = np.cos(w), np.sin(w)
         out = np.zeros(x.shape[:-1] + (2, 2))
         out[..., 0, 0] = 2.0 * r * TWO_PI * c
         out[..., 0, 1] = 2.0 * s
         out[..., 1, 0] = TWO_PI * TWO_PI * r * r * s
-        out[..., 1, 1] = -alpha - 2.0 * TWO_PI * r * c
+        out[..., 1, 1] = -a - 2.0 * TWO_PI * r * c
         return out
-
-    def DX(x):
-        return DX_batch(np.asarray(x, dtype=float))
-
-    def DX_sym(x):
-        th, r = float(x[0]), float(x[1])
-        c, s = math.cos(TWO_PI * th), math.sin(TWO_PI * th)
-        return np.array(
-            [
-                [2.0 * r * TWO_PI * c, 2.0 * s],
-                [TWO_PI * TWO_PI * r * r * s, -2.0 * TWO_PI * r * c],
-            ]
-        )
 
     def H(x):
         x = np.asarray(x, dtype=float)
@@ -404,10 +384,9 @@ def _build_circle_quadratic(params):
         params=p,
         alpha=alpha,
         X=X,
-        DX=DX,
-        DX_batch=DX_batch,
+        DX=lambda x: _dx(x, alpha),
         X_sym=X_sym,
-        DX_sym=DX_sym,
+        DX_sym=lambda x: _dx(x, 0.0),
         H=H,
         dH=dH,
         lam=_tautological_lambda(1),
@@ -466,18 +445,20 @@ def _build_mane(params):
         q, pv = x[..., :d], x[..., d:]
         return np.concatenate([pv + Y(q), -DYt_p(q, pv)], axis=-1)
 
-    def _dx(x, with_alpha):
+    eye, diag = np.eye(d), (np.arange(d, 2 * d), np.arange(d))
+
+    def _dx(x, a):
         x = np.asarray(x, dtype=float)
-        q, pv = x[:d], x[d:]
+        q, pv = x[..., :d], x[..., d:]
         dy = DY(q)
-        s, c = np.sin(TWO_PI * q), np.cos(TWO_PI * q)
+        s, c = np.sin(TWO_PI * q)[..., None, :], np.cos(TWO_PI * q)[..., None, :]
         # d/dq_k of (tDY p)_i is diagonal for the separable trig field
-        m_diag = -(TWO_PI**2) * np.einsum("j,ji->i", pv, y_sin * s + y_cos * c)
-        out = np.zeros((2 * d, 2 * d))
-        out[:d, :d] = dy
-        out[:d, d:] = np.eye(d)
-        out[d:, :d] = -np.diag(m_diag)
-        out[d:, d:] = -dy.T - (alpha if with_alpha else 0.0) * np.eye(d)
+        m_diag = -(TWO_PI**2) * np.einsum("...j,...ji->...i", pv, y_sin * s + y_cos * c)
+        out = np.zeros(x.shape[:-1] + (2 * d, 2 * d))
+        out[..., :d, :d] = dy
+        out[..., :d, d:] = eye
+        out[(...,) + diag] = -m_diag
+        out[..., d:, d:] = -np.swapaxes(dy, -1, -2) - a * eye
         return out
 
     def H(x):
@@ -497,9 +478,9 @@ def _build_mane(params):
         params=p,
         alpha=alpha,
         X=X,
-        DX=lambda x: _dx(x, True),
+        DX=lambda x: _dx(x, alpha),
         X_sym=X_sym,
-        DX_sym=lambda x: _dx(x, False),
+        DX_sym=lambda x: _dx(x, 0.0),
         H=H,
         dH=dH,
         lam=_tautological_lambda(d),
@@ -546,7 +527,7 @@ def _build_damped_mechanical(params):
             out[..., 1] -= cross
         return out
 
-    def hess_V_batch(q):
+    def hess_V(q):
         q = np.asarray(q, dtype=float)
         diag = (TWO_PI**2) * (-vc * np.cos(TWO_PI * q) - vs * np.sin(TWO_PI * q))
         out = np.zeros(q.shape[:-1] + (d, d))
@@ -560,9 +541,6 @@ def _build_damped_mechanical(params):
             out[..., 1, 0] -= cc
         return out
 
-    def hess_V(q):
-        return hess_V_batch(np.asarray(q, dtype=float))
-
     def X(x):
         x = np.asarray(x, dtype=float)
         q, pv = x[..., :d], x[..., d:]
@@ -573,21 +551,14 @@ def _build_damped_mechanical(params):
         q, pv = x[..., :d], x[..., d:]
         return np.concatenate([pv, -grad_V(q)], axis=-1)
 
-    def _dx(x, with_alpha):
-        q = np.asarray(x, dtype=float)[:d]
-        out = np.zeros((2 * d, 2 * d))
-        out[:d, d:] = np.eye(d)
-        out[d:, :d] = -hess_V(q)
-        out[d:, d:] = -(alpha if with_alpha else 0.0) * np.eye(d)
-        return out
+    eye = np.eye(d)
 
-    def DX_batch(x):
+    def _dx(x, a):
         x = np.asarray(x, dtype=float)
-        q = x[..., :d]
         out = np.zeros(x.shape[:-1] + (2 * d, 2 * d))
-        out[..., :d, d:] = np.eye(d)
-        out[..., d:, :d] = -hess_V_batch(q)
-        out[..., d:, d:] = -alpha * np.eye(d)
+        out[..., :d, d:] = eye
+        out[..., d:, :d] = -hess_V(x[..., :d])
+        out[..., d:, d:] = -a * eye
         return out
 
     def H(x):
@@ -621,10 +592,9 @@ def _build_damped_mechanical(params):
         params=p,
         alpha=alpha,
         X=X,
-        DX=lambda x: _dx(x, True),
-        DX_batch=DX_batch,
+        DX=lambda x: _dx(x, alpha),
         X_sym=X_sym,
-        DX_sym=lambda x: _dx(x, False),
+        DX_sym=lambda x: _dx(x, 0.0),
         H=H,
         dH=dH,
         lam=_tautological_lambda(d),
@@ -714,10 +684,10 @@ def _build_t2_pair_theta1(params):
         return out
 
     def DX(x):
-        th1 = float(x[0])
-        return np.array(
-            [[0.0, 0.0], [-amp * TWO_PI * math.cos(TWO_PI * (0.125 + th1)), 0.0]]
-        )
+        th1 = np.asarray(x, dtype=float)[..., 0]
+        out = np.zeros(th1.shape + (2, 2))
+        out[..., 1, 0] = -amp * TWO_PI * np.cos(TWO_PI * (0.125 + th1))
+        return out
 
     def H(x):
         x = np.asarray(x, dtype=float)
@@ -763,9 +733,11 @@ def _build_t2_pair_theta2(params):
         )
 
     def DX(x):
-        th2 = float(x[1])
-        c, s = math.cos(TWO_PI * th2), math.sin(TWO_PI * th2)
-        return np.array([[0.0, -TWO_PI * TWO_PI * s], [0.0, -TWO_PI * TWO_PI * c]])
+        w = TWO_PI * np.asarray(x, dtype=float)[..., 1]
+        out = np.zeros(w.shape + (2, 2))
+        out[..., 0, 1] = -TWO_PI * TWO_PI * np.sin(w)
+        out[..., 1, 1] = -TWO_PI * TWO_PI * np.cos(w)
+        return out
 
     def H(x):
         x = np.asarray(x, dtype=float)
@@ -863,12 +835,12 @@ def _build_lee_twisted(params):
         return out
 
     def DX(x):
-        v = float(x[2])
-        c, s = math.cos(TWO_PI * v), math.sin(TWO_PI * v)
-        out = np.zeros((4, 4))
-        out[0, 2] = -TWO_PI * s
-        out[1, 2] = TWO_PI * c
-        out[3, 2] = TWO_PI * (-a1 * s + a2 * c)
+        v = np.asarray(x, dtype=float)[..., 2]
+        c, s = np.cos(TWO_PI * v), np.sin(TWO_PI * v)
+        out = np.zeros(v.shape + (4, 4))
+        out[..., 0, 2] = -TWO_PI * s
+        out[..., 1, 2] = TWO_PI * c
+        out[..., 3, 2] = TWO_PI * (-a1 * s + a2 * c)
         return out
 
     def flow_exact(x, t):
@@ -947,8 +919,8 @@ def _build_anosov_cover(params):
         return out
 
     def DX(x):
-        out = np.zeros((4, 4))
-        out[3, 3] = rate
+        out = np.zeros(np.shape(x)[:-1] + (4, 4))
+        out[..., 3, 3] = rate
         return out
 
     def flow_exact(x, t):

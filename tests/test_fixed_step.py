@@ -7,7 +7,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from csdyn.diagnostics import classify_ensemble, classify_orbit
+from csdyn.diagnostics import (
+    classify_ensemble,
+    classify_orbit,
+    conformal_transport_check,
+)
 from csdyn.errors import KindError, ParamError
 from csdyn.flows import (
     IntegratorConfig,
@@ -18,7 +22,13 @@ from csdyn.flows import (
     transport_tangents,
 )
 from csdyn.geometry import ANGLE, LINE, CoordinateSpec, torus_distance
-from csdyn.models import FLOW, ModelSpec, instantiate_model, sample_states
+from csdyn.models import (
+    FLOW,
+    ModelSpec,
+    field_identity_residual,
+    instantiate_model,
+    sample_states,
+)
 
 TWO_PI = 2.0 * math.pi
 RK4 = IntegratorConfig(method="rk4", h=0.01)
@@ -169,6 +179,27 @@ def test_time_reversed_view_is_a_model_spec():
     assert np.array_equal(view.X(x), -m.X(x))
     assert np.array_equal(view.jacobian(x), -m.jacobian(x))
     assert not view.cotangent_splittable
+
+
+def test_time_reversed_view_negates_alpha_and_hamiltonian():
+    m = instantiate_model("circle-linear", alpha=1.0)
+    view = time_reversed_view(m)
+    assert view.alpha == -1.0
+    assert view.eta is m.eta and view.lam is m.lam
+    traj = integrate_variational(view, (0.3, 0.2), (0, 1))
+    assert conformal_transport_check(view, traj).residual < 1e-6
+    # the Liouville decomposition X = alpha*Z + X_H holds on the view too
+    x = np.array([0.3, 0.2])
+    assert np.allclose(view.X(x) - view.X_sym(x), view.alpha * np.array([0.0, -0.2]))
+    mane = instantiate_model("mane", alpha=0.5, d=1, y0=0.5, y_sin=-0.5 / TWO_PI)
+    assert mane.fiber_convex and not time_reversed_view(mane).fiber_convex
+
+
+@pytest.mark.parametrize("name", ["circle-linear", "t2-pair-theta2"])
+def test_time_reversed_view_satisfies_the_field_identity(name):
+    view = time_reversed_view(instantiate_model(name))
+    for x in sample_states(view, 50, np.random.default_rng(13)):
+        assert field_identity_residual(view, x) <= 1e-12
 
 
 def test_time_reversed_view_reverses_closed_form_flow():

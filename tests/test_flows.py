@@ -280,6 +280,17 @@ def test_backward_span_flagged_and_consistent():
     assert back.r_accum is None  # no Lee form on this model
 
 
+def test_backward_span_honours_requested_times():
+    m = instantiate_model("circle-linear", alpha=1.0)
+    x = np.array([0.37, 0.8])
+    back = integrate_flow(m, x, (1.0, 0.0), times=[0.25, 0.5])
+    assert np.array_equal(back.times, [0.0, 0.25, 0.5])
+    fwd = integrate_flow(m, back.final_state, (0.0, 1.0), times=[0.25, 0.5])
+    assert torus_distance(m.spec, fwd.states[-1], x) < 1e-8
+    for a, b in zip(fwd.states[:2], back.states[1:]):
+        assert torus_distance(m.spec, a, b) < 1e-8
+
+
 def test_trajectory_r_accum_starts_at_zero():
     m = instantiate_model("t2-pair-theta2")
     traj = integrate_flow(m, np.array([0.1, 0.2]), (0.0, 1.0), samples=11)

@@ -18,7 +18,9 @@ from csdyn.geometry import (
 )
 from csdyn.models import (
     CAT_EIG_MINUS,
+    FLOW,
     NONEXACT_RATIO,
+    ModelSpec,
     conformal_hamiltonian_field,
     contact_lift,
     eval_observables,
@@ -319,3 +321,78 @@ def test_auxiliary_fields_are_model_fields():
     damped = instantiate_model("damped-mechanical", alpha=0.5, d=1, v_cos=1.0)
     assert damped.V(np.array([0.0])) == pytest.approx(1.0)
     assert instantiate_model("circle-linear").V is None
+
+
+# ---------------------------------------------------------------------------
+# Jacobian oracle: DX against central differences of X, on batches
+# ---------------------------------------------------------------------------
+
+def _central_differences(f, xs, h=1e-6):
+    cols = []
+    for j in range(xs.shape[-1]):
+        e = np.zeros(xs.shape[-1])
+        e[j] = h
+        cols.append((np.asarray(f(xs + e)) - np.asarray(f(xs - e))) / (2 * h))
+    return np.stack(cols, axis=-1)
+
+
+def _fd_fallback_model():
+    # analytic dH keeps X smooth; the lift has no DX, so jacobian differences X
+    lifted = contact_lift(
+        lambda y: math.cos(TWO_PI * y[2]) + 0.3 * math.sin(TWO_PI * y[0]), (0.5, -0.2),
+        dH=lambda y: TWO_PI * np.array(
+            [0.3 * math.cos(TWO_PI * y[0]), 0.0, -math.sin(TWO_PI * y[2])]
+        ),
+    )
+    assert lifted.DX is None
+    return lifted
+
+
+JACOBIAN_CASES = FLOW_CASES + [("anosov-cover", {}), ("contact-lift", None)]
+
+
+@pytest.mark.parametrize("name,params", JACOBIAN_CASES, ids=lambda v: str(v)[:40])
+def test_jacobian_broadcasts_and_matches_central_differences(name, params):
+    m = _fd_fallback_model() if params is None else instantiate_model(name, params)
+    xs = sample_states(m, 16, np.random.default_rng(11), 1.0)
+    J = m.jacobian(xs)
+    assert J.shape == (16, m.dim, m.dim)
+    assert np.max(np.abs(J - _central_differences(m.X, xs))) < 1e-6
+    for x, row in zip(xs, J):
+        assert np.array_equal(m.jacobian(x), row)
+    assert m.jacobian(xs.reshape(4, 4, m.dim)).shape == (4, 4, m.dim, m.dim)
+
+
+SPLITTABLE_CASES = [c for c in FLOW_CASES
+                    if instantiate_model(c[0], c[1]).cotangent_splittable]
+
+
+def test_jacobian_cases_cover_every_registered_flow():
+    models = [instantiate_model(n) for n in registered_models()]
+    assert {m.name for m in models if m.kind == FLOW} == {
+        name for name, params in JACOBIAN_CASES if params is not None
+    }
+    assert {m.name for m in models if m.cotangent_splittable} == {
+        name for name, _ in SPLITTABLE_CASES
+    }
+
+
+@pytest.mark.parametrize("name,params", SPLITTABLE_CASES, ids=lambda v: str(v)[:40])
+def test_hamiltonian_part_jacobian_and_liouville_decomposition(name, params):
+    m = instantiate_model(name, params)
+    xs = sample_states(m, 16, np.random.default_rng(12), 1.0)
+    assert np.max(np.abs(m.DX_sym(xs) - _central_differences(m.X_sym, xs))) < 1e-6
+    for x, row in zip(xs, m.DX_sym(xs)):
+        assert np.array_equal(m.DX_sym(x), row)
+    # X = alpha*Z + X_H with the Liouville field Z = -p d/dp
+    z = np.zeros_like(xs)
+    z[:, m.d:] = -xs[:, m.d:]
+    scale = 1.0 + np.max(np.abs(m.X(xs)))
+    assert np.max(np.abs(m.X(xs) - m.X_sym(xs) - m.alpha * z)) < 1e-14 * scale
+
+
+def test_model_spec_rejects_retired_dx_batch():
+    m = instantiate_model("circle-linear")
+    with pytest.raises(ParamError, match="DX_batch"):
+        ModelSpec(name="x", spec=m.spec, kind=FLOW, params={}, X=m.X,
+                  DX_batch=m.DX, Omega=m.Omega)
