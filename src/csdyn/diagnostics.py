@@ -610,20 +610,15 @@ def _grow_manifold_shells(m, fp, E, t_grow, cfg, r0, leg):
     n_legs = int(math.ceil(t_grow / leg))
     points, frames = [], []
     states = seeds
-    Qs = np.broadcast_to(E, (n_dirs, n, k)).copy()
+    Qs = np.broadcast_to(E, (n_dirs, n, k))
     for _ in range(n_legs):
-        new_states = np.empty_like(states)
-        for i in range(n_dirs):
-            traj = integrate_variational(
-                m, states[i], (0.0, leg), cfg, samples=2, initial_frame=None
-            )
-            F = traj.final_frame
-            new_states[i] = traj.final_state
-            Q, _ = np.linalg.qr(F @ Qs[i])
-            Qs[i] = Q[:, :k]
-        states = new_states
-        points.append(states.copy())
-        frames.append(Qs.copy())
+        trajs = integrate_variational(m, states, (0.0, leg), cfg, samples=2)
+        F = np.array([traj.final_frame for traj in trajs])
+        states = np.array([traj.final_state for traj in trajs])
+        Q, _ = np.linalg.qr(F @ Qs)
+        Qs = Q[:, :, :k]
+        points.append(states)
+        frames.append(Qs)
     return np.concatenate(points, axis=0), np.concatenate(frames, axis=0)
 
 

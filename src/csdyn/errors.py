@@ -29,13 +29,19 @@ class KindError(CsdynError):
     """A map operation was applied to a flow model or vice versa."""
 
 
-class PoisonedStateError(CsdynError):
-    """NaN/inf produced by a field evaluation; carries the offending state."""
+class _RowFailure(CsdynError):
+    """An integration failure; in a batch, row and model name the failing start."""
 
-    def __init__(self, message, t=None, state=None):
+    def __init__(self, message, t=None, state=None, row=None, model=None):
         super().__init__(message)
         self.t = t
         self.state = state
+        self.row = row
+        self.model = model
+
+
+class PoisonedStateError(_RowFailure):
+    """NaN/inf produced by a field evaluation; carries the offending state."""
 
 
 class BlowUpError(CsdynError):
@@ -46,8 +52,8 @@ class BlowUpError(CsdynError):
         self.t_escape = t_escape
 
 
-class ConvergenceError(CsdynError):
-    pass
+class ConvergenceError(_RowFailure):
+    """An iteration (step-size control, Newton, implicit midpoint) did not converge."""
 
 
 class SectionError(CsdynError):

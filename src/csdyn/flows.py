@@ -1,11 +1,13 @@
 """Trajectory generation.
 
 The reference integrator is an embedded Dormand-Prince 5(4) pair with PI
-step-size control and cubic Hermite dense output.  Variational equations
-are integrated jointly with the state as one error-controlled system, never
-by re-differencing trajectories.  Internally all states are kept as
-unwrapped reals so the registered periodic fields stay smooth; angle
-normalization is applied only at output.
+step-size control and dopri5's 4th-order dense output, run on an (N, state)
+batch in masked lockstep with per-row step control, so a row's result does
+not depend on its batch.  Variational equations are integrated jointly with
+the state as one error-controlled system, never by re-differencing
+trajectories.  Internally all states are kept as unwrapped reals so the
+registered periodic fields stay smooth; angle normalization is applied only
+at output.
 
 The structure-preserving alternative is a Strang splitting of
 X = alpha*Z + X_H: exact fiber contraction exp(-alpha h/2), one symplectic
@@ -25,6 +27,7 @@ import numpy as np
 from .errors import (
     BlowUpError,
     ConvergenceError,
+    DimensionMismatchError,
     KindError,
     ParamError,
     PoisonedStateError,
@@ -40,20 +43,27 @@ REFERENCE = "reference"
 SPLITTING = "splitting"
 RK4 = "rk4"
 
-# Dormand-Prince 5(4) tableau
-_DP_C = np.array([0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0])
-_DP_A = [
-    np.array([]),
-    np.array([1 / 5]),
-    np.array([3 / 40, 9 / 40]),
-    np.array([44 / 45, -56 / 15, 32 / 9]),
-    np.array([19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729]),
-    np.array([9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656]),
-    np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84]),
-]
-_DP_B5 = np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0])
-_DP_ERR = np.array(
-    [71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525, -1 / 40]
+# Dormand-Prince 5(4): the nonzero (stage, coefficient) pairs of each stage
+# row.  The last row is also the 5th-order solution (FSAL), so the last stage
+# is the derivative at the new node.  _DP_E gives the error estimate and _DP_D
+# the extra coefficient of dopri5's 4th-order continuous extension (CONTD5).
+_DP_A = (
+    ((0, 1 / 5),),
+    ((0, 3 / 40), (1, 9 / 40)),
+    ((0, 44 / 45), (1, -56 / 15), (2, 32 / 9)),
+    ((0, 19372 / 6561), (1, -25360 / 2187), (2, 64448 / 6561), (3, -212 / 729)),
+    ((0, 9017 / 3168), (1, -355 / 33), (2, 46732 / 5247), (3, 49 / 176),
+     (4, -5103 / 18656)),
+    ((0, 35 / 384), (2, 500 / 1113), (3, 125 / 192), (4, -2187 / 6784), (5, 11 / 84)),
+)
+_DP_E = (
+    (0, 71 / 57600), (2, -71 / 16695), (3, 71 / 1920), (4, -17253 / 339200),
+    (5, 22 / 525), (6, -1 / 40),
+)
+_DP_D = (
+    (0, -12715105075 / 11282082432), (2, 87487479700 / 32700410799),
+    (3, -10690763975 / 1880347072), (4, 701980252875 / 199316789632),
+    (5, -1453857185 / 822651844), (6, 69997945 / 29380423),
 )
 
 
@@ -79,6 +89,18 @@ class IntegratorConfig:
 
 
 @dataclass
+class IntegrationStats:
+    """Cost of one adaptive run: steps, field evaluations (six per attempted
+    step, one at the start) and the shortest and longest accepted step."""
+
+    accepted: int
+    rejected: int
+    rhs_evals: int
+    h_min: float
+    h_max: float
+
+
+@dataclass
 class Trajectory:
     """Sampled flow data; frames are the tangent maps D(phi_t)."""
 
@@ -89,6 +111,7 @@ class Trajectory:
     status: str = COMPLETED
     t_escape: float | None = None
     backward: bool = False
+    stats: IntegrationStats | None = None
 
     def __post_init__(self):
         n = len(self.times)
@@ -116,136 +139,241 @@ class Trajectory:
         return float(self.r_accum[0] if self.backward else self.r_accum[-1])
 
 
-def _hermite(t0, y0, f0, t1, y1, f1, t):
-    h = t1 - t0
-    u = (t - t0) / h
-    u2, u3 = u * u, u * u * u
-    return (
-        (2 * u3 - 3 * u2 + 1) * y0
-        + (u3 - 2 * u2 + u) * h * f0
-        + (-2 * u3 + 3 * u2) * y1
-        + (u3 - u2) * h * f1
+@dataclass
+class _Path:
+    """Accepted nodes of one row: times, states, derivatives and, per node j >= 1,
+    the continuous-extension coefficient of the segment ending at j (zero for
+    fixed-step nodes).  The row ends at t_end, inside the last segment after a
+    blow-up."""
+
+    ts: np.ndarray
+    ys: np.ndarray
+    fs: np.ndarray
+    ds: np.ndarray
+    status: str
+    t_end: float
+    t_escape: float | None = None
+    stats: IntegrationStats | None = None
+
+
+def _dense(p, i, t):
+    """Continuous extension of segment i of path p at times t (dopri5 CONTD5).
+
+    With the segment coefficient d = 0 it is the cubic Hermite interpolant.
+    i and t are scalars or matching 1-D arrays.
+    """
+    t0 = p.ts[i]
+    h = np.asarray(p.ts[i + 1] - t0)[..., None]
+    s = np.asarray(t - t0)[..., None] / h
+    s1 = 1.0 - s
+    y0 = p.ys[i]
+    dy = p.ys[i + 1] - y0
+    b = h * p.fs[i] - dy
+    c = dy - h * p.fs[i + 1] - b
+    return y0 + s * (dy + s1 * (b + s * (c + s1 * p.ds[i + 1])))
+
+
+def _sample(p, times):
+    """Dense output of path p at sorted times, in one vectorized pass."""
+    times = np.asarray(times, dtype=float)
+    ts, ys = p.ts, p.ys
+    if len(ts) == 1:
+        return np.repeat(ys, len(times), axis=0)
+    i = np.clip(np.searchsorted(ts, times, side="right") - 1, 0, len(ts) - 2)
+    with np.errstate(divide="ignore", invalid="ignore"):  # a stalled last step
+        out = _dense(p, i, times)
+    out[times <= ts[0]] = ys[0]
+    out[times >= ts[-1]] = ys[-1]
+    return out
+
+
+def _row_failure(exc, what, name, row, t, state):
+    return exc(
+        f"{name} row {row}: {what} at t={t}, state {np.array2string(state)}",
+        t=t, state=state, row=row, model=name,
     )
 
 
-def _error_norm(delta, y_old, y_new, rel, abs_):
-    scale = abs_ + rel * np.maximum(np.abs(y_old), np.abs(y_new))
-    return float(np.sqrt(np.mean((delta / scale) ** 2)))
+def _screen(values, rows, t, y, name):
+    """Raise PoisonedStateError for the first row with a non-finite value.
+
+    values is (stages, rows, width); the whole-block sum is the cheap screen.
+    """
+    if math.isfinite(values.sum()):
+        return
+    bad = np.nonzero(~np.isfinite(values).all(axis=(0, 2)))[0]
+    if len(bad):
+        b = bad[0]
+        raise _row_failure(
+            PoisonedStateError, "field evaluation returned non-finite values "
+            "in the step starting", name, int(rows[b]), float(t[b]), y[b].copy(),
+        )
 
 
-class _AdaptivePath:
-    """Accepted Dormand-Prince nodes of the autonomous rhs(y), with dense output."""
+def _combine(K, coeffs):
+    """Fixed-order elementwise sum of coefficient * stage over the nonzero entries."""
+    (j, a), *rest = coeffs
+    s = a * K[j]
+    for j, a in rest:
+        s += a * K[j]
+    return s
 
-    def __init__(self, rhs, t0, t1, y0, cfg, line_slice=None):
-        self.rhs = rhs
-        self.cfg = cfg
-        self.line_slice = line_slice  # indices checked against the blow-up threshold
-        self.status = COMPLETED
-        self.t_escape = None
-        self.ts = [t0]
-        self.ys = [np.array(y0, dtype=float)]
-        f0 = self._eval(t0, self.ys[0])
-        self.fs = [f0]
-        self._run(t0, t1)
 
-    def _eval(self, t, y):
-        f = np.asarray(self.rhs(y), dtype=float)
-        if not np.all(np.isfinite(f)):
-            raise PoisonedStateError(
-                f"field evaluation returned non-finite values at t={t}", t=t, state=y
-            )
-        return f
+def _dp_engine(rhs, t0, t1, Y, cfg, line_cols, name):
+    """Masked lockstep Dormand-Prince 5(4) on the rows of Y over [t0, t1].
 
-    def _line_norm(self, y):
-        if self.line_slice is None or len(self.line_slice) == 0:
-            return 0.0
-        return float(np.max(np.abs(y[self.line_slice])))
-
-    def _run(self, t0, t1):
-        cfg = self.cfg
-        span = t1 - t0
-        t, y, f = t0, self.ys[0], self.fs[0]
+    Every row keeps its own t, h, PI-controller state and accept/reject
+    decision, and leaves the block when it completes, blows up (a line
+    coordinate past cfg.blowup_threshold, bracketed on the dense output) or
+    spends cfg.max_steps accepted steps.  Stage sums are fixed-order and
+    elementwise, so a row's path is bit-identical to the same row run alone
+    (given a row-wise rhs).  Step control: Hairer, Norsett & Wanner, Solving
+    ODEs I, II.4 (initial step) and the PI controller of II.5.  Returns one
+    _Path per row.
+    """
+    # trial steps may overflow; every non-finite stage is screened and raised
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        rel, atol, thr = cfg.rel_tol, cfg.abs_tol, cfg.blowup_threshold
+        N, w = Y.shape
+        rows = np.arange(N)  # the batch index of each block row
+        y = np.array(Y, dtype=float)
+        f = np.empty_like(y)
+        f[...] = rhs(y)
+        t = np.full(N, float(t0))
+        _screen(f[None], rows, t, y, name)
         # conservative initial step from the field scale
-        scale = cfg.abs_tol + cfg.rel_tol * np.abs(y)
-        d0 = float(np.sqrt(np.mean((y / scale) ** 2)))
-        d1 = float(np.sqrt(np.mean((f / scale) ** 2)))
-        h = 0.01 * d0 / d1 if (d0 > 1e-5 and d1 > 1e-5) else 1e-6
-        h = min(h, 0.1 * span, cfg.max_step)
-        h = max(h, 1e-12)
-        err_prev = 1.0
-        k = np.empty((7,) + y.shape)
-        for _ in range(cfg.max_steps):
-            if t >= t1:
-                return
-            h = min(h, t1 - t)
-            k[0] = f
-            failed_in_row = 0
-            while True:
-                for i in range(1, 7):
-                    yi = y + h * np.tensordot(_DP_A[i], k[:i], axes=(0, 0))
-                    k[i] = self._eval(t + _DP_C[i] * h, yi)
-                y_new = y + h * np.tensordot(_DP_B5, k, axes=(0, 0))
-                delta = h * np.tensordot(_DP_ERR, k, axes=(0, 0))
-                err = _error_norm(delta, y, y_new, cfg.rel_tol, cfg.abs_tol)
-                if err <= 1.0 or h <= 1e-14 * max(1.0, abs(t)):
-                    break
-                h *= max(0.2, min(1.0, 0.9 * err ** (-0.2)))
-                failed_in_row += 1
-                if failed_in_row > 60:
-                    raise ConvergenceError("step size collapsed without acceptance")
-            # copy: k is a reused stage buffer and fs keeps the node derivative
-            f_new = k[6].copy() if _DP_C[6] == 1.0 else self._eval(t + h, y_new)
-            t_new = t + h
-            self.ts.append(t_new)
-            self.ys.append(y_new)
-            self.fs.append(f_new)
-            if self._line_norm(y_new) > cfg.blowup_threshold:
-                self._bracket_blowup()
-                return
+        scale = atol + rel * np.abs(y)
+        d0 = np.sqrt(np.mean((y / scale) ** 2, axis=1))
+        d1 = np.sqrt(np.mean((f / scale) ** 2, axis=1))
+        ok = (d0 > 1e-5) & (d1 > 1e-5)
+        h = np.where(ok, 0.01 * d0 / np.where(ok, d1, 1.0), 1e-6)
+        h = np.maximum(np.minimum(h, min(0.1 * (t1 - t0), cfg.max_step)), 1e-12)
+        err_prev = np.ones(N)
+        fails = np.zeros(N, dtype=np.int64)
+        n_acc = np.zeros(N, dtype=np.int64)
+        n_rej = np.zeros(N, dtype=np.int64)
+        log = _NodeLog()
+        log.add(rows, np.concatenate([t[:, None], y, f, np.zeros_like(y)], 1))
+        ended = {}  # batch row -> (status, accepted steps, rejected steps)
+        while len(rows):
+            h = np.minimum(h, t1 - t)
+            hc = h[:, None]
+            K = np.empty((7,) + y.shape)
+            K[0] = f
+            for i, coeffs in enumerate(_DP_A, 1):
+                y_new = y + hc * _combine(K, coeffs)
+                K[i] = rhs(y_new)
+            _screen(K[1:], rows, t, y, name)
+            delta = hc * _combine(K, _DP_E)
+            scale = atol + rel * np.maximum(np.abs(y), np.abs(y_new))
+            err = np.sqrt(np.mean((delta / scale) ** 2, axis=1))
+            acc = (err <= 1.0) | (h <= 1e-14 * np.maximum(1.0, np.abs(t)))
+            # fmin/fmax keep h unchanged (reject) or shrink it (accept) on a NaN error
+            e = np.maximum(err, 1e-10)
+            if not acc.all():
+                h_rej = h * np.fmax(0.2, np.fmin(1.0, 0.9 * e ** (-0.2)))
+                n_rej += ~acc
+                fails = np.where(acc, 0, fails + 1)
+                if fails.max() > 60:
+                    b = int(np.argmax(fails > 60))
+                    raise _row_failure(
+                        ConvergenceError, "step size collapsed without acceptance",
+                        name, int(rows[b]), float(t[b]), y[b].copy(),
+                    )
+                if not acc.any():
+                    h = h_rej
+                    continue
             # PI controller; exact steps (err = 0, e.g. at equilibria) grow maximally
-            fac = 0.9 * max(err, 1e-10) ** (-0.7 / 5.0) * err_prev ** (0.4 / 5.0)
-            h = h * min(5.0, max(0.2, fac))
-            h = min(h, cfg.max_step)
-            err_prev = max(err, 1e-10)
-            t, y, f = t_new, y_new, f_new
-        self.status = MAX_STEPS
-
-    def _bracket_blowup(self):
-        """Bisection on the last Hermite segment for the threshold crossing."""
-        thr = self.cfg.blowup_threshold
-        t0, y0, f0 = self.ts[-2], self.ys[-2], self.fs[-2]
-        t1, y1, f1 = self.ts[-1], self.ys[-1], self.fs[-1]
-        a, b = t0, t1
-        while (b - a) > 1e-6 * max(abs(a), abs(b), 1e-12) and (b - a) > 1e-15:
-            mid = 0.5 * (a + b)
-            ymid = _hermite(t0, y0, f0, t1, y1, f1, mid)
-            if self._line_norm(ymid) > thr:
-                b = mid
+            fac = 0.9 * e ** (-0.7 / 5.0) * err_prev ** (0.4 / 5.0)
+            h_acc = np.minimum(h * np.fmin(5.0, np.fmax(0.2, fac)), cfg.max_step)
+            t_new = t + h
+            rec = np.concatenate([t_new[:, None], y_new, K[6], hc * _combine(K, _DP_D)], 1)
+            if acc.all():
+                fails[:] = 0
+                log.add(rows, rec)
+                t, y, f, h, err_prev = t_new, y_new, K[6], h_acc, e
             else:
-                a = mid
-        t_star = b
-        y_star = _hermite(t0, y0, f0, t1, y1, f1, t_star)
-        self.ts[-1] = t_star
-        self.ys[-1] = y_star
-        self.fs[-1] = self._eval(t_star, y_star)
-        self.status = BLOWUP
-        self.t_escape = t_star
+                log.add(rows[acc], rec[acc])
+                t = np.where(acc, t_new, t)
+                y = np.where(acc[:, None], y_new, y)
+                f = np.where(acc[:, None], K[6], f)
+                h = np.where(acc, h_acc, h_rej)
+                err_prev = np.where(acc, e, err_prev)
+            n_acc += acc
+            # a row ends on blow-up, completion or its step budget, in that order
+            blown = np.zeros(len(rows), dtype=bool)
+            if line_cols and np.abs(y_new[:, line_cols]).max() > thr:
+                blown = acc & (np.abs(y_new[:, line_cols]).max(axis=1) > thr)
+            done = blown | (acc & ((t >= t1) | (n_acc >= cfg.max_steps)))
+            if done.any():
+                for b in np.nonzero(done)[0]:
+                    status = (
+                        BLOWUP if blown[b] else COMPLETED if t[b] >= t1 else MAX_STEPS
+                    )
+                    ended[int(rows[b])] = (status, int(n_acc[b]), int(n_rej[b]))
+                keep = ~done
+                rows, t, y, f, h, err_prev, fails, n_acc, n_rej = (
+                    a[keep] for a in (rows, t, y, f, h, err_prev, fails, n_acc, n_rej)
+                )
+    paths = []
+    for r, node in enumerate(log.by_row(N)):
+        status, accepted, rejected = ended[r]
+        steps = np.diff(node[:, 0])
+        p = _Path(
+            ts=node[:, 0], ys=node[:, 1 : 1 + w], fs=node[:, 1 + w : 1 + 2 * w],
+            ds=node[:, 1 + 2 * w :], status=status, t_end=float(node[-1, 0]),
+            stats=IntegrationStats(
+                accepted, rejected, 6 * (accepted + rejected) + 1,
+                float(steps.min()), float(steps.max()),
+            ),
+        )
+        if status == BLOWUP:
+            _bracket_blowup(p, line_cols, thr)
+        paths.append(p)
+    return paths
 
 
-def _sample(ts, ys, fs, times):
-    """Dense cubic Hermite evaluation of nodes (ts, ys, fs) at sorted times."""
-    ts = np.asarray(ts)
-    out = np.empty((len(times),) + ys[0].shape)
-    for j, t in enumerate(times):
-        i = int(np.searchsorted(ts, t, side="right")) - 1
-        i = min(max(i, 0), len(ts) - 2)
-        if t <= ts[0]:
-            out[j] = ys[0]
-        elif t >= ts[-1]:
-            out[j] = ys[-1]
+class _NodeLog:
+    """Accepted nodes [t | y | f | d] of a batch, logged per step as one
+    record array with the rows it belongs to.  Every 64 steps the records are
+    merged into one block, so a long run holds a few large arrays, neither
+    one small array per node nor a buffer padded to the longest row."""
+
+    def __init__(self):
+        self.blocks, self.rows = [], []
+        self.pending, self.pending_rows = [], []
+
+    def add(self, rows, rec):
+        self.pending.append(rec)
+        self.pending_rows.append(rows)
+        if len(self.pending) == 64:
+            self.blocks.append(np.concatenate(self.pending))
+            self.rows.append(np.concatenate(self.pending_rows))
+            self.pending, self.pending_rows = [], []
+
+    def by_row(self, N):
+        """The records of each of the N rows, in step order."""
+        recs = np.concatenate(self.blocks + self.pending)
+        ids = np.concatenate(self.rows + self.pending_rows)
+        self.blocks = self.rows = self.pending = self.pending_rows = None  # merged
+        if N > 1:
+            order = np.argsort(ids, kind="stable")
+            recs, ids = recs[order], ids[order]
+        bounds = np.searchsorted(ids, np.arange(N + 1))
+        return [recs[bounds[r] : bounds[r + 1]] for r in range(N)]
+
+
+def _bracket_blowup(p, line_cols, thr):
+    """Bisection on the last segment's dense output for the threshold crossing."""
+    i = len(p.ts) - 2
+    a, b = float(p.ts[i]), float(p.ts[i + 1])
+    while (b - a) > 1e-6 * max(abs(a), abs(b), 1e-12) and (b - a) > 1e-15:
+        mid = 0.5 * (a + b)
+        if float(np.max(np.abs(_dense(p, i, mid)[line_cols]))) > thr:
+            b = mid
         else:
-            out[j] = _hermite(ts[i], ys[i], fs[i], ts[i + 1], ys[i + 1], fs[i + 1], t)
-    return out
+            a = mid
+    p.t_end = p.t_escape = b
 
 
 def _line_indices(m):
@@ -299,77 +427,104 @@ def _require_flow(m):
 
 
 def _integrate_core(m, x0, t_span, cfg, with_frames, times, samples, initial_frame):
+    """A Trajectory for a state x0 of shape (dim,), a list of N for a batch (N, dim)."""
     _require_flow(m)
     t0, t1 = float(t_span[0]), float(t_span[1])
     if t0 == t1:
         raise ParamError("zero-length time span")
-    backward = t1 < t0
-    with_racc = m.eta is not None
-    n = m.dim
     x0 = np.asarray(x0, dtype=float)
-
-    if backward:
-        rev_times = None if times is None else np.sort(t0 - np.asarray(times, float))
-        traj = _integrate_core(
-            time_reversed_view(m), x0, (0.0, t0 - t1), cfg, with_frames, rev_times,
-            samples, initial_frame,
+    if x0.ndim not in (1, 2) or x0.shape[-1] != m.dim:
+        raise DimensionMismatchError(
+            f"x0 must have shape ({m.dim},) or (N, {m.dim}), got {x0.shape}"
         )
-        phys = t0 - traj.times
-        order = np.argsort(phys)
-        return Trajectory(
-            times=phys[order],
-            states=traj.states[order],
-            frames=None if traj.frames is None else traj.frames[order],
-            r_accum=None
-            if traj.r_accum is None
-            else traj.r_accum[order] - traj.r_accum[order][0],
-            status=traj.status,
-            t_escape=None if traj.t_escape is None else t0 - traj.t_escape,
-            backward=True,
-        )
-
+    X0 = np.atleast_2d(x0)
     cfg = cfg or IntegratorConfig()
+    if t1 < t0:
+        rev_times = None if times is None else np.sort(t0 - np.asarray(times, float))
+        trajs = [
+            _reversed(t0, traj) for traj in _integrate_core(
+                time_reversed_view(m), X0, (0.0, t0 - t1), cfg, with_frames, rev_times,
+                samples, initial_frame,
+            )
+        ]
+        return trajs if x0.ndim == 2 else trajs[0]
+    N, n = X0.shape
+    with_racc = m.eta is not None
     if with_frames and m.DX is None and cfg.rel_tol > 1e-8:
         raise ParamError(
             "finite-difference Jacobians require reference tolerance <= 1e-8"
         )
-    y0 = [x0]
+    cols = [X0]
     if with_frames:
         F0 = np.eye(n) if initial_frame is None else np.asarray(initial_frame, float)
-        y0.append(F0.ravel())
+        if F0.shape not in ((n, n), (N, n, n)):
+            raise DimensionMismatchError(
+                f"initial_frame must have shape ({n}, {n}) or ({N}, {n}, {n})"
+            )
+        cols.append(np.broadcast_to(F0, (N, n, n)).reshape(N, n * n))
     if with_racc:
-        y0.append([0.0])
-    y0 = np.concatenate(y0)
-
+        cols.append(np.zeros((N, 1)))
+    Y0 = np.concatenate(cols, axis=1)
+    k = n if with_frames else 0
     if cfg.method == REFERENCE:
-        path = _AdaptivePath(
-            _joint_rhs(m, n if with_frames else 0, with_racc), t0, t1, y0, cfg,
-            line_slice=_line_indices(m),
+        paths = _dp_engine(
+            _joint_rhs(m, k, with_racc), t0, t1, Y0, cfg, _line_indices(m).tolist(),
+            m.name,
         )
-        ts, ys, fs, status, t_escape = path.ts, path.ys, path.fs, path.status, path.t_escape
     else:
-        ts, ys, fs, status, t_escape = _fixed_step_nodes(
-            m, y0, t0, t1, cfg, with_frames, with_racc
-        )
-    t_end = ts[-1]
+        paths = _fixed_step_paths(m, Y0, t0, t1, cfg, k, with_racc)
+    trajs = [
+        _trajectory(m, p, t0, times, samples, with_frames, with_racc, row)
+        for row, p in enumerate(paths)
+    ]
+    return trajs if x0.ndim == 2 else trajs[0]
+
+
+def _trajectory(m, p, t0, times, samples, with_frames, with_racc, row):
+    n = m.dim
     if times is None:
-        times = np.linspace(t0, t_end, samples)
+        times = np.linspace(t0, p.t_end, samples)
     else:
         times = np.asarray(times, dtype=float)
-        times = times[(times >= t0) & (times <= t_end + 1e-15)]
-        if len(times) == 0 or times[-1] < t_end:
-            times = np.append(times, t_end)
-    ys = _sample(ts, ys, fs, times)
-    states = m.spec.wrap(ys[:, :n])
-    frames = None
+        times = times[(times >= t0) & (times <= p.t_end + 1e-15)]
+        if len(times) == 0 or times[-1] < p.t_end:
+            times = np.append(times, p.t_end)
     if with_frames:
-        frames = ys[:, n : n + n * n].reshape(-1, n, n)
-        if np.any(np.linalg.det(frames) <= 0.0):
-            raise ConvergenceError("tangent frames lost orientation (det <= 0)")
-    racc = ys[:, -1] if with_racc else None
+        # checked at the integrated nodes: a frame entry below abs_tol may
+        # change sign between them under any interpolant
+        flipped = np.nonzero(
+            np.linalg.det(p.ys[:, n : n + n * n].reshape(-1, n, n)) <= 0.0
+        )[0]
+        if len(flipped):
+            j = flipped[0]
+            raise _row_failure(
+                ConvergenceError, "tangent frames lost orientation (det <= 0)",
+                m.name, row, float(p.ts[j]), p.ys[j, :n].copy(),
+            )
+    ys = _sample(p, times)
     return Trajectory(
-        times=times, states=states, frames=frames, r_accum=racc,
-        status=status, t_escape=t_escape,
+        times=times, states=m.spec.wrap(ys[:, :n]),
+        frames=ys[:, n : n + n * n].reshape(-1, n, n) if with_frames else None,
+        r_accum=ys[:, -1] if with_racc else None, status=p.status,
+        t_escape=p.t_escape, stats=p.stats,
+    )
+
+
+def _reversed(t0, traj):
+    """The physical-time view of a run of the time-reversed field started at t0."""
+    phys = t0 - traj.times
+    order = np.argsort(phys)
+    return Trajectory(
+        times=phys[order],
+        states=traj.states[order],
+        frames=None if traj.frames is None else traj.frames[order],
+        r_accum=None
+        if traj.r_accum is None
+        else traj.r_accum[order] - traj.r_accum[order][0],
+        status=traj.status,
+        t_escape=None if traj.t_escape is None else t0 - traj.t_escape,
+        backward=True,
+        stats=traj.stats,
     )
 
 
@@ -397,13 +552,20 @@ def time_reversed_view(m):
 
 
 def integrate_flow(m, x0, t_span, cfg=None, samples=201, times=None):
-    """Dense-output trajectory over t_span at caller-requested sample times."""
+    """Dense-output trajectory over t_span at caller-requested sample times.
+
+    x0 of shape (N, dim) returns a list of N trajectories, each bit-identical
+    to the call on its row alone.
+    """
     return _integrate_core(m, x0, t_span, cfg, False, times, samples, None)
 
 
 def integrate_variational(m, x0, t_span, cfg=None, samples=201, times=None,
                           initial_frame=None):
-    """Trajectory with tangent frames, state and frame in one controlled system."""
+    """Trajectory with tangent frames, state and frame in one controlled system.
+
+    Batched like integrate_flow; initial_frame is (n, n) or one per row (N, n, n).
+    """
     return _integrate_core(m, x0, t_span, cfg, True, times, samples, initial_frame)
 
 
@@ -466,23 +628,38 @@ def conformal_splitting_step(m, x, h, cfg=None):
     return z, contract @ J_inner @ contract
 
 
-def _fixed_step_nodes(m, y0, t0, t1, cfg, with_frames, with_racc):
-    """Nodes (ts, ys, fs, status, t_escape) of one rk4 or splitting run from y0."""
-    k = m.dim if with_frames else 0
-    ys = [y0]
-    _, alive = _fixed_step_engine(
-        m, y0[None, :].copy(), t1 - t0, cfg.h, k, with_racc, cfg.blowup_threshold,
-        on_step=lambda step, Y: ys.append(Y[0].copy()),
+def _fixed_step_paths(m, Y0, t0, t1, cfg, k, with_racc):
+    """Nodes of rk4 or splitting runs from the rows of Y0, one _Path per row."""
+    n = m.dim
+    hist = [Y0.copy()]
+    _fixed_step_engine(
+        m, Y0.copy(), t1 - t0, cfg.h, k, with_racc, cfg.blowup_threshold,
+        on_step=lambda step, Y: hist.append(Y.copy()),
         splitting=cfg if cfg.method == SPLITTING else None,
     )
-    ys = np.array(ys)
-    ts = t0 + np.minimum(cfg.h * np.arange(len(ys)), t1 - t0)
-    if not np.all(np.isfinite(ys[-1])):
-        raise PoisonedStateError(
-            f"fixed-step state became non-finite at t={ts[-1]}", t=ts[-1], state=ys[-1]
-        )
-    status, t_escape = (COMPLETED, None) if alive[0] else (BLOWUP, float(ts[-1]))
-    return ts, ys, _joint_rhs(m, k, with_racc)(ys), status, t_escape
+    hist = np.array(hist)
+    ts = t0 + np.minimum(cfg.h * np.arange(len(hist)), t1 - t0)
+    # the engine's death test: non-finite at the start, past the threshold later
+    line = (~m.spec.angle_mask).astype(float)
+    dead = ~(np.max(np.abs(hist[:, :, :n]) * line, axis=-1) <= cfg.blowup_threshold)
+    dead[0] = ~np.all(np.isfinite(Y0[:, :n]), axis=1)
+    rhs = _joint_rhs(m, k, with_racc)
+    paths = []
+    for row in range(len(Y0)):
+        died = bool(dead[:, row].any())
+        last = int(np.argmax(dead[:, row])) if died else len(hist) - 1
+        ys = np.ascontiguousarray(hist[: last + 1, row])
+        if not np.all(np.isfinite(ys[-1])):
+            raise _row_failure(
+                PoisonedStateError, "fixed-step state became non-finite", m.name,
+                row, float(ts[last]), ys[-1].copy(),
+            )
+        paths.append(_Path(
+            ts=ts[: last + 1], ys=ys, fs=rhs(ys), ds=np.zeros_like(ys),
+            status=BLOWUP if died else COMPLETED, t_end=float(ts[last]),
+            t_escape=float(ts[last]) if died else None,
+        ))
+    return paths
 
 
 def _rk4_step(rhs, x, h):
@@ -747,7 +924,7 @@ def poincare_return(m, sec, x0, k, cfg=None, t_max=1e4, chunk=4.0):
     entry holds the accumulated Lee integral at each crossing (zeros when
     the model carries no Lee form).  Integration proceeds in time chunks
     and stops as soon as k crossings are located.  Crossings are refined by
-    bisection on the cubic Hermite dense output to time accuracy 1e-10;
+    bisection on the Dormand-Prince dense output to time accuracy 1e-10;
     tangential crossings (|dg/dt| <= 1e-8) are rejected rather than guessed.
     """
     _require_flow(m)
@@ -769,15 +946,17 @@ def poincare_return(m, sec, x0, k, cfg=None, t_max=1e4, chunk=4.0):
 
     crossings, jacobians, times, raccs = [], [], [], []
     y_start = np.concatenate([x0, np.eye(n).ravel()] + ([[0.0]] if with_racc else []))
+    line_cols = _line_indices(m).tolist()
     t_base = 0.0
     while t_base < t_max:
         span = min(chunk, t_max - t_base)
-        path = _AdaptivePath(rhs, t_base, t_base + span, y_start, cfg,
-                             line_slice=_line_indices(m))
-        ts = path.ts
-        gs = [float(sec.value(m.spec, y[:n])) for y in path.ys]
+        p = _dp_engine(
+            rhs, t_base, t_base + span, y_start[None], cfg, line_cols, m.name
+        )[0]
+        ts = p.ts
+        gs = np.asarray(sec.value(m.spec, p.ys[:, :n]), dtype=float)
         for i in range(len(ts) - 1):
-            g0, g1 = gs[i], gs[i + 1]
+            g0, g1 = float(gs[i]), float(gs[i + 1])
             if g0 == 0.0 and ts[i] == 0.0:
                 continue  # started on the section
             if g0 * g1 > 0 or abs(g1 - g0) >= guard:
@@ -787,20 +966,18 @@ def poincare_return(m, sec, x0, k, cfg=None, t_max=1e4, chunk=4.0):
                 continue
             if sec.direction == -1 and going_up:
                 continue
-            t0n, y0n, f0n = ts[i], path.ys[i], path.fs[i]
-            t1n, y1n, f1n = ts[i + 1], path.ys[i + 1], path.fs[i + 1]
-            a, b, ga = t0n, t1n, g0
+            a, b, ga = ts[i], ts[i + 1], g0
             while (b - a) > 1e-10:
                 mid = 0.5 * (a + b)
-                gm = float(
-                    sec.value(m.spec, _hermite(t0n, y0n, f0n, t1n, y1n, f1n, mid)[:n])
-                )
+                gm = float(sec.value(m.spec, _dense(p, i, mid)[:n]))
                 if (gm > 0) == (ga > 0) and gm != 0.0:
                     a, ga = mid, gm
                 else:
                     b = mid
             t_star = 0.5 * (a + b)
-            y_star = _hermite(t0n, y0n, f0n, t1n, y1n, f1n, t_star)
+            if t_star > p.t_end:
+                break  # past a bracketed blow-up
+            y_star = _dense(p, i, t_star)
             x_star = y_star[:n]
             xdot = np.asarray(m.X(x_star), dtype=float)
             gdot = float(grad @ xdot)
@@ -814,9 +991,9 @@ def poincare_return(m, sec, x0, k, cfg=None, t_max=1e4, chunk=4.0):
             raccs.append(float(y_star[-1]) if with_racc else 0.0)
             if len(crossings) == k:
                 return crossings, jacobians, times, raccs
-        if path.status == BLOWUP:
+        if p.status == BLOWUP:
             raise BlowUpError("orbit blew up before the requested crossings",
-                              t_escape=path.t_escape)
-        t_base = path.ts[-1]
-        y_start = path.ys[-1]
+                              t_escape=p.t_escape)
+        t_base = float(p.ts[-1])
+        y_start = p.ys[-1]
     raise SectionError(f"only {len(crossings)} of {k} crossings found before t={t_max}")

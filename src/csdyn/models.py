@@ -1034,6 +1034,8 @@ def contact_lift(H, beta, dH=None, contact=FLAT_T2_CONTACT):
 
     def dH4(x):
         x = np.asarray(x, dtype=float)
+        if x.ndim > 1:
+            return np.stack([dH4(row) for row in x])
         out = np.zeros(4)
         out[:3] = grad_h(x[:3])
         return out

@@ -292,6 +292,18 @@ def test_contact_lift_fiber_hamiltonian_against_contact_identities():
         assert np.allclose(np.asarray(lifted.X(x)), [1.0, 0.0, 0.0, 0.0], atol=1e-9)
 
 
+def test_contact_lift_evaluators_broadcast_over_a_batch():
+    H3 = lambda y: math.cos(TWO_PI * y[2]) + 0.3 * math.sin(TWO_PI * y[0])
+    lifted = contact_lift(H3, (0.5, 0.25))
+    xs = sample_states(lifted, 3, np.random.default_rng(13))
+    for f in (lifted.X, lifted.H, lifted.dH):
+        batch = np.asarray(f(xs))
+        assert batch.shape[0] == 3
+        for x, row in zip(xs, batch):
+            assert np.array_equal(np.asarray(f(x)), row)
+    assert np.asarray(lifted.dH(xs)).shape == (3, 4)
+
+
 def test_contact_lift_rejects_non_flat_data():
     with pytest.raises(UnsupportedContactError):
         contact_lift(lambda y: 1.0, (0.0, 0.0), contact="round-sphere")
