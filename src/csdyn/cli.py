@@ -233,18 +233,18 @@ def _classify_chunk(payload):
 
 
 def _op_classify(cfg):
-    from .ensemble import WORK_UNIT, deterministic_map
+    from .ensemble import blocks, deterministic_map
 
     m = _model(cfg)
     n = int(cfg.options.get("classify.n", 100))
     horizon = float(cfg.options.get("classify.T", 10.0))
     rng = np.random.default_rng(cfg.seed)
     starts = sample_states(m, n, rng, 1.0)
-    # fixed-size work units: identical array shapes (hence identical ufunc
-    # code paths) for every worker count, so outputs are bit-identical
+    # one contiguous block per worker; rows are independent of their block,
+    # so the output is bit-identical for every worker count
     payloads = [
-        (cfg.model_name, cfg.model_params, starts[i : i + WORK_UNIT].tolist(), horizon)
-        for i in range(0, len(starts), WORK_UNIT)
+        (cfg.model_name, cfg.model_params, starts[i:j].tolist(), horizon)
+        for i, j in blocks(len(starts), cfg.jobs)
     ]
     outs = deterministic_map(_classify_chunk, payloads, jobs=cfg.jobs)
     results = [r for chunk in outs for r in chunk]
@@ -372,6 +372,10 @@ def run_config(path, seed=None, out=None, timestamp=None, jobs=None):
             cfg.timestamp = timestamp
         if jobs is not None:
             cfg.jobs = int(jobs)
+        if cfg.jobs < 1:
+            raise ConfigError(
+                f"run.jobs must be at least 1, got {cfg.jobs}", key="run.jobs"
+            )
         os.makedirs(cfg.out_dir, exist_ok=True)
         return _OPERATIONS[cfg.operation](cfg)
     except ConfigError as exc:

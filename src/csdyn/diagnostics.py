@@ -868,27 +868,29 @@ def classify_ensemble(m, starts, T, cfg=None, thresholds=None, h=1e-3):
     min_ret = np.full(n_orb, np.inf)
     settle = max(1, int(0.01 * n_steps))
     late_start = int(0.9 * n_steps)
-    previous = {"x": starts}
+    # displacement from the start at the previous step: the segment start
+    previous = {}
 
     def on_step(k, Y):
         x = Y[:, :dim]
         if k + 1 >= half:
             np.add(r_moment, ts_c[k + 1 - half] * Y[:, dim], out=r_moment)
         np.maximum(r_abs_max, np.abs(Y[:, dim]), out=r_abs_max)
-        if k >= settle:
-            # closest approach of the linear step segment to the start point
-            a = m.spec.delta(starts, previous["x"])
+        if k >= settle - 1:
             b = m.spec.delta(starts, x)
-            ab = b - a
-            denom = np.sum(ab * ab, axis=1)
-            s = np.clip(
-                -np.sum(a * ab, axis=1) / np.maximum(denom, 1e-300), 0.0, 1.0
-            )
-            seg = a + s[:, None] * ab
-            np.minimum(min_ret, np.sqrt(np.sum(seg * seg, axis=1)), out=min_ret)
+            if k >= settle:
+                # closest approach of the linear step segment to the start point
+                a = previous["delta"]
+                ab = b - a
+                denom = np.sum(ab * ab, axis=1)
+                s = np.clip(
+                    -np.sum(a * ab, axis=1) / np.maximum(denom, 1e-300), 0.0, 1.0
+                )
+                seg = a + s[:, None] * ab
+                np.minimum(min_ret, np.sqrt(np.sum(seg * seg, axis=1)), out=min_ret)
+            previous["delta"] = b
         if k >= late_start:
             np.maximum(h_abs_late, np.abs(np.asarray(m.H(x), dtype=float)), out=h_abs_late)
-        previous["x"] = x.copy()
 
     _, alive = _fixed_step_engine(
         m, np.concatenate([starts, np.zeros((n_orb, 1))], axis=-1), T, h, racc=True,

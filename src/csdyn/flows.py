@@ -287,6 +287,13 @@ def _dp_engine(rhs, t0, t1, Y, cfg, line_cols, name):
             fac = 0.9 * e ** (-0.7 / 5.0) * err_prev ** (0.4 / 5.0)
             h_acc = np.minimum(h * np.fmin(5.0, np.fmax(0.2, fac)), cfg.max_step)
             t_new = t + h
+            stalled = acc & (t_new == t)
+            if stalled.any():
+                b = int(np.argmax(stalled))
+                raise _row_failure(
+                    ConvergenceError, "accepted a step too small to advance t",
+                    name, int(rows[b]), float(t[b]), y[b].copy(),
+                )
             rec = np.concatenate([t_new[:, None], y_new, K[6], hc * _combine(K, _DP_D)], 1)
             if acc.all():
                 fails[:] = 0

@@ -512,24 +512,43 @@ def _build_damped_mechanical(params):
     vs = np.broadcast_to(np.asarray(p["v_sin"], dtype=float), (d,)).copy()
     spec = CoordinateSpec((ANGLE,) * d + (LINE,) * d)
 
+    # v_sin defaults to 0: a harmonic whose coefficients are all zero is left out
+    cos_on, sin_on = bool(vc.any()), bool(vs.any())
+
+    def _harmonics(w, cos_term, sin_term):
+        """cos_term(w) + sin_term(w), each evaluated only when its harmonic is on."""
+        if cos_on and sin_on:
+            return cos_term(w) + sin_term(w)
+        if cos_on:
+            return cos_term(w)
+        if sin_on:
+            return sin_term(w)
+        return np.zeros(w.shape)
+
     def V(q):
-        out = np.sum(vc * np.cos(TWO_PI * q) + vs * np.sin(TWO_PI * q), axis=-1)
+        w = TWO_PI * np.asarray(q, dtype=float)
+        out = np.sum(
+            _harmonics(w, lambda w: vc * np.cos(w), lambda w: vs * np.sin(w)), axis=-1
+        )
         if vx:
             out = out + vx * np.cos(TWO_PI * (q[..., 0] - q[..., 1]))
         return out
 
     def grad_V(q):
-        out = TWO_PI * (-vc * np.sin(TWO_PI * q) + vs * np.cos(TWO_PI * q))
+        w = TWO_PI * np.asarray(q, dtype=float)
+        out = TWO_PI * _harmonics(w, lambda w: -vc * np.sin(w), lambda w: vs * np.cos(w))
         if vx:
             cross = -vx * TWO_PI * np.sin(TWO_PI * (q[..., 0] - q[..., 1]))
-            out = out.copy()
             out[..., 0] += cross
             out[..., 1] -= cross
         return out
 
     def hess_V(q):
         q = np.asarray(q, dtype=float)
-        diag = (TWO_PI**2) * (-vc * np.cos(TWO_PI * q) - vs * np.sin(TWO_PI * q))
+        w = TWO_PI * q
+        diag = (TWO_PI**2) * _harmonics(
+            w, lambda w: -vc * np.cos(w), lambda w: -vs * np.sin(w)
+        )
         out = np.zeros(q.shape[:-1] + (d, d))
         for i in range(d):
             out[..., i, i] = diag[..., i]
@@ -541,15 +560,23 @@ def _build_damped_mechanical(params):
             out[..., 1, 0] -= cc
         return out
 
-    def X(x):
+    def _field(x, a):
+        """(p, -grad V(q) - a p), written into one output."""
         x = np.asarray(x, dtype=float)
         q, pv = x[..., :d], x[..., d:]
-        return np.concatenate([pv, -grad_V(q) - alpha * pv], axis=-1)
+        out = np.empty(x.shape)
+        out[..., :d] = pv
+        if a:
+            np.subtract(-grad_V(q), a * pv, out=out[..., d:])
+        else:
+            np.negative(grad_V(q), out=out[..., d:])
+        return out
+
+    def X(x):
+        return _field(x, alpha)
 
     def X_sym(x):
-        x = np.asarray(x, dtype=float)
-        q, pv = x[..., :d], x[..., d:]
-        return np.concatenate([pv, -grad_V(q)], axis=-1)
+        return _field(x, 0.0)
 
     eye = np.eye(d)
 

@@ -173,6 +173,22 @@ def test_collapsing_row_is_named():
     assert integrate_flow(cliff, xs[0], (0.0, 1e5)).status == COMPLETED
 
 
+def test_stalled_row_is_named():
+    """Tolerances of 1e-150 shrink the step until t + h == t: X = 1e-31 x
+    reaches t ~ 6.7e24 of 1e30, and the engine used to accept steps that
+    left t unchanged until the step budget ran out (status max-steps,
+    h_min 0).  Such a row now ends in ConvergenceError."""
+    m = instantiate_model("circle-linear", alpha=1.0)
+    slow = dataclasses.replace(m, X=lambda x: 1e-31 * np.asarray(x, dtype=float))
+    cfg = IntegratorConfig(rel_tol=1e-150, abs_tol=1e-150, max_steps=2000)
+    xs = np.array([[0.0, 0.0], [1.0, 1.0]])  # row 0 is an equilibrium
+    with pytest.raises(ConvergenceError, match="row 1") as info:
+        integrate_flow(slow, xs, (0.0, 1e30), cfg)
+    err = info.value
+    assert (err.row, err.model) == (1, "circle-linear")
+    assert err.t > 1e24 and np.all(err.state > 1.0)
+
+
 def test_max_steps_is_a_per_row_status():
     m = instantiate_model("circle-linear", alpha=1.0)
     cfg = IntegratorConfig(max_steps=40)

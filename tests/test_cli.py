@@ -163,21 +163,31 @@ def test_csv_floats_round_trip(tmp_path):
 
 
 def test_classify_operation_and_jobs_determinism(tmp_path):
+    # 70 starts: one block at --jobs 1, two or three blocks otherwise
     cfg = write(
         tmp_path, "cls.cfg",
         "run.operation = classify\n"
         "model.name = t2-pair-theta2\n"
-        "classify.n = 12\n"
+        "classify.n = 70\n"
         "classify.T = 6.0\n",
     )
-    out1, out2 = tmp_path / "j1", tmp_path / "j2"
-    assert main(["--config", cfg, "--out", str(out1), "--no-timestamp",
-                 "--seed", "5", "--jobs", "1"]) == EXIT_OK
-    assert main(["--config", cfg, "--out", str(out2), "--no-timestamp",
-                 "--seed", "5", "--jobs", "2"]) == EXIT_OK
-    a = (out1 / "classify_t2-pair-theta2.json").read_bytes()
-    b = (out2 / "classify_t2-pair-theta2.json").read_bytes()
-    assert a == b
+    outputs = []
+    for jobs in (1, 2, 3):
+        out = tmp_path / f"j{jobs}"
+        assert main(["--config", cfg, "--out", str(out), "--no-timestamp",
+                     "--seed", "5", "--jobs", str(jobs)]) == EXIT_OK
+        outputs.append((out / "classify_t2-pair-theta2.json").read_bytes())
+    assert outputs[0] == outputs[1] == outputs[2]
+    assert len(json.loads(outputs[0])["checks"][0]["details"]["orbits"]) == 70
+
+
+def test_jobs_below_one_is_a_config_error(tmp_path, capsys):
+    text = "run.operation = classify\nmodel.name = t2-pair-theta2\nclassify.n = 4\n"
+    cfg = write(tmp_path, "cls.cfg", text)
+    assert main(["--config", cfg, "--out", str(tmp_path), "--jobs", "0"]) == EXIT_ERROR
+    assert "run.jobs" in capsys.readouterr().err
+    cfg = write(tmp_path, "cls0.cfg", text + "run.jobs = 0\n")
+    assert run_config(cfg, out=str(tmp_path)) == EXIT_ERROR
 
 
 def test_attractor_operation(tmp_path):

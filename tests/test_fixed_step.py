@@ -274,6 +274,21 @@ def test_rows_are_independent(call, seed, n, data):
         assert not poisoned[-1][at]
 
 
+@settings(max_examples=8, deadline=None)
+@given(seed=st.integers(0, 2**16), n=st.integers(2, 40), data=st.data())
+def test_classify_rows_are_bit_identical_under_any_partition(seed, n, data):
+    """The CLI hands each worker one block of starts, of a size set by the
+    worker count; a row's result must not depend on its block."""
+    m = instantiate_model("t2-pair-theta2")
+    batch = sample_states(m, n, np.random.default_rng(seed), 1.0)
+    cuts = sorted(data.draw(
+        st.sets(st.integers(1, n - 1), max_size=min(5, n - 1)), label="cuts"))
+    full = _classify_rows(m, batch, 0.3)
+    parts = [_classify_rows(m, part, 0.3) for part in np.split(batch, cuts)]
+    assert np.array_equal(np.concatenate([p[0] for p in parts]), full[0])
+    assert np.concatenate([p[1] for p in parts]).tobytes() == full[1].tobytes()
+
+
 def test_classify_rejects_non_positive_horizon():
     m = instantiate_model("t2-pair-theta2")
     with pytest.raises(ParamError):

@@ -408,3 +408,72 @@ def test_model_spec_rejects_retired_dx_batch():
     with pytest.raises(ParamError, match="DX_batch"):
         ModelSpec(name="x", spec=m.spec, kind=FLOW, params={}, X=m.X,
                   DX_batch=m.DX, Omega=m.Omega)
+
+
+# ---------------------------------------------------------------------------
+# damped-mechanical evaluators, for every pattern of potential coefficients
+# ---------------------------------------------------------------------------
+
+POTENTIAL_CASES = {
+    "cos-only": {"d": 1, "v_cos": 1.0},
+    "sin-only": {"d": 1, "v_cos": 0.0, "v_sin": 0.7},
+    "both": {"d": 1, "v_cos": 1.0, "v_sin": -0.4},
+    "neither": {"d": 1, "v_cos": 0.0},
+    "cross": {"d": 2, "v_cos": (1.0, 0.0), "v_sin": (0.0, 0.6), "v_cross": 0.4},
+}
+
+
+def _full_potential(params):
+    """V, grad V and Hess V with every harmonic evaluated."""
+    d = params["d"]
+    vc = np.broadcast_to(np.asarray(params.get("v_cos", 1.0), dtype=float), (d,))
+    vs = np.broadcast_to(np.asarray(params.get("v_sin", 0.0), dtype=float), (d,))
+    vx = params.get("v_cross", 0.0)
+
+    def V(q):
+        cross = vx * np.cos(TWO_PI * (q[..., 0] - q[..., -1]))
+        return np.sum(vc * np.cos(TWO_PI * q) + vs * np.sin(TWO_PI * q), -1) + cross
+
+    def grad_V(q):
+        g = TWO_PI * (-vc * np.sin(TWO_PI * q) + vs * np.cos(TWO_PI * q))
+        if d == 2:
+            c = -vx * TWO_PI * np.sin(TWO_PI * (q[..., 0] - q[..., 1]))
+            g = g + np.stack([c, -c], -1)
+        return g
+
+    def hess_V(q):
+        diag = TWO_PI**2 * (-vc * np.cos(TWO_PI * q) - vs * np.sin(TWO_PI * q))
+        out = diag[..., :, None] * np.eye(d)
+        if d == 2:
+            c = -vx * TWO_PI**2 * np.cos(TWO_PI * (q[..., 0] - q[..., 1]))
+            out = out + c[..., None, None] * np.array([[1.0, -1.0], [-1.0, 1.0]])
+        return out
+
+    return V, grad_V, hess_V
+
+
+@pytest.mark.parametrize("case", sorted(POTENTIAL_CASES))
+def test_damped_mechanical_evaluators_match_the_full_formula(case):
+    params = POTENTIAL_CASES[case]
+    m = instantiate_model("damped-mechanical", alpha=0.5, **params)
+    d = m.d
+    V, grad_V, hess_V = _full_potential(params)
+    xs = sample_states(m, 24, np.random.default_rng(13), 1.0)
+    q, p = xs[:, :d], xs[:, d:]
+    close = dict(rtol=1e-13, atol=1e-12)
+    np.testing.assert_allclose(m.V(q), V(q), **close)
+    np.testing.assert_allclose(m.grad_V(q), grad_V(q), **close)
+    np.testing.assert_allclose(m.hess_V(q), hess_V(q), **close)
+    np.testing.assert_allclose(m.H(xs), 0.5 * np.sum(p * p, -1) + V(q), **close)
+    np.testing.assert_allclose(m.dH(xs), np.concatenate([grad_V(q), p], -1), **close)
+    np.testing.assert_allclose(
+        m.X(xs), np.concatenate([p, -grad_V(q) - 0.5 * p], -1), **close)
+    np.testing.assert_allclose(
+        m.X_sym(xs), np.concatenate([p, -grad_V(q)], -1), **close)
+    # derivatives against central differences of the evaluator one order up
+    assert np.max(np.abs(m.grad_V(q) - _central_differences(m.V, q))) < 1e-6
+    assert np.max(np.abs(m.hess_V(q) - _central_differences(m.grad_V, q))) < 1e-5
+    assert np.max(np.abs(m.dH(xs) - _central_differences(m.H, xs))) < 1e-6
+    # a single state gives the row of the batch
+    for f, arg in ((m.V, q), (m.grad_V, q), (m.hess_V, q), (m.X, xs), (m.dH, xs)):
+        assert np.array_equal(f(arg[5]), f(arg)[5])
