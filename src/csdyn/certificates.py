@@ -42,11 +42,18 @@ from .flows import (
     time_t_map,
 )
 from .geometry import (
+    ANGLE,
+    LINE,
+    CoordinateSpec,
     conformality_ratio_estimate,
     eval_two_form,
+    fd_exterior_derivative_one_form,
+    fd_exterior_derivative_two_form,
+    fd_gradient,
     loop_integral,
     pullback_residual,
     torus_distance,
+    wedge_one_two,
 )
 from .models import (
     NONEXACT_RATIO,
@@ -98,8 +105,6 @@ def cert_two_form_antisymmetry(seed=7):
 
 
 def cert_loop_quadrature_convergence(seed=7):
-    from .geometry import CoordinateSpec, ANGLE, LINE
-
     spec = CoordinateSpec((ANGLE, LINE))
 
     def lam(pts):
@@ -126,8 +131,6 @@ def cert_loop_quadrature_convergence(seed=7):
 
 
 def cert_torus_metric(seed=7):
-    from .geometry import CoordinateSpec, ANGLE, LINE
-
     rng = np.random.default_rng(seed)
     spec = CoordinateSpec((ANGLE, ANGLE, LINE, LINE))
     worst = 0.0
@@ -224,8 +227,6 @@ def cert_field_identities(seed=7):
         details[f"{name}/d={m.d}"] = res
         worst = max(worst, res)
         # central-difference cross-check of the analytic gradient
-        from .geometry import fd_gradient
-
         fd_worst = 0.0
         for x in sample_states(m, 10, rng, 1.0):
             fd = fd_gradient(lambda z: float(m.H(z)), x) if m.H is not None else 0.0
@@ -241,12 +242,6 @@ def cert_field_identities(seed=7):
 
 def cert_structure_forms(seed=7):
     """Omega = -d(lambda) for exact models; d(Omega) = eta ^ Omega for pairs."""
-    from .geometry import (
-        fd_exterior_derivative_one_form,
-        fd_exterior_derivative_two_form,
-        wedge_one_two,
-    )
-
     rng = np.random.default_rng(seed)
     worst = 0.0
     for name, params in (("circle-linear", {"alpha": 1.0}),
@@ -396,14 +391,15 @@ def cert_splitting_exact(seed=7):
     worst = 0.0
     details = {}
     for h in (0.1, 0.01, 0.001):
-        case = 0.0
-        for x in sample_states(m, 5, rng, 1.0):
-            x_new, J = conformal_splitting_step(m, x, h)
-            res = pullback_residual(
+        xs = sample_states(m, 5, rng, 1.0)
+        xs_new, Js = conformal_splitting_step(m, xs, h)
+        case = max(
+            pullback_residual(
                 J, np.asarray(m.Omega(x)), np.asarray(m.Omega(x_new)),
                 math.exp(-m.alpha * h),
             )
-            case = max(case, res)
+            for x, x_new, J in zip(xs, xs_new, Js)
+        )
         details[f"h={h}"] = case
         worst = max(worst, case)
     return _result(
@@ -422,17 +418,16 @@ def cert_splitting_order(seed=7):
     cfg = IntegratorConfig(rel_tol=1e-12, abs_tol=1e-14)
     rng = np.random.default_rng(seed)
     hs = (0.02, 0.01, 0.005)
-    orders = []
-    for x0 in sample_states(m, 8, rng, 1.0):
-        errs = []
-        for h in hs:
-            ref = integrate_flow(m, x0, (0.0, h), cfg, samples=2).final_state
-            stepped, _ = conformal_splitting_step(m, x0, h)
-            errs.append(float(np.max(np.abs(stepped - ref))))
-        orders.extend(
-            math.log(errs[i] / errs[i + 1]) / math.log(hs[i] / hs[i + 1])
-            for i in range(2)
-        )
+    starts = sample_states(m, 8, rng, 1.0)
+    errs = []  # per h, one local error per start
+    for h in hs:
+        refs = integrate_flow(m, starts, (0.0, h), cfg, samples=2)
+        stepped, _ = conformal_splitting_step(m, starts, h)
+        errs.append(np.max(np.abs(stepped - [r.final_state for r in refs]), axis=1))
+    orders = [
+        math.log(e[i] / e[i + 1]) / math.log(hs[i] / hs[i + 1])
+        for e in np.transpose(errs) for i in range(2)
+    ]
     median = float(np.median(orders))
     return _result(
         "splitting-order", "damped-mechanical", {}, abs(median - 3.0), 0.3,
@@ -475,14 +470,14 @@ def cert_time_map_consistency(seed=7):
     f_a = time_t_map(m, 0.4)
     f_b = time_t_map(m, 0.6)
     f_ab = time_t_map(m, 1.0)
-    worst = 0.0
-    for x in sample_states(m, 5, rng, 1.0):
-        comp = f_b.f(f_a.f(x))
-        worst = max(worst, float(torus_distance(m.spec, comp, f_ab.f(x))))
-        back = f_ab.f_inv(f_ab.f(x))
-        worst = max(worst, float(torus_distance(m.spec, back, m.spec.wrap(x))) / 1e2)
+    xs = sample_states(m, 5, rng, 1.0)
+    ends = f_ab.f(xs)
+    worst = float(np.max(torus_distance(m.spec, f_b.f(f_a.f(xs)), ends)))
+    back = torus_distance(m.spec, f_ab.f_inv(ends), m.spec.wrap(xs))
+    worst = max(worst, float(np.max(back)) / 1e2)
+    for x, F in zip(xs, f_ab.Df(xs)):
         ratio, res = conformality_ratio_estimate(
-            np.asarray(f_ab.Df(x)), np.asarray(m.Omega(x)), np.asarray(m.Omega(x))
+            F, np.asarray(m.Omega(x)), np.asarray(m.Omega(x))
         )
         worst = max(worst, abs(ratio - math.exp(-1.0)))
     fixed = f_ab.f(np.array([0.0, 0.0]))
@@ -836,6 +831,13 @@ def cert_transport_decay(seed=7):
     )
 
 
+def _rational_recurrence():
+    """(a1, a2) = (1, 2) with cos(2 pi v) = 1 returns at t = 1: (dmin, t, returned)."""
+    m = instantiate_model("lee-twisted-t1t2", a1=1.0, a2=2.0)
+    dmin, t_at = recurrence_scan(m, np.array([0.3, 0.7, 0.0, 0.2]), 2.0, 1e-2)
+    return dmin, t_at, dmin < 1e-6 and abs(t_at - 1.0) < 1e-9
+
+
 def cert_lee_no_periodic(seed=7):
     """Acceptance 10: no recurrence for independent twists; rational control."""
     m = instantiate_model(
@@ -851,12 +853,10 @@ def cert_lee_no_periodic(seed=7):
     worst_sep = min(min_dists)
     details = {"min_return": worst_sep}
     worst = 0.0 if worst_sep >= 1e-2 else math.inf
-    # rational control: (a1, a2) = (1, 2) with cos(2 pi v) = 1 returns at t = 1
-    mc = instantiate_model("lee-twisted-t1t2", a1=1.0, a2=2.0)
-    dmin, targ = recurrence_scan(mc, np.array([0.3, 0.7, 0.0, 0.2]), 2.0, 1e-2)
+    dmin, t_at, returned = _rational_recurrence()
     details["control_return"] = dmin
-    details["control_t"] = targ
-    if not (dmin < 1e-6 and abs(targ - 1.0) < 1e-9):
+    details["control_t"] = t_at
+    if not returned:
         worst = math.inf
     return _result(
         "lee-no-periodic-orbit", "lee-twisted-t1t2",
@@ -952,9 +952,7 @@ def cert_escape_determinism(seed=7):
 
 def cert_recurrence_negative_control(seed=7):
     """Dependent twist frequencies must produce a sharp return at t = 1."""
-    m = instantiate_model("lee-twisted-t1t2", a1=1.0, a2=2.0)
-    dmin, t_at = recurrence_scan(m, np.array([0.3, 0.7, 0.0, 0.2]), 2.0, 1e-2)
-    ok = dmin < 1e-6 and abs(t_at - 1.0) < 1e-9
+    dmin, t_at, ok = _rational_recurrence()
     return _result(
         "recurrence-rational-control", "lee-twisted-t1t2", {"a1": 1.0, "a2": 2.0},
         dmin if ok else math.inf, 1e-6, "recurrence/torus-scan",

@@ -32,9 +32,10 @@ from .flows import (
     integrate_variational,
     iterate_map,
     poincare_return,
+    time_reversed_view,
     transport_tangents,
 )
-from .geometry import torus_distance
+from .geometry import loop_integral, torus_distance
 from .models import MAP
 
 TWO_PI = 2.0 * math.pi
@@ -282,8 +283,6 @@ def find_periodic_orbit(m, sec, guess, cfg=None, newton_tol=1e-12, max_iter=50,
     """
     if sec.axis is None:
         raise SectionError("periodic-orbit search needs an axis section")
-    from .flows import time_reversed_view
-
     cfg = cfg or IntegratorConfig()
     search_model = time_reversed_view(m) if backward else m
     n = m.dim
@@ -756,8 +755,6 @@ def loop_cohomology_check(m, loop, t, cfg=None, tol=1e-7):
     compression of the image does not starve the quadrature.
     PASS iff |I_t - exp(-alpha t) I_0| <= tol * (1 + |I_0|).
     """
-    from .geometry import loop_integral
-
     if m.lam is None:
         raise StructureError(f"{m.name} carries no Liouville form")
     cfg = cfg or IntegratorConfig()

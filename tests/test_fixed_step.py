@@ -15,6 +15,7 @@ from csdyn.diagnostics import (
 from csdyn.errors import KindError, ParamError
 from csdyn.flows import (
     IntegratorConfig,
+    _fixed_step_engine,
     flow_ensemble,
     integrate_flow,
     integrate_variational,
@@ -239,7 +240,16 @@ ENGINE_CALLS = {
         lambda: instantiate_model("t2-pair-theta2"),
         lambda m, b: _classify_rows(m, b, 0.3),
     ),
+    "splitting": (
+        lambda: instantiate_model("damped-mechanical", alpha=0.5, d=1, v_cos=1.0),
+        lambda m, b: _fixed_step_engine(
+            m, np.array(b), 0.3, 0.01, blowup_threshold=1e3, splitting=True),
+    ),
 }
+
+# a row that passes the threshold of 1e3 on the way: the Riccati escape at
+# t ~ 0.17, or for the bounded pendulum a start past it (dies after one step)
+BLOWUP_ROWS = {"flow": (0.0, -1.0), "transport": (0.0, -1.0), "splitting": (0.0, 2e3)}
 
 
 @pytest.mark.parametrize("call", sorted(ENGINE_CALLS))
@@ -263,8 +273,8 @@ def test_rows_are_independent(call, seed, n, data):
     # a poisoned row dies alone: NaN from the start, or a blow-up on the way
     at = data.draw(st.integers(0, n), label="at")
     poison = np.full(m.dim, np.nan)
-    if call != "classify" and data.draw(st.booleans(), label="blowup"):
-        poison = np.array([0.0, -1.0])  # Riccati escape at t ~ 0.17
+    if call in BLOWUP_ROWS and data.draw(st.booleans(), label="blowup"):
+        poison = np.array(BLOWUP_ROWS[call])
     poisoned = run(m, np.insert(batch, at, poison, axis=0))
     for a, b in zip(full, poisoned):
         assert np.array_equal(np.delete(b, at, axis=0), a)

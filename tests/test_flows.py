@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -5,11 +6,13 @@ import pytest
 
 from csdyn.errors import (
     BlowUpError,
+    ConvergenceError,
     KindError,
     ParamError,
     PoisonedStateError,
     SectionError,
 )
+from csdyn import flows
 from csdyn.flows import (
     BLOWUP,
     COMPLETED,
@@ -135,6 +138,57 @@ def test_splitting_step_preconditions():
         conformal_splitting_step(m2, np.array([0.2, 0.3]), 0.01)
 
 
+SPLITTING_MODELS = {
+    "verlet-d1": lambda: instantiate_model("damped-mechanical", alpha=0.5, d=1),
+    "verlet-d2": lambda: instantiate_model(
+        "damped-mechanical", alpha=0.5, d=2, v_cos=(1.0, 0.5), v_sin=0.3, v_cross=0.4),
+    "midpoint-mane": lambda: instantiate_model(
+        "mane", alpha=0.5, d=1, y0=0.5, y_sin=-0.5 / TWO_PI),
+    "midpoint-circle-quadratic": lambda: instantiate_model("circle-quadratic"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SPLITTING_MODELS))
+@pytest.mark.parametrize("h", [0.05, 0.001])
+def test_batched_splitting_step_rows_match_single_states(name, h):
+    m = SPLITTING_MODELS[name]()
+    xs = sample_states(m, 16, np.random.default_rng(11), 0.5)
+    z, J = conformal_splitting_step(m, xs, h)
+    assert z.shape == xs.shape and J.shape == xs.shape + (m.dim,)
+    for i, x in enumerate(xs):
+        z1, J1 = conformal_splitting_step(m, xs[i : i + 1], h)
+        z0, J0 = conformal_splitting_step(m, x, h)
+        assert z1[0].tobytes() == z[i].tobytes() == z0.tobytes()
+        assert J1[0].tobytes() == J[i].tobytes() == J0.tobytes()
+
+
+def _stiff_midpoint_model():
+    """circle-linear with X_sym a fast rotation: the midpoint sweeps diverge
+    from every state but the origin, which is fixed after one sweep."""
+    m = instantiate_model("circle-linear", alpha=1.0)
+    return dataclasses.replace(
+        m, X_sym=lambda x: 1e3 * np.stack([x[..., 1], -x[..., 0]], axis=-1)
+    )
+
+
+def test_non_converging_midpoint_row_is_named():
+    m = _stiff_midpoint_model()
+    xs = np.array([[0.0, 0.0], [0.0, 0.0], [0.1, 0.2], [0.3, 0.4]])
+    with pytest.raises(ConvergenceError, match="row 2") as info:
+        conformal_splitting_step(m, xs, 0.01)
+    assert info.value.row == 2 and np.array_equal(info.value.state, xs[2])
+
+
+def test_splitting_run_names_the_batch_row_after_a_row_died():
+    # row 0 is dead from the start, so the failing row is the second live row
+    m = _stiff_midpoint_model()
+    xs = np.array([[np.nan, 0.0], [0.0, 0.0], [0.1, 0.2]])
+    cfg = IntegratorConfig(method="splitting", h=0.01)
+    with pytest.raises(ConvergenceError, match="row 2") as info:
+        integrate_flow(m, xs, (0.0, 0.1), cfg)
+    assert (info.value.row, info.value.t) == (2, 0.0)
+
+
 def test_splitting_local_error_order_three():
     m = instantiate_model("damped-mechanical", alpha=0.5, d=1, v_cos=1.0)
     cfg = IntegratorConfig(rel_tol=1e-12, abs_tol=1e-14)
@@ -227,6 +281,32 @@ def test_time_t_map_propagates_blowup():
         f1.f(np.array([0.0, -1.0]))
 
 
+@pytest.mark.parametrize("block", [None, 2])
+def test_time_t_map_batch_rows_match_single_states(block, monkeypatch):
+    if block:  # the batch spans three engine calls
+        monkeypatch.setattr(flows, "_MAP_BLOCK", block)
+    m = instantiate_model("circle-linear", alpha=1.0)
+    f1 = time_t_map(m, 1.0)
+    xs = sample_states(m, 5, np.random.default_rng(7), 1.0)
+    for fn in (f1.f, f1.f_inv, f1.Df):
+        batch = fn(xs)
+        assert batch.shape == (5,) + np.shape(fn(xs[0]))
+        for x, row in zip(xs, batch):
+            assert row.tobytes() == fn(x).tobytes()
+
+
+def test_time_t_map_batch_blowup_reports_the_row_escape_time(monkeypatch):
+    monkeypatch.setattr(flows, "_MAP_BLOCK", 2)  # the blow-up is in the second call
+    m = instantiate_model("circle-quadratic", alpha=1.0)
+    f1 = time_t_map(m, 1.0)
+    xs = np.array([[0.25, 0.3], [0.5, 0.1], [0.75, -0.3], [0.0, -1.0]])
+    with pytest.raises(BlowUpError, match="row 3") as info:
+        f1.f(xs)
+    alone = integrate_flow(m, xs[3], (0.0, 1.0), samples=2)
+    assert info.value.t_escape == alone.t_escape
+    assert abs(info.value.t_escape - riccati_blowup_time(1.0)) < 1e-6
+
+
 def test_time_t_map_requires_nonzero_time():
     m = instantiate_model("circle-linear", alpha=1.0)
     with pytest.raises(ParamError):
@@ -252,6 +332,15 @@ def test_poincare_lee_crossings_equally_spaced():
     _, _, times, _ = poincare_return(m, sec, x0, 3)
     gaps = np.diff(times)
     assert np.max(np.abs(gaps - 1.0 / abs(rate))) < 1e-8
+
+
+@pytest.mark.parametrize("method", ["rk4", "splitting"])
+def test_poincare_return_rejects_fixed_step_methods(method):
+    m = instantiate_model("t2-pair-theta2")
+    sec = SectionSpec(axis=0, offset=0.0, direction=1)
+    cfg = IntegratorConfig(method=method, h=0.01)
+    with pytest.raises(ParamError, match=method):
+        poincare_return(m, sec, np.array([0.0, 0.0]), 1, cfg)
 
 
 def test_section_rejects_zero_gradient():
