@@ -634,6 +634,8 @@ def conformal_splitting_step(m, x, h):
     if h > 0.5:
         raise ParamError("splitting step size must satisfy h <= 0.5")
     x = np.asarray(x, dtype=float)
+    if x.shape[-1:] != (m.dim,):
+        raise DimensionMismatchError(f"x must have shape (..., {m.dim}), got {x.shape}")
     d, rows = m.d, x.reshape(-1, m.dim)
     c = math.exp(-0.5 * m.alpha * h)
     z = rows.copy()

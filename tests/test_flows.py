@@ -7,6 +7,7 @@ import pytest
 from csdyn.errors import (
     BlowUpError,
     ConvergenceError,
+    DimensionMismatchError,
     KindError,
     ParamError,
     PoisonedStateError,
@@ -136,6 +137,8 @@ def test_splitting_step_preconditions():
     m2 = instantiate_model("t2-pair-theta2")
     with pytest.raises(KindError):
         conformal_splitting_step(m2, np.array([0.2, 0.3]), 0.01)
+    with pytest.raises(DimensionMismatchError):  # not two states of dim 2
+        conformal_splitting_step(m, np.array([0.2, 0.3, 0.4, 0.5]), 0.01)
 
 
 SPLITTING_MODELS = {
