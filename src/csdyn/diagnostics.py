@@ -838,12 +838,34 @@ def classify_orbit(m, x0, T, cfg=None, thresholds=None):
     return res[0]
 
 
+# classify_ensemble's observer copies the states of consecutive steps into a
+# block of at most this many bytes and reduces the block at once; a batch
+# whose single step needs more reduces every step in place.  The reduction's
+# temporaries take about six times the block: at N = 100 a 256 KiB block
+# raised the traced peak of cert_classification from 0.5 to 1.6 MB and ran
+# no faster than this one.
+_OBSERVER_BLOCK_BYTES = 64 * 1024
+
+
+def _segment_distances(a, b):
+    """Distance from the origin to each linear segment a -> b, over (..., dim)."""
+    ab = b - a
+    prod = np.multiply(ab, ab)  # one scratch array for the products
+    denom = np.sum(prod, axis=-1)
+    s = np.clip(-np.sum(np.multiply(a, ab, out=prod), axis=-1)
+                / np.maximum(denom, 1e-300), 0.0, 1.0)
+    seg = np.add(a, np.multiply(s[..., None], ab, out=prod), out=prod)
+    return np.sqrt(np.sum(np.multiply(seg, seg, out=prod), axis=-1))
+
+
 def classify_ensemble(m, starts, T, cfg=None, thresholds=None, h=1e-3):
     """Vectorized finite-time conservative/dissipative classification.
 
     Orbits run on the fixed-step RK4 engine with the Lee integral r_t as an
     extra channel; a row that dies (non-finite, or a line coordinate past
-    cfg.blowup_threshold) is undetermined.
+    cfg.blowup_threshold) is undetermined.  Every statistic is a per-row
+    maximum, minimum or step-ordered sum, so a row's result does not depend
+    on its batch nor on how the observer blocks the steps.
     """
     if m.eta is None or m.H is None:
         raise StructureError("classification needs both eta and H")
@@ -865,34 +887,54 @@ def classify_ensemble(m, starts, T, cfg=None, thresholds=None, h=1e-3):
     min_ret = np.full(n_orb, np.inf)
     settle = max(1, int(0.01 * n_steps))
     late_start = int(0.9 * n_steps)
-    # displacement from the start at the previous step: the segment start
-    previous = {}
+    previous = None  # displacement from the start at the last reduced step
+
+    def fold(k0, Ys):
+        """Fold the states Ys (steps, n_orb, dim + 1) of steps k0, k0 + 1, ..."""
+        nonlocal previous
+        np.maximum(r_abs_max, np.abs(Ys[:, :, dim]).max(axis=0), out=r_abs_max)
+        lo = max(0, settle - 1 - k0)
+        if lo < len(Ys):
+            # closest approach to the start of each linear step segment
+            b = m.spec.delta(starts, Ys[lo:, :, :dim])
+            a = b[:-1] if previous is None else np.concatenate([previous[None], b[:-1]])
+            if len(a):
+                dist = _segment_distances(a, b[len(b) - len(a) :])
+                np.minimum(min_ret, dist.min(axis=0), out=min_ret)
+            previous = b[-1]
+        lo = max(0, late_start - k0)
+        if lo < len(Ys):
+            x = Ys[lo:, :, :dim].reshape(-1, dim)
+            hv = np.abs(np.asarray(m.H(x), dtype=float)).reshape(-1, n_orb)
+            np.maximum(h_abs_late, hv.max(axis=0), out=h_abs_late)
+
+    step_bytes = max(1, 8 * n_orb * (dim + 1))
+    block = max(1, min(n_steps, _OBSERVER_BLOCK_BYTES // step_bytes))
+    buf = np.empty((block, n_orb, dim + 1)) if block > 1 else None
+    k0, filled = 0, 0  # the first step held in buf, and how many it holds
 
     def on_step(k, Y):
-        x = Y[:, :dim]
+        nonlocal k0, filled
         if k + 1 >= half:
             np.add(r_moment, ts_c[k + 1 - half] * Y[:, dim], out=r_moment)
-        np.maximum(r_abs_max, np.abs(Y[:, dim]), out=r_abs_max)
-        if k >= settle - 1:
-            b = m.spec.delta(starts, x)
-            if k >= settle:
-                # closest approach of the linear step segment to the start point
-                a = previous["delta"]
-                ab = b - a
-                denom = np.sum(ab * ab, axis=1)
-                s = np.clip(
-                    -np.sum(a * ab, axis=1) / np.maximum(denom, 1e-300), 0.0, 1.0
-                )
-                seg = a + s[:, None] * ab
-                np.minimum(min_ret, np.sqrt(np.sum(seg * seg, axis=1)), out=min_ret)
-            previous["delta"] = b
-        if k >= late_start:
-            np.maximum(h_abs_late, np.abs(np.asarray(m.H(x), dtype=float)), out=h_abs_late)
+        if buf is None:
+            fold(k, Y[None])
+            return
+        if not filled:
+            k0 = k
+        buf[filled] = Y
+        filled += 1
+        if filled == block:
+            fold(k0, buf)
+            filled = 0
 
     _, alive = _fixed_step_engine(
         m, np.concatenate([starts, np.zeros((n_orb, 1))], axis=-1), T, h, racc=True,
         blowup_threshold=cfg.blowup_threshold, on_step=on_step,
     )
+    if filled:  # the last block, or the steps before every row died
+        fold(k0, buf[:filled])
+    previous = buf = None  # freed before the per-row results are built
 
     slopes = r_moment / float(np.sum(ts_c * ts_c))
 

@@ -147,7 +147,9 @@ class _Path:
     """Accepted nodes of one row: times, states, derivatives and, per node j >= 1,
     the continuous-extension coefficient of the segment ending at j (zero for
     fixed-step nodes).  The row ends at t_end, inside the last segment after a
-    blow-up."""
+    blow-up.  A run that samples only its ends keeps the first node and the
+    last step's two nodes; only its last segment is then a step.  `flagged`
+    is the (t, node) where a run's node check first failed, if it did."""
 
     ts: np.ndarray
     ys: np.ndarray
@@ -157,6 +159,7 @@ class _Path:
     t_end: float
     t_escape: float | None = None
     stats: IntegrationStats | None = None
+    flagged: tuple | None = None
 
 
 def _dense(p, i, t):
@@ -214,16 +217,17 @@ def _screen(values, rows, t, y, name):
         )
 
 
-def _combine(K, coeffs):
-    """Fixed-order elementwise sum of coefficient * stage over the nonzero entries."""
+def _combine(K, coeffs, out, tmp):
+    """Fixed-order elementwise sum of coefficient * stage over the nonzero
+    entries, accumulated in out with tmp as scratch."""
     (j, a), *rest = coeffs
-    s = a * K[j]
+    np.multiply(K[j], a, out=out)
     for j, a in rest:
-        s += a * K[j]
-    return s
+        np.add(out, np.multiply(K[j], a, out=tmp), out=out)
+    return out
 
 
-def _dp_engine(rhs, t0, t1, Y, cfg, line_cols, name):
+def _dp_engine(rhs, t0, t1, Y, cfg, line_cols, name, ends_only=False, node_check=None):
     """Masked lockstep Dormand-Prince 5(4) on the rows of Y over [t0, t1].
 
     Every row keeps its own t, h, PI-controller state and accept/reject
@@ -231,24 +235,32 @@ def _dp_engine(rhs, t0, t1, Y, cfg, line_cols, name):
     coordinate past cfg.blowup_threshold, bracketed on the dense output) or
     spends cfg.max_steps accepted steps.  Stage sums are fixed-order and
     elementwise, so a row's path is bit-identical to the same row run alone
-    (given a row-wise rhs).  Step control: Hairer, Norsett & Wanner, Solving
-    ODEs I, II.4 (initial step) and the PI controller of II.5.  Returns one
-    _Path per row.
+    (given a row-wise rhs).  Stages, states and sums live in buffers made once
+    per call; the live rows are their leading rows.  Step control: Hairer,
+    Norsett & Wanner, Solving ODEs I, II.4 (initial step) and the PI
+    controller of II.5.  Returns one _Path per row, with every accepted node,
+    or with `ends_only` the first node and the last step.  `node_check(ys)`
+    flags rows of a block of nodes; a row's first flagged node goes into its
+    path's `flagged`.
     """
     # trial steps may overflow; every non-finite stage is screened and raised
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         rel, atol, thr = cfg.rel_tol, cfg.abs_tol, cfg.blowup_threshold
         N, w = Y.shape
         rows = np.arange(N)  # the batch index of each block row
-        y = np.array(Y, dtype=float)
-        f = np.empty_like(y)
-        f[...] = rhs(y)
+        # one allocation for all per-call buffers: seven stages (K[0] is the
+        # derivative at the current node), the state and the trial state
+        # (swapped on acceptance) and three scratch arrays
+        buf = np.empty((12, N, w))
+        K, (y, y_new, s, tmp, tmp2) = buf[:7], buf[7:]
+        y[...] = Y
+        rhs(y, K[0])
         t = np.full(N, float(t0))
-        _screen(f[None], rows, t, y, name)
+        _screen(K[:1], rows, t, y, name)
         # conservative initial step from the field scale
         scale = atol + rel * np.abs(y)
         d0 = np.sqrt(np.mean((y / scale) ** 2, axis=1))
-        d1 = np.sqrt(np.mean((f / scale) ** 2, axis=1))
+        d1 = np.sqrt(np.mean((K[0] / scale) ** 2, axis=1))
         ok = (d0 > 1e-5) & (d1 > 1e-5)
         h = np.where(ok, 0.01 * d0 / np.where(ok, d1, 1.0), 1e-6)
         h = np.maximum(np.minimum(h, min(0.1 * (t1 - t0), cfg.max_step)), 1e-12)
@@ -256,21 +268,27 @@ def _dp_engine(rhs, t0, t1, Y, cfg, line_cols, name):
         fails = np.zeros(N, dtype=np.int64)
         n_acc = np.zeros(N, dtype=np.int64)
         n_rej = np.zeros(N, dtype=np.int64)
-        log = _NodeLog()
-        log.add(rows, np.concatenate([t[:, None], y, f, np.zeros_like(y)], 1))
-        ended = {}  # batch row -> (status, accepted steps, rejected steps)
+        h_min, h_max = np.full(N, np.inf), np.full(N, -np.inf)
+        first = np.concatenate([t[:, None], y, K[0], np.zeros_like(y)], 1)
+        log = None if ends_only else _NodeLog()
+        if log is not None:
+            log.add(rows, first)
+        flagged = {}  # batch row -> (t, node) of its first flagged node
+        if node_check is not None:
+            for b in np.nonzero(node_check(y))[0]:
+                flagged[int(b)] = (float(t0), y[b].copy())
+        ended = {}  # batch row -> (status, counts, step range, last step's nodes)
         while len(rows):
             h = np.minimum(h, t1 - t)
             hc = h[:, None]
-            K = np.empty((7,) + y.shape)
-            K[0] = f
             for i, coeffs in enumerate(_DP_A, 1):
-                y_new = y + hc * _combine(K, coeffs)
-                K[i] = rhs(y_new)
+                np.multiply(hc, _combine(K, coeffs, s, tmp), out=s)
+                rhs(np.add(y, s, out=y_new), K[i])
             _screen(K[1:], rows, t, y, name)
-            delta = hc * _combine(K, _DP_E)
-            scale = atol + rel * np.maximum(np.abs(y), np.abs(y_new))
-            err = np.sqrt(np.mean((delta / scale) ** 2, axis=1))
+            delta = np.multiply(hc, _combine(K, _DP_E, s, tmp), out=s)
+            scale = np.maximum(np.abs(y, out=tmp), np.abs(y_new, out=tmp2), out=tmp)
+            scale = np.add(atol, np.multiply(rel, scale, out=tmp), out=tmp)
+            err = np.sqrt(np.mean(np.square(np.divide(delta, scale, out=s), out=s), axis=1))
             acc = (err <= 1.0) | (h <= 1e-14 * np.maximum(1.0, np.abs(t)))
             # fmin/fmax keep h unchanged (reject) or shrink it (accept) on a NaN error
             e = np.maximum(err, 1e-10)
@@ -298,50 +316,86 @@ def _dp_engine(rhs, t0, t1, Y, cfg, line_cols, name):
                     ConvergenceError, "accepted a step too small to advance t",
                     name, int(rows[b]), float(t[b]), y[b].copy(),
                 )
-            rec = np.concatenate([t_new[:, None], y_new, K[6], hc * _combine(K, _DP_D)], 1)
-            if acc.all():
-                fails[:] = 0
-                log.add(rows, rec)
-                t, y, f, h, err_prev = t_new, y_new, K[6], h_acc, e
-            else:
-                log.add(rows[acc], rec[acc])
-                t = np.where(acc, t_new, t)
-                y = np.where(acc[:, None], y_new, y)
-                f = np.where(acc[:, None], K[6], f)
-                h = np.where(acc, h_acc, h_rej)
-                err_prev = np.where(acc, e, err_prev)
             n_acc += acc
+            step = t_new - t
+            np.minimum(h_min, step, out=h_min, where=acc)
+            np.maximum(h_max, step, out=h_max, where=acc)
             # a row ends on blow-up, completion or its step budget, in that order
             blown = np.zeros(len(rows), dtype=bool)
             if line_cols and np.abs(y_new[:, line_cols]).max() > thr:
                 blown = acc & (np.abs(y_new[:, line_cols]).max(axis=1) > thr)
-            done = blown | (acc & ((t >= t1) | (n_acc >= cfg.max_steps)))
+            done = blown | (acc & ((t_new >= t1) | (n_acc >= cfg.max_steps)))
+            if log is not None:
+                sel = slice(None) if acc.all() else acc
+                log.add(rows[sel], _node_records(t_new[sel], y_new[sel], K[:, sel], hc[sel]))
+            if node_check is not None:
+                for b in np.nonzero(acc & node_check(y_new))[0]:
+                    flagged.setdefault(int(rows[b]), (float(t_new[b]), y_new[b].copy()))
             if done.any():
-                for b in np.nonzero(done)[0]:
-                    status = (
-                        BLOWUP if blown[b] else COMPLETED if t[b] >= t1 else MAX_STEPS
+                ends = np.nonzero(done)[0]
+                if log is None:  # the two nodes of the last step of each ending row
+                    after = _node_records(t_new[ends], y_new[ends], K[:, ends], hc[ends])
+                    before = np.concatenate(
+                        [t[ends, None], y[ends], K[0, ends], np.zeros_like(y[ends])], 1)
+                for i, b in enumerate(ends):
+                    status = BLOWUP if blown[b] else COMPLETED if t_new[b] >= t1 else MAX_STEPS
+                    # the node before the last step is left out when it is the first
+                    last = None if log is not None else (
+                        after[i : i + 1] if n_acc[b] == 1 else np.stack([before[i], after[i]]))
+                    ended[int(rows[b])] = (
+                        status, int(n_acc[b]), int(n_rej[b]), float(h_min[b]),
+                        float(h_max[b]), last,
                     )
-                    ended[int(rows[b])] = (status, int(n_acc[b]), int(n_rej[b]))
+            if acc.all():
+                fails[:] = 0
+                t, h, err_prev = t_new, h_acc, e
+                y, y_new = y_new, y
+                K[0] = K[6]  # a copy: the next step overwrites K[6]
+            else:
+                t = np.where(acc, t_new, t)
+                np.copyto(y, y_new, where=acc[:, None])
+                np.copyto(K[0], K[6], where=acc[:, None])
+                h = np.where(acc, h_acc, h_rej)
+                err_prev = np.where(acc, e, err_prev)
+            if done.any():
                 keep = ~done
-                rows, t, y, f, h, err_prev, fails, n_acc, n_rej = (
-                    a[keep] for a in (rows, t, y, f, h, err_prev, fails, n_acc, n_rej)
+                rows, t, h, err_prev, fails, n_acc, n_rej, h_min, h_max = (
+                    a[keep] for a in (rows, t, h, err_prev, fails, n_acc, n_rej, h_min, h_max)
                 )
+                live = len(rows)
+                y[:live], K[0, :live] = y[keep], K[0][keep]
+                y, y_new, s, tmp, tmp2 = (a[:live] for a in (y, y_new, s, tmp, tmp2))
+                K = K[:, :live]
+    nodes = log.by_row(N) if log is not None else None
     paths = []
-    for r, node in enumerate(log.by_row(N)):
-        status, accepted, rejected = ended[r]
-        steps = np.diff(node[:, 0])
+    for r in range(N):
+        status, accepted, rejected, h_lo, h_hi, last = ended[r]
+        node = nodes[r] if nodes is not None else np.concatenate([first[r : r + 1], last])
         p = _Path(
             ts=node[:, 0], ys=node[:, 1 : 1 + w], fs=node[:, 1 + w : 1 + 2 * w],
             ds=node[:, 1 + 2 * w :], status=status, t_end=float(node[-1, 0]),
             stats=IntegrationStats(
-                accepted, rejected, 6 * (accepted + rejected) + 1,
-                float(steps.min()), float(steps.max()),
+                accepted, rejected, 6 * (accepted + rejected) + 1, h_lo, h_hi
             ),
+            flagged=flagged.get(r),
         )
         if status == BLOWUP:
             _bracket_blowup(p, line_cols, thr)
         paths.append(p)
     return paths
+
+
+def _node_records(t, y, K, hc):
+    """Records [t | y | f | d] of new nodes: time, state, derivative (the last
+    stage) and the dense-output coefficient of the step that reached them."""
+    w = y.shape[1]
+    rec = np.empty((len(t), 1 + 3 * w))
+    rec[:, 0] = t
+    rec[:, 1 : 1 + w] = y
+    rec[:, 1 + w : 1 + 2 * w] = K[6]
+    d = rec[:, 1 + 2 * w :]
+    np.multiply(hc, _combine(K, _DP_D, d, np.empty((len(t), w))), out=d)
+    return rec
 
 
 class _NodeLog:
@@ -408,26 +462,27 @@ def _eta_contraction(m):
 def _joint_rhs(m, k, racc):
     """Joint field of the rows y = [x | n*k tangent entries, row-major n x k | r].
 
-    Both integrators use it: the adaptive path on one row, the fixed-step
-    engine on (N, w) batches.
+    Both engines use it on (N, w) batches.  `rhs(y, out=None)` writes X, the
+    tangent product DX F and eta(X) into the columns of out, a new array
+    when None; out must not overlap y.
     """
-    n = m.dim
-    if not k and not racc:
-        return lambda y: np.asarray(m.X(y), dtype=float)
+    n, nk = m.dim, m.dim * k
     DX = m.jacobian
     eta_dot = _eta_contraction(m) if racc else None
 
-    def rhs(y):
+    def rhs(y, out=None):
+        if out is None:
+            out = np.empty(y.shape)
         x = y[..., :n]
-        parts = [np.asarray(m.X(x), dtype=float)]
+        out[..., :n] = m.X(x)
         if k == 1:
-            parts.append(np.einsum("...ij,...j->...i", DX(x), y[..., n : 2 * n]))
+            out[..., n : 2 * n] = np.einsum("...ij,...j->...i", DX(x), y[..., n : 2 * n])
         elif k:
-            F = y[..., n : n + n * k].reshape(y.shape[:-1] + (n, k))
-            parts.append((DX(x) @ F).reshape(y.shape[:-1] + (n * k,)))
+            F = y[..., n : n + nk].reshape(y.shape[:-1] + (n, k))
+            out[..., n : n + nk] = (DX(x) @ F).reshape(y.shape[:-1] + (nk,))
         if racc:
-            parts.append(np.asarray(eta_dot(x), dtype=float)[..., None])
-        return np.concatenate(parts, axis=-1)
+            out[..., -1] = eta_dot(x)
+        return out
 
     return rhs
 
@@ -477,18 +532,32 @@ def _integrate_core(m, x0, t_span, cfg, with_frames, times, samples, initial_fra
         cols.append(np.zeros((N, 1)))
     Y0 = np.concatenate(cols, axis=1)
     k = n if with_frames else 0
+    node_check = _orientation_lost(n) if with_frames else None
     if cfg.method == REFERENCE:
         paths = _dp_engine(
             _joint_rhs(m, k, with_racc), t0, t1, Y0, cfg, _line_indices(m).tolist(),
-            m.name,
+            m.name, ends_only=times is None and samples == 2, node_check=node_check,
         )
     else:
-        paths = _fixed_step_paths(m, Y0, t0, t1, cfg, k, with_racc)
+        paths = _fixed_step_paths(m, Y0, t0, t1, cfg, k, with_racc, node_check)
     trajs = [
         _trajectory(m, p, t0, times, samples, with_frames, with_racc, row)
         for row, p in enumerate(paths)
     ]
     return trajs if x0.ndim == 2 else trajs[0]
+
+
+def _orientation_lost(n):
+    """Node check of variational runs: the frame's determinant is <= 0.
+
+    It runs at every integrated node: a frame entry below abs_tol may change
+    sign between nodes under any interpolant.
+    """
+
+    def lost(ys):
+        return np.linalg.det(ys[:, n : n + n * n].reshape(-1, n, n)) <= 0.0
+
+    return lost
 
 
 def _trajectory(m, p, t0, times, samples, with_frames, with_racc, row):
@@ -500,18 +569,12 @@ def _trajectory(m, p, t0, times, samples, with_frames, with_racc, row):
         times = times[(times >= t0) & (times <= p.t_end + 1e-15)]
         if len(times) == 0 or times[-1] < p.t_end:
             times = np.append(times, p.t_end)
-    if with_frames:
-        # checked at the integrated nodes: a frame entry below abs_tol may
-        # change sign between them under any interpolant
-        flipped = np.nonzero(
-            np.linalg.det(p.ys[:, n : n + n * n].reshape(-1, n, n)) <= 0.0
-        )[0]
-        if len(flipped):
-            j = flipped[0]
-            raise _row_failure(
-                ConvergenceError, "tangent frames lost orientation (det <= 0)",
-                m.name, row, float(p.ts[j]), p.ys[j, :n].copy(),
-            )
+    if p.flagged is not None:
+        t_bad, node = p.flagged
+        raise _row_failure(
+            ConvergenceError, "tangent frames lost orientation (det <= 0)",
+            m.name, row, t_bad, node[:n].copy(),
+        )
     ys = _sample(p, times)
     return Trajectory(
         times=times, states=m.spec.wrap(ys[:, :n]),
@@ -649,7 +712,7 @@ def conformal_splitting_step(m, x, h):
     return z.reshape(x.shape), (contract @ J @ contract).reshape(x.shape + (m.dim,))
 
 
-def _fixed_step_paths(m, Y0, t0, t1, cfg, k, with_racc):
+def _fixed_step_paths(m, Y0, t0, t1, cfg, k, with_racc, node_check):
     """Nodes of rk4 or splitting runs from the rows of Y0, one _Path per row."""
     n = m.dim
     hist = [Y0.copy()]
@@ -675,20 +738,31 @@ def _fixed_step_paths(m, Y0, t0, t1, cfg, k, with_racc):
                 PoisonedStateError, "fixed-step state became non-finite", m.name,
                 row, float(ts[last]), ys[-1].copy(),
             )
+        bad = np.nonzero(node_check(ys))[0] if node_check is not None else ()
         paths.append(_Path(
             ts=ts[: last + 1], ys=ys, fs=rhs(ys), ds=np.zeros_like(ys),
             status=BLOWUP if died else COMPLETED, t_end=float(ts[last]),
             t_escape=float(ts[last]) if died else None,
+            flagged=(float(ts[bad[0]]), ys[bad[0]]) if len(bad) else None,
         ))
     return paths
 
 
-def _rk4_step(rhs, x, h):
-    k1 = np.asarray(rhs(x), dtype=float)
-    k2 = np.asarray(rhs(x + 0.5 * h * k1), dtype=float)
-    k3 = np.asarray(rhs(x + 0.5 * h * k2), dtype=float)
-    k4 = np.asarray(rhs(x + h * k3), dtype=float)
-    return x + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+def _rk4_step(rhs, x, h, stages):
+    """x + (h/6)(k1 + 2 k2 + 2 k3 + k4), written over x, in that operation order.
+
+    The weighted sum is accumulated stage by stage, so stages holds only
+    three arrays shaped like x: the sum, the current k and the stage input.
+    """
+    acc, k, z = stages
+    rhs(x, acc)
+    rhs(np.add(x, np.multiply(acc, 0.5 * h, out=z), out=z), k)
+    np.add(acc, np.multiply(k, 2.0, out=z), out=acc)
+    rhs(np.add(x, np.multiply(k, 0.5 * h, out=z), out=z), k)
+    np.add(acc, np.multiply(k, 2.0, out=z), out=acc)
+    rhs(np.add(x, np.multiply(k, h, out=z), out=z), k)
+    np.add(acc, k, out=acc)
+    return np.add(x, np.multiply(acc, h / 6.0, out=acc), out=x)
 
 
 def _n_steps(t, h):
@@ -703,18 +777,19 @@ def _fixed_step_engine(m, Y, t, h, k=0, racc=False, blowup_threshold=1e8,
     splitting step whose Jacobians carry the tangent columns.  A row dies,
     frozen where it stopped, once its state is non-finite or a line
     coordinate passes the threshold.  While every row lives the batch steps
-    whole; the index of live rows is rebuilt only when one dies.
-    `on_step(step, Y)` sees each step and must not mutate Y.  Y may be
-    overwritten; returns (Y, alive).
+    whole, in place; the index of live rows is rebuilt only when one dies.
+    `on_step(step, Y)` sees each step and must neither keep nor mutate Y: the
+    next step overwrites it.  Y is overwritten; returns (Y, alive).
     """
     if t < 0:
         raise ParamError(f"fixed-step integration needs t >= 0, got t={t}")
     n = m.dim
     if not splitting:
         rhs = _joint_rhs(m, k, racc)
+        stages = np.empty((3,) + Y.shape)  # the live rows use the leading rows
 
         def advance(rows, hh):
-            return _rk4_step(rhs, rows, hh)
+            return _rk4_step(rhs, rows, hh, stages[:, : len(rows)])
     elif racc:
         raise KindError("splitting does not integrate the Lee-form channel")
     else:
@@ -777,7 +852,8 @@ def flow_ensemble(m, states, t, h=0.01, blowup_threshold=1e8, racc=False,
     coordinates past the threshold) and non-finite ones are frozen where they
     died.  Rows evolve independently, so results do not depend on how a
     caller slices the batch.  `callback` receives (step_index, states) every
-    `callback_every` steps for online statistics; it must not mutate the batch.
+    `callback_every` steps for online statistics; it must neither mutate nor
+    keep the batch (the next step overwrites it), so copy what it keeps.
     """
     _require_flow(m)
     X = np.array(states, dtype=float)
@@ -830,18 +906,13 @@ def iterate_map(m, x0, n, with_frames=False):
     )
 
 
-# The engine keeps every accepted node of a batch for dense output: a 1000-row
-# backward time-1 map of circle-linear (~210 steps a row) raised peak RSS by
-# 28 MB in one call and by 2.4 MB in blocks of 64 rows.
-_MAP_BLOCK = 64
-
-
 def time_t_map(m, t, cfg=None):
     """Wrap a flow as a map model with Jacobians and a negated-field inverse.
 
     f, f_inv and Df take a state (dim,) or a batch (N, dim) and run the
-    adaptive engine on blocks of rows, so each row is bit-identical to that
-    state alone.  A row that blows up raises BlowUpError with its t_escape.
+    batch through the adaptive engine in one call, keeping only each row's
+    ends, so each row is bit-identical to that state alone.  A row that blows
+    up raises BlowUpError with its t_escape.
     """
     _require_flow(m)
     if t == 0:
@@ -850,17 +921,15 @@ def time_t_map(m, t, cfg=None):
 
     def _end(x, span, frames):
         x = np.asarray(x, dtype=float)
-        X, ends = np.atleast_2d(x), []
         fn = integrate_variational if frames else integrate_flow
-        for lo in range(0, len(X), _MAP_BLOCK):
-            trajs = fn(m, X[lo : lo + _MAP_BLOCK], span, cfg, samples=2)
-            for row, traj in enumerate(trajs, lo):
-                if traj.status == BLOWUP:
-                    raise BlowUpError(
-                        f"{m.name} row {row}: orbit blew up before t={span[1]}",
-                        t_escape=traj.t_escape,
-                    )
-                ends.append(traj.final_frame if frames else traj.final_state)
+        ends = []
+        for row, traj in enumerate(fn(m, np.atleast_2d(x), span, cfg, samples=2)):
+            if traj.status == BLOWUP:
+                raise BlowUpError(
+                    f"{m.name} row {row}: orbit blew up before t={span[1]}",
+                    t_escape=traj.t_escape,
+                )
+            ends.append(traj.final_frame if frames else traj.final_state)
         return np.array(ends) if x.ndim > 1 else ends[0]
 
     def f(x):

@@ -32,8 +32,14 @@ class CoordinateSpec:
             raise ValueError(f"unknown axis kind in {axes}")
         if len(axes) < 2 or len(axes) % 2 != 0:
             raise ValueError("dimension must be even and >= 2")
+        mask = np.array([a == ANGLE for a in axes], dtype=bool)
+        object.__setattr__(self, "angle_mask", mask)
+        # the angle axes as a slice when they are one run (every registered
+        # chart): basic indexing gives a view, a boolean mask gathers a copy
+        idx = np.nonzero(mask)[0]
+        run = len(idx) and idx[-1] - idx[0] + 1 == len(idx)
         object.__setattr__(
-            self, "angle_mask", np.array([a == ANGLE for a in axes], dtype=bool)
+            self, "_angles", slice(int(idx[0]), int(idx[-1]) + 1) if run else idx
         )
 
     @property
@@ -42,21 +48,25 @@ class CoordinateSpec:
 
     def wrap(self, x):
         """Normalize angle components into [0, 1); line components untouched."""
-        x = np.asarray(x, dtype=float)
-        out = x.copy()
-        out[..., self.angle_mask] = np.mod(out[..., self.angle_mask], 1.0)
-        return out
+        return self._wrap_angles(np.array(x, dtype=float), 0.0)
 
     def delta(self, x, y):
         """Minimal displacement y - x, angle components wrapped into (-0.5, 0.5]."""
-        x = np.asarray(x, dtype=float)
-        y = np.asarray(y, dtype=float)
-        d = y - x
-        m = self.angle_mask
-        d_ang = np.mod(d[..., m] + 0.5, 1.0) - 0.5
-        out = d.copy()
-        out[..., m] = d_ang
-        return out
+        d = np.subtract(np.asarray(y, dtype=float), np.asarray(x, dtype=float))
+        return self._wrap_angles(d, 0.5)
+
+    def _wrap_angles(self, d, shift):
+        """Set the angle components of d to mod(d + shift, 1) - shift, in place."""
+        a = self._angles
+        v = d[..., a]  # a view when a is a slice, else a gathered copy
+        if shift:
+            np.add(v, shift, out=v)
+        np.mod(v, 1.0, out=v)
+        if shift:
+            np.subtract(v, shift, out=v)
+        if not isinstance(a, slice):
+            d[..., a] = v
+        return d
 
 
 def torus_distance(spec, x, y):

@@ -275,17 +275,19 @@ def _build_circle_linear(params):
 
     def X(x):
         x = np.asarray(x, dtype=float)
-        th, r = x[..., 0], x[..., 1]
-        return np.stack(
-            [np.sin(TWO_PI * th), -(alpha + TWO_PI * np.cos(TWO_PI * th)) * r], axis=-1
-        )
+        w, r = TWO_PI * x[..., 0], x[..., 1]
+        out = np.empty(x.shape)
+        out[..., 0] = np.sin(w)
+        out[..., 1] = -(alpha + TWO_PI * np.cos(w)) * r
+        return out
 
     def X_sym(x):
         x = np.asarray(x, dtype=float)
-        th, r = x[..., 0], x[..., 1]
-        return np.stack(
-            [np.sin(TWO_PI * th), -TWO_PI * np.cos(TWO_PI * th) * r], axis=-1
-        )
+        w, r = TWO_PI * x[..., 0], x[..., 1]
+        out = np.empty(x.shape)
+        out[..., 0] = np.sin(w)
+        out[..., 1] = -TWO_PI * np.cos(w) * r
+        return out
 
     def _dx(x, a):
         x = np.asarray(x, dtype=float)
@@ -303,8 +305,11 @@ def _build_circle_linear(params):
 
     def dH(x):
         x = np.asarray(x, dtype=float)
-        th, r = x[..., 0], x[..., 1]
-        return np.stack([TWO_PI * r * np.cos(TWO_PI * th), np.sin(TWO_PI * th)], axis=-1)
+        w, r = TWO_PI * x[..., 0], x[..., 1]
+        out = np.empty(x.shape)
+        out[..., 0] = TWO_PI * r * np.cos(w)
+        out[..., 1] = np.sin(w)
+        return out
 
     return ModelSpec(
         name="circle-linear",
@@ -337,22 +342,19 @@ def _build_circle_quadratic(params):
 
     def X(x):
         x = np.asarray(x, dtype=float)
-        th, r = x[..., 0], x[..., 1]
-        return np.stack(
-            [
-                2.0 * r * np.sin(TWO_PI * th),
-                -alpha * r - TWO_PI * r * r * np.cos(TWO_PI * th),
-            ],
-            axis=-1,
-        )
+        w, r = TWO_PI * x[..., 0], x[..., 1]
+        out = np.empty(x.shape)
+        out[..., 0] = 2.0 * r * np.sin(w)
+        out[..., 1] = -alpha * r - TWO_PI * r * r * np.cos(w)
+        return out
 
     def X_sym(x):
         x = np.asarray(x, dtype=float)
-        th, r = x[..., 0], x[..., 1]
-        return np.stack(
-            [2.0 * r * np.sin(TWO_PI * th), -TWO_PI * r * r * np.cos(TWO_PI * th)],
-            axis=-1,
-        )
+        w, r = TWO_PI * x[..., 0], x[..., 1]
+        out = np.empty(x.shape)
+        out[..., 0] = 2.0 * r * np.sin(w)
+        out[..., 1] = -TWO_PI * r * r * np.cos(w)
+        return out
 
     def _dx(x, a):
         x = np.asarray(x, dtype=float)
@@ -371,11 +373,11 @@ def _build_circle_quadratic(params):
 
     def dH(x):
         x = np.asarray(x, dtype=float)
-        th, r = x[..., 0], x[..., 1]
-        return np.stack(
-            [TWO_PI * r * r * np.cos(TWO_PI * th), 2.0 * r * np.sin(TWO_PI * th)],
-            axis=-1,
-        )
+        w, r = TWO_PI * x[..., 0], x[..., 1]
+        out = np.empty(x.shape)
+        out[..., 0] = TWO_PI * r * r * np.cos(w)
+        out[..., 1] = 2.0 * r * np.sin(w)
+        return out
 
     return ModelSpec(
         name="circle-quadratic",
@@ -435,15 +437,20 @@ def _build_mane(params):
     def DYt_p(q, pv):
         return np.einsum("...j,...ji->...i", pv, DY(q))
 
-    def X(x):
+    def _field(x, a):
+        """(p + Y(q), -DY(q)^T p - a p), written into one output."""
         x = np.asarray(x, dtype=float)
         q, pv = x[..., :d], x[..., d:]
-        return np.concatenate([pv + Y(q), -DYt_p(q, pv) - alpha * pv], axis=-1)
+        out = np.empty(x.shape)
+        out[..., :d] = pv + Y(q)
+        out[..., d:] = -DYt_p(q, pv) - a * pv if a else -DYt_p(q, pv)
+        return out
+
+    def X(x):
+        return _field(x, alpha)
 
     def X_sym(x):
-        x = np.asarray(x, dtype=float)
-        q, pv = x[..., :d], x[..., d:]
-        return np.concatenate([pv + Y(q), -DYt_p(q, pv)], axis=-1)
+        return _field(x, 0.0)
 
     eye, diag = np.eye(d), (np.arange(d, 2 * d), np.arange(d))
 
@@ -705,9 +712,9 @@ def _build_t2_pair_theta1(params):
 
     def X(x):
         x = np.asarray(x, dtype=float)
-        th1 = x[..., 0]
-        out = np.zeros_like(x)
-        out[..., 1] = -amp * np.sin(TWO_PI * (0.125 + th1))
+        out = np.empty(x.shape)
+        out[..., 0] = 0.0
+        out[..., 1] = -amp * np.sin(TWO_PI * (0.125 + x[..., 0]))
         return out
 
     def DX(x):
@@ -754,10 +761,11 @@ def _build_t2_pair_theta2(params):
 
     def X(x):
         x = np.asarray(x, dtype=float)
-        th2 = x[..., 1]
-        return np.stack(
-            [TWO_PI * np.cos(TWO_PI * th2), -TWO_PI * np.sin(TWO_PI * th2)], axis=-1
-        )
+        w = TWO_PI * x[..., 1]
+        out = np.empty(x.shape)
+        out[..., 0] = TWO_PI * np.cos(w)
+        out[..., 1] = -TWO_PI * np.sin(w)
+        return out
 
     def DX(x):
         w = TWO_PI * np.asarray(x, dtype=float)[..., 1]
@@ -876,15 +884,11 @@ def _build_lee_twisted(params):
         shape = np.broadcast_shapes(x[..., 0].shape, t.shape)
         v = np.broadcast_to(x[..., 2], shape)
         c, s = np.cos(TWO_PI * v), np.sin(TWO_PI * v)
-        out = np.stack(
-            [
-                np.broadcast_to(x[..., 0], shape) + t * c,
-                np.broadcast_to(x[..., 1], shape) + t * s,
-                v,
-                np.broadcast_to(x[..., 3], shape) + t * (a1 * c + a2 * s),
-            ],
-            axis=-1,
-        )
+        out = np.empty(shape + (4,))
+        out[..., 0] = x[..., 0] + t * c
+        out[..., 1] = x[..., 1] + t * s
+        out[..., 2] = v
+        out[..., 3] = x[..., 3] + t * (a1 * c + a2 * s)
         return spec.wrap(out)
 
     def H(x):
@@ -1014,7 +1018,9 @@ def contact_lift(H, beta, dH=None, contact=FLAT_T2_CONTACT):
     The contact field X on (Y, alpha) solves alpha(X) = H and
     i_X d(alpha) = (dH.R) alpha - dH; the lifted conformal field appends the
     theta-component beta(X) - dH.R.  H takes the 3-vector (x1, x2, v); dH is
-    its analytic gradient, central differences when omitted.
+    its analytic gradient, central differences when omitted.  Without dH the
+    lift also gets DX, built from central second differences of H, since
+    differencing the differenced field would amplify its rounding.
     """
     if contact != FLAT_T2_CONTACT:
         raise UnsupportedContactError(
@@ -1050,6 +1056,39 @@ def contact_lift(H, beta, dH=None, contact=FLAT_T2_CONTACT):
         theta_dot = b1 * xc[0] + b2 * xc[1] - dh_r
         return np.concatenate([xc, [theta_dot]])
 
+    def hess_h(y):
+        """Hessian of H by central second differences, step about eps**(1/4)."""
+        step, h0 = 1e-4, float(H(y))
+        E = step * np.eye(3)
+        out = np.empty((3, 3))
+        for i in range(3):
+            out[i, i] = (float(H(y + E[i])) - 2.0 * h0 + float(H(y - E[i]))) / step**2
+            for j in range(i):
+                out[i, j] = out[j, i] = (
+                    float(H(y + E[i] + E[j])) - float(H(y + E[i] - E[j]))
+                    - float(H(y - E[i] + E[j])) + float(H(y - E[i] - E[j]))
+                ) / (4.0 * step**2)
+        return out
+
+    def DX(x):
+        # derivative of X's closed form; (c, s) depend on v = y[2]
+        x = np.asarray(x, dtype=float)
+        if x.ndim > 1:
+            return np.stack([DX(row) for row in x])
+        y = x[:3]
+        c, s = math.cos(TWO_PI * y[2]), math.sin(TWO_PI * y[2])
+        g, hs, hval = grad_h(y), hess_h(y), float(H(y))
+        J = np.zeros((4, 4))
+        J[0, :3] = g * c - hs[2] * s / TWO_PI
+        J[0, 2] -= TWO_PI * hval * s + g[2] * c
+        J[1, :3] = g * s + hs[2] * c / TWO_PI
+        J[1, 2] += TWO_PI * hval * c - g[2] * s
+        J[2, :3] = (s * hs[0] - c * hs[1]) / TWO_PI
+        J[2, 2] += c * g[0] + s * g[1]
+        J[3, :3] = b1 * J[0, :3] + b2 * J[1, :3] - (c * hs[0] + s * hs[1])
+        J[3, 2] -= TWO_PI * (c * g[1] - s * g[0])
+        return J
+
     spec = CoordinateSpec((ANGLE, ANGLE, ANGLE, ANGLE))
     eta_vec = np.array([b1, b2, 0.0, -1.0])
 
@@ -1073,6 +1112,7 @@ def contact_lift(H, beta, dH=None, contact=FLAT_T2_CONTACT):
         kind=FLOW,
         params={"beta": (b1, b2)},
         X=X,
+        DX=DX if dH is None else None,
         H=H4,
         dH=dH4,
         eta=lambda x: eta_vec,

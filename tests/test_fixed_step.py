@@ -5,8 +5,9 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
+from csdyn import diagnostics
 from csdyn.diagnostics import (
     classify_ensemble,
     classify_orbit,
@@ -297,6 +298,45 @@ def test_classify_rows_are_bit_identical_under_any_partition(seed, n, data):
     parts = [_classify_rows(m, part, 0.3) for part in np.split(batch, cuts)]
     assert np.array_equal(np.concatenate([p[0] for p in parts]), full[0])
     assert np.concatenate([p[1] for p in parts]).tobytes() == full[1].tobytes()
+
+
+def _blowup_starts(m, n, rng):
+    starts = sample_states(m, n, rng, 1.0)
+    starts[:, 1] = rng.uniform(3.0, 10.0, n)  # r' = r^2 escapes before t = 1/3
+    return starts
+
+
+OBSERVER_CASES = {
+    "t2-pair-theta2": (lambda: instantiate_model("t2-pair-theta2"), sample_states),
+    "lee-twisted-t1t2": (lambda: instantiate_model("lee-twisted-t1t2"), sample_states),
+    "riccati-pair": (riccati_pair, _blowup_starts),
+}
+
+
+@pytest.mark.parametrize("case", sorted(OBSERVER_CASES))
+@settings(max_examples=6, deadline=None)
+@given(
+    seed=st.integers(0, 2**16),
+    n=st.integers(1, 12),
+    steps=st.integers(2, 400).filter(lambda k: k % 3 and k % 64),
+)
+@example(seed=1, n=3, steps=350)  # riccati-pair: all rows dead by step 334
+def test_classify_rows_are_bit_identical_for_any_observer_block(case, seed, n, steps):
+    """The observer reduces the steps in blocks capped in bytes.  A row's
+    statistics must not depend on the block, also when the horizon is not a
+    multiple of it or (riccati-pair) every row dies before the horizon."""
+    build, starts_of = OBSERVER_CASES[case]
+    m = build()
+    starts = starts_of(m, n, np.random.default_rng(seed))
+    step_bytes = 8 * n * (m.dim + 1)
+    results = []
+    for block in (1, 3, 64):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(diagnostics, "_OBSERVER_BLOCK_BYTES", block * step_bytes)
+            verdicts, values = _classify_rows(m, starts, steps * 1e-3)
+        results.append((verdicts.tolist(), values.tobytes()))
+    assert results[1] == results[0]
+    assert results[2] == results[0]
 
 
 def test_classify_rejects_non_positive_horizon():

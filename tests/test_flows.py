@@ -28,7 +28,14 @@ from csdyn.flows import (
     time_t_map,
 )
 from csdyn.geometry import LINE, CoordinateSpec, pullback_residual, torus_distance
-from csdyn.models import MAP, FLOW, ModelSpec, instantiate_model, sample_states
+from csdyn.models import (
+    MAP,
+    FLOW,
+    ModelSpec,
+    contact_lift,
+    instantiate_model,
+    sample_states,
+)
 
 TWO_PI = 2.0 * math.pi
 
@@ -210,6 +217,47 @@ def test_splitting_local_error_order_three():
     assert 2.7 <= float(np.median(orders)) <= 3.3
 
 
+# ---------------------------------------------------------------------------
+# the joint field's output contract
+# ---------------------------------------------------------------------------
+
+JOINT_MODELS = {
+    "circle-linear": lambda: instantiate_model("circle-linear", alpha=1.0),
+    "damped-mechanical-d2": lambda: instantiate_model(
+        "damped-mechanical", d=2, v_cos=(1.0, 1.0), v_cross=0.3),
+    "t2-pair-theta2": lambda: instantiate_model("t2-pair-theta2"),
+    "lee-twisted-t1t2": lambda: instantiate_model("lee-twisted-t1t2"),
+    # no eta_X and no dH: eta(X) by contraction, DX from second differences
+    "contact-lift": lambda: contact_lift(
+        lambda y: math.cos(TWO_PI * y[2]) + 0.3 * math.sin(TWO_PI * y[0]), (0.5, 0.25)),
+}
+JOINT_CASES = [
+    (name, racc) for name, build in sorted(JOINT_MODELS.items())
+    for racc in ((False, True) if build().eta is not None else (False,))
+]
+
+
+@pytest.mark.parametrize("name,racc", JOINT_CASES)
+@pytest.mark.parametrize("k", ["0", "1", "n"])
+def test_joint_rhs_out_matches_the_allocating_call(name, racc, k):
+    m = JOINT_MODELS[name]()
+    n = m.dim
+    k = {"0": 0, "1": 1, "n": n}[k]
+    rhs = flows._joint_rhs(m, k, racc)
+    rng = np.random.default_rng(5)
+    y = rng.standard_normal((7, n + n * k + racc))
+    y[:, :n] = sample_states(m, 7, rng, 1.0)
+    before = y.copy()
+    fresh = rhs(y)
+    assert fresh.shape == y.shape and not np.shares_memory(fresh, y)
+    out = np.full_like(y, np.nan)
+    assert rhs(y, out) is out
+    assert out.tobytes() == fresh.tobytes()
+    assert y.tobytes() == before.tobytes()
+    for row, expected in zip(y, fresh):  # a row alone gives its batch row
+        assert rhs(row[None]).tobytes() == expected[None].tobytes()
+
+
 def test_iterate_map_shear():
     m = instantiate_model("shear-contraction", a=0.5)
     traj = iterate_map(m, np.array([0.0, 1.0]), 3)
@@ -284,22 +332,27 @@ def test_time_t_map_propagates_blowup():
         f1.f(np.array([0.0, -1.0]))
 
 
-@pytest.mark.parametrize("block", [None, 2])
-def test_time_t_map_batch_rows_match_single_states(block, monkeypatch):
-    if block:  # the batch spans three engine calls
-        monkeypatch.setattr(flows, "_MAP_BLOCK", block)
+def test_time_t_map_batch_rows_match_single_states(monkeypatch):
+    engine, batches = flows._dp_engine, []
+
+    def counted(rhs, t0, t1, Y, *args, **kwargs):
+        batches.append(len(Y))
+        return engine(rhs, t0, t1, Y, *args, **kwargs)
+
+    monkeypatch.setattr(flows, "_dp_engine", counted)
     m = instantiate_model("circle-linear", alpha=1.0)
     f1 = time_t_map(m, 1.0)
     xs = sample_states(m, 5, np.random.default_rng(7), 1.0)
     for fn in (f1.f, f1.f_inv, f1.Df):
+        batches.clear()
         batch = fn(xs)
+        assert batches == [5]  # the whole batch in one engine call
         assert batch.shape == (5,) + np.shape(fn(xs[0]))
         for x, row in zip(xs, batch):
             assert row.tobytes() == fn(x).tobytes()
 
 
-def test_time_t_map_batch_blowup_reports_the_row_escape_time(monkeypatch):
-    monkeypatch.setattr(flows, "_MAP_BLOCK", 2)  # the blow-up is in the second call
+def test_time_t_map_batch_blowup_reports_the_row_escape_time():
     m = instantiate_model("circle-quadratic", alpha=1.0)
     f1 = time_t_map(m, 1.0)
     xs = np.array([[0.25, 0.3], [0.5, 0.1], [0.75, -0.3], [0.0, -1.0]])

@@ -304,6 +304,26 @@ def test_contact_lift_evaluators_broadcast_over_a_batch():
     assert np.asarray(lifted.dH(xs)).shape == (3, 4)
 
 
+@pytest.mark.parametrize("beta", [(0.0, 0.0), (0.5, -0.2)])
+def test_contact_lift_jacobian_without_dh_matches_the_analytic_lift(beta):
+    # without dH the lift's X differences H; its Jacobian must not difference
+    # that differenced field again (1.2e-4 off for this H and beta (0, 0))
+    H3 = lambda y: math.cos(TWO_PI * y[2]) + 0.3 * math.sin(TWO_PI * y[0])
+    dH3 = lambda y: TWO_PI * np.array(
+        [0.3 * math.cos(TWO_PI * y[0]), 0.0, -math.sin(TWO_PI * y[2])]
+    )
+    bare, exact = contact_lift(H3, beta), contact_lift(H3, beta, dH=dH3)
+    xs = sample_states(bare, 8, np.random.default_rng(11), 1.0)
+    # the analytic-dH field is smooth, so its central differences are exact
+    # to about 1e-9
+    reference = _central_differences(exact.X, xs)
+    J = bare.jacobian(xs)
+    assert J.shape == (8, 4, 4)
+    assert np.max(np.abs(J - reference)) < 1e-6
+    for x, row in zip(xs, J):
+        assert np.array_equal(bare.jacobian(x), row)
+
+
 def test_contact_lift_rejects_non_flat_data():
     with pytest.raises(UnsupportedContactError):
         contact_lift(lambda y: 1.0, (0.0, 0.0), contact="round-sphere")

@@ -1,0 +1,127 @@
+"""SHA-256 digests of csdyn results, for checking that a change is bit-identical.
+
+Prints one line per result: a digest, then its name.  A check of
+`verify_suite("all", seed)` is digested from its verdict, residual, tolerance
+and details, without `elapsed_s` (a wall-clock figure).  Ensemble results are
+the outputs of `flow_ensemble`, `transport_tangents` and `classify_ensemble`
+on seeded inputs at several batch sizes.  The last line digests all lines
+above it.  Floats are hashed by their bits (`float.hex`), arrays by dtype,
+shape and bytes, so -0.0 and 0.0 differ.
+
+    PYTHONPATH=src python3 tools/result_digest.py --seeds 1 7
+    PYTHONPATH=src python3 tools/result_digest.py --seeds 7 --skip-verify
+
+Run it on two trees and compare the output with `diff`.
+"""
+
+from __future__ import annotations
+
+import argparse
+import hashlib
+import math
+
+import numpy as np
+
+from csdyn import models
+from csdyn.certificates import verify_suite
+from csdyn.diagnostics import classify_ensemble
+from csdyn.flows import flow_ensemble, transport_tangents
+
+TWO_PI = 2.0 * math.pi
+
+# The benchmark's ensemble models: coupled d=2 mechanical, a conformal pair
+# (with the Lee channel) and a d=2 Mane drift field.
+ENSEMBLE_MODELS = (
+    ("damped-mechanical", {"alpha": 0.5, "d": 2, "v_cos": (1.0, 1.0), "v_cross": 0.3}, False),
+    ("t2-pair-theta2", {}, True),
+    ("mane", {"alpha": 0.5, "d": 2, "y0": 0.5, "y_sin": -0.5 / TWO_PI}, False),
+)
+# (N, flow_ensemble horizon at h = 0.01, transport/classify horizon at h = 1e-3)
+ENSEMBLE_SIZES = ((1, 2.0, 0.2), (7, 1.0, 0.5), (32, 2.0, 0.2), (1024, 1.0, 0.05),
+                  (16384, 0.1, 0.01))
+
+
+def _feed(h, v):
+    """Feed a canonical, bit-exact encoding of v into the hash h."""
+    if isinstance(v, np.ndarray):
+        h.update(f"a{v.dtype.str}{v.shape}".encode())
+        h.update(np.ascontiguousarray(v).tobytes())
+    elif isinstance(v, (float, np.floating)):
+        h.update(b"f" + float(v).hex().encode())
+    elif isinstance(v, (bool, np.bool_, int, np.integer, str, type(None))):
+        h.update(f"{type(v).__name__}:{v!r};".encode())
+    elif isinstance(v, complex):
+        h.update(b"c")
+        _feed(h, v.real)
+        _feed(h, v.imag)
+    elif isinstance(v, dict):
+        h.update(b"{")
+        for key in sorted(v, key=str):
+            _feed(h, str(key))
+            _feed(h, v[key])
+        h.update(b"}")
+    elif isinstance(v, (list, tuple)):
+        h.update(b"[")
+        for x in v:
+            _feed(h, x)
+        h.update(b"]")
+    else:
+        raise TypeError(f"cannot digest {type(v).__name__}")
+
+
+def digest(v):
+    h = hashlib.sha256()
+    _feed(h, v)
+    return h.hexdigest()
+
+
+def check_digests(seed):
+    results, _ = verify_suite("all", seed=seed)
+    for r in results:
+        details = {k: v for k, v in r.details.items() if k != "elapsed_s"}
+        yield f"verify.seed{seed}.{r.check}", digest(
+            [r.verdict, r.residual, r.tolerance, details])
+
+
+def ensemble_digests(seed):
+    rng = np.random.default_rng([seed, 11])
+    built = {name: models.instantiate_model(name, params)
+             for name, params, _ in ENSEMBLE_MODELS}
+    for n, t, t_fine in ENSEMBLE_SIZES:
+        for name, _, racc in ENSEMBLE_MODELS:
+            m = built[name]
+            out = flow_ensemble(m, models.sample_states(m, n, rng, 1.0), t, 0.01, racc=racc)
+            yield f"flow_ensemble.seed{seed}.{name}.n{n}", digest(list(out))
+        m = built["damped-mechanical"]
+        states, vectors = models.sample_states(m, n, rng, 1.0), rng.standard_normal((n, m.dim))
+        out = transport_tangents(m, states, vectors, t_fine)
+        yield f"transport_tangents.seed{seed}.n{n}", digest(list(out))
+        for name in ("t2-pair-theta2", "t2-pair-theta1"):
+            m = models.instantiate_model(name)
+            res = classify_ensemble(m, models.sample_states(m, n, rng, 1.0), t_fine)
+            yield f"classify_ensemble.seed{seed}.{name}.n{n}", digest(
+                [[c.verdict, c.r_slope, c.omega_H_max, c.min_return_dist, c.r_abs_max]
+                 for c in res])
+
+
+def main(argv=None):
+    ap = argparse.ArgumentParser(description=__doc__.split("\n", 1)[0])
+    ap.add_argument("--seeds", type=int, nargs="+", default=[7])
+    ap.add_argument("--skip-verify", action="store_true",
+                    help="digest the ensemble outputs only")
+    args = ap.parse_args(argv)
+    total = hashlib.sha256()
+    for seed in args.seeds:
+        parts = [ensemble_digests(seed)]
+        if not args.skip_verify:
+            parts.insert(0, check_digests(seed))
+        for part in parts:
+            for name, value in part:
+                line = f"{value}  {name}"
+                total.update(line.encode() + b"\n")
+                print(line, flush=True)
+    print(f"{total.hexdigest()}  all")
+
+
+if __name__ == "__main__":
+    main()
