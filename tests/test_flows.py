@@ -332,7 +332,10 @@ def test_time_t_map_propagates_blowup():
         f1.f(np.array([0.0, -1.0]))
 
 
-def test_time_t_map_batch_rows_match_single_states(monkeypatch):
+@pytest.mark.parametrize("block", [None, 2])
+def test_time_t_map_batch_rows_match_single_states(block, monkeypatch):
+    # block=None maps the batch whole; block=2 maps it in slices of two rows,
+    # so a row's value must not depend on which rows share its engine call
     engine, batches = flows._dp_engine, []
 
     def counted(rhs, t0, t1, Y, *args, **kwargs):
@@ -345,8 +348,12 @@ def test_time_t_map_batch_rows_match_single_states(monkeypatch):
     xs = sample_states(m, 5, np.random.default_rng(7), 1.0)
     for fn in (f1.f, f1.f_inv, f1.Df):
         batches.clear()
-        batch = fn(xs)
-        assert batches == [5]  # the whole batch in one engine call
+        if block:
+            batch = np.concatenate([fn(xs[i:i + block]) for i in range(0, 5, block)])
+            assert batches == [2, 2, 1]  # one engine call per slice
+        else:
+            batch = fn(xs)
+            assert batches == [5]  # the whole batch in one engine call
         assert batch.shape == (5,) + np.shape(fn(xs[0]))
         for x, row in zip(xs, batch):
             assert row.tobytes() == fn(x).tobytes()
