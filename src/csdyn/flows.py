@@ -38,6 +38,7 @@ from .models import FLOW, MAP, ModelSpec
 COMPLETED = "completed"
 BLOWUP = "blowup"
 MAX_STEPS = "max-steps"
+STOPPED = "stopped"
 
 REFERENCE = "reference"
 SPLITTING = "splitting"
@@ -227,13 +228,17 @@ def _combine(K, coeffs, out, tmp):
     return out
 
 
-def _dp_engine(rhs, t0, t1, Y, cfg, line_cols, name, ends_only=False, node_check=None):
+def _dp_engine(rhs, t0, t1, Y, cfg, line_cols, name, ends_only=False, node_check=None,
+               stop=None):
     """Masked lockstep Dormand-Prince 5(4) on the rows of Y over [t0, t1].
 
     Every row keeps its own t, h, PI-controller state and accept/reject
     decision, and leaves the block when it completes, blows up (a line
-    coordinate past cfg.blowup_threshold, bracketed on the dense output) or
-    spends cfg.max_steps accepted steps.  Stage sums are fixed-order and
+    coordinate past cfg.blowup_threshold, bracketed on the dense output),
+    spends cfg.max_steps accepted steps or, with `stop`, ends the step that
+    `stop(t, y, t_new, y_new)` flags (status STOPPED).  `stop` sees each
+    accepted step of each row once, in step order, with the rows that
+    accepted a step as its leading axis.  Stage sums are fixed-order and
     elementwise, so a row's path is bit-identical to the same row run alone
     (given a row-wise rhs).  Stages, states and sums live in buffers made once
     per call; the live rows are their leading rows.  Step control: Hairer,
@@ -325,8 +330,10 @@ def _dp_engine(rhs, t0, t1, Y, cfg, line_cols, name, ends_only=False, node_check
             if line_cols and np.abs(y_new[:, line_cols]).max() > thr:
                 blown = acc & (np.abs(y_new[:, line_cols]).max(axis=1) > thr)
             done = blown | (acc & ((t_new >= t1) | (n_acc >= cfg.max_steps)))
+            sel = slice(None) if acc.all() else acc
+            if stop is not None:
+                done[sel] |= stop(t[sel], y[sel], t_new[sel], y_new[sel])
             if log is not None:
-                sel = slice(None) if acc.all() else acc
                 log.add(rows[sel], _node_records(t_new[sel], y_new[sel], K[:, sel], hc[sel]))
             if node_check is not None:
                 for b in np.nonzero(acc & node_check(y_new))[0]:
@@ -338,7 +345,8 @@ def _dp_engine(rhs, t0, t1, Y, cfg, line_cols, name, ends_only=False, node_check
                     before = np.concatenate(
                         [t[ends, None], y[ends], K[0, ends], np.zeros_like(y[ends])], 1)
                 for i, b in enumerate(ends):
-                    status = BLOWUP if blown[b] else COMPLETED if t_new[b] >= t1 else MAX_STEPS
+                    status = (BLOWUP if blown[b] else COMPLETED if t_new[b] >= t1
+                              else MAX_STEPS if n_acc[b] >= cfg.max_steps else STOPPED)
                     # the node before the last step is left out when it is the first
                     last = None if log is not None else (
                         after[i : i + 1] if n_acc[b] == 1 else np.stack([before[i], after[i]]))
@@ -1005,10 +1013,11 @@ def poincare_return(m, sec, x0, k, cfg=None, t_max=1e4, chunk=4.0):
 
     Returns (crossings, jacobians, times, rotation_integrals); the last
     entry holds the accumulated Lee integral at each crossing (zeros when
-    the model carries no Lee form).  Integration proceeds in time chunks
-    and stops as soon as k crossings are located.  Crossings are refined by
-    bisection on the Dormand-Prince dense output to time accuracy 1e-10;
-    tangential crossings (|dg/dt| <= 1e-8) are rejected rather than guessed.
+    the model carries no Lee form).  Integration proceeds in time chunks,
+    and the run ends with the accepted step that holds the k-th crossing.
+    Crossings are refined by bisection on the Dormand-Prince dense output to
+    time accuracy 1e-10; tangential crossings (|dg/dt| <= 1e-8) are rejected
+    rather than guessed.
     """
     _require_flow(m)
     cfg = cfg or IntegratorConfig()
@@ -1025,29 +1034,40 @@ def poincare_return(m, sec, x0, k, cfg=None, t_max=1e4, chunk=4.0):
     x0 = np.asarray(x0, dtype=float)
     guard = 0.25 if (sec.axis is not None and m.spec.axes[sec.axis] == "angle") else math.inf
 
+    def g(ys):
+        return np.asarray(sec.value(m.spec, ys[..., :n]), dtype=float)
+
+    def directed(t_a, g_a, g_b):
+        """Segments whose section values g_a -> g_b hold a directed crossing;
+        a start on the section at t = 0 is none."""
+        hit = ~(g_a * g_b > 0) & ~(np.abs(g_b - g_a) >= guard) & ~((g_a == 0.0) & (t_a == 0.0))
+        if sec.direction:
+            hit &= (g_b > g_a) == (sec.direction == 1)
+        return hit
+
+    found = 0  # directed crossings up to the engine's current step
+
+    def kth_crossing(t, y, t_new, y_new):
+        nonlocal found
+        hit = directed(t, g(y), g(y_new))
+        found += int(hit.sum())  # one row
+        return hit & (found >= k)
+
     crossings, jacobians, times, raccs = [], [], [], []
     y_start = np.concatenate([x0, np.eye(n).ravel()] + ([[0.0]] if with_racc else []))
     line_cols = _line_indices(m).tolist()
     t_base = 0.0
     while t_base < t_max:
         span = min(chunk, t_max - t_base)
+        found = len(crossings)
         p = _dp_engine(
-            rhs, t_base, t_base + span, y_start[None], cfg, line_cols, m.name
+            rhs, t_base, t_base + span, y_start[None], cfg, line_cols, m.name,
+            stop=kth_crossing,
         )[0]
         ts = p.ts
-        gs = np.asarray(sec.value(m.spec, p.ys[:, :n]), dtype=float)
-        for i in range(len(ts) - 1):
-            g0, g1 = float(gs[i]), float(gs[i + 1])
-            if g0 == 0.0 and ts[i] == 0.0:
-                continue  # started on the section
-            if g0 * g1 > 0 or abs(g1 - g0) >= guard:
-                continue
-            going_up = g1 > g0
-            if sec.direction == 1 and not going_up:
-                continue
-            if sec.direction == -1 and going_up:
-                continue
-            a, b, ga = ts[i], ts[i + 1], g0
+        gs = g(p.ys)
+        for i in np.nonzero(directed(ts[:-1], gs[:-1], gs[1:]))[0]:
+            a, b, ga = ts[i], ts[i + 1], float(gs[i])
             while (b - a) > 1e-10:
                 mid = 0.5 * (a + b)
                 gm = float(sec.value(m.spec, _dense(p, i, mid)[:n]))

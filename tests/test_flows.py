@@ -397,6 +397,34 @@ def test_poincare_lee_crossings_equally_spaced():
     assert np.max(np.abs(gaps - 1.0 / abs(rate))) < 1e-8
 
 
+
+def test_poincare_return_stops_at_its_kth_crossing():
+    """k = 1 gives the first entries of k = 3 bit for bit, and its run ends
+    with the step holding its crossing instead of finishing the 4.0 chunk:
+    theta1 (unwrapped, rate about 2 pi) is evaluated no further than one
+    step (at most 0.05 time units) past the crossing at theta1 = 1."""
+    m = instantiate_model("t2-pair-theta2")
+    reached = []
+
+    def counted(x):
+        reached.append(float(np.max(np.asarray(x)[..., 0])))
+        return m.X(x)
+
+    counting = dataclasses.replace(m, X=counted)
+    sec = SectionSpec(axis=0, offset=0.0, direction=1)
+    x0 = np.array([0.05, 0.02])
+    one = poincare_return(counting, sec, x0, 1)
+    evals_one, furthest_one = len(reached), max(reached)
+    reached.clear()
+    three = poincare_return(counting, sec, x0, 3)
+    for a, b in zip(one, three):
+        assert len(a) == 1 and len(b) == 3
+        assert np.array_equal(a[0], b[0]) and np.asarray(a[0]).dtype == np.asarray(b[0]).dtype
+    assert 1.0 < furthest_one < 1.0 + 0.05 * 7.0
+    assert 3.0 < max(reached) < 3.0 + 0.05 * 7.0
+    assert evals_one < len(reached)
+
+
 @pytest.mark.parametrize("method", ["rk4", "splitting"])
 def test_poincare_return_rejects_fixed_step_methods(method):
     m = instantiate_model("t2-pair-theta2")
