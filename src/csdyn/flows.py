@@ -1,9 +1,11 @@
 """Trajectory generation.
 
-The reference integrator is an embedded Dormand-Prince 5(4) pair with PI
-step-size control and dopri5's 4th-order dense output, run on an (N, state)
-batch in masked lockstep with per-row step control, so a row's result does
-not depend on its batch.  Variational equations are integrated jointly with
+The reference integrator is Hairer's DOP853, an explicit Runge-Kutta
+method of order 8 with a 5th/3rd-order error estimate and a 7th-order dense
+output, run on an (N, state) batch in masked lockstep with per-row step
+control, so a row's result does not depend on its batch.  The dense
+output's three extra stages are computed only for the steps whose dense
+value is read.  Variational equations are integrated jointly with
 the state as one error-controlled system, never by re-differencing
 trajectories.  Internally all states are kept as unwrapped reals so the
 registered periodic fields stay smooth; angle normalization is applied only
@@ -20,7 +22,7 @@ for every h, a structural rather than asymptotic property.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -49,27 +51,110 @@ MIDPOINT_TOL = 1e-14
 MIDPOINT_MAX_SWEEPS = 50
 _MIDPOINT_FAILED = f"implicit midpoint did not converge in {MIDPOINT_MAX_SWEEPS} sweeps"
 
-# Dormand-Prince 5(4): the nonzero (stage, coefficient) pairs of each stage
-# row.  The last row is also the 5th-order solution (FSAL), so the last stage
-# is the derivative at the new node.  _DP_E gives the error estimate and _DP_D
-# the extra coefficient of dopri5's 4th-order continuous extension (CONTD5).
-_DP_A = (
-    ((0, 1 / 5),),
-    ((0, 3 / 40), (1, 9 / 40)),
-    ((0, 44 / 45), (1, -56 / 15), (2, 32 / 9)),
-    ((0, 19372 / 6561), (1, -25360 / 2187), (2, 64448 / 6561), (3, -212 / 729)),
-    ((0, 9017 / 3168), (1, -355 / 33), (2, 46732 / 5247), (3, 49 / 176),
-     (4, -5103 / 18656)),
-    ((0, 35 / 384), (2, 500 / 1113), (3, 125 / 192), (4, -2187 / 6784), (5, 11 / 84)),
+# Hairer's DOP853 8(5,3), as literal data from scipy's
+# integrate/_ivp/dop853_coefficients.py: the nonzero (stage, coefficient)
+# pairs of each stage row.  The last row of _DOP_A is the 8th-order
+# solution, so its stage is the derivative at the new node (FSAL).
+_DOP_A = (
+    ((0, 5.26001519587677318785587544488e-2),),
+    ((0, 1.97250569845378994544595329183e-2), (1, 5.91751709536136983633785987549e-2)),
+    ((0, 2.95875854768068491816892993775e-2), (2, 8.87627564304205475450678981324e-2)),
+    ((0, 2.41365134159266685502369798665e-1), (2, -8.84549479328286085344864962717e-1),
+     (3, 9.24834003261792003115737966543e-1)),
+    ((0, 3.7037037037037037037037037037e-2), (3, 1.70828608729473871279604482173e-1),
+     (4, 1.25467687566822425016691814123e-1)),
+    ((0, 3.7109375e-2), (3, 1.70252211019544039314978060272e-1),
+     (4, 6.02165389804559606850219397283e-2), (5, -1.7578125e-2)),
+    ((0, 3.70920001185047927108779319836e-2), (3, 1.70383925712239993810214054705e-1),
+     (4, 1.07262030446373284651809199168e-1), (5, -1.53194377486244017527936158236e-2),
+     (6, 8.27378916381402288758473766002e-3)),
+    ((0, 6.24110958716075717114429577812e-1), (3, -3.36089262944694129406857109825),
+     (4, -8.68219346841726006818189891453e-1), (5, 2.75920996994467083049415600797e1),
+     (6, 2.01540675504778934086186788979e1), (7, -4.34898841810699588477366255144e1)),
+    ((0, 4.77662536438264365890433908527e-1), (3, -2.48811461997166764192642586468),
+     (4, -5.90290826836842996371446475743e-1), (5, 2.12300514481811942347288949897e1),
+     (6, 1.52792336328824235832596922938e1), (7, -3.32882109689848629194453265587e1),
+     (8, -2.03312017085086261358222928593e-2)),
+    ((0, -9.3714243008598732571704021658e-1), (3, 5.18637242884406370830023853209),
+     (4, 1.09143734899672957818500254654), (5, -8.14978701074692612513997267357),
+     (6, -1.85200656599969598641566180701e1), (7, 2.27394870993505042818970056734e1),
+     (8, 2.49360555267965238987089396762), (9, -3.0467644718982195003823669022)),
+    ((0, 2.27331014751653820792359768449), (3, -1.05344954667372501984066689879e1),
+     (4, -2.00087205822486249909675718444), (5, -1.79589318631187989172765950534e1),
+     (6, 2.79488845294199600508499808837e1), (7, -2.85899827713502369474065508674),
+     (8, -8.87285693353062954433549289258), (9, 1.23605671757943030647266201528e1),
+     (10, 6.43392746015763530355970484046e-1)),
+    ((0, 5.42937341165687622380535766363e-2), (5, 4.45031289275240888144113950566),
+     (6, 1.89151789931450038304281599044), (7, -5.8012039600105847814672114227),
+     (8, 3.1116436695781989440891606237e-1), (9, -1.52160949662516078556178806805e-1),
+     (10, 2.01365400804030348374776537501e-1),
+     (11, 4.47106157277725905176885569043e-2)),
 )
-_DP_E = (
-    (0, 71 / 57600), (2, -71 / 16695), (3, 71 / 1920), (4, -17253 / 339200),
-    (5, 22 / 525), (6, -1 / 40),
+# error estimators: 5th order, and 3rd order as the solution weights minus
+# the shifts below
+_DOP_E5 = ((0, 0.1312004499419488073250102996e-1), (5, -0.1225156446376204440720569753e+1),
+ (6, -0.4957589496572501915214079952), (7, 0.1664377182454986536961530415e+1),
+ (8, -0.3503288487499736816886487290), (9, 0.3341791187130174790297318841),
+ (10, 0.8192320648511571246570742613e-1), (11, -0.2235530786388629525884427845e-1))
+_DOP_E3_SHIFT = ((0, 0.244094488188976377952755905512), (8, 0.733846688281611857341361741547),
+ (11, 0.220588235294117647058823529412e-1))
+_DOP_E3 = tuple((j, b - dict(_DOP_E3_SHIFT).get(j, 0.0)) for j, b in _DOP_A[-1])
+# the 7th-order continuous extension: three extra stages (13-15, which use
+# the FSAL stage 12) and its four higher coefficients over stages 0-15
+_DOP_A_EXTRA = (
+    ((0, 5.61675022830479523392909219681e-2), (6, 2.53500210216624811088794765333e-1),
+     (7, -2.46239037470802489917441475441e-1),
+     (8, -1.24191423263816360469010140626e-1), (9, 1.5329179827876569731206322685e-1),
+     (10, 8.20105229563468988491666602057e-3),
+     (11, 7.56789766054569976138603589584e-3), (12, -8.298e-3)),
+    ((0, 3.18346481635021405060768473261e-2), (5, 2.83009096723667755288322961402e-2),
+     (6, 5.35419883074385676223797384372e-2), (7, -5.49237485713909884646569340306e-2),
+     (10, -1.08347328697249322858509316994e-4),
+     (11, 3.82571090835658412954920192323e-4),
+     (12, -3.40465008687404560802977114492e-4),
+     (13, 1.41312443674632500278074618366e-1)),
+    ((0, -4.28896301583791923408573538692e-1), (5, -4.69762141536116384314449447206),
+     (6, 7.68342119606259904184240953878), (7, 4.06898981839711007970213554331),
+     (8, 3.56727187455281109270669543021e-1),
+     (12, -1.39902416515901462129418009734e-3), (13, 2.9475147891527723389556272149),
+     (14, -9.15095847217987001081870187138)),
 )
-_DP_D = (
-    (0, -12715105075 / 11282082432), (2, 87487479700 / 32700410799),
-    (3, -10690763975 / 1880347072), (4, 701980252875 / 199316789632),
-    (5, -1453857185 / 822651844), (6, 69997945 / 29380423),
+_DOP_D = (
+    ((0, -0.84289382761090128651353491142e+1), (5, 0.56671495351937776962531783590),
+     (6, -0.30689499459498916912797304727e+1), (7, 0.23846676565120698287728149680e+1),
+     (8, 0.21170345824450282767155149946e+1), (9, -0.87139158377797299206789907490),
+     (10, 0.22404374302607882758541771650e+1), (11, 0.63157877876946881815570249290),
+     (12, -0.88990336451333310820698117400e-1),
+     (13, 0.18148505520854727256656404962e+2),
+     (14, -0.91946323924783554000451984436e+1),
+     (15, -0.44360363875948939664310572000e+1)),
+    ((0, 0.10427508642579134603413151009e+2), (5, 0.24228349177525818288430175319e+3),
+     (6, 0.16520045171727028198505394887e+3), (7, -0.37454675472269020279518312152e+3),
+     (8, -0.22113666853125306036270938578e+2), (9, 0.77334326684722638389603898808e+1),
+     (10, -0.30674084731089398182061213626e+2),
+     (11, -0.93321305264302278729567221706e+1),
+     (12, 0.15697238121770843886131091075e+2),
+     (13, -0.31139403219565177677282850411e+2),
+     (14, -0.93529243588444783865713862664e+1),
+     (15, 0.35816841486394083752465898540e+2)),
+    ((0, 0.19985053242002433820987653617e+2), (5, -0.38703730874935176555105901742e+3),
+     (6, -0.18917813819516756882830838328e+3), (7, 0.52780815920542364900561016686e+3),
+     (8, -0.11573902539959630126141871134e+2), (9, 0.68812326946963000169666922661e+1),
+     (10, -0.10006050966910838403183860980e+1), (11, 0.77771377980534432092869265740),
+     (12, -0.27782057523535084065932004339e+1),
+     (13, -0.60196695231264120758267380846e+2),
+     (14, 0.84320405506677161018159903784e+2),
+     (15, 0.11992291136182789328035130030e+2)),
+    ((0, -0.25693933462703749003312586129e+2),
+     (5, -0.15418974869023643374053993627e+3),
+     (6, -0.23152937917604549567536039109e+3), (7, 0.35763911791061412378285349910e+3),
+     (8, 0.93405324183624310003907691704e+2), (9, -0.37458323136451633156875139351e+2),
+     (10, 0.10409964950896230045147246184e+3),
+     (11, 0.29840293426660503123344363579e+2),
+     (12, -0.43533456590011143754432175058e+2),
+     (13, 0.96324553959188282948394950600e+2),
+     (14, -0.39177261675615439165231486172e+2),
+     (15, -0.14972683625798562581422125276e+3)),
 )
 
 
@@ -94,8 +179,11 @@ class IntegratorConfig:
 
 @dataclass
 class IntegrationStats:
-    """Cost of one adaptive run: steps, field evaluations (six per attempted
-    step, one at the start) and the shortest and longest accepted step."""
+    """Cost of one adaptive run: steps, field evaluations and the shortest
+    and longest accepted step.  A run evaluates the field twice at its start
+    (the derivative and the initial-step probe) and 12 times per attempted
+    step; each step whose dense output is read costs 14 more (its 11 inner
+    stages re-run and the 3 extra stages)."""
 
     accepted: int
     rejected: int
@@ -145,30 +233,73 @@ class Trajectory:
 
 @dataclass
 class _Path:
-    """Accepted nodes of one row: times, states, derivatives and, per node j >= 1,
-    the continuous-extension coefficient of the segment ending at j (zero for
-    fixed-step nodes).  The row ends at t_end, inside the last segment after a
-    blow-up.  A run that samples only its ends keeps the first node and the
-    last step's two nodes; only its last segment is then a step.  `flagged`
-    is the (t, node) where a run's node check first failed, if it did."""
+    """Accepted nodes of one row: times, states and derivatives.  The row ends
+    at t_end, inside the last segment after a blow-up.  A run that samples
+    only its ends keeps the first node and the last step's two nodes; only
+    its last segment is then a step.  An adaptive path keeps its field `rhs`
+    and fills `ext`, the dense-output coefficients of segment i, when a
+    segment is first read (`_extend`); a fixed-step path (rhs None) is cubic
+    Hermite between nodes.  `flagged` is the (t, node) where a run's node
+    check first failed, if it did."""
 
     ts: np.ndarray
     ys: np.ndarray
     fs: np.ndarray
-    ds: np.ndarray
     status: str
     t_end: float
     t_escape: float | None = None
     stats: IntegrationStats | None = None
     flagged: tuple | None = None
+    rhs: object = None
+    ext: dict = field(default_factory=dict)
+
+
+def _extend(paths, segments):
+    """Make the dense-output coefficients of the given segments of adaptive
+    paths (one array of segment indices per path), in one batch over all of
+    them; the paths share one rhs.  A segment's step is re-run from its
+    start node with step ts[i+1] - ts[i], the step the engine took, so its
+    stages are the engine's bit for bit."""
+    todo = []
+    for p, segs in zip(paths, segments):
+        if p.rhs is not None:
+            segs = [i for i in np.unique(segs).tolist() if i not in p.ext]
+            if segs:
+                todo.append((p, np.array(segs)))
+    if not todo:
+        return
+    y, f0, f1, h = (np.concatenate(parts) for parts in zip(*(
+        (p.ys[i], p.fs[i], p.fs[i + 1], p.ts[i + 1] - p.ts[i]) for p, i in todo)))
+    coeffs = iter(_dense_coefficients(todo[0][0].rhs, y, f0, f1, h))
+    for p, segs in todo:
+        p.ext.update(zip(segs.tolist(), coeffs))
+        p.stats.rhs_evals += 14 * len(segs)
+
+
+def _dense_coefficients(rhs, y, f0, f1, h):
+    """The four 7th-order coefficients h D.K of DOP853 steps of size h from
+    (y, f0) to a node with derivative f1, shaped (M, 4, w).  Stages 1-11 are
+    re-run as the engine runs them, stage 12 is f1 (FSAL) and stages 13-15
+    are the extension's own."""
+    M, w = y.shape
+    K = np.empty((16, M, w))
+    s, tmp, z = np.empty((3, M, w))
+    K[0], K[12] = f0, f1
+    hc = h[:, None]
+    for i, coeffs in [*enumerate(_DOP_A[:-1], 1), *enumerate(_DOP_A_EXTRA, 13)]:
+        np.multiply(hc, _combine(K, coeffs, s, tmp), out=s)
+        rhs(np.add(y, s, out=z), K[i])
+    out = np.empty((M, 4, w))
+    for r, coeffs in enumerate(_DOP_D):
+        np.multiply(hc, _combine(K, coeffs, s, tmp), out=out[:, r])
+    return out
 
 
 def _dense(p, i, t):
-    """Continuous extension of segment i of path p at times t (dopri5 CONTD5).
-
-    With the segment coefficient d = 0 it is the cubic Hermite interpolant.
-    i and t are scalars or matching 1-D arrays.
-    """
+    """Dense output of segment i of path p at times t: DOP853's 7th-order
+    continuous extension on an adaptive path (its segments extended first),
+    the cubic Hermite interpolant on a fixed-step path.  i and t are scalars
+    or matching 1-D arrays."""
     t0 = p.ts[i]
     h = np.asarray(p.ts[i + 1] - t0)[..., None]
     s = np.asarray(t - t0)[..., None] / h
@@ -177,21 +308,31 @@ def _dense(p, i, t):
     dy = p.ys[i + 1] - y0
     b = h * p.fs[i] - dy
     c = dy - h * p.fs[i + 1] - b
-    return y0 + s * (dy + s1 * (b + s * (c + s1 * p.ds[i + 1])))
+    if p.rhs is not None:
+        F = np.stack([p.ext[j] for j in np.ravel(i).tolist()])  # (M, 4, w)
+        F0, F1, F2, F3 = np.moveaxis(F.reshape(np.shape(y0)[:-1] + F.shape[1:]), -2, 0)
+        c = c + s1 * (F0 + s * (F1 + s1 * (F2 + s * F3)))
+    return y0 + s * (dy + s1 * (b + s * c))
 
 
 def _sample(p, times):
     """Dense output of path p at sorted times, in one vectorized pass."""
     times = np.asarray(times, dtype=float)
     ts, ys = p.ts, p.ys
-    if len(ts) == 1:
-        return np.repeat(ys, len(times), axis=0)
-    i = np.clip(np.searchsorted(ts, times, side="right") - 1, 0, len(ts) - 2)
-    with np.errstate(divide="ignore", invalid="ignore"):  # a stalled last step
-        out = _dense(p, i, times)
+    out = np.empty((len(times), ys.shape[1]))
     out[times <= ts[0]] = ys[0]
     out[times >= ts[-1]] = ys[-1]
+    inside = (times > ts[0]) & (times < ts[-1])
+    if inside.any():
+        with np.errstate(divide="ignore", invalid="ignore"):  # a stalled last step
+            out[inside] = _dense(p, _segments(p, times), times[inside])
     return out
+
+
+def _segments(p, times):
+    """The segment of path p holding each of the times strictly inside its span."""
+    inside = times[(times > p.ts[0]) & (times < p.ts[-1])]
+    return np.searchsorted(p.ts, inside, side="right") - 1
 
 
 def _row_failure(exc, what, name, row, t, state):
@@ -230,22 +371,34 @@ def _combine(K, coeffs, out, tmp):
 
 def _dp_engine(rhs, t0, t1, Y, cfg, line_cols, name, ends_only=False, node_check=None,
                stop=None):
-    """Masked lockstep Dormand-Prince 5(4) on the rows of Y over [t0, t1].
+    """Masked lockstep DOP853 on the rows of Y over [t0, t1].
 
-    Every row keeps its own t, h, PI-controller state and accept/reject
-    decision, and leaves the block when it completes, blows up (a line
-    coordinate past cfg.blowup_threshold, bracketed on the dense output),
-    spends cfg.max_steps accepted steps or, with `stop`, ends the step that
+    Every row keeps its own t, h and accept/reject decision, and leaves the
+    block when it completes, blows up (a line coordinate past
+    cfg.blowup_threshold, bracketed on the dense output), spends
+    cfg.max_steps accepted steps or, with `stop`, ends the step that
     `stop(t, y, t_new, y_new)` flags (status STOPPED).  `stop` sees each
     accepted step of each row once, in step order, with the rows that
-    accepted a step as its leading axis.  Stage sums are fixed-order and
+    accepted a step as its leading axis.
+
+    A step costs 12 field evaluations: 11 inner stages and the derivative at
+    the new node, which is the next step's first stage (FSAL).  Its error is
+    DOP853's 5th/3rd-order estimate, and the step size follows it with the
+    exponent 1/8 of that order, clamped to [0.2, 5] per step; the first step
+    comes from the field at the start and at one probe point (Hairer,
+    Norsett & Wanner, Solving ODEs I, II.4 and II.5).  A step's size is
+    taken as t_new - t, so a path's nodes fix every stage of its steps and
+    the dense output's extra stages can be made later, only for the
+    segments that are read (`_extend`).  Stage sums are fixed-order and
     elementwise, so a row's path is bit-identical to the same row run alone
-    (given a row-wise rhs).  Stages, states and sums live in buffers made once
-    per call; the live rows are their leading rows.  Step control: Hairer,
-    Norsett & Wanner, Solving ODEs I, II.4 (initial step) and the PI
-    controller of II.5.  Returns one _Path per row, with every accepted node,
-    or with `ends_only` the first node and the last step.  `node_check(ys)`
-    flags rows of a block of nodes; a row's first flagged node goes into its
+    (given a row-wise rhs).  Stages, states and sums live in buffers made
+    once per call; the live rows are their leading rows.
+
+    Returns one _Path per row, with every accepted node, or with `ends_only`
+    the first node and the last step.  `node_check(ys)` flags rows of a
+    block of nodes.  A step to a flagged trial node is rejected (its step
+    shrinks by 5), so a flagged node is accepted only at the smallest step,
+    1e-14 max(1, |t|); a row's first accepted flagged node goes into its
     path's `flagged`.
     """
     # trial steps may overflow; every non-finite stage is screened and raised
@@ -253,28 +406,32 @@ def _dp_engine(rhs, t0, t1, Y, cfg, line_cols, name, ends_only=False, node_check
         rel, atol, thr = cfg.rel_tol, cfg.abs_tol, cfg.blowup_threshold
         N, w = Y.shape
         rows = np.arange(N)  # the batch index of each block row
-        # one allocation for all per-call buffers: seven stages (K[0] is the
-        # derivative at the current node), the state and the trial state
-        # (swapped on acceptance) and three scratch arrays
-        buf = np.empty((12, N, w))
-        K, (y, y_new, s, tmp, tmp2) = buf[:7], buf[7:]
+        # one allocation for all per-call buffers: 13 stages (K[0] is the
+        # derivative at the current node, K[12] at the trial node), the state
+        # and the trial state (swapped on acceptance) and four scratch arrays
+        buf = np.empty((19, N, w))
+        K, (y, y_new, s, tmp, tmp2, sc) = buf[:13], buf[13:]
         y[...] = Y
         rhs(y, K[0])
         t = np.full(N, float(t0))
         _screen(K[:1], rows, t, y, name)
-        # conservative initial step from the field scale
+        # initial step (II.4) for order 8, from the field at the start and
+        # at one probe point a short Euler step away
         scale = atol + rel * np.abs(y)
         d0 = np.sqrt(np.mean((y / scale) ** 2, axis=1))
         d1 = np.sqrt(np.mean((K[0] / scale) ** 2, axis=1))
         ok = (d0 > 1e-5) & (d1 > 1e-5)
         h = np.where(ok, 0.01 * d0 / np.where(ok, d1, 1.0), 1e-6)
+        rhs(np.add(y, h[:, None] * K[0], out=y_new), K[1])
+        d2 = np.fmax(d1, np.sqrt(np.mean(((K[1] - K[0]) / scale) ** 2, axis=1)) / h)
+        h = np.minimum(100.0 * h, np.where(
+            d2 <= 1e-15, np.maximum(1e-6, 1e-3 * h), (0.01 / d2) ** (1.0 / 8.0)))
         h = np.maximum(np.minimum(h, min(0.1 * (t1 - t0), cfg.max_step)), 1e-12)
-        err_prev = np.ones(N)
         fails = np.zeros(N, dtype=np.int64)
         n_acc = np.zeros(N, dtype=np.int64)
         n_rej = np.zeros(N, dtype=np.int64)
         h_min, h_max = np.full(N, np.inf), np.full(N, -np.inf)
-        first = np.concatenate([t[:, None], y, K[0], np.zeros_like(y)], 1)
+        first = _node_records(t, y, K[0])
         log = None if ends_only else _NodeLog()
         if log is not None:
             log.add(rows, first)
@@ -284,21 +441,32 @@ def _dp_engine(rhs, t0, t1, Y, cfg, line_cols, name, ends_only=False, node_check
                 flagged[int(b)] = (float(t0), y[b].copy())
         ended = {}  # batch row -> (status, counts, step range, last step's nodes)
         while len(rows):
-            h = np.minimum(h, t1 - t)
+            t_new = t + np.minimum(h, t1 - t)
+            h = t_new - t
             hc = h[:, None]
-            for i, coeffs in enumerate(_DP_A, 1):
+            for i, coeffs in enumerate(_DOP_A, 1):
                 np.multiply(hc, _combine(K, coeffs, s, tmp), out=s)
                 rhs(np.add(y, s, out=y_new), K[i])
             _screen(K[1:], rows, t, y, name)
-            delta = np.multiply(hc, _combine(K, _DP_E, s, tmp), out=s)
-            scale = np.maximum(np.abs(y, out=tmp), np.abs(y_new, out=tmp2), out=tmp)
-            scale = np.add(atol, np.multiply(rel, scale, out=tmp), out=tmp)
-            err = np.sqrt(np.mean(np.square(np.divide(delta, scale, out=s), out=s), axis=1))
+            sc = np.maximum(np.abs(y, out=tmp), np.abs(y_new, out=tmp2), out=sc)
+            sc = np.add(atol, np.multiply(rel, sc, out=sc), out=sc)
+            e5, e3 = (
+                np.square(np.divide(_combine(K, E, s, tmp), sc, out=s), out=s).sum(axis=1)
+                for E in (_DOP_E5, _DOP_E3)
+            )
+            den = e5 + 0.01 * e3
+            # both estimates zero (an exact step) is no error; a NaN stays NaN
+            err = np.where(den == 0.0, 0.0, h * e5 / np.sqrt(den * w))
+            # a trial node that fails the node check is rejected like an error
+            lost = None if node_check is None else node_check(y_new)
+            if lost is not None and lost.any():
+                err = np.where(lost, np.inf, err)
             acc = (err <= 1.0) | (h <= 1e-14 * np.maximum(1.0, np.abs(t)))
-            # fmin/fmax keep h unchanged (reject) or shrink it (accept) on a NaN error
-            e = np.maximum(err, 1e-10)
+            # exact steps (err = 0, e.g. at equilibria) grow maximally; fmin/fmax
+            # keep h unchanged (reject) or shrink it (accept) on a NaN error
+            fac = 0.9 * np.maximum(err, 1e-10) ** (-1.0 / 8.0)
             if not acc.all():
-                h_rej = h * np.fmax(0.2, np.fmin(1.0, 0.9 * e ** (-0.2)))
+                h_rej = h * np.fmax(0.2, np.fmin(1.0, fac))
                 n_rej += ~acc
                 fails = np.where(acc, 0, fails + 1)
                 if fails.max() > 60:
@@ -310,10 +478,7 @@ def _dp_engine(rhs, t0, t1, Y, cfg, line_cols, name, ends_only=False, node_check
                 if not acc.any():
                     h = h_rej
                     continue
-            # PI controller; exact steps (err = 0, e.g. at equilibria) grow maximally
-            fac = 0.9 * e ** (-0.7 / 5.0) * err_prev ** (0.4 / 5.0)
             h_acc = np.minimum(h * np.fmin(5.0, np.fmax(0.2, fac)), cfg.max_step)
-            t_new = t + h
             stalled = acc & (t_new == t)
             if stalled.any():
                 b = int(np.argmax(stalled))
@@ -322,9 +487,8 @@ def _dp_engine(rhs, t0, t1, Y, cfg, line_cols, name, ends_only=False, node_check
                     name, int(rows[b]), float(t[b]), y[b].copy(),
                 )
             n_acc += acc
-            step = t_new - t
-            np.minimum(h_min, step, out=h_min, where=acc)
-            np.maximum(h_max, step, out=h_max, where=acc)
+            np.minimum(h_min, h, out=h_min, where=acc)
+            np.maximum(h_max, h, out=h_max, where=acc)
             # a row ends on blow-up, completion or its step budget, in that order
             blown = np.zeros(len(rows), dtype=bool)
             if line_cols and np.abs(y_new[:, line_cols]).max() > thr:
@@ -334,16 +498,15 @@ def _dp_engine(rhs, t0, t1, Y, cfg, line_cols, name, ends_only=False, node_check
             if stop is not None:
                 done[sel] |= stop(t[sel], y[sel], t_new[sel], y_new[sel])
             if log is not None:
-                log.add(rows[sel], _node_records(t_new[sel], y_new[sel], K[:, sel], hc[sel]))
-            if node_check is not None:
-                for b in np.nonzero(acc & node_check(y_new))[0]:
+                log.add(rows[sel], _node_records(t_new[sel], y_new[sel], K[12, sel]))
+            if lost is not None:
+                for b in np.nonzero(acc & lost)[0]:
                     flagged.setdefault(int(rows[b]), (float(t_new[b]), y_new[b].copy()))
             if done.any():
                 ends = np.nonzero(done)[0]
                 if log is None:  # the two nodes of the last step of each ending row
-                    after = _node_records(t_new[ends], y_new[ends], K[:, ends], hc[ends])
-                    before = np.concatenate(
-                        [t[ends, None], y[ends], K[0, ends], np.zeros_like(y[ends])], 1)
+                    after = _node_records(t_new[ends], y_new[ends], K[12, ends])
+                    before = _node_records(t[ends], y[ends], K[0, ends])
                 for i, b in enumerate(ends):
                     status = (BLOWUP if blown[b] else COMPLETED if t_new[b] >= t1
                               else MAX_STEPS if n_acc[b] >= cfg.max_steps else STOPPED)
@@ -356,58 +519,50 @@ def _dp_engine(rhs, t0, t1, Y, cfg, line_cols, name, ends_only=False, node_check
                     )
             if acc.all():
                 fails[:] = 0
-                t, h, err_prev = t_new, h_acc, e
+                t, h = t_new, h_acc
                 y, y_new = y_new, y
-                K[0] = K[6]  # a copy: the next step overwrites K[6]
+                K[0] = K[12]  # a copy: the next step overwrites K[12]
             else:
                 t = np.where(acc, t_new, t)
                 np.copyto(y, y_new, where=acc[:, None])
-                np.copyto(K[0], K[6], where=acc[:, None])
+                np.copyto(K[0], K[12], where=acc[:, None])
                 h = np.where(acc, h_acc, h_rej)
-                err_prev = np.where(acc, e, err_prev)
             if done.any():
                 keep = ~done
-                rows, t, h, err_prev, fails, n_acc, n_rej, h_min, h_max = (
-                    a[keep] for a in (rows, t, h, err_prev, fails, n_acc, n_rej, h_min, h_max)
+                rows, t, h, fails, n_acc, n_rej, h_min, h_max = (
+                    a[keep] for a in (rows, t, h, fails, n_acc, n_rej, h_min, h_max)
                 )
                 live = len(rows)
                 y[:live], K[0, :live] = y[keep], K[0][keep]
-                y, y_new, s, tmp, tmp2 = (a[:live] for a in (y, y_new, s, tmp, tmp2))
+                y, y_new, s, tmp, tmp2, sc = (a[:live] for a in (y, y_new, s, tmp, tmp2, sc))
                 K = K[:, :live]
     nodes = log.by_row(N) if log is not None else None
     paths = []
     for r in range(N):
         status, accepted, rejected, h_lo, h_hi, last = ended[r]
         node = nodes[r] if nodes is not None else np.concatenate([first[r : r + 1], last])
-        p = _Path(
-            ts=node[:, 0], ys=node[:, 1 : 1 + w], fs=node[:, 1 + w : 1 + 2 * w],
-            ds=node[:, 1 + 2 * w :], status=status, t_end=float(node[-1, 0]),
+        paths.append(_Path(
+            ts=node[:, 0], ys=node[:, 1 : 1 + w], fs=node[:, 1 + w :], status=status,
+            t_end=float(node[-1, 0]),
             stats=IntegrationStats(
-                accepted, rejected, 6 * (accepted + rejected) + 1, h_lo, h_hi
+                accepted, rejected, 12 * (accepted + rejected) + 2, h_lo, h_hi
             ),
-            flagged=flagged.get(r),
-        )
-        if status == BLOWUP:
-            _bracket_blowup(p, line_cols, thr)
-        paths.append(p)
+            flagged=flagged.get(r), rhs=rhs,
+        ))
+    blown = [p for p in paths if p.status == BLOWUP]
+    _extend(blown, [[len(p.ts) - 2] for p in blown])
+    for p in blown:
+        _bracket_blowup(p, line_cols, thr)
     return paths
 
 
-def _node_records(t, y, K, hc):
-    """Records [t | y | f | d] of new nodes: time, state, derivative (the last
-    stage) and the dense-output coefficient of the step that reached them."""
-    w = y.shape[1]
-    rec = np.empty((len(t), 1 + 3 * w))
-    rec[:, 0] = t
-    rec[:, 1 : 1 + w] = y
-    rec[:, 1 + w : 1 + 2 * w] = K[6]
-    d = rec[:, 1 + 2 * w :]
-    np.multiply(hc, _combine(K, _DP_D, d, np.empty((len(t), w))), out=d)
-    return rec
+def _node_records(t, y, f):
+    """Records [t | y | f] of nodes: time, state and derivative."""
+    return np.concatenate([t[:, None], y, f], 1)
 
 
 class _NodeLog:
-    """Accepted nodes [t | y | f | d] of a batch, logged per step as one
+    """Accepted nodes [t | y | f] of a batch, logged per step as one
     record array with the rows it belongs to.  Every 64 steps the records are
     merged into one block, so a long run holds a few large arrays, neither
     one small array per node nor a buffer padded to the longest row."""
@@ -484,7 +639,7 @@ def _joint_rhs(m, k, racc):
         x = y[..., :n]
         out[..., :n] = m.X(x)
         if k == 1:
-            out[..., n : 2 * n] = np.einsum("...ij,...j->...i", DX(x), y[..., n : 2 * n])
+            np.einsum("...ij,...j->...i", DX(x), y[..., n : 2 * n], out=out[..., n : 2 * n])
         elif k:
             F = y[..., n : n + nk].reshape(y.shape[:-1] + (n, k))
             out[..., n : n + nk] = (DX(x) @ F).reshape(y.shape[:-1] + (nk,))
@@ -548,9 +703,17 @@ def _integrate_core(m, x0, t_span, cfg, with_frames, times, samples, initial_fra
         )
     else:
         paths = _fixed_step_paths(m, Y0, t0, t1, cfg, k, with_racc, node_check)
+    for row, p in enumerate(paths):
+        if p.flagged is not None:
+            t_bad, node = p.flagged
+            raise _row_failure(
+                ConvergenceError, "tangent frames lost orientation (det <= 0)",
+                m.name, row, t_bad, node[:n].copy(),
+            )
+    row_times = [_sample_times(p, t0, times, samples) for p in paths]
+    _extend(paths, [_segments(p, ts) for p, ts in zip(paths, row_times)])
     trajs = [
-        _trajectory(m, p, t0, times, samples, with_frames, with_racc, row)
-        for row, p in enumerate(paths)
+        _trajectory(m, p, ts, with_frames, with_racc) for p, ts in zip(paths, row_times)
     ]
     return trajs if x0.ndim == 2 else trajs[0]
 
@@ -558,8 +721,11 @@ def _integrate_core(m, x0, t_span, cfg, with_frames, times, samples, initial_fra
 def _orientation_lost(n):
     """Node check of variational runs: the frame's determinant is <= 0.
 
-    It runs at every integrated node: a frame entry below abs_tol may change
-    sign between nodes under any interpolant.
+    It runs at every node, not on samples: a frame entry below abs_tol may
+    change sign between nodes under any interpolant.  The adaptive engine
+    rejects a step to a node it flags; DOP853's stability function is
+    negative for some large steps on a fast contracting direction, where
+    the frame's sign rides below abs_tol.
     """
 
     def lost(ys):
@@ -568,21 +734,20 @@ def _orientation_lost(n):
     return lost
 
 
-def _trajectory(m, p, t0, times, samples, with_frames, with_racc, row):
-    n = m.dim
+def _sample_times(p, t0, times, samples):
+    """A row's sample times: `samples` even ones over [t0, t_end], or the
+    requested ones up to t_end, with t_end appended."""
     if times is None:
-        times = np.linspace(t0, p.t_end, samples)
-    else:
-        times = np.asarray(times, dtype=float)
-        times = times[(times >= t0) & (times <= p.t_end + 1e-15)]
-        if len(times) == 0 or times[-1] < p.t_end:
-            times = np.append(times, p.t_end)
-    if p.flagged is not None:
-        t_bad, node = p.flagged
-        raise _row_failure(
-            ConvergenceError, "tangent frames lost orientation (det <= 0)",
-            m.name, row, t_bad, node[:n].copy(),
-        )
+        return np.linspace(t0, p.t_end, samples)
+    times = np.asarray(times, dtype=float)
+    times = times[(times >= t0) & (times <= p.t_end + 1e-15)]
+    if len(times) == 0 or times[-1] < p.t_end:
+        times = np.append(times, p.t_end)
+    return times
+
+
+def _trajectory(m, p, times, with_frames, with_racc):
+    n = m.dim
     ys = _sample(p, times)
     return Trajectory(
         times=times, states=m.spec.wrap(ys[:, :n]),
@@ -748,7 +913,7 @@ def _fixed_step_paths(m, Y0, t0, t1, cfg, k, with_racc, node_check):
             )
         bad = np.nonzero(node_check(ys))[0] if node_check is not None else ()
         paths.append(_Path(
-            ts=ts[: last + 1], ys=ys, fs=rhs(ys), ds=np.zeros_like(ys),
+            ts=ts[: last + 1], ys=ys, fs=rhs(ys),
             status=BLOWUP if died else COMPLETED, t_end=float(ts[last]),
             t_escape=float(ts[last]) if died else None,
             flagged=(float(ts[bad[0]]), ys[bad[0]]) if len(bad) else None,
@@ -1015,7 +1180,7 @@ def poincare_return(m, sec, x0, k, cfg=None, t_max=1e4, chunk=4.0):
     entry holds the accumulated Lee integral at each crossing (zeros when
     the model carries no Lee form).  Integration proceeds in time chunks,
     and the run ends with the accepted step that holds the k-th crossing.
-    Crossings are refined by bisection on the Dormand-Prince dense output to
+    Crossings are refined by bisection on the DOP853 dense output to
     time accuracy 1e-10; tangential crossings (|dg/dt| <= 1e-8) are rejected
     rather than guessed.
     """
@@ -1066,7 +1231,9 @@ def poincare_return(m, sec, x0, k, cfg=None, t_max=1e4, chunk=4.0):
         )[0]
         ts = p.ts
         gs = g(p.ys)
-        for i in np.nonzero(directed(ts[:-1], gs[:-1], gs[1:]))[0]:
+        hits = np.nonzero(directed(ts[:-1], gs[:-1], gs[1:]))[0]
+        _extend([p], [hits])
+        for i in hits:
             a, b, ga = ts[i], ts[i + 1], float(gs[i])
             while (b - a) > 1e-10:
                 mid = 0.5 * (a + b)

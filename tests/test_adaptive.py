@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from csdyn import flows
 from csdyn.diagnostics import conformal_transport_check
 from csdyn.errors import ConvergenceError, DimensionMismatchError, PoisonedStateError
 from csdyn.flows import (
@@ -132,7 +133,10 @@ def test_dense_output_keeps_the_seed_4_transport_start_within_tolerance():
 
 
 def test_dense_output_is_the_dormand_prince_extension():
-    # y' = (y2, -y1): samples between nodes keep the nodes' accuracy
+    """y' = (y2, -y1) in a few long steps: each step's dense output is
+    DOP853's 7th-order continuous extension (scipy's for the same step, to
+    rounding), and samples between nodes stay within twice rel_tol."""
+    rk = pytest.importorskip("scipy.integrate._ivp.rk")
     osc = ModelSpec(
         name="oscillator", spec=CoordinateSpec((LINE, LINE)), kind=FLOW, params={},
         X=lambda x: np.stack([x[..., 1], -x[..., 0]], -1),
@@ -142,7 +146,21 @@ def test_dense_output_is_the_dormand_prince_extension():
     ts = np.linspace(0.0, 2.0, 401)
     traj = integrate_flow(osc, np.array([0.0, 1.0]), (0.0, 2.0), cfg, times=ts)
     assert traj.stats.accepted < 40
-    assert np.max(np.abs(traj.states[:, 0] - np.sin(ts))) < 1e-7
+    assert np.max(np.abs(traj.states[:, 0] - np.sin(ts))) < 2e-6
+    p = flows._dp_engine(
+        flows._joint_rhs(osc, 0, False), 0.0, 2.0, np.array([[0.0, 1.0]]), cfg, [], osc.name
+    )[0]
+    for i in range(len(p.ts) - 1):
+        step = rk.DOP853(
+            lambda t, y: np.array([y[1], -y[0]]), p.ts[i], p.ys[i], p.ts[i + 1],
+            first_step=p.ts[i + 1] - p.ts[i], rtol=1e-3, atol=1e-3,
+        )
+        step.step()
+        assert step.t == p.ts[i + 1]
+        within = np.linspace(p.ts[i], p.ts[i + 1], 9)
+        flows._extend([p], [[i]])
+        ours = flows._dense(p, np.full(9, i), within)
+        assert np.max(np.abs(ours - step.dense_output()(within).T)) < 1e-14
 
 
 def test_poisoned_row_is_named():
@@ -156,10 +174,13 @@ def test_poisoned_row_is_named():
 
 
 def test_collapsing_row_is_named():
-    """Past v = 1e6 + 1 the field jumps to 1.7e308.  From v = 1e6 the first
-    trial step (h = 1e4) overflows both the new state and the error estimate,
-    so the error norm is NaN: each retry is rejected without shrinking h and
-    the row fails after 60 retries.  The row at v = -1e6 completes."""
+    """Past v = 1e6 + 1 the field jumps to 1.7e308.  From v = 1e6 the
+    initial-step probe sees the jump, so the row starts at the smallest
+    step and grows it by 5 per step until, near t = 0.95, a trial step
+    crosses the jump: it overflows both the new state and the error
+    estimate, so the error norm is NaN, each retry is rejected without
+    shrinking h and the row fails after 60 retries.  The row at v = -1e6
+    completes."""
     m = instantiate_model("circle-linear", alpha=1.0)
     cliff = dataclasses.replace(m, X=lambda x: np.stack(
         [0.0 * x[..., 0], np.where(x[..., 1] < 1e6 + 1, 1.0, 1.7e308)], -1
@@ -168,25 +189,29 @@ def test_collapsing_row_is_named():
     with pytest.raises(ConvergenceError) as info:
         integrate_flow(cliff, xs, (0.0, 1e5))
     err = info.value
-    assert (err.row, err.model, err.t) == (1, "circle-linear", 0.0)
-    assert np.array_equal(err.state, [0.0, 1e6]) and "row 1" in str(err)
+    assert (err.row, err.model) == (1, "circle-linear") and 0.5 < err.t < 1.0
+    assert err.state[0] == 0.0 and abs(err.state[1] - 1e6 - err.t) < 1e-6
+    assert "row 1" in str(err)
     assert integrate_flow(cliff, xs[0], (0.0, 1e5)).status == COMPLETED
 
 
 def test_stalled_row_is_named():
-    """Tolerances of 1e-150 shrink the step until t + h == t: X = 1e-31 x
-    reaches t ~ 6.7e24 of 1e30, and the engine used to accept steps that
-    left t unchanged until the step budget ran out (status max-steps,
-    h_min 0).  Such a row now ends in ConvergenceError."""
+    """Tolerances of 1e-150 shrink the step until t + h == t: from t = 3 the
+    step of X = 10 x falls to 1e-14 |t|, where it is accepted however large
+    its error, and then shrinks by 5 per step while the stages still differ.
+    The engine used to accept steps that left t unchanged until the step
+    budget ran out (status max-steps, h_min 0).  Such a row now ends in
+    ConvergenceError; the equilibrium row completes."""
     m = instantiate_model("circle-linear", alpha=1.0)
-    slow = dataclasses.replace(m, X=lambda x: 1e-31 * np.asarray(x, dtype=float))
+    fast = dataclasses.replace(m, X=lambda x: 10.0 * np.asarray(x, dtype=float))
     cfg = IntegratorConfig(rel_tol=1e-150, abs_tol=1e-150, max_steps=2000)
     xs = np.array([[0.0, 0.0], [1.0, 1.0]])  # row 0 is an equilibrium
     with pytest.raises(ConvergenceError, match="row 1") as info:
-        integrate_flow(slow, xs, (0.0, 1e30), cfg)
+        integrate_flow(fast, xs, (3.0, 4.0), cfg)
     err = info.value
     assert (err.row, err.model) == (1, "circle-linear")
-    assert err.t > 1e24 and np.all(err.state > 1.0)
+    assert err.t > 3.0 and np.all(err.state > 1.0)
+    assert integrate_flow(fast, xs[0], (3.0, 4.0), cfg).status == COMPLETED
 
 
 def test_max_steps_is_a_per_row_status():
@@ -201,10 +226,34 @@ def test_max_steps_is_a_per_row_status():
 
 
 def test_stats_count_steps_and_field_evaluations():
+    """12 evaluations per attempted step and two at the start (the first
+    derivative and the initial-step probe), plus 14 for
+    each step whose dense output is read (its 11 inner stages re-run and the
+    3 extra stages); a row-counting wrapper on X sees the same total."""
     m = instantiate_model("circle-quadratic", alpha=1.0)
+    rows = []
+
+    def counted(x):
+        rows.append(len(np.atleast_2d(x)))
+        return m.X(x)
+
+    counting = dataclasses.replace(m, X=counted)
     cfg = IntegratorConfig(rel_tol=1e-6, abs_tol=1e-8)
-    traj = integrate_flow(m, np.array([0.0, -1.0]), (0.0, 2.0), cfg)
+    # ends only: the blow-up step alone is read (bracketing and t_escape)
+    traj = integrate_flow(counting, np.array([0.0, -1.0]), (0.0, 2.0), cfg, samples=2)
     s = traj.stats
     assert traj.status == BLOWUP and s.rejected > 0
-    assert s.rhs_evals == 6 * (s.accepted + s.rejected) + 1
+    assert s.rhs_evals == 12 * (s.accepted + s.rejected) + 2 + 14 == sum(rows)
     assert 0.0 < s.h_min <= s.h_max
+    # 201 samples read many steps, each once
+    rows.clear()
+    traj = integrate_flow(counting, np.array([0.0, -1.0]), (0.0, 2.0), cfg)
+    s = traj.stats
+    dense = s.rhs_evals - 12 * (s.accepted + s.rejected) - 2
+    assert dense % 14 == 0 and 14 < dense <= 14 * s.accepted
+    assert s.rhs_evals == sum(rows)
+    # a completed ends-only run reads no step
+    traj = integrate_flow(m, np.array([0.3, 0.2]), (0.0, 0.5), cfg, samples=2)
+    s = traj.stats
+    assert traj.status == COMPLETED
+    assert s.rhs_evals == 12 * (s.accepted + s.rejected) + 2

@@ -121,6 +121,21 @@ def test_lyapunov_damped_pendulum_pairing():
     assert res.converged
 
 
+def test_lyapunov_damped_pendulum_sink_closed_form():
+    """Closed-form oracle: at the sink (q, p) = (0.5, 0) the linearisation
+    is q'' + alpha q' + 4 pi^2 q = 0, a focus with eigenvalues
+    -alpha/2 +- i omega, so both exponents tend to -alpha/2 = -0.25 as T
+    grows, and they sum to the trace -alpha at every T (Liouville)."""
+    m = instantiate_model("damped-mechanical", alpha=0.5, d=1, v_cos=1.0)
+    sink = np.array([0.5, 0.0])
+    gaps = []
+    for T in (50.0, 200.0):
+        res = lyapunov_spectrum(m, sink, T=T)
+        assert abs(float(np.sum(res.exponents)) + 0.5) < 1e-8
+        gaps.append(float(np.max(np.abs(res.exponents + 0.25))))
+    assert gaps[1] < gaps[0] < 0.05
+
+
 def test_lyapunov_map_version_radial():
     m = instantiate_model("radial-contraction", a=0.5)
     res = lyapunov_spectrum(m, np.array([0.3, 1.0]), T=50)

@@ -10,8 +10,12 @@ shape and bytes, so -0.0 and 0.0 differ.
 
     PYTHONPATH=src python3 tools/result_digest.py --seeds 1 7
     PYTHONPATH=src python3 tools/result_digest.py --seeds 7 --skip-verify
+    PYTHONPATH=src python3 tools/result_digest.py --seeds 1 7 --residuals
 
-Run it on two trees and compare the output with `diff`.
+Run it on two trees and compare the output with `diff`.  With `--residuals`
+it prints, instead of digests, one line per check and seed: seed, check,
+verdict, residual and tolerance (floats by `repr`), for an old -> new table
+of a change that is not meant to be bit-identical.
 """
 
 from __future__ import annotations
@@ -83,6 +87,12 @@ def check_digests(seed):
             [r.verdict, r.residual, r.tolerance, details])
 
 
+def residual_lines(seed):
+    results, _ = verify_suite("all", seed=seed)
+    for r in results:
+        yield f"{seed}  {r.check:<34} {r.verdict:<21} {r.residual!r:<24} {r.tolerance!r}"
+
+
 def ensemble_digests(seed):
     rng = np.random.default_rng([seed, 11])
     built = {name: models.instantiate_model(name, params)
@@ -109,7 +119,15 @@ def main(argv=None):
     ap.add_argument("--seeds", type=int, nargs="+", default=[7])
     ap.add_argument("--skip-verify", action="store_true",
                     help="digest the ensemble outputs only")
+    ap.add_argument("--residuals", action="store_true",
+                    help="print each check's verdict, residual and tolerance instead")
     args = ap.parse_args(argv)
+    if args.residuals:
+        print("# seed  check  verdict  residual  tolerance")
+        for seed in args.seeds:
+            for line in residual_lines(seed):
+                print(line, flush=True)
+        return
     total = hashlib.sha256()
     for seed in args.seeds:
         parts = [ensemble_digests(seed)]
