@@ -239,8 +239,7 @@ class _Path:
     its last segment is then a step.  An adaptive path keeps its field `rhs`
     and fills `ext`, the dense-output coefficients of segment i, when a
     segment is first read (`_extend`); a fixed-step path (rhs None) is cubic
-    Hermite between nodes.  `flagged` is the (t, node) where a run's node
-    check first failed, if it did."""
+    Hermite between nodes."""
 
     ts: np.ndarray
     ys: np.ndarray
@@ -249,7 +248,6 @@ class _Path:
     t_end: float
     t_escape: float | None = None
     stats: IntegrationStats | None = None
-    flagged: tuple | None = None
     rhs: object = None
     ext: dict = field(default_factory=dict)
 
@@ -297,9 +295,11 @@ def _dense_coefficients(rhs, y, f0, f1, h):
 
 def _dense(p, i, t):
     """Dense output of segment i of path p at times t: DOP853's 7th-order
-    continuous extension on an adaptive path (its segments extended first),
-    the cubic Hermite interpolant on a fixed-step path.  i and t are scalars
-    or matching 1-D arrays."""
+    continuous extension on an adaptive path, the cubic Hermite interpolant
+    on a fixed-step path.  i and t are scalars or matching 1-D arrays.  The
+    segments read are extended here unless a caller extended them already
+    (in one batch over many paths, say); each distinct segment is looked up
+    once."""
     t0 = p.ts[i]
     h = np.asarray(p.ts[i + 1] - t0)[..., None]
     s = np.asarray(t - t0)[..., None] / h
@@ -309,30 +309,37 @@ def _dense(p, i, t):
     b = h * p.fs[i] - dy
     c = dy - h * p.fs[i + 1] - b
     if p.rhs is not None:
-        F = np.stack([p.ext[j] for j in np.ravel(i).tolist()])  # (M, 4, w)
-        F0, F1, F2, F3 = np.moveaxis(F.reshape(np.shape(y0)[:-1] + F.shape[1:]), -2, 0)
+        if np.ndim(i) == 0:  # one segment, as in a bisection
+            if i not in p.ext:
+                _extend([p], [[i]])
+            F = p.ext[i]
+        else:
+            segs, which = np.unique(i, return_inverse=True)
+            _extend([p], [segs])
+            F = np.stack([p.ext[j] for j in segs.tolist()])[which.reshape(np.shape(i))]
+        F0, F1, F2, F3 = np.moveaxis(F, -2, 0)
         c = c + s1 * (F0 + s * (F1 + s1 * (F2 + s * F3)))
     return y0 + s * (dy + s1 * (b + s * c))
 
 
-def _sample(p, times):
-    """Dense output of path p at sorted times, in one vectorized pass."""
-    times = np.asarray(times, dtype=float)
+def _segments(p, times):
+    """The mask of the sorted times strictly inside path p's span, and the
+    segment holding each of those times."""
+    inside = (times > p.ts[0]) & (times < p.ts[-1])
+    return inside, np.searchsorted(p.ts, times[inside], side="right") - 1
+
+
+def _sample(p, times, inside, segs):
+    """Dense output of path p at sorted times, in one vectorized pass;
+    `inside` and `segs` are _segments(p, times)."""
     ts, ys = p.ts, p.ys
     out = np.empty((len(times), ys.shape[1]))
     out[times <= ts[0]] = ys[0]
     out[times >= ts[-1]] = ys[-1]
-    inside = (times > ts[0]) & (times < ts[-1])
     if inside.any():
         with np.errstate(divide="ignore", invalid="ignore"):  # a stalled last step
-            out[inside] = _dense(p, _segments(p, times), times[inside])
+            out[inside] = _dense(p, segs, times[inside])
     return out
-
-
-def _segments(p, times):
-    """The segment of path p holding each of the times strictly inside its span."""
-    inside = times[(times > p.ts[0]) & (times < p.ts[-1])]
-    return np.searchsorted(p.ts, inside, side="right") - 1
 
 
 def _row_failure(exc, what, name, row, t, state):
@@ -389,17 +396,18 @@ def _dp_engine(rhs, t0, t1, Y, cfg, line_cols, name, ends_only=False, node_check
     Norsett & Wanner, Solving ODEs I, II.4 and II.5).  A step's size is
     taken as t_new - t, so a path's nodes fix every stage of its steps and
     the dense output's extra stages can be made later, only for the
-    segments that are read (`_extend`).  Stage sums are fixed-order and
+    segments that are read (`_dense`).  Stage sums are fixed-order and
     elementwise, so a row's path is bit-identical to the same row run alone
     (given a row-wise rhs).  Stages, states and sums live in buffers made
     once per call; the live rows are their leading rows.
 
     Returns one _Path per row, with every accepted node, or with `ends_only`
     the first node and the last step.  `node_check(ys)` flags rows of a
-    block of nodes.  A step to a flagged trial node is rejected (its step
+    block of nodes, and `node_check.failure(name, row, t, node)` is the
+    error for a flagged node.  It is raised before stepping for a flagged
+    start node.  A step to a flagged trial node is rejected (its step
     shrinks by 5), so a flagged node is accepted only at the smallest step,
-    1e-14 max(1, |t|); a row's first accepted flagged node goes into its
-    path's `flagged`.
+    1e-14 max(1, |t|), where the error is raised.
     """
     # trial steps may overflow; every non-finite stage is screened and raised
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
@@ -415,6 +423,10 @@ def _dp_engine(rhs, t0, t1, Y, cfg, line_cols, name, ends_only=False, node_check
         rhs(y, K[0])
         t = np.full(N, float(t0))
         _screen(K[:1], rows, t, y, name)
+        lost = None if node_check is None else node_check(y)
+        if lost is not None and lost.any():
+            b = int(np.argmax(lost))
+            raise node_check.failure(name, b, float(t0), y[b])
         # initial step (II.4) for order 8, from the field at the start and
         # at one probe point a short Euler step away
         scale = atol + rel * np.abs(y)
@@ -435,10 +447,6 @@ def _dp_engine(rhs, t0, t1, Y, cfg, line_cols, name, ends_only=False, node_check
         log = None if ends_only else _NodeLog()
         if log is not None:
             log.add(rows, first)
-        flagged = {}  # batch row -> (t, node) of its first flagged node
-        if node_check is not None:
-            for b in np.nonzero(node_check(y))[0]:
-                flagged[int(b)] = (float(t0), y[b].copy())
         ended = {}  # batch row -> (status, counts, step range, last step's nodes)
         while len(rows):
             t_new = t + np.minimum(h, t1 - t)
@@ -462,6 +470,9 @@ def _dp_engine(rhs, t0, t1, Y, cfg, line_cols, name, ends_only=False, node_check
             if lost is not None and lost.any():
                 err = np.where(lost, np.inf, err)
             acc = (err <= 1.0) | (h <= 1e-14 * np.maximum(1.0, np.abs(t)))
+            if lost is not None and (acc & lost).any():  # accepted at the smallest step
+                b = int(np.argmax(acc & lost))
+                raise node_check.failure(name, int(rows[b]), float(t_new[b]), y_new[b])
             # exact steps (err = 0, e.g. at equilibria) grow maximally; fmin/fmax
             # keep h unchanged (reject) or shrink it (accept) on a NaN error
             fac = 0.9 * np.maximum(err, 1e-10) ** (-1.0 / 8.0)
@@ -499,9 +510,6 @@ def _dp_engine(rhs, t0, t1, Y, cfg, line_cols, name, ends_only=False, node_check
                 done[sel] |= stop(t[sel], y[sel], t_new[sel], y_new[sel])
             if log is not None:
                 log.add(rows[sel], _node_records(t_new[sel], y_new[sel], K[12, sel]))
-            if lost is not None:
-                for b in np.nonzero(acc & lost)[0]:
-                    flagged.setdefault(int(rows[b]), (float(t_new[b]), y_new[b].copy()))
             if done.any():
                 ends = np.nonzero(done)[0]
                 if log is None:  # the two nodes of the last step of each ending row
@@ -547,12 +555,11 @@ def _dp_engine(rhs, t0, t1, Y, cfg, line_cols, name, ends_only=False, node_check
             stats=IntegrationStats(
                 accepted, rejected, 12 * (accepted + rejected) + 2, h_lo, h_hi
             ),
-            flagged=flagged.get(r), rhs=rhs,
+            rhs=rhs,
         ))
-    blown = [p for p in paths if p.status == BLOWUP]
-    _extend(blown, [[len(p.ts) - 2] for p in blown])
-    for p in blown:
-        _bracket_blowup(p, line_cols, thr)
+    for p in paths:
+        if p.status == BLOWUP:
+            _bracket_blowup(p, line_cols, thr)
     return paths
 
 
@@ -695,7 +702,7 @@ def _integrate_core(m, x0, t_span, cfg, with_frames, times, samples, initial_fra
         cols.append(np.zeros((N, 1)))
     Y0 = np.concatenate(cols, axis=1)
     k = n if with_frames else 0
-    node_check = _orientation_lost(n) if with_frames else None
+    node_check = _OrientationCheck(n) if with_frames else None
     if cfg.method == REFERENCE:
         paths = _dp_engine(
             _joint_rhs(m, k, with_racc), t0, t1, Y0, cfg, _line_indices(m).tolist(),
@@ -703,22 +710,17 @@ def _integrate_core(m, x0, t_span, cfg, with_frames, times, samples, initial_fra
         )
     else:
         paths = _fixed_step_paths(m, Y0, t0, t1, cfg, k, with_racc, node_check)
-    for row, p in enumerate(paths):
-        if p.flagged is not None:
-            t_bad, node = p.flagged
-            raise _row_failure(
-                ConvergenceError, "tangent frames lost orientation (det <= 0)",
-                m.name, row, t_bad, node[:n].copy(),
-            )
     row_times = [_sample_times(p, t0, times, samples) for p in paths]
-    _extend(paths, [_segments(p, ts) for p, ts in zip(paths, row_times)])
+    where = [_segments(p, ts) for p, ts in zip(paths, row_times)]
+    _extend(paths, [segs for _, segs in where])  # one batch over the rows
     trajs = [
-        _trajectory(m, p, ts, with_frames, with_racc) for p, ts in zip(paths, row_times)
+        _trajectory(m, p, ts, _sample(p, ts, *w), with_frames, with_racc)
+        for p, ts, w in zip(paths, row_times, where)
     ]
     return trajs if x0.ndim == 2 else trajs[0]
 
 
-def _orientation_lost(n):
+class _OrientationCheck:
     """Node check of variational runs: the frame's determinant is <= 0.
 
     It runs at every node, not on samples: a frame entry below abs_tol may
@@ -728,10 +730,18 @@ def _orientation_lost(n):
     the frame's sign rides below abs_tol.
     """
 
-    def lost(ys):
+    def __init__(self, n):
+        self.n = n
+
+    def __call__(self, ys):
+        n = self.n
         return np.linalg.det(ys[:, n : n + n * n].reshape(-1, n, n)) <= 0.0
 
-    return lost
+    def failure(self, name, row, t, node):
+        return _row_failure(
+            ConvergenceError, "tangent frames lost orientation (det <= 0)",
+            name, row, t, node[: self.n].copy(),
+        )
 
 
 def _sample_times(p, t0, times, samples):
@@ -746,9 +756,9 @@ def _sample_times(p, t0, times, samples):
     return times
 
 
-def _trajectory(m, p, times, with_frames, with_racc):
+def _trajectory(m, p, times, ys, with_frames, with_racc):
+    """A row's Trajectory from its path and its samples ys at times."""
     n = m.dim
-    ys = _sample(p, times)
     return Trajectory(
         times=times, states=m.spec.wrap(ys[:, :n]),
         frames=ys[:, n : n + n * n].reshape(-1, n, n) if with_frames else None,
@@ -901,7 +911,7 @@ def _fixed_step_paths(m, Y0, t0, t1, cfg, k, with_racc, node_check):
     dead = ~(np.max(np.abs(hist[:, :, :n]) * line, axis=-1) <= cfg.blowup_threshold)
     dead[0] = ~np.all(np.isfinite(Y0[:, :n]), axis=1)
     rhs = _joint_rhs(m, k, with_racc)
-    paths = []
+    paths, lost = [], []
     for row in range(len(Y0)):
         died = bool(dead[:, row].any())
         last = int(np.argmax(dead[:, row])) if died else len(hist) - 1
@@ -912,12 +922,15 @@ def _fixed_step_paths(m, Y0, t0, t1, cfg, k, with_racc, node_check):
                 row, float(ts[last]), ys[-1].copy(),
             )
         bad = np.nonzero(node_check(ys))[0] if node_check is not None else ()
+        if len(bad):
+            lost.append((row, float(ts[bad[0]]), ys[bad[0]]))
         paths.append(_Path(
             ts=ts[: last + 1], ys=ys, fs=rhs(ys),
             status=BLOWUP if died else COMPLETED, t_end=float(ts[last]),
             t_escape=float(ts[last]) if died else None,
-            flagged=(float(ts[bad[0]]), ys[bad[0]]) if len(bad) else None,
         ))
+    if lost:  # the first row whose frames lost orientation at a node
+        raise node_check.failure(m.name, *lost[0])
     return paths
 
 
@@ -1232,7 +1245,6 @@ def poincare_return(m, sec, x0, k, cfg=None, t_max=1e4, chunk=4.0):
         ts = p.ts
         gs = g(p.ys)
         hits = np.nonzero(directed(ts[:-1], gs[:-1], gs[1:]))[0]
-        _extend([p], [hits])
         for i in hits:
             a, b, ga = ts[i], ts[i + 1], float(gs[i])
             while (b - a) > 1e-10:

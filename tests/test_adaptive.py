@@ -158,7 +158,6 @@ def test_dense_output_is_the_dormand_prince_extension():
         step.step()
         assert step.t == p.ts[i + 1]
         within = np.linspace(p.ts[i], p.ts[i + 1], 9)
-        flows._extend([p], [[i]])
         ours = flows._dense(p, np.full(9, i), within)
         assert np.max(np.abs(ours - step.dense_output()(within).T)) < 1e-14
 
@@ -176,8 +175,8 @@ def test_poisoned_row_is_named():
 def test_collapsing_row_is_named():
     """Past v = 1e6 + 1 the field jumps to 1.7e308.  From v = 1e6 the
     initial-step probe sees the jump, so the row starts at the smallest
-    step and grows it by 5 per step until, near t = 0.95, a trial step
-    crosses the jump: it overflows both the new state and the error
+    step and grows it by 5 per step until, at t = 0.953674316406, a trial
+    step crosses the jump: it overflows both the new state and the error
     estimate, so the error norm is NaN, each retry is rejected without
     shrinking h and the row fails after 60 retries.  The row at v = -1e6
     completes."""
@@ -189,29 +188,84 @@ def test_collapsing_row_is_named():
     with pytest.raises(ConvergenceError) as info:
         integrate_flow(cliff, xs, (0.0, 1e5))
     err = info.value
-    assert (err.row, err.model) == (1, "circle-linear") and 0.5 < err.t < 1.0
-    assert err.state[0] == 0.0 and abs(err.state[1] - 1e6 - err.t) < 1e-6
-    assert "row 1" in str(err)
+    assert (err.row, err.model, err.t) == (1, "circle-linear", 0.953674316406)
+    assert np.array_equal(err.state, [0.0, 1000000.9536743162]) and "row 1" in str(err)
     assert integrate_flow(cliff, xs[0], (0.0, 1e5)).status == COMPLETED
 
 
-def test_stalled_row_is_named():
-    """Tolerances of 1e-150 shrink the step until t + h == t: from t = 3 the
-    step of X = 10 x falls to 1e-14 |t|, where it is accepted however large
-    its error, and then shrinks by 5 per step while the stages still differ.
-    The engine used to accept steps that left t unchanged until the step
-    budget ran out (status max-steps, h_min 0).  Such a row now ends in
-    ConvergenceError; the equilibrium row completes."""
+def _stalls(rate, span):
+    """The ConvergenceError of a row stalled at tolerances of 1e-150 under
+    X = rate x, after checking that the equilibrium row beside it completes."""
     m = instantiate_model("circle-linear", alpha=1.0)
-    fast = dataclasses.replace(m, X=lambda x: 10.0 * np.asarray(x, dtype=float))
+    field = dataclasses.replace(m, X=lambda x: rate * np.asarray(x, dtype=float))
     cfg = IntegratorConfig(rel_tol=1e-150, abs_tol=1e-150, max_steps=2000)
     xs = np.array([[0.0, 0.0], [1.0, 1.0]])  # row 0 is an equilibrium
-    with pytest.raises(ConvergenceError, match="row 1") as info:
-        integrate_flow(fast, xs, (3.0, 4.0), cfg)
-    err = info.value
-    assert (err.row, err.model) == (1, "circle-linear")
-    assert err.t > 3.0 and np.all(err.state > 1.0)
-    assert integrate_flow(fast, xs[0], (3.0, 4.0), cfg).status == COMPLETED
+    assert integrate_flow(field, xs[0], span, cfg).status == COMPLETED
+    with pytest.raises(ConvergenceError, match="row 1: accepted a step too small") as info:
+        integrate_flow(field, xs, span, cfg)
+    assert (info.value.row, info.value.model) == (1, "circle-linear")
+    return info.value
+
+
+def test_stalled_row_is_named():
+    """Tolerances of 1e-150 shrink the step until t + h == t.  The engine
+    used to accept steps that left t unchanged until the step budget ran
+    out (status max-steps, h_min 0); such a row now ends in
+    ConvergenceError.  For X = 1e-31 x over (0, 1e30) the first step of
+    1e-12 is rejected down to 1e-14, accepted there however large its
+    error, and each such step shrinks the next by 5, so the row stalls at
+    t = 1e-14."""
+    err = _stalls(1e-31, (0.0, 1e30))
+    assert err.t == 9.999999999999998e-15 and np.array_equal(err.state, [1.0, 1.0])
+
+
+def test_stalled_row_is_named_away_from_zero():
+    """The same stall from t = 3 under X = 10 x: the smallest step there
+    is 1e-14 |t|."""
+    err = _stalls(10.0, (3.0, 4.0))
+    assert err.t == 3.00000000000001
+    assert np.array_equal(err.state, [1.0000000000001021, 1.0000000000001021])
+
+
+def test_a_start_frame_without_orientation_is_refused():
+    """A start frame with det <= 0 raises the orientation ConvergenceError
+    for its row at t0, before any step, in either engine."""
+    m = instantiate_model("circle-linear", alpha=1.0)
+    xs = np.array([[0.1, 0.2], [0.3, 0.4]])
+    frames = np.array([np.eye(2), np.diag([-1.0, 1.0])])
+    for method in ("reference", "rk4"):
+        with pytest.raises(ConvergenceError, match="row 1: tangent frames lost orientation") as info:
+            integrate_variational(
+                m, xs, (0.0, 1.0), IntegratorConfig(method=method), initial_frame=frames
+            )
+        err = info.value
+        assert (err.row, err.model, err.t) == (1, "circle-linear", 0.0)
+        assert np.array_equal(err.state, xs[1])
+
+
+def test_a_step_to_a_reversed_frame_is_rejected(monkeypatch):
+    """x' = (-30 x1, -x2): once the fast frame entry is below abs_tol, the
+    steps ride DOP853's stability limit, where its stability function is
+    negative and a trial frame's determinant flips sign.  Those steps are
+    rejected, and the run completes with positive determinants."""
+    flagged = []
+    check = flows._OrientationCheck.__call__
+
+    def counting(self, ys):
+        lost = check(self, ys)
+        flagged.append(int(lost.sum()))
+        return lost
+
+    monkeypatch.setattr(flows._OrientationCheck, "__call__", counting)
+    stiff = ModelSpec(
+        name="stiff", spec=CoordinateSpec((LINE, LINE)), kind=FLOW, params={},
+        X=lambda x: np.stack([-30.0 * x[..., 0], -x[..., 1]], -1),
+        DX=lambda x: np.broadcast_to(np.diag([-30.0, -1.0]), np.shape(x)[:-1] + (2, 2)),
+        Omega=lambda x: np.array([[0.0, 1.0], [-1.0, 0.0]]),
+    )
+    traj = integrate_variational(stiff, np.array([1.0, 1.0]), (0.0, 5.0))
+    assert traj.status == COMPLETED and traj.stats.rejected >= sum(flagged) > 0
+    assert np.all(np.linalg.det(traj.frames) > 0.0)
 
 
 def test_max_steps_is_a_per_row_status():
@@ -239,12 +293,20 @@ def test_stats_count_steps_and_field_evaluations():
 
     counting = dataclasses.replace(m, X=counted)
     cfg = IntegratorConfig(rel_tol=1e-6, abs_tol=1e-8)
-    # ends only: the blow-up step alone is read (bracketing and t_escape)
-    traj = integrate_flow(counting, np.array([0.0, -1.0]), (0.0, 2.0), cfg, samples=2)
+    # ends only: the blow-up step is read once, by its bracketing
+    big = IntegratorConfig(rel_tol=1e-6, abs_tol=1e-8, blowup_threshold=1e3)
+    traj = integrate_flow(counting, np.array([0.0, -1.0]), (0.0, 2.0), big, samples=2)
     s = traj.stats
     assert traj.status == BLOWUP and s.rejected > 0
     assert s.rhs_evals == 12 * (s.accepted + s.rejected) + 2 + 14 == sum(rows)
     assert 0.0 < s.h_min <= s.h_max
+    # past 1e8 the blow-up step (5e-10 long) is within the bracketing
+    # accuracy already, so no step is read
+    rows.clear()
+    traj = integrate_flow(counting, np.array([0.0, -1.0]), (0.0, 2.0), cfg, samples=2)
+    s = traj.stats
+    assert traj.status == BLOWUP and s.h_min < 1e-9
+    assert s.rhs_evals == 12 * (s.accepted + s.rejected) + 2 == sum(rows)
     # 201 samples read many steps, each once
     rows.clear()
     traj = integrate_flow(counting, np.array([0.0, -1.0]), (0.0, 2.0), cfg)
