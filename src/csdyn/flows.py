@@ -634,8 +634,17 @@ def _joint_rhs(m, k, racc):
 
     Both engines use it on (N, w) batches.  `rhs(y, out=None)` writes X, the
     tangent product DX F and eta(X) into the columns of out, a new array
-    when None; out must not overlap y.
+    when None; out must not overlap y.  One tangent without the Lee channel
+    and the Lee channel without tangents use the model's fused field
+    (X_DXv, X_etaX) when it has one, which equals this composed one bit for
+    bit.
     """
+    fused = m.X_DXv if (k, racc) == (1, False) else m.X_etaX if (k, racc) == (0, True) else None
+    if fused is not None:
+        def rhs(y, out=None):
+            return fused(y, np.empty(y.shape) if out is None else out)
+
+        return rhs
     n, nk = m.dim, m.dim * k
     DX = m.jacobian
     eta_dot = _eta_contraction(m) if racc else None
@@ -789,19 +798,38 @@ def _negated(f):
     return None if f is None else (lambda x: -np.asarray(f(x), dtype=float))
 
 
+def _negated_fused(f, sums=None):
+    """-f for a fused joint field f(y, out).  The columns `sums` hold
+    tangent sums, which start from +0.0 as np.einsum's do, so there a
+    negated zero is made +0.0 again."""
+    if f is None:
+        return None
+
+    def negated(y, out):
+        np.negative(f(y, out), out=out)
+        if sums is not None:
+            out[..., sums] += 0.0
+        return out
+
+    return negated
+
+
 def time_reversed_view(m):
     """The flow of -X as a ModelSpec; repelling orbits of m are attracting for it.
 
     -X has the defining identity of m with -alpha and -H (eta and lambda
     stay), and X_H negates with it.  Splitting is off and -H is not
-    fiber-convex.
+    fiber-convex.  The fused joint fields are negated too, each equal bit
+    for bit to the view's composed joint field.
     """
     _require_flow(m)
     fe = m.flow_exact
+    n = m.dim
     return replace(
         m, alpha=-m.alpha, X=_negated(m.X), DX=_negated(m.DX), H=_negated(m.H),
         dH=_negated(m.dH), X_sym=_negated(m.X_sym), DX_sym=_negated(m.DX_sym),
-        eta_X=_negated(m.eta_X), cotangent_splittable=False, fiber_convex=False,
+        eta_X=_negated(m.eta_X), X_DXv=_negated_fused(m.X_DXv, slice(n, 2 * n)),
+        X_etaX=_negated_fused(m.X_etaX), cotangent_splittable=False, fiber_convex=False,
         flow_exact=None if fe is None else (
             lambda x, t: fe(x, -np.asarray(t, dtype=float))
         ),

@@ -55,6 +55,15 @@ class ModelSpec:
 
     Frozen: derived models such as time-reversed views are built with
     dataclasses.replace, so a model cannot change after a view was taken.
+
+    X_sym, DX_sym, eta_X and the fused joint fields X_DXv and X_etaX are
+    derived from X, DX and eta, so a replace that changes X, DX or eta_X
+    must replace or clear them too.  A fused field `f(y, out)` writes a
+    whole row block of the integrators' joint field into out from one set
+    of shared intermediates: X_DXv the rows [X(x) | DX(x) v] of y = [x | v],
+    X_etaX the rows [X(x) | eta(X(x))] of y = [x | r].  Each must equal the
+    composed evaluators bit for bit, tangent sums included (they start from
+    +0.0, as np.einsum's do).
     """
 
     name: str
@@ -74,6 +83,8 @@ class ModelSpec:
     lam: object = None          # Liouville form coefficients
     eta: object = None          # Lee form coefficients
     eta_X: object = None        # closed-form eta(X), exact where it vanishes
+    X_DXv: object = None        # fused [X | DX v], (y, out) -> out
+    X_etaX: object = None       # fused [X | eta(X)], (y, out) -> out
     Omega: object = None        # two-form matrix at a state
     X_sym: object = None        # alpha = 0 Hamiltonian part (splitting)
     DX_sym: object = None
@@ -299,6 +310,17 @@ def _build_circle_linear(params):
         out[..., 1, 1] = -(a + TWO_PI * c)
         return out
 
+    def X_DXv(y, out):
+        # one sin/cos pair; DX's structural zero DX[0, 1] v1 is summed too
+        w, r, v0, v1 = TWO_PI * y[..., 0], y[..., 1], y[..., 2], y[..., 3]
+        s, c = np.sin(w), np.cos(w)
+        g = -(alpha + TWO_PI * c)
+        out[..., 0] = s
+        out[..., 1] = g * r
+        out[..., 2] = (TWO_PI * c * v0 + 0.0) + 0.0 * v1
+        out[..., 3] = (TWO_PI * TWO_PI * s * r * v0 + 0.0) + g * v1
+        return out
+
     def H(x):
         x = np.asarray(x, dtype=float)
         return x[..., 1] * np.sin(TWO_PI * x[..., 0])
@@ -319,6 +341,7 @@ def _build_circle_linear(params):
         alpha=alpha,
         X=X,
         DX=lambda x: _dx(x, alpha),
+        X_DXv=X_DXv,
         X_sym=X_sym,
         DX_sym=lambda x: _dx(x, 0.0),
         H=H,
@@ -737,6 +760,12 @@ def _build_t2_pair_theta1(params):
         x = np.asarray(x, dtype=float)
         return np.zeros(x.shape[:-1])  # the displayed field has no theta1 component
 
+    def X_etaX(y, out):
+        out[..., 0] = 0.0
+        out[..., 1] = -amp * np.sin(TWO_PI * (0.125 + y[..., 0]))
+        out[..., 2] = 0.0
+        return out
+
     return ModelSpec(
         name="t2-pair-theta1",
         spec=spec,
@@ -748,6 +777,7 @@ def _build_t2_pair_theta1(params):
         dH=dH,
         eta=lambda x: eta_vec,
         eta_X=eta_X,
+        X_etaX=X_etaX,
         Omega=_const(_canonical_omega(1)),
         conformal_pair=True,
         h_scales=True,
@@ -788,6 +818,15 @@ def _build_t2_pair_theta2(params):
         x = np.asarray(x, dtype=float)
         return -TWO_PI * TWO_PI * np.cos(TWO_PI * x[..., 1])
 
+    def X_etaX(y, out):
+        # one cos for X and eta(X)
+        w = TWO_PI * y[..., 1]
+        c = np.cos(w)
+        out[..., 0] = TWO_PI * c
+        out[..., 1] = -TWO_PI * np.sin(w)
+        out[..., 2] = (-TWO_PI * TWO_PI) * c
+        return out
+
     return ModelSpec(
         name="t2-pair-theta2",
         spec=spec,
@@ -799,6 +838,7 @@ def _build_t2_pair_theta2(params):
         dH=dH,
         eta=lambda x: eta_vec,
         eta_X=eta_X,
+        X_etaX=X_etaX,
         Omega=_const(_canonical_omega(1)),
         conformal_pair=True,
         h_scales=True,

@@ -181,7 +181,7 @@ def test_collapsing_row_is_named():
     shrinking h and the row fails after 60 retries.  The row at v = -1e6
     completes."""
     m = instantiate_model("circle-linear", alpha=1.0)
-    cliff = dataclasses.replace(m, X=lambda x: np.stack(
+    cliff = dataclasses.replace(m, X_DXv=None, X=lambda x: np.stack(
         [0.0 * x[..., 0], np.where(x[..., 1] < 1e6 + 1, 1.0, 1.7e308)], -1
     ))
     xs = np.array([[0.0, -1e6], [0.0, 1e6]])
@@ -197,7 +197,8 @@ def _stalls(rate, span):
     """The ConvergenceError of a row stalled at tolerances of 1e-150 under
     X = rate x, after checking that the equilibrium row beside it completes."""
     m = instantiate_model("circle-linear", alpha=1.0)
-    field = dataclasses.replace(m, X=lambda x: rate * np.asarray(x, dtype=float))
+    field = dataclasses.replace(
+        m, X=lambda x: rate * np.asarray(x, dtype=float), X_DXv=None)
     cfg = IntegratorConfig(rel_tol=1e-150, abs_tol=1e-150, max_steps=2000)
     xs = np.array([[0.0, 0.0], [1.0, 1.0]])  # row 0 is an equilibrium
     assert integrate_flow(field, xs[0], span, cfg).status == COMPLETED

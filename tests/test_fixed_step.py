@@ -1,6 +1,7 @@
 """The fixed-step RK4 engine behind flow_ensemble, transport_tangents,
 classify_ensemble and the method="rk4" trajectories."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -166,6 +167,38 @@ def test_transport_tangents_matches_variational(name):
         ref = integrate_variational(m, x, (0.0, 0.5), samples=2)
         assert torus_distance(m.spec, xf, ref.final_state) < 1e-8
         assert np.max(np.abs(vf - ref.final_frame @ v)) < 1e-8
+
+
+def test_fused_fields_replace_the_separate_field_calls():
+    """Tangent transport on circle-linear and classification on
+    t2-pair-theta2 step on the fused joint fields: their X, DX and eta_X
+    are not called, and the results equal those of the composed fields."""
+    calls = []
+
+    def counted(f):
+        def wrapper(x):
+            calls.append(f)
+            return f(x)
+        return wrapper
+
+    def counting(m):
+        return dataclasses.replace(m, **{
+            name: counted(getattr(m, name)) for name in ("X", "DX", "eta_X")
+            if getattr(m, name) is not None})
+
+    rng = np.random.default_rng(8)
+    m = instantiate_model("circle-linear", alpha=1.0)
+    states, vectors = sample_states(m, 16, rng, 1.0), rng.standard_normal((16, 2))
+    fused = transport_tangents(counting(m), states, vectors, 0.05)
+    assert not calls
+    composed = transport_tangents(
+        dataclasses.replace(m, X_DXv=None), states, vectors, 0.05)
+    assert all(a.tobytes() == b.tobytes() for a, b in zip(fused, composed))
+    m = instantiate_model("t2-pair-theta2")
+    starts = rng.uniform(0.0, 1.0, (16, 2))
+    fused = classify_ensemble(counting(m), starts, 0.5)
+    assert not calls
+    assert fused == classify_ensemble(dataclasses.replace(m, X_etaX=None), starts, 0.5)
 
 
 # ---------------------------------------------------------------------------

@@ -258,6 +258,42 @@ def test_joint_rhs_out_matches_the_allocating_call(name, racc, k):
         assert rhs(row[None]).tobytes() == expected[None].tobytes()
 
 
+FUSED_CASES = [("circle-linear", 1, False), ("t2-pair-theta1", 0, True),
+               ("t2-pair-theta2", 0, True)]
+
+
+@pytest.mark.parametrize("name,k,racc", FUSED_CASES)
+@pytest.mark.parametrize("reversed_view", [False, True])
+@pytest.mark.parametrize("n_rows", [1, 7, 2049])
+def test_fused_joint_field_matches_the_composed_one(name, k, racc, reversed_view, n_rows):
+    """The fused evaluator gives the composed joint field bit for bit,
+    signed zeros included: tangent entries of +-0.0 and negative ones,
+    states on the zeros of sin and cos, on the model and on its view."""
+    m = instantiate_model(name)
+    if reversed_view:
+        m = flows.time_reversed_view(m)
+    composed = dataclasses.replace(m, X_DXv=None, X_etaX=None)
+    assert (m.X_DXv if k else m.X_etaX) is not None
+    fused, reference = flows._joint_rhs(m, k, racc), flows._joint_rhs(composed, k, racc)
+    n = m.dim
+    rng = np.random.default_rng([n_rows, 3])
+    y = rng.standard_normal((n_rows, n + n * k + racc))
+    y[:, :n] = sample_states(m, n_rows, rng, 1.0)
+    y[::4, :n] = (0.0, -0.0)  # sin and cos zeros, signed zero states
+    y[1::4, :n] = (0.25, 0.75)
+    if k:
+        y[::3, n] = -0.0
+        y[1::3, n] = 0.0
+        y[::2, n + 1] = -0.0
+        y[2::5, n + 1] = 0.0
+    expected = reference(y)
+    assert fused(y).tobytes() == expected.tobytes()
+    out = np.full_like(y, np.nan)
+    assert fused(y, out) is out and out.tobytes() == expected.tobytes()
+    for row, exp in zip(y[:9], expected):  # a single state gives its batch row
+        assert fused(row).tobytes() == exp.tobytes()
+
+
 def test_iterate_map_shear():
     m = instantiate_model("shear-contraction", a=0.5)
     traj = iterate_map(m, np.array([0.0, 1.0]), 3)
@@ -410,7 +446,7 @@ def test_poincare_return_stops_at_its_kth_crossing():
         reached.append(float(np.max(np.asarray(x)[..., 0])))
         return m.X(x)
 
-    counting = dataclasses.replace(m, X=counted)
+    counting = dataclasses.replace(m, X=counted, X_etaX=None)
     sec = SectionSpec(axis=0, offset=0.0, direction=1)
     x0 = np.array([0.05, 0.02])
     one = poincare_return(counting, sec, x0, 1)

@@ -4,8 +4,10 @@ Prints one line per result: a digest, then its name.  A check of
 `verify_suite("all", seed)` is digested from its verdict, residual, tolerance
 and details, without `elapsed_s` (a wall-clock figure).  Ensemble results are
 the outputs of `flow_ensemble`, `transport_tangents` and `classify_ensemble`
-on seeded inputs at several batch sizes.  The last line digests all lines
-above it.  Floats are hashed by their bits (`float.hex`), arrays by dtype,
+on seeded inputs at several batch sizes, and the runs on the models' fused
+joint fields: circle-linear's tangent transport at the loop-cohomology size,
+forward and on its time-reversed view, and t2-pair-theta1's `flow_ensemble`
+with the Lee channel.  The last line digests all lines above it.  Floats are hashed by their bits (`float.hex`), arrays by dtype,
 shape and bytes, so -0.0 and 0.0 differ.
 
     PYTHONPATH=src python3 tools/result_digest.py --seeds 1 7
@@ -29,7 +31,7 @@ import numpy as np
 from csdyn import models
 from csdyn.certificates import verify_suite
 from csdyn.diagnostics import classify_ensemble
-from csdyn.flows import flow_ensemble, transport_tangents
+from csdyn.flows import flow_ensemble, time_reversed_view, transport_tangents
 
 TWO_PI = 2.0 * math.pi
 
@@ -114,11 +116,26 @@ def ensemble_digests(seed):
                  for c in res])
 
 
+def fused_digests(seed):
+    """Runs on the fused joint fields (t2-pair-theta2's Lee channel is in
+    ensemble_digests already)."""
+    rng = np.random.default_rng([seed, 13])
+    m = models.instantiate_model("circle-linear", alpha=1.0)
+    states, vectors = models.sample_states(m, 2049, rng, 1.0), rng.standard_normal((2049, 2))
+    for label, model in (("forward", m), ("reversed", time_reversed_view(m))):
+        out = transport_tangents(model, states, vectors, 1.0, h=1e-3)
+        yield f"transport_tangents.seed{seed}.circle-linear.{label}.n2049", digest(list(out))
+    m = models.instantiate_model("t2-pair-theta1")
+    for n, t, _ in ENSEMBLE_SIZES:
+        out = flow_ensemble(m, models.sample_states(m, n, rng, 1.0), t, 0.01, racc=True)
+        yield f"flow_ensemble.seed{seed}.t2-pair-theta1.n{n}", digest(list(out))
+
+
 def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.split("\n", 1)[0])
     ap.add_argument("--seeds", type=int, nargs="+", default=[7])
     ap.add_argument("--skip-verify", action="store_true",
-                    help="digest the ensemble outputs only")
+                    help="digest the ensemble and fused-field outputs only")
     ap.add_argument("--residuals", action="store_true",
                     help="print each check's verdict, residual and tolerance instead")
     args = ap.parse_args(argv)
@@ -130,7 +147,7 @@ def main(argv=None):
         return
     total = hashlib.sha256()
     for seed in args.seeds:
-        parts = [ensemble_digests(seed)]
+        parts = [ensemble_digests(seed), fused_digests(seed)]
         if not args.skip_verify:
             parts.insert(0, check_digests(seed))
         for part in parts:
