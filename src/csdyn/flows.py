@@ -393,7 +393,8 @@ def _dp_engine(rhs, t0, t1, Y, cfg, line_cols, name, ends_only=False, node_check
     DOP853's 5th/3rd-order estimate, and the step size follows it with the
     exponent 1/8 of that order, clamped to [0.2, 5] per step; the first step
     comes from the field at the start and at one probe point (Hairer,
-    Norsett & Wanner, Solving ODEs I, II.4 and II.5).  A step's size is
+    Norsett & Wanner, Solving ODEs I, II.4 and II.5), and is at least
+    1e-12 max(1, |t0|), so it advances t from any start.  A step's size is
     taken as t_new - t, so a path's nodes fix every stage of its steps and
     the dense output's extra stages can be made later, only for the
     segments that are read (`_dense`).  Stage sums are fixed-order and
@@ -438,7 +439,8 @@ def _dp_engine(rhs, t0, t1, Y, cfg, line_cols, name, ends_only=False, node_check
         d2 = np.fmax(d1, np.sqrt(np.mean(((K[1] - K[0]) / scale) ** 2, axis=1)) / h)
         h = np.minimum(100.0 * h, np.where(
             d2 <= 1e-15, np.maximum(1e-6, 1e-3 * h), (0.01 / d2) ** (1.0 / 8.0)))
-        h = np.maximum(np.minimum(h, min(0.1 * (t1 - t0), cfg.max_step)), 1e-12)
+        h = np.maximum(np.minimum(h, min(0.1 * (t1 - t0), cfg.max_step)),
+                       1e-12 * max(1.0, abs(t0)))
         fails = np.zeros(N, dtype=np.int64)
         n_acc = np.zeros(N, dtype=np.int64)
         n_rej = np.zeros(N, dtype=np.int64)

@@ -221,11 +221,24 @@ def test_stalled_row_is_named():
 
 
 def test_stalled_row_is_named_away_from_zero():
-    """The same stall from t = 3 under X = 10 x: the smallest step there
-    is 1e-14 |t|."""
+    """The same stall from t = 3 under X = 10 x: the first step there is
+    1e-12 |t0| and the smallest step 1e-14 |t|."""
     err = _stalls(10.0, (3.0, 4.0))
-    assert err.t == 3.00000000000001
-    assert np.array_equal(err.state, [1.0000000000001021, 1.0000000000001021])
+    assert err.t == 3.0000000000000298
+    assert np.array_equal(err.state, [1.0000000000002975, 1.0000000000002975])
+
+
+@pytest.mark.parametrize("span", [(1e11, 2e11), (-2e11, -1e11), (1e15, 2e15)])
+def test_first_step_floor_scales_with_the_start_time(span):
+    """A row at rest gets the initial step's floor, which advances t from a
+    start time far from 0 only when it scales with |t0|: 1e-12 alone
+    raised "accepted a step too small to advance t" from t0 = 1e11."""
+    m = instantiate_model("circle-linear", alpha=1.0)
+    still = dataclasses.replace(
+        m, X=lambda x: 1e-31 * np.asarray(x, dtype=float), DX=None, X_DXv=None)
+    traj = integrate_flow(still, np.array([0.0, 0.0]), span, samples=2)
+    assert traj.status == COMPLETED and traj.times[-1] == span[1]
+    assert traj.stats.h_min >= 1e-12 * abs(span[0])
 
 
 def test_a_start_frame_without_orientation_is_refused():
