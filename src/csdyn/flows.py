@@ -641,7 +641,7 @@ def _joint_rhs(m, k, racc):
     (X_DXv, X_etaX) when it has one, which equals this composed one bit for
     bit.
     """
-    fused = m.X_DXv if (k, racc) == (1, False) else m.X_etaX if (k, racc) == (0, True) else None
+    fused = {(1, False): m.X_DXv, (0, True): m.X_etaX}.get((k, racc))
     if fused is not None:
         def rhs(y, out=None):
             return fused(y, np.empty(y.shape) if out is None else out)

@@ -311,7 +311,8 @@ def _build_circle_linear(params):
         return out
 
     def X_DXv(y, out):
-        # one sin/cos pair; DX's structural zero DX[0, 1] v1 is summed too
+        # one sin/cos pair; each tangent sum starts from +0.0, as np.einsum's
+        # does, and keeps DX's structural zero DX[0, 1] v1
         w, r, v0, v1 = TWO_PI * y[..., 0], y[..., 1], y[..., 2], y[..., 3]
         s, c = np.sin(w), np.cos(w)
         g = -(alpha + TWO_PI * c)

@@ -7,8 +7,9 @@ the outputs of `flow_ensemble`, `transport_tangents` and `classify_ensemble`
 on seeded inputs at several batch sizes, and the runs on the models' fused
 joint fields: circle-linear's tangent transport at the loop-cohomology size,
 forward and on its time-reversed view, and t2-pair-theta1's `flow_ensemble`
-with the Lee channel.  The last line digests all lines above it.  Floats are hashed by their bits (`float.hex`), arrays by dtype,
-shape and bytes, so -0.0 and 0.0 differ.
+with the Lee channel.  The last line digests all lines above it.  Floats
+are hashed by their bits (`float.hex`), arrays by dtype, shape and bytes,
+so -0.0 and 0.0 differ.
 
     PYTHONPATH=src python3 tools/result_digest.py --seeds 1 7
     PYTHONPATH=src python3 tools/result_digest.py --seeds 7 --skip-verify
