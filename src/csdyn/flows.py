@@ -46,10 +46,15 @@ REFERENCE = "reference"
 SPLITTING = "splitting"
 RK4 = "rk4"
 
-# implicit midpoint: a row's sweeps stop once its update is <= MIDPOINT_TOL*(1+max|x|)
+# implicit midpoint: a row's sweeps, then its Newton steps if the sweeps do not
+# converge, stop once its update is <= MIDPOINT_TOL*(1+max|x|)
 MIDPOINT_TOL = 1e-14
 MIDPOINT_MAX_SWEEPS = 50
-_MIDPOINT_FAILED = f"implicit midpoint did not converge in {MIDPOINT_MAX_SWEEPS} sweeps"
+MIDPOINT_MAX_NEWTON = 20
+_MIDPOINT_FAILED = (
+    f"implicit midpoint did not converge in {MIDPOINT_MAX_SWEEPS} sweeps"
+    f" and {MIDPOINT_MAX_NEWTON} Newton steps"
+)
 
 # Hairer's DOP853 8(5,3), as literal data from scipy's
 # integrate/_ivp/dop853_coefficients.py: the nonzero (stage, coefficient)
@@ -639,11 +644,18 @@ def _joint_rhs(m, k, racc):
     when None; out must not overlap y.  One tangent without the Lee channel
     and the Lee channel without tangents use the model's fused field
     (X_DXv, X_etaX) when it has one, which equals this composed one bit for
-    bit.
+    bit.  X_DXv may leave out the products of DX's structural zeros, which
+    are signed zeros that cannot change a sum from +0.0 only while they are
+    finite (0 * inf is nan), so a tangent block with a non-finite entry
+    takes the composed field.
     """
     fused = {(1, False): m.X_DXv, (0, True): m.X_etaX}.get((k, racc))
     if fused is not None:
+        composed = _joint_rhs(replace(m, X_DXv=None), k, racc) if k else None
+
         def rhs(y, out=None):
+            if k and not math.isfinite(y.sum()):
+                return composed(y, out)
             return fused(y, np.empty(y.shape) if out is None else out)
 
         return rhs
@@ -873,9 +885,32 @@ def _verlet_step(m, x, h):
     return np.concatenate([q_new, p_new], axis=1), kicks[0] @ drift @ kicks[1]
 
 
+def _midpoint_newton(m, x, h):
+    """Newton on z - x - h X_sym((x + z)/2) = 0 from z = x, for one state x,
+    with the Jacobian I - (h/2) DX_sym; None if it does not converge."""
+    eye = np.eye(len(x))
+    tol = MIDPOINT_TOL * (1.0 + np.max(np.abs(x)))
+    z = x
+    for _ in range(MIDPOINT_MAX_NEWTON):
+        mid = 0.5 * (x + z)
+        residual = z - x - h * np.asarray(m.X_sym(mid), dtype=float)
+        try:
+            step = np.linalg.solve(eye - 0.5 * h * np.asarray(m.DX_sym(mid)), residual)
+        except np.linalg.LinAlgError:
+            return None
+        z = z - step
+        if np.max(np.abs(step)) <= tol:
+            return z
+    return None
+
+
 def _midpoint_step(m, x, h, starts):
-    """Implicit midpoint on the rows of x (N, n), sweeping only unconverged rows;
-    a failure reports the row's state in starts, the Strang step's input."""
+    """Implicit midpoint on the rows of x (N, n), sweeping only unconverged rows.
+
+    Fixed-point sweeps stop converging once h times the Lipschitz constant of
+    X_sym nears 2; a row they leave unconverged is solved again by Newton.  A
+    failure reports the row's state in starts, the Strang step's input.
+    """
     z = x.copy()
     act = np.arange(len(x))
     for _ in range(MIDPOINT_MAX_SWEEPS):
@@ -888,11 +923,13 @@ def _midpoint_step(m, x, h, starts):
         act = act[~done]
         if not len(act):
             break
-    else:
-        b = int(act[0])
-        raise _row_failure(
-            ConvergenceError, _MIDPOINT_FAILED, m.name, b, None, starts[b].copy()
-        )
+    for b in act.tolist():
+        zb = _midpoint_newton(m, x[b], h)
+        if zb is None:
+            raise _row_failure(
+                ConvergenceError, _MIDPOINT_FAILED, m.name, b, None, starts[b].copy()
+            )
+        z[b] = zb
     A = m.DX_sym(0.5 * (x + z))
     eye = np.eye(x.shape[-1])
     return z, np.linalg.solve(eye - 0.5 * h * A, eye + 0.5 * h * A)

@@ -51,7 +51,7 @@ class CoordinateSpec:
         return self._wrap_angles(np.array(x, dtype=float), 0.0)
 
     def delta(self, x, y):
-        """Minimal displacement y - x, angle components wrapped into (-0.5, 0.5]."""
+        """Minimal displacement y - x, angle components wrapped into [-0.5, 0.5)."""
         d = np.subtract(np.asarray(y, dtype=float), np.asarray(x, dtype=float))
         return self._wrap_angles(d, 0.5)
 
@@ -64,6 +64,8 @@ class CoordinateSpec:
         np.mod(v, 1.0, out=v)
         if shift:
             np.subtract(v, shift, out=v)
+        else:  # mod rounds an angle in [-2**-54, 0) up to 1.0, which is 0.0
+            np.copyto(v, 0.0, where=v == 1.0)
         if not isinstance(a, slice):
             d[..., a] = v
         return d

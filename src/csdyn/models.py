@@ -63,7 +63,8 @@ class ModelSpec:
     of shared intermediates: X_DXv the rows [X(x) | DX(x) v] of y = [x | v],
     X_etaX the rows [X(x) | eta(X(x))] of y = [x | r].  Each must equal the
     composed evaluators bit for bit, tangent sums included (they start from
-    +0.0, as np.einsum's do).
+    +0.0, as np.einsum's do); X_DXv on finite blocks, as it may leave out
+    the products of DX's structural zeros.
     """
 
     name: str
@@ -198,6 +199,15 @@ def _tautological_lambda(d):
     return lam
 
 
+def _columns(x, out):
+    """x.T and out.T, whose rows are the columns of an (..., dim) block: for
+    one state, also a (1, dim) block, numpy scalars, whose arithmetic costs a
+    fraction of a ufunc call on a one-element row."""
+    if x.shape[:-1] == (1,):
+        x, out = x[0], out[0]
+    return x.T, out.T
+
+
 def _get_params(defaults, params, name):
     merged = dict(defaults)
     for key, val in params.items():
@@ -312,13 +322,13 @@ def _build_circle_linear(params):
 
     def X_DXv(y, out):
         # one sin/cos pair; each tangent sum starts from +0.0, as np.einsum's
-        # does, and keeps DX's structural zero DX[0, 1] v1
+        # does, so DX's structural zero DX[0, 1] v1 is left out (finite y)
         w, r, v0, v1 = TWO_PI * y[..., 0], y[..., 1], y[..., 2], y[..., 3]
         s, c = np.sin(w), np.cos(w)
         g = -(alpha + TWO_PI * c)
         out[..., 0] = s
         out[..., 1] = g * r
-        out[..., 2] = (TWO_PI * c * v0 + 0.0) + 0.0 * v1
+        out[..., 2] = TWO_PI * c * v0 + 0.0
         out[..., 3] = (TWO_PI * TWO_PI * s * r * v0 + 0.0) + g * v1
         return out
 
@@ -461,13 +471,52 @@ def _build_mane(params):
     def DYt_p(q, pv):
         return np.einsum("...j,...ji->...i", pv, DY(q))
 
+    # The field sums Y and DY^T p as np.einsum does: from +0.0, in index
+    # order.  On a finite block a product with an exactly-zero coefficient
+    # is then a signed zero that cannot change a sum, so it is left out; a
+    # block with a non-finite entry keeps every product, since 0 * inf is nan.
+    def _terms(keep):
+        """Per output column i: Y_i's (j, y_sin[i, j]) and (j, y_cos[i, j])
+        terms, and (DY^T p)_i's (j, y_sin[j, i], y_cos[j, i]) terms with None
+        for a coefficient left out."""
+        kept = lambda c: float(c) if keep(c) else None
+        return [(
+            [(j, float(y_sin[i, j])) for j in range(d) if keep(y_sin[i, j])],
+            [(j, float(y_cos[i, j])) for j in range(d) if keep(y_cos[i, j])],
+            [(j, kept(y_sin[j, i]), kept(y_cos[j, i])) for j in range(d)
+             if keep(y_sin[j, i]) or keep(y_cos[j, i])],
+        ) for i in range(d)]
+
+    lean, full = _terms(lambda c: c != 0.0), _terms(lambda c: True)
+    trig = any(t for col in lean for t in col)
+
+    def _dy(i, ks, kc, s, c):
+        # DY[j, i] = 2 pi (y_sin[j, i] c_i - y_cos[j, i] s_i); with one coefficient
+        # left out the difference is the other product up to the sign of a zero
+        if ks is not None and kc is not None:
+            return TWO_PI * (ks * c[i] - kc * s[i])
+        if ks is not None:
+            return TWO_PI * (ks * c[i])
+        return TWO_PI * (-kc * s[i])
+
     def _field(x, a):
-        """(p + Y(q), -DY(q)^T p - a p), written into one output."""
+        """(p + Y(q), -DY(q)^T p - a p) column by column, from one sin and one
+        cos pass of 2 pi q."""
         x = np.asarray(x, dtype=float)
-        q, pv = x[..., :d], x[..., d:]
         out = np.empty(x.shape)
-        out[..., :d] = pv + Y(q)
-        out[..., d:] = -DYt_p(q, pv) - a * pv if a else -DYt_p(q, pv)
+        xt, ot = _columns(x, out)
+        finite = math.isfinite(x.sum())
+        s = c = None
+        if trig or not finite:
+            w = np.multiply(TWO_PI, xt[:d], order="C")  # contiguous rows
+            s, c = np.sin(w), np.cos(w)
+        pv = xt[d:]
+        for i, (sin_terms, cos_terms, dy_terms) in enumerate(lean if finite else full):
+            y_i = (y0[i] + sum((k * s[j] for j, k in sin_terms), 0.0)
+                   + sum((k * c[j] for j, k in cos_terms), 0.0))
+            ot[i] = pv[i] + y_i
+            e = sum((pv[j] * _dy(i, ks, kc, s, c) for j, ks, kc in dy_terms), 0.0)
+            ot[d + i] = -e - a * pv[i] if a else -e
         return out
 
     def X(x):
@@ -619,6 +668,40 @@ def _build_damped_mechanical(params):
         out[..., d:, d:] = -a * eye
         return out
 
+    n, nvc, nvs = 2 * d, -vc, -vs
+
+    def X_DXv(y, out):
+        # X as _field, and DX v = [v_p | -hess V(q) v_q - alpha v_p], from the
+        # gradient's and the Hessian's shared sin/cos pass, column by column.
+        # np.einsum sums each row of DX v from +0.0, so the products of DX's
+        # structural zeros, signed zeros on a finite block, are left out and
+        # each sum ends with + 0.0
+        yt, ot = _columns(y, out)
+        q, pv, vq, vp = yt[:d], yt[d:n], yt[n : n + d], yt[n + d :]
+        s = c = None
+        if cos_on or sin_on:
+            w = np.multiply(TWO_PI, q, order="C")
+            s, c = np.sin(w), np.cos(w)
+        if vx:
+            u = TWO_PI * (q[0] - q[1])
+            cross, cc = -vx * TWO_PI * np.sin(u), -vx * (TWO_PI**2) * np.cos(u)
+        for i in range(d):
+            g = TWO_PI * _harmonics(q[i], lambda _: nvc[i] * s[i], lambda _: vs[i] * c[i])
+            hv = (TWO_PI**2) * _harmonics(
+                q[i], lambda _: nvc[i] * c[i], lambda _: nvs[i] * s[i]
+            )
+            if vx:
+                g = g + cross if i == 0 else g - cross
+                hv = hv + cc
+            ot[i] = pv[i]
+            ot[d + i] = -g - alpha * pv[i]
+            ot[n + i] = vp[i] + 0.0
+            t = -hv * vq[i] + -alpha * vp[i]
+            if vx:  # the Hessian's off-diagonal -cc enters DX as -(0.0 - cc) = cc
+                t = t + cc * vq[1 - i]
+            ot[n + d + i] = t + 0.0
+        return out
+
     def H(x):
         x = np.asarray(x, dtype=float)
         q, pv = x[..., :d], x[..., d:]
@@ -651,6 +734,7 @@ def _build_damped_mechanical(params):
         alpha=alpha,
         X=X,
         DX=lambda x: _dx(x, alpha),
+        X_DXv=X_DXv,
         X_sym=X_sym,
         DX_sym=lambda x: _dx(x, 0.0),
         H=H,

@@ -170,9 +170,10 @@ def test_transport_tangents_matches_variational(name):
 
 
 def test_fused_fields_replace_the_separate_field_calls():
-    """Tangent transport on circle-linear and classification on
-    t2-pair-theta2 step on the fused joint fields: their X, DX and eta_X
-    are not called, and the results equal those of the composed fields."""
+    """Tangent transport on circle-linear and damped-mechanical (d = 1 and
+    2) and classification on t2-pair-theta2 step on the fused joint fields:
+    their X, DX and eta_X are not called, and the results equal those of
+    the composed fields."""
     calls = []
 
     def counted(f):
@@ -187,18 +188,45 @@ def test_fused_fields_replace_the_separate_field_calls():
             if getattr(m, name) is not None})
 
     rng = np.random.default_rng(8)
-    m = instantiate_model("circle-linear", alpha=1.0)
-    states, vectors = sample_states(m, 16, rng, 1.0), rng.standard_normal((16, 2))
-    fused = transport_tangents(counting(m), states, vectors, 0.05)
-    assert not calls
-    composed = transport_tangents(
-        dataclasses.replace(m, X_DXv=None), states, vectors, 0.05)
-    assert all(a.tobytes() == b.tobytes() for a, b in zip(fused, composed))
+    for m in (instantiate_model("circle-linear", alpha=1.0),
+              instantiate_model("damped-mechanical", d=1),
+              instantiate_model("damped-mechanical", d=2, v_cos=(1.0, 1.0), v_cross=0.3)):
+        states = sample_states(m, 16, rng, 1.0)
+        vectors = rng.standard_normal((16, m.dim))
+        fused = transport_tangents(counting(m), states, vectors, 0.05)
+        assert not calls
+        composed = transport_tangents(
+            dataclasses.replace(m, X_DXv=None), states, vectors, 0.05)
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(fused, composed))
     m = instantiate_model("t2-pair-theta2")
     starts = rng.uniform(0.0, 1.0, (16, 2))
     fused = classify_ensemble(counting(m), starts, 0.5)
     assert not calls
     assert fused == classify_ensemble(dataclasses.replace(m, X_etaX=None), starts, 0.5)
+
+
+def test_a_replaced_field_needs_the_fused_field_cleared():
+    """The fused field is derived from X and DX, so a dataclasses.replace of
+    X on damped-mechanical must clear X_DXv as well: tangent transport then
+    steps on the new X, while a stale X_DXv would keep the old field."""
+    m = instantiate_model("damped-mechanical", d=2, v_cos=(1.0, 1.0), v_cross=0.3)
+    rng = np.random.default_rng(12)
+    states, vectors = sample_states(m, 8, rng, 1.0), rng.standard_normal((8, 4))
+    calls = []
+
+    def doubled(x):
+        calls.append(len(x))
+        return 2.0 * m.X(x)
+
+    stale = dataclasses.replace(m, X=doubled)
+    kept = transport_tangents(stale, states, vectors, 0.05)
+    assert not calls
+    assert all(a.tobytes() == b.tobytes()
+               for a, b in zip(kept, transport_tangents(m, states, vectors, 0.05)))
+    cleared = dataclasses.replace(m, X=doubled, X_DXv=None)
+    moved = transport_tangents(cleared, states, vectors, 0.05)
+    assert calls
+    assert not np.array_equal(moved[0], kept[0])
 
 
 # ---------------------------------------------------------------------------

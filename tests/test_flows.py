@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from csdyn.errors import (
     BlowUpError,
@@ -172,6 +173,79 @@ def test_batched_splitting_step_rows_match_single_states(name, h):
         assert J1[0].tobytes() == J[i].tobytes() == J0.tobytes()
 
 
+# rows of circle-quadratic's sample_states(m, 16, default_rng(11), 1.0) on
+# which the midpoint's fixed-point sweeps do not converge, with their h
+SWEEP_FAILURES = ((4, 0.1), (5, 0.05))
+
+
+def _quadratic_rows():
+    m = instantiate_model("circle-quadratic")
+    return m, sample_states(m, 16, np.random.default_rng(11), 1.0)
+
+
+def test_midpoint_rows_the_sweeps_leave_are_solved_by_newton():
+    """The fixed-point sweeps stop converging once h times the Lipschitz
+    constant of X_sym nears 2; Newton on I - (h/2) DX_sym from the step's
+    input then solves the row.  The step stays exactly conformal, solves
+    the midpoint equation, and batch rows equal the rows stepped alone."""
+    m, xs = _quadratic_rows()
+    for row, h in SWEEP_FAILURES:
+        x = xs[row]
+        z, J = conformal_splitting_step(m, x, h)
+        assert pullback_residual(J, m.Omega(x), m.Omega(z), math.exp(-h)) <= 1e-14
+        c = math.exp(-0.5 * h)  # undo the contractions around the midpoint step
+        a, b = x * (1.0, c), z / (1.0, c)
+        assert np.max(np.abs(b - a - h * m.X_sym(0.5 * (a + b)))) <= 1e-13
+        zb, Jb = conformal_splitting_step(m, xs[[0, 1, 2, 3, row, 6, 7]], h)
+        assert zb[4].tobytes() == z.tobytes() and Jb[4].tobytes() == J.tobytes()
+
+
+def test_midpoint_without_a_real_root_is_still_refused():
+    """From (0.948, -1.92) at h = 0.05 the midpoint equation of the Riccati
+    fiber r' = -2 pi r^2 cos(2 pi theta) has no real root (its exact flow
+    blows up within about 0.09): neither sweeps nor Newton converge."""
+    m = instantiate_model("circle-quadratic")
+    with pytest.raises(ConvergenceError, match="row 1: .* sweeps and 20 Newton steps"):
+        conformal_splitting_step(m, np.array([[0.1, 0.1], [0.9483, -1.9203]]), 0.05)
+
+
+# model, and the bound on |p| at step h: the midpoint equation keeps a real
+# root near x within it (circle-quadratic has none once h 2 pi |r| nears
+# 1/2, where its exact flow blows up within the step; Mane's sweeps and
+# Newton fail for some states from h |p| of about 0.8)
+SPLITTING_PROPERTY_MODELS = {
+    "damped-mechanical": (lambda: instantiate_model(
+        "damped-mechanical", alpha=0.5, d=2, v_cos=(1.0, 0.5), v_sin=0.3, v_cross=0.4),
+        lambda h: 2.0),
+    "mane": (lambda: instantiate_model(
+        "mane", alpha=0.5, d=2, y0=0.5, y_sin=-0.5 / TWO_PI, y_cos=0.1),
+        lambda h: min(2.0, 0.5 / h)),
+    "circle-quadratic": (lambda: instantiate_model("circle-quadratic"), lambda h: 0.07 / h),
+}
+
+
+@settings(max_examples=60, deadline=None)
+@given(name=st.sampled_from(sorted(SPLITTING_PROPERTY_MODELS)),
+       h=st.floats(0.01, 0.5), u=st.lists(st.floats(0.0, 1.0), min_size=4, max_size=4))
+@example(name="circle-quadratic", h=0.1, u=[0.0, 0.0, 0.0, 0.0])  # (0, -0.7): Newton
+@example(name="circle-quadratic", h=0.5, u=[0.0, 0.99, 0.5, 0.5])
+@example(name="mane", h=0.5, u=[0.0, 0.0, 0.0, 1.0])
+def test_splitting_step_is_exactly_conformal_at_any_step(name, h, u):
+    """J^T Omega(z) J = exp(-alpha h) Omega(x) to rounding for h <= 0.5, on
+    the Verlet branch (damped-mechanical), the midpoint branch (Mane) and
+    circle-quadratic, whose midpoint needs Newton near the top of its
+    range of momenta."""
+    build, bound = SPLITTING_PROPERTY_MODELS[name]
+    m = build()
+    d = m.d
+    x = np.empty(m.dim)
+    x[:d] = u[:d]
+    x[d:] = bound(h) * (2.0 * np.array(u[d : 2 * d]) - 1.0)
+    z, J = conformal_splitting_step(m, x, h)
+    res = pullback_residual(J, m.Omega(x), m.Omega(z), math.exp(-m.alpha * h))
+    assert res <= 32 * np.finfo(float).eps * max(1.0, np.max(np.abs(J))) ** 2
+
+
 def _stiff_midpoint_model():
     """circle-linear with X_sym a fast rotation: the midpoint sweeps diverge
     from every state but the origin, which is fixed after one sweep."""
@@ -292,6 +366,99 @@ def test_fused_joint_field_matches_the_composed_one(name, k, racc, reversed_view
     assert fused(y, out) is out and out.tobytes() == expected.tobytes()
     for row, exp in zip(y[:9], expected):  # a single state gives its batch row
         assert fused(row).tobytes() == exp.tobytes()
+
+
+DAMPED_CASES = {
+    "d1": {"d": 1},
+    "d1-sin": {"d": 1, "v_cos": 0.5, "v_sin": 0.7},
+    "d1-no-potential": {"d": 1, "v_cos": 0.0},
+    "d2-cross": {"d": 2, "v_cos": (1.0, 1.0), "v_cross": 0.3},
+    "d2-sin-cross": {"d": 2, "v_cos": (1.0, 0.5), "v_sin": 0.3, "v_cross": 0.4},
+    "d2-one-harmonic": {"d": 2, "v_cos": (1.0, 0.0)},
+    "d2-sin-only-cross": {"d": 2, "v_cos": 0.0, "v_sin": (0.0, 0.2), "v_cross": -1.1},
+}
+
+
+def _damped_joint_states(m, n_rows, seed):
+    """[x | v] rows with signed zero angles, momenta and tangents, angles
+    near the zeros of cos, and one row of huge tangents and momenta, on
+    which the joint field overflows (the block's sum stays finite)."""
+    n, d = m.dim, m.d
+    rng = np.random.default_rng([n_rows, seed])
+    y = rng.standard_normal((n_rows, 2 * n))
+    y[:, :n] = sample_states(m, n_rows, rng, 1.0)
+    y[::4, :d] = 0.0
+    y[1::4, :d] = -0.0
+    y[2::4, :d] = 0.25
+    y[::3, d:n] = -0.0
+    y[1::3, d:n] = 0.0
+    y[::3, n:] = -0.0
+    y[1::3, n::2] = 0.0
+    y[2::5, n + 1 :: 2] = -0.0
+    y[3:4, d:] *= 1e306
+    return y
+
+
+@pytest.mark.parametrize("case", sorted(DAMPED_CASES))
+@pytest.mark.parametrize("reversed_view", [False, True])
+@pytest.mark.parametrize("n_rows", [1, 7, 2049, 16384])
+def test_damped_mechanical_fused_tangent_field_matches_the_composed_one(
+        case, reversed_view, n_rows):
+    """X_DXv equals X composed with DX v by np.einsum bit for bit: on a
+    batch, into a given output, on its first row as a (1, 2n) block and
+    as one state, on the model and on its time-reversed view."""
+    m = instantiate_model("damped-mechanical", alpha=0.5, **DAMPED_CASES[case])
+    if reversed_view:
+        m = flows.time_reversed_view(m)
+    assert m.X_DXv is not None
+    fused = flows._joint_rhs(m, 1, False)
+    reference = flows._joint_rhs(dataclasses.replace(m, X_DXv=None), 1, False)
+    y = _damped_joint_states(m, n_rows, 5)
+    with np.errstate(over="ignore", invalid="ignore"):
+        expected = reference(y)
+        assert fused(y).tobytes() == expected.tobytes()
+        out = np.full_like(y, np.nan)
+        assert fused(y, out) is out and out.tobytes() == expected.tobytes()
+        assert fused(y[:1]).tobytes() == expected[:1].tobytes()
+        assert fused(y[0]).tobytes() == expected[0].tobytes()
+
+
+@pytest.mark.parametrize("case", ["d1", "d2-cross"])
+def test_fused_transport_with_overflowing_rows_matches_the_composed_run(case):
+    """A row whose tangent overflows within a step stays alive with non-finite
+    tangents, and a row whose momentum overflows dies: the blocks are then
+    non-finite and step on the composed field, so every output, nan bits
+    included, equals the composed run's, on the model and on its view."""
+    m = instantiate_model("damped-mechanical", alpha=0.5, **DAMPED_CASES[case])
+    rng = np.random.default_rng(9)
+    states = sample_states(m, 9, rng, 1.0)
+    vectors = rng.standard_normal((9, m.dim))
+    vectors[2] = 1e307
+    states[5, m.d :] = 1e308
+    with np.errstate(over="ignore", invalid="ignore"):
+        for model in (m, flows.time_reversed_view(m)):
+            fused = flows.transport_tangents(model, states, vectors, 0.05)
+            composed = flows.transport_tangents(
+                dataclasses.replace(model, X_DXv=None), states, vectors, 0.05)
+            assert fused[2][2] and not np.isfinite(fused[1][2]).all()
+            assert not fused[2][5] and fused[2][0]
+            assert all(a.tobytes() == b.tobytes() for a, b in zip(fused, composed))
+
+
+@pytest.mark.parametrize("name", ["lee-twisted-t1t2", "anosov-cover"])
+def test_flow_exact_matches_the_integrated_flow(name):
+    """The closed-form flows against the adaptive engine, forward and
+    backward, at the sampled times of a batch."""
+    m = instantiate_model(name)
+    xs = sample_states(m, 6, np.random.default_rng(17), 1.0)
+    cfg = IntegratorConfig(rel_tol=1e-11, abs_tol=1e-12)
+    for t in (3.0, -2.0):
+        times = np.linspace(0.0, t, 7)
+        for x, traj in zip(xs, integrate_flow(m, xs, (0.0, t), cfg, times=times)):
+            assert traj.status == COMPLETED and len(traj.times) == 7
+            exact = np.array([m.flow_exact(x, s) for s in traj.times])
+            err = torus_distance(m.spec, traj.states, exact)
+            assert np.all(err <= 1e-10 * (1.0 + np.max(np.abs(exact), axis=-1)))
 
 
 def test_iterate_map_shear():

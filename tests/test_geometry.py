@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from csdyn.errors import DegenerateFormError, DimensionMismatchError, OpenLoopError
 from csdyn.geometry import (
@@ -208,3 +209,59 @@ def test_torus_distance_triangle_inequality():
         assert torus_distance(spec, x, z) <= (
             torus_distance(spec, x, y) + torus_distance(spec, y, z) + 1e-12
         )
+
+
+# ---------------------------------------------------------------------------
+# wrap and delta identities (property tests)
+# ---------------------------------------------------------------------------
+
+# angles as one run (a slice view) and split (a gathered copy)
+WRAP_SPECS = (CoordinateSpec((ANGLE, ANGLE, LINE, LINE)),
+              CoordinateSpec((ANGLE, LINE, LINE, ANGLE)))
+_COORD = st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False)
+_STATE = st.lists(_COORD, min_size=4, max_size=4)
+
+
+def _near_integer(v, scale):
+    """|v - round(v)| within the rounding of numbers of size scale."""
+    return np.all(np.abs(v - np.round(v)) <= 8 * np.finfo(float).eps * (1.0 + scale))
+
+
+@settings(max_examples=300, deadline=None)
+@given(x=_STATE)
+@example(x=[-1e-20, -2.0**-54, 7.0, -0.0])  # mod(-tiny, 1) rounds to 1.0
+@example(x=[-0.0, 0.0, -0.0, -1e-300])
+@example(x=[1.0, -1.0, 0.5, 1e6 + 0.5])
+def test_wrap_identities(x):
+    x = np.array(x)
+    for spec in WRAP_SPECS:
+        a, lines = spec.angle_mask, ~spec.angle_mask
+        w = spec.wrap(x)
+        assert w[lines].tobytes() == x[lines].tobytes()
+        assert np.all((0.0 <= w[a]) & (w[a] < 1.0))
+        assert _near_integer(x[a] - w[a], np.abs(x[a]))
+        assert spec.wrap(w).tobytes() == w.tobytes()
+        batch = spec.wrap(np.stack([x, w, -x]))
+        assert batch[0].tobytes() == w.tobytes()
+        assert batch[1].tobytes() == w.tobytes()
+        assert batch[2].tobytes() == spec.wrap(-x).tobytes()
+
+
+@settings(max_examples=300, deadline=None)
+@given(x=_STATE, y=_STATE)
+@example(x=[0.0, 0.0, 0.0, 0.0], y=[0.5, -0.5, 1.5, 2.5])  # the half-turn is -0.5
+@example(x=[0.25, -1e-20, 1.0, 0.0], y=[0.75, 1e-20, -1.0, -0.0])
+def test_delta_identities(x, y):
+    x, y = np.array(x), np.array(y)
+    for spec in WRAP_SPECS:
+        a, lines = spec.angle_mask, ~spec.angle_mask
+        d = spec.delta(x, y)
+        assert d[lines].tobytes() == (y - x)[lines].tobytes()
+        assert np.all((-0.5 <= d[a]) & (d[a] < 0.5))
+        scale = np.abs(x[a]) + np.abs(y[a])
+        assert _near_integer((y - x)[a] - d[a], scale)
+        assert not spec.delta(x, x).any()
+        back = spec.delta(y, x)[a]
+        half = d[a] == -0.5
+        assert np.all(np.abs(back[~half] + d[a][~half]) <= 8 * np.finfo(float).eps * (1.0 + scale[~half]))
+        assert torus_distance(spec, x, y) == np.sqrt(np.sum(d * d))

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -10,6 +11,7 @@ from csdyn.errors import (
     UnknownModelError,
     UnsupportedContactError,
 )
+from csdyn.flows import flow_ensemble, time_reversed_view
 from csdyn.geometry import (
     fd_exterior_derivative_one_form,
     fd_exterior_derivative_two_form,
@@ -497,3 +499,105 @@ def test_damped_mechanical_evaluators_match_the_full_formula(case):
     # a single state gives the row of the batch
     for f, arg in ((m.V, q), (m.grad_V, q), (m.hess_V, q), (m.X, xs), (m.dH, xs)):
         assert np.array_equal(f(arg[5]), f(arg)[5])
+
+
+# ---------------------------------------------------------------------------
+# the Mane field against its einsum formula
+# ---------------------------------------------------------------------------
+
+MANE_CASES = {
+    # the benchmark's drift: diagonal y_sin, no y_cos
+    "d1-bench": {"d": 1, "y0": 0.5, "y_sin": -0.5 / TWO_PI},
+    "d2-bench": {"d": 2, "y0": 0.5, "y_sin": -0.5 / TWO_PI},
+    "d1-constant-drift": {"d": 1, "y0": -0.0},
+    "d2-constant-drift": {"d": 2},
+    "d1-sin-cos": {"d": 1, "y0": -0.0, "y_sin": 0.3, "y_cos": -1.2},
+    "d2-full": {"d": 2, "y0": (0.2, -0.0), "y_sin": [[0.7, -0.3], [1.1, 0.4]],
+                "y_cos": [[-0.5, 0.9], [0.25, -1.3]]},
+    "d2-cos-only": {"d": 2, "y0": -0.0, "y_cos": [[0.0, 1.5], [0.0, -2.0]]},
+    "d2-mixed-zeros": {"d": 2, "y0": 0.1, "y_sin": [[0.0, 0.6], [0.8, 0.0]],
+                       "y_cos": [[0.3, 0.0], [0.0, 0.0]]},
+    "d2-stiff": {"d": 2, "y_sin": 300.0, "y_cos": [[0.0, 50.0], [0.0, 0.0]]},
+}
+
+
+def _einsum_mane_field(m, x, a):
+    """(p + Y(q), -DY(q)^T p - a p) from the model's Y and DY, summed by
+    np.einsum: the formula the lean field replaced."""
+    x = np.asarray(x, dtype=float)
+    d = m.d
+    q, p = x[..., :d], x[..., d:]
+    out = np.empty(x.shape)
+    out[..., :d] = p + m.Y(q)
+    dyt_p = np.einsum("...j,...ji->...i", p, m.DY(q))
+    out[..., d:] = -dyt_p - a * p if a else -dyt_p
+    return out
+
+
+def _mane_states(m, n_rows, seed):
+    """Random states with signed zero angles and momenta, angles near the
+    zeros of cos, and two rows of huge momenta, on which the field of the
+    stiff case overflows (their sum stays finite)."""
+    d = m.d
+    rng = np.random.default_rng([n_rows, seed])
+    x = sample_states(m, n_rows, rng, 1.0)
+    x[::3, d:] = 0.0
+    x[1::3, d:] = -0.0
+    x[2::5, :d] = -0.0
+    x[3::5, :d] = 0.0
+    x[4::7, :d] = 0.25
+    x[5:6, d:] *= 1e306
+    x[6:7, d] = 1e308
+    return x
+
+
+@pytest.mark.parametrize("case", sorted(MANE_CASES))
+@pytest.mark.parametrize("n_rows", [1, 7, 2049, 16384])
+def test_mane_field_matches_the_einsum_formula(case, n_rows):
+    """X and X_sym, from one sin and one cos pass and without the terms of
+    zero coefficients, equal the einsum formula bit for bit: on a batch, on
+    its first row as a (1, dim) block and as one state, and on the
+    time-reversed view."""
+    m = instantiate_model("mane", alpha=0.5, **MANE_CASES[case])
+    view = time_reversed_view(m)
+    x = _mane_states(m, n_rows, 2)
+    with np.errstate(over="ignore", invalid="ignore"):  # the stiff case overflows
+        for block in (x, x[:1], x[0]):
+            for field, a in ((m.X, m.alpha), (m.X_sym, 0.0)):
+                assert field(block).tobytes() == _einsum_mane_field(m, block, a).tobytes()
+            assert view.X(block).tobytes() == (-_einsum_mane_field(m, block, m.alpha)).tobytes()
+            assert view.X_sym(block).tobytes() == (-_einsum_mane_field(m, block, 0.0)).tobytes()
+
+
+@pytest.mark.parametrize("case", sorted(MANE_CASES))
+@pytest.mark.parametrize("column", ["angle", "momentum"])
+@pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan])
+def test_mane_field_on_a_non_finite_state_keeps_every_term(case, column, value):
+    """A block with a non-finite entry sums every term, zero coefficients
+    included, so 0 * inf and 0 * nan give the einsum formula's nan."""
+    m = instantiate_model("mane", alpha=0.5, **MANE_CASES[case])
+    x = _mane_states(m, 7, 4)
+    x[2, 0 if column == "angle" else m.dim - 1] = value
+    with np.errstate(invalid="ignore", over="ignore"):
+        for block in (x, x[2:3], x[2]):
+            for field, a in ((m.X, m.alpha), (m.X_sym, 0.0)):
+                assert field(block).tobytes() == _einsum_mane_field(m, block, a).tobytes()
+
+
+def test_mane_flow_with_an_overflowing_row_matches_the_einsum_formula():
+    """flow_ensemble on the lean field equals the run on the einsum formula
+    bit for bit, also with rows whose momenta overflow within a step and
+    leave nan states behind, and on the time-reversed view."""
+    m = instantiate_model("mane", alpha=0.5, **MANE_CASES["d2-stiff"])
+    x = _mane_states(m, 33, 6)
+    x[7:10, 2:] = 1e306  # the stage fields overflow, then the stages are non-finite
+    reference = dataclasses.replace(
+        m, X=lambda x: _einsum_mane_field(m, x, m.alpha),
+        X_sym=lambda x: _einsum_mane_field(m, x, 0.0))
+    with np.errstate(invalid="ignore", over="ignore"):
+        for model, ref in ((m, reference), (time_reversed_view(m), time_reversed_view(reference))):
+            lean = flow_ensemble(model, x, 0.05, h=0.01)
+            assert not lean[1][7:10].any() and lean[1][0]
+            assert np.isnan(lean[0][7:10]).any()
+            composed = flow_ensemble(ref, x, 0.05, h=0.01)
+            assert all(a.tobytes() == b.tobytes() for a, b in zip(lean, composed))

@@ -7,7 +7,12 @@ the outputs of `flow_ensemble`, `transport_tangents` and `classify_ensemble`
 on seeded inputs at several batch sizes, and the runs on the models' fused
 joint fields: circle-linear's tangent transport at the loop-cohomology size,
 forward and on its time-reversed view, and t2-pair-theta1's `flow_ensemble`
-with the Lee channel.  The last line digests all lines above it.  Floats
+with the Lee channel.  The lean Mane field and damped-mechanical's fused
+tangent field are digested on inputs that reach each of their branches: Mane
+`flow_ensemble` with a full y_sin and a nonzero y_cos, Mane's midpoint
+splitting step (X_sym), damped-mechanical's tangent transport at d = 1 and
+2, forward and on the time-reversed view, each with rows of zero momentum.
+The last line digests all lines above it.  Floats
 are hashed by their bits (`float.hex`), arrays by dtype, shape and bytes,
 so -0.0 and 0.0 differ.
 
@@ -32,7 +37,12 @@ import numpy as np
 from csdyn import models
 from csdyn.certificates import verify_suite
 from csdyn.diagnostics import classify_ensemble
-from csdyn.flows import flow_ensemble, time_reversed_view, transport_tangents
+from csdyn.flows import (
+    conformal_splitting_step,
+    flow_ensemble,
+    time_reversed_view,
+    transport_tangents,
+)
 
 TWO_PI = 2.0 * math.pi
 
@@ -43,6 +53,9 @@ ENSEMBLE_MODELS = (
     ("t2-pair-theta2", {}, True),
     ("mane", {"alpha": 0.5, "d": 2, "y0": 0.5, "y_sin": -0.5 / TWO_PI}, False),
 )
+# a Mane drift with every y_sin coefficient and two y_cos ones nonzero
+MANE_FULL = {"alpha": 0.5, "d": 2, "y0": 0.3, "y_sin": ((0.4, -0.2), (0.1, 0.3)),
+             "y_cos": ((0.0, 0.25), (-0.15, 0.0))}
 # (N, flow_ensemble horizon at h = 0.01, transport/classify horizon at h = 1e-3)
 ENSEMBLE_SIZES = ((1, 2.0, 0.2), (7, 1.0, 0.5), (32, 2.0, 0.2), (1024, 1.0, 0.05),
                   (16384, 0.1, 0.01))
@@ -132,11 +145,40 @@ def fused_digests(seed):
         yield f"flow_ensemble.seed{seed}.t2-pair-theta1.n{n}", digest(list(out))
 
 
+def _at_rest(m, x):
+    """x with zero momenta, +0.0 and -0.0, on two rows in five."""
+    x[::5, m.d : m.dim] = 0.0
+    x[1::5, m.d : m.dim] = -0.0
+    return x
+
+
+def lean_digests(seed):
+    """Runs on the lean Mane field and damped-mechanical's X_DXv."""
+    rng = np.random.default_rng([seed, 17])
+    m = models.instantiate_model("mane", MANE_FULL)
+    for n, t, _ in ENSEMBLE_SIZES:
+        out = flow_ensemble(m, _at_rest(m, models.sample_states(m, n, rng, 1.0)), t, 0.01)
+        yield f"flow_ensemble.seed{seed}.mane-full.n{n}", digest(list(out))
+    for label, params in (("mane-full", MANE_FULL), ("mane", ENSEMBLE_MODELS[2][1])):
+        m = models.instantiate_model("mane", params)
+        out = conformal_splitting_step(
+            m, _at_rest(m, models.sample_states(m, 1024, rng, 1.0)), 0.05)
+        yield f"conformal_splitting_step.seed{seed}.{label}.n1024", digest(list(out))
+    for params in ({"alpha": 0.5, "d": 1, "v_cos": 1.0, "v_sin": 0.4}, ENSEMBLE_MODELS[0][1]):
+        m = models.instantiate_model("damped-mechanical", params)
+        states = _at_rest(m, models.sample_states(m, 2049, rng, 1.0))
+        vectors = rng.standard_normal((2049, m.dim))
+        for label, model in (("forward", m), ("reversed", time_reversed_view(m))):
+            out = transport_tangents(model, states, vectors, 0.2, h=1e-3)
+            yield (f"transport_tangents.seed{seed}.damped-mechanical-d{m.d}.{label}.n2049",
+                   digest(list(out)))
+
+
 def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.split("\n", 1)[0])
     ap.add_argument("--seeds", type=int, nargs="+", default=[7])
     ap.add_argument("--skip-verify", action="store_true",
-                    help="digest the ensemble and fused-field outputs only")
+                    help="digest the ensemble, fused and lean field outputs only")
     ap.add_argument("--residuals", action="store_true",
                     help="print each check's verdict, residual and tolerance instead")
     args = ap.parse_args(argv)
@@ -148,7 +190,7 @@ def main(argv=None):
         return
     total = hashlib.sha256()
     for seed in args.seeds:
-        parts = [ensemble_digests(seed), fused_digests(seed)]
+        parts = [ensemble_digests(seed), fused_digests(seed), lean_digests(seed)]
         if not args.skip_verify:
             parts.insert(0, check_digests(seed))
         for part in parts:
