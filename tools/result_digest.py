@@ -12,6 +12,10 @@ tangent field are digested on inputs that reach each of their branches: Mane
 `flow_ensemble` with a full y_sin and a nonzero y_cos, Mane's midpoint
 splitting step (X_sym), damped-mechanical's tangent transport at d = 1 and
 2, forward and on the time-reversed view, each with rows of zero momentum.
+The circle models' splitting code (X_sym through the midpoint, DX_sym) is
+digested by circle-linear's and circle-quadratic's splitting steps at
+h = 0.01 and 0.05, again with rows of zero momentum, and a circle-linear
+`method="splitting"` trajectory with tangent frames.
 The last line digests all lines above it.  Floats
 are hashed by their bits (`float.hex`), arrays by dtype, shape and bytes,
 so -0.0 and 0.0 differ.
@@ -38,8 +42,10 @@ from csdyn import models
 from csdyn.certificates import verify_suite
 from csdyn.diagnostics import classify_ensemble
 from csdyn.flows import (
+    IntegratorConfig,
     conformal_splitting_step,
     flow_ensemble,
+    integrate_variational,
     time_reversed_view,
     transport_tangents,
 )
@@ -174,11 +180,30 @@ def lean_digests(seed):
                    digest(list(out)))
 
 
+def splitting_digests(seed):
+    """Splitting steps and a splitting trajectory on the circle models.
+    circle-quadratic's momenta stay in [-0.5, 0.5]: the flow from a large |r|
+    blows up within a step and the midpoint equation has no root."""
+    rng = np.random.default_rng([seed, 19])
+    for name in ("circle-linear", "circle-quadratic"):
+        m = models.instantiate_model(name, alpha=1.0)
+        for h in (0.01, 0.05):
+            states = models.sample_states(m, 1024, rng, 1.0)
+            states[:, 1] = rng.uniform(-0.5, 0.5, 1024)
+            out = conformal_splitting_step(m, _at_rest(m, states), h)
+            yield f"conformal_splitting_step.seed{seed}.{name}.h{h}.n1024", digest(list(out))
+    m = models.instantiate_model("circle-linear", alpha=1.0)
+    cfg = IntegratorConfig(method="splitting", h=0.01)
+    trajs = integrate_variational(m, models.sample_states(m, 8, rng, 1.0), (0.0, 2.0), cfg)
+    yield f"integrate_variational.seed{seed}.circle-linear.splitting.n8", digest(
+        [[tr.times, tr.states, tr.frames, tr.status] for tr in trajs])
+
+
 def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.split("\n", 1)[0])
     ap.add_argument("--seeds", type=int, nargs="+", default=[7])
     ap.add_argument("--skip-verify", action="store_true",
-                    help="digest the ensemble, fused and lean field outputs only")
+                    help="digest the ensemble, fused, lean field and splitting outputs only")
     ap.add_argument("--residuals", action="store_true",
                     help="print each check's verdict, residual and tolerance instead")
     args = ap.parse_args(argv)
@@ -190,7 +215,8 @@ def main(argv=None):
         return
     total = hashlib.sha256()
     for seed in args.seeds:
-        parts = [ensemble_digests(seed), fused_digests(seed), lean_digests(seed)]
+        parts = [ensemble_digests(seed), fused_digests(seed), lean_digests(seed),
+                 splitting_digests(seed)]
         if not args.skip_verify:
             parts.insert(0, check_digests(seed))
         for part in parts:
