@@ -487,10 +487,10 @@ def cert_map_iteration(seed=7):
     worst = 0.0
     ms = instantiate_model("shear-contraction", a=0.5)
     traj = iterate_map(ms, np.array([0.0, 1.0]), 3)
-    worst = max(worst, float(np.max(np.abs(traj.states[-1] - np.array([3.0, 0.125])))))
+    worst = max(worst, float(np.max(np.abs(traj.final_state - np.array([3.0, 0.125])))))
     mr = instantiate_model("radial-contraction", a=0.5)
     back = iterate_map(mr, np.array([0.3, 1.0]), -10)
-    worst = max(worst, float(np.max(np.abs(back.states[-1] - np.array([0.3, 1024.0])))))
+    worst = max(worst, float(np.max(np.abs(back.final_state - np.array([0.3, 1024.0])))))
     mn = instantiate_model("nonexact-linear")
     rng = np.random.default_rng(seed)
     for x in sample_states(mn, 10, rng):

@@ -1132,7 +1132,12 @@ def flow_ensemble(m, states, t, h=0.01, blowup_threshold=1e8, racc=False,
 # ---------------------------------------------------------------------------
 
 def iterate_map(m, x0, n, with_frames=False):
-    """Orbit of a map model; negative n uses the closed-form inverse."""
+    """Orbit of a map model; negative n uses the closed-form inverse.
+
+    Stored like a flow: times 0..n forward, and for n < 0 times n..0
+    ascending with the final iterate first, so final_state and final_frame
+    are f^n(x0) and D(f^n)(x0) either way.
+    """
     if m.kind != MAP:
         raise KindError(f"{m.name} is not a map model")
     if n < 0 and m.f_inv is None:
@@ -1151,10 +1156,11 @@ def iterate_map(m, x0, n, with_frames=False):
             frames.append(J @ frames[-1])
         states.append(m.spec.wrap(x_new))
         x = x_new
+    order = slice(None, None, -1 if n < 0 else 1)
     return Trajectory(
-        times=np.arange(abs(n) + 1, dtype=float),
-        states=np.array(states),
-        frames=None if frames is None else np.array(frames),
+        times=np.arange(min(n, 0), max(n, 0) + 1, dtype=float),
+        states=np.array(states[order]),
+        frames=None if frames is None else np.array(frames[order]),
         backward=n < 0,
     )
 
@@ -1209,8 +1215,6 @@ def time_t_map(m, t, cfg=None):
         lam=m.lam,
         eta=m.eta,
         Omega=m.Omega,
-        exact_symplectic=m.exact_symplectic,
-        conformal_pair=m.conformal_pair,
     )
 
 

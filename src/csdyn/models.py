@@ -56,6 +56,13 @@ class ModelSpec:
     Frozen: derived models such as time-reversed views are built with
     dataclasses.replace, so a model cannot change after a view was taken.
 
+    The flags exact_symplectic, conformal_pair and mechanical are read off
+    the evaluators: lam, eta and grad_V are set.  cotangent_splittable is
+    stored (a splittable flow is X = alpha Z + X_sym on T*T^d, with X/X_sym
+    and DX/DX_sym one field and one Jacobian at alpha and at 0): a
+    time-reversed view keeps the negated X_sym but must not split, since
+    its grad_V is not negated.
+
     X_sym, DX_sym, eta_X and the fused joint fields X_DXv and X_etaX are
     derived from X, DX and eta, so a replace that changes X, DX or eta_X
     must replace or clear them too.  A fused field `f(y, out)` writes a
@@ -95,10 +102,7 @@ class ModelSpec:
     Y: object = None            # Mane drift field on the base, and its Jacobian
     DY: object = None
     flow_exact: object = None   # closed-form flow (x, t) -> state, if any
-    exact_symplectic: bool = False
-    conformal_pair: bool = False
     cotangent_splittable: bool = False
-    mechanical: bool = False
     fiber_convex: bool = False
     h_scales: bool = False      # H o phi_t = c_t H holds along the flow
     equilibria: tuple = ()
@@ -124,6 +128,18 @@ class ModelSpec:
     @property
     def d(self):
         return self.spec.dim // 2
+
+    @property
+    def exact_symplectic(self):
+        return self.lam is not None
+
+    @property
+    def conformal_pair(self):
+        return self.eta is not None
+
+    @property
+    def mechanical(self):
+        return self.grad_V is not None
 
     def jacobian(self, x):
         """Field Jacobian over (..., dim): DX, else central differences of X."""
@@ -221,24 +237,26 @@ def _get_params(defaults, params, name):
 # model builders
 # ---------------------------------------------------------------------------
 
-def _build_radial_contraction(params):
-    p = _get_params({"a": 0.5}, params, "radial-contraction")
+def _contraction_map(name, params, axes, shift):
+    """The exact-symplectic map (x, r) -> (x + shift, a r), a in (0, 1), on the
+    chart of axes, with lambda = r dx and the canonical form."""
+    p = _get_params({"a": 0.5}, params, name)
     a = float(p["a"])
     if not 0.0 < a < 1.0:
-        raise ParamError("radial-contraction requires a in (0, 1)")
-    spec = CoordinateSpec((ANGLE, LINE))
+        raise ParamError(f"{name} requires a in (0, 1)")
+    spec = CoordinateSpec(axes)
     df = np.diag([1.0, a])
 
     def f(x):
         x = np.asarray(x, dtype=float)
-        return spec.wrap(np.stack([x[..., 0], a * x[..., 1]], axis=-1))
+        return spec.wrap(np.stack([x[..., 0] + shift, a * x[..., 1]], axis=-1))
 
     def f_inv(x):
         x = np.asarray(x, dtype=float)
-        return spec.wrap(np.stack([x[..., 0], x[..., 1] / a], axis=-1))
+        return spec.wrap(np.stack([x[..., 0] - shift, x[..., 1] / a], axis=-1))
 
     return ModelSpec(
-        name="radial-contraction",
+        name=name,
         spec=spec,
         kind=MAP,
         params=p,
@@ -248,38 +266,27 @@ def _build_radial_contraction(params):
         f_inv=f_inv,
         lam=_tautological_lambda(1),
         Omega=_const(_canonical_omega(1)),
-        exact_symplectic=True,
     )
 
 
-def _build_shear_contraction(params):
-    p = _get_params({"a": 0.5}, params, "shear-contraction")
-    a = float(p["a"])
-    if not 0.0 < a < 1.0:
-        raise ParamError("shear-contraction requires a in (0, 1)")
-    spec = CoordinateSpec((LINE, LINE))
-    df = np.diag([1.0, a])
-
-    def f(x):
-        x = np.asarray(x, dtype=float)
-        return np.stack([x[..., 0] + 1.0, a * x[..., 1]], axis=-1)
-
-    def f_inv(x):
-        x = np.asarray(x, dtype=float)
-        return np.stack([x[..., 0] - 1.0, x[..., 1] / a], axis=-1)
-
+def _cotangent_flow(name, params, d, alpha, field, jac, **kwargs):
+    """A splittable flow X = alpha Z + X_H on T*T^d, Z = -p d/dp the Liouville
+    field: X and X_sym are field(x, a), DX and DX_sym are jac(x, a), at
+    a = alpha and at a = 0; lambda = p dq and Omega is canonical."""
     return ModelSpec(
-        name="shear-contraction",
-        spec=spec,
-        kind=MAP,
-        params=p,
-        ratio_a=a,
-        f=f,
-        Df=lambda x: df,
-        f_inv=f_inv,
-        lam=_tautological_lambda(1),
-        Omega=_const(_canonical_omega(1)),
-        exact_symplectic=True,
+        name=name,
+        spec=CoordinateSpec((ANGLE,) * d + (LINE,) * d),
+        kind=FLOW,
+        params=params,
+        alpha=alpha,
+        X=lambda x: field(x, alpha),
+        DX=lambda x: jac(x, alpha),
+        X_sym=lambda x: field(x, 0.0),
+        DX_sym=lambda x: jac(x, 0.0),
+        lam=_tautological_lambda(d),
+        Omega=_const(_canonical_omega(d)),
+        cotangent_splittable=True,
+        **kwargs,
     )
 
 
@@ -292,22 +299,16 @@ def _build_circle_linear(params):
     if not alpha < TWO_PI:
         # formula stays valid, but the saddle structure changes
         warnings = (f"alpha={alpha} outside (0, 2*pi); saddle structure not guaranteed",)
-    spec = CoordinateSpec((ANGLE, LINE))
 
-    def X(x):
+    def _field(x, a):
         x = np.asarray(x, dtype=float)
         w, r = TWO_PI * x[..., 0], x[..., 1]
         out = np.empty(x.shape)
         out[..., 0] = np.sin(w)
-        out[..., 1] = -(alpha + TWO_PI * np.cos(w)) * r
-        return out
-
-    def X_sym(x):
-        x = np.asarray(x, dtype=float)
-        w, r = TWO_PI * x[..., 0], x[..., 1]
-        out = np.empty(x.shape)
-        out[..., 0] = np.sin(w)
-        out[..., 1] = -TWO_PI * np.cos(w) * r
+        c = np.cos(w)
+        # at a = 0 the Hamiltonian part's own product order: dropping a zero
+        # a from the first form could still flip the sign of a nan
+        out[..., 1] = -(a + TWO_PI * c) * r if a else -TWO_PI * c * r
         return out
 
     def _dx(x, a):
@@ -344,23 +345,8 @@ def _build_circle_linear(params):
         out[..., 1] = np.sin(w)
         return out
 
-    return ModelSpec(
-        name="circle-linear",
-        spec=spec,
-        kind=FLOW,
-        params=p,
-        alpha=alpha,
-        X=X,
-        DX=lambda x: _dx(x, alpha),
-        X_DXv=X_DXv,
-        X_sym=X_sym,
-        DX_sym=lambda x: _dx(x, 0.0),
-        H=H,
-        dH=dH,
-        lam=_tautological_lambda(1),
-        Omega=_const(_canonical_omega(1)),
-        exact_symplectic=True,
-        cotangent_splittable=True,
+    return _cotangent_flow(
+        "circle-linear", p, 1, alpha, _field, _dx, X_DXv=X_DXv, H=H, dH=dH,
         h_scales=True,  # H is fiberwise linear, so H o phi_t = exp(-alpha t) H
         equilibria=(np.array([0.0, 0.0]), np.array([0.5, 0.0])),
         warnings=warnings,
@@ -372,22 +358,14 @@ def _build_circle_quadratic(params):
     alpha = float(p["alpha"])
     if alpha <= 0:
         raise ParamError("circle-quadratic requires alpha > 0")
-    spec = CoordinateSpec((ANGLE, LINE))
 
-    def X(x):
+    def _field(x, a):
         x = np.asarray(x, dtype=float)
         w, r = TWO_PI * x[..., 0], x[..., 1]
         out = np.empty(x.shape)
         out[..., 0] = 2.0 * r * np.sin(w)
-        out[..., 1] = -alpha * r - TWO_PI * r * r * np.cos(w)
-        return out
-
-    def X_sym(x):
-        x = np.asarray(x, dtype=float)
-        w, r = TWO_PI * x[..., 0], x[..., 1]
-        out = np.empty(x.shape)
-        out[..., 0] = 2.0 * r * np.sin(w)
-        out[..., 1] = -TWO_PI * r * r * np.cos(w)
+        c = np.cos(w)  # at a = 0 the Hamiltonian part's own product order
+        out[..., 1] = -a * r - TWO_PI * r * r * c if a else -TWO_PI * r * r * c
         return out
 
     def _dx(x, a):
@@ -413,23 +391,7 @@ def _build_circle_quadratic(params):
         out[..., 1] = 2.0 * r * np.sin(w)
         return out
 
-    return ModelSpec(
-        name="circle-quadratic",
-        spec=spec,
-        kind=FLOW,
-        params=p,
-        alpha=alpha,
-        X=X,
-        DX=lambda x: _dx(x, alpha),
-        X_sym=X_sym,
-        DX_sym=lambda x: _dx(x, 0.0),
-        H=H,
-        dH=dH,
-        lam=_tautological_lambda(1),
-        Omega=_const(_canonical_omega(1)),
-        exact_symplectic=True,
-        cotangent_splittable=True,
-    )
+    return _cotangent_flow("circle-quadratic", p, 1, alpha, _field, _dx, H=H, dH=dH)
 
 
 def _as_matrix(val, d):
@@ -455,7 +417,6 @@ def _build_mane(params):
     y0 = np.broadcast_to(np.asarray(p["y0"], dtype=float), (d,)).copy()
     y_sin = _as_matrix(p["y_sin"], d)
     y_cos = _as_matrix(p["y_cos"], d)
-    spec = CoordinateSpec((ANGLE,) * d + (LINE,) * d)
 
     def Y(q):
         s, c = np.sin(TWO_PI * q), np.cos(TWO_PI * q)
@@ -519,12 +480,6 @@ def _build_mane(params):
             ot[d + i] = -e - a * pv[i] if a else -e
         return out
 
-    def X(x):
-        return _field(x, alpha)
-
-    def X_sym(x):
-        return _field(x, 0.0)
-
     eye, diag = np.eye(d), (np.arange(d, 2 * d), np.arange(d))
 
     def _dx(x, a):
@@ -551,25 +506,8 @@ def _build_mane(params):
         q, pv = x[..., :d], x[..., d:]
         return np.concatenate([DYt_p(q, pv), pv + Y(q)], axis=-1)
 
-    return ModelSpec(
-        name="mane",
-        spec=spec,
-        kind=FLOW,
-        params=p,
-        alpha=alpha,
-        X=X,
-        DX=lambda x: _dx(x, alpha),
-        X_sym=X_sym,
-        DX_sym=lambda x: _dx(x, 0.0),
-        H=H,
-        dH=dH,
-        lam=_tautological_lambda(d),
-        Omega=_const(_canonical_omega(d)),
-        exact_symplectic=True,
-        cotangent_splittable=True,
-        fiber_convex=True,
-        Y=Y,
-        DY=DY,
+    return _cotangent_flow(
+        "mane", p, d, alpha, _field, _dx, H=H, dH=dH, fiber_convex=True, Y=Y, DY=DY,
     )
 
 
@@ -590,7 +528,6 @@ def _build_damped_mechanical(params):
         raise ParamError("the coupling term v_cross needs d = 2")
     vc = np.broadcast_to(np.asarray(p["v_cos"], dtype=float), (d,)).copy()
     vs = np.broadcast_to(np.asarray(p["v_sin"], dtype=float), (d,)).copy()
-    spec = CoordinateSpec((ANGLE,) * d + (LINE,) * d)
 
     # v_sin defaults to 0: a harmonic whose coefficients are all zero is left out
     cos_on, sin_on = bool(vc.any()), bool(vs.any())
@@ -651,12 +588,6 @@ def _build_damped_mechanical(params):
         else:
             np.negative(grad_V(q), out=out[..., d:])
         return out
-
-    def X(x):
-        return _field(x, alpha)
-
-    def X_sym(x):
-        return _field(x, 0.0)
 
     eye = np.eye(d)
 
@@ -726,29 +657,9 @@ def _build_damped_mechanical(params):
         z for z in candidates if float(np.max(np.abs(grad_V(z[:d])))) < 1e-12
     )
 
-    return ModelSpec(
-        name="damped-mechanical",
-        spec=spec,
-        kind=FLOW,
-        params=p,
-        alpha=alpha,
-        X=X,
-        DX=lambda x: _dx(x, alpha),
-        X_DXv=X_DXv,
-        X_sym=X_sym,
-        DX_sym=lambda x: _dx(x, 0.0),
-        H=H,
-        dH=dH,
-        lam=_tautological_lambda(d),
-        Omega=_const(_canonical_omega(d)),
-        V=V,
-        grad_V=grad_V,
-        hess_V=hess_V,
-        exact_symplectic=True,
-        cotangent_splittable=True,
-        mechanical=True,
-        fiber_convex=True,
-        equilibria=equilibria,
+    return _cotangent_flow(
+        "damped-mechanical", p, d, alpha, _field, _dx, X_DXv=X_DXv, H=H, dH=dH,
+        V=V, grad_V=grad_V, hess_V=hess_V, fiber_convex=True, equilibria=equilibria,
     )
 
 
@@ -864,7 +775,6 @@ def _build_t2_pair_theta1(params):
         eta_X=eta_X,
         X_etaX=X_etaX,
         Omega=_const(_canonical_omega(1)),
-        conformal_pair=True,
         h_scales=True,
     )
 
@@ -925,7 +835,6 @@ def _build_t2_pair_theta2(params):
         eta_X=eta_X,
         X_etaX=X_etaX,
         Omega=_const(_canonical_omega(1)),
-        conformal_pair=True,
         h_scales=True,
     )
 
@@ -1041,7 +950,6 @@ def _build_lee_twisted(params):
         eta_X=eta_X,
         Omega=_lee_omega_matrix(a1, a2),
         flow_exact=flow_exact,
-        conformal_pair=True,
         h_scales=True,
     )
 
@@ -1081,7 +989,9 @@ def _build_anosov_cover(params):
 
     def flow_exact(x, t):
         x = np.asarray(x, dtype=float)
-        out = x.copy()
+        t = np.asarray(t, dtype=float)
+        out = np.empty(np.broadcast_shapes(x[..., 0].shape, t.shape) + (4,))
+        out[..., :2] = x[..., :2]
         out[..., 2] = x[..., 2] + t
         out[..., 3] = x[..., 3] * lam_minus ** (2.0 * t)
         return spec.wrap(out)
@@ -1101,8 +1011,10 @@ def _build_anosov_cover(params):
 
 
 _REGISTRY = {
-    "radial-contraction": _build_radial_contraction,
-    "shear-contraction": _build_shear_contraction,
+    "radial-contraction": lambda p: _contraction_map(
+        "radial-contraction", p, (ANGLE, LINE), 0.0),
+    "shear-contraction": lambda p: _contraction_map(
+        "shear-contraction", p, (LINE, LINE), 1.0),
     "circle-linear": _build_circle_linear,
     "circle-quadratic": _build_circle_quadratic,
     "mane": _build_mane,
@@ -1242,7 +1154,6 @@ def contact_lift(H, beta, dH=None, contact=FLAT_T2_CONTACT):
         dH=dH4,
         eta=lambda x: eta_vec,
         Omega=_lee_omega_matrix(b1, b2),
-        conformal_pair=True,
         h_scales=True,
     )
 
@@ -1277,8 +1188,8 @@ def field_identity_residual(m, x):
             m.eta(x), dtype=float
         )
     elif m.exact_symplectic:
-        if m.lam is None or m.dH is None:
-            raise StructureError(f"{m.name} lacks lambda/dH for the identity check")
+        if m.dH is None:
+            raise StructureError(f"{m.name} lacks dH for the identity check")
         rhs = m.alpha * np.asarray(m.lam(x), dtype=float) + np.asarray(
             m.dH(x), dtype=float
         )

@@ -31,7 +31,7 @@ from csdyn.flows import (
     integrate_variational,
 )
 from csdyn.geometry import torus_distance
-from csdyn.models import instantiate_model, sample_states
+from csdyn.models import CAT_EIG_MINUS, instantiate_model, sample_states
 
 TWO_PI = 2.0 * math.pi
 FOUR_PI_SQ = 4.0 * math.pi**2
@@ -398,6 +398,16 @@ def test_recurrence_rational_twist_returns_at_integer_time():
     dmin, t_at = recurrence_scan(m, np.array([0.3, 0.7, 0.0, 0.2]), 2.0, 1e-2)
     assert dmin < 1e-6
     assert abs(t_at - 1.0) < 1e-9
+
+
+def test_recurrence_scan_on_the_anosov_cover():
+    """The closed-form flow over the array of sample times: z moves at unit
+    speed, so the nearest return within t = 1 is the first sample."""
+    m = instantiate_model("anosov-cover")
+    x0 = np.array([0.2, 0.7, 0.3, 1.5])
+    dmin, t_at = recurrence_scan(m, x0, 1.0, 0.1)
+    assert t_at == 0.1
+    assert dmin == pytest.approx(np.hypot(0.1, 1.5 * (1.0 - CAT_EIG_MINUS**0.2)), rel=1e-12)
 
 
 def test_recurrence_scan_rejects_bad_span():

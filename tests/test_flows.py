@@ -456,7 +456,7 @@ def test_flow_exact_matches_the_integrated_flow(name):
         times = np.linspace(0.0, t, 7)
         for x, traj in zip(xs, integrate_flow(m, xs, (0.0, t), cfg, times=times)):
             assert traj.status == COMPLETED and len(traj.times) == 7
-            exact = np.array([m.flow_exact(x, s) for s in traj.times])
+            exact = m.flow_exact(x, traj.times)
             err = torus_distance(m.spec, traj.states, exact)
             assert np.all(err <= 1e-10 * (1.0 + np.max(np.abs(exact), axis=-1)))
 
@@ -471,14 +471,14 @@ def test_iterate_map_shear():
 def test_iterate_map_backward_radial():
     m = instantiate_model("radial-contraction", a=0.5)
     traj = iterate_map(m, np.array([0.3, 1.0]), -10)
-    assert np.allclose(traj.states[-1], [0.3, 1024.0])
+    assert np.allclose(traj.final_state, [0.3, 1024.0])
 
 
 def test_iterate_map_inverse_roundtrip():
     m = instantiate_model("nonexact-linear")
     x = np.array([0.1, 0.7, 0.3, 0.9, 0.4, -1.1])
-    fwd = iterate_map(m, x, 1).states[-1]
-    back = iterate_map(m, fwd, -1).states[-1]
+    fwd = iterate_map(m, x, 1).final_state
+    back = iterate_map(m, fwd, -1).final_state
     assert torus_distance(m.spec, back, m.spec.wrap(x)) < 1e-12
 
 
@@ -494,9 +494,16 @@ def test_iterate_map_requires_inverse():
 
 
 def test_iterate_map_frames_accumulate():
+    """A backward orbit is stored like a backward flow: times -3..0
+    ascending, the final iterate first."""
     m = instantiate_model("radial-contraction", a=0.5)
-    traj = iterate_map(m, np.array([0.3, 1.0]), 3, with_frames=True)
-    assert np.allclose(traj.frames[-1], np.diag([1.0, 0.125]))
+    for n, times, first in ((3, [0.0, 1.0, 2.0, 3.0], 0), (-3, [-3.0, -2.0, -1.0, 0.0], -1)):
+        traj = iterate_map(m, np.array([0.3, 1.0]), n, with_frames=True)
+        assert np.array_equal(traj.final_state, [0.3, 0.5**n])
+        assert np.array_equal(traj.final_frame, np.diag([1.0, 0.5**n]))
+        assert traj.times.tolist() == times
+        assert np.array_equal(traj.states[first], [0.3, 1.0])
+        assert np.array_equal(traj.frames[first], np.eye(2))
 
 
 def test_time_t_map_fixed_point_and_ratio():

@@ -11,7 +11,7 @@ from csdyn.errors import (
     UnknownModelError,
     UnsupportedContactError,
 )
-from csdyn.flows import flow_ensemble, time_reversed_view
+from csdyn.flows import flow_ensemble, time_reversed_view, time_t_map
 from csdyn.geometry import (
     fd_exterior_derivative_one_form,
     fd_exterior_derivative_two_form,
@@ -401,6 +401,27 @@ SPLITTABLE_CASES = [c for c in FLOW_CASES
                     if instantiate_model(c[0], c[1]).cotangent_splittable]
 
 
+# (exact_symplectic, conformal_pair, cotangent_splittable, mechanical); a
+# time-t map keeps the first two, a time-reversed view all but splitting
+STRUCTURE_FLAGS = {
+    "anosov-cover": (False, False, False, False),
+    "circle-linear": (True, False, True, False),
+    "circle-quadratic": (True, False, True, False),
+    "damped-mechanical": (True, False, True, True),
+    "lee-twisted-t1t2": (False, True, False, False),
+    "mane": (True, False, True, False),
+    "nonexact-linear": (False, False, False, False),
+    "radial-contraction": (True, False, False, False),
+    "shear-contraction": (True, False, False, False),
+    "t2-pair-theta1": (False, True, False, False),
+    "t2-pair-theta2": (False, True, False, False),
+}
+
+
+def _flags(m):
+    return (m.exact_symplectic, m.conformal_pair, m.cotangent_splittable, m.mechanical)
+
+
 def test_jacobian_cases_cover_every_registered_flow():
     models = [instantiate_model(n) for n in registered_models()]
     assert {m.name for m in models if m.kind == FLOW} == {
@@ -409,6 +430,21 @@ def test_jacobian_cases_cover_every_registered_flow():
     assert {m.name for m in models if m.cotangent_splittable} == {
         name for name, _ in SPLITTABLE_CASES
     }
+    assert sorted(STRUCTURE_FLAGS) == registered_models()
+    for m in models:
+        exact, pair, split, mech = STRUCTURE_FLAGS[m.name]
+        assert _flags(m) == (exact, pair, split, mech), m.name
+        if m.kind == FLOW:
+            assert _flags(time_t_map(m, 0.5)) == (exact, pair, False, False), m.name
+            assert _flags(time_reversed_view(m)) == (exact, pair, False, mech), m.name
+
+
+def test_structure_flags_are_read_off_the_evaluators():
+    fields = {f.name for f in dataclasses.fields(ModelSpec)}
+    assert not fields & {"exact_symplectic", "conformal_pair", "mechanical"}
+    m = instantiate_model("damped-mechanical")
+    bare = dataclasses.replace(m, lam=None, eta=m.lam, grad_V=None)
+    assert _flags(bare) == (False, True, True, False)
 
 
 @pytest.mark.parametrize("name,params", SPLITTABLE_CASES, ids=lambda v: str(v)[:40])
