@@ -16,6 +16,13 @@ The circle models' splitting code (X_sym through the midpoint, DX_sym) is
 digested by circle-linear's and circle-quadratic's splitting steps at
 h = 0.01 and 0.05, again with rows of zero momentum, and a circle-linear
 `method="splitting"` trajectory with tangent frames.
+The paths whose sums could round by the batch's memory layout are digested
+too: the composed tangent product of `transport_tangents` (np.einsum at
+dim 4) on a full Mane drift and on lee-twisted-t1t2, lee-twisted-t1t2's
+`classify_ensemble` at N = 1024 (the observer reduces every step on the
+engine's batch in place), an `rk4` `integrate_variational` with frames on
+that Mane model (DX @ F), and a circle-quadratic `flow_ensemble` whose rows
+partly blow up mid-run (the engine then steps the gathered live rows).
 The last line digests all lines above it.  Floats
 are hashed by their bits (`float.hex`), arrays by dtype, shape and bytes,
 so -0.0 and 0.0 differ.
@@ -199,11 +206,36 @@ def splitting_digests(seed):
         [[tr.times, tr.states, tr.frames, tr.status] for tr in trajs])
 
 
+def layout_digests(seed):
+    """Runs through the layout-sensitive paths: the composed tangent product,
+    the in-place classify observer, DX @ F and the gathered live rows."""
+    rng = np.random.default_rng([seed, 23])
+    for label, name, params in (("mane-full", "mane", MANE_FULL),
+                                ("lee-twisted-t1t2", "lee-twisted-t1t2", {})):
+        m = models.instantiate_model(name, params)
+        states, vectors = models.sample_states(m, 2049, rng, 1.0), rng.standard_normal((2049, 4))
+        out = transport_tangents(m, states, vectors, 0.2, h=1e-3)
+        yield f"transport_tangents.seed{seed}.{label}.n2049", digest(list(out))
+    m = models.instantiate_model("lee-twisted-t1t2")
+    res = classify_ensemble(m, models.sample_states(m, 1024, rng, 1.0), 0.2)
+    yield f"classify_ensemble.seed{seed}.lee-twisted-t1t2.n1024", digest(
+        [[c.verdict, c.r_slope, c.omega_H_max, c.min_return_dist, c.r_abs_max] for c in res])
+    m = models.instantiate_model("mane", MANE_FULL)
+    cfg = IntegratorConfig(method="rk4", h=0.01)
+    trajs = integrate_variational(m, models.sample_states(m, 64, rng, 1.0), (0.0, 1.0), cfg)
+    yield f"integrate_variational.seed{seed}.mane-full.rk4.n64", digest(
+        [[tr.times, tr.states, tr.frames, tr.status] for tr in trajs])
+    # |r| ~ 3 on the circle-quadratic escapes within t = 1 where 2 pi r cos < -1
+    m = models.instantiate_model("circle-quadratic", alpha=1.0)
+    out = flow_ensemble(m, models.sample_states(m, 1024, rng, 3.0), 1.0, 0.01)
+    yield f"flow_ensemble.seed{seed}.circle-quadratic.blowups.n1024", digest(list(out))
+
+
 def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.split("\n", 1)[0])
     ap.add_argument("--seeds", type=int, nargs="+", default=[7])
     ap.add_argument("--skip-verify", action="store_true",
-                    help="digest the ensemble, fused, lean field and splitting outputs only")
+                    help="digest the ensemble, fused, lean field, splitting and layout runs only")
     ap.add_argument("--residuals", action="store_true",
                     help="print each check's verdict, residual and tolerance instead")
     args = ap.parse_args(argv)
@@ -216,7 +248,7 @@ def main(argv=None):
     total = hashlib.sha256()
     for seed in args.seeds:
         parts = [ensemble_digests(seed), fused_digests(seed), lean_digests(seed),
-                 splitting_digests(seed)]
+                 splitting_digests(seed), layout_digests(seed)]
         if not args.skip_verify:
             parts.insert(0, check_digests(seed))
         for part in parts:
