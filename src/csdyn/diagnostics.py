@@ -25,6 +25,7 @@ from .errors import (
 from .flows import (
     BLOWUP,
     IntegratorConfig,
+    _column_major,
     _fixed_step_engine,
     _n_steps,
     flow_ensemble,
@@ -845,6 +846,8 @@ def classify_orbit(m, x0, T, cfg=None, thresholds=None):
 # raised the traced peak of cert_classification from 0.5 to 1.6 MB and ran
 # no faster than this one.
 _OBSERVER_BLOCK_BYTES = 64 * 1024
+# classify_ensemble's verdict codes 0, 1, 2
+_VERDICTS = ("undetermined", "dissipative", "conservative")
 
 
 def _segment_distances(a, b):
@@ -910,7 +913,8 @@ def classify_ensemble(m, starts, T, cfg=None, thresholds=None, h=1e-3):
 
     step_bytes = max(1, 8 * n_orb * (dim + 1))
     block = max(1, min(n_steps, _OBSERVER_BLOCK_BYTES // step_bytes))
-    buf = np.empty((block, n_orb, dim + 1)) if block > 1 else None
+    # each step column-major like the engine's batch, so a step copies whole
+    buf = np.empty((block, dim + 1, n_orb)).transpose(0, 2, 1) if block > 1 else None
     k0, filled = 0, 0  # the first step held in buf, and how many it holds
 
     def on_step(k, Y):
@@ -929,7 +933,7 @@ def classify_ensemble(m, starts, T, cfg=None, thresholds=None, h=1e-3):
             filled = 0
 
     _, alive = _fixed_step_engine(
-        m, np.concatenate([starts, np.zeros((n_orb, 1))], axis=-1), T, h, racc=True,
+        m, _column_major([starts, np.zeros((n_orb, 1))]), T, h, racc=True,
         blowup_threshold=cfg.blowup_threshold, on_step=on_step,
     )
     if filled:  # the last block, or the steps before every row died
@@ -937,24 +941,15 @@ def classify_ensemble(m, starts, T, cfg=None, thresholds=None, h=1e-3):
     previous = buf = None  # freed before the per-row results are built
 
     slopes = r_moment / float(np.sum(ts_c * ts_c))
-
-    out = []
-    for i in range(n_orb):
-        if not alive[i]:
-            verdict = "undetermined"
-        elif slopes[i] <= th.dissipative_slope and h_abs_late[i] <= th.dissipative_h:
-            verdict = "dissipative"
-        elif r_abs_max[i] <= th.conservative_r and min_ret[i] <= th.return_dist:
-            verdict = "conservative"
-        else:
-            verdict = "undetermined"
-        out.append(
-            OrbitClass(
-                verdict=verdict,
-                r_slope=float(slopes[i]),
-                omega_H_max=float(h_abs_late[i]),
-                min_return_dist=float(min_ret[i]),
-                r_abs_max=float(r_abs_max[i]),
-            )
+    # a dead row, and one that meets neither test, is undetermined (NaN
+    # compares False); dissipative comes first
+    dissipative = alive & (slopes <= th.dissipative_slope) & (h_abs_late <= th.dissipative_h)
+    conservative = (alive & ~dissipative & (r_abs_max <= th.conservative_r)
+                    & (min_ret <= th.return_dist))
+    verdicts = (dissipative + 2 * conservative).tolist()
+    return [
+        OrbitClass(_VERDICTS[v], *stats) for v, *stats in zip(
+            verdicts, slopes.tolist(), h_abs_late.tolist(), min_ret.tolist(),
+            r_abs_max.tolist(),
         )
-    return out
+    ]

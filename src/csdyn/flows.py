@@ -176,8 +176,8 @@ class IntegratorConfig:
     def __post_init__(self):
         if not (0.0 < self.rel_tol <= 1e-2 and 0.0 < self.abs_tol <= 1e-2):
             raise ParamError("tolerances must lie in (0, 1e-2]")
-        if self.h <= 0:
-            raise ParamError("step size must be positive")
+        if not (math.isfinite(self.h) and self.h > 0):
+            raise ParamError(f"step size must be finite and positive, got h={self.h}")
         if self.method not in (REFERENCE, SPLITTING, RK4):
             raise ParamError(f"unknown integrator method {self.method!r}")
 
@@ -630,7 +630,7 @@ def _eta_contraction(m):
     def contraction(x):
         x = np.asarray(x, dtype=float)
         eta = np.asarray(m.eta(x), dtype=float)
-        xdot = np.asarray(m.X(x), dtype=float)
+        xdot = np.ascontiguousarray(m.X(x), dtype=float)  # the sum rounds by layout
         return np.einsum("...i,...i->...", eta, xdot)
 
     return contraction
@@ -639,12 +639,16 @@ def _eta_contraction(m):
 def _joint_rhs(m, k, racc):
     """Joint field of the rows y = [x | n*k tangent entries, row-major n x k | r].
 
-    Both engines use it on (N, w) batches.  `rhs(y, out=None)` writes X, the
-    tangent product DX F and eta(X) into the columns of out, a new array
-    when None; out must not overlap y.  One tangent without the Lee channel
-    and the Lee channel without tangents use the model's fused field
-    (X_DXv, X_etaX) when it has one, which equals this composed one bit for
-    bit.  X_DXv may leave out the products of DX's structural zeros, which
+    Both engines use it on (N, w) batches, the fixed-step one column-major,
+    the adaptive one row-major.  `rhs(y, out=None)` writes X, the tangent
+    product DX F and eta(X) into the columns of out, a new array laid out
+    like y when None; out must not overlap y.  The tangent product sums
+    over the last axis, which rounds by layout (np.einsum over 3 or more
+    terms, matmul), so it reads a C-ordered copy of the tangent block and
+    gives the same bits in either layout.  One tangent without the Lee
+    channel and the Lee channel without tangents use the model's fused
+    field (X_DXv, X_etaX) when it has one, which equals this composed one
+    bit for bit.  X_DXv may leave out the products of DX's structural zeros, which
     are signed zeros that cannot change a sum from +0.0 only while they are
     finite (0 * inf is nan), so a tangent block with a non-finite entry
     takes the composed field.
@@ -656,7 +660,7 @@ def _joint_rhs(m, k, racc):
         def rhs(y, out=None):
             if k and not math.isfinite(y.sum()):
                 return composed(y, out)
-            return fused(y, np.empty(y.shape) if out is None else out)
+            return fused(y, np.empty_like(y) if out is None else out)
 
         return rhs
     n, nk = m.dim, m.dim * k
@@ -665,13 +669,14 @@ def _joint_rhs(m, k, racc):
 
     def rhs(y, out=None):
         if out is None:
-            out = np.empty(y.shape)
+            out = np.empty_like(y)
         x = y[..., :n]
         out[..., :n] = m.X(x)
         if k == 1:
-            np.einsum("...ij,...j->...i", DX(x), y[..., n : 2 * n], out=out[..., n : 2 * n])
+            v = np.ascontiguousarray(y[..., n : 2 * n])
+            np.einsum("...ij,...j->...i", DX(x), v, out=out[..., n : 2 * n])
         elif k:
-            F = y[..., n : n + nk].reshape(y.shape[:-1] + (n, k))
+            F = np.ascontiguousarray(y[..., n : n + nk]).reshape(y.shape[:-1] + (n, k))
             out[..., n : n + nk] = (DX(x) @ F).reshape(y.shape[:-1] + (nk,))
         if racc:
             out[..., -1] = eta_dot(x)
@@ -967,7 +972,7 @@ def _fixed_step_paths(m, Y0, t0, t1, cfg, k, with_racc, node_check):
     n = m.dim
     hist = [Y0.copy()]
     _fixed_step_engine(
-        m, Y0.copy(), t1 - t0, cfg.h, k, with_racc, cfg.blowup_threshold,
+        m, np.array(Y0, order="F"), t1 - t0, cfg.h, k, with_racc, cfg.blowup_threshold,
         on_step=lambda step, Y: hist.append(Y.copy()),
         splitting=cfg.method == SPLITTING,
     )
@@ -1019,7 +1024,23 @@ def _rk4_step(rhs, x, h, stages):
 
 
 def _n_steps(t, h):
-    return int(math.ceil(t / h - 1e-12))
+    """Steps of a fixed-step run over [0, t] with step h; the last may be short."""
+    if not (math.isfinite(t) and t >= 0):
+        raise ParamError(f"fixed-step integration needs a finite t >= 0, got t={t}")
+    if not (math.isfinite(h) and h > 0):
+        raise ParamError(f"fixed-step integration needs a finite step h > 0, got h={h}")
+    steps = t / h - 1e-12
+    if not steps < 2**63:
+        raise ParamError(f"fixed-step integration of t={t} at h={h} takes too many steps")
+    return math.ceil(steps)
+
+
+def _column_major(blocks):
+    """The (N, w_i) blocks side by side as one fixed-step batch: the (N, w)
+    view of a C-contiguous (w, N) buffer, built without a row-major copy."""
+    blocks = [np.asarray(b, dtype=float) for b in blocks]
+    w = sum(b.shape[-1] for b in blocks)
+    return np.concatenate(blocks, axis=1, out=np.empty((w, len(blocks[0]))).T)
 
 
 def _fixed_step_engine(m, Y, t, h, k=0, racc=False, blowup_threshold=1e8,
@@ -1031,15 +1052,26 @@ def _fixed_step_engine(m, Y, t, h, k=0, racc=False, blowup_threshold=1e8,
     frozen where it stopped, once its state is non-finite or a line
     coordinate passes the threshold.  While every row lives the batch steps
     whole, in place; the index of live rows is rebuilt only when one dies.
-    `on_step(step, Y)` sees each step and must neither keep nor mutate Y: the
-    next step overwrites it.  Y is overwritten; returns (Y, alive).
+
+    The batch is column-major: Y is the (N, w) view of a C-contiguous (w, N)
+    buffer, and so are the three RK4 stage buffers and the gathered live
+    rows, so each column a field reads or writes (q, p, a tangent entry, r)
+    is one contiguous array.  Evaluators get such (N, w) views and allocate
+    their outputs with np.empty_like, which keeps the layout.  Elementwise
+    arithmetic gives the same bits in any layout; a reduction over the last
+    axis (np.einsum over 3 or more terms, np.sum over 8 or more, matmul)
+    rounds by layout, so it must read a C-ordered copy.  `on_step(step, Y)`
+    sees each step as a column-major view and must neither keep nor mutate
+    Y: the next step overwrites it.  Y is overwritten when column-major and
+    copied otherwise; returns (Y, alive), Y column-major.
     """
-    if t < 0:
-        raise ParamError(f"fixed-step integration needs t >= 0, got t={t}")
+    n_steps = _n_steps(t, h)
+    Y = np.asfortranarray(Y)
     n = m.dim
     if not splitting:
         rhs = _joint_rhs(m, k, racc)
-        stages = np.empty((3,) + Y.shape)  # the live rows use the leading rows
+        # three (N, w) column-major views; the live rows use the leading rows
+        stages = np.empty((3,) + Y.shape[::-1]).transpose(0, 2, 1)
 
         def advance(rows, hh):
             return _rk4_step(rhs, rows, hh, stages[:, : len(rows)])
@@ -1054,19 +1086,22 @@ def _fixed_step_engine(m, Y, t, h, k=0, racc=False, blowup_threshold=1e8,
                 raise _row_failure(
                     ConvergenceError, _MIDPOINT_FAILED, m.name, row, tau, exc.state
                 ) from exc
-            F = rows[:, n:].reshape(len(rows), n, k)
-            return np.concatenate([x, (J @ F).reshape(len(rows), n * k)], axis=1)
+            out = np.empty_like(rows)
+            out[:, :n] = x
+            F = np.ascontiguousarray(rows[:, n:]).reshape(len(rows), n, k)
+            out[:, n:] = (J @ F).reshape(len(rows), n * k)
+            return out
     line_cols = _line_indices(m).tolist()
     line = (~m.spec.angle_mask).astype(float)  # inf or nan times 0 stays nan
     alive = np.all(np.isfinite(Y[:, :n]), axis=1)
     act = None if len(Y) and alive.all() else np.nonzero(alive)[0]
     tau = 0.0
-    for step in range(_n_steps(t, h)):
+    for step in range(n_steps):
         hh = min(h, t - tau)
         if act is None:
             Y = rows = advance(Y, hh)
         elif len(act):
-            rows = advance(Y[act], hh)
+            rows = advance(np.take(Y.T, act, axis=1).T, hh)  # column-major
             Y[act] = rows
         else:
             break
@@ -1087,31 +1122,34 @@ def transport_tangents(m, states, vectors, t, h=1e-3, blowup_threshold=1e8):
     """Batched transport of one tangent vector per state along the flow.
 
     Fixed-step RK4 on the joint system (x, v) with v' = DX(x) v.
-    Returns (final_states, final_vectors, alive_mask).
+    Returns (final_states, final_vectors, alive_mask), C-ordered.
     """
     _require_flow(m)
-    states = np.array(states, dtype=float)
+    states = np.asarray(states, dtype=float)
     n = states.shape[-1]
-    Y = np.concatenate([states, np.array(vectors, dtype=float)], axis=-1)
-    Y, alive = _fixed_step_engine(m, Y, t, h, k=1, blowup_threshold=blowup_threshold)
-    return m.spec.wrap(Y[:, :n]), Y[:, n:], alive
+    Y, alive = _fixed_step_engine(
+        m, _column_major([states, vectors]), t, h, k=1, blowup_threshold=blowup_threshold
+    )
+    return m.spec.wrap(Y[:, :n]), np.ascontiguousarray(Y[:, n:]), alive
 
 
 def flow_ensemble(m, states, t, h=0.01, blowup_threshold=1e8, racc=False,
                   callback=None, callback_every=50):
     """Vectorized fixed-step RK4 transport of a batch of states.
 
-    Returns (final_states, alive_mask[, r_accum]).  Escaped samples (line
-    coordinates past the threshold) and non-finite ones are frozen where they
-    died.  Rows evolve independently, so results do not depend on how a
-    caller slices the batch.  `callback` receives (step_index, states) every
-    `callback_every` steps for online statistics; it must neither mutate nor
-    keep the batch (the next step overwrites it), so copy what it keeps.
+    Returns (final_states, alive_mask[, r_accum]), C-ordered.  Escaped
+    samples (line coordinates past the threshold) and non-finite ones are
+    frozen where they died.  Rows evolve independently, so results do not
+    depend on how a caller slices the batch.  `callback` receives
+    (step_index, states) every `callback_every` steps and at the last step,
+    for online statistics; states is a column-major view of the engine's
+    batch, which it must neither mutate nor keep (the next step overwrites
+    it), so copy what it keeps.
     """
     _require_flow(m)
-    X = np.array(states, dtype=float)
+    X = np.asarray(states, dtype=float)
     n = X.shape[-1]
-    Y = np.concatenate([X, np.zeros((len(X), 1))], axis=-1) if racc else X
+    Y = _column_major([X, np.zeros((len(X), 1))] if racc else [X])
     on_step = None
     if callback is not None:
         last = _n_steps(t, h) - 1

@@ -47,8 +47,9 @@ class CoordinateSpec:
         return len(self.axes)
 
     def wrap(self, x):
-        """Normalize angle components into [0, 1); line components untouched."""
-        return self._wrap_angles(np.array(x, dtype=float), 0.0)
+        """Normalize angle components into [0, 1); line components untouched.
+        Returns a C-ordered copy, whatever the layout of x."""
+        return self._wrap_angles(np.array(x, dtype=float, order="C"), 0.0)
 
     def delta(self, x, y):
         """Minimal displacement y - x, angle components wrapped into [-0.5, 0.5)."""

@@ -303,7 +303,7 @@ def _build_circle_linear(params):
     def _field(x, a):
         x = np.asarray(x, dtype=float)
         w, r = TWO_PI * x[..., 0], x[..., 1]
-        out = np.empty(x.shape)
+        out = np.empty_like(x)
         out[..., 0] = np.sin(w)
         c = np.cos(w)
         # at a = 0 the Hamiltonian part's own product order: dropping a zero
@@ -340,7 +340,7 @@ def _build_circle_linear(params):
     def dH(x):
         x = np.asarray(x, dtype=float)
         w, r = TWO_PI * x[..., 0], x[..., 1]
-        out = np.empty(x.shape)
+        out = np.empty_like(x)
         out[..., 0] = TWO_PI * r * np.cos(w)
         out[..., 1] = np.sin(w)
         return out
@@ -362,7 +362,7 @@ def _build_circle_quadratic(params):
     def _field(x, a):
         x = np.asarray(x, dtype=float)
         w, r = TWO_PI * x[..., 0], x[..., 1]
-        out = np.empty(x.shape)
+        out = np.empty_like(x)
         out[..., 0] = 2.0 * r * np.sin(w)
         c = np.cos(w)  # at a = 0 the Hamiltonian part's own product order
         out[..., 1] = -a * r - TWO_PI * r * r * c if a else -TWO_PI * r * r * c
@@ -386,7 +386,7 @@ def _build_circle_quadratic(params):
     def dH(x):
         x = np.asarray(x, dtype=float)
         w, r = TWO_PI * x[..., 0], x[..., 1]
-        out = np.empty(x.shape)
+        out = np.empty_like(x)
         out[..., 0] = TWO_PI * r * r * np.cos(w)
         out[..., 1] = 2.0 * r * np.sin(w)
         return out
@@ -464,7 +464,7 @@ def _build_mane(params):
         """(p + Y(q), -DY(q)^T p - a p) column by column, from one sin and one
         cos pass of 2 pi q."""
         x = np.asarray(x, dtype=float)
-        out = np.empty(x.shape)
+        out = np.empty_like(x)
         xt, ot = _columns(x, out)
         finite = math.isfinite(x.sum())
         s = c = None
@@ -581,7 +581,7 @@ def _build_damped_mechanical(params):
         """(p, -grad V(q) - a p), written into one output."""
         x = np.asarray(x, dtype=float)
         q, pv = x[..., :d], x[..., d:]
-        out = np.empty(x.shape)
+        out = np.empty_like(x)
         out[..., :d] = pv
         if a:
             np.subtract(-grad_V(q), a * pv, out=out[..., d:])
@@ -731,7 +731,7 @@ def _build_t2_pair_theta1(params):
 
     def X(x):
         x = np.asarray(x, dtype=float)
-        out = np.empty(x.shape)
+        out = np.empty_like(x)
         out[..., 0] = 0.0
         out[..., 1] = -amp * np.sin(TWO_PI * (0.125 + x[..., 0]))
         return out
@@ -787,7 +787,7 @@ def _build_t2_pair_theta2(params):
     def X(x):
         x = np.asarray(x, dtype=float)
         w = TWO_PI * x[..., 1]
-        out = np.empty(x.shape)
+        out = np.empty_like(x)
         out[..., 0] = TWO_PI * np.cos(w)
         out[..., 1] = -TWO_PI * np.sin(w)
         return out

@@ -63,6 +63,61 @@ def test_transport_tangents_rejects_negative_time():
         transport_tangents(m, np.array([[0.1, 0.2]]), np.array([[1.0, 0.0]]), -1.0)
 
 
+# (t, h) pairs a fixed-step run must refuse: before, a negative or infinite
+# step returned the input with every row alive, and the rest raised
+# ZeroDivisionError, ValueError or OverflowError
+BAD_SPANS = [
+    (1.0, -0.01), (1.0, 0.0), (1.0, math.nan), (1.0, math.inf), (1.0, -math.inf),
+    (math.nan, 0.01), (math.inf, 0.01), (-1.0, 0.01), (1e300, 1e-300),
+]
+
+
+@pytest.mark.parametrize("t,h", BAD_SPANS)
+def test_fixed_step_runs_reject_a_bad_horizon_or_step(t, h):
+    m = instantiate_model("circle-linear", alpha=1.0)
+    x = np.array([[0.1, 0.2]])
+    with pytest.raises(ParamError):
+        flow_ensemble(m, x, t, h=h)
+    with pytest.raises(ParamError):
+        flow_ensemble(m, x, t, h=h, callback=lambda k, y: None)
+    with pytest.raises(ParamError):
+        transport_tangents(m, x, np.ones_like(x), t, h=h)
+    with pytest.raises(ParamError):
+        classify_ensemble(instantiate_model("t2-pair-theta2"), x, t, h=h)
+
+
+@pytest.mark.parametrize("h", [0.0, -0.01, math.nan, math.inf, -math.inf])
+def test_integrator_config_rejects_a_bad_step(h):
+    with pytest.raises(ParamError):
+        IntegratorConfig(method="rk4", h=h)
+
+
+def test_fixed_step_outputs_are_c_ordered():
+    """The engine's batch is column-major; what leaves it is C-ordered."""
+    m = instantiate_model("t2-pair-theta2")
+    x = sample_states(m, 9, np.random.default_rng(5), 1.0)
+    for out in (flow_ensemble(m, x, 0.1), flow_ensemble(m, x, 0.1, racc=True),
+                transport_tangents(m, x, np.ones_like(x), 0.01)):
+        for a in out:
+            assert a.flags.c_contiguous
+
+
+def test_flow_ensemble_callback_sees_the_states_of_its_step():
+    """At steps 0, 50, ... and the last, the callback sees the unwrapped
+    states of flow_ensemble run to that step.  h = 2**-7 keeps every partial
+    horizon exact, so each shorter run takes the same steps."""
+    m = instantiate_model("damped-mechanical", alpha=0.5, d=2, v_cos=(1.0, 1.0), v_cross=0.3)
+    x = sample_states(m, 16, np.random.default_rng(6), 1.0)
+    h, seen = 2.0**-7, {}
+    final = flow_ensemble(m, x, 123 * h, h=h, callback=lambda k, y: seen.setdefault(k, y.copy()))
+    assert sorted(seen) == [0, 50, 100, 122]
+    for k, y in seen.items():
+        states, alive = flow_ensemble(m, x, (k + 1) * h, h=h)
+        assert alive.all()
+        assert m.spec.wrap(y).tobytes() == states.tobytes()
+    assert m.spec.wrap(seen[122]).tobytes() == final[0].tobytes()
+
+
 def test_flow_ensemble_marks_non_finite_rows_dead():
     m = instantiate_model("circle-linear", alpha=1.0)
     batch = np.array([[0.1, 0.2], [np.nan, 0.3], [0.4, np.inf], [0.7, -0.5]])
@@ -398,6 +453,31 @@ def test_classify_rows_are_bit_identical_for_any_observer_block(case, seed, n, s
         results.append((verdicts.tolist(), values.tobytes()))
     assert results[1] == results[0]
     assert results[2] == results[0]
+
+
+def test_classify_verdicts_follow_the_thresholds():
+    """Each verdict is the per-row rule on the row's statistics: dissipative
+    first, then conservative, else undetermined.  The thresholds sit at the
+    statistics' medians, so every branch is taken."""
+    m = instantiate_model("t2-pair-theta2")
+    starts = sample_states(m, 40, np.random.default_rng(8), 1.0)
+    stats = classify_ensemble(m, starts, 0.3)
+    med = {f: float(np.median([getattr(c, f) for c in stats]))
+           for f in ("r_slope", "omega_H_max", "min_return_dist", "r_abs_max")}
+    th = diagnostics.ClassifyThresholds(med["r_slope"], med["omega_H_max"],
+                                        med["r_abs_max"], med["min_return_dist"])
+    out = classify_ensemble(m, starts, 0.3, thresholds=th)
+    expected = [
+        "dissipative" if c.r_slope <= th.dissipative_slope and c.omega_H_max <= th.dissipative_h
+        else "conservative" if (c.r_abs_max <= th.conservative_r
+                                and c.min_return_dist <= th.return_dist)
+        else "undetermined"
+        for c in stats
+    ]
+    assert [c.verdict for c in out] == expected
+    assert set(expected) == {"dissipative", "conservative", "undetermined"}
+    assert [dataclasses.replace(c, verdict="") for c in out] == [
+        dataclasses.replace(c, verdict="") for c in stats]
 
 
 def test_classify_rejects_non_positive_horizon():

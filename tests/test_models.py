@@ -461,6 +461,43 @@ def test_hamiltonian_part_jacobian_and_liouville_decomposition(name, params):
     assert np.max(np.abs(m.X(xs) - m.X_sym(xs) - m.alpha * z)) < 1e-14 * scale
 
 
+# every registered flow, with a Mane drift that keeps all its trig terms
+LAYOUT_CASES = JACOBIAN_CASES[:-1] + [
+    ("mane", {"alpha": 0.5, "d": 2, "y0": 0.3, "y_sin": ((0.4, -0.2), (0.1, 0.3)),
+              "y_cos": ((0.0, 0.25), (-0.15, 0.0))}),
+    ("damped-mechanical", {"alpha": 0.5, "d": 2, "v_cos": (1.0, 0.0), "v_sin": (0.0, 0.6)}),
+]
+
+
+@pytest.mark.parametrize("reverse", [False, True], ids=["forward", "reversed"])
+@pytest.mark.parametrize("name,params", LAYOUT_CASES, ids=lambda v: str(v)[:40])
+def test_evaluators_give_the_same_bytes_on_a_column_major_batch(name, params, reverse):
+    """The fixed-step engine hands evaluators column-major (N, w) views of
+    its batch.  Each evaluator gives the bytes it gives on a C-ordered copy,
+    non-finite rows and signed zeros included, and X keeps the layout."""
+    m = instantiate_model(name, params)
+    if reverse:
+        m = time_reversed_view(m)
+    rng = np.random.default_rng(21)
+    n, rows = m.dim, 64
+    y = rng.standard_normal((rows, 2 * n + 1))
+    y[:, :n] = sample_states(m, rows, rng, 1.0)
+    for i, v in enumerate((0.0, -0.0, np.inf, -np.inf, np.nan) * 4):
+        y[i, i % (2 * n + 1)] = v
+    col = np.asfortranarray(y)
+    assert col[:, :n].T.flags.c_contiguous
+    with np.errstate(invalid="ignore"):
+        for f in (m.X, m.DX, m.H, m.eta_X):
+            if f is not None:
+                assert f(col[:, :n]).tobytes() == f(np.ascontiguousarray(y[:, :n])).tobytes()
+        assert m.X(col[:, :n]).T.flags.c_contiguous
+        for f, w in ((m.X_DXv, 2 * n), (m.X_etaX, n + 1)):
+            if f is not None:
+                c = np.ascontiguousarray(y[:, :w])
+                assert f(col[:, :w], np.empty_like(col[:, :w])).tobytes() == f(
+                    c, np.empty_like(c)).tobytes()
+
+
 def test_model_spec_rejects_retired_dx_batch():
     m = instantiate_model("circle-linear")
     with pytest.raises(ParamError, match="DX_batch"):
