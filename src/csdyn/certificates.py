@@ -22,6 +22,7 @@ from .diagnostics import (
     isotropy_defect,
     loop_cohomology_check,
     lyapunov_spectrum,
+    map_conformality_ratios,
     recurrence_scan,
     refine_equilibrium,
     rotation_number,
@@ -67,23 +68,6 @@ from .models import (
 TWO_PI = 2.0 * math.pi
 
 
-def _result(check, model, params, residual, tol, tag, details=None, negative=False):
-    if negative:
-        verdict = "PASS-NEGATIVE-CONTROL" if residual <= tol else "FAIL"
-    else:
-        verdict = "PASS" if residual <= tol else "FAIL"
-    return CheckResult(
-        check=check,
-        model=model,
-        params=dict(params or {}),
-        residual=float(residual),
-        tolerance=float(tol),
-        verdict=verdict,
-        provenance_tag=tag,
-        details=details or {},
-    )
-
-
 # ---------------------------------------------------------------------------
 # geometry
 # ---------------------------------------------------------------------------
@@ -98,7 +82,7 @@ def cert_two_form_antisymmetry(seed=7):
             omega = np.asarray(m.Omega(x), dtype=float)
             u, v = rng.standard_normal((2, m.dim))
             worst = max(worst, abs(eval_two_form(omega, u, v) + eval_two_form(omega, v, u)))
-    return _result(
+    return CheckResult(
         "two-form-antisymmetry", "registry", {}, worst, 0.0,
         "geometry/antisymmetric-pairing",
     )
@@ -123,7 +107,7 @@ def cert_loop_quadrature_convergence(seed=7):
     errs = [abs(loop_integral(spec, lam, make_loop(n)) - exact) for n in (64, 128, 256)]
     ratios = [errs[i + 1] / errs[i] for i in range(2)]
     worst = max(ratios)
-    return _result(
+    return CheckResult(
         "loop-quadrature-convergence", "geometry", {}, worst, 0.5,
         "geometry/trapezoid-order",
         details={"errors": errs, "ratios": ratios},
@@ -144,7 +128,7 @@ def cert_torus_metric(seed=7):
             worst,
             abs(float(torus_distance(spec, x, y)) - float(torus_distance(spec, y, x))),
         )
-    return _result(
+    return CheckResult(
         "torus-metric-triangle", "geometry", {}, worst, 1e-12,
         "geometry/wrapped-metric",
     )
@@ -155,16 +139,7 @@ def cert_map_conformality(seed=7):
     started = time.perf_counter()
     rng = np.random.default_rng(seed)
     m = instantiate_model("nonexact-linear")
-    pts = sample_states(m, 100, rng)
-    ratios, residuals = [], []
-    for x in pts:
-        J = np.asarray(m.Df(x), dtype=float)
-        omega = np.asarray(m.Omega(x), dtype=float)
-        fx = m.f(x)
-        ratio, res = conformality_ratio_estimate(J, omega, np.asarray(m.Omega(fx)))
-        ratios.append(ratio)
-        residuals.append(res)
-    ratios = np.array(ratios)
+    ratios, residuals = map_conformality_ratios(m, sample_states(m, 100, rng))
     spread = float(ratios.max() - ratios.min())
     err = float(np.max(np.abs(ratios - NONEXACT_RATIO)))
     worst = max(err, spread, float(np.max(residuals)))
@@ -179,22 +154,12 @@ def cert_map_conformality(seed=7):
     # Libermann constancy on the other registered conformal maps
     for name in ("radial-contraction", "shear-contraction"):
         mm = instantiate_model(name, a=0.37)
-        pts = sample_states(mm, 100, rng)
-        rr = []
-        for x in pts:
-            ratio, res = conformality_ratio_estimate(
-                np.asarray(mm.Df(x), dtype=float),
-                np.asarray(mm.Omega(x), dtype=float),
-                np.asarray(mm.Omega(mm.f(x)), dtype=float),
-            )
-            rr.append(ratio)
-            worst = max(worst, res)
-        rr = np.array(rr)
-        worst = max(worst, float(np.max(np.abs(rr - 0.37))))
+        rr, res = map_conformality_ratios(mm, sample_states(mm, 100, rng))
+        worst = max(worst, float(np.max(res)), float(np.max(np.abs(rr - 0.37))))
         details[f"{name}_spread"] = float(rr.max() - rr.min())
     if elapsed > 1.0:
         worst = math.inf  # runtime budget is part of the criterion
-    return _result(
+    return CheckResult(
         "map-conformality-ratio", "nonexact-linear", {}, worst, 1e-12,
         "conformality/map-ratio", details,
     )
@@ -234,7 +199,7 @@ def cert_field_identities(seed=7):
                 fd_worst = max(fd_worst, float(np.max(np.abs(fd - m.dH(x)))))
         if fd_worst > 1e-5:
             worst = max(worst, fd_worst)
-    return _result(
+    return CheckResult(
         "field-identities", "registry", {}, worst, 1e-9,
         "models/defining-identity", details,
     )
@@ -257,7 +222,7 @@ def cert_structure_forms(seed=7):
         wedge = wedge_one_two(np.asarray(m.eta(x)), np.asarray(m.Omega(x)))
         for key in domega:
             worst = max(worst, abs(domega[key] - wedge[key]))
-    return _result(
+    return CheckResult(
         "structure-forms", "registry", {}, worst, 1e-6,
         "models/exterior-derivative", {},
     )
@@ -273,7 +238,7 @@ def cert_liouville_decomposition(seed=7):
         lhs = np.asarray(m.X(x))
         rhs = m.alpha * z_field + np.asarray(m.X_sym(x))
         worst = max(worst, float(np.max(np.abs(lhs - rhs))))
-    return _result(
+    return CheckResult(
         "liouville-decomposition", "circle-linear", {"alpha": 1.0}, worst, 1e-12,
         "models/field-splitting",
     )
@@ -311,7 +276,7 @@ def cert_gauge_equivalence(seed=7):
             continue
         count += 1
         worst = max(worst, float(np.max(np.abs(gauge_field(x) - np.asarray(m.X(x))))))
-    return _result(
+    return CheckResult(
         "gauge-equivalence", "t2-pair-theta2", {}, worst, 1e-9,
         "models/pair-rescaling",
     )
@@ -341,7 +306,7 @@ def cert_contact_lift(seed=7):
         dH=lambda y: np.array([0.0, 0.0, -TWO_PI * math.sin(TWO_PI * y[2])]),
     )
     ident = max(field_identity_residual(liftH, x) for x in sample_states(liftH, 50, rng))
-    return _result(
+    return CheckResult(
         "contact-lift", "contact-lift", {"beta": b}, max(worst, ident), 1e-9,
         "models/twisted-symplectization",
         details={"identity_residual": ident},
@@ -378,7 +343,7 @@ def cert_flow_conformality(seed=7):
     details["elapsed_s"] = elapsed
     if elapsed > 10.0:
         worst = math.inf
-    return _result(
+    return CheckResult(
         "flow-conformality-transport", "circle-linear,t2-pair-theta2", {}, worst,
         1e-6, "transport/pullback-scaling", details,
     )
@@ -399,7 +364,7 @@ def cert_splitting_exact(seed=7):
         )
         details[f"h={h}"] = case
         worst = max(worst, case)
-    return _result(
+    return CheckResult(
         "splitting-exact-conformality", "damped-mechanical",
         {"alpha": 0.5}, worst, 5e-13, "integrator/structural-conformality", details,
     )
@@ -426,7 +391,7 @@ def cert_splitting_order(seed=7):
         for e in np.transpose(errs) for i in range(2)
     ]
     median = float(np.median(orders))
-    return _result(
+    return CheckResult(
         "splitting-order", "damped-mechanical", {}, abs(median - 3.0), 0.3,
         "integrator/richardson-order", {"median_order": median, "orders": orders},
     )
@@ -455,7 +420,7 @@ def cert_volume_rate(seed=7):
             case = max(case, abs(det - expect))
         details[name] = case
         worst = max(worst, case)
-    return _result(
+    return CheckResult(
         "volume-rate", "registry", {}, worst, 1e-7, "transport/volume", details,
     )
 
@@ -477,7 +442,7 @@ def cert_time_map_consistency(seed=7):
         worst = max(worst, abs(ratio - math.exp(-1.0)))
     fixed = f_ab.f(np.array([0.0, 0.0]))
     worst = max(worst, float(np.max(np.abs(fixed))))
-    return _result(
+    return CheckResult(
         "time-map-consistency", "circle-linear", {"alpha": 1.0}, worst, 1e-8,
         "flow-engine/composition",
     )
@@ -496,7 +461,7 @@ def cert_map_iteration(seed=7):
     for x in sample_states(mn, 10, rng):
         rt = mn.f(mn.f_inv(x))
         worst = max(worst, float(torus_distance(mn.spec, rt, mn.spec.wrap(x))))
-    return _result(
+    return CheckResult(
         "map-iteration", "registry", {}, worst, 1e-12, "flow-engine/orbits",
     )
 
@@ -521,7 +486,7 @@ def cert_blowup_riccati(seed=7):
     details["mirrored-start-status"] = ctrl.status
     if ctrl.status != COMPLETED:
         worst = math.inf
-    return _result(
+    return CheckResult(
         "blowup-riccati", "circle-quadratic", {"alpha": alpha}, worst, 1e-6,
         "flow-engine/non-complete", details,
     )
@@ -536,7 +501,7 @@ def cert_energy_descent(seed=7):
                                samples=501):
         h_vals = np.asarray(m.H(traj.states), dtype=float)
         worst = max(worst, float(np.max(np.diff(h_vals))))
-    return _result(
+    return CheckResult(
         "energy-descent", "damped-mechanical", {"alpha": 0.5}, worst, 1e-9,
         "flow-engine/lyapunov-function",
     )
@@ -590,7 +555,7 @@ def cert_floquet_pairing(seed=7):
         "parabolic_period": po_p.period,
         "ratios": ratios,
     }
-    return _result(
+    return CheckResult(
         "floquet-pairing", "t2-pair-theta2", {}, max(ratios.values()), 1.0,
         "spectra/multiplier-pairing", details,
     )
@@ -607,7 +572,7 @@ def cert_lyapunov_pairing(seed=7):
         "converged": res.converged,
     }
     worst = max(worst, res.pairing_defect)
-    return _result(
+    return CheckResult(
         "lyapunov-pairing", "damped-mechanical", {"alpha": 0.5}, worst, 1e-3,
         "spectra/exponent-pairing", details,
     )
@@ -625,7 +590,7 @@ def cert_loop_cohomology(seed=7):
     )
     res2 = loop_cohomology_check(m, contractible, 1.0)
     worst = max(res.residual / res.tolerance, res2.residual / res2.tolerance)
-    return _result(
+    return CheckResult(
         "loop-cohomology", "circle-linear", {"alpha": 1.0}, worst, 1.0,
         "transport/loop-circulation",
         details={"i0": res.details["i0"], "i_t": res.details["i_t"],
@@ -666,7 +631,7 @@ def cert_escape_statistics(seed=7):
     details["monotone_counts"] = fractions
     if any(fractions[i] > fractions[i + 1] for i in range(3)):
         worst = math.inf
-    return _result(
+    return CheckResult(
         "escape-statistics", "circle-linear,shear,radial", {}, worst, 0.0,
         "escape/null-basin", details,
     )
@@ -725,7 +690,7 @@ def cert_trapping_attractor(seed=7):
     details["mane_refined_residual"] = polish
     ratios["mane_refined"] = polish / 1e-10
     details["ratios"] = ratios
-    return _result(
+    return CheckResult(
         "trapping-attractor", "damped-mechanical,mane", {}, max(ratios.values()),
         1.0, "attractor/trapping-level", details,
     )
@@ -738,7 +703,7 @@ def cert_attractor_negative_control(seed=7):
         m, box=((0.0, 1.0), (-2.0, 2.0)), t_relax=30.0, grid=21
     )
     ok = est.status == "not-trapping" and est.escaped > 0
-    return _result(
+    return CheckResult(
         "attractor-not-trapping", "circle-linear", {"alpha": 1.0},
         0.0 if ok else math.inf, 0.0, "attractor/escape-witness",
         details={"escaped": est.escaped, "status": est.status}, negative=True,
@@ -797,7 +762,7 @@ def cert_isotropy(seed=7):
     ratios["saddle_small"] = defects[5.0] / 1e-4
     ratios["saddle_nonincreasing"] = defects[10.0] / max(defects[5.0], floor)
     details["ratios"] = ratios
-    return _result(
+    return CheckResult(
         "isotropy", "registry", {}, max(ratios.values()), 1.0,
         "isotropy/frame-pairing", details,
     )
@@ -821,7 +786,7 @@ def cert_transport_decay(seed=7):
             )
             rel = abs(abs(after) - math.exp(-m.alpha) * abs(before)) / abs(before)
             worst = max(worst, rel)
-    return _result(
+    return CheckResult(
         "transport-decay", "registry", {}, worst, 1e-6, "isotropy/decay-identity",
     )
 
@@ -853,7 +818,7 @@ def cert_lee_no_periodic(seed=7):
     details["control_t"] = t_at
     if not returned:
         worst = math.inf
-    return _result(
+    return CheckResult(
         "lee-no-periodic-orbit", "lee-twisted-t1t2",
         {"a1": math.sqrt(2.0), "a2": math.sqrt(3.0)}, worst, 0.0,
         "recurrence/torus-scan", details,
@@ -881,7 +846,7 @@ def cert_classification(seed=7):
     )
     details = {"dissipative": n_diss, "conservative": n_cons}
     worst = 0.0 if (n_diss >= 95 and n_cons >= 95) else math.inf
-    return _result(
+    return CheckResult(
         "orbit-classification", "t2-pair-theta1,t2-pair-theta2", {}, worst, 0.0,
         "classification/finite-time-dichotomy", details,
     )
@@ -906,7 +871,7 @@ def cert_rotation_zero_lee(seed=7):
     traj = integrate_flow(m, np.array([0.1, 0.2, 0.3, 0.4]), (0.0, 5.0), samples=51)
     r_T, _ = rotation_number(traj)
     worst = max(worst, abs(r_T))
-    return _result(
+    return CheckResult(
         "lee-rotation-zero", "lee-twisted-t1t2", {}, worst, 0.0,
         "rotation/lee-field",
     )
@@ -926,7 +891,7 @@ def cert_anosov_frame(seed=7):
     witness = abs(eval_two_form(omega, v_minus, e_z))
     if witness < 0.9:
         worst = math.inf
-    return _result(
+    return CheckResult(
         "anosov-frame-checks", "anosov-cover", {}, worst, 1e-9,
         "attractor/non-isotropy-witness",
         details={"witness": witness, "s_end": float(end[3])},
@@ -939,7 +904,7 @@ def cert_escape_determinism(seed=7):
     a = escape_statistics(ms, ((0.0, 1.0), (-1.0, 1.0)), 5, 200, seed=seed)
     b = escape_statistics(ms, ((0.0, 1.0), (-1.0, 1.0)), 5, 200, seed=seed)
     identical = np.array_equal(a.exit_steps, b.exit_steps) and a.escaped == b.escaped
-    return _result(
+    return CheckResult(
         "escape-determinism", "shear-contraction", {}, 0.0 if identical else math.inf,
         0.0, "determinism/seeded-ensembles",
     )
@@ -948,7 +913,7 @@ def cert_escape_determinism(seed=7):
 def cert_recurrence_negative_control(seed=7):
     """Dependent twist frequencies must produce a sharp return at t = 1."""
     dmin, t_at, ok = _rational_recurrence()
-    return _result(
+    return CheckResult(
         "recurrence-rational-control", "lee-twisted-t1t2", {"a1": 1.0, "a2": 2.0},
         dmin if ok else math.inf, 1e-6, "recurrence/torus-scan",
         details={"min_return_dist": dmin, "t": t_at}, negative=True,
@@ -959,7 +924,7 @@ def cert_isotropy_negative_control(seed=7):
     """The graph of a non-closed form must show the full 2*pi defect."""
     omega4, pts, frames = _open_graph_control(np.random.default_rng(seed))
     defect = isotropy_defect(pts, frames, lambda x: omega4, normalize=False)
-    return _result(
+    return CheckResult(
         "isotropy-open-graph-control", "graph of sin(2 pi q1) dq2", {},
         abs(defect - TWO_PI), 1e-6, "isotropy/frame-pairing",
         details={"defect": defect}, negative=True,
@@ -1026,7 +991,6 @@ def verify_suite(scope="all", seed=7):
                     params={},
                     residual=math.inf,
                     tolerance=0.0,
-                    verdict="FAIL",
                     provenance_tag="error",
                     details={"error": f"{type(exc).__name__}: {exc}"},
                 )

@@ -9,6 +9,7 @@ diagnostic check FAILs, 1 on configuration or runtime errors.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 
@@ -25,6 +26,7 @@ from .diagnostics import (
     escape_statistics,
     find_periodic_orbit,
     loop_cohomology_check,
+    map_conformality_ratios,
     trapping_level,
 )
 from .errors import ConfigError, CsdynError
@@ -34,7 +36,6 @@ from .flows import (
     integrate_flow,
     integrate_variational,
 )
-from .geometry import conformality_ratio_estimate
 from .models import instantiate_model, registered_models, sample_states
 from .output import (
     write_cloud_csv,
@@ -74,6 +75,15 @@ def _out_path(cfg, name):
     return os.path.join(cfg.out_dir, name)
 
 
+def _report(cfg, stem, result, line):
+    """Write one check's report to stem.json and print line; exit code by verdict."""
+    write_report_json(
+        _out_path(cfg, f"{stem}.json"), [result], seed=cfg.seed, timestamp=cfg.timestamp
+    )
+    print(line)
+    return EXIT_OK if result.passed else EXIT_FAIL
+
+
 def _op_simulate(cfg):
     m = _model(cfg)
     icfg = _integrator_config(cfg.options)
@@ -103,24 +113,14 @@ def _op_diagnose(cfg):
     if check == "conformality":
         if m.kind != "map":
             raise ConfigError("conformality check expects a map model")
-        worst_res, ratios = 0.0, []
-        for x in sample_states(m, 100, rng):
-            ratio, res = conformality_ratio_estimate(
-                np.asarray(m.Df(x), dtype=float),
-                np.asarray(m.Omega(x), dtype=float),
-                np.asarray(m.Omega(m.f(x)), dtype=float),
-            )
-            ratios.append(ratio)
-            worst_res = max(worst_res, res)
+        ratios, residuals = map_conformality_ratios(m, sample_states(m, 100, rng))
         spread = float(np.max(ratios) - np.min(ratios))
-        residual = max(worst_res, spread)
         result = CheckResult(
             check="conformality",
             model=m.name,
-            params=dict(m.params),
-            residual=residual,
+            params=m.params,
+            residual=max(float(np.max(residuals)), spread),
             tolerance=1e-12,
-            verdict="PASS" if residual <= 1e-12 else "FAIL",
             provenance_tag="conformality/map-ratio",
             details={"ratio": float(np.mean(ratios)), "spread": spread},
         )
@@ -136,13 +136,9 @@ def _op_diagnose(cfg):
         result = loop_cohomology_check(m, loop, t, icfg)
     else:
         raise ConfigError(f"unknown diagnose.check {check!r}", key="diagnose.check")
-    write_report_json(
-        _out_path(cfg, f"diagnose_{m.name}_{check}.json"), [result],
-        seed=cfg.seed, timestamp=cfg.timestamp,
-    )
-    print(f"{result.check} {result.model}: residual={result.residual:.3e} "
-          f"tolerance={result.tolerance:.3e} {result.verdict}")
-    return EXIT_OK if result.passed else EXIT_FAIL
+    return _report(cfg, f"diagnose_{m.name}_{check}", result,
+                   f"{result.check} {result.model}: residual={result.residual:.3e} "
+                   f"tolerance={result.tolerance:.3e} {result.verdict}")
 
 
 def _op_attractor(cfg):
@@ -164,28 +160,26 @@ def _op_attractor(cfg):
     write_cloud_csv(
         _out_path(cfg, f"attractor_{m.name}.csv"), est.cloud, timestamp=cfg.timestamp
     )
+    # the verdict is the trapping status, scored as cert_classification does
     result = CheckResult(
         check="attractor-estimate",
         model=m.name,
-        params=dict(m.params),
-        residual=est.invariance_residual,
-        tolerance=float(cfg.options.get("attractor.eps", 1e-3)) * 10,
-        verdict="PASS" if est.status == "trapped" else "FAIL",
+        params=m.params,
+        residual=0.0 if est.status == "trapped" else math.inf,
+        tolerance=0.0,
         provenance_tag="attractor/relaxation",
         details={
             "trap_level": est.trap_level,
             "cloud_size": len(est.cloud),
             "status": est.status,
             "escaped": est.escaped,
+            "invariance_residual": est.invariance_residual,
+            "invariance_bound": 10 * eps,
         },
     )
-    write_report_json(
-        _out_path(cfg, f"attractor_{m.name}.json"), [result],
-        seed=cfg.seed, timestamp=cfg.timestamp,
-    )
-    print(f"attractor {m.name}: {est.status} cloud={len(est.cloud)} "
-          f"invariance={est.invariance_residual:.3e}")
-    return EXIT_OK if result.passed else EXIT_FAIL
+    return _report(cfg, f"attractor_{m.name}", result,
+                   f"attractor {m.name}: {est.status} cloud={len(est.cloud)} "
+                   f"invariance={est.invariance_residual:.3e}")
 
 
 def _op_periodic(cfg):
@@ -211,19 +205,14 @@ def _op_periodic(cfg):
     result = CheckResult(
         check="periodic-orbit",
         model=m.name,
-        params=dict(m.params),
+        params=m.params,
         residual=po.closure_error,
         tolerance=1e-9,
-        verdict="PASS" if po.closure_error <= 1e-9 else "FAIL",
         provenance_tag="spectra/multiplier-pairing",
         details=payload,
     )
-    write_report_json(
-        _out_path(cfg, f"periodic_{m.name}.json"), [result],
-        seed=cfg.seed, timestamp=cfg.timestamp,
-    )
-    print(f"periodic {m.name}: T={po.period:.12g} closure={po.closure_error:.3e}")
-    return EXIT_OK if result.passed else EXIT_FAIL
+    return _report(cfg, f"periodic_{m.name}", result,
+                   f"periodic {m.name}: T={po.period:.12g} closure={po.closure_error:.3e}")
 
 
 def _classify_chunk(payload):
@@ -266,19 +255,13 @@ def _op_classify(cfg):
     result = CheckResult(
         check="classification",
         model=m.name,
-        params=dict(m.params),
+        params=m.params,
         residual=float(counts["undetermined"]) / max(n, 1),
         tolerance=1.0,
-        verdict="PASS",
         provenance_tag="classification/finite-time-dichotomy",
         details=payload,
     )
-    write_report_json(
-        _out_path(cfg, f"classify_{m.name}.json"), [result],
-        seed=cfg.seed, timestamp=cfg.timestamp,
-    )
-    print(f"classify {m.name}: {counts}")
-    return EXIT_OK
+    return _report(cfg, f"classify_{m.name}", result, f"classify {m.name}: {counts}")
 
 
 def _op_escape(cfg):
@@ -293,19 +276,14 @@ def _op_escape(cfg):
     result = CheckResult(
         check="escape-statistics",
         model=m.name,
-        params=dict(m.params),
+        params=m.params,
         residual=1.0 - stats.escaped_fraction,
         tolerance=1.0,
-        verdict="PASS",
         provenance_tag="escape/null-basin",
         details={"escaped": stats.escaped, "total": stats.total},
     )
-    write_report_json(
-        _out_path(cfg, f"escape_{m.name}.json"), [result],
-        seed=cfg.seed, timestamp=cfg.timestamp,
-    )
-    print(f"escape {m.name}: {stats.escaped}/{stats.total} within {n_steps} steps")
-    return EXIT_OK
+    return _report(cfg, f"escape_{m.name}", result,
+                   f"escape {m.name}: {stats.escaped}/{stats.total} within {n_steps} steps")
 
 
 def _op_basin(cfg):

@@ -9,7 +9,7 @@ seeded per index so results are identical for any worker count.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 
 import numpy as np
 
@@ -36,7 +36,7 @@ from .flows import (
     time_reversed_view,
     transport_tangents,
 )
-from .geometry import loop_integral, torus_distance
+from .geometry import conformality_ratio_estimate, loop_integral, torus_distance
 from .models import MAP
 
 TWO_PI = 2.0 * math.pi
@@ -44,16 +44,33 @@ TWO_PI = 2.0 * math.pi
 
 @dataclass
 class CheckResult:
-    """One named structural check with residual, tolerance and verdict."""
+    """One named structural check with residual, tolerance and verdict.
+
+    The verdict is decided here and nowhere else: PASS iff residual <=
+    tolerance, else FAIL, so a NaN residual FAILs.  A negative control (a
+    case built to show the opposite behaviour) passes as
+    PASS-NEGATIVE-CONTROL.  residual and tolerance are stored as floats and
+    params as a dict.
+    """
 
     check: str
     model: str
     params: dict
     residual: float
     tolerance: float
-    verdict: str  # PASS | FAIL | PASS-NEGATIVE-CONTROL
     provenance_tag: str
     details: dict = field(default_factory=dict)
+    negative: InitVar[bool] = False
+    verdict: str = field(init=False)  # PASS | FAIL | PASS-NEGATIVE-CONTROL
+
+    def __post_init__(self, negative):
+        self.params = dict(self.params)
+        self.residual = float(self.residual)
+        self.tolerance = float(self.tolerance)
+        if self.residual <= self.tolerance:  # False for a NaN residual
+            self.verdict = "PASS-NEGATIVE-CONTROL" if negative else "PASS"
+        else:
+            self.verdict = "FAIL"
 
     @property
     def passed(self):
@@ -84,10 +101,6 @@ def _jsonable(v):
     if isinstance(v, dict):
         return {k: _jsonable(x) for k, x in v.items()}
     return v
-
-
-def _verdict(residual, tolerance):
-    return "PASS" if residual <= tolerance else "FAIL"
 
 
 # ---------------------------------------------------------------------------
@@ -138,13 +151,31 @@ def conformal_transport_check(m, traj, tol=1e-6):
     return CheckResult(
         check="conformal-transport",
         model=m.name,
-        params=dict(m.params),
+        params=m.params,
         residual=residual,
         tolerance=tol,
-        verdict=_verdict(residual, tol),
         provenance_tag="transport/pullback-scaling",
         details={"omega_residual": omega_res, "h_residual": h_res},
     )
+
+
+def map_conformality_ratios(m, pts):
+    """Conformality ratio and residual of a map model at each point of pts.
+
+    Returns two arrays (ratios, residuals): the least-squares a with
+    Df^T Omega(f(x)) Df = a Omega(x) and its normalized residual, from
+    geometry.conformality_ratio_estimate.
+    """
+    fits = [
+        conformality_ratio_estimate(
+            np.asarray(m.Df(x), dtype=float),
+            np.asarray(m.Omega(x), dtype=float),
+            np.asarray(m.Omega(m.f(x)), dtype=float),
+        )
+        for x in pts
+    ]
+    ratios, residuals = np.array(fits).T
+    return ratios, residuals
 
 
 # ---------------------------------------------------------------------------
@@ -779,10 +810,9 @@ def loop_cohomology_check(m, loop, t, cfg=None, tol=1e-7):
     return CheckResult(
         check="loop-cohomology",
         model=m.name,
-        params=dict(m.params),
+        params=m.params,
         residual=residual,
         tolerance=tolerance,
-        verdict=_verdict(residual, tolerance),
         provenance_tag="transport/loop-circulation",
         details={"i0": i0, "i_t": i_t, "expected": expected, "t": t},
     )

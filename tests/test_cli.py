@@ -288,6 +288,44 @@ def test_non_trapping_attractor_exits_two(tmp_path):
     assert payload["checks"][0]["details"]["status"] == "not-trapping"
 
 
+_REPORTING_CONFIGS = {
+    "diagnose-conformality": "run.operation = diagnose\nmodel.name = nonexact-linear\n"
+                             "diagnose.check = conformality\n",
+    "diagnose-transport": "run.operation = diagnose\nmodel.name = circle-linear\n"
+                          "diagnose.check = transport\ndiagnose.x0 = (0.3, 0.8)\n",
+    "diagnose-loop": "run.operation = diagnose\nmodel.name = circle-linear\n"
+                     "diagnose.check = loop\n",
+    "attractor-trapped": "run.operation = attractor\nmodel.name = damped-mechanical\n"
+                         "model.v_cos = 1.0\nattractor.t_relax = 30.0\nattractor.grid = 17\n",
+    "attractor-not-trapping": "run.operation = attractor\nmodel.name = circle-linear\n"
+                              "attractor.box = (0.0, 1.0, -2.0, 2.0)\n"
+                              "attractor.t_relax = 30.0\nattractor.grid = 11\n",
+    "periodic": "run.operation = periodic\nmodel.name = t2-pair-theta2\n"
+                "periodic.direction = 1\nperiodic.guess = (0.0, 0.01)\n",
+    "classify": "run.operation = classify\nmodel.name = t2-pair-theta2\n"
+                "classify.n = 8\nclassify.T = 2.0\n",
+    "escape": "run.operation = escape\nmodel.name = shear-contraction\nmodel.a = 0.5\n"
+              "escape.box = (0.0, 1.0, -1.0, 1.0)\nescape.n_steps = 5\n"
+              "escape.samples = 50\n",
+    "verify": "run.operation = verify\nverify.scope = diagnostics-negative-controls\n",
+}
+
+
+@pytest.mark.parametrize("name", sorted(_REPORTING_CONFIGS))
+def test_every_cli_report_verdict_agrees_with_its_residual(tmp_path, name):
+    from csdyn.cli import EXIT_FAIL
+
+    cfg = write(tmp_path, "op.cfg", _REPORTING_CONFIGS[name])
+    out = tmp_path / "out"
+    code = run_config(cfg, out=str(out), timestamp=False)
+    (report,) = out.glob("*.json")
+    checks = json.loads(report.read_text())["checks"]
+    for c in checks:
+        assert c["verdict"] in ("PASS", "FAIL", "PASS-NEGATIVE-CONTROL")
+        assert (c["verdict"] != "FAIL") == (c["residual"] <= c["tolerance"]), c
+    assert code == (EXIT_OK if all(c["verdict"] != "FAIL" for c in checks) else EXIT_FAIL)
+
+
 def test_transport_diagnosis_on_map_is_config_error(tmp_path):
     cfg = write(
         tmp_path, "fail2.cfg",

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from csdyn.diagnostics import (
+    CheckResult,
     attractor_estimate,
     classify_orbit,
     conformal_transport_check,
@@ -35,6 +36,47 @@ from csdyn.models import CAT_EIG_MINUS, instantiate_model, sample_states
 
 TWO_PI = 2.0 * math.pi
 FOUR_PI_SQ = 4.0 * math.pi**2
+
+
+# ---------------------------------------------------------------------------
+# check results
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("residual, tolerance, negative, verdict", [
+    (0.0, 0.0, False, "PASS"),
+    (-0.0, 0.0, False, "PASS"),
+    (5e-324, 0.0, False, "FAIL"),
+    (1e-7, 1e-6, False, "PASS"),
+    (1e-6, 1e-6, False, "PASS"),
+    (math.nan, 1.0, False, "FAIL"),
+    (math.nan, math.inf, False, "FAIL"),
+    (math.inf, 1.0, False, "FAIL"),
+    (math.inf, math.inf, False, "PASS"),
+    (1.0, math.nan, False, "FAIL"),
+    (0.0, 0.0, True, "PASS-NEGATIVE-CONTROL"),
+    (1e-7, 1e-6, True, "PASS-NEGATIVE-CONTROL"),
+    (2e-6, 1e-6, True, "FAIL"),
+    (math.nan, 1e-6, True, "FAIL"),
+    (math.inf, 0.0, True, "FAIL"),
+])
+def test_check_result_decides_its_verdict(residual, tolerance, negative, verdict):
+    r = CheckResult("c", "m", {}, np.float64(residual), tolerance, "tag", negative=negative)
+    assert r.verdict == verdict
+    assert r.passed == verdict.startswith("PASS")
+    assert type(r.residual) is float and type(r.tolerance) is float
+    assert r.to_json()["verdict"] == verdict
+
+
+def test_check_result_normalizes_its_fields():
+    params = {"a": 1.0}
+    r = CheckResult("c", "m", params, 1, 2, "tag")
+    params["a"] = 2.0
+    assert r.params == {"a": 1.0}
+    assert r.details == {} and r.details is not CheckResult("c", "m", {}, 0, 0, "t").details
+    assert list(r.to_json()) == ["check", "model", "params", "residual", "tolerance",
+                                 "verdict", "provenance_tag", "details"]
+    with pytest.raises(TypeError):
+        CheckResult("c", "m", {}, 0.0, 1.0, "tag", verdict="PASS")
 
 
 # ---------------------------------------------------------------------------
