@@ -880,9 +880,15 @@ _OBSERVER_BLOCK_BYTES = 64 * 1024
 _VERDICTS = ("undetermined", "dissipative", "conservative")
 
 
-def _segment_distances(a, b):
-    """Distance from the origin to each linear segment a -> b, over (..., dim)."""
-    ab = b - a
+def _segment_distances(spec, a, b):
+    """Distance from the origin to each linear segment a -> b, over (..., dim).
+
+    a and b are displacements from a start (spec.delta); the segment runs
+    along spec.step(a, b), so one that crosses the wrap at +-0.5 on an angle
+    axis takes the short way round rather than spanning the torus through
+    the start.
+    """
+    ab = spec.step(a, b)
     prod = np.multiply(ab, ab)  # one scratch array for the products
     denom = np.sum(prod, axis=-1)
     s = np.clip(-np.sum(np.multiply(a, ab, out=prod), axis=-1)
@@ -932,7 +938,7 @@ def classify_ensemble(m, starts, T, cfg=None, thresholds=None, h=1e-3):
             b = m.spec.delta(starts, Ys[lo:, :, :dim])
             a = b[:-1] if previous is None else np.concatenate([previous[None], b[:-1]])
             if len(a):
-                dist = _segment_distances(a, b[len(b) - len(a) :])
+                dist = _segment_distances(m.spec, a, b[len(b) - len(a) :])
                 np.minimum(min_ret, dist.min(axis=0), out=min_ret)
             previous = b[-1]
         lo = max(0, late_start - k0)

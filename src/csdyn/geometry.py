@@ -56,6 +56,17 @@ class CoordinateSpec:
         d = np.subtract(np.asarray(y, dtype=float), np.asarray(x, dtype=float))
         return self._wrap_angles(d, 0.5)
 
+    def step(self, a, b):
+        """Displacement b - a with each angle component less its nearest
+        integer: the short way round for a step under half a turn, and
+        bit-identical to b - a where no angle component passes +-0.5."""
+        d = np.subtract(b, a)
+        v = d[..., self._angles]  # a view when the angles are a slice
+        np.subtract(v, np.rint(v), out=v)
+        if not isinstance(self._angles, slice):
+            d[..., self._angles] = v
+        return d
+
     def _wrap_angles(self, d, shift):
         """Set the angle components of d to mod(d + shift, 1) - shift, in place."""
         a = self._angles

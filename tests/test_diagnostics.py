@@ -478,6 +478,20 @@ def test_classify_theta1_conservative():
     assert oc.min_return_dist < 1e-3
 
 
+def test_classify_closest_return_takes_the_short_way_across_the_wrap():
+    """theta2 = 0.3 - 0.07 t does not return within T = 10.  Its displacement
+    from the start passes -0.5 at t = 7.14; the step there runs across the
+    wrap, not back over the torus through the start."""
+    m = instantiate_model("t2-pair-theta1")
+    th1 = math.asin(0.07 / (2.0 * math.sqrt(2.0) * math.pi)) / TWO_PI - 0.125 + 1.0
+    x0 = np.array([th1, 0.3])
+    assert m.X(x0)[1] == pytest.approx(-0.07, rel=1e-12)
+    oc = classify_orbit(m, x0, 10.0)
+    # the nearest return is the end of the settling window, t = 0.1
+    assert oc.min_return_dist == pytest.approx(0.007, rel=1e-9)
+    assert oc.verdict == "undetermined"
+
+
 def test_classify_repelling_circle_undetermined():
     m = instantiate_model("t2-pair-theta2")
     oc = classify_orbit(m, np.array([0.0, 0.5]), 10.0)

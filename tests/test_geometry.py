@@ -265,3 +265,21 @@ def test_delta_identities(x, y):
         half = d[a] == -0.5
         assert np.all(np.abs(back[~half] + d[a][~half]) <= 8 * np.finfo(float).eps * (1.0 + scale[~half]))
         assert torus_distance(spec, x, y) == np.sqrt(np.sum(d * d))
+
+
+@settings(max_examples=300, deadline=None)
+@given(x=_STATE, y=_STATE)
+@example(x=[0.49, 0.1, 0.0, -0.49], y=[-0.49, 0.3, 3.0, 0.49])  # steps across +-0.5
+@example(x=[0.25, -0.0, 1.0, 0.0], y=[0.75, 0.0, -1.0, -0.5])   # half turns
+def test_step_identities(x, y):
+    x, y = np.array(x), np.array(y)
+    for spec in WRAP_SPECS:
+        a, lines = spec.angle_mask, ~spec.angle_mask
+        s = spec.step(x, y)
+        assert s[lines].tobytes() == (y - x)[lines].tobytes()
+        assert np.all(np.abs(s[a]) <= 0.5)
+        assert _near_integer((y - x)[a] - s[a], np.abs(x[a]) + np.abs(y[a]))
+        short = a & (np.abs(y - x) < 0.5)
+        assert s[short].tobytes() == (y - x)[short].tobytes()
+        assert spec.step(np.stack([x, y]), np.stack([y, x])).tobytes() == np.stack(
+            [s, spec.step(y, x)]).tobytes()
