@@ -823,22 +823,40 @@ def loop_cohomology_check(m, loop, t, cfg=None, tol=1e-7):
 # ---------------------------------------------------------------------------
 
 def recurrence_scan(m, x0, t_max, dt, cfg=None):
-    """Minimal wrapped return distance over sampled times in [dt, t_max]."""
+    """Closest return of the orbit of x0 to x0 within [0, t_max], after departure.
+
+    The orbit is sampled every dt from t = 0 (in closed form where the model
+    has one), and the distance to x0 is minimized exactly on each linear
+    segment between consecutive samples, taken the short way across an
+    angle wrap as in classify_ensemble; for a flow that is linear between
+    samples, such as the Lee field, that is the orbit's closest approach.
+    The departure from x0 is not a return: only segments from the first
+    sample where the distance to x0 stops growing count.  Returns
+    (distance, time), or (inf, nan) when the distance grows to t_max.
+    """
     if t_max < dt:
         raise ParamError("t_max must be at least dt")
     n = int(math.floor(t_max / dt + 1e-9))
     if n > 1e7:
         raise ParamError("too many recurrence samples (t_max/dt > 1e7)")
-    ts = dt * np.arange(1, n + 1)
+    ts = dt * np.arange(n + 1)
     x0 = np.asarray(x0, dtype=float)
     if m.flow_exact is not None:
         states = m.flow_exact(x0, ts)
     else:
         traj = integrate_flow(m, x0, (0.0, float(ts[-1])), cfg, times=ts)
         states = traj.states[: len(ts)]
-    dists = torus_distance(m.spec, states, x0)
+        ts = ts[: len(states)]
+    b = m.spec.delta(x0, states)
+    del states
+    dists = np.sqrt(np.sum(b * b, axis=-1))
+    stops = np.flatnonzero(dists[1:] <= dists[:-1])
+    if len(stops) == 0:
+        return math.inf, math.nan
+    k = int(stops[0])  # departure ends at sample k
+    dists, s = _segment_distances(m.spec, b[k:-1], b[k + 1 :])
     i = int(np.argmin(dists))
-    return float(dists[i]), float(ts[i])
+    return float(dists[i]), float((1.0 - s[i]) * ts[k + i] + s[i] * ts[k + i + 1])
 
 
 @dataclass
@@ -881,7 +899,8 @@ _VERDICTS = ("undetermined", "dissipative", "conservative")
 
 
 def _segment_distances(spec, a, b):
-    """Distance from the origin to each linear segment a -> b, over (..., dim).
+    """Distance from the origin to each linear segment a -> b, over (..., dim),
+    and the segment parameter s in [0, 1] of the closest point a + s (b - a).
 
     a and b are displacements from a start (spec.delta); the segment runs
     along spec.step(a, b), so one that crosses the wrap at +-0.5 on an angle
@@ -894,7 +913,7 @@ def _segment_distances(spec, a, b):
     s = np.clip(-np.sum(np.multiply(a, ab, out=prod), axis=-1)
                 / np.maximum(denom, 1e-300), 0.0, 1.0)
     seg = np.add(a, np.multiply(s[..., None], ab, out=prod), out=prod)
-    return np.sqrt(np.sum(np.multiply(seg, seg, out=prod), axis=-1))
+    return np.sqrt(np.sum(np.multiply(seg, seg, out=prod), axis=-1)), s
 
 
 def classify_ensemble(m, starts, T, cfg=None, thresholds=None, h=1e-3):
@@ -938,7 +957,7 @@ def classify_ensemble(m, starts, T, cfg=None, thresholds=None, h=1e-3):
             b = m.spec.delta(starts, Ys[lo:, :, :dim])
             a = b[:-1] if previous is None else np.concatenate([previous[None], b[:-1]])
             if len(a):
-                dist = _segment_distances(m.spec, a, b[len(b) - len(a) :])
+                dist, _ = _segment_distances(m.spec, a, b[len(b) - len(a) :])
                 np.minimum(min_ret, dist.min(axis=0), out=min_ret)
             previous = b[-1]
         lo = max(0, late_start - k0)

@@ -112,9 +112,16 @@ def test_criterion_10_lee_no_periodic_orbit(suite):
     result = _result(
         suite, "criterion 10 (no-periodic-orbit Lee flow)", C.cert_lee_no_periodic
     )
-    assert result.details["min_return"] >= 1e-2
-    assert result.details["control_return"] < 1e-6
+    assert result.details["min_return"] >= C.RETURN_THRESHOLD
+    assert result.details["control_return"] < C.RETURN_THRESHOLD
     assert abs(result.details["control_t"] - 1.0) < 1e-9
+
+
+@pytest.mark.parametrize("seed", range(1, 13))
+def test_criterion_10_holds_at_seeds_1_to_12(seed):
+    result = C.cert_lee_no_periodic(seed=seed)
+    assert result.passed, result.details
+    assert result.details["min_return"] >= C.RETURN_THRESHOLD
 
 
 def test_criterion_11_orbit_classification(suite):

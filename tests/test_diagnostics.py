@@ -19,6 +19,7 @@ from csdyn.diagnostics import (
     trapping_level,
     unstable_manifold_cloud,
 )
+from csdyn.certificates import RETURN_THRESHOLD
 from csdyn.errors import (
     BlowUpError,
     NonHyperbolicError,
@@ -32,7 +33,7 @@ from csdyn.flows import (
     integrate_variational,
 )
 from csdyn.geometry import torus_distance
-from csdyn.models import CAT_EIG_MINUS, instantiate_model, sample_states
+from csdyn.models import instantiate_model, sample_states
 
 TWO_PI = 2.0 * math.pi
 FOUR_PI_SQ = 4.0 * math.pi**2
@@ -431,8 +432,9 @@ def test_recurrence_independent_twist_stays_away():
     m = instantiate_model("lee-twisted-t1t2", a1=math.sqrt(2.0), a2=math.sqrt(3.0))
     rng = np.random.default_rng(5)
     for x0 in sample_states(m, 3, rng):
-        dmin, _ = recurrence_scan(m, x0, 200.0, 1e-2)
-        assert dmin >= 1e-2
+        dmin, t_at = recurrence_scan(m, x0, 200.0, 1e-2)
+        assert dmin >= RETURN_THRESHOLD
+        assert 1.0 < t_at <= 200.0
 
 
 def test_recurrence_rational_twist_returns_at_integer_time():
@@ -443,13 +445,25 @@ def test_recurrence_rational_twist_returns_at_integer_time():
 
 
 def test_recurrence_scan_on_the_anosov_cover():
-    """The closed-form flow over the array of sample times: z moves at unit
-    speed, so the nearest return within t = 1 is the first sample."""
+    """The closed-form flow over the array of sample times: z is a line
+    coordinate moving at unit speed, so the orbit departs up to t_max and
+    makes no return."""
     m = instantiate_model("anosov-cover")
     x0 = np.array([0.2, 0.7, 0.3, 1.5])
     dmin, t_at = recurrence_scan(m, x0, 1.0, 0.1)
-    assert t_at == 0.1
-    assert dmin == pytest.approx(np.hypot(0.1, 1.5 * (1.0 - CAT_EIG_MINUS**0.2)), rel=1e-12)
+    assert dmin == math.inf and math.isnan(t_at)
+
+
+def test_recurrence_scan_finds_a_return_between_samples():
+    """The rational twist returns at t = 1, between the samples at 0.9 and
+    1.2; the departure, up to the sample at 0.3, is not a return."""
+    m = instantiate_model("lee-twisted-t1t2", a1=1.0, a2=2.0)
+    x0 = np.array([0.3, 0.7, 0.0, 0.2])
+    dmin, t_at = recurrence_scan(m, x0, 2.0, 0.3)
+    assert dmin < 1e-15
+    assert t_at == pytest.approx(1.0, abs=1e-12)
+    # the return has the same closest approach as with dt = 0.01
+    assert recurrence_scan(m, x0, 2.0, 1e-2)[0] < 1e-15
 
 
 def test_recurrence_scan_rejects_bad_span():
