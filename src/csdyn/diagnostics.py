@@ -354,7 +354,7 @@ def find_periodic_orbit(m, sec, guess, cfg=None, newton_tol=1e-12, max_iter=50,
         else:
             raise ConvergenceError("periodic-orbit Newton stalled")
     else:
-        raise ConvergenceError("periodic-orbit Newton did not converge in 50 iterations")
+        raise ConvergenceError(f"periodic-orbit Newton did not converge in {max_iter} iterations")
 
     anchor = embed(y)
     traj = integrate_variational(m, anchor, (0.0, T), cfg, samples=101)

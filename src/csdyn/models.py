@@ -171,16 +171,18 @@ def eval_observables(m, x):
 
 
 def conformal_hamiltonian_field(omega_eval, eta_eval, h_eval, dh_eval):
-    """Field of a conformal pair: solve i_X Omega = dH - H eta pointwise."""
+    """Field of a conformal pair: solve i_X Omega = dH - H eta pointwise.
+
+    Broadcasts over (..., dim) as far as the evaluators do.
+    """
 
     def X(x):
         x = np.asarray(x, dtype=float)
         omega = np.asarray(omega_eval(x), dtype=float)
-        rhs = np.asarray(dh_eval(x), dtype=float) - h_eval(x) * np.asarray(
-            eta_eval(x), dtype=float
-        )
+        h = np.asarray(h_eval(x), dtype=float)[..., None]
+        rhs = np.asarray(dh_eval(x), dtype=float) - h * np.asarray(eta_eval(x), dtype=float)
         # i_X Omega as a covector is Omega^T X
-        return np.linalg.solve(omega.T, rhs)
+        return np.linalg.solve(np.swapaxes(omega, -1, -2), rhs[..., None])[..., 0]
 
     return X
 

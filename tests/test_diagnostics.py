@@ -22,6 +22,7 @@ from csdyn.diagnostics import (
 from csdyn.certificates import RETURN_THRESHOLD
 from csdyn.errors import (
     BlowUpError,
+    ConvergenceError,
     NonHyperbolicError,
     ParamError,
     StructureError,
@@ -234,6 +235,14 @@ def test_periodic_orbit_parabolic_circle_theta1():
     assert abs(po.period - 1.0 / (2.0 * math.sqrt(2.0) * math.pi)) < 1e-9
     assert np.max(np.abs(po.multipliers - 1.0)) < 1e-6
     assert po.mean_rotation == pytest.approx(0.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("max_iter", [1, 2])
+def test_periodic_orbit_newton_names_its_iteration_budget(max_iter):
+    m = instantiate_model("t2-pair-theta2")
+    sec = SectionSpec(axis=0, offset=0.0, direction=1)
+    with pytest.raises(ConvergenceError, match=f"did not converge in {max_iter} iterations"):
+        find_periodic_orbit(m, sec, np.array([0.0, 0.05]), max_iter=max_iter)
 
 
 # ---------------------------------------------------------------------------

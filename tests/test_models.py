@@ -241,6 +241,18 @@ def test_gauge_equivalence_of_rescaled_pair():
         assert np.max(np.abs(gauge(x) - np.asarray(m.X(x)))) < 1e-9
 
 
+def test_conformal_hamiltonian_field_broadcasts_over_a_batch():
+    """The lee-twisted pair's (Omega, eta, H, dH) evaluators broadcast over
+    (N, 4): the solved field takes the batch, row for row, and is X."""
+    m = instantiate_model("lee-twisted-t1t2")
+    field = conformal_hamiltonian_field(m.Omega, m.eta, m.H, m.dH)
+    xs = sample_states(m, 50, np.random.default_rng(3))
+    batch = field(xs)
+    assert batch.shape == xs.shape
+    assert batch.tobytes() == np.array([field(x) for x in xs]).tobytes()
+    assert np.max(np.abs(batch - m.X(xs))) < 1e-13
+
+
 def test_nonexact_linear_structure():
     m = instantiate_model("nonexact-linear")
     assert m.lam is None  # the form is not exact; no Liouville primitive
