@@ -848,9 +848,9 @@ def recurrence_scan(m, x0, t_max, dt, cfg=None):
         states = traj.states[: len(ts)]
         ts = ts[: len(states)]
     b = m.spec.delta(x0, states)
-    del states
-    dists = np.sqrt(np.sum(b * b, axis=-1))
-    stops = np.flatnonzero(dists[1:] <= dists[:-1])
+    del states  # the segment pass below needs three arrays of its size
+    sq = np.sum(b * b, axis=-1)
+    stops = np.flatnonzero(sq[1:] <= sq[:-1])
     if len(stops) == 0:
         return math.inf, math.nan
     k = int(stops[0])  # departure ends at sample k
