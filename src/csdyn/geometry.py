@@ -16,8 +16,6 @@ from .errors import DegenerateFormError, DimensionMismatchError, OpenLoopError
 ANGLE = "angle"
 LINE = "line"
 
-ANTISYMMETRY_TOL = 1e-14
-
 
 @dataclass(frozen=True)
 class CoordinateSpec:
@@ -89,19 +87,6 @@ def torus_distance(spec, x, y):
     return np.sqrt(np.sum(d * d, axis=-1))
 
 
-def check_two_form(matrix):
-    """Validate a two-form value: antisymmetric within 1e-14, nondegenerate."""
-    m = np.asarray(matrix, dtype=float)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise DimensionMismatchError(f"two-form matrix must be square, got {m.shape}")
-    scale = max(1.0, float(np.max(np.abs(m))))
-    if float(np.max(np.abs(m + m.T))) > ANTISYMMETRY_TOL * scale:
-        raise DegenerateFormError("two-form matrix is not antisymmetric")
-    if abs(np.linalg.det(m)) == 0.0:
-        raise DegenerateFormError("two-form matrix is degenerate")
-    return m
-
-
 def eval_two_form(omega, u, v):
     """Pair two tangent vectors against a two-form matrix: u^T omega v.
 
@@ -119,13 +104,6 @@ def eval_two_form(omega, u, v):
     uv = np.einsum("...i,...ij,...j->...", u, omega, v)
     vu = np.einsum("...i,...ij,...j->...", v, omega, u)
     return 0.5 * (uv - vu)
-
-
-def interior_product(omega, x):
-    """Covector i_X omega, components (i_X omega)_j = sum_i X_i omega_ij."""
-    omega = np.asarray(omega, dtype=float)
-    x = np.asarray(x, dtype=float)
-    return np.einsum("...i,...ij->...j", x, omega)
 
 
 def conformality_ratio_estimate(jac, omega_x, omega_fx):

@@ -145,5 +145,6 @@ def test_full_verify_suite_passes_with_pinned_seed(suite):
     n_pass = sum(1 for r in by_cert.values() if r.passed)
     print(f"verify-suite: {n_pass}/{len(by_cert)} checks passed in {elapsed:.1f}s")
     assert len(by_cert) >= 18
+    assert all(r.check == fn.declaration.check for fn, r in by_cert.items())
     assert ok
     assert elapsed < 300.0  # full-suite runtime target, single-threaded

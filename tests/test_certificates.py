@@ -1,0 +1,76 @@
+"""The battery's declarations: names, scopes and tolerances, and crash records."""
+
+import inspect
+
+from csdyn import certificates as C
+
+# (function, check, scope, tolerance, negative) of every check, in battery order
+BATTERY = [
+    ("cert_two_form_antisymmetry", "two-form-antisymmetry", "geometry", 0.0, False),
+    ("cert_loop_quadrature_convergence", "loop-quadrature-convergence", "geometry", 0.5, False),
+    ("cert_torus_metric", "torus-metric-triangle", "geometry", 1e-12, False),
+    ("cert_map_conformality", "map-conformality-ratio", "geometry", 1e-12, False),
+    ("cert_field_identities", "field-identities", "models", 1e-9, False),
+    ("cert_structure_forms", "structure-forms", "models", 1e-6, False),
+    ("cert_liouville_decomposition", "liouville-decomposition", "models", 1e-12, False),
+    ("cert_gauge_equivalence", "gauge-equivalence", "models", 1e-9, False),
+    ("cert_contact_lift", "contact-lift", "models", 1e-9, False),
+    ("cert_flow_conformality", "flow-conformality-transport", "flow-engine", 1e-6, False),
+    ("cert_splitting_exact", "splitting-exact-conformality", "flow-engine", 5e-13, False),
+    ("cert_splitting_order", "splitting-order", "flow-engine", 0.3, False),
+    ("cert_volume_rate", "volume-rate", "flow-engine", 1e-7, False),
+    ("cert_time_map_consistency", "time-map-consistency", "flow-engine", 1e-8, False),
+    ("cert_map_iteration", "map-iteration", "flow-engine", 1e-12, False),
+    ("cert_blowup_riccati", "blowup-riccati", "flow-engine", 1e-6, False),
+    ("cert_energy_descent", "energy-descent", "flow-engine", 1e-9, False),
+    ("cert_floquet_pairing", "floquet-pairing", "diagnostics", 1.0, False),
+    ("cert_lyapunov_pairing", "lyapunov-pairing", "diagnostics", 1e-3, False),
+    ("cert_loop_cohomology", "loop-cohomology", "diagnostics", 1.0, False),
+    ("cert_escape_statistics", "escape-statistics", "diagnostics", 0.0, False),
+    ("cert_trapping_attractor", "trapping-attractor", "diagnostics", 1.0, False),
+    ("cert_isotropy", "isotropy", "diagnostics", 1.0, False),
+    ("cert_transport_decay", "transport-decay", "diagnostics", 1e-6, False),
+    ("cert_lee_no_periodic", "lee-no-periodic-orbit", "diagnostics", 0.0, False),
+    ("cert_classification", "orbit-classification", "diagnostics", 0.0, False),
+    ("cert_rotation_zero_lee", "lee-rotation-zero", "diagnostics", 0.0, False),
+    ("cert_anosov_frame", "anosov-frame-checks", "diagnostics", 1e-9, False),
+    ("cert_escape_determinism", "escape-determinism", "diagnostics", 0.0, False),
+    ("cert_attractor_negative_control", "attractor-not-trapping",
+     "diagnostics-negative-controls", 0.0, True),
+    ("cert_recurrence_negative_control", "recurrence-rational-control",
+     "diagnostics-negative-controls", 1e-6, True),
+    ("cert_isotropy_negative_control", "isotropy-open-graph-control",
+     "diagnostics-negative-controls", 1e-6, True),
+]
+
+
+def test_battery_declarations_are_pinned():
+    # read from the declarations alone: no check runs
+    declared = [
+        (fn.__name__, fn.declaration.check, scope, fn.declaration.tolerance,
+         fn.declaration.negative)
+        for fn, scope in C._CERTIFICATES
+    ]
+    assert declared == BATTERY
+    for fn, scope in C._CERTIFICATES:
+        assert inspect.isfunction(fn) and getattr(C, fn.__name__) is fn
+        assert fn.declaration.scope == scope
+    assert C.SCOPES == ("all", "diagnostics", "diagnostics-negative-controls",
+                        "flow-engine", "geometry", "models")
+
+
+def test_a_crash_is_recorded_under_the_declared_name(monkeypatch):
+    clean = C.cert_torus_metric(seed=7)
+    assert clean.passed
+
+    def broken(*args, **kwargs):
+        raise RuntimeError("distance unavailable")
+
+    monkeypatch.setattr(C, "torus_distance", broken)
+    results, ok = C.verify_suite("geometry", seed=7)
+    crashed = [r for r in results if r.provenance_tag == "error"]
+    assert not ok
+    assert len(crashed) == 1
+    assert crashed[0].check == clean.check == "torus-metric-triangle"
+    assert crashed[0].verdict == "FAIL"
+    assert crashed[0].details["error"] == "RuntimeError: distance unavailable"

@@ -20,9 +20,12 @@ The paths whose sums could round by the batch's memory layout are digested
 too: the composed tangent product of `transport_tangents` (np.einsum at
 dim 4) on a full Mane drift and on lee-twisted-t1t2, lee-twisted-t1t2's
 `classify_ensemble` at N = 1024 (the observer reduces every step on the
-engine's batch in place), an `rk4` `integrate_variational` with frames on
-that Mane model (DX @ F), and a circle-quadratic `flow_ensemble` whose rows
-partly blow up mid-run (the engine then steps the gathered live rows).
+engine's batch in place), `rk4` `integrate_variational` runs with k = n
+frames (DX @ F) on that Mane model and on damped-mechanical d = 2 with
+v_cross = 0.3 (a Jacobian with several nonzero entries per row, so each sum
+of DX @ F can round by the order of its terms), and a circle-quadratic
+`flow_ensemble` whose rows partly blow up mid-run (the engine then steps the
+gathered live rows).
 The last line digests all lines above it.  Floats
 are hashed by their bits (`float.hex`), arrays by dtype, shape and bytes,
 so -0.0 and 0.0 differ.
@@ -229,6 +232,11 @@ def layout_digests(seed):
     m = models.instantiate_model("circle-quadratic", alpha=1.0)
     out = flow_ensemble(m, models.sample_states(m, 1024, rng, 3.0), 1.0, 0.01)
     yield f"flow_ensemble.seed{seed}.circle-quadratic.blowups.n1024", digest(list(out))
+    # k = n frames under a Jacobian with several nonzero entries per row
+    m = models.instantiate_model("damped-mechanical", ENSEMBLE_MODELS[0][1])
+    trajs = integrate_variational(m, models.sample_states(m, 64, rng, 1.0), (0.0, 1.0), cfg)
+    yield f"integrate_variational.seed{seed}.damped-mechanical-d2.rk4.n64", digest(
+        [[tr.times, tr.states, tr.frames, tr.status] for tr in trajs])
 
 
 def main(argv=None):
