@@ -1174,21 +1174,22 @@ def sample_states(m, n, rng, line_scale=2.0):
 
 
 def field_identity_residual(m, x):
-    """Residual of the defining identity at a single state.
+    """Residual of the defining identity, one per state of x (..., dim).
 
     Exact-symplectic flows: i_X omega - alpha lambda - dH.
     Conformal pairs:        i_X Omega - dH + H eta.
+    A single (dim,) state gives a float.
     """
     if m.kind != FLOW:
         raise KindError("field identity applies to flow models")
     x = np.asarray(x, dtype=float)
     omega = np.asarray(m.Omega(x), dtype=float)
     xdot = np.asarray(m.X(x), dtype=float)
-    lhs = omega.T @ xdot
+    # Omega^T X per state, as the matrix-vector product of one state
+    lhs = (np.swapaxes(omega, -1, -2) @ xdot[..., None])[..., 0]
     if m.conformal_pair:
-        rhs = np.asarray(m.dH(x), dtype=float) - float(m.H(x)) * np.asarray(
-            m.eta(x), dtype=float
-        )
+        h = np.asarray(m.H(x), dtype=float)[..., None]
+        rhs = np.asarray(m.dH(x), dtype=float) - h * np.asarray(m.eta(x), dtype=float)
     elif m.exact_symplectic:
         if m.dH is None:
             raise StructureError(f"{m.name} lacks dH for the identity check")
@@ -1197,4 +1198,5 @@ def field_identity_residual(m, x):
         )
     else:
         raise StructureError(f"{m.name} declares no Hamiltonian structure")
-    return float(np.max(np.abs(lhs - rhs)))
+    res = np.max(np.abs(lhs - rhs), axis=-1)
+    return float(res) if res.ndim == 0 else res

@@ -1,6 +1,12 @@
-"""The battery's declarations: names, scopes and tolerances, and crash records."""
+"""The battery's declarations: names, scopes and tolerances, and crash records;
+the evaluator calls of the batched checks and the map-conformality budget."""
 
+import collections
+import dataclasses
 import inspect
+import time
+
+import pytest
 
 from csdyn import certificates as C
 
@@ -74,3 +80,48 @@ def test_a_crash_is_recorded_under_the_declared_name(monkeypatch):
     assert crashed[0].check == clean.check == "torus-metric-triangle"
     assert crashed[0].verdict == "FAIL"
     assert crashed[0].details["error"] == "RuntimeError: distance unavailable"
+
+
+def _counted(fn, counts, key):
+    def wrapped(*args, **kwargs):
+        counts[key] += 1
+        return fn(*args, **kwargs)
+
+    return wrapped
+
+
+@pytest.mark.parametrize("scale", [1, 3])
+def test_sampled_state_checks_call_each_evaluator_once_per_model(monkeypatch, scale):
+    # a per-state loop would make 1000 * scale field calls per model; the
+    # finite-difference cross-check's H calls are not counted
+    counts = collections.Counter()
+    instantiate, sample = C.instantiate_model, C.sample_states
+
+    def counted_model(*args, **kwargs):
+        m = instantiate(*args, **kwargs)
+        return dataclasses.replace(m, X=_counted(m.X, counts, "X"),
+                                   Omega=_counted(m.Omega, counts, "Omega"))
+
+    monkeypatch.setattr(C, "instantiate_model", counted_model)
+    monkeypatch.setattr(C, "sample_states", lambda m, n, *a: sample(m, n * scale, *a))
+    monkeypatch.setattr(C, "torus_distance", _counted(C.torus_distance, counts, "distance"))
+    assert C.cert_field_identities(seed=7).passed
+    assert C.cert_torus_metric(seed=7).passed
+    n = len(C._FLOW_MODELS)
+    assert counts == {"X": n, "Omega": n, "distance": 4}
+
+
+def test_map_conformality_budget_times_the_whole_measurement(monkeypatch):
+    spans = []
+    ratios = C.map_conformality_ratios
+
+    def timed(*args):
+        start = time.perf_counter()
+        out = ratios(*args)
+        spans.append((start, time.perf_counter()))
+        return out
+
+    monkeypatch.setattr(C, "map_conformality_ratios", timed)
+    result = C.cert_map_conformality(seed=7)
+    assert result.passed and len(spans) == 3
+    assert result.details["elapsed_s"] >= spans[-1][1] - spans[0][0]

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -473,6 +474,24 @@ def test_recurrence_scan_finds_a_return_between_samples():
     assert t_at == pytest.approx(1.0, abs=1e-12)
     # the return has the same closest approach as with dt = 0.01
     assert recurrence_scan(m, x0, 2.0, 1e-2)[0] < 1e-15
+
+
+def test_recurrence_scan_is_the_same_in_any_block_size(monkeypatch):
+    """Blocks of 7 samples and one block of the whole orbit give the default's
+    bits: the departure test and the closest segment cross block edges."""
+    from csdyn import diagnostics
+
+    lee = instantiate_model("lee-twisted-t1t2", a1=math.sqrt(2.0), a2=math.sqrt(3.0))
+    rational = instantiate_model("lee-twisted-t1t2", a1=1.0, a2=2.0)
+    x0 = np.array([0.3, 0.7, 0.0, 0.2])
+    cases = [(lee, x, 200.0, 1e-2) for x in sample_states(lee, 2, np.random.default_rng(5))]
+    cases += [(rational, x0, 2.0, 1e-2),
+              (dataclasses.replace(rational, flow_exact=None), x0, 2.0, 1e-2)]
+    default = [recurrence_scan(*case) for case in cases]
+    assert default[2][0] < 1e-15 and default[3][0] < 1e-6
+    for block in (7, 10**8):
+        monkeypatch.setattr(diagnostics, "_RECURRENCE_BLOCK", block)
+        assert [recurrence_scan(*case) for case in cases] == default
 
 
 def test_recurrence_scan_rejects_bad_span():

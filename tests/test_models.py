@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from csdyn.certificates import _FLOW_MODELS
 from csdyn.errors import (
     KindError,
     ParamError,
@@ -152,8 +153,28 @@ def test_lee_field_annihilates_lee_form_exactly():
 def test_defining_identity_at_random_states(name, params):
     m = instantiate_model(name, params)
     rng = np.random.default_rng(2)
-    worst = max(field_identity_residual(m, x) for x in sample_states(m, 1000, rng, 1.5))
-    assert worst < 1e-9
+    assert np.max(field_identity_residual(m, sample_states(m, 1000, rng, 1.5))) < 1e-9
+
+
+def _identity_model(name, params):
+    if name != "contact-lift":
+        return instantiate_model(name, params)
+    # the lift evaluates H, and differences it for dH, one state at a time
+    return contact_lift(
+        lambda y: np.cos(TWO_PI * y[..., 2]) + 0.3 * np.sin(TWO_PI * y[..., 0]), (0.5, -0.2)
+    )
+
+
+@pytest.mark.parametrize("name,params", list(_FLOW_MODELS) + [("contact-lift", None)],
+                         ids=lambda v: str(v)[:40])
+def test_identity_residual_of_a_batch_is_the_per_state_residual(name, params):
+    m = _identity_model(name, params)
+    xs = sample_states(m, 64, np.random.default_rng(17), 1.5)
+    batch = field_identity_residual(m, xs)
+    assert batch.shape == (64,)
+    single = [field_identity_residual(m, x) for x in xs]
+    assert all(type(r) is float for r in single)
+    assert batch.tobytes() == np.array(single).tobytes()
 
 
 @pytest.mark.parametrize("name,params", FLOW_CASES, ids=lambda v: str(v)[:40])
