@@ -251,7 +251,7 @@ def cert_structure_forms(seed=7):
     """Omega = -d(lambda) for exact models; d(Omega) = eta ^ Omega for pairs."""
     rng = np.random.default_rng(seed)
     worst = 0.0
-    # per state: fd_exterior_derivative_* difference a form at one state
+    # per state: fd_exterior_derivative_* difference a form at a single point
     for name, params in (("circle-linear", {"alpha": 1.0}),
                          ("mane", {"alpha": 0.5, "d": 1, "y0": 0.4}),
                          ("damped-mechanical", {"alpha": 0.5, "d": 1})):
