@@ -27,6 +27,8 @@ OPERATIONS = (
     "escape",
 )
 
+_INTEGRATING = ("simulate", "diagnose", "attractor", "periodic")  # read integrator.*
+
 # key -> short description; model.* is validated by the model registry
 _KNOWN_KEYS = {
     "run.operation": "one of " + ", ".join(OPERATIONS),
@@ -110,8 +112,10 @@ def _parse_scalar(raw, line_no):
 
 
 def parse_config_text(text):
-    """Parse config text into a {key: value} table, rejecting unknown keys."""
-    table = {}
+    """Parse config text into a {key: value} table, rejecting keys that the
+    operation does not read: any key outside run.*, model.*, the operation's
+    own section, and integrator.* for the operations that integrate."""
+    table, lines = {}, {}
     for line_no, line in enumerate(text.splitlines(), start=1):
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
@@ -125,6 +129,12 @@ def parse_config_text(text):
         if key in table:
             raise ConfigError(f"duplicate key {key!r}", line=line_no, key=key)
         table[key] = _parse_value(raw, line_no)
+        lines[key] = line_no
+    op = table.get("run.operation")
+    read = ("run", "model", op) + ("integrator",) * (op in _INTEGRATING)
+    for key, line_no in lines.items():
+        if op in OPERATIONS and key.split(".")[0] not in read:
+            raise ConfigError(f"key {key!r} is not read by {op!r}", line=line_no, key=key)
     return table
 
 

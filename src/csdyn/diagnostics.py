@@ -36,7 +36,12 @@ from .flows import (
     time_reversed_view,
     transport_tangents,
 )
-from .geometry import conformality_ratio_estimate, loop_integral, torus_distance
+from .geometry import (
+    _frobenius_dot,
+    conformality_ratio_estimate,
+    loop_integral,
+    torus_distance,
+)
 from .models import MAP
 
 TWO_PI = 2.0 * math.pi
@@ -121,32 +126,29 @@ def rotation_number(traj):
 def conformal_transport_check(m, traj, tol=1e-6):
     """Residuals of D^T Omega D = c_t Omega and H o phi_t = c_t H along a trajectory.
 
-    c_t = exp(r_t) for conformal pairs, exp(-alpha t) for exact models.  The
-    H-residual is only scored for models whose Hamiltonian scales along the
-    flow (conformal pairs and fiberwise-linear exact Hamiltonians).
+    c_t = exp(r_t) for conformal pairs, exp(-alpha t) for exact models, from
+    the run's start (a backward run's last sample).  The H-residual is only
+    scored for models whose Hamiltonian scales along the flow (conformal
+    pairs and fiberwise-linear exact Hamiltonians).
     """
     if traj.frames is None:
         raise StructureError("conformal transport check needs tangent frames")
-    x0 = traj.states[0]
+    start = -1 if traj.backward else 0
+    x0, t0 = traj.states[start], float(traj.times[start])
     omega0 = np.asarray(m.Omega(x0), dtype=float)
+    if m.conformal_pair:
+        r0 = float(traj.r_accum[start])
+        c = np.array([math.exp(float(r) - r0) for r in traj.r_accum])
+    else:
+        c = np.array([math.exp(-m.alpha * (float(t) - t0)) for t in traj.times])
+    F = traj.frames
+    off = np.swapaxes(F, -1, -2) @ np.asarray(m.Omega(traj.states), dtype=float) @ F
+    off -= c[:, None, None] * omega0
     norm0 = float(np.linalg.norm(omega0))
-    h0 = float(m.H(x0)) if m.H is not None else None
-    omega_res = 0.0
+    omega_res = float(np.max(np.sqrt(_frobenius_dot(off, off)) / norm0))
     h_res = 0.0
-    t0 = float(traj.times[0])
-    for i in range(len(traj.times)):
-        t = float(traj.times[i]) - t0
-        if m.conformal_pair:
-            c_t = math.exp(float(traj.r_accum[i]))
-        else:
-            c_t = math.exp(-m.alpha * t)
-        F = traj.frames[i]
-        omega_t = np.asarray(m.Omega(traj.states[i]), dtype=float)
-        omega_res = max(
-            omega_res, float(np.linalg.norm(F.T @ omega_t @ F - c_t * omega0)) / norm0
-        )
-        if m.H is not None and m.h_scales:
-            h_res = max(h_res, abs(float(m.H(traj.states[i])) - c_t * h0))
+    if m.H is not None and m.h_scales:
+        h_res = float(np.max(np.abs(m.H(traj.states) - c * float(m.H(x0)))))
     residual = max(omega_res, h_res)
     return CheckResult(
         check="conformal-transport",
@@ -166,16 +168,9 @@ def map_conformality_ratios(m, pts):
     Df^T Omega(f(x)) Df = a Omega(x) and its normalized residual, from
     geometry.conformality_ratio_estimate.
     """
-    fits = [
-        conformality_ratio_estimate(
-            np.asarray(m.Df(x), dtype=float),
-            np.asarray(m.Omega(x), dtype=float),
-            np.asarray(m.Omega(m.f(x)), dtype=float),
-        )
-        for x in pts
-    ]
-    ratios, residuals = np.array(fits).T
-    return ratios, residuals
+    pts = np.asarray(pts, dtype=float)
+    jac = np.broadcast_to(m.Df(pts), pts.shape[:-1] + (m.dim, m.dim))
+    return conformality_ratio_estimate(jac, m.Omega(pts), m.Omega(m.f(pts)))
 
 
 # ---------------------------------------------------------------------------
@@ -654,21 +649,16 @@ def _grow_manifold_shells(m, fp, E, t_grow, cfg, r0, leg):
 
 
 def isotropy_defect(points, frames, omega_eval, normalize=True):
-    """sup over points and frame-column pairs of |Omega(u_i, u_j)|."""
+    """sup over points and frame-column pairs of |Omega(u_i, u_j)|, omega_eval batched."""
     points = np.asarray(points, dtype=float)
     frames = np.asarray(frames, dtype=float)
     if frames.ndim != 3 or frames.shape[2] < 2:
         raise ParamError("isotropy defect needs frames with k >= 2 columns")
-    worst = 0.0
-    for x, B in zip(points, frames):
-        if normalize:
-            B = B / np.linalg.norm(B, axis=0, keepdims=True)
-        omega = np.asarray(omega_eval(x), dtype=float)
-        M = B.T @ omega @ B
-        k = M.shape[0]
-        iu = np.triu_indices(k, 1)
-        worst = max(worst, float(np.max(np.abs(M[iu]))))
-    return worst
+    if normalize:
+        frames = frames / np.linalg.norm(frames, axis=-2, keepdims=True)
+    omega = np.asarray(omega_eval(points), dtype=float)
+    M = np.swapaxes(frames, -1, -2) @ omega @ frames
+    return float(np.max(np.abs(M[(...,) + np.triu_indices(M.shape[-1], 1)]), initial=0.0))
 
 
 # ---------------------------------------------------------------------------

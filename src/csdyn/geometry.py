@@ -7,6 +7,7 @@ coordinates, one-forms are coefficient vectors; there is no symbolic layer.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -106,36 +107,49 @@ def eval_two_form(omega, u, v):
     return 0.5 * (uv - vu)
 
 
+def _matrix_stacks(*mats):
+    """The arrays as float (..., n, n) stacks of one n."""
+    mats = [np.asarray(m, dtype=float) for m in mats]
+    if any(m.ndim < 2 or m.shape[-2:] != mats[0].shape[-1:] * 2 for m in mats):
+        raise DimensionMismatchError(
+            f"need (..., n, n) stacks of one n, got {[m.shape for m in mats]}")
+    return mats
+
+
+def _frobenius_dot(a, b):
+    """Per-matrix sum of a * b over (..., n, n) stacks, as a (1, n*n) by (n*n, 1)
+    product: one matrix's np.tensordot bit for bit (einsum rounds otherwise)."""
+    k = a.shape[-2] * a.shape[-1]
+    return (a.reshape(a.shape[:-2] + (1, k)) @ b.reshape(b.shape[:-2] + (k, 1)))[..., 0, 0]
+
+
 def conformality_ratio_estimate(jac, omega_x, omega_fx):
     """Least-squares scalar a minimizing ||J^T omega_fx J - a omega_x||_F.
 
-    Returns (ratio, residual) with the residual normalized by ||omega_x||_F.
-    The Frobenius fit is robust to near-zero individual entries.
+    (ratio, residual) per matrix of (..., n, n) stacks, floats for one matrix,
+    with the residual normalized by ||omega_x||_F.  The Frobenius fit is
+    robust to near-zero individual entries.
     """
-    jac = np.asarray(jac, dtype=float)
-    omega_x = np.asarray(omega_x, dtype=float)
-    omega_fx = np.asarray(omega_fx, dtype=float)
-    if jac.shape != omega_x.shape or omega_x.shape != omega_fx.shape:
-        raise DimensionMismatchError("jacobian and form matrices must share shape")
-    denom = float(np.tensordot(omega_x, omega_x))
-    if denom == 0.0:
+    jac, omega_x, omega_fx = _matrix_stacks(jac, omega_x, omega_fx)
+    denom = _frobenius_dot(omega_x, omega_x)
+    if np.any(denom == 0.0):
         raise DegenerateFormError("omega_x is the zero matrix")
-    pulled = jac.T @ omega_fx @ jac
-    ratio = float(np.tensordot(pulled, omega_x)) / denom
-    residual = float(np.linalg.norm(pulled - ratio * omega_x)) / np.sqrt(denom)
-    return ratio, residual
+    pulled = np.swapaxes(jac, -1, -2) @ omega_fx @ jac
+    ratio = _frobenius_dot(pulled, omega_x) / denom
+    off = pulled - np.expand_dims(ratio, (-2, -1)) * omega_x
+    residual = np.sqrt(_frobenius_dot(off, off)) / np.sqrt(denom)
+    return (float(ratio) if np.ndim(ratio) == 0 else ratio), residual
 
 
 def pullback_residual(jac, omega_x, omega_fx, expected):
-    """Max-entry deviation ||J^T omega_fx J - expected * omega_x||_inf."""
-    jac = np.asarray(jac, dtype=float)
-    omega_x = np.asarray(omega_x, dtype=float)
-    omega_fx = np.asarray(omega_fx, dtype=float)
-    if jac.shape != omega_x.shape or omega_x.shape != omega_fx.shape:
-        raise DimensionMismatchError("jacobian and form matrices must share shape")
+    """Max-entry deviation ||J^T omega_fx J - expected * omega_x||_inf per
+    matrix of (..., n, n) stacks, a float for one matrix."""
+    jac, omega_x, omega_fx = _matrix_stacks(jac, omega_x, omega_fx)
     if expected <= 0:
         raise ValueError("expected pullback factor must be positive")
-    return float(np.max(np.abs(jac.T @ omega_fx @ jac - expected * omega_x)))
+    pulled = np.swapaxes(jac, -1, -2) @ omega_fx @ jac
+    res = np.max(np.abs(pulled - expected * omega_x), axis=(-2, -1))
+    return float(res) if np.ndim(res) == 0 else res
 
 
 def loop_integral(spec, lambda_eval, loop, closure_tol=1e-9):
@@ -153,9 +167,7 @@ def loop_integral(spec, lambda_eval, loop, closure_tol=1e-9):
         raise OpenLoopError("need at least 16 loop samples")
     if float(torus_distance(spec, pts[0], pts[-1])) > closure_tol:
         raise OpenLoopError("loop is not closed (first != last up to wrap)")
-    lam = np.asarray(lambda_eval(pts), dtype=float)
-    if lam.shape != pts.shape:
-        lam = np.stack([np.asarray(lambda_eval(p), dtype=float) for p in pts])
+    lam = np.broadcast_to(np.asarray(lambda_eval(pts), dtype=float), pts.shape)
     steps = spec.delta(pts[:-1], pts[1:])
     mid = 0.5 * (lam[:-1] + lam[1:])
     return float(np.sum(mid * steps))
@@ -166,13 +178,13 @@ def loop_integral(spec, lambda_eval, loop, closure_tol=1e-9):
 # ---------------------------------------------------------------------------
 
 def fd_gradient(f, x, h=1e-6):
-    """Central-difference gradient of a scalar function."""
+    """Central-difference gradient of a scalar function; x (..., n) -> (..., n)."""
     x = np.asarray(x, dtype=float)
     g = np.zeros_like(x)
-    for i in range(x.size):
-        e = np.zeros_like(x)
+    for i in range(x.shape[-1]):
+        e = np.zeros(x.shape[-1])
         e[i] = h
-        g[i] = (f(x + e) - f(x - e)) / (2 * h)
+        g[..., i] = (f(x + e) - f(x - e)) / (2 * h)
     return g
 
 
@@ -192,41 +204,32 @@ def fd_jacobian(f, x, h=1e-6):
 
 
 def fd_exterior_derivative_one_form(lambda_eval, x, h=1e-6):
-    """(d lambda)_ij = d_i lambda_j - d_j lambda_i by central differences."""
-    jac = fd_jacobian(lambda_eval, x, h)  # jac[j, i] = d_i lambda_j
-    return jac.T - jac
+    """(d lambda)_ij = d_i lambda_j - d_j lambda_i by central differences, per state."""
+    jac = fd_jacobian(lambda_eval, x, h)  # jac[..., j, i] = d_i lambda_j
+    return np.swapaxes(jac, -1, -2) - jac
 
 
 def fd_exterior_derivative_two_form(omega_eval, x, h=1e-6):
     """Components (d omega)(e_i, e_j, e_k) of the exterior derivative.
 
-    Returns a dict {(i, j, k): value} over i < j < k.
+    Returns a dict {(i, j, k): per-state value} over i < j < k.
     """
     x = np.asarray(x, dtype=float)
-    n = x.size
-    domega = np.zeros((n, n, n))  # domega[i, j, k] = d_i omega_jk
-    for i in range(n):
-        e = np.zeros_like(x)
-        e[i] = h
-        domega[i] = (np.asarray(omega_eval(x + e)) - np.asarray(omega_eval(x - e))) / (2 * h)
-    out = {}
-    for i in range(n):
-        for j in range(i + 1, n):
-            for k in range(j + 1, n):
-                out[(i, j, k)] = domega[i, j, k] + domega[j, k, i] + domega[k, i, j]
-    return out
+    n = x.shape[-1]
+    # d[..., j, k, i] = d_i omega_jk, per state also where omega is constant
+    d = np.broadcast_to(fd_jacobian(omega_eval, x, h), x.shape[:-1] + (n, n, n))
+    return {
+        (i, j, k): d[..., j, k, i] + d[..., k, i, j] + d[..., i, j, k]
+        for i, j, k in itertools.combinations(range(n), 3)
+    }
 
 
 def wedge_one_two(eta, omega):
-    """Components (eta ^ omega)(e_i, e_j, e_k) over i < j < k as a dict."""
+    """Components (eta ^ omega)(e_i, e_j, e_k) over i < j < k, a dict of per-state values."""
     eta = np.asarray(eta, dtype=float)
     omega = np.asarray(omega, dtype=float)
-    n = eta.size
-    out = {}
-    for i in range(n):
-        for j in range(i + 1, n):
-            for k in range(j + 1, n):
-                out[(i, j, k)] = (
-                    eta[i] * omega[j, k] - eta[j] * omega[i, k] + eta[k] * omega[i, j]
-                )
-    return out
+    return {
+        (i, j, k): eta[..., i] * omega[..., j, k] - eta[..., j] * omega[..., i, k]
+        + eta[..., k] * omega[..., i, j]
+        for i, j, k in itertools.combinations(range(eta.shape[-1]), 3)
+    }

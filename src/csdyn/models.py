@@ -1051,6 +1051,17 @@ def instantiate_model(name, params=None, **kwargs):
 FLAT_T2_CONTACT = "flat-t1t2"
 
 
+def _per_state(f):
+    """f, written for one state (k,), mapped over the leading axes of x (..., k)."""
+    def batched(x):
+        x = np.asarray(x, dtype=float)
+        if x.ndim == 1:
+            return f(x)
+        rows = [f(row) for row in x.reshape(-1, x.shape[-1])]
+        return np.reshape(rows, x.shape[:-1] + np.shape(rows[0]))
+    return batched
+
+
 def contact_lift(H, beta, dH=None, contact=FLAT_T2_CONTACT):
     """Lift a contact Hamiltonian on flat T^1 T^2 to its twisted symplectization.
 
@@ -1059,7 +1070,9 @@ def contact_lift(H, beta, dH=None, contact=FLAT_T2_CONTACT):
     theta-component beta(X) - dH.R.  H takes the 3-vector (x1, x2, v); dH is
     its analytic gradient, central differences when omitted.  Without dH the
     lift also gets DX, built from central second differences of H, since
-    differencing the differenced field would amplify its rounding.
+    differencing the differenced field would amplify its rounding.  H and dH
+    take one state, so the lift's evaluators do too and `_per_state` maps
+    them over any leading axes.
     """
     if contact != FLAT_T2_CONTACT:
         raise UnsupportedContactError(
@@ -1086,10 +1099,8 @@ def contact_lift(H, beta, dH=None, contact=FLAT_T2_CONTACT):
             [0.0, 0.0, 1.0]
         ), g, c, s
 
+    @_per_state
     def X(x):
-        x = np.asarray(x, dtype=float)
-        if x.ndim > 1:
-            return np.stack([X(row) for row in x])
         xc, g, c, s = contact_field(x[:3])
         dh_r = c * g[0] + s * g[1]
         theta_dot = b1 * xc[0] + b2 * xc[1] - dh_r
@@ -1109,11 +1120,9 @@ def contact_lift(H, beta, dH=None, contact=FLAT_T2_CONTACT):
                 ) / (4.0 * step**2)
         return out
 
+    @_per_state
     def DX(x):
         # derivative of X's closed form; (c, s) depend on v = y[2]
-        x = np.asarray(x, dtype=float)
-        if x.ndim > 1:
-            return np.stack([DX(row) for row in x])
         y = x[:3]
         c, s = math.cos(TWO_PI * y[2]), math.sin(TWO_PI * y[2])
         g, hs, hval = grad_h(y), hess_h(y), float(H(y))
@@ -1131,16 +1140,10 @@ def contact_lift(H, beta, dH=None, contact=FLAT_T2_CONTACT):
     spec = CoordinateSpec((ANGLE, ANGLE, ANGLE, ANGLE))
     eta_vec = np.array([b1, b2, 0.0, -1.0])
 
-    def H4(x):
-        x = np.asarray(x, dtype=float)
-        if x.ndim > 1:
-            return np.array([float(H(row[:3])) for row in x])
-        return float(H(x[:3]))
+    H4 = _per_state(lambda x: float(H(x[:3])))
 
+    @_per_state
     def dH4(x):
-        x = np.asarray(x, dtype=float)
-        if x.ndim > 1:
-            return np.stack([dH4(row) for row in x])
         out = np.zeros(4)
         out[:3] = grad_h(x[:3])
         return out

@@ -39,6 +39,39 @@ def test_parse_config_rejects_duplicates():
         parse_config_text("run.operation = verify\nrun.operation = verify\n")
 
 
+@pytest.mark.parametrize("text,key", [
+    ("run.operation = simulate\nmodel.name = circle-linear\nbasin.grid = 3\nclassify.n = 4\n",
+     "basin.grid"),
+    ("run.operation = basin\nmodel.name = damped-mechanical\n"
+     "integrator.method = splitting\nintegrator.h = 0.5\n", "integrator.method"),
+])
+def test_a_key_the_operation_does_not_read_is_a_config_error(tmp_path, capsys, text, key):
+    with pytest.raises(ConfigError) as err:
+        parse_config_text(text)
+    assert (err.value.key, err.value.line) == (key, 3)
+    assert run_config(write(tmp_path, "op.cfg", text), out=str(tmp_path)) == EXIT_ERROR
+    assert f"(line 3): key {key!r} is not read by" in capsys.readouterr().err
+
+
+def test_integrator_keys_are_read_only_by_integrating_operations():
+    for op in ("simulate", "diagnose", "attractor", "periodic"):
+        parse_config_text(f"run.operation = {op}\nintegrator.h = 0.01\n")
+    for op in ("classify", "escape", "basin", "verify", "list-models"):
+        with pytest.raises(ConfigError):
+            parse_config_text(f"run.operation = {op}\nintegrator.h = 0.01\n")
+
+
+def test_diagnose_transport_backward_in_time(tmp_path):
+    cfg = write(
+        tmp_path, "diag.cfg",
+        "run.operation = diagnose\nmodel.name = circle-linear\n"
+        "diagnose.check = transport\ndiagnose.t = -1.0\n",
+    )
+    assert run_config(cfg, out=str(tmp_path), timestamp=False) == EXIT_OK
+    payload = json.loads((tmp_path / "diagnose_circle-linear_transport.json").read_text())
+    assert payload["checks"][0]["residual"] < 1e-8
+
+
 def test_simulate_writes_initial_condition(tmp_path):
     cfg = write(
         tmp_path, "sim.cfg",

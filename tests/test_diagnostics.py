@@ -14,6 +14,7 @@ from csdyn.diagnostics import (
     isotropy_defect,
     loop_cohomology_check,
     lyapunov_spectrum,
+    map_conformality_ratios,
     recurrence_scan,
     refine_equilibrium,
     rotation_number,
@@ -34,7 +35,7 @@ from csdyn.flows import (
     integrate_flow,
     integrate_variational,
 )
-from csdyn.geometry import torus_distance
+from csdyn.geometry import conformality_ratio_estimate, torus_distance
 from csdyn.models import instantiate_model, sample_states
 
 TWO_PI = 2.0 * math.pi
@@ -145,11 +146,61 @@ def test_transport_check_circle_linear():
     assert res.details["omega_residual"] < 1e-7
 
 
+def _start_and_sample(traj, i):
+    """The two-sample trajectory of traj's start and its sample i."""
+    keep = [0, i]
+    return Trajectory(
+        times=traj.times[keep], states=traj.states[keep], frames=traj.frames[keep],
+        r_accum=None if traj.r_accum is None else traj.r_accum[keep],
+    )
+
+
+@pytest.mark.parametrize("name", ["circle-linear", "t2-pair-theta2"])
+def test_transport_check_is_the_worst_of_its_samples(name):
+    m = instantiate_model(name)
+    traj = integrate_variational(m, np.array([0.3, 0.2]), (0.0, 1.0), samples=21)
+    whole = conformal_transport_check(m, traj).details
+    alone = [conformal_transport_check(m, _start_and_sample(traj, i)).details
+             for i in range(len(traj.times))]
+    for key in ("omega_residual", "h_residual"):
+        assert type(whole[key]) is float
+        assert whole[key] == max(d[key] for d in alone)
+
+
+@pytest.mark.parametrize("span", [(1.0, 0.0), (0.0, -1.0)])
+@pytest.mark.parametrize("name", ["circle-linear", "t2-pair-theta2"])
+def test_transport_check_measures_a_backward_run_from_its_start(name, span):
+    # a backward run starts at its last sample, where its frame is the identity
+    m = instantiate_model(name)
+    traj = integrate_variational(m, np.array([0.3, 0.2]), span, samples=21)
+    assert traj.backward
+    res = conformal_transport_check(m, traj)
+    assert res.passed, res.details
+    assert res.details["omega_residual"] < 1e-8
+
+
 def test_transport_check_needs_frames():
     m = instantiate_model("circle-linear", alpha=1.0)
     traj = integrate_flow(m, np.array([0.13, 0.7]), (0.0, 1.0), samples=5)
     with pytest.raises(StructureError):
         conformal_transport_check(m, traj)
+
+
+@pytest.mark.parametrize("name,params", [
+    ("nonexact-linear", {}),
+    ("radial-contraction", {"a": 0.37}),
+    ("shear-contraction", {"a": 0.37}),
+])
+def test_map_conformality_ratios_are_the_per_point_fits(name, params):
+    # Df = lambda x: df and a constant Omega on every registered map
+    m = instantiate_model(name, params)
+    pts = sample_states(m, 20, np.random.default_rng(4))
+    ratios, residuals = map_conformality_ratios(m, pts)
+    assert ratios.shape == residuals.shape == (20,)
+    single = [conformality_ratio_estimate(m.Df(x), m.Omega(x), m.Omega(m.f(x))) for x in pts]
+    assert all(isinstance(v, float) for fit in single for v in fit)
+    assert np.stack([ratios, residuals], axis=1).tobytes() == np.array(single).tobytes()
+    assert np.max(np.abs(ratios - m.ratio_a)) < 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -340,6 +391,9 @@ def test_isotropy_zero_section_and_graph_control():
     gframes[:, 1, 1] = 1.0
     defect = isotropy_defect(gpts, gframes, lambda x: omega4, normalize=False)
     assert abs(defect - TWO_PI) < 1e-6
+    assert defect == max(
+        isotropy_defect(gpts[i:i + 1], gframes[i:i + 1], lambda x: omega4, normalize=False)
+        for i in range(64))
 
 
 def test_isotropy_needs_two_columns():
@@ -353,7 +407,12 @@ def test_saddle_unstable_manifold_isotropy_small():
     )
     pts, frames = unstable_manifold_cloud(m, np.zeros(4), t_grow=5.0)
     assert frames.shape[2] == 2
-    assert isotropy_defect(pts, frames, m.Omega) <= 1e-4
+    defect = isotropy_defect(pts, frames, m.Omega)
+    assert defect <= 1e-4
+    # one pass over the points is the worst of the per-point defects
+    assert type(defect) is float
+    assert defect == max(isotropy_defect(pts[i:i + 1], frames[i:i + 1], m.Omega)
+                         for i in range(len(pts)))
 
 
 # ---------------------------------------------------------------------------

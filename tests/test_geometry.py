@@ -11,9 +11,13 @@ from csdyn.geometry import (
     CoordinateSpec,
     conformality_ratio_estimate,
     eval_two_form,
+    fd_exterior_derivative_one_form,
+    fd_exterior_derivative_two_form,
+    fd_gradient,
     loop_integral,
     pullback_residual,
     torus_distance,
+    wedge_one_two,
 )
 from csdyn.models import NONEXACT_RATIO, GOLDEN_CONJ, instantiate_model, sample_states
 
@@ -81,12 +85,17 @@ def test_conformality_ratio_identity():
 
 def test_conformality_ratio_nonexact_map():
     m = instantiate_model("nonexact-linear")
-    rng = np.random.default_rng(2)
-    for x in sample_states(m, 10, rng):
+    xs = sample_states(m, 10, np.random.default_rng(2))
+    # Df and Omega are constant: one matrix each, broadcast against the stack
+    jac = np.broadcast_to(m.Df(xs[0]), (10, 6, 6))
+    ratios, residuals = conformality_ratio_estimate(jac, m.Omega(xs), m.Omega(m.f(xs)))
+    assert ratios.shape == residuals.shape == (10,)
+    for x, ratio, residual in zip(xs, ratios, residuals):
         omega = np.asarray(m.Omega(x))
-        ratio, residual = conformality_ratio_estimate(
+        single = conformality_ratio_estimate(
             np.asarray(m.Df(x)), omega, np.asarray(m.Omega(m.f(x)))
         )
+        assert np.array(single).tobytes() == np.array([ratio, residual]).tobytes()
         assert abs(ratio - NONEXACT_RATIO) < 1e-12
         assert residual < 1e-12
 
@@ -108,6 +117,9 @@ def test_conformality_ratio_time_one_tangent_map():
 def test_conformality_ratio_zero_form_rejected():
     with pytest.raises(DegenerateFormError):
         conformality_ratio_estimate(np.eye(2), np.zeros((2, 2)), CANONICAL)
+    with pytest.raises(DegenerateFormError):  # one zero form in a stack
+        omega = np.stack([CANONICAL, np.zeros((2, 2))])
+        conformality_ratio_estimate(np.eye(2), omega, CANONICAL)
 
 
 def test_pullback_residual_identity():
@@ -123,6 +135,82 @@ def test_pullback_residual_radial_contraction():
 def test_pullback_residual_requires_positive_factor():
     with pytest.raises(ValueError):
         pullback_residual(np.eye(2), CANONICAL, CANONICAL, 0.0)
+
+
+def _stack_args(constant):
+    """(jac, omega_x, omega_fx) as (3, 4, 4, 4) stacks: random Jacobians and
+    lee-twisted-t1t2's state-dependent form, the one named by `constant` a
+    single matrix instead."""
+    rng = np.random.default_rng(5)
+    m = instantiate_model("lee-twisted-t1t2")
+    xs = sample_states(m, 12, rng).reshape(3, 4, 4)
+    args = [rng.standard_normal((3, 4, 4, 4)), m.Omega(xs), m.Omega(xs[..., ::-1])]
+    if constant is not None:
+        args[constant] = args[constant][1, 2]
+    return args
+
+
+@pytest.mark.parametrize("constant", [None, 0, 1, 2])
+@pytest.mark.parametrize("kernel", [
+    conformality_ratio_estimate,
+    lambda jac, omega_x, omega_fx: pullback_residual(jac, omega_x, omega_fx, 0.7),
+], ids=["ratio", "pullback"])
+def test_matrix_kernels_of_a_stack_are_the_per_matrix_calls(kernel, constant):
+    args = _stack_args(constant)
+    batch = np.array(kernel(*args))
+    assert batch.shape[-2:] == (3, 4)
+    for idx in np.ndindex(3, 4):
+        single = kernel(*(a if a.ndim == 2 else a[idx] for a in args))
+        assert all(isinstance(v, float) for v in np.atleast_1d(single))
+        assert np.array(single).tobytes() == batch[(...,) + idx].tobytes()
+
+
+def test_matrix_kernels_reject_mismatched_stacks():
+    for args in ((np.eye(2), CANONICAL, np.eye(3)),
+                 (np.ones((3, 2, 3)), CANONICAL, CANONICAL)):
+        with pytest.raises(DimensionMismatchError):
+            conformality_ratio_estimate(*args)
+        with pytest.raises(DimensionMismatchError):
+            pullback_residual(*args, 1.0)
+
+
+def _fd_cases():
+    """(kernel, states (2, 3, dim)) pairs; circle-linear's and
+    damped-mechanical's forms are constant, and so is lee-twisted-t1t2's
+    eta, but not its Omega."""
+    rng = np.random.default_rng(8)
+    circle = instantiate_model("circle-linear", alpha=1.0)
+    damped = instantiate_model("damped-mechanical", alpha=0.5, d=2, v_cos=(1.0, 1.0))
+    lee = instantiate_model("lee-twisted-t1t2")
+    cs, ds = (sample_states(m, 6, rng, 1.0).reshape(2, 3, m.dim) for m in (circle, damped))
+    ls = sample_states(lee, 6, rng).reshape(2, 3, 4)
+    return [
+        (lambda x: fd_gradient(circle.H, x), cs),
+        (lambda x: fd_gradient(damped.H, x), ds),
+        (lambda x: fd_exterior_derivative_one_form(circle.lam, x), cs),
+        (lambda x: fd_exterior_derivative_one_form(damped.lam, x), ds),
+        (lambda x: fd_exterior_derivative_two_form(lee.Omega, x), ls),
+        (lambda x: fd_exterior_derivative_two_form(damped.Omega, x), ds),
+        (lambda x: wedge_one_two(lee.eta(x), lee.Omega(x)), ls),
+        (lambda x: wedge_one_two(x, damped.Omega(x)), ls),  # a per-state eta
+    ]
+
+
+@pytest.mark.parametrize("case", range(8))
+def test_fd_kernels_of_a_batch_are_the_per_state_calls(case):
+    kernel, xs = _fd_cases()[case]
+    batch = kernel(xs)
+    for idx in np.ndindex(2, 3):
+        single = kernel(xs[idx])
+        if isinstance(batch, dict):  # the three-form components
+            assert list(single) == list(batch)
+            for key, value in single.items():
+                assert isinstance(value, float)
+                assert batch[key].shape == (2, 3)
+                assert np.float64(value).tobytes() == batch[key][idx].tobytes()
+        else:
+            assert single.tobytes() == batch[idx].tobytes()
+
 
 
 SPEC_TR = CoordinateSpec((ANGLE, LINE))
@@ -143,6 +231,9 @@ def test_loop_integral_unit_circle():
     assert loop_integral(SPEC_TR, r_dtheta, circle_loop(2048)) == pytest.approx(
         1.0, abs=1e-10
     )
+    # a constant form, one covector for every point: d(theta) winds once
+    dtheta = lambda pts: np.array([1.0, 0.0])
+    assert loop_integral(SPEC_TR, dtheta, circle_loop(64)) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_loop_integral_scaled_circle():

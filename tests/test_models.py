@@ -328,15 +328,20 @@ def test_contact_lift_fiber_hamiltonian_against_contact_identities():
 
 
 def test_contact_lift_evaluators_broadcast_over_a_batch():
+    # the caller's H takes one state; the lift maps it over any leading axes
     H3 = lambda y: math.cos(TWO_PI * y[2]) + 0.3 * math.sin(TWO_PI * y[0])
     lifted = contact_lift(H3, (0.5, 0.25))
-    xs = sample_states(lifted, 3, np.random.default_rng(13))
-    for f in (lifted.X, lifted.H, lifted.dH):
-        batch = np.asarray(f(xs))
-        assert batch.shape[0] == 3
-        for x, row in zip(xs, batch):
-            assert np.array_equal(np.asarray(f(x)), row)
-    assert np.asarray(lifted.dH(xs)).shape == (3, 4)
+    identity = lambda x: field_identity_residual(lifted, x)
+    for lead in ((3,), (8, 8)):
+        n = int(np.prod(lead))
+        xs = sample_states(lifted, n, np.random.default_rng(13)).reshape(lead + (4,))
+        for f, tail in ((lifted.X, (4,)), (lifted.DX, (4, 4)), (lifted.H, ()),
+                        (lifted.dH, (4,)), (identity, ())):
+            batch = np.asarray(f(xs))
+            assert batch.shape == lead + tail
+            assert batch.tobytes() == np.array([f(x) for x in xs.reshape(n, 4)]).tobytes()
+    assert type(lifted.H(xs[0, 0])) is float
+    assert type(identity(xs[0, 0])) is float
 
 
 @pytest.mark.parametrize("beta", [(0.0, 0.0), (0.5, -0.2)])

@@ -26,7 +26,15 @@ v_cross = 0.3 (a Jacobian with several nonzero entries per row, so each sum
 of DX @ F can round by the order of its terms), and a circle-quadratic
 `flow_ensemble` whose rows partly blow up mid-run (the engine then steps the
 gathered live rows).
-The last line digests all lines above it.  Floats
+The `all` line digests all lines above it.  After it come the per-point
+arrays that three checks reduce to a max, so that one element's bits cannot
+move unseen: `map_conformality_ratios`' ratios and residuals on
+nonexact-linear and on radial- and shear-contraction at a = 0.37, the
+`pullback_residual` of each state of damped-mechanical's splitting step, and
+`fd_exterior_derivative_one_form` at each state of `cert_structure_forms`.
+They follow the `all` line so that the lines above it stay those of earlier
+versions of this tool; the kernels are called one state at a time, as
+every version of them takes that.  Floats
 are hashed by their bits (`float.hex`), arrays by dtype, shape and bytes,
 so -0.0 and 0.0 differ.
 
@@ -50,7 +58,7 @@ import numpy as np
 
 from csdyn import models
 from csdyn.certificates import verify_suite
-from csdyn.diagnostics import classify_ensemble
+from csdyn.diagnostics import classify_ensemble, map_conformality_ratios
 from csdyn.flows import (
     IntegratorConfig,
     conformal_splitting_step,
@@ -59,6 +67,7 @@ from csdyn.flows import (
     time_reversed_view,
     transport_tangents,
 )
+from csdyn.geometry import fd_exterior_derivative_one_form, pullback_residual
 
 TWO_PI = 2.0 * math.pi
 
@@ -239,6 +248,35 @@ def layout_digests(seed):
         [[tr.times, tr.states, tr.frames, tr.status] for tr in trajs])
 
 
+# cert_structure_forms' exact models, in its order
+STRUCTURE_MODELS = (("circle-linear", {"alpha": 1.0}),
+                    ("mane", {"alpha": 0.5, "d": 1, "y0": 0.4}),
+                    ("damped-mechanical", {"alpha": 0.5, "d": 1}))
+
+
+def point_digests(seed):
+    """Per-point arrays behind map-conformality-ratio, splitting-exact and
+    structure-forms."""
+    rng = np.random.default_rng([seed, 29])
+    for name in ("nonexact-linear", "radial-contraction", "shear-contraction"):
+        m = models.instantiate_model(name, {} if name == "nonexact-linear" else {"a": 0.37})
+        out = map_conformality_ratios(m, models.sample_states(m, 100, rng))
+        yield f"map_conformality_ratios.seed{seed}.{name}.n100", digest(list(out))
+    m = models.instantiate_model("damped-mechanical", alpha=0.5, d=1, v_cos=1.0)
+    for h in (0.1, 0.01, 0.001):
+        xs = models.sample_states(m, 64, rng, 1.0)
+        xs_new, Js = conformal_splitting_step(m, xs, h)
+        yield f"pullback_residual.seed{seed}.damped-mechanical.h{h}.n64", digest([
+            pullback_residual(J, m.Omega(x), m.Omega(x_new), math.exp(-m.alpha * h))
+            for x, x_new, J in zip(xs, xs_new, Js)])
+    rng = np.random.default_rng(seed)  # cert_structure_forms' states
+    for name, params in STRUCTURE_MODELS:
+        m = models.instantiate_model(name, params)
+        xs = models.sample_states(m, 100, rng, 1.0)
+        yield f"fd_exterior_derivative_one_form.seed{seed}.{name}.n100", digest(
+            [fd_exterior_derivative_one_form(m.lam, x) for x in xs])
+
+
 def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.split("\n", 1)[0])
     ap.add_argument("--seeds", type=int, nargs="+", default=[7])
@@ -265,6 +303,9 @@ def main(argv=None):
                 total.update(line.encode() + b"\n")
                 print(line, flush=True)
     print(f"{total.hexdigest()}  all")
+    for seed in args.seeds:
+        for name, value in point_digests(seed):
+            print(f"{value}  {name}", flush=True)
 
 
 if __name__ == "__main__":
