@@ -9,6 +9,7 @@ diagnostic check FAILs, 1 on configuration or runtime errors.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import math
 import os
 import sys
@@ -27,7 +28,6 @@ from .diagnostics import (
     find_periodic_orbit,
     loop_cohomology_check,
     map_conformality_ratios,
-    trapping_level,
 )
 from .errors import ConfigError, CsdynError
 from .flows import (
@@ -50,25 +50,44 @@ EXIT_ERROR = 1
 EXIT_FAIL = 2
 
 
-def _integrator_config(options):
-    kwargs = {}
-    for key, attr in (
-        ("integrator.method", "method"),
-        ("integrator.rel_tol", "rel_tol"),
-        ("integrator.abs_tol", "abs_tol"),
-        ("integrator.h", "h"),
-        ("integrator.blowup_threshold", "blowup_threshold"),
-        ("integrator.max_steps", "max_steps"),
-    ):
-        if key in options:
-            kwargs[attr] = options[key]
-    return IntegratorConfig(**kwargs)
+# name -> operation, in declaration order; each @_operation adds one
+OPERATIONS = {}
+
+_INTEGRATOR_DEFAULTS = {f.name: f.default for f in dataclasses.fields(IntegratorConfig)}
+_ALL_FIELDS = ("method", "rel_tol", "abs_tol", "h", "blowup_threshold", "max_steps")
+
+
+def _operation(name, integrator=(), **defaults):
+    """Declare `_op_x(cfg, **defaults)` as the operation `name`: it reads the
+    keys `name.<key>` of defaults, and the `integrator.<field>` keys of the
+    IntegratorConfig fields it passes on (as `cfg.integrator`), each of the
+    type of its default (see `config`)."""
+    def register(op):
+        op.keys = {f"{name}.{key}": value for key, value in defaults.items()}
+        op.keys.update((f"integrator.{f}", _INTEGRATOR_DEFAULTS[f]) for f in integrator)
+        OPERATIONS[name] = op
+        return op
+
+    return register
 
 
 def _model(cfg):
     if cfg.model_name is None:
         raise ConfigError("this operation needs model.name", key="model.name")
     return instantiate_model(cfg.model_name, cfg.model_params)
+
+
+def _state(x, m, fill):
+    """A state key's value; its default None is the state of m's dimension
+    with every coordinate fill."""
+    return (fill,) * m.dim if x is None else x
+
+
+def _box(flat, key):
+    """Per-axis (lo, hi) bounds from a flattened box key."""
+    if len(flat) % 2:
+        raise ConfigError(f"{key} needs (lo, hi) pairs, got {len(flat)} numbers", key=key)
+    return tuple(zip(flat[::2], flat[1::2]))
 
 
 def _out_path(cfg, name):
@@ -84,13 +103,12 @@ def _report(cfg, stem, result, line):
     return EXIT_OK if result.passed else EXIT_FAIL
 
 
-def _op_simulate(cfg):
+@_operation("simulate", integrator=_ALL_FIELDS,
+            t=5.0, x0=None, samples=201, variational=False)
+def _op_simulate(cfg, t, x0, samples, variational):
     m = _model(cfg)
-    icfg = _integrator_config(cfg.options)
-    t = float(cfg.options.get("simulate.t", 5.0))
-    x0 = np.array(cfg.options.get("simulate.x0", (0.0,) * m.dim), dtype=float)
-    samples = int(cfg.options.get("simulate.samples", 201))
-    variational = bool(cfg.options.get("simulate.variational", False))
+    icfg = IntegratorConfig(**cfg.integrator)
+    x0 = _state(x0, m, 0.0)
     if variational:
         traj = integrate_variational(m, x0, (0.0, t), icfg, samples=samples)
         write_trajectory_json(
@@ -105,10 +123,10 @@ def _op_simulate(cfg):
     return EXIT_OK
 
 
-def _op_diagnose(cfg):
+@_operation("diagnose", integrator=_ALL_FIELDS, check="conformality", t=1.0, x0=None)
+def _op_diagnose(cfg, check, t, x0):
     m = _model(cfg)
-    icfg = _integrator_config(cfg.options)
-    check = cfg.options.get("diagnose.check", "conformality")
+    icfg = IntegratorConfig(**cfg.integrator)
     rng = np.random.default_rng(cfg.seed)
     if check == "conformality":
         if m.kind != "map":
@@ -125,14 +143,11 @@ def _op_diagnose(cfg):
             details={"ratio": float(np.mean(ratios)), "spread": spread},
         )
     elif check == "transport":
-        t = float(cfg.options.get("diagnose.t", 1.0))
-        x0 = np.array(cfg.options.get("diagnose.x0", (0.1,) * m.dim), dtype=float)
-        traj = integrate_variational(m, x0, (0.0, t), icfg, samples=21)
+        traj = integrate_variational(m, _state(x0, m, 0.1), (0.0, t), icfg, samples=21)
         result = conformal_transport_check(m, traj)
     elif check == "loop":
         th = np.linspace(0.0, 1.0, 2049)
         loop = np.stack([np.mod(th, 1.0), np.ones_like(th)], axis=1)
-        t = float(cfg.options.get("diagnose.t", 1.0))
         result = loop_cohomology_check(m, loop, t, icfg)
     else:
         raise ConfigError(f"unknown diagnose.check {check!r}", key="diagnose.check")
@@ -141,22 +156,16 @@ def _op_diagnose(cfg):
                    f"tolerance={result.tolerance:.3e} {result.verdict}")
 
 
-def _op_attractor(cfg):
+@_operation("attractor", integrator=("h", "blowup_threshold"),
+            t_relax=60.0, grid=33, eps=1e-3, box=None)
+def _op_attractor(cfg, t_relax, grid, eps, box):
     m = _model(cfg)
-    icfg = _integrator_config(cfg.options)
-    t_relax = float(cfg.options.get("attractor.t_relax", 60.0))
-    grid = int(cfg.options.get("attractor.grid", 33))
-    eps = float(cfg.options.get("attractor.eps", 1e-3))
-    flat_box = cfg.options.get("attractor.box")
-    if flat_box is not None:
-        box = tuple((flat_box[i], flat_box[i + 1]) for i in range(0, len(flat_box), 2))
-        R = None
-        est = attractor_estimate(
-            m, box=box, t_relax=t_relax, grid=grid, cfg=icfg, eps=eps
-        )
-    else:
-        R = trapping_level(m)
-        est = attractor_estimate(m, R=R, t_relax=t_relax, grid=grid, cfg=icfg, eps=eps)
+    icfg = IntegratorConfig(**cfg.integrator)
+    # without a box, the sublevel set of the model's trapping level
+    est = attractor_estimate(
+        m, t_relax=t_relax, grid=grid, cfg=icfg, eps=eps,
+        box=None if box is None else _box(box, "attractor.box"),
+    )
     write_cloud_csv(
         _out_path(cfg, f"attractor_{m.name}.csv"), est.cloud, timestamp=cfg.timestamp
     )
@@ -182,16 +191,14 @@ def _op_attractor(cfg):
                    f"invariance={est.invariance_residual:.3e}")
 
 
-def _op_periodic(cfg):
+@_operation("periodic", integrator=("method", "rel_tol", "abs_tol", "blowup_threshold",
+                                    "max_steps"),
+            section_axis=0, section_offset=0.0, direction=0, guess=None, backward=False)
+def _op_periodic(cfg, section_axis, section_offset, direction, guess, backward):
     m = _model(cfg)
-    icfg = _integrator_config(cfg.options)
-    axis = int(cfg.options.get("periodic.section_axis", 0))
-    offset = float(cfg.options.get("periodic.section_offset", 0.0))
-    direction = int(cfg.options.get("periodic.direction", 0))
-    guess = np.array(cfg.options.get("periodic.guess", (0.0,) * m.dim), dtype=float)
-    backward = bool(cfg.options.get("periodic.backward", False))
-    sec = SectionSpec(axis=axis, offset=offset, direction=direction)
-    po = find_periodic_orbit(m, sec, guess, icfg, backward=backward)
+    icfg = IntegratorConfig(**cfg.integrator)
+    sec = SectionSpec(axis=section_axis, offset=section_offset, direction=direction)
+    po = find_periodic_orbit(m, sec, _state(guess, m, 0.0), icfg, backward=backward)
     payload = {
         "anchor": po.anchor.tolist(),
         "period": po.period,
@@ -221,18 +228,17 @@ def _classify_chunk(payload):
     return classify_ensemble(m, np.asarray(chunk), T=horizon)
 
 
-def _op_classify(cfg):
+@_operation("classify", n=100, T=10.0)
+def _op_classify(cfg, n, T):
     from .ensemble import blocks, deterministic_map
 
     m = _model(cfg)
-    n = int(cfg.options.get("classify.n", 100))
-    horizon = float(cfg.options.get("classify.T", 10.0))
     rng = np.random.default_rng(cfg.seed)
     starts = sample_states(m, n, rng, 1.0)
     # one contiguous block per worker; rows are independent of their block,
     # so the output is bit-identical for every worker count
     payloads = [
-        (cfg.model_name, cfg.model_params, starts[i:j].tolist(), horizon)
+        (cfg.model_name, cfg.model_params, starts[i:j].tolist(), T)
         for i, j in blocks(len(starts), cfg.jobs)
     ]
     outs = deterministic_map(_classify_chunk, payloads, jobs=cfg.jobs)
@@ -264,15 +270,12 @@ def _op_classify(cfg):
     return _report(cfg, f"classify_{m.name}", result, f"classify {m.name}: {counts}")
 
 
-def _op_escape(cfg):
+@_operation("escape", box=None, n_steps=100, samples=1000)
+def _op_escape(cfg, box, n_steps, samples):
     m = _model(cfg)
-    flat = cfg.options.get("escape.box")
-    if flat is None:
+    if box is None:
         raise ConfigError("escape needs escape.box", key="escape.box")
-    box = tuple((flat[i], flat[i + 1]) for i in range(0, len(flat), 2))
-    n_steps = int(cfg.options.get("escape.n_steps", 100))
-    samples = int(cfg.options.get("escape.samples", 1000))
-    stats = escape_statistics(m, box, n_steps, samples, seed=cfg.seed)
+    stats = escape_statistics(m, _box(box, "escape.box"), n_steps, samples, seed=cfg.seed)
     result = CheckResult(
         check="escape-statistics",
         model=m.name,
@@ -286,11 +289,9 @@ def _op_escape(cfg):
                    f"escape {m.name}: {stats.escaped}/{stats.total} within {n_steps} steps")
 
 
-def _op_basin(cfg):
+@_operation("basin", grid=100, p_range=3.0, t_max=60.0)
+def _op_basin(cfg, grid, p_range, t_max):
     m = _model(cfg)
-    grid = int(cfg.options.get("basin.grid", 100))
-    p_range = float(cfg.options.get("basin.p_range", 3.0))
-    t_max = float(cfg.options.get("basin.t_max", 60.0))
     targets = [np.asarray(e) for e in m.equilibria]
     labels, q_axis, p_axis = emit_basin_grid(m, grid, p_range, targets, t_max=t_max)
     write_grid_csv(
@@ -303,8 +304,8 @@ def _op_basin(cfg):
     return EXIT_OK
 
 
-def _op_verify(cfg):
-    scope = cfg.options.get("verify.scope", "all")
+@_operation("verify", scope="all")
+def _op_verify(cfg, scope):
     try:
         results, ok = certificates.verify_suite(scope=scope, seed=cfg.seed)
     except ValueError as exc:
@@ -319,23 +320,11 @@ def _op_verify(cfg):
     return EXIT_OK if ok else EXIT_FAIL
 
 
+@_operation("list-models")
 def _op_list_models(cfg):
     for name in registered_models():
         print(name)
     return EXIT_OK
-
-
-_OPERATIONS = {
-    "simulate": _op_simulate,
-    "diagnose": _op_diagnose,
-    "attractor": _op_attractor,
-    "periodic": _op_periodic,
-    "classify": _op_classify,
-    "escape": _op_escape,
-    "basin": _op_basin,
-    "verify": _op_verify,
-    "list-models": _op_list_models,
-}
 
 
 def run_config(path, seed=None, out=None, timestamp=None, jobs=None):
@@ -355,15 +344,12 @@ def run_config(path, seed=None, out=None, timestamp=None, jobs=None):
                 f"run.jobs must be at least 1, got {cfg.jobs}", key="run.jobs"
             )
         os.makedirs(cfg.out_dir, exist_ok=True)
-        return _OPERATIONS[cfg.operation](cfg)
+        return OPERATIONS[cfg.operation](cfg, **cfg.options)
     except ConfigError as exc:
         loc = f" (line {exc.line})" if exc.line else ""
         print(f"config error{loc}: {exc}", file=sys.stderr)
         return EXIT_ERROR
-    except CsdynError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_ERROR
-    except FileNotFoundError as exc:
+    except (CsdynError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
 

@@ -2,73 +2,24 @@
 
 The format is deliberately minimal for reproducibility and diffability:
 UTF-8 text, one `key = value` per line, `#` comments, no nesting and no
-templating.  Keys are dotted (model.alpha, integrator.rel_tol, run.seed);
-unknown keys are rejected with the offending line number.
-
+templating.  Keys are dotted (model.alpha, integrator.rel_tol, run.seed).
 Values: integers, floats, booleans (true/false), bare or quoted strings,
 and parenthesized tuples of numbers like (0.25, 1.0).
+
+Each operation declares in `cli` the keys it reads and their defaults; a
+value must be of its default's type, where a float key also takes an
+integer, a key whose default is None takes a tuple of numbers and a string
+key takes any scalar as its text.  The model registry checks model.*.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .errors import ConfigError
 
-OPERATIONS = (
-    "simulate",
-    "diagnose",
-    "attractor",
-    "periodic",
-    "classify",
-    "verify",
-    "list-models",
-    "basin",
-    "escape",
-)
-
-_INTEGRATING = ("simulate", "diagnose", "attractor", "periodic")  # read integrator.*
-
-# key -> short description; model.* is validated by the model registry
-_KNOWN_KEYS = {
-    "run.operation": "one of " + ", ".join(OPERATIONS),
-    "run.seed": "integer random seed",
-    "run.out": "output directory",
-    "run.timestamp": "write timestamp header lines (bool)",
-    "run.jobs": "worker count for ensembles",
-    "model.name": "registered model name",
-    "integrator.method": "reference | splitting | rk4",
-    "integrator.rel_tol": "relative tolerance",
-    "integrator.abs_tol": "absolute tolerance",
-    "integrator.h": "fixed step size",
-    "integrator.blowup_threshold": "line-coordinate blow-up threshold",
-    "integrator.max_steps": "step budget",
-    "simulate.t": "final time",
-    "simulate.x0": "initial state tuple",
-    "simulate.samples": "number of output samples",
-    "simulate.variational": "carry tangent frames (bool)",
-    "diagnose.check": "named check (conformality, transport, loop, ...)",
-    "diagnose.t": "transport horizon",
-    "diagnose.x0": "state for pointwise checks",
-    "attractor.t_relax": "relaxation time",
-    "attractor.grid": "grid points per axis",
-    "attractor.eps": "cloud resolution",
-    "attractor.box": "per-axis (lo, hi) bounds flattened; overrides the sublevel set",
-    "periodic.section_axis": "section coordinate index",
-    "periodic.section_offset": "section offset",
-    "periodic.direction": "crossing direction -1/0/1",
-    "periodic.guess": "initial state tuple",
-    "periodic.backward": "search the time-reversed flow (bool)",
-    "classify.n": "ensemble size",
-    "classify.T": "integration horizon",
-    "verify.scope": "all or a module name",
-    "basin.grid": "cells per axis",
-    "basin.p_range": "momentum half-width",
-    "basin.t_max": "integration budget",
-    "escape.box": "per-axis (lo, hi) bounds flattened",
-    "escape.n_steps": "backward steps",
-    "escape.samples": "sample count",
-}
+# the run.* keys every operation reads besides run.operation, with their defaults
+_RUN_KEYS = {"run.seed": 7, "run.out": ".", "run.timestamp": True, "run.jobs": 1}
 
 
 @dataclass
@@ -76,11 +27,12 @@ class RunConfig:
     operation: str
     model_name: str | None
     model_params: dict
-    options: dict = field(default_factory=dict)
-    seed: int = 7
-    out_dir: str = "."
-    timestamp: bool = True
-    jobs: int = 1
+    options: dict  # the operation's own keys, by name within its section
+    integrator: dict  # the IntegratorConfig fields the operation passes on
+    seed: int
+    out_dir: str
+    timestamp: bool
+    jobs: int
 
 
 def _parse_value(raw, line_no):
@@ -111,10 +63,36 @@ def _parse_scalar(raw, line_no):
     return raw
 
 
+def _is_number(v):
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
+# type of a key's default -> (accepts a parsed value, converts it, what it takes)
+_TYPES = {
+    bool: (lambda v: isinstance(v, bool), bool, "true or false"),
+    int: (lambda v: _is_number(v) and isinstance(v, int), int, "an integer"),
+    float: (_is_number, float, "a number"),
+    type(None): (lambda v: isinstance(v, tuple) and all(map(_is_number, v)), tuple,
+                 "a tuple of numbers"),
+    str: (lambda v: not isinstance(v, tuple), str, "a scalar"),
+}
+
+
+def _typed(key, value, default, line_no):
+    accepts, convert, what = _TYPES[type(default)]
+    if not accepts(value):
+        raise ConfigError(f"{key} takes {what}, got {value!r}", line=line_no, key=key)
+    return convert(value)
+
+
 def parse_config_text(text):
-    """Parse config text into a {key: value} table, rejecting keys that the
-    operation does not read: any key outside run.*, model.*, the operation's
-    own section, and integrator.* for the operations that integrate."""
+    """Parse config text into {key: value} for every key the operation reads:
+    run.*, the model.* keys given, and the operation's declared keys, each
+    typed, or its default when the text does not set it.  Rejects a key that
+    no operation reads, and one that this operation does not read."""
+    from .cli import OPERATIONS  # declared beside their code; cli imports this module
+
+    known = {"run.operation", *_RUN_KEYS}.union(*(op.keys for op in OPERATIONS.values()))
     table, lines = {}, {}
     for line_no, line in enumerate(text.splitlines(), start=1):
         stripped = line.strip()
@@ -124,44 +102,47 @@ def parse_config_text(text):
             raise ConfigError(f"expected 'key = value', got {stripped!r}", line=line_no)
         key, _, raw = stripped.partition("=")
         key = key.strip()
-        if not (key in _KNOWN_KEYS or key.startswith("model.")):
+        if not (key in known or key.startswith("model.")):
             raise ConfigError(f"unknown key {key!r}", line=line_no, key=key)
         if key in table:
             raise ConfigError(f"duplicate key {key!r}", line=line_no, key=key)
         table[key] = _parse_value(raw, line_no)
         lines[key] = line_no
     op = table.get("run.operation")
-    read = ("run", "model", op) + ("integrator",) * (op in _INTEGRATING)
+    if op is None:
+        raise ConfigError("missing required key 'run.operation'", key="run.operation")
+    if op not in OPERATIONS:
+        raise ConfigError(
+            f"unknown operation {op!r}; expected one of {', '.join(OPERATIONS)}",
+            line=lines["run.operation"], key="run.operation",
+        )
+    reads = {**_RUN_KEYS, **OPERATIONS[op].keys}
     for key, line_no in lines.items():
-        if op in OPERATIONS and key.split(".")[0] not in read:
+        if key in reads:
+            table[key] = _typed(key, table[key], reads[key], line_no)
+        elif key != "run.operation" and not key.startswith("model."):
             raise ConfigError(f"key {key!r} is not read by {op!r}", line=line_no, key=key)
-    return table
+    return {**reads, **table}
+
+
+def _section(table, prefix):
+    """Pop the keys under prefix from table, by their names within it."""
+    return {key[len(prefix):]: table.pop(key) for key in list(table) if key.startswith(prefix)}
 
 
 def load_config(path):
     with open(path, "r", encoding="utf-8") as fh:
         table = parse_config_text(fh.read())
-    operation = table.pop("run.operation", None)
-    if operation is None:
-        raise ConfigError("missing required key 'run.operation'", key="run.operation")
-    if operation not in OPERATIONS:
-        raise ConfigError(
-            f"unknown operation {operation!r}; expected one of {', '.join(OPERATIONS)}",
-            key="run.operation",
-        )
-    model_name = table.pop("model.name", None)
-    model_params = {}
-    for key in list(table):
-        if key.startswith("model."):
-            model_params[key[len("model."):]] = table.pop(key)
-    cfg = RunConfig(
+    operation = table.pop("run.operation")
+    model_params = _section(table, "model.")
+    return RunConfig(
         operation=operation,
-        model_name=model_name,
+        model_name=model_params.pop("name", None),
         model_params=model_params,
-        seed=int(table.pop("run.seed", 7)),
-        out_dir=str(table.pop("run.out", ".")),
-        timestamp=bool(table.pop("run.timestamp", True)),
-        jobs=int(table.pop("run.jobs", 1)),
-        options=table,
+        options=_section(table, operation + "."),
+        integrator=_section(table, "integrator."),
+        seed=table["run.seed"],
+        out_dir=table["run.out"],
+        timestamp=table["run.timestamp"],
+        jobs=table["run.jobs"],
     )
-    return cfg

@@ -113,13 +113,13 @@ def _jsonable(v):
 # ---------------------------------------------------------------------------
 
 def rotation_number(traj):
-    """Final accumulated Lee integral and its time average."""
+    """Lee integral from the run's earliest to its latest time, and its time average."""
     if traj.r_accum is None:
         raise StructureError("trajectory carries no rotation integral (model has no eta)")
     if len(traj.times) < 2:
         raise ParamError("zero-length trajectory has no mean rotation")
     span = float(traj.times[-1] - traj.times[0])
-    r_T = float(traj.r_accum[-1])
+    r_T = float(traj.r_accum[-1] - traj.r_accum[0])
     return r_T, r_T / span
 
 
@@ -310,6 +310,7 @@ def find_periodic_orbit(m, sec, guess, cfg=None, newton_tol=1e-12, max_iter=50,
     """
     if sec.axis is None:
         raise SectionError("periodic-orbit search needs an axis section")
+    sec.check_dim(m.dim)
     cfg = cfg or IntegratorConfig()
     search_model = time_reversed_view(m) if backward else m
     n = m.dim

@@ -180,6 +180,11 @@ class IntegratorConfig:
             raise ParamError(f"step size must be finite and positive, got h={self.h}")
         if self.method not in (REFERENCE, SPLITTING, RK4):
             raise ParamError(f"unknown integrator method {self.method!r}")
+        if not self.max_steps >= 1:
+            raise ParamError(f"max_steps must be at least 1, got {self.max_steps}")
+        if not (self.blowup_threshold > 0 and self.max_step > 0):
+            raise ParamError("blowup_threshold and max_step must be positive, got "
+                             f"{self.blowup_threshold} and {self.max_step}")
 
 
 @dataclass
@@ -199,7 +204,9 @@ class IntegrationStats:
 
 @dataclass
 class Trajectory:
-    """Sampled flow data; frames are the tangent maps D(phi_t)."""
+    """Sampled flow data; frames are the tangent maps D(phi_t).  r_accum is
+    the Lee integral from the run's start, a backward run's last sample, and
+    r_final its value at the run's end."""
 
     times: np.ndarray
     states: np.ndarray
@@ -803,9 +810,7 @@ def _reversed(t0, traj):
         times=phys[order],
         states=traj.states[order],
         frames=None if traj.frames is None else traj.frames[order],
-        r_accum=None
-        if traj.r_accum is None
-        else traj.r_accum[order] - traj.r_accum[order][0],
+        r_accum=None if traj.r_accum is None else traj.r_accum[order],
         status=traj.status,
         t_escape=None if traj.t_escape is None else t0 - traj.t_escape,
         backward=True,
@@ -1287,6 +1292,11 @@ class SectionSpec:
             return raw
         return np.asarray(x, dtype=float) @ self.w - self.offset
 
+    def check_dim(self, dim):
+        """Raise SectionError unless the axis is one of a dim-dimensional model's."""
+        if self.axis is not None and not 0 <= self.axis < dim:
+            raise SectionError(f"section axis {self.axis} is outside 0..{dim - 1}")
+
     def gradient(self, dim):
         if self.axis is not None:
             g = np.zeros(dim)
@@ -1307,6 +1317,7 @@ def poincare_return(m, sec, x0, k, cfg=None, t_max=1e4, chunk=4.0):
     rather than guessed.
     """
     _require_flow(m)
+    sec.check_dim(m.dim)
     cfg = cfg or IntegratorConfig()
     if cfg.method != REFERENCE:
         raise ParamError(

@@ -226,11 +226,27 @@ def _columns(x, out):
     return x.T, out.T
 
 
+def _kind(val, default):
+    """What a parameter with this default takes, and whether val is that:
+    a bool, an integer, or else numbers (one, or an array of them)."""
+    if isinstance(default, bool):
+        return "true or false", isinstance(val, (bool, np.bool_))
+    if isinstance(default, int):
+        return "an integer", isinstance(val, (int, np.integer)) and not isinstance(val, bool)
+    try:
+        return "numbers", np.asarray(val).dtype.kind in "iuf"
+    except ValueError:  # a ragged nesting
+        return "numbers", False
+
+
 def _get_params(defaults, params, name):
     merged = dict(defaults)
     for key, val in params.items():
         if key not in defaults:
             raise ParamError(f"unknown parameter {key!r} for model {name!r}")
+        what, ok = _kind(val, defaults[key])
+        if not ok:
+            raise ParamError(f"parameter {key!r} of model {name!r} takes {what}, got {val!r}")
         merged[key] = val
     return merged
 

@@ -53,12 +53,65 @@ def test_a_key_the_operation_does_not_read_is_a_config_error(tmp_path, capsys, t
     assert f"(line 3): key {key!r} is not read by" in capsys.readouterr().err
 
 
-def test_integrator_keys_are_read_only_by_integrating_operations():
-    for op in ("simulate", "diagnose", "attractor", "periodic"):
-        parse_config_text(f"run.operation = {op}\nintegrator.h = 0.01\n")
-    for op in ("classify", "escape", "basin", "verify", "list-models"):
-        with pytest.raises(ConfigError):
-            parse_config_text(f"run.operation = {op}\nintegrator.h = 0.01\n")
+_INTEGRATOR_VALUES = {"method": "reference", "rel_tol": 1e-9, "abs_tol": 1e-11, "h": 0.01,
+                      "blowup_threshold": 1e6, "max_steps": 1000}
+# the IntegratorConfig fields each operation's code passes on
+_INTEGRATOR_READS = {
+    "simulate": tuple(_INTEGRATOR_VALUES),
+    "diagnose": tuple(_INTEGRATOR_VALUES),
+    "attractor": ("h", "blowup_threshold"),
+    "periodic": ("method", "rel_tol", "abs_tol", "blowup_threshold", "max_steps"),
+    "classify": (), "escape": (), "basin": (), "verify": (), "list-models": (),
+}
+
+
+@pytest.mark.parametrize("op", sorted(_INTEGRATOR_READS))
+def test_integrator_keys_are_read_only_by_integrating_operations(op):
+    for field, value in _INTEGRATOR_VALUES.items():
+        text = f"run.operation = {op}\nintegrator.{field} = {value}\n"
+        if field in _INTEGRATOR_READS[op]:
+            assert parse_config_text(text)[f"integrator.{field}"] == value
+        else:
+            with pytest.raises(ConfigError) as err:
+                parse_config_text(text)
+            assert (err.value.key, err.value.line) == (f"integrator.{field}", 2)
+
+
+_DAMPED = "model.name = damped-mechanical\n"
+
+
+# a config with one bad value -> the one line the run writes to stderr
+_BAD_CONFIGS = {
+    "simulate.t": ("run.operation = simulate\n" + _DAMPED + "simulate.t = abc\n",
+                   "config error (line 3): simulate.t takes a number, got 'abc'"),
+    "integrator.rel_tol": (
+        "run.operation = simulate\n" + _DAMPED + "integrator.rel_tol = abc\n",
+        "config error (line 3): integrator.rel_tol takes a number, got 'abc'"),
+    "run.seed": ("run.operation = simulate\n" + _DAMPED + "run.seed = abc\n",
+                 "config error (line 3): run.seed takes an integer, got 'abc'"),
+    "classify.n": ("run.operation = classify\nmodel.name = t2-pair-theta2\nclassify.n = 2.5\n",
+                   "config error (line 3): classify.n takes an integer, got 2.5"),
+    "model.alpha": (
+        "run.operation = simulate\n" + _DAMPED + "model.alpha = abc\n",
+        "error: parameter 'alpha' of model 'damped-mechanical' takes numbers, got 'abc'"),
+    "periodic.section_axis": (
+        "run.operation = periodic\nmodel.name = t2-pair-theta2\nperiodic.section_axis = 7\n",
+        "error: section axis 7 is outside 0..1"),
+    "attractor-integrator.rel_tol": (
+        "run.operation = attractor\n" + _DAMPED + "integrator.rel_tol = 1e-3\n",
+        "config error (line 3): key 'integrator.rel_tol' is not read by 'attractor'"),
+    "periodic-integrator.h": (
+        "run.operation = periodic\nmodel.name = t2-pair-theta2\nintegrator.h = 0.5\n",
+        "config error (line 3): key 'integrator.h' is not read by 'periodic'"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_BAD_CONFIGS))
+def test_a_bad_value_exits_one_with_a_one_line_error(tmp_path, capsys, name):
+    text, line = _BAD_CONFIGS[name]
+    cfg = write(tmp_path, "bad.cfg", text)
+    assert main(["--config", cfg, "--out", str(tmp_path), "--no-timestamp"]) == EXIT_ERROR
+    assert capsys.readouterr().err == line + "\n"
 
 
 def test_diagnose_transport_backward_in_time(tmp_path):

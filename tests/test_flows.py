@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from csdyn.diagnostics import find_periodic_orbit
 from csdyn.errors import (
     BlowUpError,
     ConvergenceError,
@@ -686,6 +687,36 @@ def test_trajectory_r_accum_starts_at_zero():
     traj = integrate_flow(m, np.array([0.1, 0.2]), (0.0, 1.0), samples=11)
     assert traj.r_accum[0] == 0.0
     assert np.all(np.diff(traj.times) > 0)
+
+
+def test_backward_r_final_is_the_run_total():
+    # a backward run's Lee integral is measured from its start, its last sample
+    m = instantiate_model("t2-pair-theta2")
+    back = integrate_flow(m, (0.3, 0.2), (0.0, -1.0), samples=5)
+    fwd = integrate_flow(flows.time_reversed_view(m), (0.3, 0.2), (0.0, 1.0), samples=5)
+    assert back.r_accum[-1] == 0.0
+    assert back.r_accum.tobytes() == fwd.r_accum[::-1].tobytes()
+    assert back.r_final == fwd.r_final != 0.0
+
+
+@pytest.mark.parametrize("axis", [2, 7, -1])
+def test_section_axis_outside_the_model_is_a_section_error(axis):
+    m = instantiate_model("t2-pair-theta2")
+    sec = SectionSpec(axis=axis, offset=0.0, direction=1)
+    with pytest.raises(SectionError, match="outside 0..1"):
+        poincare_return(m, sec, np.array([0.0, 0.0]), 1)
+    with pytest.raises(SectionError, match="outside 0..1"):
+        find_periodic_orbit(m, sec, np.array([0.0, 0.01]))
+
+
+@pytest.mark.parametrize("kwargs", [
+    {"max_steps": 0}, {"max_steps": -5},
+    {"blowup_threshold": 0.0}, {"blowup_threshold": -1.0}, {"blowup_threshold": math.nan},
+    {"max_step": 0.0}, {"max_step": -0.1}, {"max_step": math.nan},
+])
+def test_integrator_config_rejects_out_of_range_fields(kwargs):
+    with pytest.raises(ParamError, match=next(iter(kwargs))):
+        IntegratorConfig(**kwargs)
 
 
 def test_flow_ensemble_deterministic_rerun_and_partition():

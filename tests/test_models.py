@@ -75,6 +75,12 @@ def test_unknown_parameter_rejected():
         instantiate_model("circle-linear", alpha=1.0, beta=2.0)
 
 
+@pytest.mark.parametrize("name,value", [("alpha", "abc"), ("alpha", True), ("d", 1.5)])
+def test_parameter_of_the_wrong_kind_rejected(name, value):
+    with pytest.raises(ParamError, match=f"parameter {name!r}"):
+        instantiate_model("damped-mechanical", {name: value})
+
+
 def test_contraction_ratio_domain():
     with pytest.raises(ParamError):
         instantiate_model("radial-contraction", a=1.5)

@@ -41,22 +41,33 @@ so -0.0 and 0.0 differ.
     PYTHONPATH=src python3 tools/result_digest.py --seeds 1 7
     PYTHONPATH=src python3 tools/result_digest.py --seeds 7 --skip-verify
     PYTHONPATH=src python3 tools/result_digest.py --seeds 1 7 --residuals
+    PYTHONPATH=src python3 tools/result_digest.py --seeds 1 7 --cli
 
 Run it on two trees and compare the output with `diff`.  With `--residuals`
 it prints, instead of digests, one line per check and seed: seed, check,
 verdict, residual and tolerance (floats by `repr`), for an old -> new table
-of a change that is not meant to be bit-identical.
+of a change that is not meant to be bit-identical.  With `--cli` it runs
+one small config per `csdyn` operation through `cli.main` (`--no-timestamp`,
+into a temporary directory) and prints, per seed, a digest of each run's
+exit code and output text and one of each file it wrote, with the
+`elapsed_s` figures of a report blanked.  The configs set only keys that
+earlier versions of the CLI accept for their operation too.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import hashlib
+import io
 import math
+import os
+import re
+import tempfile
 
 import numpy as np
 
-from csdyn import models
+from csdyn import cli, models
 from csdyn.certificates import verify_suite
 from csdyn.diagnostics import classify_ensemble, map_conformality_ratios
 from csdyn.flows import (
@@ -277,6 +288,77 @@ def point_digests(seed):
             [fd_exterior_derivative_one_form(m.lam, x) for x in xs])
 
 
+def cli_configs(seed):
+    """Config text per run: each operation once (simulate also with rk4),
+    verify at scope geometry, every integrator field read at least once."""
+    rng = np.random.default_rng([seed, 31])
+    q, p = rng.uniform(0.0, 1.0), rng.standard_normal()
+    theta, r = rng.uniform(0.0, 1.0), rng.uniform(0.5, 1.5)
+    guess = 0.01 + rng.uniform(-0.005, 0.005)
+    damped = "model.name = damped-mechanical\nmodel.alpha = 0.5\nmodel.v_cos = 1.0\n"
+    return {
+        "simulate": (
+            "run.operation = simulate\n" + damped
+            + f"simulate.x0 = ({q!r}, {p!r})\nsimulate.t = 2.0\nsimulate.samples = 41\n"
+            "simulate.variational = true\nintegrator.method = reference\n"
+            "integrator.rel_tol = 1e-9\nintegrator.abs_tol = 1e-11\n"
+            "integrator.blowup_threshold = 1e6\nintegrator.max_steps = 100000\n"
+        ),
+        "simulate-rk4": (
+            "run.operation = simulate\nmodel.name = circle-linear\n"
+            f"simulate.x0 = ({theta!r}, {r!r})\nsimulate.t = 1.0\nsimulate.samples = 11\n"
+            "integrator.method = rk4\nintegrator.h = 0.01\n"
+        ),
+        "periodic": (
+            "run.operation = periodic\nmodel.name = t2-pair-theta2\n"
+            "periodic.section_axis = 0\nperiodic.section_offset = 0.0\n"
+            f"periodic.direction = 1\nperiodic.guess = (0.0, {guess!r})\n"
+            "periodic.backward = false\nintegrator.rel_tol = 1e-10\n"
+        ),
+        "diagnose": (
+            "run.operation = diagnose\nmodel.name = circle-linear\nmodel.alpha = 1.0\n"
+            f"diagnose.check = transport\ndiagnose.x0 = ({theta!r}, {r!r})\n"
+            "diagnose.t = 1.0\nintegrator.rel_tol = 1e-10\n"
+        ),
+        "attractor": (
+            "run.operation = attractor\n" + damped
+            + "attractor.t_relax = 20.0\nattractor.grid = 9\nattractor.eps = 1e-3\n"
+            "integrator.h = 0.01\nintegrator.blowup_threshold = 1e8\n"
+        ),
+        "basin": (
+            "run.operation = basin\n" + damped
+            + "basin.grid = 12\nbasin.p_range = 3.0\nbasin.t_max = 20.0\n"
+        ),
+        "escape": (
+            "run.operation = escape\nmodel.name = shear-contraction\nmodel.a = 0.5\n"
+            "escape.box = (0.0, 1.0, -1.0, 1.0)\nescape.n_steps = 10\nescape.samples = 200\n"
+        ),
+        "classify": (
+            "run.operation = classify\nmodel.name = t2-pair-theta2\n"
+            "classify.n = 40\nclassify.T = 4.0\nrun.jobs = 2\n"
+        ),
+        "verify": "run.operation = verify\nverify.scope = geometry\n",
+        "list-models": "run.operation = list-models\n",
+    }
+
+
+def cli_digests(seed):
+    for name, text in cli_configs(seed).items():
+        with tempfile.TemporaryDirectory() as tmp:
+            cfg, out_dir = os.path.join(tmp, "run.cfg"), os.path.join(tmp, "out")
+            with open(cfg, "w", encoding="utf-8") as fh:
+                fh.write(text)
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = cli.main(["--config", cfg, "--out", out_dir, "--seed", str(seed),
+                                 "--no-timestamp"])
+            yield f"cli.seed{seed}.{name}", digest([code, out.getvalue(), err.getvalue()])
+            for file in sorted(os.listdir(out_dir)):
+                with open(os.path.join(out_dir, file), "rb") as fh:
+                    data = re.sub(rb'"elapsed_s": [^,\n}]+', b'"elapsed_s": null', fh.read())
+                yield f"cli.seed{seed}.{name}/{file}", digest(data.decode())
+
+
 def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.split("\n", 1)[0])
     ap.add_argument("--seeds", type=int, nargs="+", default=[7])
@@ -284,7 +366,14 @@ def main(argv=None):
                     help="digest the ensemble, fused, lean field, splitting and layout runs only")
     ap.add_argument("--residuals", action="store_true",
                     help="print each check's verdict, residual and tolerance instead")
+    ap.add_argument("--cli", action="store_true",
+                    help="digest one csdyn run per operation instead")
     args = ap.parse_args(argv)
+    if args.cli:
+        for seed in args.seeds:
+            for name, value in cli_digests(seed):
+                print(f"{value}  {name}", flush=True)
+        return
     if args.residuals:
         print("# seed  check  verdict  residual  tolerance")
         for seed in args.seeds:
