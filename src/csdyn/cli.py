@@ -17,7 +17,7 @@ import sys
 import numpy as np
 
 from . import certificates
-from .config import load_config
+from .config import RUN_KEYS, load_config
 from .diagnostics import (
     CheckResult,
     attractor_estimate,
@@ -57,13 +57,17 @@ _INTEGRATOR_DEFAULTS = {f.name: f.default for f in dataclasses.fields(Integrator
 _ALL_FIELDS = ("method", "rel_tol", "abs_tol", "h", "blowup_threshold", "max_steps")
 
 
-def _operation(name, integrator=(), **defaults):
+def _operation(name, model=True, run=(), integrator=(), **defaults):
     """Declare `_op_x(cfg, **defaults)` as the operation `name`: it reads the
-    keys `name.<key>` of defaults, and the `integrator.<field>` keys of the
+    keys `name.<key>` of defaults, the model.* keys when `model`, the
+    `run.<key>` keys of run (besides run.out and run.timestamp, which every
+    operation reads), and the `integrator.<field>` keys of the
     IntegratorConfig fields it passes on (as `cfg.integrator`), each of the
     type of its default (see `config`)."""
     def register(op):
+        op.model = model
         op.keys = {f"{name}.{key}": value for key, value in defaults.items()}
+        op.keys.update((f"run.{key}", RUN_KEYS[f"run.{key}"]) for key in run)
         op.keys.update((f"integrator.{f}", _INTEGRATOR_DEFAULTS[f]) for f in integrator)
         OPERATIONS[name] = op
         return op
@@ -123,7 +127,8 @@ def _op_simulate(cfg, t, x0, samples, variational):
     return EXIT_OK
 
 
-@_operation("diagnose", integrator=_ALL_FIELDS, check="conformality", t=1.0, x0=None)
+@_operation("diagnose", run=("seed",), integrator=_ALL_FIELDS,
+            check="conformality", t=1.0, x0=None)
 def _op_diagnose(cfg, check, t, x0):
     m = _model(cfg)
     icfg = IntegratorConfig(**cfg.integrator)
@@ -156,7 +161,7 @@ def _op_diagnose(cfg, check, t, x0):
                    f"tolerance={result.tolerance:.3e} {result.verdict}")
 
 
-@_operation("attractor", integrator=("h", "blowup_threshold"),
+@_operation("attractor", run=("seed",), integrator=("h", "blowup_threshold"),
             t_relax=60.0, grid=33, eps=1e-3, box=None)
 def _op_attractor(cfg, t_relax, grid, eps, box):
     m = _model(cfg)
@@ -191,8 +196,8 @@ def _op_attractor(cfg, t_relax, grid, eps, box):
                    f"invariance={est.invariance_residual:.3e}")
 
 
-@_operation("periodic", integrator=("method", "rel_tol", "abs_tol", "blowup_threshold",
-                                    "max_steps"),
+@_operation("periodic", run=("seed",),
+            integrator=("method", "rel_tol", "abs_tol", "blowup_threshold", "max_steps"),
             section_axis=0, section_offset=0.0, direction=0, guess=None, backward=False)
 def _op_periodic(cfg, section_axis, section_offset, direction, guess, backward):
     m = _model(cfg)
@@ -228,7 +233,7 @@ def _classify_chunk(payload):
     return classify_ensemble(m, np.asarray(chunk), T=horizon)
 
 
-@_operation("classify", n=100, T=10.0)
+@_operation("classify", run=("seed", "jobs"), n=100, T=10.0)
 def _op_classify(cfg, n, T):
     from .ensemble import blocks, deterministic_map
 
@@ -270,7 +275,7 @@ def _op_classify(cfg, n, T):
     return _report(cfg, f"classify_{m.name}", result, f"classify {m.name}: {counts}")
 
 
-@_operation("escape", box=None, n_steps=100, samples=1000)
+@_operation("escape", run=("seed",), box=None, n_steps=100, samples=1000)
 def _op_escape(cfg, box, n_steps, samples):
     m = _model(cfg)
     if box is None:
@@ -304,7 +309,7 @@ def _op_basin(cfg, grid, p_range, t_max):
     return EXIT_OK
 
 
-@_operation("verify", scope="all")
+@_operation("verify", model=False, run=("seed",), scope="all")
 def _op_verify(cfg, scope):
     try:
         results, ok = certificates.verify_suite(scope=scope, seed=cfg.seed)
@@ -320,7 +325,7 @@ def _op_verify(cfg, scope):
     return EXIT_OK if ok else EXIT_FAIL
 
 
-@_operation("list-models")
+@_operation("list-models", model=False)
 def _op_list_models(cfg):
     for name in registered_models():
         print(name)

@@ -6,10 +6,12 @@ templating.  Keys are dotted (model.alpha, integrator.rel_tol, run.seed).
 Values: integers, floats, booleans (true/false), bare or quoted strings,
 and parenthesized tuples of numbers like (0.25, 1.0).
 
-Each operation declares in `cli` the keys it reads and their defaults; a
-value must be of its default's type, where a float key also takes an
-integer, a key whose default is None takes a tuple of numbers and a string
-key takes any scalar as its text.  The model registry checks model.*.
+Each operation declares in `cli` the keys it reads and their defaults,
+whether it reads model.* and which of run.seed and run.jobs it reads (all
+read run.out and run.timestamp); a value must be of its default's type,
+where a float key also takes an integer, a key whose default is None takes
+a tuple of numbers and a string key takes any scalar as its text.  The
+model registry checks model.*.
 """
 
 from __future__ import annotations
@@ -18,8 +20,9 @@ from dataclasses import dataclass
 
 from .errors import ConfigError
 
-# the run.* keys every operation reads besides run.operation, with their defaults
-_RUN_KEYS = {"run.seed": 7, "run.out": ".", "run.timestamp": True, "run.jobs": 1}
+# the run.* keys besides run.operation, with their defaults; every operation
+# reads run.out and run.timestamp, and declares whether it reads the others
+RUN_KEYS = {"run.seed": 7, "run.out": ".", "run.timestamp": True, "run.jobs": 1}
 
 
 @dataclass
@@ -87,12 +90,13 @@ def _typed(key, value, default, line_no):
 
 def parse_config_text(text):
     """Parse config text into {key: value} for every key the operation reads:
-    run.*, the model.* keys given, and the operation's declared keys, each
-    typed, or its default when the text does not set it.  Rejects a key that
-    no operation reads, and one that this operation does not read."""
+    run.operation, run.out, run.timestamp, the model.* keys given, and the
+    operation's declared keys, each typed, or its default when the text does
+    not set it.  Rejects a key that no operation reads, and one that this
+    operation does not read."""
     from .cli import OPERATIONS  # declared beside their code; cli imports this module
 
-    known = {"run.operation", *_RUN_KEYS}.union(*(op.keys for op in OPERATIONS.values()))
+    known = {"run.operation", *RUN_KEYS}.union(*(op.keys for op in OPERATIONS.values()))
     table, lines = {}, {}
     for line_no, line in enumerate(text.splitlines(), start=1):
         stripped = line.strip()
@@ -116,11 +120,12 @@ def parse_config_text(text):
             f"unknown operation {op!r}; expected one of {', '.join(OPERATIONS)}",
             line=lines["run.operation"], key="run.operation",
         )
-    reads = {**_RUN_KEYS, **OPERATIONS[op].keys}
+    spec = OPERATIONS[op]
+    reads = {key: RUN_KEYS[key] for key in ("run.out", "run.timestamp")} | spec.keys
     for key, line_no in lines.items():
         if key in reads:
             table[key] = _typed(key, table[key], reads[key], line_no)
-        elif key != "run.operation" and not key.startswith("model."):
+        elif key != "run.operation" and not (spec.model and key.startswith("model.")):
             raise ConfigError(f"key {key!r} is not read by {op!r}", line=line_no, key=key)
     return {**reads, **table}
 
@@ -141,8 +146,8 @@ def load_config(path):
         model_params=model_params,
         options=_section(table, operation + "."),
         integrator=_section(table, "integrator."),
-        seed=table["run.seed"],
+        seed=table.get("run.seed", RUN_KEYS["run.seed"]),
         out_dir=table["run.out"],
         timestamp=table["run.timestamp"],
-        jobs=table["run.jobs"],
+        jobs=table.get("run.jobs", RUN_KEYS["run.jobs"]),
     )

@@ -829,6 +829,8 @@ def recurrence_scan(m, x0, t_max, dt, cfg=None):
     The departure from x0 is not a return: only segments from the first
     sample where the distance to x0 stops growing count.  Returns
     (distance, time), or (inf, nan) when the distance grows to t_max.
+    A step of half a turn or more on an angle axis aliases (0.7 turn reads as
+    0.3 turn back): ParamError once dt * |X| at a sample reaches it.
     """
     if t_max < dt:
         raise ParamError("t_max must be at least dt")
@@ -846,6 +848,10 @@ def recurrence_scan(m, x0, t_max, dt, cfg=None):
     for lo in range(0, n + 1, _RECURRENCE_BLOCK):
         t = dt * np.arange(lo, min(lo + _RECURRENCE_BLOCK, n + 1))
         x = m.flow_exact(x0, t) if m.flow_exact is not None else states[lo : lo + len(t)]
+        turn = dt * np.max(np.abs(m.X(x))[:, m.spec.angle_mask], initial=0.0)
+        if turn >= 0.5:
+            raise ParamError(f"recurrence dt = {dt} steps {turn:.3g} turn on an angle "
+                             "axis; samples alias at half a turn or more")
         b, ts = np.concatenate([b[-1:], m.spec.delta(x0, x)]), np.concatenate([ts[-1:], t])
         if k is None:
             sq = np.sum(b * b, axis=-1)

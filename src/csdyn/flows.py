@@ -55,6 +55,7 @@ _MIDPOINT_FAILED = (
     f"implicit midpoint did not converge in {MIDPOINT_MAX_SWEEPS} sweeps"
     f" and {MIDPOINT_MAX_NEWTON} Newton steps"
 )
+_RETURN_CHUNK = 4.0  # poincare_return integrates in runs of this many time units
 
 # Hairer's DOP853 8(5,3), as literal data from scipy's
 # integrate/_ivp/dop853_coefficients.py: the nonzero (stage, coefficient)
@@ -362,7 +363,8 @@ def _row_failure(exc, what, name, row, t, state):
     )
 
 
-def _screen(values, rows, t, y, name):
+def _screen(values, rows, t, y, name,
+            what="field evaluation returned non-finite values in the step starting"):
     """Raise PoisonedStateError for the first row with a non-finite value.
 
     values is (stages, rows, width); the whole-block sum is the cheap screen.
@@ -373,8 +375,7 @@ def _screen(values, rows, t, y, name):
     if len(bad):
         b = bad[0]
         raise _row_failure(
-            PoisonedStateError, "field evaluation returned non-finite values "
-            "in the step starting", name, int(rows[b]), float(t[b]), y[b].copy(),
+            PoisonedStateError, what, name, int(rows[b]), float(t[b]), y[b].copy(),
         )
 
 
@@ -412,7 +413,8 @@ def _dp_engine(rhs, t0, t1, Y, cfg, line_cols, name, ends_only=False, node_check
     segments that are read (`_dense`).  Stage sums are fixed-order and
     elementwise, so a row's path is bit-identical to the same row run alone
     (given a row-wise rhs).  Stages, states and sums live in buffers made
-    once per call; the live rows are their leading rows.
+    once per call; the live rows are their leading rows.  A non-finite start
+    row raises PoisonedStateError before any field evaluation.
 
     Returns one _Path per row, with every accepted node, or with `ends_only`
     the first node and the last step.  `node_check(ys)` flags rows of a
@@ -433,8 +435,9 @@ def _dp_engine(rhs, t0, t1, Y, cfg, line_cols, name, ends_only=False, node_check
         buf = np.empty((19, N, w))
         K, (y, y_new, s, tmp, tmp2, sc) = buf[:13], buf[13:]
         y[...] = Y
-        rhs(y, K[0])
         t = np.full(N, float(t0))
+        _screen(y[None], rows, t, y, name, "non-finite start")
+        rhs(y, K[0])
         _screen(K[:1], rows, t, y, name)
         lost = None if node_check is None else node_check(y)
         if lost is not None and lost.any():
@@ -655,21 +658,12 @@ def _joint_rhs(m, k, racc):
     gives the same bits in either layout.  One tangent without the Lee
     channel and the Lee channel without tangents use the model's fused
     field (X_DXv, X_etaX) when it has one, which equals this composed one
-    bit for bit.  X_DXv may leave out the products of DX's structural zeros, which
-    are signed zeros that cannot change a sum from +0.0 only while they are
-    finite (0 * inf is nan), so a tangent block with a non-finite entry
-    takes the composed field.
+    bit for bit on finite blocks (X_DXv may leave out the products of DX's
+    structural zeros, which are nan on a non-finite entry: 0 * inf).
     """
     fused = {(1, False): m.X_DXv, (0, True): m.X_etaX}.get((k, racc))
     if fused is not None:
-        composed = _joint_rhs(replace(m, X_DXv=None), k, racc) if k else None
-
-        def rhs(y, out=None):
-            if k and not math.isfinite(y.sum()):
-                return composed(y, out)
-            return fused(y, np.empty_like(y) if out is None else out)
-
-        return rhs
+        return lambda y, out=None: fused(y, np.empty_like(y) if out is None else out)
     n, nk = m.dim, m.dim * k
     DX = m.jacobian
     eta_dot = _eta_contraction(m) if racc else None
@@ -822,39 +816,21 @@ def _negated(f):
     return None if f is None else (lambda x: -np.asarray(f(x), dtype=float))
 
 
-def _negated_fused(f, sums=None):
-    """-f for a fused joint field f(y, out).  The columns `sums` hold
-    tangent sums, which start from +0.0 as np.einsum's do, so there a
-    negated zero is made +0.0 again."""
-    if f is None:
-        return None
-
-    def negated(y, out):
-        np.negative(f(y, out), out=out)
-        if sums is not None:
-            out[..., sums] += 0.0
-        return out
-
-    return negated
-
-
 def time_reversed_view(m):
     """The flow of -X as a ModelSpec; repelling orbits of m are attracting for it.
 
     -X has the defining identity of m with -alpha and -H (eta and lambda
     stay), and X_H negates with it.  Splitting is off and -H is not
-    fiber-convex.  The fused joint fields are negated too, each equal bit
-    for bit to the view's composed joint field.
+    fiber-convex.  The view has no fused joint fields, so its joint field
+    composes the negated X, DX and eta_X.
     """
     _require_flow(m)
     fe = m.flow_exact
-    n = m.dim
     return replace(
         m, alpha=-m.alpha, X=_negated(m.X), DX=_negated(m.DX), H=_negated(m.H),
         dH=_negated(m.dH), X_sym=_negated(m.X_sym), DX_sym=_negated(m.DX_sym),
-        eta_X=_negated(m.eta_X), X_DXv=_negated_fused(m.X_DXv, slice(n, 2 * n)),
-        X_etaX=_negated_fused(m.X_etaX), cotangent_splittable=False, fiber_convex=False,
-        flow_exact=None if fe is None else (
+        eta_X=_negated(m.eta_X), X_DXv=None, X_etaX=None, cotangent_splittable=False,
+        fiber_convex=False, flow_exact=None if fe is None else (
             lambda x, t: fe(x, -np.asarray(t, dtype=float))
         ),
     )
@@ -1305,13 +1281,14 @@ class SectionSpec:
         return self.w
 
 
-def poincare_return(m, sec, x0, k, cfg=None, t_max=1e4, chunk=4.0):
+def poincare_return(m, sec, x0, k, cfg=None, t_max=1e4):
     """First k directed section crossings with projected return Jacobians.
 
     Returns (crossings, jacobians, times, rotation_integrals); the last
     entry holds the accumulated Lee integral at each crossing (zeros when
-    the model carries no Lee form).  Integration proceeds in time chunks,
-    and the run ends with the accepted step that holds the k-th crossing.
+    the model carries no Lee form).  Integration proceeds in time chunks of
+    _RETURN_CHUNK, and the run ends with the accepted step that holds the
+    k-th crossing.
     Crossings are refined by bisection on the DOP853 dense output to
     time accuracy 1e-10; tangential crossings (|dg/dt| <= 1e-8) are rejected
     rather than guessed.
@@ -1356,7 +1333,7 @@ def poincare_return(m, sec, x0, k, cfg=None, t_max=1e4, chunk=4.0):
     line_cols = _line_indices(m).tolist()
     t_base = 0.0
     while t_base < t_max:
-        span = min(chunk, t_max - t_base)
+        span = min(_RETURN_CHUNK, t_max - t_base)
         found = len(crossings)
         p = _dp_engine(
             rhs, t_base, t_base + span, y_start[None], cfg, line_cols, m.name,

@@ -69,9 +69,10 @@ class ModelSpec:
     whole row block of the integrators' joint field into out from one set
     of shared intermediates: X_DXv the rows [X(x) | DX(x) v] of y = [x | v],
     X_etaX the rows [X(x) | eta(X(x))] of y = [x | r].  Each must equal the
-    composed evaluators bit for bit, tangent sums included (they start from
-    +0.0, as np.einsum's do); X_DXv on finite blocks, as it may leave out
-    the products of DX's structural zeros.
+    composed evaluators bit for bit on finite blocks, tangent sums included
+    (they start from +0.0, as np.einsum's do); on a block with a non-finite
+    entry they are unspecified, as they may leave out the products of DX's
+    structural zeros (0 * inf is nan).  A time-reversed view has none.
     """
 
     name: str
@@ -451,23 +452,19 @@ def _build_mane(params):
         return np.einsum("...j,...ji->...i", pv, DY(q))
 
     # The field sums Y and DY^T p as np.einsum does: from +0.0, in index
-    # order.  On a finite block a product with an exactly-zero coefficient
-    # is then a signed zero that cannot change a sum, so it is left out; a
-    # block with a non-finite entry keeps every product, since 0 * inf is nan.
-    def _terms(keep):
-        """Per output column i: Y_i's (j, y_sin[i, j]) and (j, y_cos[i, j])
-        terms, and (DY^T p)_i's (j, y_sin[j, i], y_cos[j, i]) terms with None
-        for a coefficient left out."""
-        kept = lambda c: float(c) if keep(c) else None
-        return [(
-            [(j, float(y_sin[i, j])) for j in range(d) if keep(y_sin[i, j])],
-            [(j, float(y_cos[i, j])) for j in range(d) if keep(y_cos[i, j])],
-            [(j, kept(y_sin[j, i]), kept(y_cos[j, i])) for j in range(d)
-             if keep(y_sin[j, i]) or keep(y_cos[j, i])],
-        ) for i in range(d)]
-
-    lean, full = _terms(lambda c: c != 0.0), _terms(lambda c: True)
-    trig = any(t for col in lean for t in col)
+    # order.  On a finite block (the field is specified on finite blocks
+    # only) a product with an exactly-zero coefficient is then a signed
+    # zero that cannot change a sum, so it is left out.  Per output column
+    # i: Y_i's (j, y_sin[i, j]) and (j, y_cos[i, j]) terms, and (DY^T p)_i's
+    # (j, y_sin[j, i], y_cos[j, i]) terms with None for a zero coefficient.
+    kept = lambda c: float(c) if c != 0.0 else None
+    terms = [(
+        [(j, float(y_sin[i, j])) for j in range(d) if y_sin[i, j] != 0.0],
+        [(j, float(y_cos[i, j])) for j in range(d) if y_cos[i, j] != 0.0],
+        [(j, kept(y_sin[j, i]), kept(y_cos[j, i])) for j in range(d)
+         if y_sin[j, i] != 0.0 or y_cos[j, i] != 0.0],
+    ) for i in range(d)]
+    trig = any(t for col in terms for t in col)
 
     def _dy(i, ks, kc, s, c):
         # DY[j, i] = 2 pi (y_sin[j, i] c_i - y_cos[j, i] s_i); with one coefficient
@@ -484,13 +481,12 @@ def _build_mane(params):
         x = np.asarray(x, dtype=float)
         out = np.empty_like(x)
         xt, ot = _columns(x, out)
-        finite = math.isfinite(x.sum())
         s = c = None
-        if trig or not finite:
+        if trig:
             w = np.multiply(TWO_PI, xt[:d], order="C")  # contiguous rows
             s, c = np.sin(w), np.cos(w)
         pv = xt[d:]
-        for i, (sin_terms, cos_terms, dy_terms) in enumerate(lean if finite else full):
+        for i, (sin_terms, cos_terms, dy_terms) in enumerate(terms):
             y_i = (y0[i] + sum((k * s[j] for j, k in sin_terms), 0.0)
                    + sum((k * c[j] for j, k in cos_terms), 0.0))
             ot[i] = pv[i] + y_i

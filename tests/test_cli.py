@@ -77,6 +77,36 @@ def test_integrator_keys_are_read_only_by_integrating_operations(op):
             assert (err.value.key, err.value.line) == (f"integrator.{field}", 2)
 
 
+# the model.* keys and the run.* keys besides run.out and run.timestamp
+# that each operation reads
+_RUN_READS = {
+    "simulate": ("model",), "diagnose": ("model", "seed"), "attractor": ("model", "seed"),
+    "periodic": ("model", "seed"), "classify": ("model", "seed", "jobs"),
+    "escape": ("model", "seed"), "basin": ("model",), "verify": ("seed",),
+    "list-models": (),
+}
+
+
+@pytest.mark.parametrize("op", sorted(_RUN_READS))
+def test_model_seed_and_jobs_keys_are_read_only_by_operations_using_them(op):
+    for read, key, value in (("model", "model.alpha", 0.5), ("seed", "run.seed", 3),
+                             ("jobs", "run.jobs", 2)):
+        text = f"run.operation = {op}\n{key} = {value}\n"
+        if read in _RUN_READS[op]:
+            assert parse_config_text(text)[key] == value
+        else:
+            with pytest.raises(ConfigError) as err:
+                parse_config_text(text)
+            assert (err.value.key, err.value.line) == (key, 2)
+
+
+def test_seed_and_jobs_flags_are_taken_by_every_operation(tmp_path, capsys):
+    cfg = write(tmp_path, "list.cfg", "run.operation = list-models\n")
+    argv = ["--config", cfg, "--out", str(tmp_path), "--seed", "3", "--jobs", "2"]
+    assert main(argv) == EXIT_OK
+    assert "circle-linear" in capsys.readouterr().out.split()
+
+
 _DAMPED = "model.name = damped-mechanical\n"
 
 
@@ -87,7 +117,7 @@ _BAD_CONFIGS = {
     "integrator.rel_tol": (
         "run.operation = simulate\n" + _DAMPED + "integrator.rel_tol = abc\n",
         "config error (line 3): integrator.rel_tol takes a number, got 'abc'"),
-    "run.seed": ("run.operation = simulate\n" + _DAMPED + "run.seed = abc\n",
+    "run.seed": ("run.operation = attractor\n" + _DAMPED + "run.seed = abc\n",
                  "config error (line 3): run.seed takes an integer, got 'abc'"),
     "classify.n": ("run.operation = classify\nmodel.name = t2-pair-theta2\nclassify.n = 2.5\n",
                    "config error (line 3): classify.n takes an integer, got 2.5"),
@@ -103,6 +133,12 @@ _BAD_CONFIGS = {
     "periodic-integrator.h": (
         "run.operation = periodic\nmodel.name = t2-pair-theta2\nintegrator.h = 0.5\n",
         "config error (line 3): key 'integrator.h' is not read by 'periodic'"),
+    "list-models-model.name": (
+        "run.operation = list-models\nmodel.name = no-such-model\nmodel.alpha = abc\n",
+        "config error (line 2): key 'model.name' is not read by 'list-models'"),
+    "basin-run.seed": (
+        "run.operation = basin\n" + _DAMPED + "run.seed = 1\nrun.jobs = 2\n",
+        "config error (line 3): key 'run.seed' is not read by 'basin'"),
 }
 
 

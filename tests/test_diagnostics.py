@@ -535,6 +535,18 @@ def test_recurrence_scan_finds_a_return_between_samples():
     assert recurrence_scan(m, x0, 2.0, 1e-2)[0] < 1e-15
 
 
+@pytest.mark.parametrize("dt", [0.7, 0.9])
+def test_recurrence_scan_rejects_a_step_of_half_a_turn(dt):
+    """x1 turns at unit speed, so a 0.7-turn step reads as 0.3 turn back and
+    the sampled distances never stop growing: the scan would miss the
+    return at t = 1 and report (inf, nan).  dt = 0.3 finds it."""
+    m = instantiate_model("lee-twisted-t1t2", a1=1.0, a2=2.0)
+    x0 = np.array([0.3, 0.7, 0.0, 0.2])
+    with pytest.raises(ParamError, match="half a turn"):
+        recurrence_scan(m, x0, 2.0, dt)
+    assert recurrence_scan(m, x0, 2.0, 0.3)[1] == pytest.approx(1.0, abs=1e-12)
+
+
 def test_recurrence_scan_is_the_same_in_any_block_size(monkeypatch):
     """Blocks of 7 samples and one block of the whole orbit give the default's
     bits: the departure test and the closest segment cross block edges."""

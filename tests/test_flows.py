@@ -337,19 +337,9 @@ FUSED_CASES = [("circle-linear", 1, False), ("t2-pair-theta1", 0, True),
                ("t2-pair-theta2", 0, True)]
 
 
-@pytest.mark.parametrize("name,k,racc", FUSED_CASES)
-@pytest.mark.parametrize("reversed_view", [False, True])
-@pytest.mark.parametrize("n_rows", [1, 7, 2049])
-def test_fused_joint_field_matches_the_composed_one(name, k, racc, reversed_view, n_rows):
-    """The fused evaluator gives the composed joint field bit for bit,
-    signed zeros included: tangent entries of +-0.0 and negative ones,
-    states on the zeros of sin and cos, on the model and on its view."""
-    m = instantiate_model(name)
-    if reversed_view:
-        m = flows.time_reversed_view(m)
-    composed = dataclasses.replace(m, X_DXv=None, X_etaX=None)
-    assert (m.X_DXv if k else m.X_etaX) is not None
-    fused, reference = flows._joint_rhs(m, k, racc), flows._joint_rhs(composed, k, racc)
+def _fused_joint_states(m, k, racc, n_rows):
+    """Rows [x | v] or [x | r] with tangent entries of +-0.0 and negative
+    ones, and states on the zeros of sin and cos."""
     n = m.dim
     rng = np.random.default_rng([n_rows, 3])
     y = rng.standard_normal((n_rows, n + n * k + racc))
@@ -361,6 +351,19 @@ def test_fused_joint_field_matches_the_composed_one(name, k, racc, reversed_view
         y[1::3, n] = 0.0
         y[::2, n + 1] = -0.0
         y[2::5, n + 1] = 0.0
+    return y
+
+
+@pytest.mark.parametrize("name,k,racc", FUSED_CASES)
+@pytest.mark.parametrize("n_rows", [1, 7, 2049])
+def test_fused_joint_field_matches_the_composed_one(name, k, racc, n_rows):
+    """The fused evaluator gives the composed joint field bit for bit,
+    signed zeros included."""
+    m = instantiate_model(name)
+    composed = dataclasses.replace(m, X_DXv=None, X_etaX=None)
+    assert (m.X_DXv if k else m.X_etaX) is not None
+    fused, reference = flows._joint_rhs(m, k, racc), flows._joint_rhs(composed, k, racc)
+    y = _fused_joint_states(m, k, racc, n_rows)
     expected = reference(y)
     assert fused(y).tobytes() == expected.tobytes()
     out = np.full_like(y, np.nan)
@@ -401,16 +404,12 @@ def _damped_joint_states(m, n_rows, seed):
 
 
 @pytest.mark.parametrize("case", sorted(DAMPED_CASES))
-@pytest.mark.parametrize("reversed_view", [False, True])
 @pytest.mark.parametrize("n_rows", [1, 7, 2049, 16384])
-def test_damped_mechanical_fused_tangent_field_matches_the_composed_one(
-        case, reversed_view, n_rows):
+def test_damped_mechanical_fused_tangent_field_matches_the_composed_one(case, n_rows):
     """X_DXv equals X composed with DX v by np.einsum bit for bit: on a
     batch, into a given output, on its first row as a (1, 2n) block and
-    as one state, on the model and on its time-reversed view."""
+    as one state."""
     m = instantiate_model("damped-mechanical", alpha=0.5, **DAMPED_CASES[case])
-    if reversed_view:
-        m = flows.time_reversed_view(m)
     assert m.X_DXv is not None
     fused = flows._joint_rhs(m, 1, False)
     reference = flows._joint_rhs(dataclasses.replace(m, X_DXv=None), 1, False)
@@ -424,12 +423,50 @@ def test_damped_mechanical_fused_tangent_field_matches_the_composed_one(
         assert fused(y[0]).tobytes() == expected[0].tobytes()
 
 
+VIEW_CASES = FUSED_CASES + [
+    ("damped-mechanical-" + case, 1, False) for case in sorted(DAMPED_CASES)]
+
+
+@pytest.mark.parametrize("name,k,racc", VIEW_CASES)
+@pytest.mark.parametrize("n_rows", [1, 7, 2049])
+def test_time_reversed_view_steps_its_composed_field(name, k, racc, n_rows):
+    """A time-reversed view has no fused field: its joint field composes
+    the view's own X, DX and eta_X, and gives the bits of the model's
+    negated fused field (tangent zeros +0.0), signed zeros included."""
+    if name.startswith("damped-mechanical-"):
+        case = name[len("damped-mechanical-"):]
+        m = instantiate_model("damped-mechanical", alpha=0.5, **DAMPED_CASES[case])
+        y = _damped_joint_states(m, n_rows, 5)
+    else:
+        m = instantiate_model(name)
+        y = _fused_joint_states(m, k, racc, n_rows)
+    view = flows.time_reversed_view(m)
+    assert view.X_DXv is None and view.X_etaX is None
+    n = m.dim
+    expected = np.empty_like(y)
+    with np.errstate(over="ignore", invalid="ignore"):  # the damped overflow row
+        expected[:, :n] = view.X(y[:, :n])
+        if k:
+            expected[:, n:] = np.einsum(
+                "...ij,...j->...i", view.DX(y[:, :n]), np.ascontiguousarray(y[:, n:]))
+        else:
+            expected[:, n] = view.eta_X(y[:, :n])
+        rhs = flows._joint_rhs(view, k, racc)
+        assert rhs(y).tobytes() == expected.tobytes()
+        assert rhs(y[:1]).tobytes() == expected[:1].tobytes()
+        # the model's fused field negated, its tangent sums' -0.0 made +0.0
+        negated = -flows._joint_rhs(m, k, racc)(y)
+        negated[:, n : n + n * k] += 0.0
+        assert negated.tobytes() == expected.tobytes()
+
+
 @pytest.mark.parametrize("case", ["d1", "d2-cross"])
 def test_fused_transport_with_overflowing_rows_matches_the_composed_run(case):
     """A row whose tangent overflows within a step stays alive with non-finite
-    tangents, and a row whose momentum overflows dies: the blocks are then
-    non-finite and step on the composed field, so every output, nan bits
-    included, equals the composed run's, on the model and on its view."""
+    tangents, and a row whose momentum overflows dies.  The fused field is
+    specified on finite blocks only, yet on these runs every output, nan
+    bits included, equals the composed run's, on the model and on its view
+    (which has no fused field)."""
     m = instantiate_model("damped-mechanical", alpha=0.5, **DAMPED_CASES[case])
     rng = np.random.default_rng(9)
     states = sample_states(m, 9, rng, 1.0)
@@ -659,6 +696,31 @@ def test_poisoned_field_raises():
     )
     with pytest.raises(PoisonedStateError):
         integrate_flow(bad, np.zeros(2), (0.0, 1.0))
+
+
+@pytest.mark.parametrize("name,params,x0", [
+    ("anosov-cover", {}, (np.inf, 0.7, 0.3, 1.5)),
+    ("mane", {"d": 1, "y0": 0.5}, (np.inf, 0.2)),
+])
+def test_non_finite_start_raises_before_the_field_reads_it(name, params, x0):
+    """Neither field reads the inf angle, so without the start screen the
+    run would complete with nan states."""
+    m = instantiate_model(name, **params)
+    with pytest.raises(PoisonedStateError) as info:
+        integrate_flow(m, np.array(x0), (0.0, 1.0))
+    err = info.value
+    assert (err.row, err.t, err.model) == (0, 0.0, name)
+    assert err.state[0] == np.inf and "non-finite start" in str(err)
+
+
+def test_non_finite_initial_frame_raises_at_the_start():
+    m = instantiate_model("circle-linear", alpha=1.0)
+    frames = np.stack([np.eye(2), np.eye(2)])
+    frames[1, 0, 1] = np.nan
+    with pytest.raises(PoisonedStateError) as info:
+        integrate_variational(m, np.array([[0.1, 0.2], [0.3, 0.4]]), (0.0, 1.0),
+                              initial_frame=frames)
+    assert (info.value.row, info.value.t) == (1, 0.0)
 
 
 def test_backward_span_flagged_and_consistent():

@@ -12,6 +12,9 @@ tangent field are digested on inputs that reach each of their branches: Mane
 `flow_ensemble` with a full y_sin and a nonzero y_cos, Mane's midpoint
 splitting step (X_sym), damped-mechanical's tangent transport at d = 1 and
 2, forward and on the time-reversed view, each with rows of zero momentum.
+A time-reversed view has no fused field, so its runs step the view's
+composed field; their lines are those of earlier versions, whose views
+stepped the negated fused field.
 The circle models' splitting code (X_sym through the midpoint, DX_sym) is
 digested by circle-linear's and circle-quadratic's splitting steps at
 h = 0.01 and 0.05, again with rows of zero momentum, and a circle-linear
