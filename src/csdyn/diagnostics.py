@@ -42,7 +42,7 @@ from .geometry import (
     loop_integral,
     torus_distance,
 )
-from .models import MAP
+from .models import MAP, _per_state
 
 TWO_PI = 2.0 * math.pi
 
@@ -250,8 +250,9 @@ def _lyapunov_map(m, x0, n_steps):
     Q = np.eye(n)
     sums = np.zeros(n)
     history = np.zeros((n_steps, n))
-    for k in range(n_steps):
-        J = np.asarray(m.Df(traj.states[k]), dtype=float)
+    # Df at every orbit point before the last, in one call
+    jacs = np.broadcast_to(np.asarray(m.Df(traj.states[:-1]), dtype=float), (n_steps, n, n))
+    for k, J in enumerate(jacs):
         Q, R = np.linalg.qr(J @ Q)
         signs = np.sign(np.diag(R))
         signs[signs == 0] = 1.0
@@ -700,10 +701,12 @@ def escape_statistics(m, box, n_steps, samples, seed, exclusion=None,
                       sample_override=None):
     """Backward-orbit escape counts for a map model over a compact box.
 
-    Samples are drawn uniformly in the box with the given seed (rejection
-    sampling against `exclusion` when provided); a sample escapes when its
-    backward orbit first leaves the box within n_steps.  Samples evolve
-    batched but row-independently, so counts match any worker partition.
+    Samples are drawn uniformly in the box with the given seed, in blocks of
+    the count still needed; with `exclusion`, a predicate on one state, the
+    samples are the first draws it does not exclude, in draw order, as one
+    draw per sample would give them.  A sample escapes when its backward
+    orbit first leaves the box within n_steps.  Samples evolve batched but
+    row-independently, so counts match any worker partition.
     """
     if m.kind != MAP:
         raise ParamError("escape statistics is defined for map models")
@@ -717,13 +720,13 @@ def escape_statistics(m, box, n_steps, samples, seed, exclusion=None,
     else:
         lo = np.array([b[0] for b in box])
         hi = np.array([b[1] for b in box])
-        pts = np.empty((samples, m.dim))
-        for i in range(samples):
-            while True:
-                cand = lo + (hi - lo) * rng.uniform(size=m.dim)
-                if exclusion is None or not exclusion(cand):
-                    break
-            pts[i] = cand
+        excluded = None if exclusion is None else _per_state(lambda x: bool(exclusion(x)), ())
+        pts = np.empty((0, m.dim))
+        while len(pts) < samples:
+            cand = lo + (hi - lo) * rng.uniform(size=(samples - len(pts), m.dim))
+            if excluded is not None:
+                cand = cand[~excluded(cand)]
+            pts = np.concatenate([pts, cand])
     exit_steps = np.zeros(samples, dtype=np.int64)
     alive = np.ones(samples, dtype=bool)
     current = pts.copy()

@@ -1063,14 +1063,15 @@ def instantiate_model(name, params=None, **kwargs):
 FLAT_T2_CONTACT = "flat-t1t2"
 
 
-def _per_state(f):
-    """f, written for one state (k,), mapped over the leading axes of x (..., k)."""
+def _per_state(f, tail):
+    """f, written for one state (k,) and giving values of shape tail, mapped
+    over the leading axes of x (..., k); an empty batch gives (..., *tail)."""
     def batched(x):
         x = np.asarray(x, dtype=float)
         if x.ndim == 1:
             return f(x)
         rows = [f(row) for row in x.reshape(-1, x.shape[-1])]
-        return np.reshape(rows, x.shape[:-1] + np.shape(rows[0]))
+        return np.reshape(rows, x.shape[:-1] + tail)
     return batched
 
 
@@ -1079,95 +1080,89 @@ def contact_lift(H, beta, dH=None, contact=FLAT_T2_CONTACT):
 
     The contact field X on (Y, alpha) solves alpha(X) = H and
     i_X d(alpha) = (dH.R) alpha - dH; the lifted conformal field appends the
-    theta-component beta(X) - dH.R.  H takes the 3-vector (x1, x2, v); dH is
-    its analytic gradient, central differences when omitted.  Without dH the
-    lift also gets DX, built from central second differences of H, since
-    differencing the differenced field would amplify its rounding.  H and dH
-    take one state, so the lift's evaluators do too and `_per_state` maps
-    them over any leading axes.
+    theta-component beta(X) - dH.R.  beta is two finite numbers.  H takes
+    the 3-vector (x1, x2, v); dH is its analytic gradient, central
+    differences when omitted.  Without dH the lift also gets DX, built from
+    central second differences of H, since differencing the differenced
+    field would amplify its rounding.  The lift's evaluators take
+    (..., 4) batches; H and dH take one state, and `_per_state` maps them
+    over the batch, each entry equal to the single-state call.
     """
     if contact != FLAT_T2_CONTACT:
         raise UnsupportedContactError(
             f"only the flat torus unit tangent bundle is supported, got {contact!r}"
         )
-    b1, b2 = float(beta[0]), float(beta[1])
+    b = np.asarray(beta, dtype=float) if _kind(beta, 0.0)[1] else None
+    if b is None or b.shape != (2,) or not np.all(np.isfinite(b)):
+        raise ParamError(f"contact_lift takes beta as two finite numbers, got {beta!r}")
+    b1, b2 = float(b[0]), float(b[1])
+    h_of = _per_state(lambda y: float(H(y)), ())
+    dh_of = None if dH is None else _per_state(lambda y: np.asarray(dH(y), dtype=float), (3,))
 
     def grad_h(y):
-        if dH is not None:
-            return np.asarray(dH(y), dtype=float)
-        return fd_gradient(H, y, h=1e-6)
+        return fd_gradient(h_of, y, h=1e-6) if dh_of is None else dh_of(y)
 
-    def contact_field(y):
-        # closed form on the flat structure: X = H R + (dH_v/2pi) T - (dH(T)/2pi) e_v
-        y = np.asarray(y, dtype=float)
-        c, s = math.cos(TWO_PI * y[2]), math.sin(TWO_PI * y[2])
-        g = grad_h(y)
-        hval = float(H(y))
-        r_vec = np.array([c, s, 0.0])
-        t_vec = np.array([-s, c, 0.0])
-        dh_t = -s * g[0] + c * g[1]
-        dh_v = g[2]
-        return hval * r_vec + (dh_v / TWO_PI) * t_vec - (dh_t / TWO_PI) * np.array(
-            [0.0, 0.0, 1.0]
-        ), g, c, s
+    def trig(x):
+        y = np.asarray(x, dtype=float)[..., :3]
+        w = TWO_PI * y[..., 2]
+        return y, np.cos(w), np.sin(w)
 
-    @_per_state
     def X(x):
-        xc, g, c, s = contact_field(x[:3])
-        dh_r = c * g[0] + s * g[1]
-        theta_dot = b1 * xc[0] + b2 * xc[1] - dh_r
-        return np.concatenate([xc, [theta_dot]])
+        y, c, s = trig(x)
+        g, zero = grad_h(y), np.zeros_like(c)
+        dh_t = -s * g[..., 0] + c * g[..., 1]
+        # closed form on the flat structure: X = H R + (dH_v/2pi) T - (dH(T)/2pi) e_v
+        xc = (np.asarray(h_of(y))[..., None] * np.stack([c, s, zero], axis=-1)
+              + (g[..., 2] / TWO_PI)[..., None] * np.stack([-s, c, zero], axis=-1)
+              - (dh_t / TWO_PI)[..., None] * np.array([0.0, 0.0, 1.0]))
+        theta_dot = b1 * xc[..., 0] + b2 * xc[..., 1] - (c * g[..., 0] + s * g[..., 1])
+        return np.concatenate([xc, theta_dot[..., None]], axis=-1)
 
-    def hess_h(y):
-        """Hessian of H by central second differences, step about eps**(1/4)."""
-        step, h0 = 1e-4, float(H(y))
-        E = step * np.eye(3)
-        out = np.empty((3, 3))
-        for i in range(3):
-            out[i, i] = (float(H(y + E[i])) - 2.0 * h0 + float(H(y - E[i]))) / step**2
-            for j in range(i):
-                out[i, j] = out[j, i] = (
-                    float(H(y + E[i] + E[j])) - float(H(y + E[i] - E[j]))
-                    - float(H(y - E[i] + E[j])) + float(H(y - E[i] - E[j]))
-                ) / (4.0 * step**2)
-        return out
-
-    @_per_state
     def DX(x):
         # derivative of X's closed form; (c, s) depend on v = y[2]
-        y = x[:3]
-        c, s = math.cos(TWO_PI * y[2]), math.sin(TWO_PI * y[2])
-        g, hs, hval = grad_h(y), hess_h(y), float(H(y))
-        J = np.zeros((4, 4))
-        J[0, :3] = g * c - hs[2] * s / TWO_PI
-        J[0, 2] -= TWO_PI * hval * s + g[2] * c
-        J[1, :3] = g * s + hs[2] * c / TWO_PI
-        J[1, 2] += TWO_PI * hval * c - g[2] * s
-        J[2, :3] = (s * hs[0] - c * hs[1]) / TWO_PI
-        J[2, 2] += c * g[0] + s * g[1]
-        J[3, :3] = b1 * J[0, :3] + b2 * J[1, :3] - (c * hs[0] + s * hs[1])
-        J[3, 2] -= TWO_PI * (c * g[1] - s * g[0])
+        y, c, s = trig(x)
+        g = grad_h(y)
+        # H at y and its 18 shifts for central second differences, step about eps**(1/4)
+        step, E = 1e-4, 1e-4 * np.eye(3)
+        lower = [(i, j) for i in range(3) for j in range(i)]
+        hv = h_of(np.stack(
+            [y] + [y + E[i] for i in range(3)] + [y - E[i] for i in range(3)]
+            + [y + si * E[i] + sj * E[j] for i, j in lower
+               for si, sj in ((1, 1), (1, -1), (-1, 1), (-1, -1))]))
+        hval, hs = hv[0], np.empty(y.shape[:-1] + (3, 3))
+        for i in range(3):
+            hs[..., i, i] = (hv[1 + i] - 2.0 * hval + hv[4 + i]) / step**2
+        for k, (i, j) in enumerate(lower):
+            pp, pm, mp, mm = hv[7 + 4 * k : 11 + 4 * k]
+            hs[..., i, j] = hs[..., j, i] = (pp - pm - mp + mm) / (4.0 * step**2)
+        C, S = c[..., None], s[..., None]
+        J = np.zeros(y.shape[:-1] + (4, 4))
+        J[..., 0, :3] = g * C - hs[..., 2, :] * S / TWO_PI
+        J[..., 0, 2] -= TWO_PI * hval * s + g[..., 2] * c
+        J[..., 1, :3] = g * S + hs[..., 2, :] * C / TWO_PI
+        J[..., 1, 2] += TWO_PI * hval * c - g[..., 2] * s
+        J[..., 2, :3] = (S * hs[..., 0, :] - C * hs[..., 1, :]) / TWO_PI
+        J[..., 2, 2] += c * g[..., 0] + s * g[..., 1]
+        J[..., 3, :3] = (b1 * J[..., 0, :3] + b2 * J[..., 1, :3]
+                         - (C * hs[..., 0, :] + S * hs[..., 1, :]))
+        J[..., 3, 2] -= TWO_PI * (c * g[..., 1] - s * g[..., 0])
         return J
 
-    spec = CoordinateSpec((ANGLE, ANGLE, ANGLE, ANGLE))
-    eta_vec = np.array([b1, b2, 0.0, -1.0])
-
-    H4 = _per_state(lambda x: float(H(x[:3])))
-
-    @_per_state
     def dH4(x):
-        out = np.zeros(4)
-        out[:3] = grad_h(x[:3])
+        y = np.asarray(x, dtype=float)[..., :3]
+        out = np.zeros(y.shape[:-1] + (4,))
+        out[..., :3] = grad_h(y)
         return out
 
+    eta_vec = np.array([b1, b2, 0.0, -1.0])
     return ModelSpec(
         name="contact-lift",
-        spec=spec,
+        spec=CoordinateSpec((ANGLE, ANGLE, ANGLE, ANGLE)),
         kind=FLOW,
         params={"beta": (b1, b2)},
         X=X,
         DX=DX if dH is None else None,
-        H=H4,
+        H=lambda x: h_of(np.asarray(x, dtype=float)[..., :3]),
         dH=dH4,
         eta=lambda x: eta_vec,
         Omega=_lee_omega_matrix(b1, b2),

@@ -6,6 +6,7 @@ import dataclasses
 import inspect
 import time
 
+import numpy as np
 import pytest
 
 from csdyn import certificates as C
@@ -125,3 +126,36 @@ def test_map_conformality_budget_times_the_whole_measurement(monkeypatch):
     result = C.cert_map_conformality(seed=7)
     assert result.passed and len(spans) == 3
     assert result.details["elapsed_s"] >= spans[-1][1] - spans[0][0]
+
+
+def _one_draw_per_candidate_gauge_states(seed):
+    # reference: one uniform pair per candidate, kept while H > 0.05
+    rng = np.random.default_rng(seed)
+    m = C.instantiate_model("t2-pair-theta2")
+    states = []
+    while len(states) < 100:
+        x = rng.uniform(0, 1, size=2)
+        if float(m.H(x)) > 0.05:
+            states.append(x)
+    return np.array(states)
+
+
+@pytest.mark.parametrize("seed", [1, 7, 20])
+def test_gauge_equivalence_samples_the_sequential_stream(monkeypatch, seed):
+    # its block draws keep the first 100 accepted candidates, in draw order
+    seen = []
+    field = C.conformal_hamiltonian_field
+
+    def recording(*forms):
+        gauge = field(*forms)
+
+        def X(x):
+            seen.append(np.array(x))
+            return gauge(x)
+
+        return X
+
+    monkeypatch.setattr(C, "conformal_hamiltonian_field", recording)
+    assert C.cert_gauge_equivalence(seed=seed).passed
+    assert len(seen) == 1 and seen[0].shape == (100, 2)
+    assert seen[0].tobytes() == _one_draw_per_candidate_gauge_states(seed).tobytes()

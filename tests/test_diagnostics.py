@@ -450,6 +450,60 @@ def test_escape_deterministic_under_seed():
     assert np.array_equal(a.exit_steps, b.exit_steps)
 
 
+def _one_draw_per_sample_points(m, box, samples, seed, exclusion):
+    # reference: one draw per sample, redrawn while excluded
+    rng = np.random.default_rng(seed)
+    lo, hi = np.array(box, dtype=float).T
+    pts = np.empty((samples, m.dim))
+    for i in range(samples):
+        while True:
+            cand = lo + (hi - lo) * rng.uniform(size=m.dim)
+            if exclusion is None or not exclusion(cand):
+                break
+        pts[i] = cand
+    return pts
+
+
+def _bottom_left(x):
+    # one state at a time: `and` has no meaning for a batch
+    assert x.shape == (2,)
+    return x[1] < 0.2 and x[0] < 0.6
+
+
+@pytest.mark.parametrize("seed", [1, 7, 20])
+@pytest.mark.parametrize("exclusion", [None, _bottom_left])
+def test_escape_samples_the_sequential_stream(seed, exclusion):
+    # block draws give the points one draw per sample gave, in their order
+    m = instantiate_model("shear-contraction", a=0.5)
+    box = ((0.0, 1.0), (-1.0, 1.0))
+    first = []
+
+    def f_inv(x):
+        if not first:
+            first.append(np.array(x))
+        return m.f_inv(x)
+
+    stats = escape_statistics(dataclasses.replace(m, f_inv=f_inv), box, 5, 300, seed,
+                              exclusion=exclusion)
+    assert stats.total == 300 and first[0].shape == (300, 2)
+    expected = _one_draw_per_sample_points(m, box, 300, seed, exclusion)
+    assert first[0].tobytes() == expected.tobytes()
+
+
+def test_map_lyapunov_takes_the_orbit_jacobians_in_one_call():
+    m = instantiate_model("nonexact-linear")
+    calls = []
+
+    def Df(x):
+        calls.append(np.shape(x))
+        return m.Df(x)
+
+    x0 = np.full(m.dim, 0.3)
+    res = lyapunov_spectrum(dataclasses.replace(m, Df=Df), x0, T=50)
+    assert calls == [(50, m.dim)]
+    assert res.history.tobytes() == lyapunov_spectrum(m, x0, T=50).history.tobytes()
+
+
 def test_escape_requires_map_model():
     m = instantiate_model("circle-linear", alpha=1.0)
     with pytest.raises(ParamError):

@@ -166,7 +166,7 @@ def test_defining_identity_at_random_states(name, params):
 def _identity_model(name, params):
     if name != "contact-lift":
         return instantiate_model(name, params)
-    # the lift evaluates H, and differences it for dH, one state at a time
+    # the lift maps the caller's one-state H over the batch and differences it for dH
     return contact_lift(
         lambda y: np.cos(TWO_PI * y[..., 2]) + 0.3 * np.sin(TWO_PI * y[..., 0]), (0.5, -0.2)
     )
@@ -374,6 +374,32 @@ def test_contact_lift_jacobian_without_dh_matches_the_analytic_lift(beta):
 def test_contact_lift_rejects_non_flat_data():
     with pytest.raises(UnsupportedContactError):
         contact_lift(lambda y: 1.0, (0.0, 0.0), contact="round-sphere")
+
+
+@pytest.mark.parametrize("beta", [(0.1, 0.2, 0.3), (0.5,), (math.nan, 0.0), (0.0, -math.inf),
+                                  0.5, ((0.1, 0.2),), (0.1, "x"), "ab", None])
+def test_contact_lift_takes_beta_as_two_finite_numbers(beta):
+    # (0.1, 0.2, 0.3) lost its third entry, (0.5,) raised IndexError and
+    # (nan, 0) gave a nan theta-component
+    with pytest.raises(ParamError, match="two finite numbers"):
+        contact_lift(lambda y: 1.0, beta, dH=lambda y: np.zeros(3))
+    lifted = contact_lift(lambda y: 1.0, np.array([1, 2]), dH=lambda y: np.zeros(3))
+    assert lifted.params == {"beta": (1.0, 2.0)}
+
+
+@pytest.mark.parametrize("analytic", [False, True])
+def test_contact_lift_of_an_empty_batch_is_empty(analytic):
+    # the caller's H is never called; the lift's shapes come from the batch
+    def H3(y):
+        raise AssertionError("H called on an empty batch")
+
+    lifted = contact_lift(H3, (0.5, 0.25), dH=H3 if analytic else None)
+    xs = np.empty((0, 4))
+    for f, tail in ((lifted.X, (4,)), (lifted.jacobian, (4, 4)), (lifted.H, ()),
+                    (lifted.dH, (4,)), (lambda x: field_identity_residual(lifted, x), ())):
+        out = np.asarray(f(xs))
+        assert out.shape == (0,) + tail and out.dtype == float
+        assert np.asarray(f(xs.reshape(2, 0, 4))).shape == (2, 0) + tail
 
 
 def test_identity_residual_requires_structure():

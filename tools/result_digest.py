@@ -37,7 +37,11 @@ nonexact-linear and on radial- and shear-contraction at a = 0.37, the
 `fd_exterior_derivative_one_form` at each state of `cert_structure_forms`.
 They follow the `all` line so that the lines above it stay those of earlier
 versions of this tool; the kernels are called one state at a time, as
-every version of them takes that.  Floats
+every version of them takes that.  Last come the contact lift's `X`, `DX`,
+`H` and `dH` on one seeded batch, for a caller's `H` that takes one state
+and no `dH` (so `X` differences `H` and `DX` is built from its second
+differences), and nonexact-linear's `lyapunov_spectrum` (its Jacobian is
+constant, so that line does not vary with the seed).  Floats
 are hashed by their bits (`float.hex`), arrays by dtype, shape and bytes,
 so -0.0 and 0.0 differ.
 
@@ -72,7 +76,7 @@ import numpy as np
 
 from csdyn import cli, models
 from csdyn.certificates import verify_suite
-from csdyn.diagnostics import classify_ensemble, map_conformality_ratios
+from csdyn.diagnostics import classify_ensemble, lyapunov_spectrum, map_conformality_ratios
 from csdyn.flows import (
     IntegratorConfig,
     conformal_splitting_step,
@@ -291,6 +295,20 @@ def point_digests(seed):
             [fd_exterior_derivative_one_form(m.lam, x) for x in xs])
 
 
+def lift_digests(seed):
+    """The contact lift's evaluators on a batch, and a map's Lyapunov spectrum."""
+    rng = np.random.default_rng([seed, 37])
+    lifted = models.contact_lift(
+        lambda y: math.cos(TWO_PI * y[2]) + 0.3 * y[1] * math.sin(TWO_PI * y[0]), (0.5, -0.2))
+    xs = models.sample_states(lifted, 64, rng)
+    for name in ("X", "DX", "H", "dH"):
+        yield f"contact_lift.seed{seed}.{name}.n64", digest(np.asarray(getattr(lifted, name)(xs)))
+    m = models.instantiate_model("nonexact-linear")
+    res = lyapunov_spectrum(m, models.sample_states(m, 1, rng)[0], T=100.0)
+    yield f"lyapunov_spectrum.seed{seed}.nonexact-linear.T100", digest(
+        [res.exponents, res.history, res.pairing_defect, res.pairing_target])
+
+
 def cli_configs(seed):
     """Config text per run: each operation once (simulate also with rk4),
     verify at scope geometry, every integrator field read at least once."""
@@ -395,9 +413,10 @@ def main(argv=None):
                 total.update(line.encode() + b"\n")
                 print(line, flush=True)
     print(f"{total.hexdigest()}  all")
-    for seed in args.seeds:
-        for name, value in point_digests(seed):
-            print(f"{value}  {name}", flush=True)
+    for part in (point_digests, lift_digests):
+        for seed in args.seeds:
+            for name, value in part(seed):
+                print(f"{value}  {name}", flush=True)
 
 
 if __name__ == "__main__":
