@@ -45,6 +45,7 @@ from .geometry import (
 from .models import MAP, _per_state
 
 TWO_PI = 2.0 * math.pi
+_DRAWS_PER_SAMPLE = 1000  # escape_statistics' cap on draws, per sample asked for
 
 
 @dataclass
@@ -193,80 +194,72 @@ def _pairing_defect(exponents, target):
     return float(max(abs(ex[i] + ex[n - 1 - i] - target) for i in range(n)))
 
 
+def _renormalized_logs(push, n, n_legs, dt):
+    """Benettin's loop: push(k, Q) carries the frame Q over leg k of length dt
+    and a QR step with diag R > 0 renormalizes it.  Returns the sums of
+    log diag R and the running estimates history[k] = sums / ((k + 1) dt)."""
+    Q = np.eye(n)
+    sums = np.zeros(n)
+    history = np.zeros((n_legs, n))
+    for k in range(n_legs):
+        Q, R = np.linalg.qr(push(k, Q))
+        signs = np.sign(np.diag(R))
+        signs[signs == 0] = 1.0
+        Q = Q * signs
+        sums += np.log(np.abs(np.diag(R)))
+        history[k] = sums / ((k + 1) * dt)
+    return sums, history
+
+
 def lyapunov_spectrum(m, x0, T=200.0, steps=None, cfg=None):
     """Benettin QR exponents over [0, T] with periodic re-orthonormalization.
 
     The pairing target is -alpha for exact models and the orbit's mean
     rotation for conformal pairs.  Exponents are flagged non-converged when
-    the last-quarter drift exceeds 10% of scale.
+    the last-quarter drift exceeds 10% of scale.  A map runs int(T) >= 1
+    steps, with the target log(a) (else 0); its converged is always True.
     """
+    n = m.dim
     if m.kind == MAP:
-        return _lyapunov_map(m, x0, int(T))
-    cfg = cfg or IntegratorConfig(rel_tol=1e-10, abs_tol=1e-12)
-    n = m.dim
-    n_legs = int(steps) if steps else max(1, int(round(T / 0.5)))
-    dt = T / n_legs
-    x = np.asarray(x0, dtype=float)
-    Q = np.eye(n)
-    sums = np.zeros(n)
-    r_total = 0.0
-    history = np.zeros((n_legs, n))
-    for leg in range(n_legs):
-        traj = integrate_variational(
-            m, x, (0.0, dt), cfg, samples=2, initial_frame=Q
-        )
-        if traj.status == BLOWUP:
-            raise BlowUpError("orbit blew up during Lyapunov run", t_escape=traj.t_escape)
-        F = traj.final_frame
-        x = traj.final_state
-        if traj.r_accum is not None:
-            r_total += traj.r_final
-        Q, R = np.linalg.qr(F)
-        signs = np.sign(np.diag(R))
-        signs[signs == 0] = 1.0
-        Q = Q * signs
-        sums += np.log(np.abs(np.diag(R)))
-        history[leg] = sums / ((leg + 1) * dt)
-    exponents = np.sort(sums / T)[::-1]
-    mean_rot = r_total / T if m.eta is not None else None
-    target = mean_rot if m.conformal_pair else -m.alpha
-    defect = _pairing_defect(exponents, target)
-    quarter = np.sort(history[3 * n_legs // 4 :], axis=1)[:, ::-1]
-    scale = max(float(np.max(np.abs(exponents))), 1e-3)
-    drift = float(np.max(np.abs(quarter - exponents[None, :])))
-    return LyapunovResult(
-        exponents=exponents,
-        pairing_defect=defect,
-        pairing_target=target,
-        mean_rotation=mean_rot,
-        converged=drift <= 0.1 * scale,
-        history=history,
-    )
+        n_steps = int(T)
+        if n_steps < 1:
+            raise ParamError(f"a map's Lyapunov spectrum takes T >= 1 step, got T = {T!r}")
+        states = iterate_map(m, x0, n_steps).states[:-1]  # Df at each, in one call
+        jacs = np.broadcast_to(np.asarray(m.Df(states), dtype=float), (n_steps, n, n))
+        sums, history = _renormalized_logs(lambda k, Q: jacs[k] @ Q, n, n_steps, 1)
+        exponents = np.sort(sums / n_steps)[::-1]
+        target = math.log(m.ratio_a) if m.ratio_a else 0.0
+        mean_rot, converged = None, True
+    else:
+        cfg = cfg or IntegratorConfig()
+        n_legs = int(steps) if steps else max(1, int(round(T / 0.5)))
+        dt = T / n_legs
+        x = np.asarray(x0, dtype=float)
+        r_total = 0.0
 
+        def leg(k, Q):
+            nonlocal x, r_total
+            traj = integrate_variational(m, x, (0.0, dt), cfg, samples=2, initial_frame=Q)
+            if traj.status == BLOWUP:
+                raise BlowUpError("orbit blew up during Lyapunov run", t_escape=traj.t_escape)
+            x = traj.final_state
+            if traj.r_accum is not None:
+                r_total += traj.r_final
+            return traj.final_frame
 
-def _lyapunov_map(m, x0, n_steps):
-    traj = iterate_map(m, x0, n_steps)
-    n = m.dim
-    Q = np.eye(n)
-    sums = np.zeros(n)
-    history = np.zeros((n_steps, n))
-    # Df at every orbit point before the last, in one call
-    jacs = np.broadcast_to(np.asarray(m.Df(traj.states[:-1]), dtype=float), (n_steps, n, n))
-    for k, J in enumerate(jacs):
-        Q, R = np.linalg.qr(J @ Q)
-        signs = np.sign(np.diag(R))
-        signs[signs == 0] = 1.0
-        Q = Q * signs
-        sums += np.log(np.abs(np.diag(R)))
-        history[k] = sums / (k + 1)
-    exponents = np.sort(sums / n_steps)[::-1]
-    target = math.log(m.ratio_a) if m.ratio_a else 0.0
+        sums, history = _renormalized_logs(leg, n, n_legs, dt)
+        exponents = np.sort(sums / T)[::-1]
+        mean_rot = r_total / T if m.eta is not None else None
+        target = mean_rot if m.conformal_pair else -m.alpha
+        quarter = np.sort(history[3 * n_legs // 4 :], axis=1)[:, ::-1]
+        scale = max(float(np.max(np.abs(exponents))), 1e-3)
+        converged = float(np.max(np.abs(quarter - exponents[None, :]))) <= 0.1 * scale
     return LyapunovResult(
         exponents=exponents,
         pairing_defect=_pairing_defect(exponents, target),
         pairing_target=target,
-        mean_rotation=None,
-        converged=True,
+        mean_rotation=mean_rot,
+        converged=converged,
         history=history,
     )
 
@@ -325,14 +318,13 @@ def find_periodic_orbit(m, sec, guess, cfg=None, newton_tol=1e-12, max_iter=50,
 
     def return_data(y):
         x = embed(y)
-        crossings, jacs, times, raccs = poincare_return(search_model, sec, x, 1, cfg)
+        crossings, jacs, times, _ = poincare_return(search_model, sec, x, 1, cfg)
         delta = m.spec.delta(x, crossings[0])
-        return delta[red], jacs[0][np.ix_(red, red)], times[0], raccs[0], crossings[0]
+        return delta[red], jacs[0][np.ix_(red, red)], times[0]
 
-    y = np.asarray(guess, dtype=float)[red] if len(np.asarray(guess)) == n else np.asarray(
-        guess, dtype=float
-    )
-    resid, jac_red, T, racc, x_ret = return_data(y)
+    y = np.asarray(guess, dtype=float)
+    y = y[red] if len(y) == n else y
+    resid, jac_red, T = return_data(y)
     for _ in range(max_iter):
         err = float(np.max(np.abs(resid)))
         if err < newton_tol:
@@ -341,11 +333,9 @@ def find_periodic_orbit(m, sec, guess, cfg=None, newton_tol=1e-12, max_iter=50,
         lam = 1.0
         for _ in range(8):
             y_try = y + lam * step
-            resid_try, jac_try, T_try, racc_try, x_try = return_data(y_try)
+            resid_try, jac_try, T_try = return_data(y_try)
             if float(np.max(np.abs(resid_try))) < err:
-                y, resid, jac_red, T, racc, x_ret = (
-                    y_try, resid_try, jac_try, T_try, racc_try, x_try,
-                )
+                y, resid, jac_red, T = y_try, resid_try, jac_try, T_try
                 break
             lam *= 0.5
         else:
@@ -451,14 +441,9 @@ def sample_sublevel_grid(m, R, grid):
 
 
 def sample_box_grid(spec, box, grid):
-    axes = []
-    for i, (lo, hi) in enumerate(box):
-        if spec.axes[i] == "angle":
-            axes.append(np.linspace(lo, hi, grid, endpoint=False))
-        else:
-            axes.append(np.linspace(lo, hi, grid))
-    mesh = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, spec.dim)
-    return mesh
+    axes = [np.linspace(lo, hi, grid, endpoint=spec.axes[i] != "angle")
+            for i, (lo, hi) in enumerate(box)]
+    return np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, spec.dim)
 
 
 def attractor_estimate(m, R=None, t_relax=60.0, grid=33, cfg=None, box=None,
@@ -704,7 +689,8 @@ def escape_statistics(m, box, n_steps, samples, seed, exclusion=None,
     Samples are drawn uniformly in the box with the given seed, in blocks of
     the count still needed; with `exclusion`, a predicate on one state, the
     samples are the first draws it does not exclude, in draw order, as one
-    draw per sample would give them.  A sample escapes when its backward
+    draw per sample would give them.  Once 1000 draws per sample have not
+    given enough samples, it raises ParamError.  A sample escapes when its backward
     orbit first leaves the box within n_steps.  Samples evolve batched but
     row-independently, so counts match any worker partition.
     """
@@ -721,8 +707,11 @@ def escape_statistics(m, box, n_steps, samples, seed, exclusion=None,
         lo = np.array([b[0] for b in box])
         hi = np.array([b[1] for b in box])
         excluded = None if exclusion is None else _per_state(lambda x: bool(exclusion(x)), ())
-        pts = np.empty((0, m.dim))
+        pts, drawn = np.empty((0, m.dim)), 0
         while len(pts) < samples:
+            if drawn >= _DRAWS_PER_SAMPLE * samples:
+                raise ParamError(f"exclusion kept {len(pts)} of {drawn} draws, below {samples}")
+            drawn += samples - len(pts)
             cand = lo + (hi - lo) * rng.uniform(size=(samples - len(pts), m.dim))
             if excluded is not None:
                 cand = cand[~excluded(cand)]

@@ -218,6 +218,11 @@ def _tautological_lambda(d):
     return lam
 
 
+def _zero_eta_X(x):
+    """eta(X) of a field that the Lee form annihilates."""
+    return np.zeros(np.asarray(x, dtype=float).shape[:-1])
+
+
 def _columns(x, out):
     """x.T and out.T, whose rows are the columns of an (..., dim) block: for
     one state, also a (1, dim) block, numpy scalars, whose arithmetic costs a
@@ -737,10 +742,40 @@ def _build_nonexact_linear(params):
     )
 
 
-def _build_t2_pair_theta1(params):
-    p = _get_params({}, params, "t2-pair-theta1")
-    spec = CoordinateSpec((ANGLE, ANGLE))
+def _t2_pair(name, params, axis, X, DX, eta_X, X_etaX):
+    """A conformal pair on T^2 with H = sin(2 pi theta_axis), the Lee form
+    eta = -2 pi dtheta1 and the canonical form: X, DX, eta_X and X_etaX are
+    the pair's closed forms."""
+
+    def H(x):
+        x = np.asarray(x, dtype=float)
+        return np.sin(TWO_PI * x[..., axis])
+
+    def dH(x):
+        x = np.asarray(x, dtype=float)
+        out = np.zeros_like(x)
+        out[..., axis] = TWO_PI * np.cos(TWO_PI * x[..., axis])
+        return out
+
     eta_vec = np.array([-TWO_PI, 0.0])
+    return ModelSpec(
+        name=name,
+        spec=CoordinateSpec((ANGLE, ANGLE)),
+        kind=FLOW,
+        params=_get_params({}, params, name),
+        X=X,
+        DX=DX,
+        H=H,
+        dH=dH,
+        eta=lambda x: eta_vec,
+        eta_X=eta_X,
+        X_etaX=X_etaX,
+        Omega=_const(_canonical_omega(1)),
+        h_scales=True,
+    )
+
+
+def _build_t2_pair_theta1(params):
     amp = 2.0 * math.sqrt(2.0) * math.pi
 
     def X(x):
@@ -756,48 +791,17 @@ def _build_t2_pair_theta1(params):
         out[..., 1, 0] = -amp * TWO_PI * np.cos(TWO_PI * (0.125 + th1))
         return out
 
-    def H(x):
-        x = np.asarray(x, dtype=float)
-        return np.sin(TWO_PI * x[..., 0])
-
-    def dH(x):
-        x = np.asarray(x, dtype=float)
-        out = np.zeros_like(x)
-        out[..., 0] = TWO_PI * np.cos(TWO_PI * x[..., 0])
-        return out
-
-    def eta_X(x):
-        x = np.asarray(x, dtype=float)
-        return np.zeros(x.shape[:-1])  # the displayed field has no theta1 component
-
     def X_etaX(y, out):
         out[..., 0] = 0.0
         out[..., 1] = -amp * np.sin(TWO_PI * (0.125 + y[..., 0]))
         out[..., 2] = 0.0
         return out
 
-    return ModelSpec(
-        name="t2-pair-theta1",
-        spec=spec,
-        kind=FLOW,
-        params=p,
-        X=X,
-        DX=DX,
-        H=H,
-        dH=dH,
-        eta=lambda x: eta_vec,
-        eta_X=eta_X,
-        X_etaX=X_etaX,
-        Omega=_const(_canonical_omega(1)),
-        h_scales=True,
-    )
+    # the displayed field has no theta1 component, so eta(X) = 0
+    return _t2_pair("t2-pair-theta1", params, 0, X, DX, _zero_eta_X, X_etaX)
 
 
 def _build_t2_pair_theta2(params):
-    p = _get_params({}, params, "t2-pair-theta2")
-    spec = CoordinateSpec((ANGLE, ANGLE))
-    eta_vec = np.array([-TWO_PI, 0.0])
-
     def X(x):
         x = np.asarray(x, dtype=float)
         w = TWO_PI * x[..., 1]
@@ -813,16 +817,6 @@ def _build_t2_pair_theta2(params):
         out[..., 1, 1] = -TWO_PI * TWO_PI * np.cos(w)
         return out
 
-    def H(x):
-        x = np.asarray(x, dtype=float)
-        return np.sin(TWO_PI * x[..., 1])
-
-    def dH(x):
-        x = np.asarray(x, dtype=float)
-        out = np.zeros_like(x)
-        out[..., 1] = TWO_PI * np.cos(TWO_PI * x[..., 1])
-        return out
-
     def eta_X(x):
         x = np.asarray(x, dtype=float)
         return -TWO_PI * TWO_PI * np.cos(TWO_PI * x[..., 1])
@@ -836,21 +830,7 @@ def _build_t2_pair_theta2(params):
         out[..., 2] = (-TWO_PI * TWO_PI) * c
         return out
 
-    return ModelSpec(
-        name="t2-pair-theta2",
-        spec=spec,
-        kind=FLOW,
-        params=p,
-        X=X,
-        DX=DX,
-        H=H,
-        dH=dH,
-        eta=lambda x: eta_vec,
-        eta_X=eta_X,
-        X_etaX=X_etaX,
-        Omega=_const(_canonical_omega(1)),
-        h_scales=True,
-    )
+    return _t2_pair("t2-pair-theta2", params, 1, X, DX, eta_X, X_etaX)
 
 
 def rationally_dependent(a1, a2, max_coeff=64, tol=1e-9):
@@ -946,11 +926,6 @@ def _build_lee_twisted(params):
     def dH(x):
         return np.zeros_like(np.asarray(x, dtype=float))
 
-    def eta_X(x):
-        # eta(L_eta) = 0 identically for the Lee field
-        x = np.asarray(x, dtype=float)
-        return np.zeros(x.shape[:-1])
-
     return ModelSpec(
         name="lee-twisted-t1t2",
         spec=spec,
@@ -961,7 +936,7 @@ def _build_lee_twisted(params):
         H=H,
         dH=dH,
         eta=lambda x: eta_vec,
-        eta_X=eta_X,
+        eta_X=_zero_eta_X,  # eta(L_eta) = 0 identically for the Lee field
         Omega=_lee_omega_matrix(a1, a2),
         flow_exact=flow_exact,
         h_scales=True,

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from csdyn.diagnostics import (
+    _DRAWS_PER_SAMPLE,
     CheckResult,
     attractor_estimate,
     classify_orbit,
@@ -249,6 +250,57 @@ def test_lyapunov_theta1_parabolic_orbit():
     assert np.max(np.abs(res.exponents)) < 5e-2
 
 
+def _sequential_benettin(m, x0, T):
+    """The flow's and the map's Benettin loops as each was written on its own:
+    a flow takes legs of 0.5 and a map int(T) steps."""
+    n = m.dim
+    Q, sums = np.eye(n), np.zeros(n)
+    if m.kind == "map":
+        n_legs, dt = int(T), 1
+        xs = [np.asarray(x0, dtype=float)]
+        for _ in range(n_legs - 1):
+            xs.append(m.f(xs[-1]))
+    else:
+        n_legs = max(1, int(round(T / 0.5)))
+        dt = T / n_legs
+        x = np.asarray(x0, dtype=float)
+    history = np.zeros((n_legs, n))
+    for k in range(n_legs):
+        if m.kind == "map":
+            F = np.asarray(m.Df(xs[k]), dtype=float) @ Q
+        else:
+            traj = integrate_variational(m, x, (0.0, dt), samples=2, initial_frame=Q)
+            F, x = traj.final_frame, traj.final_state
+        Q, R = np.linalg.qr(F)
+        signs = np.sign(np.diag(R))
+        signs[signs == 0] = 1.0
+        Q = Q * signs
+        sums += np.log(np.abs(np.diag(R)))
+        history[k] = sums / ((k + 1) * dt)
+    return np.sort(sums / (n_legs if m.kind == "map" else T))[::-1], history
+
+
+@pytest.mark.parametrize("name,params,x0,T", [
+    ("damped-mechanical", {"alpha": 0.5, "d": 1, "v_cos": 1.0}, (0.3, 0.1), 5.0),
+    # legs of 5.3 / 11, a length that is not a binary fraction
+    ("damped-mechanical", {"alpha": 0.5, "d": 1, "v_cos": 1.0}, (0.3, 0.1), 5.3),
+    ("nonexact-linear", {}, (0.1, 0.2, 0.3, 0.4, 0.5, -0.6), 20),
+])
+def test_lyapunov_spectrum_is_the_sequential_loop_bit_for_bit(name, params, x0, T):
+    m = instantiate_model(name, params)
+    res = lyapunov_spectrum(m, np.array(x0), T=T)
+    exponents, history = _sequential_benettin(m, x0, T)
+    assert res.exponents.tobytes() == exponents.tobytes()
+    assert res.history.tobytes() == history.tobytes()
+
+
+@pytest.mark.parametrize("T", [0, 0.5])
+def test_map_lyapunov_needs_one_step(T):
+    m = instantiate_model("shear-contraction", a=0.5)
+    with pytest.raises(ParamError):
+        lyapunov_spectrum(m, np.array([0.1, 0.2]), T=T)
+
+
 # ---------------------------------------------------------------------------
 # periodic orbits
 # ---------------------------------------------------------------------------
@@ -488,6 +540,19 @@ def test_escape_samples_the_sequential_stream(seed, exclusion):
     assert stats.total == 300 and first[0].shape == (300, 2)
     expected = _one_draw_per_sample_points(m, box, 300, seed, exclusion)
     assert first[0].tobytes() == expected.tobytes()
+
+
+def test_escape_fails_once_the_draws_reach_the_cap():
+    m = instantiate_model("shear-contraction", a=0.5)
+    calls = []
+
+    def exclude_all(x):
+        calls.append(x)
+        return True
+
+    with pytest.raises(ParamError):
+        escape_statistics(m, ((0.0, 1.0), (-1.0, 1.0)), 5, 3, seed=0, exclusion=exclude_all)
+    assert len(calls) == _DRAWS_PER_SAMPLE * 3
 
 
 def test_map_lyapunov_takes_the_orbit_jacobians_in_one_call():

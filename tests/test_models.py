@@ -143,6 +143,34 @@ def test_theta1_lee_form_constant():
         assert np.array_equal(np.asarray(m.eta(x)), np.array([-TWO_PI, 0.0]))
 
 
+# the conformal pairs' H, dH, eta and eta_X in closed form: (axis of H, eta_X)
+T2_PAIR_FORMS = {
+    "t2-pair-theta1": (0, lambda x: np.zeros(x.shape[:-1])),
+    "t2-pair-theta2": (1, lambda x: -TWO_PI * TWO_PI * np.cos(TWO_PI * x[..., 1])),
+}
+
+
+def _t2_pair_closed_forms(axis, eta_X, x):
+    dH = np.zeros_like(x)
+    dH[..., axis] = TWO_PI * np.cos(TWO_PI * x[..., axis])
+    return {"H": np.sin(TWO_PI * x[..., axis]), "dH": dH,
+            "eta": np.array([-TWO_PI, 0.0]), "eta_X": eta_X(x)}
+
+
+@pytest.mark.parametrize("name", sorted(T2_PAIR_FORMS))
+def test_t2_pair_structure_is_the_closed_form_bit_for_bit(name):
+    m = instantiate_model(name)
+    batch = sample_states(m, 64, np.random.default_rng(5))
+    for x in (batch, batch[0], np.empty((0, 2))):
+        expected = _t2_pair_closed_forms(*T2_PAIR_FORMS[name], x)
+        for key, want in expected.items():
+            got = np.asarray(getattr(m, key)(x))
+            assert (got.dtype, got.shape) == (want.dtype, want.shape), key
+            assert got.tobytes() == want.tobytes(), key
+    # each model holds its own Lee form array
+    assert m.eta(batch) is not instantiate_model(name).eta(batch)
+
+
 def test_lee_field_annihilates_lee_form_exactly():
     m = instantiate_model("lee-twisted-t1t2")
     rng = np.random.default_rng(1)

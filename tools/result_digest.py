@@ -41,7 +41,10 @@ every version of them takes that.  Last come the contact lift's `X`, `DX`,
 `H` and `dH` on one seeded batch, for a caller's `H` that takes one state
 and no `dH` (so `X` differences `H` and `DX` is built from its second
 differences), and nonexact-linear's `lyapunov_spectrum` (its Jacobian is
-constant, so that line does not vary with the seed).  Floats
+constant, so that line does not vary with the seed).  After them come the
+conformal pairs' `H` and `dH` on one seeded batch, and the flow
+`lyapunov_spectrum` of damped-mechanical and t2-pair-theta2 from a seeded
+state, with its running history.  Floats
 are hashed by their bits (`float.hex`), arrays by dtype, shape and bytes,
 so -0.0 and 0.0 differ.
 
@@ -309,6 +312,23 @@ def lift_digests(seed):
         [res.exponents, res.history, res.pairing_defect, res.pairing_target])
 
 
+def pair_digests(seed):
+    """The T^2 pairs' H and dH on a batch, and flow Lyapunov spectra."""
+    rng = np.random.default_rng([seed, 41])
+    for name in ("t2-pair-theta1", "t2-pair-theta2"):
+        m = models.instantiate_model(name)
+        xs = models.sample_states(m, 64, rng)
+        for key in ("H", "dH"):
+            yield f"{name}.seed{seed}.{key}.n64", digest(np.asarray(getattr(m, key)(xs)))
+    for name, params in (("damped-mechanical", {"alpha": 0.5, "d": 1, "v_cos": 1.0}),
+                         ("t2-pair-theta2", {})):
+        m = models.instantiate_model(name, params)
+        res = lyapunov_spectrum(m, models.sample_states(m, 1, rng, 1.0)[0], T=10.0)
+        yield f"lyapunov_spectrum.seed{seed}.{name}.T10", digest(
+            [res.exponents, res.history, res.pairing_defect, res.pairing_target,
+             res.mean_rotation, res.converged])
+
+
 def cli_configs(seed):
     """Config text per run: each operation once (simulate also with rk4),
     verify at scope geometry, every integrator field read at least once."""
@@ -413,7 +433,7 @@ def main(argv=None):
                 total.update(line.encode() + b"\n")
                 print(line, flush=True)
     print(f"{total.hexdigest()}  all")
-    for part in (point_digests, lift_digests):
+    for part in (point_digests, lift_digests, pair_digests):
         for seed in args.seeds:
             for name, value in part(seed):
                 print(f"{value}  {name}", flush=True)
