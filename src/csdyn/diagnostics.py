@@ -25,8 +25,6 @@ from .errors import (
 from .flows import (
     BLOWUP,
     IntegratorConfig,
-    _column_major,
-    _fixed_step_engine,
     _n_steps,
     flow_ensemble,
     integrate_flow,
@@ -46,6 +44,23 @@ from .models import MAP, _per_state
 
 TWO_PI = 2.0 * math.pi
 _DRAWS_PER_SAMPLE = 1000  # escape_statistics' cap on draws, per sample asked for
+# fixed tuning values of the functions below
+_TRANSPORT_TOL = 1e-6  # conformal_transport_check's tolerance
+_LOOP_COHOMOLOGY_TOL = 1e-7  # loop_cohomology_check's relative tolerance
+_LYAPUNOV_LEG = 0.5  # a flow's Lyapunov legs are about this long
+_NEWTON_TOL = 1e-12  # find_periodic_orbit's largest return miss
+_TRAP_GRID = 1024  # trapping_level's grid points per torus axis
+_INVARIANCE_T = 1.0  # attractor_estimate pushes its cloud this long
+_BASIN_CAPTURE = 1e-2  # emit_basin_grid's capture radius,
+_BASIN_H = 0.02  # RK4 step
+_BASIN_BLOWUP = 1e8  # and blow-up threshold
+_REFINE_MAX_ITER = 80  # refine_equilibrium's Gauss-Newton steps
+_REFINE_TOL = 1e-12  # and stopping residual
+_MANIFOLD_SEED_RADIUS = 1e-4  # unstable_manifold_cloud's seeds' offset,
+_MANIFOLD_LEG = 0.5  # growth leg,
+_MANIFOLD_SEEDS = 8  # seeds per polyline branch,
+_MANIFOLD_SPACING = 2e-3  # polyline arclength spacing
+_MANIFOLD_MAX_POINTS = 40000  # and largest polyline size
 
 
 @dataclass
@@ -124,13 +139,13 @@ def rotation_number(traj):
     return r_T, r_T / span
 
 
-def conformal_transport_check(m, traj, tol=1e-6):
+def conformal_transport_check(m, traj):
     """Residuals of D^T Omega D = c_t Omega and H o phi_t = c_t H along a trajectory.
 
     c_t = exp(r_t) for conformal pairs, exp(-alpha t) for exact models, from
     the run's start (a backward run's last sample).  The H-residual is only
     scored for models whose Hamiltonian scales along the flow (conformal
-    pairs and fiberwise-linear exact Hamiltonians).
+    pairs and fiberwise-linear exact Hamiltonians).  Tolerance _TRANSPORT_TOL.
     """
     if traj.frames is None:
         raise StructureError("conformal transport check needs tangent frames")
@@ -156,7 +171,7 @@ def conformal_transport_check(m, traj, tol=1e-6):
         model=m.name,
         params=m.params,
         residual=residual,
-        tolerance=tol,
+        tolerance=_TRANSPORT_TOL,
         provenance_tag="transport/pullback-scaling",
         details={"omega_residual": omega_res, "h_residual": h_res},
     )
@@ -211,19 +226,22 @@ def _renormalized_logs(push, n, n_legs, dt):
     return sums, history
 
 
-def lyapunov_spectrum(m, x0, T=200.0, steps=None, cfg=None):
+def lyapunov_spectrum(m, x0, T=200.0, cfg=None):
     """Benettin QR exponents over [0, T] with periodic re-orthonormalization.
 
+    A flow runs T > 0 in max(1, round(T / _LYAPUNOV_LEG)) legs with cfg.
     The pairing target is -alpha for exact models and the orbit's mean
     rotation for conformal pairs.  Exponents are flagged non-converged when
     the last-quarter drift exceeds 10% of scale.  A map runs int(T) >= 1
-    steps, with the target log(a) (else 0); its converged is always True.
+    steps and takes no cfg; its target is log(a) (else 0), converged True.
     """
     n = m.dim
     if m.kind == MAP:
         n_steps = int(T)
         if n_steps < 1:
             raise ParamError(f"a map's Lyapunov spectrum takes T >= 1 step, got T = {T!r}")
+        if cfg is not None:
+            raise ParamError("a map's Lyapunov spectrum iterates the map and takes no cfg")
         states = iterate_map(m, x0, n_steps).states[:-1]  # Df at each, in one call
         jacs = np.broadcast_to(np.asarray(m.Df(states), dtype=float), (n_steps, n, n))
         sums, history = _renormalized_logs(lambda k, Q: jacs[k] @ Q, n, n_steps, 1)
@@ -231,8 +249,10 @@ def lyapunov_spectrum(m, x0, T=200.0, steps=None, cfg=None):
         target = math.log(m.ratio_a) if m.ratio_a else 0.0
         mean_rot, converged = None, True
     else:
+        if not T > 0:
+            raise ParamError(f"a flow's Lyapunov spectrum takes T > 0, got T = {T!r}")
         cfg = cfg or IntegratorConfig()
-        n_legs = int(steps) if steps else max(1, int(round(T / 0.5)))
+        n_legs = max(1, int(round(T / _LYAPUNOV_LEG)))
         dt = T / n_legs
         x = np.asarray(x0, dtype=float)
         r_total = 0.0
@@ -294,9 +314,9 @@ def _pairing_products(multipliers, target):
     return np.array(lams), prods, mod_defect, arg_defect
 
 
-def find_periodic_orbit(m, sec, guess, cfg=None, newton_tol=1e-12, max_iter=50,
-                        backward=False):
-    """Newton on the Poincare return map; reports Floquet pairing data.
+def find_periodic_orbit(m, sec, guess, cfg=None, max_iter=50, backward=False):
+    """Newton on the Poincare return map, to a miss below _NEWTON_TOL within
+    max_iter steps; reports Floquet pairing data.
 
     With backward=True the search runs on the time-reversed field (the robust
     way to locate repelling orbits); the returned orbit data (monodromy,
@@ -327,7 +347,7 @@ def find_periodic_orbit(m, sec, guess, cfg=None, newton_tol=1e-12, max_iter=50,
     resid, jac_red, T = return_data(y)
     for _ in range(max_iter):
         err = float(np.max(np.abs(resid)))
-        if err < newton_tol:
+        if err < _NEWTON_TOL:
             break
         step = np.linalg.solve(jac_red - np.eye(len(red)), -resid)
         lam = 1.0
@@ -373,8 +393,8 @@ def find_periodic_orbit(m, sec, guess, cfg=None, newton_tol=1e-12, max_iter=50,
 # trapping levels, attractors, invariant manifolds
 # ---------------------------------------------------------------------------
 
-def trapping_level(m, n_grid=1024):
-    """R = sup_q H(q, 0) on a refined torus grid (fiberwise-convex models)."""
+def trapping_level(m):
+    """R = sup_q H(q, 0) on a refined _TRAP_GRID torus grid (fiberwise-convex models)."""
     if m.H is None:
         raise StructureError(f"{m.name} has no Hamiltonian")
     if not m.fiber_convex:
@@ -385,13 +405,13 @@ def trapping_level(m, n_grid=1024):
         pts = np.concatenate([qgrid, np.zeros_like(qgrid)], axis=-1)
         return np.asarray(m.H(pts), dtype=float)
 
-    axes = [np.linspace(0.0, 1.0, n_grid, endpoint=False) for _ in range(d)]
+    axes = [np.linspace(0.0, 1.0, _TRAP_GRID, endpoint=False) for _ in range(d)]
     mesh = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, d)
     vals = h_on_zero_section(mesh)
     best = mesh[int(np.argmax(vals))]
     # one refinement pass around the coarse argmax
-    half = 1.0 / n_grid
-    fine_axes = [np.linspace(b - half, b + half, n_grid) for b in best]
+    half = 1.0 / _TRAP_GRID
+    fine_axes = [np.linspace(b - half, b + half, _TRAP_GRID) for b in best]
     fine = np.stack(np.meshgrid(*fine_axes, indexing="ij"), axis=-1).reshape(-1, d)
     fvals = h_on_zero_section(fine)
     return float(np.max(fvals))
@@ -446,12 +466,12 @@ def sample_box_grid(spec, box, grid):
     return np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, spec.dim)
 
 
-def attractor_estimate(m, R=None, t_relax=60.0, grid=33, cfg=None, box=None,
-                       eps=1e-3, delta=1.0):
+def attractor_estimate(m, R=None, t_relax=60.0, grid=33, cfg=None, box=None, eps=1e-3):
     """Relax a grid sample of the trapping set and measure invariance.
 
-    With `box` given, that compact box is used instead of {H <= R+1}; any
-    sample blowing up flags the estimate as not trapping rather than raising.
+    The cloud is pushed for _INVARIANCE_T.  With `box` given, that compact
+    box is used instead of {H <= R+1}; any sample blowing up flags the
+    estimate as not trapping rather than raising.
     """
     cfg = cfg or IntegratorConfig()
     if box is not None:
@@ -467,9 +487,10 @@ def attractor_estimate(m, R=None, t_relax=60.0, grid=33, cfg=None, box=None,
     escaped = int(np.sum(~alive))
     cloud = _dedup_cells(m.spec, evolved[alive], eps)
     if len(cloud) == 0:
-        return AttractorEstimate(R, cloud, math.inf, 0, "not-trapping", escaped, 0)
+        return AttractorEstimate(R, cloud, math.inf, _n_steps(t_relax, h), "not-trapping",
+                                 escaped, 0)
     pushed, alive2 = flow_ensemble(
-        m, cloud, delta, h=h, blowup_threshold=cfg.blowup_threshold
+        m, cloud, _INVARIANCE_T, h=h, blowup_threshold=cfg.blowup_threshold
     )
     residual = float(np.max(_nearest_cloud_distance(m.spec, pushed[alive2], cloud)))
     status = "trapped" if (escaped == 0 and bool(np.all(alive2))) else "not-trapping"
@@ -477,19 +498,20 @@ def attractor_estimate(m, R=None, t_relax=60.0, grid=33, cfg=None, box=None,
         trap_level=R,
         cloud=cloud,
         invariance_residual=residual,
-        iterations=int(math.ceil(t_relax / h)),
+        iterations=_n_steps(t_relax, h),
         status=status,
         escaped=escaped,
         occupied_cells=len(cloud),
     )
 
 
-def emit_basin_grid(m, grid, p_range, targets, t_max=60.0, capture=1e-2, h=0.02,
-                    blowup_threshold=1e8):
+def emit_basin_grid(m, grid, p_range, targets, t_max=60.0):
     """Label a (q, p) grid by the nearest target of the relaxed state.
 
-    Returns (labels, q_axis, p_axis): label k >= 1 means targets[k-1],
-    0 undetermined, -1 escaped.  Only d = 1 cotangent models are gridded.
+    RK4 at step _BASIN_H with blow-up threshold _BASIN_BLOWUP relaxes each
+    cell, captured by a target within _BASIN_CAPTURE.  Returns (labels,
+    q_axis, p_axis): label k >= 1 means targets[k-1], 0 undetermined, -1
+    escaped.  Only d = 1 cotangent models are gridded.
     """
     if not targets:
         raise CsdynError("basin grid needs a non-empty target list")
@@ -500,25 +522,26 @@ def emit_basin_grid(m, grid, p_range, targets, t_max=60.0, capture=1e-2, h=0.02,
     q_axis = np.linspace(0.0, 1.0, grid, endpoint=False)
     p_axis = np.linspace(-p_range, p_range, grid)
     mesh = np.stack(np.meshgrid(q_axis, p_axis, indexing="ij"), axis=-1).reshape(-1, 2)
-    final, alive = flow_ensemble(m, mesh, t_max, h=h, blowup_threshold=blowup_threshold)
+    final, alive = flow_ensemble(m, mesh, t_max, h=_BASIN_H, blowup_threshold=_BASIN_BLOWUP)
     targets = np.asarray(targets, dtype=float)
     labels = np.zeros(len(mesh), dtype=np.int64)
     dists = np.stack(
         [torus_distance(m.spec, final, tgt) for tgt in targets], axis=1
     )
     nearest = np.argmin(dists, axis=1)
-    captured = dists[np.arange(len(mesh)), nearest] <= capture
+    captured = dists[np.arange(len(mesh)), nearest] <= _BASIN_CAPTURE
     labels[captured] = nearest[captured] + 1
     labels[~alive] = -1
     return labels.reshape(grid, grid), q_axis, p_axis
 
 
-def refine_equilibrium(m, z0, max_iter=80, tol=1e-12):
-    """Damped Gauss-Newton polish of a field zero from a nearby seed."""
+def refine_equilibrium(m, z0):
+    """Damped Gauss-Newton polish of a field zero from a nearby seed, to
+    max |X| < _REFINE_TOL within _REFINE_MAX_ITER steps."""
     z = np.asarray(z0, dtype=float).copy()
     fz = np.asarray(m.X(z), dtype=float)
-    for _ in range(max_iter):
-        if float(np.max(np.abs(fz))) < tol:
+    for _ in range(_REFINE_MAX_ITER):
+        if float(np.max(np.abs(fz))) < _REFINE_TOL:
             break
         J = m.jacobian(z)
         step, *_ = np.linalg.lstsq(J, -fz, rcond=None)
@@ -535,15 +558,13 @@ def refine_equilibrium(m, z0, max_iter=80, tol=1e-12):
     return m.spec.wrap(z), float(np.max(np.abs(fz)))
 
 
-def unstable_manifold_cloud(m, fixed_point, t_grow, cfg=None, seed_radius=1e-4,
-                            spacing=2e-3, leg=0.5, seeds_per_leg=8,
-                            max_points=40000):
+def unstable_manifold_cloud(m, fixed_point, t_grow, cfg=None):
     """Grow the unstable manifold of a hyperbolic equilibrium.
 
     One-dimensional unstable spaces return an arclength-resampled polyline
     (with unit tangents as 1-column frames); higher-dimensional ones return
     shells of transported points with orthonormal frames spanning the pushed
-    unstable directions.
+    unstable directions.  The _MANIFOLD_* constants set its seeds and legs.
     """
     cfg = cfg or IntegratorConfig()
     fp = np.asarray(fixed_point, dtype=float)
@@ -562,18 +583,14 @@ def unstable_manifold_cloud(m, fixed_point, t_grow, cfg=None, seed_radius=1e-4,
     E = q[:, :k]
 
     if k == 1:
-        return _grow_manifold_polyline(
-            m, fp, E[:, 0], float(np.max(eigvals.real)), t_grow, cfg, seed_radius,
-            spacing, leg, seeds_per_leg, max_points,
-        )
-    return _grow_manifold_shells(m, fp, E, t_grow, cfg, seed_radius, leg)
+        return _grow_manifold_polyline(m, fp, E[:, 0], float(np.max(eigvals.real)), t_grow, cfg)
+    return _grow_manifold_shells(m, fp, E, t_grow, cfg)
 
 
-def _grow_manifold_polyline(m, fp, v, mu, t_grow, cfg, r0, spacing, leg,
-                            n_seeds, max_points):
-    g = math.exp(mu * leg)
-    offsets = r0 * g ** (np.arange(n_seeds) / n_seeds)
-    n_legs = int(math.ceil(t_grow / leg))
+def _grow_manifold_polyline(m, fp, v, mu, t_grow, cfg):
+    g = math.exp(mu * _MANIFOLD_LEG)
+    offsets = _MANIFOLD_SEED_RADIUS * g ** (np.arange(_MANIFOLD_SEEDS) / _MANIFOLD_SEEDS)
+    n_legs = int(math.ceil(t_grow / _MANIFOLD_LEG))
     pieces = []
     for sign in (+1.0, -1.0):
         seeds = fp[None, :] + sign * offsets[:, None] * v[None, :]
@@ -581,25 +598,25 @@ def _grow_manifold_polyline(m, fp, v, mu, t_grow, cfg, r0, spacing, leg,
         current = seeds
         for _ in range(n_legs):
             current, alive = flow_ensemble(
-                m, current, leg, h=min(cfg.h, 0.01),
+                m, current, _MANIFOLD_LEG, h=min(cfg.h, 0.01),
                 blowup_threshold=cfg.blowup_threshold,
             )
             if not np.all(alive):
                 break
             branch.append(current)
         pts = np.concatenate(branch, axis=0)
-        pieces.append(_resample_polyline(m.spec, pts, spacing, max_points // 2))
+        pieces.append(_resample_polyline(m.spec, pts))
     points = np.concatenate([p[0] for p in pieces], axis=0)
     frames = np.concatenate([p[1] for p in pieces], axis=0)
     return points, frames
 
 
-def _resample_polyline(spec, pts, spacing, max_points):
+def _resample_polyline(spec, pts):
     deltas = spec.delta(pts[:-1], pts[1:])
     seglen = np.sqrt(np.sum(deltas * deltas, axis=-1))
     s = np.concatenate([[0.0], np.cumsum(seglen)])
     total = float(s[-1])
-    n_out = min(max(int(total / spacing) + 1, 2), max_points)
+    n_out = min(max(int(total / _MANIFOLD_SPACING) + 1, 2), _MANIFOLD_MAX_POINTS // 2)
     targets = np.linspace(0.0, total, n_out)
     idx = np.clip(np.searchsorted(s, targets, side="right") - 1, 0, len(seglen) - 1)
     frac = (targets - s[idx]) / np.maximum(seglen[idx], 1e-300)
@@ -608,7 +625,7 @@ def _resample_polyline(spec, pts, spacing, max_points):
     return spec.wrap(out), tangents[:, :, None]
 
 
-def _grow_manifold_shells(m, fp, E, t_grow, cfg, r0, leg):
+def _grow_manifold_shells(m, fp, E, t_grow, cfg):
     n, k = E.shape
     n_dirs = 24
     angles = np.linspace(0.0, 2 * math.pi, n_dirs, endpoint=False)
@@ -619,13 +636,13 @@ def _grow_manifold_shells(m, fp, E, t_grow, cfg, r0, leg):
         raw = rng.standard_normal((n_dirs, k))
         raw /= np.linalg.norm(raw, axis=1, keepdims=True)
         dirs = raw @ E.T
-    seeds = fp[None, :] + r0 * dirs
-    n_legs = int(math.ceil(t_grow / leg))
+    seeds = fp[None, :] + _MANIFOLD_SEED_RADIUS * dirs
+    n_legs = int(math.ceil(t_grow / _MANIFOLD_LEG))
     points, frames = [], []
     states = seeds
     Qs = np.broadcast_to(E, (n_dirs, n, k))
     for _ in range(n_legs):
-        trajs = integrate_variational(m, states, (0.0, leg), cfg, samples=2)
+        trajs = integrate_variational(m, states, (0.0, _MANIFOLD_LEG), cfg, samples=2)
         F = np.array([traj.final_frame for traj in trajs])
         states = np.array([traj.final_state for traj in trajs])
         Q, _ = np.linalg.qr(F @ Qs)
@@ -761,14 +778,14 @@ def _loop_tangents(spec, loop):
     return pts, (-up2 + 8 * up1 - 8 * um1 + um2) / 12.0
 
 
-def loop_cohomology_check(m, loop, t, cfg=None, tol=1e-7):
+def loop_cohomology_check(m, loop, t, cfg=None):
     """Transport a closed loop and compare circulations of the Liouville form.
 
     I_0 is the polygonal trapezoid circulation of the input loop; I_t is the
     circulation of the image loop, evaluated in the source parameterization
     (lambda(phi(x)) . Dphi(x) gamma'(x), periodic trapezoid) so the exponential
     compression of the image does not starve the quadrature.
-    PASS iff |I_t - exp(-alpha t) I_0| <= tol * (1 + |I_0|).
+    PASS iff |I_t - exp(-alpha t) I_0| <= _LOOP_COHOMOLOGY_TOL * (1 + |I_0|).
     """
     if m.lam is None:
         raise StructureError(f"{m.name} carries no Liouville form")
@@ -789,7 +806,7 @@ def loop_cohomology_check(m, loop, t, cfg=None, tol=1e-7):
         i_t = float(np.sum(lam_vals * moved))
     expected = math.exp(-m.alpha * t) * i0
     residual = abs(i_t - expected)
-    tolerance = tol * (1.0 + abs(i0))
+    tolerance = _LOOP_COHOMOLOGY_TOL * (1.0 + abs(i0))
     return CheckResult(
         check="loop-cohomology",
         model=m.name,
@@ -987,9 +1004,8 @@ def classify_ensemble(m, starts, T, cfg=None, thresholds=None, h=1e-3):
             fold(k0, buf)
             filled = 0
 
-    _, alive = _fixed_step_engine(
-        m, _column_major([starts, np.zeros((n_orb, 1))]), T, h, racc=True,
-        blowup_threshold=cfg.blowup_threshold, on_step=on_step,
+    _, alive, _ = flow_ensemble(
+        m, starts, T, h, cfg.blowup_threshold, racc=True, on_step=on_step
     )
     if filled:  # the last block, or the steps before every row died
         fold(k0, buf[:filled])

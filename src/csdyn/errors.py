@@ -64,10 +64,6 @@ class NonHyperbolicError(CsdynError):
     pass
 
 
-class UnsupportedContactError(CsdynError):
-    pass
-
-
 class StructureError(CsdynError):
     """A model lacks the structure (H, lambda, eta, ...) an operation needs."""
 

@@ -56,6 +56,7 @@ _MIDPOINT_FAILED = (
     f" and {MIDPOINT_MAX_NEWTON} Newton steps"
 )
 _RETURN_CHUNK = 4.0  # poincare_return integrates in runs of this many time units
+_RETURN_T_MAX = 1e4  # and raises SectionError when its crossings take longer
 
 # Hairer's DOP853 8(5,3), as literal data from scipy's
 # integrate/_ivp/dop853_coefficients.py: the nonzero (stage, coefficient)
@@ -1114,31 +1115,22 @@ def transport_tangents(m, states, vectors, t, h=1e-3, blowup_threshold=1e8):
     return m.spec.wrap(Y[:, :n]), np.ascontiguousarray(Y[:, n:]), alive
 
 
-def flow_ensemble(m, states, t, h=0.01, blowup_threshold=1e8, racc=False,
-                  callback=None, callback_every=50):
+def flow_ensemble(m, states, t, h=0.01, blowup_threshold=1e8, racc=False, on_step=None):
     """Vectorized fixed-step RK4 transport of a batch of states.
 
     Returns (final_states, alive_mask[, r_accum]), C-ordered.  Escaped
     samples (line coordinates past the threshold) and non-finite ones are
     frozen where they died.  Rows evolve independently, so results do not
-    depend on how a caller slices the batch.  `callback` receives
-    (step_index, states) every `callback_every` steps and at the last step,
-    for online statistics; states is a column-major view of the engine's
-    batch, which it must neither mutate nor keep (the next step overwrites
-    it), so copy what it keeps.
+    depend on how a caller slices the batch.  `on_step(step, Y)` is the
+    engine's observer: it is called after every step with the engine's
+    column-major (N, n) batch of states, unwrapped, with the Lee integral
+    as an extra last column when `racc`; it must neither mutate nor keep Y
+    (the next step overwrites it), so it copies what it keeps.
     """
     _require_flow(m)
     X = np.asarray(states, dtype=float)
     n = X.shape[-1]
     Y = _column_major([X, np.zeros((len(X), 1))] if racc else [X])
-    on_step = None
-    if callback is not None:
-        last = _n_steps(t, h) - 1
-
-        def on_step(k, Y):
-            if k % callback_every == 0 or k == last:
-                callback(k, Y[:, :n])
-
     Y, alive = _fixed_step_engine(
         m, Y, t, h, racc=racc, blowup_threshold=blowup_threshold, on_step=on_step
     )
@@ -1281,14 +1273,14 @@ class SectionSpec:
         return self.w
 
 
-def poincare_return(m, sec, x0, k, cfg=None, t_max=1e4):
+def poincare_return(m, sec, x0, k, cfg=None):
     """First k directed section crossings with projected return Jacobians.
 
     Returns (crossings, jacobians, times, rotation_integrals); the last
     entry holds the accumulated Lee integral at each crossing (zeros when
     the model carries no Lee form).  Integration proceeds in time chunks of
     _RETURN_CHUNK, and the run ends with the accepted step that holds the
-    k-th crossing.
+    k-th crossing; SectionError when there are fewer up to t = _RETURN_T_MAX.
     Crossings are refined by bisection on the DOP853 dense output to
     time accuracy 1e-10; tangential crossings (|dg/dt| <= 1e-8) are rejected
     rather than guessed.
@@ -1332,8 +1324,8 @@ def poincare_return(m, sec, x0, k, cfg=None, t_max=1e4):
     y_start = np.concatenate([x0, np.eye(n).ravel()] + ([[0.0]] if with_racc else []))
     line_cols = _line_indices(m).tolist()
     t_base = 0.0
-    while t_base < t_max:
-        span = min(_RETURN_CHUNK, t_max - t_base)
+    while t_base < _RETURN_T_MAX:
+        span = min(_RETURN_CHUNK, _RETURN_T_MAX - t_base)
         found = len(crossings)
         p = _dp_engine(
             rhs, t_base, t_base + span, y_start[None], cfg, line_cols, m.name,
@@ -1373,4 +1365,4 @@ def poincare_return(m, sec, x0, k, cfg=None, t_max=1e4):
                               t_escape=p.t_escape)
         t_base = float(p.ts[-1])
         y_start = p.ys[-1]
-    raise SectionError(f"only {len(crossings)} of {k} crossings found before t={t_max}")
+    raise SectionError(f"only {len(crossings)} of {k} crossings found before t={_RETURN_T_MAX}")

@@ -16,6 +16,7 @@ from .errors import DegenerateFormError, DimensionMismatchError, OpenLoopError
 
 ANGLE = "angle"
 LINE = "line"
+_CLOSURE_TOL = 1e-9  # loop_integral's largest gap between a loop's ends
 
 
 @dataclass(frozen=True)
@@ -152,20 +153,20 @@ def pullback_residual(jac, omega_x, omega_fx, expected):
     return float(res) if np.ndim(res) == 0 else res
 
 
-def loop_integral(spec, lambda_eval, loop, closure_tol=1e-9):
+def loop_integral(spec, lambda_eval, loop):
     """Composite-trapezoid estimate of the circulation of a 1-form along a loop.
 
     `loop` is an ordered array of states whose first and last entries agree up
-    to angle wrap.  Angle displacements are unwrapped segment by segment; the
-    caller must sample densely enough that adjacent samples differ by < 0.5
-    per axis.
+    to angle wrap, within _CLOSURE_TOL.  Angle displacements are unwrapped
+    segment by segment; the caller must sample densely enough that adjacent
+    samples differ by < 0.5 per axis.
     """
     pts = np.asarray(loop, dtype=float)
     if pts.ndim != 2 or pts.shape[1] != spec.dim:
         raise DimensionMismatchError("loop must be an (n, dim) array of states")
     if pts.shape[0] < 16:
         raise OpenLoopError("need at least 16 loop samples")
-    if float(torus_distance(spec, pts[0], pts[-1])) > closure_tol:
+    if float(torus_distance(spec, pts[0], pts[-1])) > _CLOSURE_TOL:
         raise OpenLoopError("loop is not closed (first != last up to wrap)")
     lam = np.broadcast_to(np.asarray(lambda_eval(pts), dtype=float), pts.shape)
     steps = spec.delta(pts[:-1], pts[1:])

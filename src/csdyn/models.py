@@ -33,7 +33,6 @@ from .errors import (
     ParamError,
     StructureError,
     UnknownModelError,
-    UnsupportedContactError,
 )
 from .geometry import ANGLE, LINE, CoordinateSpec, fd_gradient, fd_jacobian
 
@@ -47,6 +46,8 @@ NONEXACT_R_SCALE = 9.0 - 4.0 * SQRT5        # = CAT_EIG_MINUS ** 3, see docstrin
 
 MAP = "map"
 FLOW = "flow"
+_RELATION_MAX_COEFF = 64  # rationally_dependent's largest coefficient
+_RELATION_TOL = 1e-9  # and its tolerance
 
 
 @dataclass(frozen=True)
@@ -833,19 +834,19 @@ def _build_t2_pair_theta2(params):
     return _t2_pair("t2-pair-theta2", params, 1, X, DX, eta_X, X_etaX)
 
 
-def rationally_dependent(a1, a2, max_coeff=64, tol=1e-9):
+def rationally_dependent(a1, a2):
     """Desk-scale integer-relation scan for (1, a1, a2).
 
-    Searches |m1| , |m2| <= max_coeff for m0 + m1 a1 + m2 a2 = 0 with integer
-    m0; exact rational independence of floats is undecidable, so this is the
-    documented practical gate.
+    Searches |m1| , |m2| <= _RELATION_MAX_COEFF for m0 + m1 a1 + m2 a2 = 0
+    within _RELATION_TOL, with integer m0; exact rational independence of
+    floats is undecidable, so this is the documented practical gate.
     """
-    for m1 in range(-max_coeff, max_coeff + 1):
-        for m2 in range(-max_coeff, max_coeff + 1):
+    for m1 in range(-_RELATION_MAX_COEFF, _RELATION_MAX_COEFF + 1):
+        for m2 in range(-_RELATION_MAX_COEFF, _RELATION_MAX_COEFF + 1):
             if m1 == 0 and m2 == 0:
                 continue
             val = m1 * a1 + m2 * a2
-            if abs(val - round(val)) < tol:
+            if abs(val - round(val)) < _RELATION_TOL:
                 return True
     return False
 
@@ -1035,9 +1036,6 @@ def instantiate_model(name, params=None, **kwargs):
 # contact lift on the flat unit tangent bundle of T^2
 # ---------------------------------------------------------------------------
 
-FLAT_T2_CONTACT = "flat-t1t2"
-
-
 def _per_state(f, tail):
     """f, written for one state (k,) and giving values of shape tail, mapped
     over the leading axes of x (..., k); an empty batch gives (..., *tail)."""
@@ -1050,7 +1048,7 @@ def _per_state(f, tail):
     return batched
 
 
-def contact_lift(H, beta, dH=None, contact=FLAT_T2_CONTACT):
+def contact_lift(H, beta, dH=None):
     """Lift a contact Hamiltonian on flat T^1 T^2 to its twisted symplectization.
 
     The contact field X on (Y, alpha) solves alpha(X) = H and
@@ -1063,10 +1061,6 @@ def contact_lift(H, beta, dH=None, contact=FLAT_T2_CONTACT):
     (..., 4) batches; H and dH take one state, and `_per_state` maps them
     over the batch, each entry equal to the single-state call.
     """
-    if contact != FLAT_T2_CONTACT:
-        raise UnsupportedContactError(
-            f"only the flat torus unit tangent bundle is supported, got {contact!r}"
-        )
     b = np.asarray(beta, dtype=float) if _kind(beta, 0.0)[1] else None
     if b is None or b.shape != (2,) or not np.all(np.isfinite(b)):
         raise ParamError(f"contact_lift takes beta as two finite numbers, got {beta!r}")

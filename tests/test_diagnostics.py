@@ -8,6 +8,7 @@ from csdyn.diagnostics import (
     _DRAWS_PER_SAMPLE,
     CheckResult,
     attractor_estimate,
+    classify_ensemble,
     classify_orbit,
     conformal_transport_check,
     escape_statistics,
@@ -26,15 +27,19 @@ from csdyn.certificates import RETURN_THRESHOLD
 from csdyn.errors import (
     BlowUpError,
     ConvergenceError,
+    KindError,
     NonHyperbolicError,
     ParamError,
     StructureError,
 )
 from csdyn.flows import (
+    IntegratorConfig,
     SectionSpec,
     Trajectory,
+    flow_ensemble,
     integrate_flow,
     integrate_variational,
+    time_t_map,
 )
 from csdyn.geometry import conformality_ratio_estimate, torus_distance
 from csdyn.models import instantiate_model, sample_states
@@ -301,6 +306,22 @@ def test_map_lyapunov_needs_one_step(T):
         lyapunov_spectrum(m, np.array([0.1, 0.2]), T=T)
 
 
+def test_map_lyapunov_takes_no_cfg():
+    """A map iterates f; an integrator config it would ignore raises."""
+    m = instantiate_model("shear-contraction", a=0.5)
+    with pytest.raises(ParamError, match="takes no cfg"):
+        lyapunov_spectrum(m, np.array([0.1, 0.2]), T=5, cfg=IntegratorConfig())
+
+
+@pytest.mark.parametrize("T", [-20.0, -0.25, 0.0, -0.0, math.nan])
+def test_flow_lyapunov_needs_a_positive_horizon(T):
+    """Before, T = -20 ran one backward leg of length 20 and reported
+    converged exponents (0.135, -0.635)."""
+    m = instantiate_model("damped-mechanical", alpha=0.5, d=1, v_cos=1.0)
+    with pytest.raises(ParamError, match="T > 0"):
+        lyapunov_spectrum(m, np.array([0.3, 0.1]), T=T)
+
+
 # ---------------------------------------------------------------------------
 # periodic orbits
 # ---------------------------------------------------------------------------
@@ -384,6 +405,21 @@ def test_attractor_estimate_damped_pendulum():
     assert est.invariance_residual < 1e-2
     sink = float(np.min(torus_distance(m.spec, est.cloud, np.array([0.5, 0.0]))))
     assert sink < 1e-2
+
+
+def test_attractor_estimate_counts_the_steps_the_engine_takes():
+    """t_relax / h = 7.000000000000001 at h = 0.01: the engine takes 7 steps
+    (ceil said 8).  A box whose every sample escapes ran its 500 steps too
+    (it said 0)."""
+    m = instantiate_model("damped-mechanical", alpha=0.5, d=1, v_cos=1.0)
+    est = attractor_estimate(m, R=1.0, t_relax=0.07, grid=5)
+    steps = []
+    flow_ensemble(m, np.zeros((1, 2)), 0.07, h=0.01, on_step=lambda k, y: steps.append(k))
+    assert est.iterations == len(steps) == 7
+    m = instantiate_model("circle-quadratic", alpha=1.0)
+    est = attractor_estimate(m, box=((0.0, 1.0), (-4.0, -2.0)), t_relax=5.0, grid=5)
+    assert est.escaped == 25 and len(est.cloud) == 0
+    assert est.iterations == 500
 
 
 def test_attractor_estimate_not_trapping_control():
@@ -734,3 +770,11 @@ def test_classify_requires_pair_structure():
     m = instantiate_model("circle-linear", alpha=1.0)
     with pytest.raises(StructureError):
         classify_orbit(m, np.array([0.1, 0.2]), 1.0)
+
+
+def test_classify_rejects_a_map_model():
+    """A time-t map carries eta and H but no field; before, the engine
+    raised TypeError: 'NoneType' object is not callable."""
+    m = time_t_map(instantiate_model("t2-pair-theta2"), 1.0)
+    with pytest.raises(KindError):
+        classify_ensemble(m, np.array([[0.1, 0.2]]), 1.0)

@@ -79,7 +79,7 @@ def test_fixed_step_runs_reject_a_bad_horizon_or_step(t, h):
     with pytest.raises(ParamError):
         flow_ensemble(m, x, t, h=h)
     with pytest.raises(ParamError):
-        flow_ensemble(m, x, t, h=h, callback=lambda k, y: None)
+        flow_ensemble(m, x, t, h=h, on_step=lambda k, y: None)
     with pytest.raises(ParamError):
         transport_tangents(m, x, np.ones_like(x), t, h=h)
     with pytest.raises(ParamError):
@@ -102,20 +102,29 @@ def test_fixed_step_outputs_are_c_ordered():
             assert a.flags.c_contiguous
 
 
-def test_flow_ensemble_callback_sees_the_states_of_its_step():
-    """At steps 0, 50, ... and the last, the callback sees the unwrapped
-    states of flow_ensemble run to that step.  h = 2**-7 keeps every partial
-    horizon exact, so each shorter run takes the same steps."""
-    m = instantiate_model("damped-mechanical", alpha=0.5, d=2, v_cos=(1.0, 1.0), v_cross=0.3)
+@pytest.mark.parametrize("name,params,racc", [
+    ("damped-mechanical", {"alpha": 0.5, "d": 2, "v_cos": (1.0, 1.0), "v_cross": 0.3}, False),
+    ("t2-pair-theta2", {}, True),
+])
+def test_flow_ensemble_callback_sees_the_states_of_its_step(name, params, racc):
+    """At every step the observer sees the unwrapped states of flow_ensemble
+    run to that step, and with racc a last column that is the r it returns
+    there.  h = 2**-7 keeps every partial horizon exact, so each shorter run
+    takes the same steps."""
+    m = instantiate_model(name, params)
     x = sample_states(m, 16, np.random.default_rng(6), 1.0)
     h, seen = 2.0**-7, {}
-    final = flow_ensemble(m, x, 123 * h, h=h, callback=lambda k, y: seen.setdefault(k, y.copy()))
-    assert sorted(seen) == [0, 50, 100, 122]
+    final = flow_ensemble(m, x, 123 * h, h=h, racc=racc,
+                          on_step=lambda k, y: seen.setdefault(k, y.copy()))
+    assert sorted(seen) == list(range(123))
     for k, y in seen.items():
-        states, alive = flow_ensemble(m, x, (k + 1) * h, h=h)
-        assert alive.all()
-        assert m.spec.wrap(y).tobytes() == states.tobytes()
-    assert m.spec.wrap(seen[122]).tobytes() == final[0].tobytes()
+        assert y.shape == (16, m.dim + racc)
+        out = flow_ensemble(m, x, (k + 1) * h, h=h, racc=racc)
+        assert out[1].all()
+        assert m.spec.wrap(y[:, : m.dim]).tobytes() == out[0].tobytes()
+        if racc:
+            assert y[:, -1].tobytes() == out[2].tobytes()
+    assert m.spec.wrap(seen[122][:, : m.dim]).tobytes() == final[0].tobytes()
 
 
 def test_flow_ensemble_marks_non_finite_rows_dead():

@@ -11,7 +11,6 @@ from csdyn.errors import (
     PoisonedStateError,
     StructureError,
     UnknownModelError,
-    UnsupportedContactError,
 )
 from csdyn.flows import flow_ensemble, integrate_flow, time_reversed_view, time_t_map
 from csdyn.geometry import (
@@ -397,11 +396,6 @@ def test_contact_lift_jacobian_without_dh_matches_the_analytic_lift(beta):
     assert np.max(np.abs(J - reference)) < 1e-6
     for x, row in zip(xs, J):
         assert np.array_equal(bare.jacobian(x), row)
-
-
-def test_contact_lift_rejects_non_flat_data():
-    with pytest.raises(UnsupportedContactError):
-        contact_lift(lambda y: 1.0, (0.0, 0.0), contact="round-sphere")
 
 
 @pytest.mark.parametrize("beta", [(0.1, 0.2, 0.3), (0.5,), (math.nan, 0.0), (0.0, -math.inf),

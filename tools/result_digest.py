@@ -44,7 +44,12 @@ differences), and nonexact-linear's `lyapunov_spectrum` (its Jacobian is
 constant, so that line does not vary with the seed).  After them come the
 conformal pairs' `H` and `dH` on one seeded batch, and the flow
 `lyapunov_spectrum` of damped-mechanical and t2-pair-theta2 from a seeded
-state, with its running history.  Floats
+state, with its running history.  Last come outputs shaped by tuning
+values that are module constants, not arguments: `unstable_manifold_cloud`'s
+points and frames on damped-mechanical at d = 1 (a polyline, k = 1) and
+on the coupled d = 2 model (shells, k = 2) over a seeded growth time,
+`emit_basin_grid`'s labels on a 12 x 12 grid with a seeded p range, and
+`refine_equilibrium` from a seeded point of a Mane attractor cloud.  Floats
 are hashed by their bits (`float.hex`), arrays by dtype, shape and bytes,
 so -0.0 and 0.0 differ.
 
@@ -79,7 +84,16 @@ import numpy as np
 
 from csdyn import cli, models
 from csdyn.certificates import verify_suite
-from csdyn.diagnostics import classify_ensemble, lyapunov_spectrum, map_conformality_ratios
+from csdyn.diagnostics import (
+    attractor_estimate,
+    classify_ensemble,
+    emit_basin_grid,
+    lyapunov_spectrum,
+    map_conformality_ratios,
+    refine_equilibrium,
+    trapping_level,
+    unstable_manifold_cloud,
+)
 from csdyn.flows import (
     IntegratorConfig,
     conformal_splitting_step,
@@ -329,6 +343,25 @@ def pair_digests(seed):
              res.mean_rotation, res.converged])
 
 
+def constant_digests(seed):
+    """Unstable manifolds at k = 1 and 2, basin labels and a refined Mane
+    equilibrium, whose spacings, steps and tolerances are module constants."""
+    rng = np.random.default_rng([seed, 43])
+    m = models.instantiate_model("damped-mechanical", alpha=0.5, d=1, v_cos=1.0)
+    for label, model, t_grow in (
+            ("d1", m, rng.uniform(4.0, 8.0)),
+            ("d2", models.instantiate_model("damped-mechanical", ENSEMBLE_MODELS[0][1]),
+             rng.uniform(2.0, 4.0))):
+        out = unstable_manifold_cloud(model, np.zeros(model.dim), t_grow=t_grow)
+        yield f"unstable_manifold_cloud.seed{seed}.damped-mechanical-{label}", digest(list(out))
+    labels, _, _ = emit_basin_grid(m, 12, rng.uniform(2.0, 4.0), list(m.equilibria), t_max=20.0)
+    yield f"emit_basin_grid.seed{seed}.damped-mechanical.g12", digest(labels)
+    mm = models.instantiate_model("mane", alpha=0.5, d=1, y0=0.5, y_sin=-0.5 / TWO_PI)
+    cloud = attractor_estimate(mm, R=trapping_level(mm), t_relax=20.0, grid=9).cloud
+    out = refine_equilibrium(mm, cloud[rng.integers(len(cloud))])
+    yield f"refine_equilibrium.seed{seed}.mane", digest(list(out))
+
+
 def cli_configs(seed):
     """Config text per run: each operation once (simulate also with rk4),
     verify at scope geometry, every integrator field read at least once."""
@@ -433,7 +466,7 @@ def main(argv=None):
                 total.update(line.encode() + b"\n")
                 print(line, flush=True)
     print(f"{total.hexdigest()}  all")
-    for part in (point_digests, lift_digests, pair_digests):
+    for part in (point_digests, lift_digests, pair_digests, constant_digests):
         for seed in args.seeds:
             for name, value in part(seed):
                 print(f"{value}  {name}", flush=True)
