@@ -54,7 +54,7 @@ EXIT_FAIL = 2
 OPERATIONS = {}
 
 _INTEGRATOR_DEFAULTS = {f.name: f.default for f in dataclasses.fields(IntegratorConfig)}
-_ALL_FIELDS = ("method", "rel_tol", "abs_tol", "h", "blowup_threshold", "max_steps")
+_ALL_FIELDS = tuple(_INTEGRATOR_DEFAULTS)
 
 
 def _operation(name, model=True, run=(), integrator=(), **defaults):
@@ -197,7 +197,7 @@ def _op_attractor(cfg, t_relax, grid, eps, box):
 
 
 @_operation("periodic", run=("seed",),
-            integrator=("method", "rel_tol", "abs_tol", "blowup_threshold", "max_steps"),
+            integrator=("rel_tol", "abs_tol", "blowup_threshold", "max_steps"),
             section_axis=0, section_offset=0.0, direction=0, guess=None, backward=False)
 def _op_periodic(cfg, section_axis, section_offset, direction, guess, backward):
     m = _model(cfg)

@@ -19,7 +19,6 @@ from .errors import (
     CsdynError,
     NonHyperbolicError,
     ParamError,
-    SectionError,
     StructureError,
 )
 from .flows import (
@@ -111,10 +110,12 @@ class CheckResult:
 
 
 def _jsonable(v):
+    """v as json.dumps takes it: arrays as nested lists, numpy scalars as
+    Python numbers and each complex number as [re, im]."""
     if isinstance(v, np.ndarray):
-        return v.tolist()
-    if isinstance(v, (np.floating, np.integer)):
-        return v.item()
+        return _jsonable(v.tolist())
+    if isinstance(v, np.generic):
+        v = v.item()
     if isinstance(v, complex):
         return [v.real, v.imag]
     if isinstance(v, (list, tuple)):
@@ -226,22 +227,21 @@ def _renormalized_logs(push, n, n_legs, dt):
     return sums, history
 
 
-def lyapunov_spectrum(m, x0, T=200.0, cfg=None):
+def lyapunov_spectrum(m, x0, T=200.0):
     """Benettin QR exponents over [0, T] with periodic re-orthonormalization.
 
-    A flow runs T > 0 in max(1, round(T / _LYAPUNOV_LEG)) legs with cfg.
-    The pairing target is -alpha for exact models and the orbit's mean
-    rotation for conformal pairs.  Exponents are flagged non-converged when
-    the last-quarter drift exceeds 10% of scale.  A map runs int(T) >= 1
-    steps and takes no cfg; its target is log(a) (else 0), converged True.
+    A flow runs T > 0 in max(1, round(T / _LYAPUNOV_LEG)) legs, each on the
+    adaptive engine at the default IntegratorConfig.  The pairing target is
+    -alpha for exact models and the orbit's mean rotation for conformal
+    pairs.  Exponents are flagged non-converged when the last-quarter drift
+    exceeds 10% of scale.  A map runs int(T) >= 1 steps; its target is
+    log(a) (else 0), converged True.
     """
     n = m.dim
     if m.kind == MAP:
         n_steps = int(T)
         if n_steps < 1:
             raise ParamError(f"a map's Lyapunov spectrum takes T >= 1 step, got T = {T!r}")
-        if cfg is not None:
-            raise ParamError("a map's Lyapunov spectrum iterates the map and takes no cfg")
         states = iterate_map(m, x0, n_steps).states[:-1]  # Df at each, in one call
         jacs = np.broadcast_to(np.asarray(m.Df(states), dtype=float), (n_steps, n, n))
         sums, history = _renormalized_logs(lambda k, Q: jacs[k] @ Q, n, n_steps, 1)
@@ -251,7 +251,6 @@ def lyapunov_spectrum(m, x0, T=200.0, cfg=None):
     else:
         if not T > 0:
             raise ParamError(f"a flow's Lyapunov spectrum takes T > 0, got T = {T!r}")
-        cfg = cfg or IntegratorConfig()
         n_legs = max(1, int(round(T / _LYAPUNOV_LEG)))
         dt = T / n_legs
         x = np.asarray(x0, dtype=float)
@@ -259,7 +258,7 @@ def lyapunov_spectrum(m, x0, T=200.0, cfg=None):
 
         def leg(k, Q):
             nonlocal x, r_total
-            traj = integrate_variational(m, x, (0.0, dt), cfg, samples=2, initial_frame=Q)
+            traj = integrate_variational(m, x, (0.0, dt), samples=2, initial_frame=Q)
             if traj.status == BLOWUP:
                 raise BlowUpError("orbit blew up during Lyapunov run", t_escape=traj.t_escape)
             x = traj.final_state
@@ -322,8 +321,6 @@ def find_periodic_orbit(m, sec, guess, cfg=None, max_iter=50, backward=False):
     way to locate repelling orbits); the returned orbit data (monodromy,
     multipliers, mean rotation) is always for the forward flow.
     """
-    if sec.axis is None:
-        raise SectionError("periodic-orbit search needs an axis section")
     sec.check_dim(m.dim)
     cfg = cfg or IntegratorConfig()
     search_model = time_reversed_view(m) if backward else m
@@ -558,15 +555,16 @@ def refine_equilibrium(m, z0):
     return m.spec.wrap(z), float(np.max(np.abs(fz)))
 
 
-def unstable_manifold_cloud(m, fixed_point, t_grow, cfg=None):
+def unstable_manifold_cloud(m, fixed_point, t_grow):
     """Grow the unstable manifold of a hyperbolic equilibrium.
 
     One-dimensional unstable spaces return an arclength-resampled polyline
-    (with unit tangents as 1-column frames); higher-dimensional ones return
+    (with unit tangents as 1-column frames), grown by flow_ensemble at its
+    default step and blow-up threshold; higher-dimensional ones return
     shells of transported points with orthonormal frames spanning the pushed
-    unstable directions.  The _MANIFOLD_* constants set its seeds and legs.
+    unstable directions, grown on the adaptive engine at the default
+    IntegratorConfig.  The _MANIFOLD_* constants set its seeds and legs.
     """
-    cfg = cfg or IntegratorConfig()
     fp = np.asarray(fixed_point, dtype=float)
     A = m.jacobian(fp)
     eigvals, eigvecs = np.linalg.eig(A)
@@ -583,11 +581,11 @@ def unstable_manifold_cloud(m, fixed_point, t_grow, cfg=None):
     E = q[:, :k]
 
     if k == 1:
-        return _grow_manifold_polyline(m, fp, E[:, 0], float(np.max(eigvals.real)), t_grow, cfg)
-    return _grow_manifold_shells(m, fp, E, t_grow, cfg)
+        return _grow_manifold_polyline(m, fp, E[:, 0], float(np.max(eigvals.real)), t_grow)
+    return _grow_manifold_shells(m, fp, E, t_grow)
 
 
-def _grow_manifold_polyline(m, fp, v, mu, t_grow, cfg):
+def _grow_manifold_polyline(m, fp, v, mu, t_grow):
     g = math.exp(mu * _MANIFOLD_LEG)
     offsets = _MANIFOLD_SEED_RADIUS * g ** (np.arange(_MANIFOLD_SEEDS) / _MANIFOLD_SEEDS)
     n_legs = int(math.ceil(t_grow / _MANIFOLD_LEG))
@@ -597,10 +595,7 @@ def _grow_manifold_polyline(m, fp, v, mu, t_grow, cfg):
         branch = [fp[None, :], seeds]
         current = seeds
         for _ in range(n_legs):
-            current, alive = flow_ensemble(
-                m, current, _MANIFOLD_LEG, h=min(cfg.h, 0.01),
-                blowup_threshold=cfg.blowup_threshold,
-            )
+            current, alive = flow_ensemble(m, current, _MANIFOLD_LEG)
             if not np.all(alive):
                 break
             branch.append(current)
@@ -625,7 +620,7 @@ def _resample_polyline(spec, pts):
     return spec.wrap(out), tangents[:, :, None]
 
 
-def _grow_manifold_shells(m, fp, E, t_grow, cfg):
+def _grow_manifold_shells(m, fp, E, t_grow):
     n, k = E.shape
     n_dirs = 24
     angles = np.linspace(0.0, 2 * math.pi, n_dirs, endpoint=False)
@@ -642,7 +637,7 @@ def _grow_manifold_shells(m, fp, E, t_grow, cfg):
     states = seeds
     Qs = np.broadcast_to(E, (n_dirs, n, k))
     for _ in range(n_legs):
-        trajs = integrate_variational(m, states, (0.0, _MANIFOLD_LEG), cfg, samples=2)
+        trajs = integrate_variational(m, states, (0.0, _MANIFOLD_LEG), samples=2)
         F = np.array([traj.final_frame for traj in trajs])
         states = np.array([traj.final_state for traj in trajs])
         Q, _ = np.linalg.qr(F @ Qs)
@@ -827,14 +822,15 @@ def loop_cohomology_check(m, loop, t, cfg=None):
 _RECURRENCE_BLOCK = 2048
 
 
-def recurrence_scan(m, x0, t_max, dt, cfg=None):
+def recurrence_scan(m, x0, t_max, dt):
     """Closest return of the orbit of x0 to x0 within [0, t_max], after departure.
 
     The orbit is sampled every dt from t = 0 (in closed form where the model
-    has one), and the distance to x0 is minimized exactly on each linear
-    segment between consecutive samples, taken the short way across an
-    angle wrap as in classify_ensemble; for a flow that is linear between
-    samples, such as the Lee field, that is the orbit's closest approach.
+    has one, else on the adaptive engine at the default IntegratorConfig),
+    and the distance to x0 is minimized exactly on each linear segment
+    between consecutive samples, taken the short way across an angle wrap
+    as in classify_ensemble; for a flow that is linear between samples,
+    such as the Lee field, that is the orbit's closest approach.
     The departure from x0 is not a return: only segments from the first
     sample where the distance to x0 stops growing count.  Returns
     (distance, time), or (inf, nan) when the distance grows to t_max.
@@ -849,7 +845,7 @@ def recurrence_scan(m, x0, t_max, dt, cfg=None):
     x0 = np.asarray(x0, dtype=float)
     if m.flow_exact is None:
         ts = dt * np.arange(n + 1)
-        states = integrate_flow(m, x0, (0.0, float(ts[-1])), cfg, times=ts).states[: n + 1]
+        states = integrate_flow(m, x0, (0.0, float(ts[-1])), times=ts).states[: n + 1]
         n = len(states) - 1
     best, k = (math.inf, math.nan), None  # k: the sample where the departure ends
     # b and ts carry a block's last sample into the next, whose first segment it starts
@@ -899,9 +895,9 @@ class OrbitClass:
             raise ParamError("dissipative verdict requires a negative rotation slope")
 
 
-def classify_orbit(m, x0, T, cfg=None, thresholds=None):
-    res = classify_ensemble(m, np.asarray(x0, dtype=float)[None, :], T, cfg, thresholds)
-    return res[0]
+def classify_orbit(m, x0, T):
+    """classify_ensemble of the one state x0, at its defaults."""
+    return classify_ensemble(m, np.asarray(x0, dtype=float)[None, :], T)[0]
 
 
 # classify_ensemble's observer copies the states of consecutive steps into a

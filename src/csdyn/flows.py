@@ -34,6 +34,7 @@ from .errors import (
     ParamError,
     PoisonedStateError,
     SectionError,
+    StructureError,
 )
 from .models import FLOW, MAP, ModelSpec
 
@@ -171,7 +172,6 @@ class IntegratorConfig:
     rel_tol: float = 1e-10
     abs_tol: float = 1e-12
     h: float = 0.01
-    max_step: float = math.inf
     blowup_threshold: float = 1e8
     max_steps: int = 1_000_000
 
@@ -184,9 +184,8 @@ class IntegratorConfig:
             raise ParamError(f"unknown integrator method {self.method!r}")
         if not self.max_steps >= 1:
             raise ParamError(f"max_steps must be at least 1, got {self.max_steps}")
-        if not (self.blowup_threshold > 0 and self.max_step > 0):
-            raise ParamError("blowup_threshold and max_step must be positive, got "
-                             f"{self.blowup_threshold} and {self.max_step}")
+        if not self.blowup_threshold > 0:
+            raise ParamError(f"blowup_threshold must be positive, got {self.blowup_threshold}")
 
 
 @dataclass
@@ -391,7 +390,7 @@ def _combine(K, coeffs, out, tmp):
 
 
 def _dp_engine(rhs, t0, t1, Y, cfg, line_cols, name, ends_only=False, node_check=None,
-               stop=None):
+               stop=None, max_step=math.inf):
     """Masked lockstep DOP853 on the rows of Y over [t0, t1].
 
     Every row keeps its own t, h and accept/reject decision, and leaves the
@@ -408,10 +407,10 @@ def _dp_engine(rhs, t0, t1, Y, cfg, line_cols, name, ends_only=False, node_check
     exponent 1/8 of that order, clamped to [0.2, 5] per step; the first step
     comes from the field at the start and at one probe point (Hairer,
     Norsett & Wanner, Solving ODEs I, II.4 and II.5), and is at least
-    1e-12 max(1, |t0|), so it advances t from any start.  A step's size is
-    taken as t_new - t, so a path's nodes fix every stage of its steps and
-    the dense output's extra stages can be made later, only for the
-    segments that are read (`_dense`).  Stage sums are fixed-order and
+    1e-12 max(1, |t0|), so it advances t from any start; no step is longer
+    than max_step.  A step's size is taken as t_new - t, so a path's nodes
+    fix every stage of its steps and the dense output's extra stages can be
+    made later, only for the segments that are read (`_dense`).  Stage sums are fixed-order and
     elementwise, so a row's path is bit-identical to the same row run alone
     (given a row-wise rhs).  Stages, states and sums live in buffers made
     once per call; the live rows are their leading rows.  A non-finite start
@@ -455,7 +454,7 @@ def _dp_engine(rhs, t0, t1, Y, cfg, line_cols, name, ends_only=False, node_check
         d2 = np.fmax(d1, np.sqrt(np.mean(((K[1] - K[0]) / scale) ** 2, axis=1)) / h)
         h = np.minimum(100.0 * h, np.where(
             d2 <= 1e-15, np.maximum(1e-6, 1e-3 * h), (0.01 / d2) ** (1.0 / 8.0)))
-        h = np.maximum(np.minimum(h, min(0.1 * (t1 - t0), cfg.max_step)),
+        h = np.maximum(np.minimum(h, min(0.1 * (t1 - t0), max_step)),
                        1e-12 * max(1.0, abs(t0)))
         fails = np.zeros(N, dtype=np.int64)
         n_acc = np.zeros(N, dtype=np.int64)
@@ -507,7 +506,7 @@ def _dp_engine(rhs, t0, t1, Y, cfg, line_cols, name, ends_only=False, node_check
                 if not acc.any():
                     h = h_rej
                     continue
-            h_acc = np.minimum(h * np.fmin(5.0, np.fmax(0.2, fac)), cfg.max_step)
+            h_acc = np.minimum(h * np.fmin(5.0, np.fmax(0.2, fac)), max_step)
             stalled = acc & (t_new == t)
             if stalled.any():
                 b = int(np.argmax(stalled))
@@ -635,6 +634,8 @@ def _line_indices(m):
 
 def _eta_contraction(m):
     """eta(X) as a batched scalar field, analytic when the model provides it."""
+    if m.eta is None:
+        raise StructureError(f"{m.name} has no Lee form eta to integrate")
     if m.eta_X is not None:
         return m.eta_X
 
@@ -1100,15 +1101,26 @@ def _fixed_step_engine(m, Y, t, h, k=0, racc=False, blowup_threshold=1e8,
     return Y, alive
 
 
+def _state_batch(m, states):
+    """states as an (N, dim) float batch; DimensionMismatchError otherwise."""
+    _require_flow(m)
+    X = np.asarray(states, dtype=float)
+    if X.ndim != 2 or X.shape[1] != m.dim:
+        raise DimensionMismatchError(f"states must have shape (N, {m.dim}), got {X.shape}")
+    return X
+
+
 def transport_tangents(m, states, vectors, t, h=1e-3, blowup_threshold=1e8):
     """Batched transport of one tangent vector per state along the flow.
 
-    Fixed-step RK4 on the joint system (x, v) with v' = DX(x) v.
-    Returns (final_states, final_vectors, alive_mask), C-ordered.
+    Fixed-step RK4 on the joint system (x, v) with v' = DX(x) v.  states and
+    vectors are (N, dim) batches.  Returns (final_states, final_vectors,
+    alive_mask), C-ordered.
     """
-    _require_flow(m)
-    states = np.asarray(states, dtype=float)
-    n = states.shape[-1]
+    states, n = _state_batch(m, states), m.dim
+    if np.shape(vectors) != states.shape:
+        raise DimensionMismatchError(
+            f"vectors must have the states' shape {states.shape}, got {np.shape(vectors)}")
     Y, alive = _fixed_step_engine(
         m, _column_major([states, vectors]), t, h, k=1, blowup_threshold=blowup_threshold
     )
@@ -1116,7 +1128,7 @@ def transport_tangents(m, states, vectors, t, h=1e-3, blowup_threshold=1e8):
 
 
 def flow_ensemble(m, states, t, h=0.01, blowup_threshold=1e8, racc=False, on_step=None):
-    """Vectorized fixed-step RK4 transport of a batch of states.
+    """Vectorized fixed-step RK4 transport of an (N, dim) batch of states.
 
     Returns (final_states, alive_mask[, r_accum]), C-ordered.  Escaped
     samples (line coordinates past the threshold) and non-finite ones are
@@ -1127,9 +1139,7 @@ def flow_ensemble(m, states, t, h=0.01, blowup_threshold=1e8, racc=False, on_ste
     as an extra last column when `racc`; it must neither mutate nor keep Y
     (the next step overwrites it), so it copies what it keeps.
     """
-    _require_flow(m)
-    X = np.asarray(states, dtype=float)
-    n = X.shape[-1]
+    X, n = _state_batch(m, states), m.dim
     Y = _column_major([X, np.zeros((len(X), 1))] if racc else [X])
     Y, alive = _fixed_step_engine(
         m, Y, t, h, racc=racc, blowup_threshold=blowup_threshold, on_step=on_step
@@ -1176,24 +1186,23 @@ def iterate_map(m, x0, n, with_frames=False):
     )
 
 
-def time_t_map(m, t, cfg=None):
+def time_t_map(m, t):
     """Wrap a flow as a map model with Jacobians and a negated-field inverse.
 
     f, f_inv and Df take a state (dim,) or a batch (N, dim) and run the
-    batch through the adaptive engine in one call, keeping only each row's
-    ends, so each row is bit-identical to that state alone.  A row that blows
-    up raises BlowUpError with its t_escape.
+    batch through the adaptive engine at the default IntegratorConfig in one
+    call, keeping only each row's ends, so each row is bit-identical to that
+    state alone.  A row that blows up raises BlowUpError with its t_escape.
     """
     _require_flow(m)
     if t == 0:
         raise ParamError("time-t map requires t != 0")
-    cfg = cfg or IntegratorConfig()
 
     def _end(x, span, frames):
         x = np.asarray(x, dtype=float)
         fn = integrate_variational if frames else integrate_flow
         ends = []
-        for row, traj in enumerate(fn(m, np.atleast_2d(x), span, cfg, samples=2)):
+        for row, traj in enumerate(fn(m, np.atleast_2d(x), span, samples=2)):
             if traj.status == BLOWUP:
                 raise BlowUpError(
                     f"{m.name} row {row}: orbit blew up before t={span[1]}",
@@ -1235,42 +1244,28 @@ def time_t_map(m, t, cfg=None):
 
 @dataclass
 class SectionSpec:
-    """Hyperplane section x[axis] = offset or affine functional w.x = offset."""
+    """Coordinate hyperplane section x[axis] = offset, crossed in `direction`
+    (+1 increasing, -1 decreasing, 0 either way); on an angle axis the
+    offset is taken modulo 1."""
 
-    axis: int | None = None
-    w: np.ndarray | None = None
+    axis: int
     offset: float = 0.0
     direction: int = 1
 
     def __post_init__(self):
-        if self.axis is None and self.w is None:
-            raise SectionError("section needs an axis or a functional")
-        if self.w is not None:
-            self.w = np.asarray(self.w, dtype=float)
-            if float(np.max(np.abs(self.w))) == 0.0:
-                raise SectionError("section functional has zero gradient")
         if self.direction not in (-1, 0, 1):
             raise SectionError("direction must be -1, 0 or +1")
 
     def value(self, spec, x):
-        if self.axis is not None:
-            raw = np.asarray(x, dtype=float)[..., self.axis] - self.offset
-            if spec.axes[self.axis] == "angle":
-                return np.mod(raw + 0.5, 1.0) - 0.5
-            return raw
-        return np.asarray(x, dtype=float) @ self.w - self.offset
+        raw = np.asarray(x, dtype=float)[..., self.axis] - self.offset
+        if spec.axes[self.axis] == "angle":
+            return np.mod(raw + 0.5, 1.0) - 0.5
+        return raw
 
     def check_dim(self, dim):
         """Raise SectionError unless the axis is one of a dim-dimensional model's."""
-        if self.axis is not None and not 0 <= self.axis < dim:
+        if not 0 <= self.axis < dim:
             raise SectionError(f"section axis {self.axis} is outside 0..{dim - 1}")
-
-    def gradient(self, dim):
-        if self.axis is not None:
-            g = np.zeros(dim)
-            g[self.axis] = 1.0
-            return g
-        return self.w
 
 
 def poincare_return(m, sec, x0, k, cfg=None):
@@ -1283,7 +1278,9 @@ def poincare_return(m, sec, x0, k, cfg=None):
     k-th crossing; SectionError when there are fewer up to t = _RETURN_T_MAX.
     Crossings are refined by bisection on the DOP853 dense output to
     time accuracy 1e-10; tangential crossings (|dg/dt| <= 1e-8) are rejected
-    rather than guessed.
+    rather than guessed.  No step is longer than 0.2 / max(|X(x0)|, 1) nor
+    0.05, where |X(x0)| is the largest speed component at the start, which
+    keeps a step well short of a full turn at that speed.
     """
     _require_flow(m)
     sec.check_dim(m.dim)
@@ -1291,15 +1288,12 @@ def poincare_return(m, sec, x0, k, cfg=None):
     if cfg.method != REFERENCE:
         raise ParamError(
             f"poincare_return needs method 'reference', got {cfg.method!r}")
-    if math.isinf(cfg.max_step):
-        speeds = float(np.max(np.abs(m.X(np.asarray(x0, dtype=float)))))
-        cfg = replace(cfg, max_step=min(0.2 / max(speeds, 1.0), 0.05))
+    x0 = np.asarray(x0, dtype=float)
+    max_step = min(0.2 / max(float(np.max(np.abs(m.X(x0)))), 1.0), 0.05)
     n = m.dim
     with_racc = m.eta is not None
     rhs = _joint_rhs(m, n, with_racc)
-    grad = sec.gradient(n)
-    x0 = np.asarray(x0, dtype=float)
-    guard = 0.25 if (sec.axis is not None and m.spec.axes[sec.axis] == "angle") else math.inf
+    guard = 0.25 if m.spec.axes[sec.axis] == "angle" else math.inf
 
     def g(ys):
         return np.asarray(sec.value(m.spec, ys[..., :n]), dtype=float)
@@ -1329,7 +1323,7 @@ def poincare_return(m, sec, x0, k, cfg=None):
         found = len(crossings)
         p = _dp_engine(
             rhs, t_base, t_base + span, y_start[None], cfg, line_cols, m.name,
-            stop=kth_crossing,
+            stop=kth_crossing, max_step=max_step,
         )[0]
         ts = p.ts
         gs = g(p.ys)
@@ -1349,11 +1343,12 @@ def poincare_return(m, sec, x0, k, cfg=None):
             y_star = _dense(p, i, t_star)
             x_star = y_star[:n]
             xdot = np.asarray(m.X(x_star), dtype=float)
-            gdot = float(grad @ xdot)
+            gdot = float(xdot[sec.axis])
             if abs(gdot) <= 1e-8:
                 raise SectionError("tangential section crossing rejected")
             F = y_star[n : n + n * n].reshape(n, n)
-            proj = np.eye(n) - np.outer(xdot, grad) / gdot
+            proj = np.eye(n)  # I - xdot grad^T / gdot, grad the axis' unit vector
+            proj[:, sec.axis] -= xdot / gdot
             crossings.append(m.spec.wrap(x_star))
             jacobians.append(proj @ F)
             times.append(t_star)

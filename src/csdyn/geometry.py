@@ -177,19 +177,20 @@ def loop_integral(spec, lambda_eval, loop):
 # ---------------------------------------------------------------------------
 # finite-difference exterior calculus, used for structural self-checks
 # ---------------------------------------------------------------------------
+_FD_STEP = 1e-6  # the central-difference step of the fd_* kernels
 
-def fd_gradient(f, x, h=1e-6):
+def fd_gradient(f, x):
     """Central-difference gradient of a scalar function; x (..., n) -> (..., n)."""
     x = np.asarray(x, dtype=float)
     g = np.zeros_like(x)
     for i in range(x.shape[-1]):
         e = np.zeros(x.shape[-1])
-        e[i] = h
-        g[..., i] = (f(x + e) - f(x - e)) / (2 * h)
+        e[i] = _FD_STEP
+        g[..., i] = (f(x + e) - f(x - e)) / (2 * _FD_STEP)
     return g
 
 
-def fd_jacobian(f, x, h=1e-6):
+def fd_jacobian(f, x, h=_FD_STEP):
     """Central-difference Jacobian, rows = components; x (..., n) -> (..., m, n).
 
     h is one step, or one step per state of shape (...).
@@ -204,13 +205,13 @@ def fd_jacobian(f, x, h=1e-6):
     return np.stack(cols, axis=-1)
 
 
-def fd_exterior_derivative_one_form(lambda_eval, x, h=1e-6):
+def fd_exterior_derivative_one_form(lambda_eval, x):
     """(d lambda)_ij = d_i lambda_j - d_j lambda_i by central differences, per state."""
-    jac = fd_jacobian(lambda_eval, x, h)  # jac[..., j, i] = d_i lambda_j
+    jac = fd_jacobian(lambda_eval, x)  # jac[..., j, i] = d_i lambda_j
     return np.swapaxes(jac, -1, -2) - jac
 
 
-def fd_exterior_derivative_two_form(omega_eval, x, h=1e-6):
+def fd_exterior_derivative_two_form(omega_eval, x):
     """Components (d omega)(e_i, e_j, e_k) of the exterior derivative.
 
     Returns a dict {(i, j, k): per-state value} over i < j < k.
@@ -218,7 +219,7 @@ def fd_exterior_derivative_two_form(omega_eval, x, h=1e-6):
     x = np.asarray(x, dtype=float)
     n = x.shape[-1]
     # d[..., j, k, i] = d_i omega_jk, per state also where omega is constant
-    d = np.broadcast_to(fd_jacobian(omega_eval, x, h), x.shape[:-1] + (n, n, n))
+    d = np.broadcast_to(fd_jacobian(omega_eval, x), x.shape[:-1] + (n, n, n))
     return {
         (i, j, k): d[..., j, k, i] + d[..., k, i, j] + d[..., i, j, k]
         for i, j, k in itertools.combinations(range(n), 3)

@@ -1069,7 +1069,7 @@ def contact_lift(H, beta, dH=None):
     dh_of = None if dH is None else _per_state(lambda y: np.asarray(dH(y), dtype=float), (3,))
 
     def grad_h(y):
-        return fd_gradient(h_of, y, h=1e-6) if dh_of is None else dh_of(y)
+        return fd_gradient(h_of, y) if dh_of is None else dh_of(y)
 
     def trig(x):
         y = np.asarray(x, dtype=float)[..., :3]

@@ -44,6 +44,9 @@ def test_parse_config_rejects_duplicates():
      "basin.grid"),
     ("run.operation = basin\nmodel.name = damped-mechanical\n"
      "integrator.method = splitting\nintegrator.h = 0.5\n", "integrator.method"),
+    # Poincare returns run on the adaptive engine only: its method is fixed
+    ("run.operation = periodic\nmodel.name = t2-pair-theta2\n"
+     "integrator.method = reference\n", "integrator.method"),
 ])
 def test_a_key_the_operation_does_not_read_is_a_config_error(tmp_path, capsys, text, key):
     with pytest.raises(ConfigError) as err:
@@ -60,7 +63,7 @@ _INTEGRATOR_READS = {
     "simulate": tuple(_INTEGRATOR_VALUES),
     "diagnose": tuple(_INTEGRATOR_VALUES),
     "attractor": ("h", "blowup_threshold"),
-    "periodic": ("method", "rel_tol", "abs_tol", "blowup_threshold", "max_steps"),
+    "periodic": ("rel_tol", "abs_tol", "blowup_threshold", "max_steps"),
     "classify": (), "escape": (), "basin": (), "verify": (), "list-models": (),
 }
 

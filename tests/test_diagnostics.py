@@ -1,4 +1,5 @@
 import dataclasses
+import json
 import math
 
 import numpy as np
@@ -33,7 +34,6 @@ from csdyn.errors import (
     StructureError,
 )
 from csdyn.flows import (
-    IntegratorConfig,
     SectionSpec,
     Trajectory,
     flow_ensemble,
@@ -87,6 +87,21 @@ def test_check_result_normalizes_its_fields():
                                  "verdict", "provenance_tag", "details"]
     with pytest.raises(TypeError):
         CheckResult("c", "m", {}, 0.0, 1.0, "tag", verdict="PASS")
+
+
+def test_check_result_json_writes_complex_entries_as_pairs():
+    """Complex multipliers (an ndarray, as cert_floquet_pairing reports them)
+    become [re, im] pairs, as the periodic operation writes them; before,
+    json.dumps raised on the complex entries tolist() left.  Real arrays
+    keep their tolist() form."""
+    real = np.array([[0.5, -0.0], [math.inf, 3.0]])
+    details = {"multipliers": np.array([1.0 + 2.0j, 0.25 - 0.0j]), "real": real,
+               "scalar": np.complex128(-1.5j), "nested": [np.float64(0.1), (1j,)]}
+    out = CheckResult("c", "m", {}, 0.0, 1.0, "tag", details=details).to_json()["details"]
+    assert out == {"multipliers": [[1.0, 2.0], [0.25, -0.0]], "real": real.tolist(),
+                   "scalar": [-0.0, -1.5], "nested": [0.1, [[0.0, 1.0]]]}
+    assert json.dumps(out["real"]) == json.dumps(real.tolist())
+    json.dumps(out)
 
 
 # ---------------------------------------------------------------------------
@@ -304,13 +319,6 @@ def test_map_lyapunov_needs_one_step(T):
     m = instantiate_model("shear-contraction", a=0.5)
     with pytest.raises(ParamError):
         lyapunov_spectrum(m, np.array([0.1, 0.2]), T=T)
-
-
-def test_map_lyapunov_takes_no_cfg():
-    """A map iterates f; an integrator config it would ignore raises."""
-    m = instantiate_model("shear-contraction", a=0.5)
-    with pytest.raises(ParamError, match="takes no cfg"):
-        lyapunov_spectrum(m, np.array([0.1, 0.2]), T=5, cfg=IntegratorConfig())
 
 
 @pytest.mark.parametrize("T", [-20.0, -0.25, 0.0, -0.0, math.nan])

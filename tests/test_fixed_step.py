@@ -14,7 +14,7 @@ from csdyn.diagnostics import (
     classify_orbit,
     conformal_transport_check,
 )
-from csdyn.errors import KindError, ParamError
+from csdyn.errors import DimensionMismatchError, KindError, ParamError, StructureError
 from csdyn.flows import (
     IntegratorConfig,
     _fixed_step_engine,
@@ -84,6 +84,45 @@ def test_fixed_step_runs_reject_a_bad_horizon_or_step(t, h):
         transport_tangents(m, x, np.ones_like(x), t, h=h)
     with pytest.raises(ParamError):
         classify_ensemble(instantiate_model("t2-pair-theta2"), x, t, h=h)
+
+
+def test_lee_channel_without_a_lee_form_is_a_structure_error():
+    """Before, circle-linear (no eta) raised a bare TypeError from the
+    field at the first step."""
+    m = instantiate_model("circle-linear", alpha=1.0)
+    steps = []
+    with pytest.raises(StructureError, match="circle-linear"):
+        flow_ensemble(m, np.array([[0.1, 0.2]]), 0.1, racc=True,
+                      on_step=lambda k, y: steps.append(k))
+    assert steps == []
+
+
+# (model, states, vectors): a batch that is not (N, dim), or vectors that do
+# not match it; before, the (2, 3) batch returned with its third column
+# passed through, the (1, 3) vectors returned as 3-column vectors, and the
+# 1-D state and the (1, 1) vectors raised numpy's AxisError and IndexError
+BAD_SHAPES = [
+    ("circle-quadratic", np.zeros((2, 3)), None),
+    ("circle-quadratic", np.array([0.1, 0.2]), None),
+    ("circle-quadratic", np.zeros((2, 2, 2)), None),
+    ("damped-mechanical", np.array([[0.1, 0.2]]), np.ones((1, 3))),
+    ("damped-mechanical", np.array([[0.1, 0.2]]), np.ones((1, 1))),
+    ("damped-mechanical", np.array([[0.1, 0.2]]), np.ones((2, 2))),
+    ("damped-mechanical", np.array([[0.1, 0.2]]), np.ones(2)),
+]
+
+
+@pytest.mark.parametrize("name,states,vectors", BAD_SHAPES)
+def test_fixed_step_runs_reject_a_batch_of_the_wrong_shape(name, states, vectors):
+    m = instantiate_model(name)
+    with pytest.raises(DimensionMismatchError):
+        if vectors is None:
+            flow_ensemble(m, states, 0.1)
+        else:
+            transport_tangents(m, states, vectors, 0.01)
+    if vectors is None:
+        with pytest.raises(DimensionMismatchError):
+            transport_tangents(m, states, np.ones_like(states), 0.01)
 
 
 @pytest.mark.parametrize("h", [0.0, -0.01, math.nan, math.inf, -math.inf])

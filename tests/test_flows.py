@@ -682,11 +682,6 @@ def test_poincare_return_rejects_fixed_step_methods(method):
         poincare_return(m, sec, np.array([0.0, 0.0]), 1, cfg)
 
 
-def test_section_rejects_zero_gradient():
-    with pytest.raises(SectionError):
-        SectionSpec(w=np.zeros(2), offset=0.0)
-
-
 def test_poisoned_field_raises():
     spec = CoordinateSpec((LINE, LINE))
     bad = ModelSpec(
@@ -774,7 +769,6 @@ def test_section_axis_outside_the_model_is_a_section_error(axis):
 @pytest.mark.parametrize("kwargs", [
     {"max_steps": 0}, {"max_steps": -5},
     {"blowup_threshold": 0.0}, {"blowup_threshold": -1.0}, {"blowup_threshold": math.nan},
-    {"max_step": 0.0}, {"max_step": -0.1}, {"max_step": math.nan},
 ])
 def test_integrator_config_rejects_out_of_range_fields(kwargs):
     with pytest.raises(ParamError, match=next(iter(kwargs))):

@@ -49,7 +49,14 @@ values that are module constants, not arguments: `unstable_manifold_cloud`'s
 points and frames on damped-mechanical at d = 1 (a polyline, k = 1) and
 on the coupled d = 2 model (shells, k = 2) over a seeded growth time,
 `emit_basin_grid`'s labels on a 12 x 12 grid with a seeded p range, and
-`refine_equilibrium` from a seeded point of a Mane attractor cloud.  Floats
+`refine_equilibrium` from a seeded point of a Mane attractor cloud.  After
+them come the paths whose settings are pinned: circle-linear's `time_t_map`
+`f`, `f_inv` and `Df` on a seeded batch, t2-pair-theta2's first three
+`poincare_return` crossings from a seeded state (crossings, Jacobians, times
+and Lee integrals, under the step cap derived from the start's speed),
+`recurrence_scan` on t2-pair-theta2 (no closed-form flow, so the orbit is
+integrated), and `fd_gradient` and `fd_exterior_derivative_two_form` on
+seeded batches.  Floats
 are hashed by their bits (`float.hex`), arrays by dtype, shape and bytes,
 so -0.0 and 0.0 differ.
 
@@ -90,19 +97,28 @@ from csdyn.diagnostics import (
     emit_basin_grid,
     lyapunov_spectrum,
     map_conformality_ratios,
+    recurrence_scan,
     refine_equilibrium,
     trapping_level,
     unstable_manifold_cloud,
 )
 from csdyn.flows import (
     IntegratorConfig,
+    SectionSpec,
     conformal_splitting_step,
     flow_ensemble,
     integrate_variational,
+    poincare_return,
     time_reversed_view,
+    time_t_map,
     transport_tangents,
 )
-from csdyn.geometry import fd_exterior_derivative_one_form, pullback_residual
+from csdyn.geometry import (
+    fd_exterior_derivative_one_form,
+    fd_exterior_derivative_two_form,
+    fd_gradient,
+    pullback_residual,
+)
 
 TWO_PI = 2.0 * math.pi
 
@@ -362,6 +378,33 @@ def constant_digests(seed):
     yield f"refine_equilibrium.seed{seed}.mane", digest(list(out))
 
 
+def pinned_digests(seed):
+    """A time-t map, Poincare returns, an integrated recurrence scan and the
+    finite-difference kernels, each at its fixed integrator or step."""
+    rng = np.random.default_rng([seed, 47])
+    m = models.instantiate_model("circle-linear", alpha=1.0)
+    f_t, xs = time_t_map(m, 0.7), models.sample_states(m, 16, rng, 1.0)
+    for name in ("f", "f_inv", "Df"):
+        yield f"time_t_map.seed{seed}.circle-linear.{name}.n16", digest(getattr(f_t, name)(xs))
+    m = models.instantiate_model("t2-pair-theta2")
+    x0 = np.array([rng.uniform(0.0, 1.0), rng.uniform(-0.2, 0.2)])
+    out = poincare_return(m, SectionSpec(axis=0, offset=0.0, direction=1), x0, 3)
+    yield f"poincare_return.seed{seed}.t2-pair-theta2.k3", digest(list(out))
+    out = recurrence_scan(m, models.sample_states(m, 1, rng)[0], 5.0, 1e-2)
+    yield f"recurrence_scan.seed{seed}.t2-pair-theta2", digest(list(out))
+    for name, params in (("damped-mechanical", {"alpha": 0.5, "d": 1, "v_cos": 1.0}),
+                         ("t2-pair-theta1", {})):
+        m = models.instantiate_model(name, params)
+        xs = models.sample_states(m, 64, rng, 1.0)
+        yield f"fd_gradient.seed{seed}.{name}.n64", digest(fd_gradient(m.H, xs))
+    # lee-twisted-t1t2's Omega is the one registered two-form with d Omega != 0
+    for label, params in (("default", {}), ("irrational", {"a1": 2**0.5, "a2": 3**0.5})):
+        m = models.instantiate_model("lee-twisted-t1t2", params)
+        xs = models.sample_states(m, 64, rng, 1.0)
+        yield f"fd_exterior_derivative_two_form.seed{seed}.lee-twisted-t1t2.{label}.n64", digest(
+            fd_exterior_derivative_two_form(m.Omega, xs))
+
+
 def cli_configs(seed):
     """Config text per run: each operation once (simulate also with rk4),
     verify at scope geometry, every integrator field read at least once."""
@@ -466,7 +509,7 @@ def main(argv=None):
                 total.update(line.encode() + b"\n")
                 print(line, flush=True)
     print(f"{total.hexdigest()}  all")
-    for part in (point_digests, lift_digests, pair_digests, constant_digests):
+    for part in (point_digests, lift_digests, pair_digests, constant_digests, pinned_digests):
         for seed in args.seeds:
             for name, value in part(seed):
                 print(f"{value}  {name}", flush=True)
