@@ -29,7 +29,7 @@ from .diagnostics import (
     loop_cohomology_check,
     map_conformality_ratios,
 )
-from .errors import ConfigError, CsdynError
+from .errors import ConfigError, CsdynError, ParamError
 from .flows import (
     IntegratorConfig,
     SectionSpec,
@@ -131,7 +131,11 @@ def _op_simulate(cfg, t, x0, samples, variational):
             check="conformality", t=1.0, x0=None)
 def _op_diagnose(cfg, check, t, x0):
     m = _model(cfg)
-    icfg = IntegratorConfig(**cfg.integrator)
+    ignored = [f"integrator.{f}" for f, v in cfg.integrator.items()
+               if check != "transport" and v != _INTEGRATOR_DEFAULTS[f]]
+    if ignored:  # the integrator.* keys are declared for check = transport
+        raise ConfigError(f"diagnose.check = {check} reads no integrator.* key, "
+                          f"got {', '.join(ignored)}", key=ignored[0])
     rng = np.random.default_rng(cfg.seed)
     if check == "conformality":
         if m.kind != "map":
@@ -148,12 +152,13 @@ def _op_diagnose(cfg, check, t, x0):
             details={"ratio": float(np.mean(ratios)), "spread": spread},
         )
     elif check == "transport":
+        icfg = IntegratorConfig(**cfg.integrator)
         traj = integrate_variational(m, _state(x0, m, 0.1), (0.0, t), icfg, samples=21)
         result = conformal_transport_check(m, traj)
     elif check == "loop":
         th = np.linspace(0.0, 1.0, 2049)
         loop = np.stack([np.mod(th, 1.0), np.ones_like(th)], axis=1)
-        result = loop_cohomology_check(m, loop, t, icfg)
+        result = loop_cohomology_check(m, loop, t)
     else:
         raise ConfigError(f"unknown diagnose.check {check!r}", key="diagnose.check")
     return _report(cfg, f"diagnose_{m.name}_{check}", result,
@@ -168,7 +173,7 @@ def _op_attractor(cfg, t_relax, grid, eps, box):
     icfg = IntegratorConfig(**cfg.integrator)
     # without a box, the sublevel set of the model's trapping level
     est = attractor_estimate(
-        m, t_relax=t_relax, grid=grid, cfg=icfg, eps=eps,
+        m, t_relax=t_relax, grid=grid, eps=eps, h=icfg.h, blowup_threshold=icfg.blowup_threshold,
         box=None if box is None else _box(box, "attractor.box"),
     )
     write_cloud_csv(
@@ -238,6 +243,8 @@ def _op_classify(cfg, n, T):
     from .ensemble import blocks, deterministic_map
 
     m = _model(cfg)
+    if n < 1:
+        raise ParamError(f"classify.n must be at least 1, got {n}")
     rng = np.random.default_rng(cfg.seed)
     starts = sample_states(m, n, rng, 1.0)
     # one contiguous block per worker; rows are independent of their block,
@@ -267,7 +274,7 @@ def _op_classify(cfg, n, T):
         check="classification",
         model=m.name,
         params=m.params,
-        residual=float(counts["undetermined"]) / max(n, 1),
+        residual=float(counts["undetermined"]) / n,
         tolerance=1.0,
         provenance_tag="classification/finite-time-dichotomy",
         details=payload,

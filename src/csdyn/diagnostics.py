@@ -17,6 +17,7 @@ from .errors import (
     BlowUpError,
     ConvergenceError,
     CsdynError,
+    DimensionMismatchError,
     NonHyperbolicError,
     ParamError,
     StructureError,
@@ -48,6 +49,7 @@ _TRANSPORT_TOL = 1e-6  # conformal_transport_check's tolerance
 _LOOP_COHOMOLOGY_TOL = 1e-7  # loop_cohomology_check's relative tolerance
 _LYAPUNOV_LEG = 0.5  # a flow's Lyapunov legs are about this long
 _NEWTON_TOL = 1e-12  # find_periodic_orbit's largest return miss
+_NEWTON_MAX_ITER = 50  # and its Newton steps
 _TRAP_GRID = 1024  # trapping_level's grid points per torus axis
 _INVARIANCE_T = 1.0  # attractor_estimate pushes its cloud this long
 _BASIN_CAPTURE = 1e-2  # emit_basin_grid's capture radius,
@@ -313,9 +315,9 @@ def _pairing_products(multipliers, target):
     return np.array(lams), prods, mod_defect, arg_defect
 
 
-def find_periodic_orbit(m, sec, guess, cfg=None, max_iter=50, backward=False):
+def find_periodic_orbit(m, sec, guess, cfg=None, backward=False):
     """Newton on the Poincare return map, to a miss below _NEWTON_TOL within
-    max_iter steps; reports Floquet pairing data.
+    _NEWTON_MAX_ITER steps; reports Floquet pairing data.
 
     With backward=True the search runs on the time-reversed field (the robust
     way to locate repelling orbits); the returned orbit data (monodromy,
@@ -342,7 +344,7 @@ def find_periodic_orbit(m, sec, guess, cfg=None, max_iter=50, backward=False):
     y = np.asarray(guess, dtype=float)
     y = y[red] if len(y) == n else y
     resid, jac_red, T = return_data(y)
-    for _ in range(max_iter):
+    for _ in range(_NEWTON_MAX_ITER):
         err = float(np.max(np.abs(resid)))
         if err < _NEWTON_TOL:
             break
@@ -358,7 +360,8 @@ def find_periodic_orbit(m, sec, guess, cfg=None, max_iter=50, backward=False):
         else:
             raise ConvergenceError("periodic-orbit Newton stalled")
     else:
-        raise ConvergenceError(f"periodic-orbit Newton did not converge in {max_iter} iterations")
+        raise ConvergenceError(
+            f"periodic-orbit Newton did not converge in {_NEWTON_MAX_ITER} iterations")
 
     anchor = embed(y)
     traj = integrate_variational(m, anchor, (0.0, T), cfg, samples=101)
@@ -457,38 +460,44 @@ def sample_sublevel_grid(m, R, grid):
     return mesh[keep]
 
 
+def _check_box(spec, box):
+    if len(box) != spec.dim:
+        raise DimensionMismatchError(f"a box takes {spec.dim} (lo, hi) pairs, got {len(box)}")
+
+
 def sample_box_grid(spec, box, grid):
+    _check_box(spec, box)
     axes = [np.linspace(lo, hi, grid, endpoint=spec.axes[i] != "angle")
             for i, (lo, hi) in enumerate(box)]
     return np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, spec.dim)
 
 
-def attractor_estimate(m, R=None, t_relax=60.0, grid=33, cfg=None, box=None, eps=1e-3):
+def attractor_estimate(m, R=None, t_relax=60.0, grid=33, box=None, eps=1e-3, h=0.01,
+                       blowup_threshold=1e8):
     """Relax a grid sample of the trapping set and measure invariance.
 
-    The cloud is pushed for _INVARIANCE_T.  With `box` given, that compact
-    box is used instead of {H <= R+1}; any sample blowing up flags the
-    estimate as not trapping rather than raising.
+    The grid has grid >= 1 points per axis; the cloud keeps one point per
+    cell of side eps in (0, 1] and is pushed for _INVARIANCE_T.  Both runs
+    step RK4 at h with the blow-up threshold blowup_threshold.  With `box`
+    given, one (lo, hi) per coordinate, that compact box is used instead of
+    {H <= R+1}; any sample blowing up flags the estimate as not trapping
+    rather than raising.
     """
-    cfg = cfg or IntegratorConfig()
+    if not (grid >= 1 and 0.0 < eps <= 1.0):
+        raise ParamError(f"an attractor takes grid >= 1 and eps in (0, 1], got {grid} and {eps}")
     if box is not None:
         seeds = sample_box_grid(m.spec, box, grid)
     else:
         if R is None:
             R = trapping_level(m)
         seeds = sample_sublevel_grid(m, R, grid)
-    h = min(cfg.h, 0.01)
-    evolved, alive = flow_ensemble(
-        m, seeds, t_relax, h=h, blowup_threshold=cfg.blowup_threshold
-    )
+    evolved, alive = flow_ensemble(m, seeds, t_relax, h, blowup_threshold)
     escaped = int(np.sum(~alive))
     cloud = _dedup_cells(m.spec, evolved[alive], eps)
     if len(cloud) == 0:
         return AttractorEstimate(R, cloud, math.inf, _n_steps(t_relax, h), "not-trapping",
                                  escaped, 0)
-    pushed, alive2 = flow_ensemble(
-        m, cloud, _INVARIANCE_T, h=h, blowup_threshold=cfg.blowup_threshold
-    )
+    pushed, alive2 = flow_ensemble(m, cloud, _INVARIANCE_T, h, blowup_threshold)
     residual = float(np.max(_nearest_cloud_distance(m.spec, pushed[alive2], cloud)))
     status = "trapped" if (escaped == 0 and bool(np.all(alive2))) else "not-trapping"
     return AttractorEstimate(
@@ -508,12 +517,14 @@ def emit_basin_grid(m, grid, p_range, targets, t_max=60.0):
     RK4 at step _BASIN_H with blow-up threshold _BASIN_BLOWUP relaxes each
     cell, captured by a target within _BASIN_CAPTURE.  Returns (labels,
     q_axis, p_axis): label k >= 1 means targets[k-1], 0 undetermined, -1
-    escaped.  Only d = 1 cotangent models are gridded.
+    escaped.  Only d = 1 cotangent models are gridded, on q in [0, 1) and
+    p in [-p_range, p_range] with p_range > 0.
     """
     if not targets:
         raise CsdynError("basin grid needs a non-empty target list")
-    if grid < 1:
-        raise CsdynError("basin grid needs at least one cell per axis")
+    if not (grid >= 1 and math.isfinite(p_range) and p_range > 0):
+        raise ParamError(f"a basin grid takes grid >= 1 and a finite p_range > 0, "
+                         f"got {grid} and {p_range}")
     if m.d != 1:
         raise CsdynError("basin grids are drawn for d = 1 models")
     q_axis = np.linspace(0.0, 1.0, grid, endpoint=False)
@@ -698,24 +709,29 @@ def escape_statistics(m, box, n_steps, samples, seed, exclusion=None,
                       sample_override=None):
     """Backward-orbit escape counts for a map model over a compact box.
 
-    Samples are drawn uniformly in the box with the given seed, in blocks of
-    the count still needed; with `exclusion`, a predicate on one state, the
-    samples are the first draws it does not exclude, in draw order, as one
-    draw per sample would give them.  Once 1000 draws per sample have not
-    given enough samples, it raises ParamError.  A sample escapes when its backward
-    orbit first leaves the box within n_steps.  Samples evolve batched but
-    row-independently, so counts match any worker partition.
+    The box has one (lo, hi) per coordinate; n_steps and samples are at
+    least 1.  Samples are drawn uniformly in the box with the given seed, in
+    blocks of the count still needed; with `exclusion`, a predicate on one
+    state, the samples are the first draws it does not exclude, in draw
+    order, as one draw per sample would give them.  Once 1000 draws per
+    sample have not given enough samples, it raises ParamError.  A sample
+    escapes when its backward orbit first leaves the box within n_steps.
+    Samples evolve batched but row-independently, so counts match any worker
+    partition.
     """
     if m.kind != MAP:
         raise ParamError("escape statistics is defined for map models")
     if m.f_inv is None:
         raise ParamError(f"{m.name} provides no inverse map")
     box = tuple((float(lo), float(hi)) for lo, hi in box)
-    rng = np.random.default_rng(seed)
-    if sample_override is not None:
-        pts = np.asarray(sample_override, dtype=float)
-        samples = len(pts)
-    else:
+    _check_box(m.spec, box)
+    pts = None if sample_override is None else np.asarray(sample_override, dtype=float)
+    samples = samples if pts is None else len(pts)
+    if not (n_steps >= 1 and samples >= 1):
+        raise ParamError(f"escape statistics needs n_steps >= 1 and samples >= 1, "
+                         f"got {n_steps} and {samples}")
+    if pts is None:
+        rng = np.random.default_rng(seed)
         lo = np.array([b[0] for b in box])
         hi = np.array([b[1] for b in box])
         excluded = None if exclusion is None else _per_state(lambda x: bool(exclusion(x)), ())
@@ -773,28 +789,25 @@ def _loop_tangents(spec, loop):
     return pts, (-up2 + 8 * up1 - 8 * um1 + um2) / 12.0
 
 
-def loop_cohomology_check(m, loop, t, cfg=None):
+def loop_cohomology_check(m, loop, t):
     """Transport a closed loop and compare circulations of the Liouville form.
 
     I_0 is the polygonal trapezoid circulation of the input loop; I_t is the
     circulation of the image loop, evaluated in the source parameterization
     (lambda(phi(x)) . Dphi(x) gamma'(x), periodic trapezoid) so the exponential
-    compression of the image does not starve the quadrature.
+    compression of the image does not starve the quadrature; the loop moves
+    by transport_tangents at its default step and blow-up threshold.
     PASS iff |I_t - exp(-alpha t) I_0| <= _LOOP_COHOMOLOGY_TOL * (1 + |I_0|).
     """
     if m.lam is None:
         raise StructureError(f"{m.name} carries no Liouville form")
-    cfg = cfg or IntegratorConfig()
     loop = np.asarray(loop, dtype=float)
     i0 = loop_integral(m.spec, m.lam, loop)
     if t == 0:
         i_t = i0
     else:
         pts, taus = _loop_tangents(m.spec, loop)
-        flowed, moved, alive = transport_tangents(
-            m, pts, taus, t, h=min(cfg.h, 1e-3),
-            blowup_threshold=cfg.blowup_threshold,
-        )
+        flowed, moved, alive = transport_tangents(m, pts, taus, t)
         if not np.all(alive):
             raise BlowUpError("a loop point blew up during transport")
         lam_vals = np.asarray(m.lam(flowed), dtype=float)
@@ -873,16 +886,6 @@ def recurrence_scan(m, x0, t_max, dt):
 
 
 @dataclass
-class ClassifyThresholds:
-    """Finite-time stand-ins for the asymptotic dichotomy; all configurable."""
-
-    dissipative_slope: float = -0.1
-    dissipative_h: float = 1e-3
-    conservative_r: float = 1e-4
-    return_dist: float = 1e-3
-
-
-@dataclass
 class OrbitClass:
     verdict: str                # "dissipative" | "conservative" | "undetermined"
     r_slope: float
@@ -907,8 +910,11 @@ def classify_orbit(m, x0, T):
 # raised the traced peak of cert_classification from 0.5 to 1.6 MB and ran
 # no faster than this one.
 _OBSERVER_BLOCK_BYTES = 64 * 1024
-# classify_ensemble's verdict codes 0, 1, 2
+# classify_ensemble's verdict codes 0, 1, 2, its RK4 step and blow-up
+# threshold, and its verdict thresholds
 _VERDICTS = ("undetermined", "dissipative", "conservative")
+_CLASSIFY_H, _CLASSIFY_BLOWUP = 1e-3, 1e8
+_DISSIPATIVE_SLOPE, _DISSIPATIVE_H, _CONSERVATIVE_R, _RETURN_DIST = -0.1, 1e-3, 1e-4, 1e-3
 
 
 def _segment_distances(spec, a, b):
@@ -929,12 +935,15 @@ def _segment_distances(spec, a, b):
     return np.sqrt(np.sum(np.multiply(seg, seg, out=prod), axis=-1)), s
 
 
-def classify_ensemble(m, starts, T, cfg=None, thresholds=None, h=1e-3):
+def classify_ensemble(m, starts, T):
     """Vectorized finite-time conservative/dissipative classification.
 
-    Orbits run on the fixed-step RK4 engine with the Lee integral r_t as an
-    extra channel; a row that dies (non-finite, or a line coordinate past
-    cfg.blowup_threshold) is undetermined.  Every statistic is a per-row
+    Orbits run on the fixed-step RK4 engine at step _CLASSIFY_H with the Lee
+    integral r_t as an extra channel; a row that dies (non-finite, or a line
+    coordinate past _CLASSIFY_BLOWUP) is undetermined.  A live row is
+    dissipative when its late r_t slope <= _DISSIPATIVE_SLOPE and late |H|
+    <= _DISSIPATIVE_H, else conservative when max |r_t| <= _CONSERVATIVE_R
+    and its return distance <= _RETURN_DIST.  Every statistic is a per-row
     maximum, minimum or step-ordered sum, so a row's result does not depend
     on its batch nor on how the observer blocks the steps.
     """
@@ -942,15 +951,13 @@ def classify_ensemble(m, starts, T, cfg=None, thresholds=None, h=1e-3):
         raise StructureError("classification needs both eta and H")
     if not T > 0:
         raise ParamError("classification needs a positive horizon T")
-    th = thresholds or ClassifyThresholds()
-    cfg = cfg or IntegratorConfig()
     starts = np.asarray(starts, dtype=float)
     n_orb, dim = starts.shape
-    n_steps = _n_steps(T, h)
+    n_steps = _n_steps(T, _CLASSIFY_H)
     # regression slope of r_t over the last half, accumulated step by step
     # (r_0 = 0 adds nothing); each row's sum is its own, whatever the batch
     half = n_steps // 2
-    ts = h * np.arange(n_steps + 1)[half:]
+    ts = _CLASSIFY_H * np.arange(n_steps + 1)[half:]
     ts_c = ts - ts.mean()
     r_moment = np.zeros(n_orb)
     h_abs_late = np.zeros(n_orb)
@@ -1001,7 +1008,7 @@ def classify_ensemble(m, starts, T, cfg=None, thresholds=None, h=1e-3):
             filled = 0
 
     _, alive, _ = flow_ensemble(
-        m, starts, T, h, cfg.blowup_threshold, racc=True, on_step=on_step
+        m, starts, T, _CLASSIFY_H, _CLASSIFY_BLOWUP, racc=True, on_step=on_step
     )
     if filled:  # the last block, or the steps before every row died
         fold(k0, buf[:filled])
@@ -1010,9 +1017,9 @@ def classify_ensemble(m, starts, T, cfg=None, thresholds=None, h=1e-3):
     slopes = r_moment / float(np.sum(ts_c * ts_c))
     # a dead row, and one that meets neither test, is undetermined (NaN
     # compares False); dissipative comes first
-    dissipative = alive & (slopes <= th.dissipative_slope) & (h_abs_late <= th.dissipative_h)
-    conservative = (alive & ~dissipative & (r_abs_max <= th.conservative_r)
-                    & (min_ret <= th.return_dist))
+    dissipative = alive & (slopes <= _DISSIPATIVE_SLOPE) & (h_abs_late <= _DISSIPATIVE_H)
+    conservative = (alive & ~dissipative & (r_abs_max <= _CONSERVATIVE_R)
+                    & (min_ret <= _RETURN_DIST))
     verdicts = (dissipative + 2 * conservative).tolist()
     return [
         OrbitClass(_VERDICTS[v], *stats) for v, *stats in zip(

@@ -1,11 +1,12 @@
 import json
+import math
 
 import numpy as np
 import pytest
 
 from csdyn.cli import EXIT_ERROR, EXIT_OK, emit_basin_grid, main, run_config
 from csdyn.config import parse_config_text
-from csdyn.errors import ConfigError, CsdynError
+from csdyn.errors import ConfigError, CsdynError, ParamError
 from csdyn.models import NONEXACT_RATIO, instantiate_model
 
 
@@ -142,6 +143,39 @@ _BAD_CONFIGS = {
     "basin-run.seed": (
         "run.operation = basin\n" + _DAMPED + "run.seed = 1\nrun.jobs = 2\n",
         "config error (line 3): key 'run.seed' is not read by 'basin'"),
+    # integrator keys a diagnose check does not read; before, both ran as without them
+    "diagnose-conformality-integrator.h": (
+        "run.operation = diagnose\nmodel.name = nonexact-linear\n"
+        "diagnose.check = conformality\nintegrator.h = 0.5\n",
+        "config error: diagnose.check = conformality reads no integrator.* key, "
+        "got integrator.h"),
+    "diagnose-loop-integrator.rel_tol": (
+        "run.operation = diagnose\nmodel.name = circle-linear\ndiagnose.check = loop\n"
+        "integrator.method = splitting\nintegrator.rel_tol = 1e-3\nintegrator.h = 0.01\n",
+        "config error: diagnose.check = loop reads no integrator.* key, "
+        "got integrator.method, integrator.rel_tol"),
+    # before, each of these exited 0 with a verdict
+    "attractor.box-short": (
+        "run.operation = attractor\n" + _DAMPED + "attractor.grid = 4\n"
+        "attractor.box = (0.0, 1.0)\n",
+        "error: a box takes 2 (lo, hi) pairs, got 1"),
+    "escape.box-short": (
+        "run.operation = escape\nmodel.name = shear-contraction\nescape.box = (0.0, 1.0)\n"
+        "escape.samples = 10\n",
+        "error: a box takes 2 (lo, hi) pairs, got 1"),
+    "attractor.eps": (
+        "run.operation = attractor\n" + _DAMPED + "attractor.eps = 0\n",
+        "error: an attractor takes grid >= 1 and eps in (0, 1], got 33 and 0.0"),
+    "classify.n-zero": (
+        "run.operation = classify\nmodel.name = t2-pair-theta2\nclassify.n = 0\n",
+        "error: classify.n must be at least 1, got 0"),
+    "escape.samples-zero": (
+        "run.operation = escape\nmodel.name = shear-contraction\n"
+        "escape.box = (0.0, 1.0, -1.0, 1.0)\nescape.samples = 0\n",
+        "error: escape statistics needs n_steps >= 1 and samples >= 1, got 100 and 0"),
+    "basin.p_range": (
+        "run.operation = basin\n" + _DAMPED + "basin.grid = 3\nbasin.p_range = -3.0\n",
+        "error: a basin grid takes grid >= 1 and a finite p_range > 0, got 3 and -3.0"),
 }
 
 
@@ -151,6 +185,35 @@ def test_a_bad_value_exits_one_with_a_one_line_error(tmp_path, capsys, name):
     cfg = write(tmp_path, "bad.cfg", text)
     assert main(["--config", cfg, "--out", str(tmp_path), "--no-timestamp"]) == EXIT_ERROR
     assert capsys.readouterr().err == line + "\n"
+
+
+_TRANSPORT_INTEGRATORS = ("", "integrator.rel_tol = 1e-3\n",
+                          "integrator.method = rk4\nintegrator.h = 0.1\n")
+
+
+def test_diagnose_transport_reads_the_integrator_keys(tmp_path):
+    """The keys that check = loop and conformality refuse change a transport run."""
+    residuals = []
+    for i, keys in enumerate(_TRANSPORT_INTEGRATORS):
+        cfg = write(tmp_path, f"diag{i}.cfg",
+                    "run.operation = diagnose\nmodel.name = circle-linear\n"
+                    "diagnose.check = transport\n" + keys)
+        out = tmp_path / str(i)
+        assert run_config(cfg, out=str(out), timestamp=False) != EXIT_ERROR  # rel_tol 1e-3 FAILs
+        payload = json.loads((out / "diagnose_circle-linear_transport.json").read_text())
+        residuals.append(payload["checks"][0]["residual"])
+    assert len(set(residuals)) == len(residuals)
+
+
+def test_diagnose_loop_takes_integrator_keys_at_their_defaults(tmp_path):
+    text = "run.operation = diagnose\nmodel.name = circle-linear\ndiagnose.check = loop\n"
+    reports = []
+    for i, keys in enumerate(("", "integrator.h = 0.01\nintegrator.method = reference\n")):
+        out = tmp_path / str(i)
+        assert run_config(write(tmp_path, f"loop{i}.cfg", text + keys), out=str(out),
+                          timestamp=False) == EXIT_OK
+        reports.append((out / "diagnose_circle-linear_loop.json").read_text())
+    assert reports[0] == reports[1]
 
 
 def test_diagnose_transport_backward_in_time(tmp_path):
@@ -372,6 +435,14 @@ def test_basin_grid_rejects_empty_grid():
     m = instantiate_model("damped-mechanical", alpha=0.5, d=1, v_cos=1.0)
     with pytest.raises(CsdynError):
         emit_basin_grid(m, 0, 3.0, [np.zeros(2)])
+
+
+@pytest.mark.parametrize("p_range", [0.0, -3.0, math.nan, math.inf])
+def test_basin_grid_rejects_a_degenerate_momentum_axis(p_range):
+    """Before, p_range <= 0 labelled a collapsed or reversed p axis."""
+    m = instantiate_model("damped-mechanical", alpha=0.5, d=1, v_cos=1.0)
+    with pytest.raises(ParamError):
+        emit_basin_grid(m, 3, p_range, [np.zeros(2)])
 
 
 def test_basin_operation_writes_grid(tmp_path):

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from csdyn import diagnostics
 from csdyn.diagnostics import (
     _DRAWS_PER_SAMPLE,
     CheckResult,
@@ -28,6 +29,7 @@ from csdyn.certificates import RETURN_THRESHOLD
 from csdyn.errors import (
     BlowUpError,
     ConvergenceError,
+    DimensionMismatchError,
     KindError,
     NonHyperbolicError,
     ParamError,
@@ -371,11 +373,12 @@ def test_periodic_orbit_parabolic_circle_theta1():
 
 
 @pytest.mark.parametrize("max_iter", [1, 2])
-def test_periodic_orbit_newton_names_its_iteration_budget(max_iter):
+def test_periodic_orbit_newton_names_its_iteration_budget(monkeypatch, max_iter):
     m = instantiate_model("t2-pair-theta2")
     sec = SectionSpec(axis=0, offset=0.0, direction=1)
+    monkeypatch.setattr(diagnostics, "_NEWTON_MAX_ITER", max_iter)
     with pytest.raises(ConvergenceError, match=f"did not converge in {max_iter} iterations"):
-        find_periodic_orbit(m, sec, np.array([0.0, 0.05]), max_iter=max_iter)
+        find_periodic_orbit(m, sec, np.array([0.0, 0.05]))
 
 
 # ---------------------------------------------------------------------------
@@ -428,6 +431,37 @@ def test_attractor_estimate_counts_the_steps_the_engine_takes():
     est = attractor_estimate(m, box=((0.0, 1.0), (-4.0, -2.0)), t_relax=5.0, grid=5)
     assert est.escaped == 25 and len(est.cloud) == 0
     assert est.iterations == 500
+
+
+# boxes without one (lo, hi) per coordinate of a 2-dim model: before, the
+# short box gave the attractor 2 garbage seeds at grid 4 and was broadcast
+# over both axes by escape_statistics, and the long one raised IndexError
+@pytest.mark.parametrize("box", [((0.0, 1.0),), ((0.0, 1.0), (-1.0, 1.0), (0.0, 1.0))])
+def test_a_box_takes_one_interval_per_coordinate(box):
+    m = instantiate_model("damped-mechanical", alpha=0.5, d=1, v_cos=1.0)
+    with pytest.raises(DimensionMismatchError, match=f"2 [(]lo, hi[)] pairs.*got {len(box)}"):
+        attractor_estimate(m, box=box, t_relax=1.0, grid=4)
+    with pytest.raises(DimensionMismatchError):
+        escape_statistics(instantiate_model("shear-contraction", a=0.5), box, 5, 10, seed=0)
+
+
+# before: grid 0 gave not-trapping from zero seeds, eps 0 a bare
+# ZeroDivisionError, eps 2 a modulo by zero and a trapped verdict, and a
+# negative eps passed
+@pytest.mark.parametrize("sizes", [{"grid": 0}, {"grid": -2}, {"eps": 0.0}, {"eps": -1e-3},
+                                   {"eps": 2.0}, {"eps": math.nan}])
+def test_attractor_estimate_rejects_out_of_range_sizes(sizes):
+    m = instantiate_model("damped-mechanical", alpha=0.5, d=1, v_cos=1.0)
+    with pytest.raises(ParamError):
+        attractor_estimate(m, R=1.0, t_relax=0.1, **{"grid": 5, **sizes})
+
+
+def test_attractor_estimate_takes_a_cell_of_one_turn():
+    m = instantiate_model("damped-mechanical", alpha=0.5, d=1, v_cos=1.0)
+    est = attractor_estimate(m, box=((0.0, 1.0), (-0.5, 0.5)), t_relax=0.1, grid=5, eps=1.0)
+    # the angle axis is one cell, so each point has a p-cell of its own
+    assert est.status == "trapped"
+    assert len(est.cloud) == len(np.unique(np.round(est.cloud[:, 1])))
 
 
 def test_attractor_estimate_not_trapping_control():
@@ -611,6 +645,17 @@ def test_map_lyapunov_takes_the_orbit_jacobians_in_one_call():
     res = lyapunov_spectrum(dataclasses.replace(m, Df=Df), x0, T=50)
     assert calls == [(50, m.dim)]
     assert res.history.tobytes() == lyapunov_spectrum(m, x0, T=50).history.tobytes()
+
+
+@pytest.mark.parametrize("n_steps,samples,override", [
+    (5, 0, None), (5, -1, None), (0, 10, None), (-1, 10, None), (5, 10, np.empty((0, 2)))])
+def test_escape_rejects_out_of_range_sizes(n_steps, samples, override):
+    """Before, none of these raised: no sample, or no step, escaped, and the
+    CLI reported residual 1.0 against tolerance 1.0, a PASS."""
+    m = instantiate_model("shear-contraction", a=0.5)
+    with pytest.raises(ParamError):
+        escape_statistics(m, ((0.0, 1.0), (-1.0, 1.0)), n_steps, samples, seed=0,
+                          sample_override=override)
 
 
 def test_escape_requires_map_model():

@@ -82,8 +82,9 @@ def test_fixed_step_runs_reject_a_bad_horizon_or_step(t, h):
         flow_ensemble(m, x, t, h=h, on_step=lambda k, y: None)
     with pytest.raises(ParamError):
         transport_tangents(m, x, np.ones_like(x), t, h=h)
-    with pytest.raises(ParamError):
-        classify_ensemble(instantiate_model("t2-pair-theta2"), x, t, h=h)
+    if t != 1.0:  # a bad horizon; classify_ensemble steps at its own h
+        with pytest.raises(ParamError):
+            classify_ensemble(instantiate_model("t2-pair-theta2"), x, t)
 
 
 def test_lee_channel_without_a_lee_form_is_a_structure_error():
@@ -173,15 +174,15 @@ def test_flow_ensemble_marks_non_finite_rows_dead():
     assert alive.tolist() == [True, False, False, True]
 
 
-def test_classify_takes_blowup_threshold_from_cfg():
+def test_classify_freezes_a_row_at_the_blowup_threshold(monkeypatch):
     m = riccati_pair()
     starts = np.array([[0.1, 1.0], [0.3, 0.0]])
-    cfg = IntegratorConfig(blowup_threshold=10.0)
-    dead, calm = classify_ensemble(m, starts, 2.0, cfg)
+    monkeypatch.setattr(diagnostics, "_CLASSIFY_BLOWUP", 10.0)
+    dead, calm = classify_ensemble(m, starts, 2.0)
     assert dead.verdict == "undetermined"
     # frozen where it crossed the threshold instead of running on to inf/nan
     assert 10.0 < dead.omega_H_max < 20.0
-    assert calm == classify_ensemble(m, starts[1:], 2.0, cfg)[0]
+    assert calm == classify_ensemble(m, starts[1:], 2.0)[0]
 
 
 def test_backward_splitting_raises_kind_error():
@@ -503,7 +504,7 @@ def test_classify_rows_are_bit_identical_for_any_observer_block(case, seed, n, s
     assert results[2] == results[0]
 
 
-def test_classify_verdicts_follow_the_thresholds():
+def test_classify_verdicts_follow_the_thresholds(monkeypatch):
     """Each verdict is the per-row rule on the row's statistics: dissipative
     first, then conservative, else undetermined.  The thresholds sit at the
     statistics' medians, so every branch is taken."""
@@ -512,13 +513,14 @@ def test_classify_verdicts_follow_the_thresholds():
     stats = classify_ensemble(m, starts, 0.3)
     med = {f: float(np.median([getattr(c, f) for c in stats]))
            for f in ("r_slope", "omega_H_max", "min_return_dist", "r_abs_max")}
-    th = diagnostics.ClassifyThresholds(med["r_slope"], med["omega_H_max"],
-                                        med["r_abs_max"], med["min_return_dist"])
-    out = classify_ensemble(m, starts, 0.3, thresholds=th)
+    for name, f in (("_DISSIPATIVE_SLOPE", "r_slope"), ("_DISSIPATIVE_H", "omega_H_max"),
+                    ("_CONSERVATIVE_R", "r_abs_max"), ("_RETURN_DIST", "min_return_dist")):
+        monkeypatch.setattr(diagnostics, name, med[f])
+    out = classify_ensemble(m, starts, 0.3)
     expected = [
-        "dissipative" if c.r_slope <= th.dissipative_slope and c.omega_H_max <= th.dissipative_h
-        else "conservative" if (c.r_abs_max <= th.conservative_r
-                                and c.min_return_dist <= th.return_dist)
+        "dissipative" if c.r_slope <= med["r_slope"] and c.omega_H_max <= med["omega_H_max"]
+        else "conservative" if (c.r_abs_max <= med["r_abs_max"]
+                                and c.min_return_dist <= med["min_return_dist"])
         else "undetermined"
         for c in stats
     ]

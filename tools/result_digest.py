@@ -407,11 +407,14 @@ def pinned_digests(seed):
 
 def cli_configs(seed):
     """Config text per run: each operation once (simulate also with rk4),
-    verify at scope geometry, every integrator field read at least once."""
+    verify at scope geometry, every integrator field read at least once, and
+    last the loop and conformality checks of diagnose, which read no
+    integrator field."""
     rng = np.random.default_rng([seed, 31])
     q, p = rng.uniform(0.0, 1.0), rng.standard_normal()
     theta, r = rng.uniform(0.0, 1.0), rng.uniform(0.5, 1.5)
     guess = 0.01 + rng.uniform(-0.005, 0.005)
+    t_loop = rng.uniform(0.5, 1.5)
     damped = "model.name = damped-mechanical\nmodel.alpha = 0.5\nmodel.v_cos = 1.0\n"
     return {
         "simulate": (
@@ -456,6 +459,14 @@ def cli_configs(seed):
         ),
         "verify": "run.operation = verify\nverify.scope = geometry\n",
         "list-models": "run.operation = list-models\n",
+        "diagnose-loop": (
+            "run.operation = diagnose\nmodel.name = circle-linear\nmodel.alpha = 1.0\n"
+            f"diagnose.check = loop\ndiagnose.t = {t_loop!r}\n"
+        ),
+        "diagnose-conformality": (
+            "run.operation = diagnose\nmodel.name = nonexact-linear\n"
+            "diagnose.check = conformality\n"
+        ),
     }
 
 
