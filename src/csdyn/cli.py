@@ -40,6 +40,7 @@ from .models import instantiate_model, registered_models, sample_states
 from .output import (
     write_cloud_csv,
     write_grid_csv,
+    write_json,
     write_report_json,
     write_trajectory_csv,
     write_trajectory_json,
@@ -50,7 +51,7 @@ EXIT_ERROR = 1
 EXIT_FAIL = 2
 
 
-# name -> operation, in declaration order; each @_operation adds one
+# name -> {check: operation} in declaration order, check None for one without checks
 OPERATIONS = {}
 
 _INTEGRATOR_DEFAULTS = {f.name: f.default for f in dataclasses.fields(IntegratorConfig)}
@@ -63,13 +64,15 @@ def _operation(name, model=True, run=(), integrator=(), **defaults):
     `run.<key>` keys of run (besides run.out and run.timestamp, which every
     operation reads), and the `integrator.<field>` keys of the
     IntegratorConfig fields it passes on (as `cfg.integrator`), each of the
-    type of its default (see `config`)."""
+    type of its default (see `config`).  A default `check` declares one value
+    of the key `name.check`, which picks among its operation's declarations
+    (the first is the default) and is not passed on."""
     def register(op):
         op.model = model
         op.keys = {f"{name}.{key}": value for key, value in defaults.items()}
         op.keys.update((f"run.{key}", RUN_KEYS[f"run.{key}"]) for key in run)
         op.keys.update((f"integrator.{f}", _INTEGRATOR_DEFAULTS[f]) for f in integrator)
-        OPERATIONS[name] = op
+        OPERATIONS.setdefault(name, {})[defaults.get("check")] = op
         return op
 
     return register
@@ -127,43 +130,46 @@ def _op_simulate(cfg, t, x0, samples, variational):
     return EXIT_OK
 
 
-@_operation("diagnose", run=("seed",), integrator=_ALL_FIELDS,
-            check="conformality", t=1.0, x0=None)
-def _op_diagnose(cfg, check, t, x0):
-    m = _model(cfg)
-    ignored = [f"integrator.{f}" for f, v in cfg.integrator.items()
-               if check != "transport" and v != _INTEGRATOR_DEFAULTS[f]]
-    if ignored:  # the integrator.* keys are declared for check = transport
-        raise ConfigError(f"diagnose.check = {check} reads no integrator.* key, "
-                          f"got {', '.join(ignored)}", key=ignored[0])
-    rng = np.random.default_rng(cfg.seed)
-    if check == "conformality":
-        if m.kind != "map":
-            raise ConfigError("conformality check expects a map model")
-        ratios, residuals = map_conformality_ratios(m, sample_states(m, 100, rng))
-        spread = float(np.max(ratios) - np.min(ratios))
-        result = CheckResult(
-            check="conformality",
-            model=m.name,
-            params=m.params,
-            residual=max(float(np.max(residuals)), spread),
-            tolerance=1e-12,
-            provenance_tag="conformality/map-ratio",
-            details={"ratio": float(np.mean(ratios)), "spread": spread},
-        )
-    elif check == "transport":
-        icfg = IntegratorConfig(**cfg.integrator)
-        traj = integrate_variational(m, _state(x0, m, 0.1), (0.0, t), icfg, samples=21)
-        result = conformal_transport_check(m, traj)
-    elif check == "loop":
-        th = np.linspace(0.0, 1.0, 2049)
-        loop = np.stack([np.mod(th, 1.0), np.ones_like(th)], axis=1)
-        result = loop_cohomology_check(m, loop, t)
-    else:
-        raise ConfigError(f"unknown diagnose.check {check!r}", key="diagnose.check")
-    return _report(cfg, f"diagnose_{m.name}_{check}", result,
+def _report_diagnosis(cfg, check, result):
+    return _report(cfg, f"diagnose_{result.model}_{check}", result,
                    f"{result.check} {result.model}: residual={result.residual:.3e} "
                    f"tolerance={result.tolerance:.3e} {result.verdict}")
+
+
+@_operation("diagnose", run=("seed",), check="conformality")
+def _op_diagnose_conformality(cfg):
+    m = _model(cfg)
+    if m.kind != "map":
+        raise ConfigError("conformality check expects a map model")
+    rng = np.random.default_rng(cfg.seed)
+    ratios, residuals = map_conformality_ratios(m, sample_states(m, 100, rng))
+    spread = float(np.max(ratios) - np.min(ratios))
+    return _report_diagnosis(cfg, "conformality", CheckResult(
+        check="conformality",
+        model=m.name,
+        params=m.params,
+        residual=max(float(np.max(residuals)), spread),
+        tolerance=1e-12,
+        provenance_tag="conformality/map-ratio",
+        details={"ratio": float(np.mean(ratios)), "spread": spread},
+    ))
+
+
+@_operation("diagnose", run=("seed",), integrator=_ALL_FIELDS, check="transport",
+            t=1.0, x0=None)
+def _op_diagnose_transport(cfg, t, x0):
+    m = _model(cfg)
+    icfg = IntegratorConfig(**cfg.integrator)
+    traj = integrate_variational(m, _state(x0, m, 0.1), (0.0, t), icfg, samples=21)
+    return _report_diagnosis(cfg, "transport", conformal_transport_check(m, traj))
+
+
+@_operation("diagnose", run=("seed",), check="loop", t=1.0)
+def _op_diagnose_loop(cfg, t):
+    m = _model(cfg)
+    th = np.linspace(0.0, 1.0, 2049)
+    loop = np.stack([np.mod(th, 1.0), np.ones_like(th)], axis=1)
+    return _report_diagnosis(cfg, "loop", loop_cohomology_check(m, loop, t))
 
 
 @_operation("attractor", run=("seed",), integrator=("h", "blowup_threshold"),
@@ -258,7 +264,8 @@ def _op_classify(cfg, n, T):
     counts = {"dissipative": 0, "conservative": 0, "undetermined": 0}
     for r in results:
         counts[r.verdict] += 1
-    payload = {
+    write_json(_out_path(cfg, f"classify_{m.name}.json"), {
+        "seed": cfg.seed, "model": m.name, "params": m.params,
         "counts": counts,
         "orbits": [
             {
@@ -269,17 +276,9 @@ def _op_classify(cfg, n, T):
             }
             for i, r in enumerate(results)
         ],
-    }
-    result = CheckResult(
-        check="classification",
-        model=m.name,
-        params=m.params,
-        residual=float(counts["undetermined"]) / n,
-        tolerance=1.0,
-        provenance_tag="classification/finite-time-dichotomy",
-        details=payload,
-    )
-    return _report(cfg, f"classify_{m.name}", result, f"classify {m.name}: {counts}")
+    }, timestamp=cfg.timestamp)
+    print(f"classify {m.name}: {counts}")
+    return EXIT_OK
 
 
 @_operation("escape", run=("seed",), box=None, n_steps=100, samples=1000)
@@ -288,17 +287,12 @@ def _op_escape(cfg, box, n_steps, samples):
     if box is None:
         raise ConfigError("escape needs escape.box", key="escape.box")
     stats = escape_statistics(m, _box(box, "escape.box"), n_steps, samples, seed=cfg.seed)
-    result = CheckResult(
-        check="escape-statistics",
-        model=m.name,
-        params=m.params,
-        residual=1.0 - stats.escaped_fraction,
-        tolerance=1.0,
-        provenance_tag="escape/null-basin",
-        details={"escaped": stats.escaped, "total": stats.total},
-    )
-    return _report(cfg, f"escape_{m.name}", result,
-                   f"escape {m.name}: {stats.escaped}/{stats.total} within {n_steps} steps")
+    write_json(_out_path(cfg, f"escape_{m.name}.json"), {
+        "seed": cfg.seed, "model": m.name, "params": m.params,
+        "escaped": stats.escaped, "total": stats.total, "n_steps": n_steps,
+    }, timestamp=cfg.timestamp)
+    print(f"escape {m.name}: {stats.escaped}/{stats.total} within {n_steps} steps")
+    return EXIT_OK
 
 
 @_operation("basin", grid=100, p_range=3.0, t_max=60.0)
@@ -356,7 +350,8 @@ def run_config(path, seed=None, out=None, timestamp=None, jobs=None):
                 f"run.jobs must be at least 1, got {cfg.jobs}", key="run.jobs"
             )
         os.makedirs(cfg.out_dir, exist_ok=True)
-        return OPERATIONS[cfg.operation](cfg, **cfg.options)
+        checks = OPERATIONS[cfg.operation]  # {None: op} for an operation without checks
+        return checks[cfg.options.pop("check", None)](cfg, **cfg.options)
     except ConfigError as exc:
         loc = f" (line {exc.line})" if exc.line else ""
         print(f"config error{loc}: {exc}", file=sys.stderr)

@@ -8,10 +8,11 @@ and parenthesized tuples of numbers like (0.25, 1.0).
 
 Each operation declares in `cli` the keys it reads and their defaults,
 whether it reads model.* and which of run.seed and run.jobs it reads (all
-read run.out and run.timestamp); a value must be of its default's type,
-where a float key also takes an integer, a key whose default is None takes
-a tuple of numbers and a string key takes any scalar as its text.  The
-model registry checks model.*.
+read run.out and run.timestamp), diagnose one set per diagnose.check value,
+which picks it; a key outside the set is refused at any value.  A value
+must be of its default's type, where a float key also takes an integer, a
+key whose default is None takes a tuple of numbers and a string key takes
+any scalar as its text.  The model registry checks model.*.
 """
 
 from __future__ import annotations
@@ -91,12 +92,11 @@ def _typed(key, value, default, line_no):
 def parse_config_text(text):
     """Parse config text into {key: value} for every key the operation reads:
     run.operation, run.out, run.timestamp, the model.* keys given, and the
-    operation's declared keys, each typed, or its default when the text does
-    not set it.  Rejects a key that no operation reads, and one that this
-    operation does not read."""
+    declared keys of the operation (of its check, when it has checks), each
+    typed, or its default when the text does not set it.  Rejects, with its
+    line, every other key."""
     from .cli import OPERATIONS  # declared beside their code; cli imports this module
 
-    known = {"run.operation", *RUN_KEYS}.union(*(op.keys for op in OPERATIONS.values()))
     table, lines = {}, {}
     for line_no, line in enumerate(text.splitlines(), start=1):
         stripped = line.strip()
@@ -106,8 +106,6 @@ def parse_config_text(text):
             raise ConfigError(f"expected 'key = value', got {stripped!r}", line=line_no)
         key, _, raw = stripped.partition("=")
         key = key.strip()
-        if not (key in known or key.startswith("model.")):
-            raise ConfigError(f"unknown key {key!r}", line=line_no, key=key)
         if key in table:
             raise ConfigError(f"duplicate key {key!r}", line=line_no, key=key)
         table[key] = _parse_value(raw, line_no)
@@ -120,13 +118,19 @@ def parse_config_text(text):
             f"unknown operation {op!r}; expected one of {', '.join(OPERATIONS)}",
             line=lines["run.operation"], key="run.operation",
         )
-    spec = OPERATIONS[op]
+    decls, selector = OPERATIONS[op], f"{op}.check"
+    check = table.get(selector, next(iter(decls)))  # None for an operation without checks
+    if check not in decls:
+        raise ConfigError(f"unknown {selector} {check!r}; expected one of {', '.join(decls)}",
+                          line=lines[selector], key=selector)
+    spec = decls[check]
     reads = {key: RUN_KEYS[key] for key in ("run.out", "run.timestamp")} | spec.keys
     for key, line_no in lines.items():
         if key in reads:
             table[key] = _typed(key, table[key], reads[key], line_no)
         elif key != "run.operation" and not (spec.model and key.startswith("model.")):
-            raise ConfigError(f"key {key!r} is not read by {op!r}", line=line_no, key=key)
+            by = repr(op) if check is None else f"{selector} = {check}"
+            raise ConfigError(f"key {key!r} is not read by {by}", line=line_no, key=key)
     return {**reads, **table}
 
 

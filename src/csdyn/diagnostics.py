@@ -463,6 +463,9 @@ def sample_sublevel_grid(m, R, grid):
 def _check_box(spec, box):
     if len(box) != spec.dim:
         raise DimensionMismatchError(f"a box takes {spec.dim} (lo, hi) pairs, got {len(box)}")
+    for axis, (lo, hi) in enumerate(box):
+        if not lo < hi:  # also refuses NaN bounds
+            raise ParamError(f"box axis {axis} needs lo < hi, got ({lo}, {hi})")
 
 
 def sample_box_grid(spec, box, grid):
@@ -479,8 +482,8 @@ def attractor_estimate(m, R=None, t_relax=60.0, grid=33, box=None, eps=1e-3, h=0
     The grid has grid >= 1 points per axis; the cloud keeps one point per
     cell of side eps in (0, 1] and is pushed for _INVARIANCE_T.  Both runs
     step RK4 at h with the blow-up threshold blowup_threshold.  With `box`
-    given, one (lo, hi) per coordinate, that compact box is used instead of
-    {H <= R+1}; any sample blowing up flags the estimate as not trapping
+    given, one (lo, hi), lo < hi, per axis, that compact box is used instead
+    of {H <= R+1}; any sample blowing up flags the estimate as not trapping
     rather than raising.
     """
     if not (grid >= 1 and 0.0 < eps <= 1.0):
@@ -709,7 +712,7 @@ def escape_statistics(m, box, n_steps, samples, seed, exclusion=None,
                       sample_override=None):
     """Backward-orbit escape counts for a map model over a compact box.
 
-    The box has one (lo, hi) per coordinate; n_steps and samples are at
+    The box has one (lo, hi), lo < hi, per axis; n_steps and samples are at
     least 1.  Samples are drawn uniformly in the box with the given seed, in
     blocks of the count still needed; with `exclusion`, a predicate on one
     state, the samples are the first draws it does not exclude, in draw

@@ -60,7 +60,6 @@ def write_trajectory_csv(path, traj, timestamp=True):
 
 def write_trajectory_json(path, traj, timestamp=True):
     payload = {
-        "schema": REPORT_SCHEMA,
         "status": traj.status,
         "t_escape": traj.t_escape,
         "times": [float(t) for t in traj.times],
@@ -70,9 +69,7 @@ def write_trajectory_json(path, traj, timestamp=True):
         payload["frames"] = traj.frames.tolist()
     if traj.r_accum is not None:
         payload["r_accum"] = traj.r_accum.tolist()
-    if timestamp:
-        payload["written"] = datetime.now(timezone.utc).isoformat()
-    atomic_write_text(path, json.dumps(payload, indent=1, sort_keys=True) + "\n")
+    write_json(path, payload, timestamp=timestamp)
 
 
 def write_cloud_csv(path, cloud, timestamp=True):
@@ -99,15 +96,18 @@ def write_grid_csv(path, labels, axis_names, axis_values, timestamp=True):
 
 
 def write_report_json(path, results, seed=None, timestamp=True, extra=None):
-    payload = {
-        "schema": REPORT_SCHEMA,
+    return write_json(path, {
         "seed": seed,
         "n_checks": len(results),
         "n_passed": sum(1 for r in results if r.passed),
         "checks": [r.to_json() for r in results],
-    }
-    if extra:
-        payload.update(extra)
+        **(extra or {}),
+    }, timestamp=timestamp)
+
+
+def write_json(path, payload, timestamp=True):
+    """Write payload, with "schema" and (if timestamp) "written", as sorted JSON."""
+    payload = {"schema": REPORT_SCHEMA, **payload}
     if timestamp:
         payload["written"] = datetime.now(timezone.utc).isoformat()
     atomic_write_text(path, json.dumps(payload, indent=1, sort_keys=True) + "\n")

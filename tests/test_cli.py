@@ -1,10 +1,11 @@
+import inspect
 import json
 import math
 
 import numpy as np
 import pytest
 
-from csdyn.cli import EXIT_ERROR, EXIT_OK, emit_basin_grid, main, run_config
+from csdyn.cli import EXIT_ERROR, EXIT_OK, OPERATIONS, emit_basin_grid, main, run_config
 from csdyn.config import parse_config_text
 from csdyn.errors import ConfigError, CsdynError, ParamError
 from csdyn.models import NONEXACT_RATIO, instantiate_model
@@ -59,10 +60,12 @@ def test_a_key_the_operation_does_not_read_is_a_config_error(tmp_path, capsys, t
 
 _INTEGRATOR_VALUES = {"method": "reference", "rel_tol": 1e-9, "abs_tol": 1e-11, "h": 0.01,
                       "blowup_threshold": 1e6, "max_steps": 1000}
-# the IntegratorConfig fields each operation's code passes on
+# the IntegratorConfig fields each operation's code (or diagnose check's) passes on
 _INTEGRATOR_READS = {
     "simulate": tuple(_INTEGRATOR_VALUES),
-    "diagnose": tuple(_INTEGRATOR_VALUES),
+    "diagnose.conformality": (),
+    "diagnose.transport": tuple(_INTEGRATOR_VALUES),
+    "diagnose.loop": (),
     "attractor": ("h", "blowup_threshold"),
     "periodic": ("rel_tol", "abs_tol", "blowup_threshold", "max_steps"),
     "classify": (), "escape": (), "basin": (), "verify": (), "list-models": (),
@@ -71,14 +74,30 @@ _INTEGRATOR_READS = {
 
 @pytest.mark.parametrize("op", sorted(_INTEGRATOR_READS))
 def test_integrator_keys_are_read_only_by_integrating_operations(op):
+    """Every value, the default included, of a field not read is refused."""
+    name, _, check = op.partition(".")
+    head = f"run.operation = {name}\n" + (f"{name}.check = {check}\n" if check else "")
+    line = head.count("\n") + 1
     for field, value in _INTEGRATOR_VALUES.items():
-        text = f"run.operation = {op}\nintegrator.{field} = {value}\n"
+        text = head + f"integrator.{field} = {value}\n"
         if field in _INTEGRATOR_READS[op]:
             assert parse_config_text(text)[f"integrator.{field}"] == value
         else:
             with pytest.raises(ConfigError) as err:
                 parse_config_text(text)
-            assert (err.value.key, err.value.line) == (f"integrator.{field}", 2)
+            assert (err.value.key, err.value.line) == (f"integrator.{field}", line)
+
+
+@pytest.mark.parametrize("name,check", [(name, check) for name, decls in OPERATIONS.items()
+                                        for check in decls])
+def test_declared_own_keys_are_the_keyword_parameters_of_the_operation(name, check):
+    """A declared key its function does not take (so never reads) fails here."""
+    op = OPERATIONS[name][check]
+    own = {key[len(name) + 1:] for key in op.keys if key.startswith(f"{name}.")}
+    params = list(inspect.signature(op).parameters)
+    assert params[0] == "cfg"
+    assert set(params[1:]) == own - ({"check"} if check else set())
+    assert op.keys.get(f"{name}.check") == check
 
 
 # the model.* keys and the run.* keys besides run.out and run.timestamp
@@ -143,17 +162,11 @@ _BAD_CONFIGS = {
     "basin-run.seed": (
         "run.operation = basin\n" + _DAMPED + "run.seed = 1\nrun.jobs = 2\n",
         "config error (line 3): key 'run.seed' is not read by 'basin'"),
-    # integrator keys a diagnose check does not read; before, both ran as without them
-    "diagnose-conformality-integrator.h": (
-        "run.operation = diagnose\nmodel.name = nonexact-linear\n"
-        "diagnose.check = conformality\nintegrator.h = 0.5\n",
-        "config error: diagnose.check = conformality reads no integrator.* key, "
-        "got integrator.h"),
-    "diagnose-loop-integrator.rel_tol": (
-        "run.operation = diagnose\nmodel.name = circle-linear\ndiagnose.check = loop\n"
-        "integrator.method = splitting\nintegrator.rel_tol = 1e-3\nintegrator.h = 0.01\n",
-        "config error: diagnose.check = loop reads no integrator.* key, "
-        "got integrator.method, integrator.rel_tol"),
+    # before, escape counted 10 of 10 points of the invariant circle as escaped
+    "escape.box-reversed": (
+        "run.operation = escape\nmodel.name = radial-contraction\n"
+        "escape.box = (0.0, 1.0, 1.0, -1.0)\nescape.samples = 10\n",
+        "error: box axis 1 needs lo < hi, got (1.0, -1.0)"),
     # before, each of these exited 0 with a verdict
     "attractor.box-short": (
         "run.operation = attractor\n" + _DAMPED + "attractor.grid = 4\n"
@@ -187,6 +200,43 @@ def test_a_bad_value_exits_one_with_a_one_line_error(tmp_path, capsys, name):
     assert capsys.readouterr().err == line + "\n"
 
 
+# a key the picked diagnose check does not read, at any value (the integrator
+# ones here at their defaults); before, each ran as without it
+@pytest.mark.parametrize("check,setting", [
+    (None, "diagnose.t = 2.0"),
+    ("conformality", "diagnose.t = 2.0"),
+    ("conformality", "diagnose.x0 = (0.3, 0.8)"),
+    ("conformality", "integrator.h = 0.01"),
+    ("loop", "diagnose.x0 = (0.3, 0.8)"),
+    ("loop", "integrator.method = reference"),
+])
+def test_a_key_its_diagnose_check_does_not_read_is_a_config_error(tmp_path, capsys, check,
+                                                                   setting):
+    text = ("run.operation = diagnose\nmodel.name = nonexact-linear\n"
+            + (f"diagnose.check = {check}\n" if check else "") + setting + "\n")
+    key, line = setting.partition(" =")[0], text.count("\n")
+    with pytest.raises(ConfigError) as err:
+        parse_config_text(text)
+    assert (err.value.key, err.value.line) == (key, line)
+    cfg = write(tmp_path, "diag.cfg", text)
+    assert main(["--config", cfg, "--out", str(tmp_path), "--no-timestamp"]) == EXIT_ERROR
+    assert capsys.readouterr().err == (f"config error (line {line}): key {key!r} is not read "
+                                       f"by diagnose.check = {check or 'conformality'}\n")
+    assert not list(tmp_path.glob("*.json"))
+
+
+def test_an_unknown_diagnose_check_is_a_config_error_at_its_line(tmp_path, capsys):
+    """Before, it failed only once the model was built."""
+    text = "run.operation = diagnose\ndiagnose.check = foo\nmodel.name = no-such-model\n"
+    with pytest.raises(ConfigError) as err:
+        parse_config_text(text)
+    assert (err.value.key, err.value.line) == ("diagnose.check", 2)
+    cfg = write(tmp_path, "diag.cfg", text)
+    assert main(["--config", cfg, "--out", str(tmp_path)]) == EXIT_ERROR
+    assert capsys.readouterr().err == ("config error (line 2): unknown diagnose.check 'foo'; "
+                                       "expected one of conformality, transport, loop\n")
+
+
 _TRANSPORT_INTEGRATORS = ("", "integrator.rel_tol = 1e-3\n",
                           "integrator.method = rk4\nintegrator.h = 0.1\n")
 
@@ -205,15 +255,15 @@ def test_diagnose_transport_reads_the_integrator_keys(tmp_path):
     assert len(set(residuals)) == len(residuals)
 
 
-def test_diagnose_loop_takes_integrator_keys_at_their_defaults(tmp_path):
+def test_diagnose_loop_reads_its_horizon(tmp_path):
     text = "run.operation = diagnose\nmodel.name = circle-linear\ndiagnose.check = loop\n"
     reports = []
-    for i, keys in enumerate(("", "integrator.h = 0.01\nintegrator.method = reference\n")):
+    for i, keys in enumerate(("", "diagnose.t = 1.0\n", "diagnose.t = 0.5\n")):
         out = tmp_path / str(i)
         assert run_config(write(tmp_path, f"loop{i}.cfg", text + keys), out=str(out),
                           timestamp=False) == EXIT_OK
         reports.append((out / "diagnose_circle-linear_loop.json").read_text())
-    assert reports[0] == reports[1]
+    assert reports[0] == reports[1] != reports[2]
 
 
 def test_diagnose_transport_backward_in_time(tmp_path):
@@ -366,7 +416,10 @@ def test_classify_operation_and_jobs_determinism(tmp_path):
                      "--seed", "5", "--jobs", str(jobs)]) == EXIT_OK
         outputs.append((out / "classify_t2-pair-theta2.json").read_bytes())
     assert outputs[0] == outputs[1] == outputs[2]
-    assert len(json.loads(outputs[0])["checks"][0]["details"]["orbits"]) == 70
+    payload = json.loads(outputs[0])
+    assert (payload["schema"], payload["seed"], payload["model"]) == (1, 5, "t2-pair-theta2")
+    assert len(payload["orbits"]) == 70 == sum(payload["counts"].values())
+    assert "checks" not in payload
 
 
 def test_jobs_below_one_is_a_config_error(tmp_path, capsys):
@@ -394,19 +447,21 @@ def test_attractor_operation(tmp_path):
     assert len(cloud) >= 2
 
 
-def test_escape_operation(tmp_path):
-    cfg = write(
-        tmp_path, "esc.cfg",
-        "run.operation = escape\n"
-        "model.name = shear-contraction\n"
-        "model.a = 0.5\n"
-        "escape.box = (0.0, 1.0, -1.0, 1.0)\n"
-        "escape.n_steps = 5\n"
-        "escape.samples = 200\n",
-    )
+@pytest.mark.parametrize("model,a,n_steps,escaped", [
+    ("shear-contraction", 0.5, 5, 200),
+    # a backward step grows p by 1/a, so only |p| > a leaves the box
+    ("radial-contraction", 0.999, 1, 0),
+])
+def test_escape_operation_writes_its_counts_and_exits_zero(tmp_path, capsys, model, a, n_steps,
+                                                           escaped):
+    cfg = write(tmp_path, "esc.cfg", f"run.operation = escape\nmodel.name = {model}\n"
+                f"model.a = {a}\nescape.box = (0.0, 1.0, -1.0, 1.0)\n"
+                f"escape.n_steps = {n_steps}\nescape.samples = 200\n")
     assert run_config(cfg, out=str(tmp_path), timestamp=False) == EXIT_OK
-    payload = json.loads((tmp_path / "escape_shear-contraction.json").read_text())
-    assert payload["checks"][0]["details"]["escaped"] == 200
+    payload = json.loads((tmp_path / f"escape_{model}.json").read_text())
+    assert payload == {"schema": 1, "seed": 7, "model": model, "params": {"a": a},
+                       "escaped": escaped, "total": 200, "n_steps": n_steps}
+    assert capsys.readouterr().out == f"escape {model}: {escaped}/200 within {n_steps} steps\n"
 
 
 def test_list_models(tmp_path, capsys):
@@ -498,11 +553,6 @@ _REPORTING_CONFIGS = {
                               "attractor.t_relax = 30.0\nattractor.grid = 11\n",
     "periodic": "run.operation = periodic\nmodel.name = t2-pair-theta2\n"
                 "periodic.direction = 1\nperiodic.guess = (0.0, 0.01)\n",
-    "classify": "run.operation = classify\nmodel.name = t2-pair-theta2\n"
-                "classify.n = 8\nclassify.T = 2.0\n",
-    "escape": "run.operation = escape\nmodel.name = shear-contraction\nmodel.a = 0.5\n"
-              "escape.box = (0.0, 1.0, -1.0, 1.0)\nescape.n_steps = 5\n"
-              "escape.samples = 50\n",
     "verify": "run.operation = verify\nverify.scope = diagnostics-negative-controls\n",
 }
 

@@ -445,6 +445,20 @@ def test_a_box_takes_one_interval_per_coordinate(box):
         escape_statistics(instantiate_model("shear-contraction", a=0.5), box, 5, 10, seed=0)
 
 
+# before, the reversed p interval held no point, so all 10 points of the
+# invariant circle p = 0 escaped at step 1 (0 of 10 in ((0, 1), (-1, 1)))
+@pytest.mark.parametrize("box", [((0.0, 1.0), (1.0, -1.0)), ((0.0, 1.0), (0.5, 0.5)),
+                                 ((0.0, 1.0), (-1.0, math.nan))])
+def test_a_box_takes_lo_below_hi_on_each_axis(box):
+    m = instantiate_model("radial-contraction", a=0.5)
+    circle = np.stack([np.linspace(0.0, 0.9, 10), np.zeros(10)], axis=1)
+    with pytest.raises(ParamError, match="box axis 1 needs lo < hi"):
+        escape_statistics(m, box, 5, 10, seed=0, sample_override=circle)
+    with pytest.raises(ParamError, match="box axis 1 needs lo < hi"):
+        attractor_estimate(instantiate_model("damped-mechanical", alpha=0.5, d=1, v_cos=1.0),
+                           box=box, t_relax=1.0, grid=4)
+
+
 # before: grid 0 gave not-trapping from zero seeds, eps 0 a bare
 # ZeroDivisionError, eps 2 a modulo by zero and a trapped verdict, and a
 # negative eps passed

@@ -408,8 +408,9 @@ def pinned_digests(seed):
 def cli_configs(seed):
     """Config text per run: each operation once (simulate also with rk4),
     verify at scope geometry, every integrator field read at least once, and
-    last the loop and conformality checks of diagnose, which read no
-    integrator field."""
+    last the loop and conformality checks of diagnose, each setting only the
+    keys its check declares (loop reads diagnose.t, conformality no key of
+    its own)."""
     rng = np.random.default_rng([seed, 31])
     q, p = rng.uniform(0.0, 1.0), rng.standard_normal()
     theta, r = rng.uniform(0.0, 1.0), rng.uniform(0.5, 1.5)
