@@ -155,8 +155,7 @@ def _op_diagnose_conformality(cfg):
     ))
 
 
-@_operation("diagnose", run=("seed",), integrator=_ALL_FIELDS, check="transport",
-            t=1.0, x0=None)
+@_operation("diagnose", integrator=_ALL_FIELDS, check="transport", t=1.0, x0=None)
 def _op_diagnose_transport(cfg, t, x0):
     m = _model(cfg)
     icfg = IntegratorConfig(**cfg.integrator)
@@ -164,7 +163,7 @@ def _op_diagnose_transport(cfg, t, x0):
     return _report_diagnosis(cfg, "transport", conformal_transport_check(m, traj))
 
 
-@_operation("diagnose", run=("seed",), check="loop", t=1.0)
+@_operation("diagnose", check="loop", t=1.0)
 def _op_diagnose_loop(cfg, t):
     m = _model(cfg)
     th = np.linspace(0.0, 1.0, 2049)
@@ -172,7 +171,7 @@ def _op_diagnose_loop(cfg, t):
     return _report_diagnosis(cfg, "loop", loop_cohomology_check(m, loop, t))
 
 
-@_operation("attractor", run=("seed",), integrator=("h", "blowup_threshold"),
+@_operation("attractor", integrator=("h", "blowup_threshold"),
             t_relax=60.0, grid=33, eps=1e-3, box=None)
 def _op_attractor(cfg, t_relax, grid, eps, box):
     m = _model(cfg)
@@ -207,8 +206,7 @@ def _op_attractor(cfg, t_relax, grid, eps, box):
                    f"invariance={est.invariance_residual:.3e}")
 
 
-@_operation("periodic", run=("seed",),
-            integrator=("rel_tol", "abs_tol", "blowup_threshold", "max_steps"),
+@_operation("periodic", integrator=("rel_tol", "abs_tol", "blowup_threshold", "max_steps"),
             section_axis=0, section_offset=0.0, direction=0, guess=None, backward=False)
 def _op_periodic(cfg, section_axis, section_offset, direction, guess, backward):
     m = _model(cfg)

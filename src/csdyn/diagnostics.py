@@ -36,6 +36,7 @@ from .flows import (
 )
 from .geometry import (
     _frobenius_dot,
+    _sum_last,
     conformality_ratio_estimate,
     loop_integral,
     torus_distance,
@@ -440,9 +441,8 @@ def _dedup_cells(spec, pts, eps):
 def _nearest_cloud_distance(spec, pts, cloud, chunk=512):
     out = np.empty(len(pts))
     for i in range(0, len(pts), chunk):
-        block = pts[i : i + chunk]
-        d = spec.delta(block[:, None, :], cloud[None, :, :])
-        out[i : i + chunk] = np.sqrt(np.sum(d * d, axis=-1)).min(axis=1)
+        d = torus_distance(spec, pts[i : i + chunk, None, :], cloud[None, :, :])
+        out[i : i + chunk] = d.min(axis=1)
     return out
 
 
@@ -875,7 +875,7 @@ def recurrence_scan(m, x0, t_max, dt):
                              "axis; samples alias at half a turn or more")
         b, ts = np.concatenate([b[-1:], m.spec.delta(x0, x)]), np.concatenate([ts[-1:], t])
         if k is None:
-            sq = np.sum(b * b, axis=-1)
+            sq = _sum_last(b * b)
             stops = np.flatnonzero(sq[1:] <= sq[:-1])
             if len(stops) == 0:
                 continue
@@ -931,11 +931,11 @@ def _segment_distances(spec, a, b):
     """
     ab = spec.step(a, b)
     prod = np.multiply(ab, ab)  # one scratch array for the products
-    denom = np.sum(prod, axis=-1)
-    s = np.clip(-np.sum(np.multiply(a, ab, out=prod), axis=-1)
-                / np.maximum(denom, 1e-300), 0.0, 1.0)
+    denom = _sum_last(prod)
+    s = -_sum_last(np.multiply(a, ab, out=prod)) / np.maximum(denom, 1e-300)
+    s = np.minimum(1.0, np.maximum(0.0, s))  # np.clip(s, 0, 1) bit for bit, -0.0 kept
     seg = np.add(a, np.multiply(s[..., None], ab, out=prod), out=prod)
-    return np.sqrt(np.sum(np.multiply(seg, seg, out=prod), axis=-1)), s
+    return np.sqrt(_sum_last(np.multiply(seg, seg, out=prod))), s
 
 
 def classify_ensemble(m, starts, T):

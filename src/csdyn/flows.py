@@ -1043,7 +1043,9 @@ def _fixed_step_engine(m, Y, t, h, k=0, racc=False, blowup_threshold=1e8,
     their outputs with np.empty_like, which keeps the layout.  Elementwise
     arithmetic gives the same bits in any layout; a reduction over the last
     axis (np.einsum over 3 or more terms, np.sum over 8 or more, matmul)
-    rounds by layout, so it must read a C-ordered copy.  `on_step(step, Y)`
+    rounds by layout, so it must read a C-ordered copy.  np.sum over fewer
+    than 8 adds in sequence onto 0.0 in either layout, as
+    geometry._sum_last does column by column.  `on_step(step, Y)`
     sees each step as a column-major view and must neither keep nor mutate
     Y: the next step overwrites it.  Y is overwritten when column-major and
     copied otherwise; returns (Y, alive), Y column-major.
@@ -1257,10 +1259,10 @@ class SectionSpec:
             raise SectionError("direction must be -1, 0 or +1")
 
     def value(self, spec, x):
-        raw = np.asarray(x, dtype=float)[..., self.axis] - self.offset
-        if spec.axes[self.axis] == "angle":
-            return np.mod(raw + 0.5, 1.0) - 0.5
-        return raw
+        """x[axis] - offset, into [-0.5, 0.5) on an angle axis (spec.delta)."""
+        origin = np.zeros(spec.dim)
+        origin[self.axis] = self.offset
+        return spec.delta(origin, x)[..., self.axis][()]  # [()]: a numpy float for one state
 
     def check_dim(self, dim):
         """Raise SectionError unless the axis is one of a dim-dimensional model's."""

@@ -68,25 +68,48 @@ class CoordinateSpec:
         return d
 
     def _wrap_angles(self, d, shift):
-        """Set the angle components of d to mod(d + shift, 1) - shift, in place."""
+        """Set the angle components of d to mod(d + shift, 1) - shift, in place.
+
+        mod(v, 1) is taken as v - floor(v), bit for bit np.mod(v, 1.0) and
+        several times faster: np.mod's fmod(v, 1) is exact and it adds 1 once
+        to a negative remainder, the one rounding of v - floor(v); a zero
+        comes out +0.0 both ways, and inf or NaN gives NaN."""
         a = self._angles
         v = d[..., a]  # a view when a is a slice, else a gathered copy
         if shift:
             np.add(v, shift, out=v)
-        np.mod(v, 1.0, out=v)
+        np.subtract(v, np.floor(v), out=v)
         if shift:
             np.subtract(v, shift, out=v)
-        else:  # mod rounds an angle in [-2**-54, 0) up to 1.0, which is 0.0
+        else:  # an angle in [-2**-54, 0) rounds up to 1.0, which is 0.0
             np.copyto(v, 0.0, where=v == 1.0)
         if not isinstance(a, slice):
             d[..., a] = v
         return d
 
 
+def _sum_last(a):
+    """np.sum(a, axis=-1) bit for bit, column by column below 8 entries.
+
+    numpy adds a last axis of fewer than 8 entries in sequence onto its
+    identity, ((0.0 + a0) + a1) + ..., in C and column-major layouts alike
+    (from 8 on it sums a C-ordered row pairwise); the 0.0 only turns a -0.0
+    sum into +0.0.  One state (shape (n,)) gives a numpy float, as np.sum
+    does.
+    """
+    n = a.shape[-1]
+    if not 0 < n < 8:
+        return np.sum(a, axis=-1)
+    total = 0.0 + a[..., 0]
+    for i in range(1, n):
+        total += a[..., i]  # in place on an array, rebinds a numpy float
+    return total
+
+
 def torus_distance(spec, x, y):
     """Euclidean distance with per-axis wrap min(|d|, 1-|d|) on angle axes."""
     d = spec.delta(x, y)
-    return np.sqrt(np.sum(d * d, axis=-1))
+    return np.sqrt(_sum_last(d * d))
 
 
 def eval_two_form(omega, u, v):

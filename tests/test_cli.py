@@ -101,10 +101,12 @@ def test_declared_own_keys_are_the_keyword_parameters_of_the_operation(name, che
 
 
 # the model.* keys and the run.* keys besides run.out and run.timestamp
-# that each operation reads
+# that each operation (or diagnose check) reads: run.seed only where a
+# random number is drawn
 _RUN_READS = {
-    "simulate": ("model",), "diagnose": ("model", "seed"), "attractor": ("model", "seed"),
-    "periodic": ("model", "seed"), "classify": ("model", "seed", "jobs"),
+    "simulate": ("model",), "diagnose.conformality": ("model", "seed"),
+    "diagnose.transport": ("model",), "diagnose.loop": ("model",), "attractor": ("model",),
+    "periodic": ("model",), "classify": ("model", "seed", "jobs"),
     "escape": ("model", "seed"), "basin": ("model",), "verify": ("seed",),
     "list-models": (),
 }
@@ -112,15 +114,18 @@ _RUN_READS = {
 
 @pytest.mark.parametrize("op", sorted(_RUN_READS))
 def test_model_seed_and_jobs_keys_are_read_only_by_operations_using_them(op):
+    name, _, check = op.partition(".")
+    head = f"run.operation = {name}\n" + (f"{name}.check = {check}\n" if check else "")
+    line = head.count("\n") + 1
     for read, key, value in (("model", "model.alpha", 0.5), ("seed", "run.seed", 3),
                              ("jobs", "run.jobs", 2)):
-        text = f"run.operation = {op}\n{key} = {value}\n"
+        text = head + f"{key} = {value}\n"
         if read in _RUN_READS[op]:
             assert parse_config_text(text)[key] == value
         else:
             with pytest.raises(ConfigError) as err:
                 parse_config_text(text)
-            assert (err.value.key, err.value.line) == (key, 2)
+            assert (err.value.key, err.value.line) == (key, line)
 
 
 def test_seed_and_jobs_flags_are_taken_by_every_operation(tmp_path, capsys):
@@ -140,7 +145,7 @@ _BAD_CONFIGS = {
     "integrator.rel_tol": (
         "run.operation = simulate\n" + _DAMPED + "integrator.rel_tol = abc\n",
         "config error (line 3): integrator.rel_tol takes a number, got 'abc'"),
-    "run.seed": ("run.operation = attractor\n" + _DAMPED + "run.seed = abc\n",
+    "run.seed": ("run.operation = escape\n" + _DAMPED + "run.seed = abc\n",
                  "config error (line 3): run.seed takes an integer, got 'abc'"),
     "classify.n": ("run.operation = classify\nmodel.name = t2-pair-theta2\nclassify.n = 2.5\n",
                    "config error (line 3): classify.n takes an integer, got 2.5"),
@@ -162,6 +167,14 @@ _BAD_CONFIGS = {
     "basin-run.seed": (
         "run.operation = basin\n" + _DAMPED + "run.seed = 1\nrun.jobs = 2\n",
         "config error (line 3): key 'run.seed' is not read by 'basin'"),
+    # before, each of these two was accepted and changed only the report's "seed"
+    "attractor-run.seed": (
+        "run.operation = attractor\n" + _DAMPED + "run.seed = 1\n",
+        "config error (line 3): key 'run.seed' is not read by 'attractor'"),
+    "diagnose-loop-run.seed": (
+        "run.operation = diagnose\nmodel.name = circle-linear\ndiagnose.check = loop\n"
+        "run.seed = 1\n",
+        "config error (line 4): key 'run.seed' is not read by diagnose.check = loop"),
     # before, escape counted 10 of 10 points of the invariant circle as escaped
     "escape.box-reversed": (
         "run.operation = escape\nmodel.name = radial-contraction\n"

@@ -3,12 +3,14 @@ import math
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from csdyn.errors import DegenerateFormError, DimensionMismatchError, OpenLoopError
 from csdyn.geometry import (
     ANGLE,
     LINE,
     CoordinateSpec,
+    _sum_last,
     conformality_ratio_estimate,
     eval_two_form,
     fd_exterior_derivative_one_form,
@@ -355,7 +357,9 @@ def test_delta_identities(x, y):
         back = spec.delta(y, x)[a]
         half = d[a] == -0.5
         assert np.all(np.abs(back[~half] + d[a][~half]) <= 8 * np.finfo(float).eps * (1.0 + scale[~half]))
-        assert torus_distance(spec, x, y) == np.sqrt(np.sum(d * d))
+        dist = torus_distance(spec, x, y)  # of single states: a numpy float, as np.sum gives
+        assert type(dist) is np.float64
+        assert dist.tobytes() == np.sqrt(np.sum(d * d)).tobytes()
 
 
 @settings(max_examples=300, deadline=None)
@@ -374,3 +378,73 @@ def test_step_identities(x, y):
         assert s[short].tobytes() == (y - x)[short].tobytes()
         assert spec.step(np.stack([x, y]), np.stack([y, x])).tobytes() == np.stack(
             [s, spec.step(y, x)]).tobytes()
+
+
+# ---------------------------------------------------------------------------
+# the wrap and the short-axis sums match the numpy calls they replace, bit for bit
+# ---------------------------------------------------------------------------
+
+def _mod_wrap(spec, d, shift):
+    """The angle wrap by np.mod: mod(d + shift, 1) - shift on the angle axes,
+    with shift 0's 1.0 (from an angle just below 0) read as 0.0."""
+    d = np.array(d, dtype=float)
+    a = spec.angle_mask
+    v = np.mod(d[..., a] + shift, 1.0) - shift
+    if not shift:
+        v[v == 1.0] = 0.0
+    d[..., a] = v
+    return d
+
+
+# every float, NaN and the infinities included, with the edges of the wrap
+# drawn often: signed zeros, +-2**-54, half turns and integers up to 1e15
+_ANY_COORD = st.one_of(
+    st.floats(width=64),
+    st.sampled_from([-0.0, 0.0, 2.0**-54, -(2.0**-54), 0.5, -0.5, 1.5, -2.5, 1.0, -1.0, 7.0,
+                     1e15, -1e15, 1e15 + 0.5, math.inf, -math.inf, math.nan]),
+    st.integers(-10**15, 10**15).map(float),
+    st.floats(-1e15, 1e15),
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(x=st.lists(_ANY_COORD, min_size=4, max_size=4),
+       y=st.lists(_ANY_COORD, min_size=4, max_size=4))
+@example(x=[-0.0, -(2.0**-54), -1e-300, 1e15 + 0.5], y=[0.0] * 4)
+@example(x=[0.5, -0.5, 0.0, 1.5], y=[0.0, 0.0, -0.0, -0.0])  # half turns after the shift
+@example(x=[math.inf, -math.inf, math.nan, -0.0], y=[1.0, -1.0, 0.0, math.inf])
+def test_floor_wrap_matches_np_mod_bit_for_bit(x, y):
+    x, y = np.array(x), np.array(y)
+    with np.errstate(invalid="ignore"):
+        for spec in WRAP_SPECS:
+            for batch in (x, np.stack([x, y, -x])):
+                assert spec.wrap(batch).tobytes() == _mod_wrap(spec, batch, 0.0).tobytes()
+            d = np.subtract(y, x)
+            assert spec.delta(x, y).tobytes() == _mod_wrap(spec, d, 0.5).tobytes()
+            pair = spec.delta(np.stack([x, y]), np.stack([y, x]))
+            assert pair.tobytes() == _mod_wrap(spec, np.stack([d, x - y]), 0.5).tobytes()
+
+
+_SUM_ENTRY = st.one_of(
+    st.floats(width=64),
+    st.sampled_from([-0.0, 0.0, math.inf, -math.inf, math.nan, 1e308, -1e308, 2.0**-1074]),
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(data=st.data(), n=st.integers(1, 9), rows=st.integers(1, 12))
+def test_sum_last_matches_np_sum_bit_for_bit(data, n, rows):
+    a = data.draw(arrays(np.float64, (rows, n), elements=_SUM_ENTRY))
+    a[0] = -0.0  # a row of -0.0: np.sum gives +0.0
+    if rows > 1:
+        a[1, data.draw(st.integers(0, n - 1))] = data.draw(
+            st.sampled_from([math.inf, -math.inf, math.nan]))
+    with np.errstate(invalid="ignore", over="ignore"):
+        for batch in (a, np.asfortranarray(a), a[::-1], a[:, ::-1]):
+            assert _sum_last(batch).tobytes() == np.sum(batch, axis=-1).tobytes()
+        blocks = np.asfortranarray(np.stack([a, -a]))  # (2, rows, n), column-major
+        assert _sum_last(blocks).tobytes() == np.sum(blocks, axis=-1).tobytes()
+        for row in a:  # a single state sums to a numpy float, as np.sum's does
+            got, want = _sum_last(row), np.sum(row)
+            assert type(got) is type(want)
+            assert np.asarray(got).tobytes() == np.asarray(want).tobytes()

@@ -56,7 +56,13 @@ them come the paths whose settings are pinned: circle-linear's `time_t_map`
 and Lee integrals, under the step cap derived from the start's speed),
 `recurrence_scan` on t2-pair-theta2 (no closed-form flow, so the orbit is
 integrated), and `fd_gradient` and `fd_exterior_derivative_two_form` on
-seeded batches.  Floats
+seeded batches.  Last come the torus geometry's primitives on seeded states
+whose angles straddle the +-0.5 wrap, for a spec with its angle axes in one
+run and one with them split: `wrap` and `delta` on a batch,
+`torus_distance` on single states (each a numpy float) and on the batch,
+`_nearest_cloud_distance` from 600 points (two chunks) to a dim-4 cloud
+half a turn away, and `SectionSpec.value` on an angle and a line axis.
+Floats
 are hashed by their bits (`float.hex`), arrays by dtype, shape and bytes,
 so -0.0 and 0.0 differ.
 
@@ -92,6 +98,7 @@ import numpy as np
 from csdyn import cli, models
 from csdyn.certificates import verify_suite
 from csdyn.diagnostics import (
+    _nearest_cloud_distance,
     attractor_estimate,
     classify_ensemble,
     emit_basin_grid,
@@ -114,10 +121,14 @@ from csdyn.flows import (
     transport_tangents,
 )
 from csdyn.geometry import (
+    ANGLE,
+    LINE,
+    CoordinateSpec,
     fd_exterior_derivative_one_form,
     fd_exterior_derivative_two_form,
     fd_gradient,
     pullback_residual,
+    torus_distance,
 )
 
 TWO_PI = 2.0 * math.pi
@@ -405,6 +416,28 @@ def pinned_digests(seed):
             fd_exterior_derivative_two_form(m.Omega, xs))
 
 
+def geometry_digests(seed):
+    """The wrap, distances and section values on states around the +-0.5 wrap."""
+    rng = np.random.default_rng([seed, 53])
+    for label, axes in (("run", (ANGLE, ANGLE, LINE, LINE)),
+                        ("split", (ANGLE, LINE, LINE, ANGLE))):
+        spec = CoordinateSpec(axes)
+        x = rng.uniform(-0.6, 0.6, (64, 4)) + rng.integers(-3, 4, (64, 4))
+        y = x + 0.5 + rng.normal(0.0, 0.05, (64, 4))
+        yield f"wrap_delta.seed{seed}.{label}.n64", digest([spec.wrap(x), spec.delta(x, y)])
+        yield f"torus_distance.seed{seed}.{label}.n64", digest(
+            [torus_distance(spec, x, y)] + [torus_distance(spec, a, b) for a, b in zip(x, y)])
+        pts = rng.uniform(-0.1, 0.1, (600, 4))
+        cloud = 0.5 + rng.uniform(-0.1, 0.1, (50, 4))
+        yield f"_nearest_cloud_distance.seed{seed}.{label}.n600", digest(
+            _nearest_cloud_distance(spec, pts, cloud))
+        values = []
+        for axis in (0, 2):  # an angle axis and a line axis
+            sec = SectionSpec(axis=axis, offset=float(rng.uniform(-1.0, 1.0)))
+            values += [sec.value(spec, x)] + [sec.value(spec, a) for a in x[:8]]
+        yield f"SectionSpec.value.seed{seed}.{label}.n64", digest(values)
+
+
 def cli_configs(seed):
     """Config text per run: each operation once (simulate also with rk4),
     verify at scope geometry, every integrator field read at least once, and
@@ -521,7 +554,8 @@ def main(argv=None):
                 total.update(line.encode() + b"\n")
                 print(line, flush=True)
     print(f"{total.hexdigest()}  all")
-    for part in (point_digests, lift_digests, pair_digests, constant_digests, pinned_digests):
+    for part in (point_digests, lift_digests, pair_digests, constant_digests, pinned_digests,
+                 geometry_digests):
         for seed in args.seeds:
             for name, value in part(seed):
                 print(f"{value}  {name}", flush=True)
