@@ -394,28 +394,28 @@ def find_periodic_orbit(m, sec, guess, cfg=None, backward=False):
 # trapping levels, attractors, invariant manifolds
 # ---------------------------------------------------------------------------
 
+def _grid(axes):
+    """The points of the grid on these axes, the last axis fastest, as (n, len(axes))."""
+    return np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, len(axes))
+
+
+def _h_on_zero_section(m, qgrid):
+    """H(q, 0) at each angle point q of qgrid (n, d)."""
+    return np.asarray(m.H(np.concatenate([qgrid, np.zeros_like(qgrid)], axis=-1)), dtype=float)
+
+
 def trapping_level(m):
     """R = sup_q H(q, 0) on a refined _TRAP_GRID torus grid (fiberwise-convex models)."""
     if m.H is None:
         raise StructureError(f"{m.name} has no Hamiltonian")
     if not m.fiber_convex:
         raise StructureError(f"{m.name} is not fiberwise convex; no trapping level")
-    d = m.d
-
-    def h_on_zero_section(qgrid):
-        pts = np.concatenate([qgrid, np.zeros_like(qgrid)], axis=-1)
-        return np.asarray(m.H(pts), dtype=float)
-
-    axes = [np.linspace(0.0, 1.0, _TRAP_GRID, endpoint=False) for _ in range(d)]
-    mesh = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, d)
-    vals = h_on_zero_section(mesh)
-    best = mesh[int(np.argmax(vals))]
+    mesh = _grid([np.linspace(0.0, 1.0, _TRAP_GRID, endpoint=False)] * m.d)
+    best = mesh[int(np.argmax(_h_on_zero_section(m, mesh)))]
     # one refinement pass around the coarse argmax
     half = 1.0 / _TRAP_GRID
-    fine_axes = [np.linspace(b - half, b + half, _TRAP_GRID) for b in best]
-    fine = np.stack(np.meshgrid(*fine_axes, indexing="ij"), axis=-1).reshape(-1, d)
-    fvals = h_on_zero_section(fine)
-    return float(np.max(fvals))
+    fine = _grid([np.linspace(b - half, b + half, _TRAP_GRID) for b in best])
+    return float(np.max(_h_on_zero_section(m, fine)))
 
 
 @dataclass
@@ -449,13 +449,11 @@ def _nearest_cloud_distance(spec, pts, cloud, chunk=512):
 def sample_sublevel_grid(m, R, grid):
     """Rectangular grid sample of the forward-invariant set {H <= R + 1}."""
     d = m.d
-    probe = [np.linspace(0.0, 1.0, 64, endpoint=False) for _ in range(d)]
-    qmesh = np.stack(np.meshgrid(*probe, indexing="ij"), axis=-1).reshape(-1, d)
-    v_min = float(np.min(m.H(np.concatenate([qmesh, np.zeros_like(qmesh)], axis=-1))))
+    probe = _grid([np.linspace(0.0, 1.0, 64, endpoint=False)] * d)
+    v_min = float(np.min(_h_on_zero_section(m, probe)))
     p_max = math.sqrt(max(2.0 * (R + 1.0 - v_min), 1e-12))
-    axes = [np.linspace(0.0, 1.0, grid, endpoint=False) for _ in range(d)]
-    axes += [np.linspace(-p_max, p_max, grid) for _ in range(d)]
-    mesh = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, 2 * d)
+    mesh = _grid([np.linspace(0.0, 1.0, grid, endpoint=False)] * d
+                 + [np.linspace(-p_max, p_max, grid)] * d)
     keep = np.asarray(m.H(mesh), dtype=float) <= R + 1.0
     return mesh[keep]
 
@@ -472,7 +470,7 @@ def sample_box_grid(spec, box, grid):
     _check_box(spec, box)
     axes = [np.linspace(lo, hi, grid, endpoint=spec.axes[i] != "angle")
             for i, (lo, hi) in enumerate(box)]
-    return np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, spec.dim)
+    return _grid(axes)
 
 
 def attractor_estimate(m, R=None, t_relax=60.0, grid=33, box=None, eps=1e-3, h=0.01,
@@ -532,7 +530,7 @@ def emit_basin_grid(m, grid, p_range, targets, t_max=60.0):
         raise CsdynError("basin grids are drawn for d = 1 models")
     q_axis = np.linspace(0.0, 1.0, grid, endpoint=False)
     p_axis = np.linspace(-p_range, p_range, grid)
-    mesh = np.stack(np.meshgrid(q_axis, p_axis, indexing="ij"), axis=-1).reshape(-1, 2)
+    mesh = _grid([q_axis, p_axis])
     final, alive = flow_ensemble(m, mesh, t_max, h=_BASIN_H, blowup_threshold=_BASIN_BLOWUP)
     targets = np.asarray(targets, dtype=float)
     labels = np.zeros(len(mesh), dtype=np.int64)

@@ -9,7 +9,7 @@ import time
 import numpy as np
 import pytest
 
-from csdyn import certificates as C
+from csdyn import certificates as C, flows
 
 # (function, check, scope, tolerance, negative) of every check, in battery order
 BATTERY = [
@@ -110,6 +110,30 @@ def test_sampled_state_checks_call_each_evaluator_once_per_model(monkeypatch, sc
     assert C.cert_torus_metric(seed=7).passed
     n = len(C._FLOW_MODELS)
     assert counts == {"X": n, "Omega": n, "distance": 4}
+
+
+@pytest.mark.parametrize("check", ["cert_splitting_exact", "cert_splitting_order"])
+def test_splitting_checks_step_both_branches(monkeypatch, check):
+    # Stormer-Verlet on damped-mechanical, the implicit midpoint on Mane
+    counts = collections.Counter()
+    for name in ("_verlet_step", "_midpoint_step"):
+        monkeypatch.setattr(flows, name, _counted(getattr(flows, name), counts, name))
+    assert getattr(C, check)(seed=7).passed
+    assert counts["_verlet_step"] >= 1 and counts["_midpoint_step"] >= 1
+
+
+def test_a_nan_on_the_second_splitting_model_fails(monkeypatch):
+    # Mane's steps come after damped-mechanical's finite ones
+    step = C.conformal_splitting_step
+
+    def nan_on_mane(m, x, h):
+        z, J = step(m, x, h)
+        return (z * np.nan, J * np.nan) if m.name == "mane" else (z, J)
+
+    monkeypatch.setattr(C, "conformal_splitting_step", nan_on_mane)
+    for check in (C.cert_splitting_exact, C.cert_splitting_order):
+        result = check(seed=7)
+        assert result.verdict == "FAIL" and np.isnan(result.residual)
 
 
 def test_map_conformality_budget_times_the_whole_measurement(monkeypatch):

@@ -174,46 +174,43 @@ def test_batched_splitting_step_rows_match_single_states(name, h):
         assert J1[0].tobytes() == J[i].tobytes() == J0.tobytes()
 
 
-# rows of circle-quadratic's sample_states(m, 16, default_rng(11), 1.0) on
-# which the midpoint's fixed-point sweeps do not converge, with their h
-SWEEP_FAILURES = ((4, 0.1), (5, 0.05))
-
-
-def _quadratic_rows():
+def test_midpoint_rows_the_sweeps_leave_are_refused():
+    """Sweeps stop converging once h times the Lipschitz constant of X_sym
+    nears 2; such a row raises ConvergenceError naming the row and carrying
+    the step's input state, alone and as row 3 of a batch whose other rows
+    (1, 2 and 13 of the sample) converge.  At h = 0.5 row 4's midpoint
+    equation has a root far from the flow, (-10.67, 22.35), which Newton
+    from the step's input finds; (0, -0.7) at h = 0.1 is past the sweeps'
+    bound h |r| = 0.0627 below."""
     m = instantiate_model("circle-quadratic")
-    return m, sample_states(m, 16, np.random.default_rng(11), 1.0)
-
-
-def test_midpoint_rows_the_sweeps_leave_are_solved_by_newton():
-    """The fixed-point sweeps stop converging once h times the Lipschitz
-    constant of X_sym nears 2; Newton on I - (h/2) DX_sym from the step's
-    input then solves the row.  The step stays exactly conformal, solves
-    the midpoint equation, and batch rows equal the rows stepped alone."""
-    m, xs = _quadratic_rows()
-    for row, h in SWEEP_FAILURES:
-        x = xs[row]
-        z, J = conformal_splitting_step(m, x, h)
-        assert pullback_residual(J, m.Omega(x), m.Omega(z), math.exp(-h)) <= 1e-14
-        c = math.exp(-0.5 * h)  # undo the contractions around the midpoint step
-        a, b = x * (1.0, c), z / (1.0, c)
-        assert np.max(np.abs(b - a - h * m.X_sym(0.5 * (a + b)))) <= 1e-13
-        zb, Jb = conformal_splitting_step(m, xs[[0, 1, 2, 3, row, 6, 7]], h)
-        assert zb[4].tobytes() == z.tobytes() and Jb[4].tobytes() == J.tobytes()
+    xs = sample_states(m, 16, np.random.default_rng(11), 1.0)
+    refused = ((xs[4], 0.1), (xs[5], 0.05), (xs[4], 0.5), (np.array([0.0, -0.7]), 0.1))
+    for x, h in refused:
+        with pytest.raises(ConvergenceError, match="row 0: .* in 50 sweeps") as alone:
+            conformal_splitting_step(m, x, h)
+        assert alone.value.row == 0 and alone.value.t is None
+        assert alone.value.state.tobytes() == x.tobytes()
+        with pytest.raises(ConvergenceError) as batch:
+            conformal_splitting_step(m, np.vstack([xs[[1, 2, 13]], x]), h)
+        assert batch.value.row == 3 and batch.value.state.tobytes() == x.tobytes()
+        assert str(batch.value) == str(alone.value).replace("row 0", "row 3")
 
 
 def test_midpoint_without_a_real_root_is_still_refused():
     """From (0.948, -1.92) at h = 0.05 the midpoint equation of the Riccati
     fiber r' = -2 pi r^2 cos(2 pi theta) has no real root (its exact flow
-    blows up within about 0.09): neither sweeps nor Newton converge."""
+    blows up within about 0.09), so the sweeps do not converge."""
     m = instantiate_model("circle-quadratic")
-    with pytest.raises(ConvergenceError, match="row 1: .* sweeps and 20 Newton steps"):
+    refused = "row 1: implicit midpoint did not converge in 50 sweeps, state"
+    with pytest.raises(ConvergenceError, match=refused):
         conformal_splitting_step(m, np.array([[0.1, 0.1], [0.9483, -1.9203]]), 0.05)
 
 
-# model, and the bound on |p| at step h: the midpoint equation keeps a real
-# root near x within it (circle-quadratic has none once h 2 pi |r| nears
-# 1/2, where its exact flow blows up within the step; Mane's sweeps and
-# Newton fail for some states from h |p| of about 0.8)
+# model, and the bound on |p| at step h: the midpoint's sweeps converge
+# within it (on circle-quadratic they first fail at h |r| = 0.0627, at
+# theta = 0, r < 0 and h = 0.01, on a grid of 400 angles and h |r| in steps
+# of 1e-4 at 50 h in [0.01, 0.5]; Mane's fail for some states from h |p| of
+# about 0.8)
 SPLITTING_PROPERTY_MODELS = {
     "damped-mechanical": (lambda: instantiate_model(
         "damped-mechanical", alpha=0.5, d=2, v_cos=(1.0, 0.5), v_sin=0.3, v_cross=0.4),
@@ -221,21 +218,20 @@ SPLITTING_PROPERTY_MODELS = {
     "mane": (lambda: instantiate_model(
         "mane", alpha=0.5, d=2, y0=0.5, y_sin=-0.5 / TWO_PI, y_cos=0.1),
         lambda h: min(2.0, 0.5 / h)),
-    "circle-quadratic": (lambda: instantiate_model("circle-quadratic"), lambda h: 0.07 / h),
+    "circle-quadratic": (lambda: instantiate_model("circle-quadratic"), lambda h: 0.06 / h),
 }
 
 
 @settings(max_examples=60, deadline=None)
 @given(name=st.sampled_from(sorted(SPLITTING_PROPERTY_MODELS)),
        h=st.floats(0.01, 0.5), u=st.lists(st.floats(0.0, 1.0), min_size=4, max_size=4))
-@example(name="circle-quadratic", h=0.1, u=[0.0, 0.0, 0.0, 0.0])  # (0, -0.7): Newton
+@example(name="circle-quadratic", h=0.1, u=[0.0, 0.0, 0.0, 0.0])  # (0, -0.6): top of range
 @example(name="circle-quadratic", h=0.5, u=[0.0, 0.99, 0.5, 0.5])
 @example(name="mane", h=0.5, u=[0.0, 0.0, 0.0, 1.0])
 def test_splitting_step_is_exactly_conformal_at_any_step(name, h, u):
     """J^T Omega(z) J = exp(-alpha h) Omega(x) to rounding for h <= 0.5, on
-    the Verlet branch (damped-mechanical), the midpoint branch (Mane) and
-    circle-quadratic, whose midpoint needs Newton near the top of its
-    range of momenta."""
+    the Verlet branch (damped-mechanical) and the midpoint branch (Mane, and
+    circle-quadratic up to where its sweeps stop converging)."""
     build, bound = SPLITTING_PROPERTY_MODELS[name]
     m = build()
     d = m.d

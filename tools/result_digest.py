@@ -62,6 +62,11 @@ run and one with them split: `wrap` and `delta` on a batch,
 `torus_distance` on single states (each a numpy float) and on the batch,
 `_nearest_cloud_distance` from 600 points (two chunks) to a dim-4 cloud
 half a turn away, and `SectionSpec.value` on an angle and a line axis.
+Last come the splitting checks' midpoint branch: the `pullback_residual` of
+each state of their Mane d = 2 splitting step at their three h, and, once
+for all seeds, the refusal (message, row and state) of each circle-quadratic
+state whose midpoint sweeps do not converge; a tree that steps such a state
+digests its step instead.
 Floats
 are hashed by their bits (`float.hex`), arrays by dtype, shape and bytes,
 so -0.0 and 0.0 differ.
@@ -109,6 +114,7 @@ from csdyn.diagnostics import (
     trapping_level,
     unstable_manifold_cloud,
 )
+from csdyn.errors import ConvergenceError
 from csdyn.flows import (
     IntegratorConfig,
     SectionSpec,
@@ -143,6 +149,8 @@ ENSEMBLE_MODELS = (
 # a Mane drift with every y_sin coefficient and two y_cos ones nonzero
 MANE_FULL = {"alpha": 0.5, "d": 2, "y0": 0.3, "y_sin": ((0.4, -0.2), (0.1, 0.3)),
              "y_cos": ((0.0, 0.25), (-0.15, 0.0))}
+# the splitting checks' midpoint model
+MANE_D2 = {"alpha": 0.5, "d": 2, "y0": 0.5, "y_sin": -0.5 / TWO_PI, "y_cos": 0.1}
 # (N, flow_ensemble horizon at h = 0.01, transport/classify horizon at h = 1e-3)
 ENSEMBLE_SIZES = ((1, 2.0, 0.2), (7, 1.0, 0.5), (32, 2.0, 0.2), (1024, 1.0, 0.05),
                   (16384, 0.1, 0.01))
@@ -438,6 +446,33 @@ def geometry_digests(seed):
         yield f"SectionSpec.value.seed{seed}.{label}.n64", digest(values)
 
 
+def midpoint_digests(seed):
+    """Per-state pullback residuals of the splitting checks' Mane d = 2 step."""
+    rng = np.random.default_rng([seed, 59])
+    m = models.instantiate_model("mane", MANE_D2)
+    for h in (0.1, 0.01, 0.001):
+        xs = models.sample_states(m, 64, rng, 1.0)
+        xs_new, Js = conformal_splitting_step(m, xs, h)
+        yield f"pullback_residual.seed{seed}.mane-d2.h{h}.n64", digest([
+            pullback_residual(J, m.Omega(x), m.Omega(x_new), math.exp(-m.alpha * h))
+            for x, x_new, J in zip(xs, xs_new, Js)])
+
+
+def refusal_digests():
+    """The refusal of each circle-quadratic state, with its h, on which the
+    midpoint sweeps do not converge (the step's output if it has none)."""
+    m = models.instantiate_model("circle-quadratic")
+    xs = models.sample_states(m, 16, np.random.default_rng(11), 1.0)
+    for label, x, h in (("row4", xs[4], 0.1), ("row5", xs[5], 0.05), ("row4", xs[4], 0.5),
+                        ("theta0", np.array([0.0, -0.7]), 0.1)):
+        try:
+            with np.errstate(all="ignore"):  # the diverging sweeps overflow
+                out = list(conformal_splitting_step(m, x, h))
+        except ConvergenceError as exc:
+            out = [str(exc), exc.row, exc.state]
+        yield f"conformal_splitting_step.circle-quadratic.{label}.h{h}.refusal", digest(out)
+
+
 def cli_configs(seed):
     """Config text per run: each operation once (simulate also with rk4),
     verify at scope geometry, every integrator field read at least once, and
@@ -555,10 +590,12 @@ def main(argv=None):
                 print(line, flush=True)
     print(f"{total.hexdigest()}  all")
     for part in (point_digests, lift_digests, pair_digests, constant_digests, pinned_digests,
-                 geometry_digests):
+                 geometry_digests, midpoint_digests):
         for seed in args.seeds:
             for name, value in part(seed):
                 print(f"{value}  {name}", flush=True)
+    for name, value in refusal_digests():
+        print(f"{value}  {name}", flush=True)
 
 
 if __name__ == "__main__":
