@@ -117,6 +117,14 @@ def _certificate(*args, **kwargs):
     return register
 
 
+def _worst(*args):
+    """max(*args), but NaN when any value is NaN: Python's max keeps a NaN
+    only as its first value, so a NaN sub-result after a finite one would
+    read PASS.  Takes several values or one iterable of them, as max does."""
+    values = list(args[0]) if len(args) == 1 else args
+    return math.nan if any(math.isnan(v) for v in values) else max(values)
+
+
 def _worst_ratio(subchecks):
     """(worst ratio, ratios) of sub-checks {name: (statistic, tolerance)}.
 
@@ -124,7 +132,7 @@ def _worst_ratio(subchecks):
     PASSes iff the worst ratio is <= 1.
     """
     ratios = {name: x / tol for name, (x, tol) in subchecks.items()}
-    return max(ratios.values()), ratios
+    return _worst(ratios.values()), ratios
 
 
 # ---------------------------------------------------------------------------
@@ -141,7 +149,7 @@ def cert_two_form_antisymmetry(seed=7):
         omega = np.asarray(m.Omega(sample_states(m, 50, rng)), dtype=float)
         u, v = np.swapaxes(rng.standard_normal((50, 2, m.dim)), 0, 1)
         antisym = eval_two_form(omega, u, v) + eval_two_form(omega, v, u)
-        worst = max(worst, float(np.max(np.abs(antisym))))
+        worst = _worst(worst, float(np.max(np.abs(antisym))))
     return worst, {}
 
 
@@ -165,7 +173,7 @@ def cert_loop_quadrature_convergence(seed=7):
     exact = 1.0 + 0.03 * math.pi  # closed form of the oracle loop circulation
     errs = [abs(loop_integral(spec, lam, make_loop(n)) - exact) for n in (64, 128, 256)]
     ratios = [errs[i + 1] / errs[i] for i in range(2)]
-    return max(ratios), {"errors": errs, "ratios": ratios}
+    return _worst(ratios), {"errors": errs, "ratios": ratios}
 
 
 @_certificate("geometry", "torus-metric-triangle", "geometry", 1e-12,
@@ -177,7 +185,7 @@ def cert_torus_metric(seed=7):
     dxy = torus_distance(spec, x, y)
     triangle = torus_distance(spec, x, z) - dxy - torus_distance(spec, y, z)
     symmetry = np.abs(dxy - torus_distance(spec, y, x))
-    return max(0.0, float(np.max(triangle)), float(np.max(symmetry))), {}
+    return _worst(0.0, float(np.max(triangle)), float(np.max(symmetry))), {}
 
 
 @_certificate("geometry", "map-conformality-ratio", "nonexact-linear", 1e-12,
@@ -190,7 +198,7 @@ def cert_map_conformality(seed=7):
     ratios, residuals = map_conformality_ratios(m, sample_states(m, 100, rng))
     spread = float(ratios.max() - ratios.min())
     err = float(np.max(np.abs(ratios - NONEXACT_RATIO)))
-    worst = max(err, spread, float(np.max(residuals)))
+    worst = _worst(err, spread, float(np.max(residuals)))
     details = {
         "ratio": float(ratios[0]),
         "target": NONEXACT_RATIO,
@@ -201,7 +209,7 @@ def cert_map_conformality(seed=7):
     for name in ("radial-contraction", "shear-contraction"):
         mm = instantiate_model(name, a=0.37)
         rr, res = map_conformality_ratios(mm, sample_states(mm, 100, rng))
-        worst = max(worst, float(np.max(res)), float(np.max(np.abs(rr - 0.37))))
+        worst = _worst(worst, float(np.max(res)), float(np.max(np.abs(rr - 0.37))))
         details[f"{name}_spread"] = float(rr.max() - rr.min())
     elapsed = time.perf_counter() - started
     details["elapsed_s"] = elapsed
@@ -236,12 +244,12 @@ def cert_field_identities(seed=7):
         m = instantiate_model(name, params)
         res = float(np.max(field_identity_residual(m, sample_states(m, 1000, rng, 1.5))))
         details[f"{name}/d={m.d}"] = res
-        worst = max(worst, res)
+        worst = _worst(worst, res)
         # central-difference cross-check of the analytic gradient
         xs = sample_states(m, 10, rng, 1.0)
         fd_worst = float(np.max(np.abs(fd_gradient(m.H, xs) - m.dH(xs))))
         if fd_worst > 1e-5:
-            worst = max(worst, fd_worst)
+            worst = _worst(worst, fd_worst)
     return worst, details
 
 
@@ -256,13 +264,13 @@ def cert_structure_forms(seed=7):
         m = instantiate_model(name, params)
         xs = sample_states(m, 100, rng, 1.0)
         dlam = fd_exterior_derivative_one_form(m.lam, xs)
-        worst = max(worst, float(np.max(np.abs(np.asarray(m.Omega(xs)) + dlam))))
+        worst = _worst(worst, float(np.max(np.abs(np.asarray(m.Omega(xs)) + dlam))))
     m = instantiate_model("lee-twisted-t1t2")
     xs = sample_states(m, 30, rng)
     domega = fd_exterior_derivative_two_form(m.Omega, xs)
     wedge = wedge_one_two(m.eta(xs), m.Omega(xs))
     for key in domega:
-        worst = max(worst, float(np.max(np.abs(domega[key] - wedge[key]))))
+        worst = _worst(worst, float(np.max(np.abs(domega[key] - wedge[key]))))
     return worst, {}
 
 
@@ -323,7 +331,7 @@ def cert_contact_lift(seed=7):
     lifted0 = contact_lift(lambda y: 1.0, (0.0, 0.0), dH=lambda y: np.zeros(3))
     x = np.array([0.1, 0.2, 0.3, 0.4])
     c, s = math.cos(TWO_PI * 0.3), math.sin(TWO_PI * 0.3)
-    worst = max(
+    worst = _worst(
         worst,
         float(np.max(np.abs(np.asarray(lifted0.X(x)) - np.array([c, s, 0.0, 0.0])))),
     )
@@ -335,7 +343,7 @@ def cert_contact_lift(seed=7):
 
     liftH = contact_lift(lambda y: np.cos(TWO_PI * y[..., 2]), (0.0, 0.0), dH=dh_cos)
     ident = float(np.max(field_identity_residual(liftH, sample_states(liftH, 50, rng))))
-    return max(worst, ident), {"identity_residual": ident}
+    return _worst(worst, ident), {"identity_residual": ident}
 
 
 # ---------------------------------------------------------------------------
@@ -360,12 +368,12 @@ def cert_flow_conformality(seed=7):
         trajs = integrate_variational(
             m, sample_states(m, 20, rng, 1.0), (0.0, 1.0), samples=21
         )
-        case_worst = max(
+        case_worst = _worst(
             conformal_transport_check(m, traj).details["omega_residual"]
             for traj in trajs
         )
         details[f"{name}:{params}"] = case_worst
-        worst = max(worst, case_worst)
+        worst = _worst(worst, case_worst)
     elapsed = time.perf_counter() - started
     details["elapsed_s"] = elapsed
     if elapsed > 10.0:
@@ -453,9 +461,9 @@ def cert_volume_rate(seed=7):
                 expect = math.exp(m.d * traj.r_final)
             else:
                 expect = math.exp(-m.d * m.alpha * 1.0)
-            case = max(case, abs(det - expect))
+            case = _worst(case, abs(det - expect))
         details[name] = case
-        worst = max(worst, case)
+        worst = _worst(worst, case)
     return worst, details
 
 
@@ -472,11 +480,11 @@ def cert_time_map_consistency(seed=7):
     ends = f_ab.f(xs)
     worst = float(np.max(torus_distance(m.spec, f_b.f(f_a.f(xs)), ends)))
     back = torus_distance(m.spec, f_ab.f_inv(ends), m.spec.wrap(xs))
-    worst = max(worst, float(np.max(back)) / 1e2)
+    worst = _worst(worst, float(np.max(back)) / 1e2)
     ratios, _ = conformality_ratio_estimate(f_ab.Df(xs), m.Omega(xs), m.Omega(xs))
-    worst = max(worst, float(np.max(np.abs(ratios - math.exp(-1.0)))))
+    worst = _worst(worst, float(np.max(np.abs(ratios - math.exp(-1.0)))))
     fixed = f_ab.f(np.array([0.0, 0.0]))
-    worst = max(worst, float(np.max(np.abs(fixed))))
+    worst = _worst(worst, float(np.max(np.abs(fixed))))
     return worst, {}
 
 
@@ -485,14 +493,14 @@ def cert_map_iteration(seed=7):
     worst = 0.0
     ms = instantiate_model("shear-contraction", a=0.5)
     traj = iterate_map(ms, np.array([0.0, 1.0]), 3)
-    worst = max(worst, float(np.max(np.abs(traj.final_state - np.array([3.0, 0.125])))))
+    worst = _worst(worst, float(np.max(np.abs(traj.final_state - np.array([3.0, 0.125])))))
     mr = instantiate_model("radial-contraction", a=0.5)
     back = iterate_map(mr, np.array([0.3, 1.0]), -10)
-    worst = max(worst, float(np.max(np.abs(back.final_state - np.array([0.3, 1024.0])))))
+    worst = _worst(worst, float(np.max(np.abs(back.final_state - np.array([0.3, 1024.0])))))
     mn = instantiate_model("nonexact-linear")
     xs = sample_states(mn, 10, np.random.default_rng(seed))
     round_trip = torus_distance(mn.spec, mn.f(mn.f_inv(xs)), mn.spec.wrap(xs))
-    return max(worst, float(np.max(round_trip))), {}
+    return _worst(worst, float(np.max(round_trip))), {}
 
 
 @_certificate("flow-engine", "blowup-riccati", "circle-quadratic", 1e-6,
@@ -513,7 +521,7 @@ def cert_blowup_riccati(seed=7):
             worst = math.inf
             continue
         details[label] = traj.t_escape
-        worst = max(worst, abs(traj.t_escape - t_star))
+        worst = _worst(worst, abs(traj.t_escape - t_star))
     details["mirrored-start-status"] = ctrl.status
     if ctrl.status != COMPLETED:
         worst = math.inf
@@ -530,7 +538,7 @@ def cert_energy_descent(seed=7):
     for traj in integrate_flow(m, sample_states(m, 5, rng, 1.5), (0.0, 50.0),
                                samples=501):
         h_vals = np.asarray(m.H(traj.states), dtype=float)
-        worst = max(worst, float(np.max(np.diff(h_vals))))
+        worst = _worst(worst, float(np.max(np.diff(h_vals))))
     return worst, {}
 
 
@@ -595,7 +603,7 @@ def cert_lyapunov_pairing(seed=7):
         "pairing_defect": res.pairing_defect,
         "converged": res.converged,
     }
-    return max(worst, res.pairing_defect), details
+    return _worst(worst, res.pairing_defect), details
 
 
 @_certificate("diagnostics", "loop-cohomology", "circle-linear", 1.0,
@@ -787,7 +795,7 @@ def cert_transport_decay(seed=7):
         before = eval_two_form(np.asarray(m.Omega(starts)), pairs[:, 0], pairs[:, 1])
         after = eval_two_form(np.asarray(m.Omega(ends)), moved[:, 0], moved[:, 1])
         rel = np.abs(np.abs(after) - math.exp(-m.alpha) * np.abs(before)) / np.abs(before)
-        worst = max(worst, float(np.max(rel)))
+        worst = _worst(worst, float(np.max(rel)))
     return worst, {}
 
 
@@ -868,7 +876,7 @@ def cert_rotation_zero_lee(seed=7):
     worst = float(np.max(np.abs(_sum_last(eta * xdot))))
     traj = integrate_flow(m, np.array([0.1, 0.2, 0.3, 0.4]), (0.0, 5.0), samples=51)
     r_T, _ = rotation_number(traj)
-    return max(worst, abs(r_T)), {}
+    return _worst(worst, abs(r_T)), {}
 
 
 @_certificate("diagnostics", "anosov-frame-checks", "anosov-cover", 1e-9,

@@ -955,7 +955,7 @@ def classify_ensemble(m, starts, T):
     starts = np.asarray(starts, dtype=float)
     n_orb, dim = starts.shape
     n_steps = _n_steps(T, _CLASSIFY_H)
-    # regression slope of r_t over the last half, accumulated step by step
+    # regression slope of r_t over the last half, summed in step order
     # (r_0 = 0 adds nothing); each row's sum is its own, whatever the batch
     half = n_steps // 2
     ts = _CLASSIFY_H * np.arange(n_steps + 1)[half:]
@@ -972,6 +972,14 @@ def classify_ensemble(m, starts, T):
         """Fold the states Ys (steps, n_orb, dim + 1) of steps k0, k0 + 1, ..."""
         nonlocal previous
         np.maximum(r_abs_max, np.abs(Ys[:, :, dim]).max(axis=0), out=r_abs_max)
+        lo = max(0, half - 1 - k0)  # step k holds r at node k + 1
+        if lo < len(Ys):
+            # np.add.accumulate adds the rows in sequence, as one add per step
+            terms = np.empty((len(Ys) - lo + 1, n_orb))
+            terms[0] = r_moment
+            np.multiply(ts_c[k0 + lo + 1 - half : k0 + len(Ys) + 1 - half, None],
+                        Ys[lo:, :, dim], out=terms[1:])
+            r_moment[:] = np.add.accumulate(terms, axis=0)[-1]
         lo = max(0, settle - 1 - k0)
         if lo < len(Ys):
             # closest approach to the start of each linear step segment
@@ -995,8 +1003,6 @@ def classify_ensemble(m, starts, T):
 
     def on_step(k, Y):
         nonlocal k0, filled
-        if k + 1 >= half:
-            np.add(r_moment, ts_c[k + 1 - half] * Y[:, dim], out=r_moment)
         if buf is None:
             fold(k, Y[None])
             return

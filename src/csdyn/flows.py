@@ -653,15 +653,16 @@ def _joint_rhs(m, k, racc):
     like y when None; out must not overlap y.  The tangent product sums
     over the last axis, which rounds by layout (np.einsum over 3 or more
     terms, matmul), so it reads a C-ordered copy of the tangent block and
-    gives the same bits in either layout.  One tangent without the Lee
-    channel and the Lee channel without tangents use the model's fused
-    field (X_DXv, X_etaX) when it has one, which equals this composed one
-    bit for bit on finite blocks (X_DXv may leave out the products of DX's
+    gives the same bits in either layout.  The field alone is m.X itself,
+    one tangent without the Lee channel and the Lee channel without
+    tangents are the model's fused field (X_DXv, X_etaX) when it has one,
+    which takes `(y, out=None)` as X does and equals this composed one bit
+    for bit on finite blocks (X_DXv may leave out the products of DX's
     structural zeros, which are nan on a non-finite entry: 0 * inf).
     """
-    fused = {(1, False): m.X_DXv, (0, True): m.X_etaX}.get((k, racc))
+    fused = {(0, False): m.X, (1, False): m.X_DXv, (0, True): m.X_etaX}.get((k, racc))
     if fused is not None:
-        return lambda y, out=None: fused(y, np.empty_like(y) if out is None else out)
+        return fused
     n, nk = m.dim, m.dim * k
     DX = m.jacobian
     eta_dot = _eta_contraction(m) if racc else None
@@ -670,7 +671,7 @@ def _joint_rhs(m, k, racc):
         if out is None:
             out = np.empty_like(y)
         x = y[..., :n]
-        out[..., :n] = m.X(x)
+        m.X(x, out[..., :n])
         if k == 1:
             v = np.ascontiguousarray(y[..., n : 2 * n])
             np.einsum("...ij,...j->...i", DX(x), v, out=out[..., n : 2 * n])
@@ -814,6 +815,15 @@ def _negated(f):
     return None if f is None else (lambda x: -np.asarray(f(x), dtype=float))
 
 
+def _negated_field(X):
+    """The field -X(x, out), negated in place."""
+    def negated(x, out=None):
+        out = X(x, out)
+        return np.negative(out, out=out)
+
+    return negated
+
+
 def time_reversed_view(m):
     """The flow of -X as a ModelSpec; repelling orbits of m are attracting for it.
 
@@ -825,7 +835,7 @@ def time_reversed_view(m):
     _require_flow(m)
     fe = m.flow_exact
     return replace(
-        m, alpha=-m.alpha, X=_negated(m.X), DX=_negated(m.DX), H=_negated(m.H),
+        m, alpha=-m.alpha, X=_negated_field(m.X), DX=_negated(m.DX), H=_negated(m.H),
         dH=_negated(m.dH), X_sym=_negated(m.X_sym), DX_sym=_negated(m.DX_sym),
         eta_X=_negated(m.eta_X), X_DXv=None, X_etaX=None, cotangent_splittable=False,
         fiber_convex=False, flow_exact=None if fe is None else (
@@ -873,24 +883,30 @@ def _midpoint_step(m, x, h, starts):
     """Implicit midpoint on the rows of x (N, n), sweeping only unconverged rows.
 
     Fixed-point sweeps z <- x + h X_sym((x + z)/2) converge while h times the
-    Lipschitz constant of X_sym stays below 2.  The first row they leave
-    unconverged after MIDPOINT_MAX_SWEEPS raises ConvergenceError with the
-    row's state in starts, the Strang step's input.
+    Lipschitz constant of X_sym stays below 2.  A row's sweeps end once its
+    update is non-finite (the diverging sweeps overflow quietly), and the
+    first row they leave unconverged, then or after MIDPOINT_MAX_SWEEPS,
+    raises ConvergenceError with the row's state in starts, the Strang
+    step's input.
     """
     z = x.copy()
     act = np.arange(len(x))
-    for _ in range(MIDPOINT_MAX_SWEEPS):
-        xa, za = x[act], z[act]
-        z_next = xa + h * np.asarray(m.X_sym(0.5 * (xa + za)), dtype=float)
-        done = np.max(np.abs(z_next - za), axis=-1) <= MIDPOINT_TOL * (
-            1.0 + np.max(np.abs(xa), axis=-1)
-        )
-        z[act] = z_next
-        act = act[~done]
-        if not len(act):
-            break
-    if len(act):
-        b = int(act[0])
+    failed = []
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(MIDPOINT_MAX_SWEEPS):
+            xa, za = x[act], z[act]
+            z_next = xa + h * np.asarray(m.X_sym(0.5 * (xa + za)), dtype=float)
+            update = np.max(np.abs(z_next - za), axis=-1)
+            done = update <= MIDPOINT_TOL * (1.0 + np.max(np.abs(xa), axis=-1))
+            lost = ~np.isfinite(update)
+            z[act] = z_next
+            failed += act[lost].tolist()
+            act = act[~(done | lost)]
+            if not len(act):
+                break
+    failed += act.tolist()
+    if failed:
+        b = min(failed)
         raise _row_failure(
             ConvergenceError, _MIDPOINT_FAILED, m.name, b, None, starts[b].copy()
         )
@@ -1018,27 +1034,28 @@ def _fixed_step_engine(m, Y, t, h, k=0, racc=False, blowup_threshold=1e8,
     The batch is column-major: Y is the (N, w) view of a C-contiguous (w, N)
     buffer, and so are the three RK4 stage buffers and the gathered live
     rows, so each column a field reads or writes (q, p, a tangent entry, r)
-    is one contiguous array.  Evaluators get such (N, w) views and allocate
-    their outputs with np.empty_like, which keeps the layout.  Elementwise
-    arithmetic gives the same bits in any layout; a reduction over the last
-    axis (np.einsum over 3 or more terms, np.sum over 8 or more, matmul)
-    rounds by layout, so it must read a C-ordered copy.  np.sum over fewer
-    than 8 adds in sequence onto 0.0 in either layout, as
-    geometry._sum_last does column by column.  `on_step(step, Y)`
-    sees each step as a column-major view and must neither keep nor mutate
-    Y: the next step overwrites it.  Y is overwritten when column-major and
-    copied otherwise; returns (Y, alive), Y column-major.
+    is one contiguous array.  Evaluators get such (N, w) views and write
+    into the stage buffers.  Elementwise arithmetic gives the same bits in
+    any layout; a reduction over the last axis (np.einsum over 3 or more
+    terms, np.sum over 8 or more, matmul) rounds by layout, so it must read
+    a C-ordered copy.  np.sum over fewer than 8 adds in sequence onto 0.0 in
+    either layout, as geometry._sum_last does column by column.
+    `on_step(step, Y)` sees each step as a column-major view and must
+    neither keep nor mutate Y: the next step overwrites it.  Y is
+    overwritten when column-major and copied otherwise; returns (Y, alive),
+    Y column-major.
     """
     n_steps = _n_steps(t, h)
     Y = np.asfortranarray(Y)
     n = m.dim
     if not splitting:
         rhs = _joint_rhs(m, k, racc)
-        # three (N, w) column-major views; the live rows use the leading rows
-        stages = np.empty((3,) + Y.shape[::-1]).transpose(0, 2, 1)
+        # three (N, w) column-major buffers; the live rows step in their
+        # leading rows, through views made again only when the live rows change
+        buffers = np.empty((3,) + Y.shape[::-1]).transpose(0, 2, 1)
 
         def advance(rows, hh):
-            return _rk4_step(rhs, rows, hh, stages[:, : len(rows)])
+            return _rk4_step(rhs, rows, hh, stages)
     elif racc:
         raise KindError("splitting does not integrate the Lee-form channel")
     else:
@@ -1059,6 +1076,8 @@ def _fixed_step_engine(m, Y, t, h, k=0, racc=False, blowup_threshold=1e8,
     line = (~m.spec.angle_mask).astype(float)  # inf or nan times 0 stays nan
     alive = np.all(np.isfinite(Y[:, :n]), axis=1)
     act = None if len(Y) and alive.all() else np.nonzero(alive)[0]
+    if not splitting:
+        stages = tuple(buffers[:, : len(Y) if act is None else len(act)])
     tau = 0.0
     for step in range(n_steps):
         hh = min(h, t - tau)
@@ -1071,12 +1090,14 @@ def _fixed_step_engine(m, Y, t, h, k=0, racc=False, blowup_threshold=1e8,
             break
         tau += hh
         # whole-block screen first: per-row reductions over a few columns are slow
-        if not (math.isfinite(rows.sum()) and all(
-            np.abs(rows[:, j]).max() <= blowup_threshold for j in line_cols
-        )):
+        if not (math.isfinite(np.add.reduce(rows, axis=None)) and (not line_cols or all(
+            np.maximum.reduce(np.abs(rows[:, j])) <= blowup_threshold for j in line_cols
+        ))):
             dead = ~(np.max(np.abs(rows[:, :n]) * line, axis=1) <= blowup_threshold)
             alive[np.nonzero(alive)[0][dead]] = False
             act = np.nonzero(alive)[0]
+            if not splitting:
+                stages = tuple(buffers[:, : len(act)])
         if on_step is not None:
             on_step(step, Y)
     return Y, alive

@@ -64,11 +64,18 @@ class ModelSpec:
     time-reversed view keeps the negated X_sym but must not split, since
     its grad_V is not negated.
 
+    A flow's field `X(x, out=None)` writes the field of the states x
+    (..., dim) into out, an array shaped like x that must not overlap it,
+    and returns out; with out None it writes into a new array laid out like
+    x (np.empty_like).  Both calls give the same bits.  The integrators pass
+    out, so a step allocates no field.
+
     X_sym, DX_sym, eta_X and the fused joint fields X_DXv and X_etaX are
     derived from X, DX and eta, so a replace that changes X, DX or eta_X
-    must replace or clear them too.  A fused field `f(y, out)` writes a
-    whole row block of the integrators' joint field into out from one set
-    of shared intermediates: X_DXv the rows [X(x) | DX(x) v] of y = [x | v],
+    must replace or clear them too.  A fused field `f(y, out=None)` writes
+    a whole row block of the integrators' joint field into out (a new array
+    laid out like y when None), as X does, from one set of shared
+    intermediates: X_DXv the rows [X(x) | DX(x) v] of y = [x | v],
     X_etaX the rows [X(x) | eta(X(x))] of y = [x | r].  Each must equal the
     composed evaluators bit for bit on finite blocks, tangent sums included
     (they start from +0.0, as np.einsum's do); on a block with a non-finite
@@ -82,7 +89,7 @@ class ModelSpec:
     params: dict
     alpha: float = 0.0
     ratio_a: float | None = None
-    X: object = None            # flow field, state -> tangent
+    X: object = None            # flow field, (x, out=None) -> out
     DX: object = None           # Jacobian of X, (..., dim) -> (..., dim, dim)
     DX_batch: object = None     # retired, must stay None: DX broadcasts
     f: object = None            # map, state -> state
@@ -93,8 +100,8 @@ class ModelSpec:
     lam: object = None          # Liouville form coefficients
     eta: object = None          # Lee form coefficients
     eta_X: object = None        # closed-form eta(X), exact where it vanishes
-    X_DXv: object = None        # fused [X | DX v], (y, out) -> out
-    X_etaX: object = None       # fused [X | eta(X)], (y, out) -> out
+    X_DXv: object = None        # fused [X | DX v], (y, out=None) -> out
+    X_etaX: object = None       # fused [X | eta(X)], (y, out=None) -> out
     Omega: object = None        # two-form matrix at a state
     X_sym: object = None        # alpha = 0 Hamiltonian part (splitting)
     DX_sym: object = None
@@ -225,12 +232,17 @@ def _zero_eta_X(x):
 
 
 def _columns(x, out):
-    """x.T and out.T, whose rows are the columns of an (..., dim) block: for
-    one state, also a (1, dim) block, numpy scalars, whose arithmetic costs a
-    fraction of a ufunc call on a one-element row."""
+    """(x.T, out.T, out) for a kernel writing the (..., dim) block out from x,
+    with out a new array laid out like x when None.  The rows of x.T and
+    out.T are the columns of the blocks: for one state, also a (1, dim)
+    block, numpy scalars, whose arithmetic costs a fraction of a ufunc call
+    on a one-element row."""
+    if out is None:
+        x = np.asarray(x, dtype=float)
+        out = np.empty_like(x)
     if x.shape[:-1] == (1,):
-        x, out = x[0], out[0]
-    return x.T, out.T
+        return x[0], out[0], out
+    return x.T, out.T, out
 
 
 def _kind(val, default):
@@ -296,15 +308,16 @@ def _contraction_map(name, params, axes, shift):
 
 def _cotangent_flow(name, params, d, alpha, field, jac, **kwargs):
     """A splittable flow X = alpha Z + X_H on T*T^d, Z = -p d/dp the Liouville
-    field: X and X_sym are field(x, a), DX and DX_sym are jac(x, a), at
-    a = alpha and at a = 0; lambda = p dq and Omega is canonical."""
+    field: X(x, out) is field(x, alpha, out), X_sym(x) is field(x, 0.0), DX
+    and DX_sym are jac(x, a) at a = alpha and at a = 0; lambda = p dq and
+    Omega is canonical."""
     return ModelSpec(
         name=name,
         spec=CoordinateSpec((ANGLE,) * d + (LINE,) * d),
         kind=FLOW,
         params=params,
         alpha=alpha,
-        X=lambda x: field(x, alpha),
+        X=lambda x, out=None: field(x, alpha, out),
         DX=lambda x: jac(x, alpha),
         X_sym=lambda x: field(x, 0.0),
         DX_sym=lambda x: jac(x, 0.0),
@@ -325,15 +338,14 @@ def _build_circle_linear(params):
         # formula stays valid, but the saddle structure changes
         warnings = (f"alpha={alpha} outside (0, 2*pi); saddle structure not guaranteed",)
 
-    def _field(x, a):
-        x = np.asarray(x, dtype=float)
-        w, r = TWO_PI * x[..., 0], x[..., 1]
-        out = np.empty_like(x)
-        out[..., 0] = np.sin(w)
+    def _field(x, a, out=None):
+        xt, ot, out = _columns(x, out)
+        w, r = TWO_PI * xt[0], xt[1]
+        ot[0] = np.sin(w)
         c = np.cos(w)
         # at a = 0 the Hamiltonian part's own product order: dropping a zero
         # a from the first form could still flip the sign of a nan
-        out[..., 1] = -(a + TWO_PI * c) * r if a else -TWO_PI * c * r
+        ot[1] = -(a + TWO_PI * c) * r if a else -TWO_PI * c * r
         return out
 
     def _dx(x, a):
@@ -346,16 +358,17 @@ def _build_circle_linear(params):
         out[..., 1, 1] = -(a + TWO_PI * c)
         return out
 
-    def X_DXv(y, out):
+    def X_DXv(y, out=None):
         # one sin/cos pair; each tangent sum starts from +0.0, as np.einsum's
         # does, so DX's structural zero DX[0, 1] v1 is left out (finite y)
-        w, r, v0, v1 = TWO_PI * y[..., 0], y[..., 1], y[..., 2], y[..., 3]
+        yt, ot, out = _columns(y, out)
+        w, r, v0, v1 = TWO_PI * yt[0], yt[1], yt[2], yt[3]
         s, c = np.sin(w), np.cos(w)
         g = -(alpha + TWO_PI * c)
-        out[..., 0] = s
-        out[..., 1] = g * r
-        out[..., 2] = TWO_PI * c * v0 + 0.0
-        out[..., 3] = (TWO_PI * TWO_PI * s * r * v0 + 0.0) + g * v1
+        ot[0] = s
+        ot[1] = g * r
+        ot[2] = TWO_PI * c * v0 + 0.0
+        ot[3] = (TWO_PI * TWO_PI * s * r * v0 + 0.0) + g * v1
         return out
 
     def H(x):
@@ -384,13 +397,12 @@ def _build_circle_quadratic(params):
     if alpha <= 0:
         raise ParamError("circle-quadratic requires alpha > 0")
 
-    def _field(x, a):
-        x = np.asarray(x, dtype=float)
-        w, r = TWO_PI * x[..., 0], x[..., 1]
-        out = np.empty_like(x)
-        out[..., 0] = 2.0 * r * np.sin(w)
+    def _field(x, a, out=None):
+        xt, ot, out = _columns(x, out)
+        w, r = TWO_PI * xt[0], xt[1]
+        ot[0] = 2.0 * r * np.sin(w)
         c = np.cos(w)  # at a = 0 the Hamiltonian part's own product order
-        out[..., 1] = -a * r - TWO_PI * r * r * c if a else -TWO_PI * r * r * c
+        ot[1] = -a * r - TWO_PI * r * r * c if a else -TWO_PI * r * r * c
         return out
 
     def _dx(x, a):
@@ -481,12 +493,10 @@ def _build_mane(params):
             return TWO_PI * (ks * c[i])
         return TWO_PI * (-kc * s[i])
 
-    def _field(x, a):
+    def _field(x, a, out=None):
         """(p + Y(q), -DY(q)^T p - a p) column by column, from one sin and one
         cos pass of 2 pi q."""
-        x = np.asarray(x, dtype=float)
-        out = np.empty_like(x)
-        xt, ot = _columns(x, out)
+        xt, ot, out = _columns(x, out)
         s = c = None
         if trig:
             w = np.multiply(TWO_PI, xt[:d], order="C")  # contiguous rows
@@ -597,18 +607,6 @@ def _build_damped_mechanical(params):
             out[..., 1, 0] -= cc
         return out
 
-    def _field(x, a):
-        """(p, -grad V(q) - a p), written into one output."""
-        x = np.asarray(x, dtype=float)
-        q, pv = x[..., :d], x[..., d:]
-        out = np.empty_like(x)
-        out[..., :d] = pv
-        if a:
-            np.subtract(-grad_V(q), a * pv, out=out[..., d:])
-        else:
-            np.negative(grad_V(q), out=out[..., d:])
-        return out
-
     eye = np.eye(d)
 
     def _dx(x, a):
@@ -621,36 +619,45 @@ def _build_damped_mechanical(params):
 
     n, nvc, nvs = 2 * d, -vc, -vs
 
-    def X_DXv(y, out):
-        # X as _field, and DX v = [v_p | -hess V(q) v_q - alpha v_p], from the
-        # gradient's and the Hessian's shared sin/cos pass, column by column.
-        # np.einsum sums each row of DX v from +0.0, so the products of DX's
-        # structural zeros, signed zeros on a finite block, are left out and
-        # each sum ends with + 0.0
-        yt, ot = _columns(y, out)
-        q, pv, vq, vp = yt[:d], yt[d:n], yt[n : n + d], yt[n + d :]
-        s = c = None
+    def _field(y, a, out=None, tangent=False):
+        """X = (p, -grad V(q) - a p) of the states y, and with `tangent` the
+        rows [X | DX v] of y = [x | v] (X_DXv), DX v = [v_p | -hess V(q) v_q
+        - a v_p], column by column from one sin and one cos pass of 2 pi q
+        over the whole (d, N) block, each taken only when a term needs it.
+        np.einsum sums each row of DX v from +0.0, so the products of DX's
+        structural zeros, signed zeros on a finite block, are left out and
+        each sum ends with + 0.0."""
+        yt, ot, out = _columns(y, out)
+        q, pv = yt[:d], yt[d:n]
         if cos_on or sin_on:
-            w = np.multiply(TWO_PI, q, order="C")
-            s, c = np.sin(w), np.cos(w)
+            w = np.multiply(TWO_PI, q, order="C")  # contiguous rows
+            s = np.sin(w) if cos_on or tangent else None
+            c = np.cos(w) if sin_on or tangent else None
         if vx:
             u = TWO_PI * (q[0] - q[1])
-            cross, cc = -vx * TWO_PI * np.sin(u), -vx * (TWO_PI**2) * np.cos(u)
+            cross = -vx * TWO_PI * np.sin(u)
+        ot[:d] = pv
         for i in range(d):
-            g = TWO_PI * _harmonics(q[i], lambda _: nvc[i] * s[i], lambda _: vs[i] * c[i])
-            hv = (TWO_PI**2) * _harmonics(
-                q[i], lambda _: nvc[i] * c[i], lambda _: nvs[i] * s[i]
-            )
+            g = TWO_PI * (nvc[i] * s[i] + vs[i] * c[i] if cos_on and sin_on
+                          else nvc[i] * s[i] if cos_on else vs[i] * c[i] if sin_on else 0.0)
             if vx:
                 g = g + cross if i == 0 else g - cross
-                hv = hv + cc
-            ot[i] = pv[i]
-            ot[d + i] = -g - alpha * pv[i]
-            ot[n + i] = vp[i] + 0.0
-            t = -hv * vq[i] + -alpha * vp[i]
-            if vx:  # the Hessian's off-diagonal -cc enters DX as -(0.0 - cc) = cc
-                t = t + cc * vq[1 - i]
-            ot[n + d + i] = t + 0.0
+            ot[d + i] = -g - a * pv[i] if a else -g
+        if tangent:
+            vq, vp = yt[n : n + d], yt[n + d :]
+            if vx:
+                cc = -vx * (TWO_PI**2) * np.cos(u)
+            np.add(vp, 0.0, out=ot[n : n + d])
+            for i in range(d):
+                hv = (TWO_PI**2) * (nvc[i] * c[i] + nvs[i] * s[i] if cos_on and sin_on
+                                    else nvc[i] * c[i] if cos_on
+                                    else nvs[i] * s[i] if sin_on else 0.0)
+                if vx:
+                    hv = hv + cc
+                t = -hv * vq[i] + -a * vp[i]
+                if vx:  # the Hessian's off-diagonal -cc enters DX as -(0.0 - cc) = cc
+                    t = t + cc * vq[1 - i]
+                ot[n + d + i] = t + 0.0
         return out
 
     def H(x):
@@ -678,7 +685,8 @@ def _build_damped_mechanical(params):
     )
 
     return _cotangent_flow(
-        "damped-mechanical", p, d, alpha, _field, _dx, X_DXv=X_DXv, H=H, dH=dH,
+        "damped-mechanical", p, d, alpha, _field, _dx,
+        X_DXv=lambda y, out=None: _field(y, alpha, out, tangent=True), H=H, dH=dH,
         V=V, grad_V=grad_V, hess_V=hess_V, fiber_convex=True, equilibria=equilibria,
     )
 
@@ -779,11 +787,15 @@ def _t2_pair(name, params, axis, X, DX, eta_X, X_etaX):
 def _build_t2_pair_theta1(params):
     amp = 2.0 * math.sqrt(2.0) * math.pi
 
-    def X(x):
-        x = np.asarray(x, dtype=float)
-        out = np.empty_like(x)
-        out[..., 0] = 0.0
-        out[..., 1] = -amp * np.sin(TWO_PI * (0.125 + x[..., 0]))
+    def _field(y, out=None, lee=False):
+        """X of the states y, and with `lee` the rows [X | eta(X)] of
+        y = [x | r] (X_etaX): the field has no theta1 component, so
+        eta(X) = 0."""
+        yt, ot, out = _columns(y, out)
+        ot[0] = 0.0
+        ot[1] = -amp * np.sin(TWO_PI * (0.125 + yt[0]))
+        if lee:
+            ot[2] = 0.0
         return out
 
     def DX(x):
@@ -792,23 +804,21 @@ def _build_t2_pair_theta1(params):
         out[..., 1, 0] = -amp * TWO_PI * np.cos(TWO_PI * (0.125 + th1))
         return out
 
-    def X_etaX(y, out):
-        out[..., 0] = 0.0
-        out[..., 1] = -amp * np.sin(TWO_PI * (0.125 + y[..., 0]))
-        out[..., 2] = 0.0
-        return out
-
-    # the displayed field has no theta1 component, so eta(X) = 0
-    return _t2_pair("t2-pair-theta1", params, 0, X, DX, _zero_eta_X, X_etaX)
+    return _t2_pair("t2-pair-theta1", params, 0, _field, DX, _zero_eta_X,
+                    lambda y, out=None: _field(y, out, lee=True))
 
 
 def _build_t2_pair_theta2(params):
-    def X(x):
-        x = np.asarray(x, dtype=float)
-        w = TWO_PI * x[..., 1]
-        out = np.empty_like(x)
-        out[..., 0] = TWO_PI * np.cos(w)
-        out[..., 1] = -TWO_PI * np.sin(w)
+    def _field(y, out=None, lee=False):
+        """X of the states y, and with `lee` the rows [X | eta(X)] of
+        y = [x | r] (X_etaX) from the same cos."""
+        yt, ot, out = _columns(y, out)
+        w = TWO_PI * yt[1]
+        c = np.cos(w)
+        ot[0] = TWO_PI * c
+        ot[1] = -TWO_PI * np.sin(w)
+        if lee:
+            ot[2] = (-TWO_PI * TWO_PI) * c
         return out
 
     def DX(x):
@@ -822,16 +832,8 @@ def _build_t2_pair_theta2(params):
         x = np.asarray(x, dtype=float)
         return -TWO_PI * TWO_PI * np.cos(TWO_PI * x[..., 1])
 
-    def X_etaX(y, out):
-        # one cos for X and eta(X)
-        w = TWO_PI * y[..., 1]
-        c = np.cos(w)
-        out[..., 0] = TWO_PI * c
-        out[..., 1] = -TWO_PI * np.sin(w)
-        out[..., 2] = (-TWO_PI * TWO_PI) * c
-        return out
-
-    return _t2_pair("t2-pair-theta2", params, 1, X, DX, eta_X, X_etaX)
+    return _t2_pair("t2-pair-theta2", params, 1, _field, DX, eta_X,
+                    lambda y, out=None: _field(y, out, lee=True))
 
 
 def rationally_dependent(a1, a2):
@@ -887,15 +889,14 @@ def _build_lee_twisted(params):
     spec = CoordinateSpec((ANGLE, ANGLE, ANGLE, ANGLE))  # (x1, x2, v, theta)
     eta_vec = np.array([a1, a2, 0.0, -1.0])
 
-    def X(x):
-        x = np.asarray(x, dtype=float)
-        v = x[..., 2]
+    def X(x, out=None):
+        xt, ot, out = _columns(x, out)
+        v = xt[2]
         c, s = np.cos(TWO_PI * v), np.sin(TWO_PI * v)
-        out = np.empty_like(x)
-        out[..., 0] = c
-        out[..., 1] = s
-        out[..., 2] = 0.0
-        out[..., 3] = a1 * c + a2 * s
+        ot[0] = c
+        ot[1] = s
+        ot[2] = 0.0
+        ot[3] = a1 * c + a2 * s
         return out
 
     def DX(x):
@@ -965,11 +966,11 @@ def _build_anosov_cover(params):
     f_inv_mat = np.linalg.inv(frame)
     omega_chart = f_inv_mat.T @ c_can @ f_inv_mat
 
-    def X(x):
-        x = np.asarray(x, dtype=float)
-        out = np.zeros_like(x)
-        out[..., 2] = 1.0
-        out[..., 3] = rate * x[..., 3]
+    def X(x, out=None):
+        xt, ot, out = _columns(x, out)
+        ot[0] = ot[1] = 0.0
+        ot[2] = 1.0
+        ot[3] = rate * xt[3]
         return out
 
     def DX(x):
@@ -1076,7 +1077,7 @@ def contact_lift(H, beta, dH=None):
         w = TWO_PI * y[..., 2]
         return y, np.cos(w), np.sin(w)
 
-    def X(x):
+    def X(x, out=None):
         y, c, s = trig(x)
         g, zero = grad_h(y), np.zeros_like(c)
         dh_t = -s * g[..., 0] + c * g[..., 1]
@@ -1085,7 +1086,9 @@ def contact_lift(H, beta, dH=None):
               + (g[..., 2] / TWO_PI)[..., None] * np.stack([-s, c, zero], axis=-1)
               - (dh_t / TWO_PI)[..., None] * np.array([0.0, 0.0, 1.0]))
         theta_dot = b1 * xc[..., 0] + b2 * xc[..., 1] - (c * g[..., 0] + s * g[..., 1])
-        return np.concatenate([xc, theta_dot[..., None]], axis=-1)
+        if out is None:
+            out = np.empty_like(np.asarray(x, dtype=float))
+        return np.concatenate([xc, theta_dot[..., None]], axis=-1, out=out)
 
     def DX(x):
         # derivative of X's closed form; (c, s) depend on v = y[2]

@@ -139,7 +139,7 @@ def test_dense_output_is_the_dormand_prince_extension():
     rk = pytest.importorskip("scipy.integrate._ivp.rk")
     osc = ModelSpec(
         name="oscillator", spec=CoordinateSpec((LINE, LINE)), kind=FLOW, params={},
-        X=lambda x: np.stack([x[..., 1], -x[..., 0]], -1),
+        X=lambda x, out=None: np.stack([x[..., 1], -x[..., 0]], -1, out=out),
         Omega=lambda x: np.array([[0.0, 1.0], [-1.0, 0.0]]),
     )
     cfg = IntegratorConfig(rel_tol=1e-6, abs_tol=1e-8)
@@ -181,8 +181,8 @@ def test_collapsing_row_is_named():
     shrinking h and the row fails after 60 retries.  The row at v = -1e6
     completes."""
     m = instantiate_model("circle-linear", alpha=1.0)
-    cliff = dataclasses.replace(m, X_DXv=None, X=lambda x: np.stack(
-        [0.0 * x[..., 0], np.where(x[..., 1] < 1e6 + 1, 1.0, 1.7e308)], -1
+    cliff = dataclasses.replace(m, X_DXv=None, X=lambda x, out=None: np.stack(
+        [0.0 * x[..., 0], np.where(x[..., 1] < 1e6 + 1, 1.0, 1.7e308)], -1, out=out
     ))
     xs = np.array([[0.0, -1e6], [0.0, 1e6]])
     with pytest.raises(ConvergenceError) as info:
@@ -198,7 +198,7 @@ def _stalls(rate, span):
     X = rate x, after checking that the equilibrium row beside it completes."""
     m = instantiate_model("circle-linear", alpha=1.0)
     field = dataclasses.replace(
-        m, X=lambda x: rate * np.asarray(x, dtype=float), X_DXv=None)
+        m, X=lambda x, out=None: np.multiply(rate, x, out=out), X_DXv=None)
     cfg = IntegratorConfig(rel_tol=1e-150, abs_tol=1e-150, max_steps=2000)
     xs = np.array([[0.0, 0.0], [1.0, 1.0]])  # row 0 is an equilibrium
     assert integrate_flow(field, xs[0], span, cfg).status == COMPLETED
@@ -235,7 +235,7 @@ def test_first_step_floor_scales_with_the_start_time(span):
     raised "accepted a step too small to advance t" from t0 = 1e11."""
     m = instantiate_model("circle-linear", alpha=1.0)
     still = dataclasses.replace(
-        m, X=lambda x: 1e-31 * np.asarray(x, dtype=float), DX=None, X_DXv=None)
+        m, X=lambda x, out=None: np.multiply(1e-31, x, out=out), DX=None, X_DXv=None)
     traj = integrate_flow(still, np.array([0.0, 0.0]), span, samples=2)
     assert traj.status == COMPLETED and traj.times[-1] == span[1]
     assert traj.stats.h_min >= 1e-12 * abs(span[0])
@@ -273,7 +273,7 @@ def test_a_step_to_a_reversed_frame_is_rejected(monkeypatch):
     monkeypatch.setattr(flows._OrientationCheck, "__call__", counting)
     stiff = ModelSpec(
         name="stiff", spec=CoordinateSpec((LINE, LINE)), kind=FLOW, params={},
-        X=lambda x: np.stack([-30.0 * x[..., 0], -x[..., 1]], -1),
+        X=lambda x, out=None: np.stack([-30.0 * x[..., 0], -x[..., 1]], -1, out=out),
         DX=lambda x: np.broadcast_to(np.diag([-30.0, -1.0]), np.shape(x)[:-1] + (2, 2)),
         Omega=lambda x: np.array([[0.0, 1.0], [-1.0, 0.0]]),
     )
@@ -301,9 +301,9 @@ def test_stats_count_steps_and_field_evaluations():
     m = instantiate_model("circle-quadratic", alpha=1.0)
     rows = []
 
-    def counted(x):
+    def counted(x, out=None):
         rows.append(len(np.atleast_2d(x)))
-        return m.X(x)
+        return m.X(x, out)
 
     counting = dataclasses.replace(m, X=counted)
     cfg = IntegratorConfig(rel_tol=1e-6, abs_tol=1e-8)

@@ -136,6 +136,29 @@ def test_a_nan_on_the_second_splitting_model_fails(monkeypatch):
         assert result.verdict == "FAIL" and np.isnan(result.residual)
 
 
+def test_worst_is_nan_when_any_value_is_nan():
+    # Python's max keeps a NaN only as its first argument
+    assert max(0.5, np.nan) == 0.5
+    for values in ((0.5, np.nan), (np.nan, 0.5), (0.0, 0.5, np.nan)):
+        assert np.isnan(C._worst(*values)) and np.isnan(C._worst(list(values)))
+    assert C._worst(0.25, 0.5, 0.0) == C._worst([0.25, 0.5, 0.0]) == 0.5
+    worst, ratios = C._worst_ratio({"a": (1e-9, 1.0), "b": (np.nan, 1.0)})
+    assert np.isnan(worst) and ratios["a"] == 1e-9
+
+
+def test_a_nan_sub_result_after_a_finite_one_fails(monkeypatch):
+    # the Mane residual comes after the two circle models' finite ones
+    residual = C.field_identity_residual
+
+    def nan_on_mane(m, x):
+        res = residual(m, x)
+        return res * np.nan if m.name == "mane" else res
+
+    monkeypatch.setattr(C, "field_identity_residual", nan_on_mane)
+    result = C.cert_field_identities(seed=7)
+    assert result.verdict == "FAIL" and np.isnan(result.residual)
+
+
 def test_map_conformality_budget_times_the_whole_measurement(monkeypatch):
     spans = []
     ratios = C.map_conformality_ratios

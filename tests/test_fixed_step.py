@@ -42,7 +42,8 @@ def riccati_pair():
     omega = np.array([[0.0, 1.0], [-1.0, 0.0]])
     return ModelSpec(
         name="riccati-pair", spec=CoordinateSpec((ANGLE, LINE)), kind=FLOW, params={},
-        X=lambda x: np.stack([np.ones_like(x[..., 0]), x[..., 1] ** 2], axis=-1),
+        X=lambda x, out=None: np.stack(
+            [np.ones_like(x[..., 0]), x[..., 1] ** 2], axis=-1, out=out),
         H=lambda x: x[..., 1], eta=lambda x: np.zeros(2), Omega=lambda x: omega,
     )
 
@@ -318,9 +319,10 @@ def test_a_replaced_field_needs_the_fused_field_cleared():
     states, vectors = sample_states(m, 8, rng, 1.0), rng.standard_normal((8, 4))
     calls = []
 
-    def doubled(x):
+    def doubled(x, out=None):
         calls.append(len(x))
-        return 2.0 * m.X(x)
+        out = m.X(x, out)
+        return np.multiply(out, 2.0, out=out)
 
     stale = dataclasses.replace(m, X=doubled)
     kept = transport_tangents(stale, states, vectors, 0.05)
@@ -502,6 +504,58 @@ def test_classify_rows_are_bit_identical_for_any_observer_block(case, seed, n, s
         results.append((verdicts.tolist(), values.tobytes()))
     assert results[1] == results[0]
     assert results[2] == results[0]
+
+
+@pytest.mark.parametrize("n", [1, 7, 100])
+def test_classify_bits_do_not_depend_on_the_observer_block_size(n):
+    """Blocks of one step, of the default 64 KiB and of the whole run give
+    the same bits, and the regression slope is the r_t moment added up
+    step by step in step order."""
+    m = instantiate_model("t2-pair-theta2")
+    starts = sample_states(m, n, np.random.default_rng(n), 1.0)
+    T, steps = 0.5, 500
+    step_bytes = 8 * n * (m.dim + 1)
+    results = []
+    for cap in (step_bytes, 64 * 1024, steps * step_bytes):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(diagnostics, "_OBSERVER_BLOCK_BYTES", cap)
+            verdicts, values = _classify_rows(m, starts, T)
+        results.append((verdicts.tolist(), values.tobytes()))
+    assert results[1] == results[0] and results[2] == results[0]
+    half = steps // 2
+    ts = diagnostics._CLASSIFY_H * np.arange(steps + 1)[half:]
+    ts_c = ts - ts.mean()
+    moment = np.zeros(n)
+
+    def add(k, Y):
+        if k + 1 >= half:
+            np.add(moment, ts_c[k + 1 - half] * Y[:, m.dim], out=moment)
+
+    flow_ensemble(m, starts, T, diagnostics._CLASSIFY_H, racc=True, on_step=add)
+    slopes = moment / float(np.sum(ts_c * ts_c))
+    assert np.frombuffer(results[0][1]).reshape(n, 4)[:, 0].tobytes() == slopes.tobytes()
+
+
+def test_rows_dying_mid_run_step_as_each_row_alone():
+    """Rows escape at different steps, so the engine steps ever fewer live
+    rows in the leading rows of its stage buffers; each row's flow (with
+    the Lee channel) and each live row's classification are the bits of the
+    row run alone.  (A dead row's late |H| is read from its frozen state
+    only while other rows still step.)"""
+    m = riccati_pair()
+    starts = _blowup_starts(m, 24, np.random.default_rng(5))
+    starts[::3, 1] = 0.5  # r(t) = 1 / (2 - t) stays bounded
+    flowed, classes = (flow_ensemble(m, starts, 0.4, h=1e-3, racc=True),
+                       _classify_rows(m, starts, 0.4))
+    alive = flowed[1]
+    assert alive[::3].all() and 2 < (~alive).sum() < len(starts)
+    for i, x in enumerate(starts):
+        for a, b in zip(flowed, flow_ensemble(m, x[None], 0.4, h=1e-3, racc=True)):
+            assert a[i : i + 1].tobytes() == b.tobytes()
+        verdict, values = _classify_rows(m, x[None], 0.4)
+        assert verdict[0] == classes[0][i]
+        if alive[i]:
+            assert values.tobytes() == classes[1][i : i + 1].tobytes()
 
 
 def test_classify_verdicts_follow_the_thresholds(monkeypatch):

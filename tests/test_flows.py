@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -194,6 +195,26 @@ def test_midpoint_rows_the_sweeps_leave_are_refused():
             conformal_splitting_step(m, np.vstack([xs[[1, 2, 13]], x]), h)
         assert batch.value.row == 3 and batch.value.state.tobytes() == x.tobytes()
         assert str(batch.value) == str(alone.value).replace("row 0", "row 3")
+
+
+def test_midpoint_sweeps_end_at_a_non_finite_update():
+    """At h = 0.5 row 4's sweeps overflow within a few sweeps: they end at
+    the first non-finite update, without a numpy warning, and the row is
+    refused as a row left unconverged."""
+    m = instantiate_model("circle-quadratic")
+    x = sample_states(m, 16, np.random.default_rng(11), 1.0)[4]
+    calls = []
+
+    def counted(z):
+        calls.append(len(z))
+        return m.X_sym(z)
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ConvergenceError, match="row 0: .* in 50 sweeps") as info:
+            conformal_splitting_step(dataclasses.replace(m, X_sym=counted), x, 0.5)
+    assert info.value.state.tobytes() == x.tobytes()
+    assert 0 < len(calls) < 50
 
 
 def test_midpoint_without_a_real_root_is_still_refused():
@@ -650,9 +671,9 @@ def test_poincare_return_stops_at_its_kth_crossing():
     m = instantiate_model("t2-pair-theta2")
     reached = []
 
-    def counted(x):
+    def counted(x, out=None):
         reached.append(float(np.max(np.asarray(x)[..., 0])))
-        return m.X(x)
+        return m.X(x, out)
 
     counting = dataclasses.replace(m, X=counted, X_etaX=None)
     sec = SectionSpec(axis=0, offset=0.0, direction=1)
@@ -682,7 +703,8 @@ def test_poisoned_field_raises():
     spec = CoordinateSpec((LINE, LINE))
     bad = ModelSpec(
         name="poison", spec=spec, kind=FLOW, params={},
-        X=lambda x: np.array([np.nan, 0.0]),
+        X=lambda x, out=None: np.stack(
+            [np.full(x.shape[:-1], np.nan), np.zeros(x.shape[:-1])], -1, out=out),
         Omega=lambda x: np.array([[0.0, 1.0], [-1.0, 0.0]]),
     )
     with pytest.raises(PoisonedStateError):

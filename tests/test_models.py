@@ -591,6 +591,51 @@ def test_evaluators_give_the_same_bytes_on_a_column_major_batch(name, params, re
                     c, np.empty_like(c)).tobytes()
 
 
+def _bare_lift():
+    # no dH: X differences the caller's H
+    return contact_lift(
+        lambda y: math.cos(TWO_PI * y[2]) + 0.3 * y[1] * math.sin(TWO_PI * y[0]), (0.5, -0.2))
+
+
+# with damped-mechanical's harmonics both on, sine only and neither on
+FIELD_CASES = LAYOUT_CASES + [
+    ("damped-mechanical", {"alpha": 0.5, "d": 1, "v_cos": 1.0, "v_sin": -0.4}),
+    ("damped-mechanical", {"alpha": 0.5, "d": 1, "v_cos": 0.0, "v_sin": 0.7}),
+    ("damped-mechanical", {"alpha": 0.5, "d": 2, "v_cos": 0.0, "v_cross": 0.4}),
+    ("contact-lift", None), ("contact-lift-bare", None),
+]
+
+
+@pytest.mark.parametrize("order", ["C", "F"])
+@pytest.mark.parametrize("rows", [1, 33])
+@pytest.mark.parametrize("reverse", [False, True], ids=["forward", "reversed"])
+@pytest.mark.parametrize("name,params", FIELD_CASES, ids=lambda v: str(v)[:40])
+def test_field_writes_into_out_the_bytes_it_allocates(name, params, reverse, rows, order):
+    """X(x, out) writes every entry of out, returns out and gives the bytes
+    of X(x), whose new array is laid out like x, for a one-row and a larger
+    block in either layout; so do the fused fields on rows [x | v | r]."""
+    if params is None:
+        m = _fd_fallback_model() if name == "contact-lift" else _bare_lift()
+    else:
+        m = instantiate_model(name, params)
+    if reverse:
+        m = time_reversed_view(m)
+    rng = np.random.default_rng(rows)
+    n = m.dim
+    y = np.concatenate([sample_states(m, rows, rng, 1.0),
+                        rng.standard_normal((rows, n + 1))], axis=1)
+    for f, w in ((m.X, n), (m.X_DXv, 2 * n), (m.X_etaX, n + 1)):
+        if f is None:
+            continue
+        x = np.array(y[:, :w], order=order)
+        out = np.full_like(x, np.nan)
+        fresh = f(x)
+        assert f(x, out) is out
+        assert fresh.tobytes(order="A") == out.tobytes(order="A")
+        assert fresh.flags.c_contiguous == x.flags.c_contiguous
+        assert fresh.flags.f_contiguous == x.flags.f_contiguous
+
+
 def test_model_spec_rejects_retired_dx_batch():
     m = instantiate_model("circle-linear")
     with pytest.raises(ParamError, match="DX_batch"):
@@ -687,13 +732,13 @@ MANE_CASES = {
 }
 
 
-def _einsum_mane_field(m, x, a):
+def _einsum_mane_field(m, x, a, out=None):
     """(p + Y(q), -DY(q)^T p - a p) from the model's Y and DY, summed by
     np.einsum: the formula the lean field replaced."""
     x = np.asarray(x, dtype=float)
     d = m.d
     q, p = x[..., :d], x[..., d:]
-    out = np.empty(x.shape)
+    out = np.empty(x.shape) if out is None else out
     out[..., :d] = p + m.Y(q)
     dyt_p = np.einsum("...j,...ji->...i", p, m.DY(q))
     out[..., d:] = -dyt_p - a * p if a else -dyt_p
@@ -764,7 +809,7 @@ def test_mane_flow_with_an_overflowing_row_matches_the_einsum_formula():
     x = _mane_states(m, 33, 6)
     x[7:10, 2:] = 1e306  # the stage fields overflow, then the stages are non-finite
     reference = dataclasses.replace(
-        m, X=lambda x: _einsum_mane_field(m, x, m.alpha),
+        m, X=lambda x, out=None: _einsum_mane_field(m, x, m.alpha, out),
         X_sym=lambda x: _einsum_mane_field(m, x, 0.0))
     with np.errstate(invalid="ignore", over="ignore"):
         for model, ref in ((m, reference), (time_reversed_view(m), time_reversed_view(reference))):

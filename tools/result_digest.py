@@ -67,6 +67,11 @@ each state of their Mane d = 2 splitting step at their three h, and, once
 for all seeds, the refusal (message, row and state) of each circle-quadratic
 state whose midpoint sweeps do not converge; a tree that steps such a state
 digests its step instead.
+Last come the one-row `flow_ensemble` runs of every registered flow (and of
+the ensemble and full Mane drifts and the coupled d = 2 damped-mechanical
+model), forward and on the time-reversed view, with and without the Lee
+channel where the model has a Lee form, and `classify_ensemble` of the
+conformal pairs and lee-twisted-t1t2 at N = 1 and 100.
 Floats
 are hashed by their bits (`float.hex`), arrays by dtype, shape and bytes,
 so -0.0 and 0.0 differ.
@@ -473,6 +478,35 @@ def refusal_digests():
         yield f"conformal_splitting_step.circle-quadratic.{label}.h{h}.refusal", digest(out)
 
 
+# every registered flow at its defaults, and the ensemble and full Mane drifts
+ONE_ROW_MODELS = tuple((name, name, {}) for name in models.registered_models()
+                       if models.instantiate_model(name).kind == models.FLOW) + (
+    ("damped-mechanical-d2", "damped-mechanical", ENSEMBLE_MODELS[0][1]),
+    ("mane-d2", "mane", ENSEMBLE_MODELS[2][1]), ("mane-full", "mane", MANE_FULL))
+
+
+def one_row_digests(seed):
+    """One-row `flow_ensemble` of every flow, forward and on its time-reversed
+    view, with the Lee channel too where the model has one, and
+    `classify_ensemble` of the conformal pairs at N = 1 and 100."""
+    rng = np.random.default_rng([seed, 61])
+    for label, name, params in ONE_ROW_MODELS:
+        m = models.instantiate_model(name, params)
+        x = models.sample_states(m, 1, rng, 1.0)
+        for view, model in (("forward", m), ("reversed", time_reversed_view(m))):
+            for racc in (False, True) if m.eta is not None else (False,):
+                out = flow_ensemble(model, x, 2.0, 0.01, racc=racc)
+                yield (f"flow_ensemble.seed{seed}.{label}.{view}{'.racc' * racc}.n1",
+                       digest(list(out)))
+    for name in ("t2-pair-theta1", "t2-pair-theta2", "lee-twisted-t1t2"):
+        m = models.instantiate_model(name)
+        for n in (1, 100):
+            res = classify_ensemble(m, models.sample_states(m, n, rng, 1.0), 0.5)
+            yield f"classify_ensemble.seed{seed}.{name}.T0.5.n{n}", digest(
+                [[c.verdict, c.r_slope, c.omega_H_max, c.min_return_dist, c.r_abs_max]
+                 for c in res])
+
+
 def cli_configs(seed):
     """Config text per run: each operation once (simulate also with rk4),
     verify at scope geometry, every integrator field read at least once, and
@@ -596,6 +630,9 @@ def main(argv=None):
                 print(f"{value}  {name}", flush=True)
     for name, value in refusal_digests():
         print(f"{value}  {name}", flush=True)
+    for seed in args.seeds:
+        for name, value in one_row_digests(seed):
+            print(f"{value}  {name}", flush=True)
 
 
 if __name__ == "__main__":
