@@ -28,6 +28,7 @@ from .diagnostics import (
     find_periodic_orbit,
     loop_cohomology_check,
     map_conformality_ratios,
+    _worst,
 )
 from .errors import ConfigError, CsdynError, ParamError
 from .flows import (
@@ -148,7 +149,7 @@ def _op_diagnose_conformality(cfg):
         check="conformality",
         model=m.name,
         params=m.params,
-        residual=max(float(np.max(residuals)), spread),
+        residual=_worst(float(np.max(residuals)), spread),
         tolerance=1e-12,
         provenance_tag="conformality/map-ratio",
         details={"ratio": float(np.mean(ratios)), "spread": spread},
@@ -335,7 +336,7 @@ def run_config(path, seed=None, out=None, timestamp=None, jobs=None):
     """Execute the operation described by the config file; returns exit code."""
     try:
         cfg = load_config(path)
-        if seed is not None:
+        if seed is not None and cfg.seed is not None:  # None: the operation draws nothing
             cfg.seed = int(seed)
         if out is not None:
             cfg.out_dir = out

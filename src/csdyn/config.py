@@ -33,7 +33,7 @@ class RunConfig:
     model_params: dict
     options: dict  # the operation's own keys, by name within its section
     integrator: dict  # the IntegratorConfig fields the operation passes on
-    seed: int
+    seed: int | None  # None for an operation that reads no run.seed
     out_dir: str
     timestamp: bool
     jobs: int
@@ -150,7 +150,7 @@ def load_config(path):
         model_params=model_params,
         options=_section(table, operation + "."),
         integrator=_section(table, "integrator."),
-        seed=table.get("run.seed", RUN_KEYS["run.seed"]),
+        seed=table.get("run.seed"),
         out_dir=table["run.out"],
         timestamp=table["run.timestamp"],
         jobs=table.get("run.jobs", RUN_KEYS["run.jobs"]),

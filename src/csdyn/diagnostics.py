@@ -41,10 +41,9 @@ from .geometry import (
     loop_integral,
     torus_distance,
 )
-from .models import MAP, _per_state
+from .models import MAP
 
 TWO_PI = 2.0 * math.pi
-_DRAWS_PER_SAMPLE = 1000  # escape_statistics' cap on draws, per sample asked for
 # fixed tuning values of the functions below
 _TRANSPORT_TOL = 1e-6  # conformal_transport_check's tolerance
 _LOOP_COHOMOLOGY_TOL = 1e-7  # loop_cohomology_check's relative tolerance
@@ -128,6 +127,15 @@ def _jsonable(v):
     return v
 
 
+def _worst(*args, pick=max):
+    """pick(*args), max by default, but NaN when any value is NaN: Python's
+    max and min keep a NaN only as their first value, so a NaN sub-result
+    after a finite one would read PASS.  Takes several values or one
+    iterable of them, as max does."""
+    values = list(args[0]) if len(args) == 1 else args
+    return math.nan if any(math.isnan(v) for v in values) else pick(values)
+
+
 # ---------------------------------------------------------------------------
 # rotation numbers and conformal transport
 # ---------------------------------------------------------------------------
@@ -169,7 +177,7 @@ def conformal_transport_check(m, traj):
     h_res = 0.0
     if m.H is not None and m.h_scales:
         h_res = float(np.max(np.abs(m.H(traj.states) - c * float(m.H(x0)))))
-    residual = max(omega_res, h_res)
+    residual = _worst(omega_res, h_res)
     return CheckResult(
         check="conformal-transport",
         model=m.name,
@@ -210,7 +218,7 @@ class LyapunovResult:
 def _pairing_defect(exponents, target):
     ex = np.sort(np.asarray(exponents))[::-1]
     n = len(ex)
-    return float(max(abs(ex[i] + ex[n - 1 - i] - target) for i in range(n)))
+    return float(_worst(abs(ex[i] + ex[n - 1 - i] - target) for i in range(n)))
 
 
 def _renormalized_logs(push, n, n_legs, dt):
@@ -706,19 +714,15 @@ def _in_box_mask(spec, pts, box):
     return inside
 
 
-def escape_statistics(m, box, n_steps, samples, seed, exclusion=None,
-                      sample_override=None):
+def escape_statistics(m, box, n_steps, samples, seed, sample_override=None):
     """Backward-orbit escape counts for a map model over a compact box.
 
     The box has one (lo, hi), lo < hi, per axis; n_steps and samples are at
-    least 1.  Samples are drawn uniformly in the box with the given seed, in
-    blocks of the count still needed; with `exclusion`, a predicate on one
-    state, the samples are the first draws it does not exclude, in draw
-    order, as one draw per sample would give them.  Once 1000 draws per
-    sample have not given enough samples, it raises ParamError.  A sample
-    escapes when its backward orbit first leaves the box within n_steps.
-    Samples evolve batched but row-independently, so counts match any worker
-    partition.
+    least 1.  The samples are one uniform draw of `samples` states in the
+    box with the given seed, or the states of `sample_override`, which must
+    number `samples` (ParamError otherwise).  A sample escapes when its
+    backward orbit first leaves the box within n_steps.  Samples evolve
+    batched but row-independently, so counts match any worker partition.
     """
     if m.kind != MAP:
         raise ParamError("escape statistics is defined for map models")
@@ -726,25 +730,18 @@ def escape_statistics(m, box, n_steps, samples, seed, exclusion=None,
         raise ParamError(f"{m.name} provides no inverse map")
     box = tuple((float(lo), float(hi)) for lo, hi in box)
     _check_box(m.spec, box)
-    pts = None if sample_override is None else np.asarray(sample_override, dtype=float)
-    samples = samples if pts is None else len(pts)
     if not (n_steps >= 1 and samples >= 1):
         raise ParamError(f"escape statistics needs n_steps >= 1 and samples >= 1, "
                          f"got {n_steps} and {samples}")
-    if pts is None:
+    if sample_override is None:
         rng = np.random.default_rng(seed)
-        lo = np.array([b[0] for b in box])
-        hi = np.array([b[1] for b in box])
-        excluded = None if exclusion is None else _per_state(lambda x: bool(exclusion(x)), ())
-        pts, drawn = np.empty((0, m.dim)), 0
-        while len(pts) < samples:
-            if drawn >= _DRAWS_PER_SAMPLE * samples:
-                raise ParamError(f"exclusion kept {len(pts)} of {drawn} draws, below {samples}")
-            drawn += samples - len(pts)
-            cand = lo + (hi - lo) * rng.uniform(size=(samples - len(pts), m.dim))
-            if excluded is not None:
-                cand = cand[~excluded(cand)]
-            pts = np.concatenate([pts, cand])
+        lo, hi = np.array(box).T
+        pts = lo + (hi - lo) * rng.uniform(size=(samples, m.dim))
+    else:
+        pts = np.asarray(sample_override, dtype=float)
+        if len(pts) != samples:
+            raise ParamError(f"escape statistics got samples={samples} "
+                             f"but {len(pts)} override states")
     exit_steps = np.zeros(samples, dtype=np.int64)
     alive = np.ones(samples, dtype=bool)
     current = pts.copy()

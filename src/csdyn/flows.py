@@ -628,22 +628,6 @@ def _line_indices(m):
     return np.nonzero(~m.spec.angle_mask)[0]
 
 
-def _eta_contraction(m):
-    """eta(X) as a batched scalar field, analytic when the model provides it."""
-    if m.eta is None:
-        raise StructureError(f"{m.name} has no Lee form eta to integrate")
-    if m.eta_X is not None:
-        return m.eta_X
-
-    def contraction(x):
-        x = np.asarray(x, dtype=float)
-        eta = np.asarray(m.eta(x), dtype=float)
-        xdot = np.ascontiguousarray(m.X(x), dtype=float)  # the sum rounds by layout
-        return np.einsum("...i,...i->...", eta, xdot)
-
-    return contraction
-
-
 def _joint_rhs(m, k, racc):
     """Joint field of the rows y = [x | n*k tangent entries, row-major n x k | r].
 
@@ -659,13 +643,18 @@ def _joint_rhs(m, k, racc):
     which takes `(y, out=None)` as X does and equals this composed one bit
     for bit on finite blocks (X_DXv may leave out the products of DX's
     structural zeros, which are nan on a non-finite entry: 0 * inf).
+    Tangents need the model's DX and the Lee channel its eta_X; a model
+    without them raises StructureError here, before any step.
     """
+    if k and m.DX is None:
+        raise StructureError(f"{m.name} states no Jacobian DX")
+    if racc and m.eta_X is None:
+        raise StructureError(f"{m.name} states no eta_X, a Lee form's value on X")
     fused = {(0, False): m.X, (1, False): m.X_DXv, (0, True): m.X_etaX}.get((k, racc))
     if fused is not None:
         return fused
     n, nk = m.dim, m.dim * k
     DX = m.jacobian
-    eta_dot = _eta_contraction(m) if racc else None
 
     def rhs(y, out=None):
         if out is None:
@@ -679,7 +668,7 @@ def _joint_rhs(m, k, racc):
             F = np.ascontiguousarray(y[..., n : n + nk]).reshape(y.shape[:-1] + (n, k))
             out[..., n : n + nk] = (DX(x) @ F).reshape(y.shape[:-1] + (nk,))
         if racc:
-            out[..., -1] = eta_dot(x)
+            out[..., -1] = m.eta_X(x)
         return out
 
     return rhs
@@ -714,10 +703,6 @@ def _integrate_core(m, x0, t_span, cfg, with_frames, times, samples, initial_fra
         return trajs if x0.ndim == 2 else trajs[0]
     N, n = X0.shape
     with_racc = m.eta is not None
-    if with_frames and m.DX is None and cfg.rel_tol > 1e-8:
-        raise ParamError(
-            "finite-difference Jacobians require reference tolerance <= 1e-8"
-        )
     cols = [X0]
     if with_frames:
         F0 = np.eye(n) if initial_frame is None else np.asarray(initial_frame, float)
@@ -948,6 +933,7 @@ def conformal_splitting_step(m, x, h):
 def _fixed_step_paths(m, Y0, t0, t1, cfg, k, with_racc, node_check):
     """Nodes of rk4 or splitting runs from the rows of Y0, one _Path per row."""
     n = m.dim
+    rhs = _joint_rhs(m, k, with_racc)
     hist = [Y0.copy()]
     _fixed_step_engine(
         m, np.array(Y0, order="F"), t1 - t0, cfg.h, k, with_racc, cfg.blowup_threshold,
@@ -960,7 +946,6 @@ def _fixed_step_paths(m, Y0, t0, t1, cfg, k, with_racc, node_check):
     line = (~m.spec.angle_mask).astype(float)
     dead = ~(np.max(np.abs(hist[:, :, :n]) * line, axis=-1) <= cfg.blowup_threshold)
     dead[0] = ~np.all(np.isfinite(Y0[:, :n]), axis=1)
-    rhs = _joint_rhs(m, k, with_racc)
     paths, lost = [], []
     for row in range(len(Y0)):
         died = bool(dead[:, row].any())

@@ -213,18 +213,14 @@ def fd_gradient(f, x):
     return g
 
 
-def fd_jacobian(f, x, h=_FD_STEP):
-    """Central-difference Jacobian, rows = components; x (..., n) -> (..., m, n).
-
-    h is one step, or one step per state of shape (...).
-    """
+def fd_jacobian(f, x):
+    """Central-difference Jacobian, rows = components; x (..., n) -> (..., m, n)."""
     x = np.asarray(x, dtype=float)
-    h = np.asarray(h, dtype=float)
     cols = []
     for i in range(x.shape[-1]):
-        e = np.zeros_like(x)
-        e[..., i] = h
-        cols.append((np.asarray(f(x + e)) - np.asarray(f(x - e))) / (2 * h[..., None]))
+        e = np.zeros(x.shape[-1])
+        e[i] = _FD_STEP
+        cols.append((np.asarray(f(x + e)) - np.asarray(f(x - e))) / (2 * _FD_STEP))
     return np.stack(cols, axis=-1)
 
 

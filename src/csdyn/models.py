@@ -70,6 +70,11 @@ class ModelSpec:
     x (np.empty_like).  Both calls give the same bits.  The integrators pass
     out, so a step allocates no field.
 
+    A flow states its Jacobian DX, and with a Lee form eta also eta_X, the
+    scalar field eta(X): nothing differences X or contracts eta with X in
+    their place.  A run that needs a missing one (tangent frames, the Lee
+    channel) raises StructureError before its first step.
+
     X_sym, DX_sym, eta_X and the fused joint fields X_DXv and X_etaX are
     derived from X, DX and eta, so a replace that changes X, DX or eta_X
     must replace or clear them too.  A fused field `f(y, out=None)` writes
@@ -151,12 +156,10 @@ class ModelSpec:
         return self.grad_V is not None
 
     def jacobian(self, x):
-        """Field Jacobian over (..., dim): DX, else central differences of X."""
-        if self.DX is not None:
-            return self.DX(x)
-        x = np.asarray(x, dtype=float)
-        h = np.maximum(1e-6, 1e-6 * np.linalg.norm(x, axis=-1))
-        return fd_jacobian(self.X, x, h=h)
+        """Field Jacobian DX over (..., dim); StructureError when the model states none."""
+        if self.DX is None:
+            raise StructureError(f"{self.name} states no Jacobian DX")
+        return self.DX(x)
 
 
 def eval_vector_field(m, x):
@@ -1053,14 +1056,16 @@ def contact_lift(H, beta, dH=None):
     """Lift a contact Hamiltonian on flat T^1 T^2 to its twisted symplectization.
 
     The contact field X on (Y, alpha) solves alpha(X) = H and
-    i_X d(alpha) = (dH.R) alpha - dH; the lifted conformal field appends the
-    theta-component beta(X) - dH.R.  beta is two finite numbers.  H takes
-    the 3-vector (x1, x2, v); dH is its analytic gradient, central
-    differences when omitted.  Without dH the lift also gets DX, built from
-    central second differences of H, since differencing the differenced
-    field would amplify its rounding.  The lift's evaluators take
-    (..., 4) batches; H and dH take one state, and `_per_state` maps them
-    over the batch, each entry equal to the single-state call.
+    i_X d(alpha) = (dH.R) alpha - dH, with R = (cos 2 pi v, sin 2 pi v, 0)
+    the Reeb field; the lifted conformal field appends the theta-component
+    beta(X) - dH.R, so the Lee form (b1, b2, 0, -1) gives eta_X = dH.R.
+    beta is two finite numbers.  H takes the 3-vector (x1, x2, v); dH is its
+    analytic gradient, central differences when omitted.  DX takes the
+    Hessian of H from first differences of dH, else from central second
+    differences of H, since differencing the differenced gradient would
+    amplify its rounding.  The lift's evaluators take (..., 4) batches; H
+    and dH take one state, and `_per_state` maps them over the batch, each
+    entry equal to the single-state call.
     """
     b = np.asarray(beta, dtype=float) if _kind(beta, 0.0)[1] else None
     if b is None or b.shape != (2,) or not np.all(np.isfinite(b)):
@@ -1072,14 +1077,15 @@ def contact_lift(H, beta, dH=None):
     def grad_h(y):
         return fd_gradient(h_of, y) if dh_of is None else dh_of(y)
 
-    def trig(x):
+    def local(x):
+        """y = (x1, x2, v), cos 2 pi v, sin 2 pi v and dH at the states x."""
         y = np.asarray(x, dtype=float)[..., :3]
         w = TWO_PI * y[..., 2]
-        return y, np.cos(w), np.sin(w)
+        return y, np.cos(w), np.sin(w), grad_h(y)
 
     def X(x, out=None):
-        y, c, s = trig(x)
-        g, zero = grad_h(y), np.zeros_like(c)
+        y, c, s, g = local(x)
+        zero = np.zeros_like(c)
         dh_t = -s * g[..., 0] + c * g[..., 1]
         # closed form on the flat structure: X = H R + (dH_v/2pi) T - (dH(T)/2pi) e_v
         xc = (np.asarray(h_of(y))[..., None] * np.stack([c, s, zero], axis=-1)
@@ -1090,10 +1096,10 @@ def contact_lift(H, beta, dH=None):
             out = np.empty_like(np.asarray(x, dtype=float))
         return np.concatenate([xc, theta_dot[..., None]], axis=-1, out=out)
 
-    def DX(x):
-        # derivative of X's closed form; (c, s) depend on v = y[2]
-        y, c, s = trig(x)
-        g = grad_h(y)
+    def hessian(y):
+        """(H, its Hessian) at y."""
+        if dh_of is not None:
+            return h_of(y), fd_jacobian(dh_of, y)
         # H at y and its 18 shifts for central second differences, step about eps**(1/4)
         step, E = 1e-4, 1e-4 * np.eye(3)
         lower = [(i, j) for i in range(3) for j in range(i)]
@@ -1107,6 +1113,12 @@ def contact_lift(H, beta, dH=None):
         for k, (i, j) in enumerate(lower):
             pp, pm, mp, mm = hv[7 + 4 * k : 11 + 4 * k]
             hs[..., i, j] = hs[..., j, i] = (pp - pm - mp + mm) / (4.0 * step**2)
+        return hval, hs
+
+    def DX(x):
+        # derivative of X's closed form; (c, s) depend on v = y[2]
+        y, c, s, g = local(x)
+        hval, hs = hessian(y)
         C, S = c[..., None], s[..., None]
         J = np.zeros(y.shape[:-1] + (4, 4))
         J[..., 0, :3] = g * C - hs[..., 2, :] * S / TWO_PI
@@ -1119,6 +1131,10 @@ def contact_lift(H, beta, dH=None):
                          - (C * hs[..., 0, :] + S * hs[..., 1, :]))
         J[..., 3, 2] -= TWO_PI * (c * g[..., 1] - s * g[..., 0])
         return J
+
+    def eta_X(x):
+        _, c, s, g = local(x)
+        return c * g[..., 0] + s * g[..., 1]
 
     def dH4(x):
         y = np.asarray(x, dtype=float)[..., :3]
@@ -1133,10 +1149,11 @@ def contact_lift(H, beta, dH=None):
         kind=FLOW,
         params={"beta": (b1, b2)},
         X=X,
-        DX=DX if dH is None else None,
+        DX=DX,
         H=lambda x: h_of(np.asarray(x, dtype=float)[..., :3]),
         dH=dH4,
         eta=lambda x: eta_vec,
+        eta_X=eta_X,
         Omega=_lee_omega_matrix(b1, b2),
         h_scales=True,
     )

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from csdyn import certificates as C, flows
+from csdyn.diagnostics import _worst
 
 # (function, check, scope, tolerance, negative) of every check, in battery order
 BATTERY = [
@@ -137,11 +138,14 @@ def test_a_nan_on_the_second_splitting_model_fails(monkeypatch):
 
 
 def test_worst_is_nan_when_any_value_is_nan():
-    # Python's max keeps a NaN only as its first argument
-    assert max(0.5, np.nan) == 0.5
+    # Python's max and min keep a NaN only as their first argument
+    assert max(0.5, np.nan) == min(0.5, np.nan) == 0.5
     for values in ((0.5, np.nan), (np.nan, 0.5), (0.0, 0.5, np.nan)):
-        assert np.isnan(C._worst(*values)) and np.isnan(C._worst(list(values)))
-    assert C._worst(0.25, 0.5, 0.0) == C._worst([0.25, 0.5, 0.0]) == 0.5
+        for pick in (max, min):
+            assert np.isnan(_worst(*values, pick=pick))
+            assert np.isnan(_worst(list(values), pick=pick))
+    assert _worst(0.25, 0.5, 0.0) == _worst([0.25, 0.5, 0.0]) == 0.5
+    assert _worst(iter([0.25, 0.5, 0.0]), pick=min) == 0.0
     worst, ratios = C._worst_ratio({"a": (1e-9, 1.0), "b": (np.nan, 1.0)})
     assert np.isnan(worst) and ratios["a"] == 1e-9
 
@@ -157,6 +161,22 @@ def test_a_nan_sub_result_after_a_finite_one_fails(monkeypatch):
     monkeypatch.setattr(C, "field_identity_residual", nan_on_mane)
     result = C.cert_field_identities(seed=7)
     assert result.verdict == "FAIL" and np.isnan(result.residual)
+
+
+def test_a_nan_closest_return_after_a_finite_one_fails(monkeypatch):
+    # before, min(1.0, nan, ...) kept 1.0, far above the return threshold: a PASS
+    scan, returns = C.recurrence_scan, iter([1.0, np.nan] + [1.0] * 18)
+
+    def nan_second_orbit(m, x0, t_max, tol):
+        if t_max != 200.0:  # the rational control keeps its real return
+            return scan(m, x0, t_max, tol)
+        return next(returns), 0.0
+
+    monkeypatch.setattr(C, "recurrence_scan", nan_second_orbit)
+    result = C.cert_lee_no_periodic(seed=7)
+    assert np.isnan(result.details["min_return"])
+    assert result.verdict == "FAIL"
+    assert result.details["control_return"] < C.RETURN_THRESHOLD
 
 
 def test_map_conformality_budget_times_the_whole_measurement(monkeypatch):

@@ -585,6 +585,48 @@ def test_every_cli_report_verdict_agrees_with_its_residual(tmp_path, name):
     assert code == (EXIT_OK if all(c["verdict"] != "FAIL" for c in checks) else EXIT_FAIL)
 
 
+@pytest.mark.parametrize("name", sorted(_REPORTING_CONFIGS))
+def test_a_report_records_the_seed_only_of_an_operation_that_draws(tmp_path, name):
+    cfg = write(tmp_path, "op.cfg", _REPORTING_CONFIGS[name])
+    out = tmp_path / "out"
+    main(["--config", cfg, "--out", str(out), "--seed", "3", "--no-timestamp"])
+    (report,) = out.glob("*.json")
+    draws = name in ("diagnose-conformality", "verify")
+    assert json.loads(report.read_text())["seed"] == (3 if draws else None)
+
+
+def test_a_loop_diagnosis_writes_the_same_bytes_at_any_seed(tmp_path):
+    # before, the reports at --seed 1 and 2 differed in their "seed" line only
+    cfg = write(tmp_path, "loop.cfg", _REPORTING_CONFIGS["diagnose-loop"])
+    reports = []
+    for seed in ("1", "2"):
+        out = tmp_path / seed
+        assert main(["--config", cfg, "--out", str(out), "--seed", seed,
+                     "--no-timestamp"]) == EXIT_OK
+        reports.append((out / "diagnose_circle-linear_loop.json").read_bytes())
+    assert reports[0] == reports[1]
+
+
+def test_conformality_diagnosis_fails_a_nan_spread_after_a_finite_residual(tmp_path,
+                                                                         monkeypatch):
+    # before, max(residual, nan) kept the finite residual: a PASS, exit 0
+    from csdyn import cli
+
+    ratios_of = cli.map_conformality_ratios
+
+    def nan_ratio(m, pts):
+        ratios, residuals = ratios_of(m, pts)
+        ratios[1] = np.nan
+        return ratios, residuals
+
+    monkeypatch.setattr(cli, "map_conformality_ratios", nan_ratio)
+    cfg = write(tmp_path, "op.cfg", _REPORTING_CONFIGS["diagnose-conformality"])
+    assert run_config(cfg, out=str(tmp_path), timestamp=False) == cli.EXIT_FAIL
+    report = json.loads((tmp_path / "diagnose_nonexact-linear_conformality.json").read_text())
+    assert math.isnan(report["checks"][0]["residual"])
+    assert report["checks"][0]["verdict"] == "FAIL"
+
+
 def test_transport_diagnosis_on_map_is_config_error(tmp_path):
     cfg = write(
         tmp_path, "fail2.cfg",

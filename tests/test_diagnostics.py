@@ -7,7 +7,6 @@ import pytest
 
 from csdyn import diagnostics
 from csdyn.diagnostics import (
-    _DRAWS_PER_SAMPLE,
     CheckResult,
     attractor_estimate,
     classify_ensemble,
@@ -202,6 +201,18 @@ def test_transport_check_measures_a_backward_run_from_its_start(name, span):
     assert res.details["omega_residual"] < 1e-8
 
 
+@pytest.mark.parametrize("name", ["circle-linear", "t2-pair-theta2"])
+def test_transport_check_fails_a_nan_h_residual_after_a_finite_omega_residual(name):
+    # before, max(omega_res, nan) kept the finite omega residual: a PASS
+    m = instantiate_model(name)
+    traj = integrate_variational(m, np.array([0.3, 0.2]), (0.0, 1.0), samples=21)
+    nan_h = dataclasses.replace(m, H=lambda x: np.full(np.shape(x)[:-1], np.nan))
+    res = conformal_transport_check(nan_h, traj)
+    assert math.isfinite(res.details["omega_residual"])
+    assert math.isnan(res.details["h_residual"])
+    assert math.isnan(res.residual) and res.verdict == "FAIL"
+
+
 def test_transport_check_needs_frames():
     m = instantiate_model("circle-linear", alpha=1.0)
     traj = integrate_flow(m, np.array([0.13, 0.7]), (0.0, 1.0), samples=5)
@@ -270,6 +281,12 @@ def test_lyapunov_theta1_parabolic_orbit():
     res = lyapunov_spectrum(m, np.array([0.0, 0.0]), T=200.0)
     assert res.pairing_defect < 1e-6
     assert np.max(np.abs(res.exponents)) < 5e-2
+
+
+@pytest.mark.parametrize("exponents", [[1.0, 0.5, np.nan, -1.5], [np.inf, 0.5, -1.0, -np.inf]])
+def test_a_nan_exponent_sum_gives_a_nan_pairing_defect(exponents):
+    with np.errstate(invalid="ignore"):
+        assert math.isnan(diagnostics._pairing_defect(exponents, -1.0))
 
 
 def _sequential_benettin(m, x0, T):
@@ -594,30 +611,16 @@ def test_escape_deterministic_under_seed():
     assert np.array_equal(a.exit_steps, b.exit_steps)
 
 
-def _one_draw_per_sample_points(m, box, samples, seed, exclusion):
-    # reference: one draw per sample, redrawn while excluded
+def _one_draw_per_sample_points(m, box, samples, seed):
+    # reference: one draw per sample
     rng = np.random.default_rng(seed)
     lo, hi = np.array(box, dtype=float).T
-    pts = np.empty((samples, m.dim))
-    for i in range(samples):
-        while True:
-            cand = lo + (hi - lo) * rng.uniform(size=m.dim)
-            if exclusion is None or not exclusion(cand):
-                break
-        pts[i] = cand
-    return pts
-
-
-def _bottom_left(x):
-    # one state at a time: `and` has no meaning for a batch
-    assert x.shape == (2,)
-    return x[1] < 0.2 and x[0] < 0.6
+    return np.array([lo + (hi - lo) * rng.uniform(size=m.dim) for _ in range(samples)])
 
 
 @pytest.mark.parametrize("seed", [1, 7, 20])
-@pytest.mark.parametrize("exclusion", [None, _bottom_left])
-def test_escape_samples_the_sequential_stream(seed, exclusion):
-    # block draws give the points one draw per sample gave, in their order
+def test_escape_samples_the_sequential_stream(seed):
+    # one block draw gives the points one draw per sample gave, in their order
     m = instantiate_model("shear-contraction", a=0.5)
     box = ((0.0, 1.0), (-1.0, 1.0))
     first = []
@@ -627,24 +630,20 @@ def test_escape_samples_the_sequential_stream(seed, exclusion):
             first.append(np.array(x))
         return m.f_inv(x)
 
-    stats = escape_statistics(dataclasses.replace(m, f_inv=f_inv), box, 5, 300, seed,
-                              exclusion=exclusion)
+    stats = escape_statistics(dataclasses.replace(m, f_inv=f_inv), box, 5, 300, seed)
     assert stats.total == 300 and first[0].shape == (300, 2)
-    expected = _one_draw_per_sample_points(m, box, 300, seed, exclusion)
+    expected = _one_draw_per_sample_points(m, box, 300, seed)
     assert first[0].tobytes() == expected.tobytes()
 
 
-def test_escape_fails_once_the_draws_reach_the_cap():
-    m = instantiate_model("shear-contraction", a=0.5)
-    calls = []
-
-    def exclude_all(x):
-        calls.append(x)
-        return True
-
-    with pytest.raises(ParamError):
-        escape_statistics(m, ((0.0, 1.0), (-1.0, 1.0)), 5, 3, seed=0, exclusion=exclude_all)
-    assert len(calls) == _DRAWS_PER_SAMPLE * 3
+def test_escape_refuses_a_samples_count_its_override_does_not_have():
+    # before, samples was silently replaced by the override's 9 states
+    m = instantiate_model("radial-contraction", a=0.5)
+    pts = np.stack([np.linspace(0.0, 0.8, 9), np.zeros(9)], axis=1)
+    with pytest.raises(ParamError, match="samples=10 but 9 override states"):
+        escape_statistics(m, ((0.0, 1.0), (-1.0, 1.0)), 5, 10, seed=0, sample_override=pts)
+    assert escape_statistics(m, ((0.0, 1.0), (-1.0, 1.0)), 5, 9, seed=0,
+                             sample_override=pts).total == 9
 
 
 def test_map_lyapunov_takes_the_orbit_jacobians_in_one_call():

@@ -44,7 +44,8 @@ def riccati_pair():
         name="riccati-pair", spec=CoordinateSpec((ANGLE, LINE)), kind=FLOW, params={},
         X=lambda x, out=None: np.stack(
             [np.ones_like(x[..., 0]), x[..., 1] ** 2], axis=-1, out=out),
-        H=lambda x: x[..., 1], eta=lambda x: np.zeros(2), Omega=lambda x: omega,
+        H=lambda x: x[..., 1], eta=lambda x: np.zeros(2),
+        eta_X=lambda x: np.zeros(np.shape(x)[:-1]), Omega=lambda x: omega,
     )
 
 

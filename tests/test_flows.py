@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from csdyn.diagnostics import find_periodic_orbit
+from csdyn.diagnostics import classify_ensemble, find_periodic_orbit
 from csdyn.errors import (
     BlowUpError,
     ConvergenceError,
@@ -15,6 +15,7 @@ from csdyn.errors import (
     ParamError,
     PoisonedStateError,
     SectionError,
+    StructureError,
 )
 from csdyn import flows
 from csdyn.flows import (
@@ -29,6 +30,7 @@ from csdyn.flows import (
     iterate_map,
     poincare_return,
     time_t_map,
+    transport_tangents,
 )
 from csdyn.geometry import LINE, CoordinateSpec, pullback_residual, torus_distance
 from csdyn.models import (
@@ -319,7 +321,7 @@ JOINT_MODELS = {
         "damped-mechanical", d=2, v_cos=(1.0, 1.0), v_cross=0.3),
     "t2-pair-theta2": lambda: instantiate_model("t2-pair-theta2"),
     "lee-twisted-t1t2": lambda: instantiate_model("lee-twisted-t1t2"),
-    # no eta_X and no dH: eta(X) by contraction, DX from second differences
+    # no dH: dH, eta_X = dH(R) and DX from differences of H
     "contact-lift": lambda: contact_lift(
         lambda y: math.cos(TWO_PI * y[2]) + 0.3 * math.sin(TWO_PI * y[0]), (0.5, 0.25)),
 }
@@ -709,6 +711,46 @@ def test_poisoned_field_raises():
     )
     with pytest.raises(PoisonedStateError):
         integrate_flow(bad, np.zeros(2), (0.0, 1.0))
+
+
+def _counted_field(m, calls):
+    def X(x, out=None):
+        calls.append(np.shape(x))
+        return m.X(x, out)
+
+    return X
+
+
+def test_a_flow_without_dx_is_refused_before_any_step():
+    """Tangent runs take the model's DX; nothing differences X in its place."""
+    m = instantiate_model("circle-linear", alpha=1.0)
+    calls = []
+    bare = dataclasses.replace(m, X=_counted_field(m, calls), DX=None, X_DXv=None)
+    x = np.array([0.1, 0.2])
+    runs = [lambda: bare.jacobian(x),
+            lambda: transport_tangents(bare, x[None], np.array([[1.0, 0.0]]), 1.0)]
+    runs += [lambda method=method: integrate_variational(
+        bare, x, (0.0, 1.0), IntegratorConfig(method=method, h=0.01))
+        for method in ("reference", "rk4", "splitting")]
+    for run in runs:
+        with pytest.raises(StructureError, match="circle-linear states no Jacobian DX"):
+            run()
+    assert calls == []
+
+
+def test_a_lee_form_without_eta_x_is_refused_before_any_step():
+    """The Lee channel takes the model's eta_X; nothing contracts eta with X."""
+    m = instantiate_model("t2-pair-theta2")
+    calls = []
+    bare = dataclasses.replace(m, X=_counted_field(m, calls), eta_X=None, X_etaX=None)
+    x = np.array([0.1, 0.2])
+    for run in (lambda: integrate_flow(bare, x, (0.0, 1.0)),
+                lambda: integrate_flow(bare, x, (0.0, 1.0), IntegratorConfig(method="rk4")),
+                lambda: classify_ensemble(bare, x[None], 1.0),
+                lambda: flow_ensemble(bare, x[None], 1.0, racc=True)):
+        with pytest.raises(StructureError, match="t2-pair-theta2 states no eta_X"):
+            run()
+    assert calls == []
 
 
 @pytest.mark.parametrize("name,params,x0", [

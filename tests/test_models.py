@@ -370,7 +370,7 @@ def test_contact_lift_evaluators_broadcast_over_a_batch():
         n = int(np.prod(lead))
         xs = sample_states(lifted, n, np.random.default_rng(13)).reshape(lead + (4,))
         for f, tail in ((lifted.X, (4,)), (lifted.DX, (4, 4)), (lifted.H, ()),
-                        (lifted.dH, (4,)), (identity, ())):
+                        (lifted.dH, (4,)), (lifted.eta_X, ()), (identity, ())):
             batch = np.asarray(f(xs))
             assert batch.shape == lead + tail
             assert batch.tobytes() == np.array([f(x) for x in xs.reshape(n, 4)]).tobytes()
@@ -418,7 +418,8 @@ def test_contact_lift_of_an_empty_batch_is_empty(analytic):
     lifted = contact_lift(H3, (0.5, 0.25), dH=H3 if analytic else None)
     xs = np.empty((0, 4))
     for f, tail in ((lifted.X, (4,)), (lifted.jacobian, (4, 4)), (lifted.H, ()),
-                    (lifted.dH, (4,)), (lambda x: field_identity_residual(lifted, x), ())):
+                    (lifted.dH, (4,)), (lifted.eta_X, ()),
+                    (lambda x: field_identity_residual(lifted, x), ())):
         out = np.asarray(f(xs))
         assert out.shape == (0,) + tail and out.dtype == float
         assert np.asarray(f(xs.reshape(2, 0, 4))).shape == (2, 0) + tail
@@ -463,16 +464,20 @@ def _central_differences(f, xs, h=1e-6):
     return np.stack(cols, axis=-1)
 
 
-def _fd_fallback_model():
-    # analytic dH keeps X smooth; the lift has no DX, so jacobian differences X
-    lifted = contact_lift(
+def _analytic_lift():
+    # analytic dH keeps X smooth; DX takes H's Hessian from first differences of dH
+    return contact_lift(
         lambda y: math.cos(TWO_PI * y[2]) + 0.3 * math.sin(TWO_PI * y[0]), (0.5, -0.2),
         dH=lambda y: TWO_PI * np.array(
             [0.3 * math.cos(TWO_PI * y[0]), 0.0, -math.sin(TWO_PI * y[2])]
         ),
     )
-    assert lifted.DX is None
-    return lifted
+
+
+def _bare_lift():
+    # no dH: X differences the caller's H
+    return contact_lift(
+        lambda y: math.cos(TWO_PI * y[2]) + 0.3 * y[1] * math.sin(TWO_PI * y[0]), (0.5, -0.2))
 
 
 JACOBIAN_CASES = FLOW_CASES + [("anosov-cover", {}), ("contact-lift", None)]
@@ -480,7 +485,7 @@ JACOBIAN_CASES = FLOW_CASES + [("anosov-cover", {}), ("contact-lift", None)]
 
 @pytest.mark.parametrize("name,params", JACOBIAN_CASES, ids=lambda v: str(v)[:40])
 def test_jacobian_broadcasts_and_matches_central_differences(name, params):
-    m = _fd_fallback_model() if params is None else instantiate_model(name, params)
+    m = _analytic_lift() if params is None else instantiate_model(name, params)
     xs = sample_states(m, 16, np.random.default_rng(11), 1.0)
     J = m.jacobian(xs)
     assert J.shape == (16, m.dim, m.dim)
@@ -488,6 +493,37 @@ def test_jacobian_broadcasts_and_matches_central_differences(name, params):
     for x, row in zip(xs, J):
         assert np.array_equal(m.jacobian(x), row)
     assert m.jacobian(xs.reshape(4, 4, m.dim)).shape == (4, 4, m.dim, m.dim)
+
+
+CONTRACT_MODELS = {
+    **{name: lambda name=name: instantiate_model(name) for name in registered_models()
+       if instantiate_model(name).kind == FLOW},
+    "contact-lift": _analytic_lift,
+    "contact-lift-bare": _bare_lift,
+}
+
+
+@pytest.mark.parametrize("name", sorted(CONTRACT_MODELS))
+def test_every_flow_states_dx_and_with_a_lee_form_eta_x(name):
+    m = CONTRACT_MODELS[name]()
+    assert m.DX is not None
+    assert (m.eta_X is not None) == (m.eta is not None)
+
+
+@pytest.mark.parametrize("lift", [_analytic_lift, _bare_lift], ids=["dH", "bare"])
+def test_contact_lift_eta_x_is_the_lee_form_on_its_field(lift):
+    m = lift()
+    xs = sample_states(m, 16, np.random.default_rng(11), 1.0)
+    eta_on_x = np.sum(np.broadcast_to(m.eta(xs), xs.shape) * m.X(xs), axis=-1)
+    assert np.max(np.abs(m.eta_X(xs) - eta_on_x)) < 1e-12
+
+
+def test_analytic_lift_jacobian_is_within_1e_8_of_its_field_differences():
+    # the Hessian from first differences of dH; second differences of H
+    # would be about 3e-7 off
+    m = _analytic_lift()
+    xs = sample_states(m, 16, np.random.default_rng(11), 1.0)
+    assert np.max(np.abs(m.DX(xs) - _central_differences(m.X, xs))) < 1e-8
 
 
 SPLITTABLE_CASES = [c for c in FLOW_CASES
@@ -591,12 +627,6 @@ def test_evaluators_give_the_same_bytes_on_a_column_major_batch(name, params, re
                     c, np.empty_like(c)).tobytes()
 
 
-def _bare_lift():
-    # no dH: X differences the caller's H
-    return contact_lift(
-        lambda y: math.cos(TWO_PI * y[2]) + 0.3 * y[1] * math.sin(TWO_PI * y[0]), (0.5, -0.2))
-
-
 # with damped-mechanical's harmonics both on, sine only and neither on
 FIELD_CASES = LAYOUT_CASES + [
     ("damped-mechanical", {"alpha": 0.5, "d": 1, "v_cos": 1.0, "v_sin": -0.4}),
@@ -615,7 +645,7 @@ def test_field_writes_into_out_the_bytes_it_allocates(name, params, reverse, row
     of X(x), whose new array is laid out like x, for a one-row and a larger
     block in either layout; so do the fused fields on rows [x | v | r]."""
     if params is None:
-        m = _fd_fallback_model() if name == "contact-lift" else _bare_lift()
+        m = _analytic_lift() if name == "contact-lift" else _bare_lift()
     else:
         m = instantiate_model(name, params)
     if reverse:

@@ -72,6 +72,10 @@ the ensemble and full Mane drifts and the coupled d = 2 damped-mechanical
 model), forward and on the time-reversed view, with and without the Lee
 channel where the model has a Lee form, and `classify_ensemble` of the
 conformal pairs and lee-twisted-t1t2 at N = 1 and 100.
+Last come the contact lift of a caller's `H` and analytic `dH`: its `DX`
+(the Hessian from first differences of `dH`) and `eta_X` on one seeded
+batch, and the frames and Lee integrals of one `integrate_variational` run
+of it, which steps the joint field composed of `X`, `DX` and `eta_X`.
 Floats
 are hashed by their bits (`float.hex`), arrays by dtype, shape and bytes,
 so -0.0 and 0.0 differ.
@@ -507,6 +511,22 @@ def one_row_digests(seed):
                  for c in res])
 
 
+def analytic_lift_digests(seed):
+    """The analytic-dH contact lift's DX and eta_X, and a tangent run of it."""
+    rng = np.random.default_rng([seed, 71])
+    lifted = models.contact_lift(
+        lambda y: math.cos(TWO_PI * y[2]) + 0.3 * math.sin(TWO_PI * y[0]), (0.5, -0.2),
+        dH=lambda y: TWO_PI * np.array(
+            [0.3 * math.cos(TWO_PI * y[0]), 0.0, -math.sin(TWO_PI * y[2])]))
+    xs = models.sample_states(lifted, 64, rng)
+    for name in ("DX", "eta_X"):
+        yield f"contact_lift_dH.seed{seed}.{name}.n64", digest(
+            np.asarray(getattr(lifted, name)(xs)))
+    traj = integrate_variational(lifted, xs[0], (0.0, 1.0), samples=11)
+    yield f"integrate_variational.seed{seed}.contact_lift_dH.T1", digest(
+        [traj.times, traj.states, traj.frames, traj.r_accum])
+
+
 def cli_configs(seed):
     """Config text per run: each operation once (simulate also with rk4),
     verify at scope geometry, every integrator field read at least once, and
@@ -630,9 +650,10 @@ def main(argv=None):
                 print(f"{value}  {name}", flush=True)
     for name, value in refusal_digests():
         print(f"{value}  {name}", flush=True)
-    for seed in args.seeds:
-        for name, value in one_row_digests(seed):
-            print(f"{value}  {name}", flush=True)
+    for part in (one_row_digests, analytic_lift_digests):
+        for seed in args.seeds:
+            for name, value in part(seed):
+                print(f"{value}  {name}", flush=True)
 
 
 if __name__ == "__main__":
