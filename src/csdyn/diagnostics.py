@@ -942,8 +942,9 @@ def classify_ensemble(m, starts, T):
     dissipative when its late r_t slope <= _DISSIPATIVE_SLOPE and late |H|
     <= _DISSIPATIVE_H, else conservative when max |r_t| <= _CONSERVATIVE_R
     and its return distance <= _RETURN_DIST.  Every statistic is a per-row
-    maximum, minimum or step-ordered sum, so a row's result does not depend
-    on its batch nor on how the observer blocks the steps.
+    maximum, minimum or step-ordered sum over the steps the row took, up to
+    the one it died in, so a row's result does not depend on its batch nor
+    on how the observer blocks the steps.
     """
     if m.eta is None or m.H is None:
         raise StructureError("classification needs both eta and H")
@@ -965,17 +966,33 @@ def classify_ensemble(m, starts, T):
     late_start = int(0.9 * n_steps)
     previous = None  # displacement from the start at the last reduced step
 
-    def fold(k0, Ys):
-        """Fold the states Ys (steps, n_orb, dim + 1) of steps k0, k0 + 1, ..."""
+    def fold(k0, Ys, stepped):
+        """Fold the states Ys (steps, n_orb, dim + 1) of steps k0, k0 + 1, ...
+        and the engine's stepped mask of each (None: every row stepped).  A
+        row's statistics stop at the step it died in, as when it runs alone:
+        each value of a later step, where the row is frozen, is replaced by
+        one that leaves its statistic as it is."""
         nonlocal previous
-        np.maximum(r_abs_max, np.abs(Ys[:, :, dim]).max(axis=0), out=r_abs_max)
+        held = None  # True where a row did not take the step
+        if any(mask is not None for mask in stepped):
+            held = np.array([np.zeros(n_orb, bool) if mask is None else ~mask
+                             for mask in stepped])
+
+        def read(values, lo, fill):
+            """values (steps k0 + lo, ..., n_orb), fill where a row was held."""
+            return values if held is None else np.where(held[lo:], fill, values)
+
+        np.maximum(r_abs_max, read(np.abs(Ys[:, :, dim]), 0, 0.0).max(axis=0), out=r_abs_max)
         lo = max(0, half - 1 - k0)  # step k holds r at node k + 1
         if lo < len(Ys):
-            # np.add.accumulate adds the rows in sequence, as one add per step
+            # np.add.accumulate adds the rows in sequence, as one add per step;
+            # r_moment is never -0.0, so adding 0.0 for a held row keeps it
             terms = np.empty((len(Ys) - lo + 1, n_orb))
             terms[0] = r_moment
             np.multiply(ts_c[k0 + lo + 1 - half : k0 + len(Ys) + 1 - half, None],
                         Ys[lo:, :, dim], out=terms[1:])
+            if held is not None:
+                np.copyto(terms[1:], 0.0, where=held[lo:])
             r_moment[:] = np.add.accumulate(terms, axis=0)[-1]
         lo = max(0, settle - 1 - k0)
         if lo < len(Ys):
@@ -983,39 +1000,42 @@ def classify_ensemble(m, starts, T):
             b = m.spec.delta(starts, Ys[lo:, :, :dim])
             a = b[:-1] if previous is None else np.concatenate([previous[None], b[:-1]])
             if len(a):
-                dist, _ = _segment_distances(m.spec, a, b[len(b) - len(a) :])
-                np.minimum(min_ret, dist.min(axis=0), out=min_ret)
+                first = len(b) - len(a)  # the segment that ends at b[first]
+                dist, _ = _segment_distances(m.spec, a, b[first:])
+                np.minimum(min_ret, read(dist, lo + first, np.inf).min(axis=0), out=min_ret)
             previous = b[-1]
         lo = max(0, late_start - k0)
         if lo < len(Ys):
             x = Ys[lo:, :, :dim].reshape(-1, dim)
             hv = np.abs(np.asarray(m.H(x), dtype=float)).reshape(-1, n_orb)
-            np.maximum(h_abs_late, hv.max(axis=0), out=h_abs_late)
+            np.maximum(h_abs_late, read(hv, lo, 0.0).max(axis=0), out=h_abs_late)
 
     step_bytes = max(1, 8 * n_orb * (dim + 1))
     block = max(1, min(n_steps, _OBSERVER_BLOCK_BYTES // step_bytes))
     # each step column-major like the engine's batch, so a step copies whole
     buf = np.empty((block, dim + 1, n_orb)).transpose(0, 2, 1) if block > 1 else None
-    k0, filled = 0, 0  # the first step held in buf, and how many it holds
+    k0, filled, masks = 0, 0, []  # the first step held in buf, how many it holds, their masks
 
-    def on_step(k, Y):
+    def on_step(k, Y, stepped):
         nonlocal k0, filled
         if buf is None:
-            fold(k, Y[None])
+            fold(k, Y[None], [stepped])
             return
         if not filled:
             k0 = k
         buf[filled] = Y
+        masks.append(stepped)
         filled += 1
         if filled == block:
-            fold(k0, buf)
+            fold(k0, buf, masks)
             filled = 0
+            masks.clear()
 
     _, alive, _ = flow_ensemble(
         m, starts, T, _CLASSIFY_H, _CLASSIFY_BLOWUP, racc=True, on_step=on_step
     )
     if filled:  # the last block, or the steps before every row died
-        fold(k0, buf[:filled])
+        fold(k0, buf[:filled], masks)
     previous = buf = None  # freed before the per-row results are built
 
     slopes = r_moment / float(np.sum(ts_c * ts_c))

@@ -932,24 +932,23 @@ def conformal_splitting_step(m, x, h):
 
 def _fixed_step_paths(m, Y0, t0, t1, cfg, k, with_racc, node_check):
     """Nodes of rk4 or splitting runs from the rows of Y0, one _Path per row."""
-    n = m.dim
     rhs = _joint_rhs(m, k, with_racc)
-    hist = [Y0.copy()]
-    _fixed_step_engine(
+    hist, steps = [Y0.copy()], np.zeros(len(Y0), dtype=int)
+
+    def on_step(step, Y, stepped):
+        hist.append(Y.copy())
+        np.add(steps, 1 if stepped is None else stepped, out=steps)
+
+    _, alive = _fixed_step_engine(
         m, np.array(Y0, order="F"), t1 - t0, cfg.h, k, with_racc, cfg.blowup_threshold,
-        on_step=lambda step, Y: hist.append(Y.copy()),
-        splitting=cfg.method == SPLITTING,
+        on_step=on_step, splitting=cfg.method == SPLITTING,
     )
     hist = np.array(hist)
     ts = t0 + np.minimum(cfg.h * np.arange(len(hist)), t1 - t0)
-    # the engine's death test: non-finite at the start, past the threshold later
-    line = (~m.spec.angle_mask).astype(float)
-    dead = ~(np.max(np.abs(hist[:, :, :n]) * line, axis=-1) <= cfg.blowup_threshold)
-    dead[0] = ~np.all(np.isfinite(Y0[:, :n]), axis=1)
     paths, lost = [], []
     for row in range(len(Y0)):
-        died = bool(dead[:, row].any())
-        last = int(np.argmax(dead[:, row])) if died else len(hist) - 1
+        # a row's path ends at the node of the last step it took
+        died, last = not alive[row], int(steps[row])
         ys = np.ascontiguousarray(hist[: last + 1, row])
         if not np.all(np.isfinite(ys[-1])):
             raise _row_failure(
@@ -1025,8 +1024,11 @@ def _fixed_step_engine(m, Y, t, h, k=0, racc=False, blowup_threshold=1e8,
     terms, np.sum over 8 or more, matmul) rounds by layout, so it must read
     a C-ordered copy.  np.sum over fewer than 8 adds in sequence onto 0.0 in
     either layout, as geometry._sum_last does column by column.
-    `on_step(step, Y)` sees each step as a column-major view and must
-    neither keep nor mutate Y: the next step overwrites it.  Y is
+    `on_step(step, Y, stepped)` sees each step as a column-major view and
+    must neither keep nor mutate Y: the next step overwrites it.  stepped is
+    None when every row of Y took the step, else the boolean mask of the
+    rows that did: the others died at an earlier step and are frozen where
+    they died.  The engine does not change a mask it passed.  Y is
     overwritten when column-major and copied otherwise; returns (Y, alive),
     Y column-major.
     """
@@ -1058,6 +1060,11 @@ def _fixed_step_engine(m, Y, t, h, k=0, racc=False, blowup_threshold=1e8,
             out[:, n:] = (J @ F).reshape(len(rows), n * k)
             return out
     line_cols = _line_indices(m).tolist()
+    # the line columns as one slice when they are adjacent, as in every
+    # registered flow: a column-major block, screened in two calls
+    lines = line_cols
+    if line_cols and line_cols[-1] - line_cols[0] == len(line_cols) - 1:
+        lines = slice(line_cols[0], line_cols[-1] + 1)
     line = (~m.spec.angle_mask).astype(float)  # inf or nan times 0 stays nan
     alive = np.all(np.isfinite(Y[:, :n]), axis=1)
     act = None if len(Y) and alive.all() else np.nonzero(alive)[0]
@@ -1066,6 +1073,7 @@ def _fixed_step_engine(m, Y, t, h, k=0, racc=False, blowup_threshold=1e8,
     tau = 0.0
     for step in range(n_steps):
         hh = min(h, t - tau)
+        stepped = None if act is None else alive
         if act is None:
             Y = rows = advance(Y, hh)
         elif len(act):
@@ -1075,16 +1083,18 @@ def _fixed_step_engine(m, Y, t, h, k=0, racc=False, blowup_threshold=1e8,
             break
         tau += hh
         # whole-block screen first: per-row reductions over a few columns are slow
-        if not (math.isfinite(np.add.reduce(rows, axis=None)) and (not line_cols or all(
-            np.maximum.reduce(np.abs(rows[:, j])) <= blowup_threshold for j in line_cols
+        if not (math.isfinite(np.add.reduce(rows, axis=None)) and (not line_cols or (
+            np.maximum.reduce(block := rows[:, lines], axis=None) <= blowup_threshold
+            and np.minimum.reduce(block, axis=None) >= -blowup_threshold
         ))):
             dead = ~(np.max(np.abs(rows[:, :n]) * line, axis=1) <= blowup_threshold)
+            alive = alive.copy()  # a mask on_step was given stays as it was
             alive[np.nonzero(alive)[0][dead]] = False
             act = np.nonzero(alive)[0]
             if not splitting:
                 stages = tuple(buffers[:, : len(act)])
         if on_step is not None:
-            on_step(step, Y)
+            on_step(step, Y, stepped)
     return Y, alive
 
 
@@ -1120,11 +1130,13 @@ def flow_ensemble(m, states, t, h=0.01, blowup_threshold=1e8, racc=False, on_ste
     Returns (final_states, alive_mask[, r_accum]), C-ordered.  Escaped
     samples (line coordinates past the threshold) and non-finite ones are
     frozen where they died.  Rows evolve independently, so results do not
-    depend on how a caller slices the batch.  `on_step(step, Y)` is the
-    engine's observer: it is called after every step with the engine's
-    column-major (N, n) batch of states, unwrapped, with the Lee integral
-    as an extra last column when `racc`; it must neither mutate nor keep Y
-    (the next step overwrites it), so it copies what it keeps.
+    depend on how a caller slices the batch.  `on_step(step, Y, stepped)`
+    is the engine's observer: it is called after every step with the
+    engine's column-major (N, n) batch of states, unwrapped, with the Lee
+    integral as an extra last column when `racc`, and with stepped None
+    when every row took the step, else the mask of the rows that did (a row
+    is read alone up to the step it died in).  It must neither mutate nor
+    keep Y (the next step overwrites it), so it copies what it keeps.
     """
     X, n = _state_batch(m, states), m.dim
     Y = _column_major([X, np.zeros((len(X), 1))] if racc else [X])

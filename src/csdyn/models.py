@@ -70,6 +70,16 @@ class ModelSpec:
     x (np.empty_like).  Both calls give the same bits.  The integrators pass
     out, so a step allocates no field.
 
+    The fields of mane, damped-mechanical and the T^2 pairs (X, X_sym and
+    the fused fields) take one of two forms, with the same bits.  On a
+    column-major batch of more than one row, the fixed-step engine's layout,
+    they run as a straight-line chain of ufunc calls on the (k, N) blocks of
+    the transposed batch, the last call for each output block writing into
+    out (_contiguous_rows; the T^2 pairs' chains, on single columns, run on
+    any batch of more than one row).  Otherwise they run column by column:
+    on numpy scalars for one row, on strided columns for a row-major batch.
+    Mane's term lists, fixed when the model is built, drive both forms.
+
     A flow states its Jacobian DX, and with a Lee form eta also eta_X, the
     scalar field eta(X): nothing differences X or contracts eta with X in
     their place.  A run that needs a missing one (tangent frames, the Lee
@@ -245,7 +255,28 @@ def _columns(x, out):
         out = np.empty_like(x)
     if x.shape[:-1] == (1,):
         return x[0], out[0], out
+    if x.ndim == 1:
+        return x, out, out
     return x.T, out.T, out
+
+
+def _contiguous_rows(xt, ot):
+    """Whether the (dim, N) blocks xt and ot from _columns have contiguous
+    rows, as the fixed-step engine's column-major batches do: then a
+    kernel's (k, N) slices are ufunc operands as fast as one column.  A
+    ufunc on a (k, N) slice of a row-major batch steps along k innermost,
+    which costs more than k calls on its strided columns."""
+    return xt.strides[1] == ot.strides[1] == xt.itemsize
+
+
+def _coefficients(col):
+    """A coefficient column (entry i for row i) as (entries, operand): the
+    entries as floats, for arithmetic on numpy scalars, and the operand for
+    a (d, N) block, a 0-d array when every entry has the same bits, which a
+    ufunc broadcasts faster than the column, with the same result."""
+    col = np.array(col, dtype=float).reshape(-1, 1)
+    bits = col.view(np.uint64)
+    return tuple(col[:, 0].tolist()), np.array(col[0, 0]) if (bits == bits[0]).all() else col
 
 
 def _kind(val, default):
@@ -472,45 +503,102 @@ def _build_mane(params):
     def DYt_p(q, pv):
         return np.einsum("...j,...ji->...i", pv, DY(q))
 
-    # The field sums Y and DY^T p as np.einsum does: from +0.0, in index
-    # order.  On a finite block (the field is specified on finite blocks
-    # only) a product with an exactly-zero coefficient is then a signed
-    # zero that cannot change a sum, so it is left out.  Per output column
-    # i: Y_i's (j, y_sin[i, j]) and (j, y_cos[i, j]) terms, and (DY^T p)_i's
-    # (j, y_sin[j, i], y_cos[j, i]) terms with None for a zero coefficient.
-    kept = lambda c: float(c) if c != 0.0 else None
-    terms = [(
-        [(j, float(y_sin[i, j])) for j in range(d) if y_sin[i, j] != 0.0],
-        [(j, float(y_cos[i, j])) for j in range(d) if y_cos[i, j] != 0.0],
-        [(j, kept(y_sin[j, i]), kept(y_cos[j, i])) for j in range(d)
-         if y_sin[j, i] != 0.0 or y_cos[j, i] != 0.0],
-    ) for i in range(d)]
-    trig = any(t for col in terms for t in col)
+    # The field's sums over j each have at most two terms: j = i, and at
+    # d = 2 j = 1 - i.  A term is a coefficient column (its entry i for row
+    # i) times the rows of s, c or p, reversed (flip) for j = 1 - i, and a
+    # term whose coefficients are all zero is left out.  The field rounds as
+    # np.einsum sums Y = y0 + y_sin s + y_cos c and DY^T p (each sum from
+    # +0.0, in j order) on a finite block: two terms add the same in either
+    # order, a product with a zero coefficient is a signed zero that does
+    # not move a sum from +0.0, and y0 + (0.0 + S) is (y0 + 0.0) + S.  The
+    # sum of DY^T p keeps its + 0.0: without it, -(0 dy) - a 0 would flip
+    # sign at zero momentum.
+    def _term(mat, k):
+        """mat[i, (i + k) % d] over i: the coefficients of j = (i + k) % d."""
+        i = np.arange(d)
+        return mat[i, (i + k) % d]
 
-    def _dy(i, ks, kc, s, c):
-        # DY[j, i] = 2 pi (y_sin[j, i] c_i - y_cos[j, i] s_i); with one coefficient
-        # left out the difference is the other product up to the sign of a zero
-        if ks is not None and kc is not None:
-            return TWO_PI * (ks * c[i] - kc * s[i])
-        if ks is not None:
-            return TWO_PI * (ks * c[i])
-        return TWO_PI * (-kc * s[i])
+    # (coefficients, flip) of each term, the coefficients from _coefficients
+    sin_terms, cos_terms = ([(_coefficients(_term(mat, k)), k) for k in range(d)
+                             if _term(mat, k).any()] for mat in (y_sin, y_cos))
+    # p_j DY[j, i] = p_j 2 pi (y_sin[j, i] c_i - y_cos[j, i] s_i), with -y_cos
+    dy_terms = [(_coefficients(ks) if ks.any() else None,
+                 _coefficients(-kc) if kc.any() else None, k)
+                for k in range(d)
+                for ks, kc in [(_term(y_sin.T, k), _term(y_cos.T, k))] if ks.any() or kc.any()]
+    need_s = bool(sin_terms) or any(nkc is not None for _, nkc, _ in dy_terms)
+    need_c = bool(cos_terms) or any(ks is not None for ks, _, _ in dy_terms)
+    y0p, y0p_op = _coefficients(y0 + 0.0)
+    # 0-d operands: a ufunc takes them faster than Python floats, with the same bits
+    two_pi, zero, alpha0 = np.array(TWO_PI), np.array(0.0), np.array(alpha)
+
+    def _sum(terms, v, out=None):
+        """The sum of k v (rows reversed by flip) over the terms, into out."""
+        ((_, k), flip), *rest = terms
+        out = np.multiply(k, v[::-1] if flip else v, out=out)
+        for (_, k), flip in rest:
+            np.add(out, k * (v[::-1] if flip else v), out=out)
+        return out
+
+    def _sum_at(terms, v, i):
+        """_sum's row i, from the rows of v."""
+        ((k, _), flip), *rest = terms
+        acc = k[i] * v[d - 1 - i if flip else i]
+        for (k, _), flip in rest:
+            acc = acc + k[i] * v[d - 1 - i if flip else i]
+        return acc
 
     def _field(x, a, out=None):
-        """(p + Y(q), -DY(q)^T p - a p) column by column, from one sin and one
-        cos pass of 2 pi q."""
+        """(p + Y(q), -DY(q)^T p - a p) from one sin and one cos pass of
+        2 pi q, each taken only when a term needs it, by the same operations
+        on the (d, N) blocks of a column-major batch, else column by column
+        (on numpy scalars for one state)."""
         xt, ot, out = _columns(x, out)
-        s = c = None
-        if trig:
-            w = np.multiply(TWO_PI, xt[:d], order="C")  # contiguous rows
-            s, c = np.sin(w), np.cos(w)
-        pv = xt[d:]
-        for i, (sin_terms, cos_terms, dy_terms) in enumerate(terms):
-            y_i = (y0[i] + sum((k * s[j] for j, k in sin_terms), 0.0)
-                   + sum((k * c[j] for j, k in cos_terms), 0.0))
-            ot[i] = pv[i] + y_i
-            e = sum((pv[j] * _dy(i, ks, kc, s, c) for j, ks, kc in dy_terms), 0.0)
-            ot[d + i] = -e - a * pv[i] if a else -e
+        q, pv = xt[:d], xt[d:]
+        w = None
+        if need_s or need_c:
+            w = np.multiply(two_pi, q)
+            s = np.sin(w, out=None if need_c else w) if need_s else None
+            c = np.cos(w, out=w) if need_c else None
+        if xt.ndim != 2 or not _contiguous_rows(xt, ot):
+            for i in range(d):
+                y = y0p[i]
+                if sin_terms:
+                    y = _sum_at(sin_terms, s, i) + y
+                if cos_terms:
+                    y = y + _sum_at(cos_terms, c, i)
+                ot[i] = pv[i] + y
+                e = 0.0
+                for n, (ks, nkc, flip) in enumerate(dy_terms):
+                    k, v = (ks, c) if ks is not None else (nkc, s)
+                    t = k[0][i] * v[i]
+                    if ks is not None and nkc is not None:
+                        t = t + nkc[0][i] * s[i]
+                    t = pv[d - 1 - i if flip else i] * (TWO_PI * t)
+                    e = e + t if n else t
+                e = -(e + 0.0)
+                ot[d + i] = e - a * pv[i] if a else e
+            return out
+        oy, op = ot[:d], ot[d:]
+        if sin_terms:
+            np.add(_sum(sin_terms, s, oy), y0p_op, out=oy)
+        if cos_terms:
+            np.add(oy if sin_terms else y0p_op, _sum(cos_terms, c), out=oy)
+        np.add(pv, oy if sin_terms or cos_terms else y0p_op, out=oy)
+        if not dy_terms:
+            op[...] = 0.0
+        for n, (ks, nkc, flip) in enumerate(dy_terms):  # summed in op
+            k, v = (ks, c) if ks is not None else (nkc, s)
+            t = np.multiply(k[1], v, out=None if n else op)
+            if ks is not None and nkc is not None:
+                np.add(t, nkc[1] * s, out=t)
+            np.multiply(two_pi, t, out=t)
+            np.multiply(pv[::-1] if flip else pv, t, out=t)
+            if n:
+                np.add(op, t, out=op)
+        np.negative(np.add(op, zero, out=op), out=op)
+        if a:  # a is alpha or 0; w is spent
+            np.subtract(op, np.multiply(alpha0, pv, out=w), out=op)
         return out
 
     eye, diag = np.eye(d), (np.arange(d, 2 * d), np.arange(d))
@@ -621,16 +709,83 @@ def _build_damped_mechanical(params):
         return out
 
     n, nvc, nvs = 2 * d, -vc, -vs
+    # the block form's operands: coefficient columns, and 0-d arrays, which a
+    # ufunc takes faster than Python floats, with the same bits
+    nvc_col, vs_col, nvs_col = (_coefficients(v)[1] for v in (nvc, vs, nvs))
+    two_pi, two_pi2, zero = np.array(TWO_PI), np.array(TWO_PI**2), np.array(0.0)
+    k_sin, k_cos = np.array(-vx * TWO_PI), np.array(-vx * (TWO_PI**2))
+    alpha0, nalpha0 = np.array(alpha), np.array(-alpha)
+
+    def _block_field(yt, ot, out, a, tangent):
+        """_field on the (d, N) blocks of a column-major batch: the same
+        operations in the same order, each output block written by its last
+        one."""
+        q, pv, og = yt[:d], yt[d:n], ot[d:n]
+        s = c = None
+        if cos_on or sin_on:
+            w = np.multiply(two_pi, q)
+            s = np.sin(w) if cos_on or tangent else None
+            c = np.cos(w, out=w) if sin_on or tangent else None
+        if cos_on:
+            np.multiply(nvc_col, s, out=og)
+            if sin_on:
+                np.add(og, vs_col * c, out=og)
+        elif sin_on:
+            np.multiply(vs_col, c, out=og)
+        else:
+            og[...] = 0.0
+        np.multiply(two_pi, og, out=og)
+        if vx:
+            u = np.subtract(q[0], q[1])
+            np.multiply(two_pi, u, out=u)
+            cross = np.multiply(k_sin, np.sin(u))
+            g0, g1 = og  # row by row: a ufunc broadcasts a row over a block slowly
+            np.add(g0, cross, out=g0)
+            np.subtract(g1, cross, out=g1)
+        np.negative(og, out=og)
+        if a:  # a is alpha or 0
+            np.subtract(og, np.multiply(alpha0, pv), out=og)
+        ot[:d] = pv
+        if tangent:
+            vq, vp = yt[n : n + d], yt[n + d :]
+            np.add(vp, zero, out=ot[n : n + d])
+            if cos_on:
+                hv = np.multiply(nvc_col, c, out=c)
+                if sin_on:
+                    np.add(hv, np.multiply(nvs_col, s, out=s), out=hv)
+            elif sin_on:
+                hv = np.multiply(nvs_col, s, out=s)
+            else:
+                hv = np.zeros(q.shape)
+            np.multiply(two_pi2, hv, out=hv)
+            if vx:
+                cc = np.multiply(k_cos, np.cos(u, out=u), out=u)
+                h0, h1 = hv
+                np.add(h0, cc, out=h0)
+                np.add(h1, cc, out=h1)
+            np.multiply(np.negative(hv, out=hv), vq, out=hv)
+            tmp = np.multiply(nalpha0, vp, out=None if hv is s else s)
+            np.add(hv, tmp, out=hv)
+            if vx:  # the Hessian's off-diagonal -cc enters DX as -(0.0 - cc) = cc
+                t0, t1 = tmp
+                np.multiply(cc, vq[1], out=t0)
+                np.multiply(cc, vq[0], out=t1)
+                np.add(hv, tmp, out=hv)
+            np.add(hv, zero, out=ot[n + d :])
+        return out
 
     def _field(y, a, out=None, tangent=False):
         """X = (p, -grad V(q) - a p) of the states y, and with `tangent` the
         rows [X | DX v] of y = [x | v] (X_DXv), DX v = [v_p | -hess V(q) v_q
-        - a v_p], column by column from one sin and one cos pass of 2 pi q
-        over the whole (d, N) block, each taken only when a term needs it.
-        np.einsum sums each row of DX v from +0.0, so the products of DX's
-        structural zeros, signed zeros on a finite block, are left out and
-        each sum ends with + 0.0."""
+        - a v_p], from one sin and one cos pass of 2 pi q, each taken only
+        when a term needs it: on the (d, N) blocks of a column-major batch
+        (_block_field), else column by column (on numpy scalars for one
+        state).  np.einsum sums each row of DX v from +0.0, so the products
+        of DX's structural zeros, signed zeros on a finite block, are left
+        out and each sum ends with + 0.0."""
         yt, ot, out = _columns(y, out)
+        if yt.ndim == 2 and _contiguous_rows(yt, ot):
+            return _block_field(yt, ot, out, a, tangent)
         q, pv = yt[:d], yt[d:n]
         if cos_on or sin_on:
             w = np.multiply(TWO_PI, q, order="C")  # contiguous rows
@@ -790,13 +945,21 @@ def _t2_pair(name, params, axis, X, DX, eta_X, X_etaX):
 def _build_t2_pair_theta1(params):
     amp = 2.0 * math.sqrt(2.0) * math.pi
 
+    namp = -amp
+    two_pi0, eighth0, namp0 = np.array(TWO_PI), np.array(0.125), np.array(namp)
+
     def _field(y, out=None, lee=False):
         """X of the states y, and with `lee` the rows [X | eta(X)] of
         y = [x | r] (X_etaX): the field has no theta1 component, so
-        eta(X) = 0."""
+        eta(X) = 0.  On numpy scalars for one state, else by ufuncs that
+        write into the columns of out."""
         yt, ot, out = _columns(y, out)
         ot[0] = 0.0
-        ot[1] = -amp * np.sin(TWO_PI * (0.125 + yt[0]))
+        if yt.ndim == 1:
+            ot[1] = namp * np.sin(TWO_PI * (0.125 + yt[0]))
+        else:
+            w = np.multiply(two_pi0, np.add(eighth0, yt[0], out=ot[1]), out=ot[1])
+            np.multiply(namp0, np.sin(w, out=w), out=w)
         if lee:
             ot[2] = 0.0
         return out
@@ -812,16 +975,28 @@ def _build_t2_pair_theta1(params):
 
 
 def _build_t2_pair_theta2(params):
+    ntwo_pi, lee_k = -TWO_PI, -TWO_PI * TWO_PI
+    two_pi0, ntwo_pi0, lee_k0 = np.array(TWO_PI), np.array(ntwo_pi), np.array(lee_k)
+
     def _field(y, out=None, lee=False):
         """X of the states y, and with `lee` the rows [X | eta(X)] of
-        y = [x | r] (X_etaX) from the same cos."""
+        y = [x | r] (X_etaX) from the same cos.  On numpy scalars for one
+        state, else by ufuncs that write into the columns of out."""
         yt, ot, out = _columns(y, out)
-        w = TWO_PI * yt[1]
-        c = np.cos(w)
-        ot[0] = TWO_PI * c
-        ot[1] = -TWO_PI * np.sin(w)
+        if yt.ndim == 1:
+            w = TWO_PI * yt[1]
+            c = np.cos(w)
+            ot[0] = TWO_PI * c
+            ot[1] = ntwo_pi * np.sin(w)
+            if lee:
+                ot[2] = lee_k * c
+            return out
+        w = np.multiply(two_pi0, yt[1], out=ot[1])
+        c = np.cos(w, out=ot[0])
         if lee:
-            ot[2] = (-TWO_PI * TWO_PI) * c
+            np.multiply(lee_k0, c, out=ot[2])
+        np.multiply(two_pi0, c, out=c)
+        np.multiply(ntwo_pi0, np.sin(w, out=w), out=w)
         return out
 
     def DX(x):

@@ -442,7 +442,8 @@ def test_attractor_estimate_counts_the_steps_the_engine_takes():
     m = instantiate_model("damped-mechanical", alpha=0.5, d=1, v_cos=1.0)
     est = attractor_estimate(m, R=1.0, t_relax=0.07, grid=5)
     steps = []
-    flow_ensemble(m, np.zeros((1, 2)), 0.07, h=0.01, on_step=lambda k, y: steps.append(k))
+    flow_ensemble(m, np.zeros((1, 2)), 0.07, h=0.01,
+                  on_step=lambda k, y, stepped: steps.append(k))
     assert est.iterations == len(steps) == 7
     m = instantiate_model("circle-quadratic", alpha=1.0)
     est = attractor_estimate(m, box=((0.0, 1.0), (-4.0, -2.0)), t_relax=5.0, grid=5)

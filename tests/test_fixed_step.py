@@ -81,7 +81,7 @@ def test_fixed_step_runs_reject_a_bad_horizon_or_step(t, h):
     with pytest.raises(ParamError):
         flow_ensemble(m, x, t, h=h)
     with pytest.raises(ParamError):
-        flow_ensemble(m, x, t, h=h, on_step=lambda k, y: None)
+        flow_ensemble(m, x, t, h=h, on_step=lambda k, y, stepped: None)
     with pytest.raises(ParamError):
         transport_tangents(m, x, np.ones_like(x), t, h=h)
     if t != 1.0:  # a bad horizon; classify_ensemble steps at its own h
@@ -96,7 +96,7 @@ def test_lee_channel_without_a_lee_form_is_a_structure_error():
     steps = []
     with pytest.raises(StructureError, match="circle-linear"):
         flow_ensemble(m, np.array([[0.1, 0.2]]), 0.1, racc=True,
-                      on_step=lambda k, y: steps.append(k))
+                      on_step=lambda k, y, stepped: steps.append(k))
     assert steps == []
 
 
@@ -157,7 +157,7 @@ def test_flow_ensemble_callback_sees_the_states_of_its_step(name, params, racc):
     x = sample_states(m, 16, np.random.default_rng(6), 1.0)
     h, seen = 2.0**-7, {}
     final = flow_ensemble(m, x, 123 * h, h=h, racc=racc,
-                          on_step=lambda k, y: seen.setdefault(k, y.copy()))
+                          on_step=lambda k, y, stepped: seen.setdefault(k, y.copy()))
     assert sorted(seen) == list(range(123))
     for k, y in seen.items():
         assert y.shape == (16, m.dim + racc)
@@ -177,14 +177,17 @@ def test_flow_ensemble_marks_non_finite_rows_dead():
 
 
 def test_classify_freezes_a_row_at_the_blowup_threshold(monkeypatch):
+    """r(0) = 1 crosses the threshold 10 at t = 0.9, inside the late window
+    [0.855, 0.95] of T = 0.95, where |H| = |r| is read."""
     m = riccati_pair()
     starts = np.array([[0.1, 1.0], [0.3, 0.0]])
     monkeypatch.setattr(diagnostics, "_CLASSIFY_BLOWUP", 10.0)
-    dead, calm = classify_ensemble(m, starts, 2.0)
+    dead, calm = classify_ensemble(m, starts, 0.95)
     assert dead.verdict == "undetermined"
     # frozen where it crossed the threshold instead of running on to inf/nan
     assert 10.0 < dead.omega_H_max < 20.0
-    assert calm == classify_ensemble(m, starts[1:], 2.0)[0]
+    assert dead == classify_ensemble(m, starts[:1], 0.95)[0]
+    assert calm == classify_ensemble(m, starts[1:], 0.95)[0]
 
 
 def test_backward_splitting_raises_kind_error():
@@ -247,6 +250,22 @@ def test_rk4_blowup_status_and_time():
     traj = integrate_flow(m, np.array([0.0, -1.0]), (0.0, 2.0), RK4)
     assert traj.status == "blowup"
     assert abs(traj.t_escape - t_star) < 0.02
+
+
+def test_rk4_blowup_path_ends_at_the_step_the_row_died_in():
+    """A row's rk4 path ends at the node of the step in which its line
+    coordinate passed the threshold, with that node's time and state; the
+    other row of the batch completes."""
+    m = instantiate_model("circle-quadratic", alpha=1.0)
+    starts = np.array([[0.0, -1.0], [0.25, 0.1]])
+    seen = []
+    flow_ensemble(m, starts, 2.0, h=0.01,
+                  on_step=lambda k, y, stepped: seen.append(y[0].copy()))
+    k = next(i for i, y in enumerate(seen) if not abs(y[1]) <= RK4.blowup_threshold)
+    dead, calm = integrate_flow(m, starts, (0.0, 2.0), RK4, samples=2)
+    assert (dead.status, calm.status) == ("blowup", "completed")
+    assert dead.t_escape == dead.times[-1] == 0.01 * (k + 1)
+    assert dead.states[-1].tobytes() == seen[k].tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -528,7 +547,7 @@ def test_classify_bits_do_not_depend_on_the_observer_block_size(n):
     ts_c = ts - ts.mean()
     moment = np.zeros(n)
 
-    def add(k, Y):
+    def add(k, Y, stepped):
         if k + 1 >= half:
             np.add(moment, ts_c[k + 1 - half] * Y[:, m.dim], out=moment)
 
@@ -537,26 +556,80 @@ def test_classify_bits_do_not_depend_on_the_observer_block_size(n):
     assert np.frombuffer(results[0][1]).reshape(n, 4)[:, 0].tobytes() == slopes.tobytes()
 
 
+def screen_pair():
+    """theta_i' = theta_i^2, r_0' = 0 and r_1' = r_1^2 on T^2 x R^2: an angle
+    from 0.95 goes non-finite after t = 1/0.95, r_0 stays where it starts,
+    and r_1 from 4 passes any threshold before t = 1/4."""
+    def X(x, out=None):
+        out = np.empty_like(x) if out is None else out
+        out[..., :2] = x[..., :2] ** 2
+        out[..., 2] = 0.0
+        out[..., 3] = x[..., 3] ** 2
+        return out
+
+    return ModelSpec(name="screen-pair", spec=CoordinateSpec((ANGLE, ANGLE, LINE, LINE)),
+                     kind=FLOW, params={}, X=X, Omega=lambda x: np.eye(4))
+
+
+_THR = 1e8
+_ABOVE = float(np.nextafter(_THR, np.inf))
+# (rows, which die): each batch also holds rows that live to T = 2
+SCREEN_CASES = {
+    "second-line-column": ([[0.05, 0.1, 0.5, 4.0], [0.05, 0.1, 0.5, 0.25],
+                            [0.1, 0.05, -0.5, 8.0], [0.1, 0.05, -0.5, -1.0]], [0, 2]),
+    "non-finite-angle": ([[0.95, 0.1, 0.5, 0.25], [0.05, 0.1, 0.5, 0.25],
+                          [0.1, 0.05, -0.5, -1.0]], [0]),
+    "at-threshold": ([[0.05, 0.1, _THR, 0.25], [0.05, 0.1, -_THR, -1.0],
+                      [0.1, 0.05, 0.5, 0.25]], []),
+    "above-threshold": ([[0.05, 0.1, _ABOVE, 0.25], [0.05, 0.1, -_ABOVE, -1.0],
+                         [0.1, 0.05, 0.5, 0.25]], [0, 1]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(SCREEN_CASES))
+def test_the_screen_kills_each_row_as_it_would_alone(case):
+    """The screen checks the whole line block at once: a row dies when a
+    line coordinate passes the threshold (here only the second line
+    column), |r| equal to it lives, and a non-finite angle kills a row
+    too; every row of the batch is the bits of the row run alone."""
+    m = screen_pair()
+    rows, dying = SCREEN_CASES[case]
+    starts = np.array(rows)
+    with np.errstate(over="ignore", invalid="ignore"):
+        batch = flow_ensemble(m, starts, 2.0, h=0.01, blowup_threshold=_THR)
+        assert np.nonzero(~batch[1])[0].tolist() == dying
+        for i, x in enumerate(starts):
+            for a, b in zip(batch, flow_ensemble(m, x[None], 2.0, h=0.01,
+                                                 blowup_threshold=_THR)):
+                assert a[i : i + 1].tobytes() == b.tobytes()
+    final = batch[0]
+    if case == "second-line-column":  # frozen at the first step past it
+        assert np.all(np.abs(final[dying, 3]) > _THR) and np.isfinite(final[dying]).all()
+    if case == "non-finite-angle":
+        assert not np.all(np.isfinite(final[0, :2]))
+
+
 def test_rows_dying_mid_run_step_as_each_row_alone():
     """Rows escape at different steps, so the engine steps ever fewer live
     rows in the leading rows of its stage buffers; each row's flow (with
-    the Lee channel) and each live row's classification are the bits of the
-    row run alone.  (A dead row's late |H| is read from its frozen state
-    only while other rows still step.)"""
+    the Lee channel) and classification are the bits of the row run alone.
+    A dead row's statistics stop at the step it died in: before, its late
+    |H| was read from its frozen state while other rows still stepped (row
+    1's was 2.18e17 in the batch and 0.0 alone)."""
     m = riccati_pair()
     starts = _blowup_starts(m, 24, np.random.default_rng(5))
     starts[::3, 1] = 0.5  # r(t) = 1 / (2 - t) stays bounded
     flowed, classes = (flow_ensemble(m, starts, 0.4, h=1e-3, racc=True),
                        _classify_rows(m, starts, 0.4))
     alive = flowed[1]
-    assert alive[::3].all() and 2 < (~alive).sum() < len(starts)
+    assert alive[::3].all() and 2 < (~alive).sum() < len(starts) and not alive[1]
+    assert classes[1][1, 1] == 0.0
     for i, x in enumerate(starts):
         for a, b in zip(flowed, flow_ensemble(m, x[None], 0.4, h=1e-3, racc=True)):
             assert a[i : i + 1].tobytes() == b.tobytes()
         verdict, values = _classify_rows(m, x[None], 0.4)
         assert verdict[0] == classes[0][i]
-        if alive[i]:
-            assert values.tobytes() == classes[1][i : i + 1].tobytes()
+        assert values.tobytes() == classes[1][i : i + 1].tobytes()
 
 
 def test_classify_verdicts_follow_the_thresholds(monkeypatch):

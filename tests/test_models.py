@@ -743,6 +743,129 @@ def test_damped_mechanical_evaluators_match_the_full_formula(case):
 
 
 # ---------------------------------------------------------------------------
+# damped-mechanical's and the T^2 pairs' fields against their column kernels
+# ---------------------------------------------------------------------------
+
+def _column_damped_field(params, y, a, tangent=False):
+    """X = (p, -grad V(q) - a p) of the states y, and with `tangent` the rows
+    [X | DX v] of y = [x | v], column by column: damped-mechanical's kernel
+    before its block form, the reference the fields match bit for bit."""
+    d = params["d"]
+    vc = np.broadcast_to(np.asarray(params.get("v_cos", 1.0), dtype=float), (d,))
+    vs = np.broadcast_to(np.asarray(params.get("v_sin", 0.0), dtype=float), (d,))
+    vx = float(params.get("v_cross", 0.0))
+    cos_on, sin_on = bool(vc.any()), bool(vs.any())
+    n, nvc, nvs = 2 * d, -vc, -vs
+    y = np.asarray(y, dtype=float)
+    out = np.empty_like(y)
+    yt, ot = y.T, out.T
+    q, pv = yt[:d], yt[d:n]
+    if cos_on or sin_on:
+        w = np.multiply(TWO_PI, q, order="C")
+        s = np.sin(w) if cos_on or tangent else None
+        c = np.cos(w) if sin_on or tangent else None
+    if vx:
+        u = TWO_PI * (q[0] - q[1])
+        cross = -vx * TWO_PI * np.sin(u)
+    ot[:d] = pv
+    for i in range(d):
+        g = TWO_PI * (nvc[i] * s[i] + vs[i] * c[i] if cos_on and sin_on
+                      else nvc[i] * s[i] if cos_on else vs[i] * c[i] if sin_on else 0.0)
+        if vx:
+            g = g + cross if i == 0 else g - cross
+        ot[d + i] = -g - a * pv[i] if a else -g
+    if tangent:
+        vq, vp = yt[n : n + d], yt[n + d :]
+        if vx:
+            cc = -vx * (TWO_PI**2) * np.cos(u)
+        np.add(vp, 0.0, out=ot[n : n + d])
+        for i in range(d):
+            hv = (TWO_PI**2) * (nvc[i] * c[i] + nvs[i] * s[i] if cos_on and sin_on
+                                else nvc[i] * c[i] if cos_on
+                                else nvs[i] * s[i] if sin_on else 0.0)
+            if vx:
+                hv = hv + cc
+            t = -hv * vq[i] + -a * vp[i]
+            if vx:
+                t = t + cc * vq[1 - i]
+            ot[n + d + i] = t + 0.0
+    return out
+
+
+def _column_t2_field(name, y, lee=False):
+    """A T^2 pair's X, and with `lee` the rows [X | eta(X)] of y = [x | r],
+    column by column: the kernel before the ufunc chains, the reference."""
+    y = np.asarray(y, dtype=float)
+    out = np.empty_like(y)
+    yt, ot = y.T, out.T
+    if name == "t2-pair-theta1":
+        ot[0] = 0.0
+        ot[1] = -(2.0 * math.sqrt(2.0) * math.pi) * np.sin(TWO_PI * (0.125 + yt[0]))
+        if lee:
+            ot[2] = 0.0
+        return out
+    w = TWO_PI * yt[1]
+    c = np.cos(w)
+    ot[0] = TWO_PI * c
+    ot[1] = -TWO_PI * np.sin(w)
+    if lee:
+        ot[2] = (-TWO_PI * TWO_PI) * c
+    return out
+
+
+def _kernel_rows(m, rows, width, order):
+    """rows [x | extra columns] with signed zero momenta and extra entries,
+    laid out in order, and the one-state case."""
+    rng = np.random.default_rng([rows, width])
+    n = m.dim
+    y = np.concatenate([sample_states(m, rows, rng, 1.0),
+                        rng.standard_normal((rows, width - n))], axis=1)
+    y[::3, m.d : n] = 0.0
+    y[1::3, m.d : n] = -0.0
+    y[2::4, n:] = 0.0
+    y[3::4, n:] = -0.0
+    return np.array(y, order=order)
+
+
+@pytest.mark.parametrize("order", ["C", "F"])
+@pytest.mark.parametrize("rows", [1, 2, 7, 2049])
+@pytest.mark.parametrize("case", sorted(POTENTIAL_CASES))
+def test_damped_mechanical_fields_are_the_column_kernel_bit_for_bit(case, rows, order):
+    """X, X_sym and X_DXv, on numpy scalars for one row and on (d, N)
+    blocks for more, give the column kernel's bytes: signed zero momenta
+    and tangents, either layout, one state, a batch of three axes, and the
+    time-reversed view."""
+    params = POTENTIAL_CASES[case]
+    m = instantiate_model("damped-mechanical", alpha=0.5, **params)
+    view, n = time_reversed_view(m), m.dim
+    y = _kernel_rows(m, rows, 2 * n, order)
+    for block in (y, y[0], y[None]):
+        x = block[..., :n]
+        for field, a in ((m.X, 0.5), (m.X_sym, 0.0)):
+            want = _column_damped_field(params, x, a)
+            assert field(x).tobytes() == want.tobytes()
+            assert (-want).tobytes() == (view.X if a else view.X_sym)(x).tobytes()
+        want = _column_damped_field(params, block, 0.5, tangent=True)
+        assert m.X_DXv(block).tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("order", ["C", "F"])
+@pytest.mark.parametrize("rows", [1, 2, 7, 2049])
+@pytest.mark.parametrize("name", sorted(T2_PAIR_FORMS))
+def test_t2_pair_fields_are_the_column_kernel_bit_for_bit(name, rows, order):
+    """X and X_etaX, on numpy scalars for one row and by ufuncs writing
+    into out for more, give the column kernel's bytes in either layout, for
+    one state, a batch of three axes and on the time-reversed view."""
+    m = instantiate_model(name)
+    y = _kernel_rows(m, rows, 3, order)
+    for block in (y, y[0], y[None]):
+        want = _column_t2_field(name, block[..., :2])
+        assert m.X(block[..., :2]).tobytes() == want.tobytes()
+        assert time_reversed_view(m).X(block[..., :2]).tobytes() == (-want).tobytes()
+        assert m.X_etaX(block).tobytes() == _column_t2_field(name, block, lee=True).tobytes()
+
+
+# ---------------------------------------------------------------------------
 # the Mane field against its einsum formula
 # ---------------------------------------------------------------------------
 
@@ -796,14 +919,15 @@ def _mane_states(m, n_rows, seed):
 @pytest.mark.parametrize("n_rows", [1, 7, 2049, 16384])
 def test_mane_field_matches_the_einsum_formula(case, n_rows):
     """X and X_sym, from one sin and one cos pass and without the terms of
-    zero coefficients, equal the einsum formula bit for bit: on a batch, on
-    its first row as a (1, dim) block and as one state, and on the
-    time-reversed view."""
+    zero coefficients, equal the einsum formula bit for bit: on a batch
+    row-major (column by column) and column-major (on its blocks), on its
+    first row as a (1, dim) block and as one state, on the batch as one of
+    three axes, and on the time-reversed view."""
     m = instantiate_model("mane", alpha=0.5, **MANE_CASES[case])
     view = time_reversed_view(m)
     x = _mane_states(m, n_rows, 2)
     with np.errstate(over="ignore", invalid="ignore"):  # the stiff case overflows
-        for block in (x, x[:1], x[0]):
+        for block in (x, np.asfortranarray(x), x[:1], x[0], x[None]):
             for field, a in ((m.X, m.alpha), (m.X_sym, 0.0)):
                 assert field(block).tobytes() == _einsum_mane_field(m, block, a).tobytes()
             assert view.X(block).tobytes() == (-_einsum_mane_field(m, block, m.alpha)).tobytes()

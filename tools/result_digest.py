@@ -76,6 +76,14 @@ Last come the contact lift of a caller's `H` and analytic `dH`: its `DX`
 (the Hessian from first differences of `dH`) and `eta_X` on one seeded
 batch, and the frames and Lee integrals of one `integrate_variational` run
 of it, which steps the joint field composed of `X`, `DX` and `eta_X`.
+Last come the block kernels of Mane and damped-mechanical (more than one
+row of the fixed-step engine's column-major batch): `flow_ensemble` and
+`transport_tangents` at N = 2 and 33
+with rows of zero momentum, on Mane drifts with full and partly zero
+coefficients and on damped-mechanical's coupled and sine-only potentials;
+then, once for all seeds, the fixed-step engine's screen on a model whose
+rows die through its second line column, through a non-finite angle, and
+with a line coordinate at the threshold and just above it.
 Floats
 are hashed by their bits (`float.hex`), arrays by dtype, shape and bytes,
 so -0.0 and 0.0 differ.
@@ -527,6 +535,73 @@ def analytic_lift_digests(seed):
         [traj.times, traj.states, traj.frames, traj.r_accum])
 
 
+# the block kernels' cases: Mane drifts with full and partly zero
+# coefficients, and damped-mechanical's coupled and sine-only potentials
+BLOCK_MODELS = (
+    ("mane-d2-full", "mane", {"alpha": 0.5, "d": 2, "y0": (0.2, -0.0),
+                              "y_sin": [[0.7, -0.3], [1.1, 0.4]],
+                              "y_cos": [[-0.5, 0.9], [0.25, -1.3]]}),
+    ("mane-d2-mixed-zeros", "mane", {"alpha": 0.5, "d": 2, "y0": 0.1,
+                                     "y_sin": [[0.0, 0.6], [0.8, 0.0]],
+                                     "y_cos": [[0.3, 0.0], [0.0, 0.0]]}),
+    ("damped-mechanical-cross", "damped-mechanical",
+     {"alpha": 0.5, "d": 2, "v_cos": (1.0, 0.0), "v_sin": (0.0, 0.6), "v_cross": 0.4}),
+    ("damped-mechanical-sin-only", "damped-mechanical",
+     {"alpha": 0.5, "d": 1, "v_cos": 0.0, "v_sin": 0.7}),
+)
+
+
+def _screen_pair():
+    """theta_i' = theta_i^2, r_0' = 0 and r_1' = r_1^2 on T^2 x R^2."""
+    def X(x, out=None):
+        out = np.empty_like(x) if out is None else out
+        out[..., :2] = x[..., :2] ** 2
+        out[..., 2] = 0.0
+        out[..., 3] = x[..., 3] ** 2
+        return out
+
+    return models.ModelSpec(name="screen-pair", spec=CoordinateSpec((ANGLE, ANGLE, LINE, LINE)),
+                            kind=models.FLOW, params={}, X=X, Omega=lambda x: np.eye(4))
+
+
+# rows that die through the second line column, a non-finite angle, and a
+# line coordinate at the threshold 1e8 and just above it, each with rows
+# that live to t = 2
+ABOVE = float(np.nextafter(1e8, np.inf))
+SCREEN_ROWS = {
+    "second-line-column": [[0.05, 0.1, 0.5, 4.0], [0.05, 0.1, 0.5, 0.25],
+                           [0.1, 0.05, -0.5, 8.0], [0.1, 0.05, -0.5, -1.0]],
+    "non-finite-angle": [[0.95, 0.1, 0.5, 0.25], [0.05, 0.1, 0.5, 0.25],
+                         [0.1, 0.05, -0.5, -1.0]],
+    "at-threshold": [[0.05, 0.1, 1e8, 0.25], [0.05, 0.1, -1e8, -1.0], [0.1, 0.05, 0.5, 0.25]],
+    "above-threshold": [[0.05, 0.1, ABOVE, 0.25], [0.05, 0.1, -ABOVE, -1.0],
+                        [0.1, 0.05, 0.5, 0.25]],
+}
+
+
+def block_digests(seed):
+    """`flow_ensemble` and `transport_tangents` at N = 2 and 33 on the block
+    kernels, with rows of zero momentum."""
+    rng = np.random.default_rng([seed, 73])
+    for label, name, params in BLOCK_MODELS:
+        m = models.instantiate_model(name, params)
+        for n in (2, 33):
+            states = _at_rest(m, models.sample_states(m, n, rng, 1.0))
+            out = flow_ensemble(m, states, 1.0, 0.01)
+            yield f"flow_ensemble.seed{seed}.{label}.n{n}", digest(list(out))
+            out = transport_tangents(m, states, rng.standard_normal((n, m.dim)), 0.2)
+            yield f"transport_tangents.seed{seed}.{label}.n{n}", digest(list(out))
+
+
+def screen_digests():
+    """The fixed-step engine's screen on each case of SCREEN_ROWS."""
+    m = _screen_pair()
+    with np.errstate(over="ignore", invalid="ignore"):
+        for label, rows in SCREEN_ROWS.items():
+            out = flow_ensemble(m, np.array(rows), 2.0, 0.01)
+            yield f"flow_ensemble.screen.{label}", digest(list(out))
+
+
 def cli_configs(seed):
     """Config text per run: each operation once (simulate also with rk4),
     verify at scope geometry, every integrator field read at least once, and
@@ -650,10 +725,12 @@ def main(argv=None):
                 print(f"{value}  {name}", flush=True)
     for name, value in refusal_digests():
         print(f"{value}  {name}", flush=True)
-    for part in (one_row_digests, analytic_lift_digests):
+    for part in (one_row_digests, analytic_lift_digests, block_digests):
         for seed in args.seeds:
             for name, value in part(seed):
                 print(f"{value}  {name}", flush=True)
+    for name, value in screen_digests():
+        print(f"{value}  {name}", flush=True)
 
 
 if __name__ == "__main__":
