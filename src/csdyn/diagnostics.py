@@ -696,10 +696,6 @@ class EscapeStats:
         if self.escaped > self.total:
             raise ParamError("escaped count exceeds total")
 
-    @property
-    def escaped_fraction(self):
-        return self.escaped / self.total if self.total else 0.0
-
     def escaped_within(self, n):
         """Escape count had the run been truncated at n steps (monotone in n)."""
         return int(np.sum((self.exit_steps > 0) & (self.exit_steps <= n)))
@@ -894,11 +890,6 @@ class OrbitClass:
     def __post_init__(self):
         if self.verdict == "dissipative" and not (self.r_slope < 0):
             raise ParamError("dissipative verdict requires a negative rotation slope")
-
-
-def classify_orbit(m, x0, T):
-    """classify_ensemble of the one state x0, at its defaults."""
-    return classify_ensemble(m, np.asarray(x0, dtype=float)[None, :], T)[0]
 
 
 # classify_ensemble's observer copies the states of consecutive steps into a

@@ -44,7 +44,6 @@ MAX_STEPS = "max-steps"
 STOPPED = "stopped"
 
 REFERENCE = "reference"
-SPLITTING = "splitting"
 RK4 = "rk4"
 
 # implicit midpoint: a row's fixed-point sweeps stop once its update is
@@ -176,8 +175,10 @@ class IntegratorConfig:
             raise ParamError("tolerances must lie in (0, 1e-2]")
         if not (math.isfinite(self.h) and self.h > 0):
             raise ParamError(f"step size must be finite and positive, got h={self.h}")
-        if self.method not in (REFERENCE, SPLITTING, RK4):
-            raise ParamError(f"unknown integrator method {self.method!r}")
+        if self.method not in (REFERENCE, RK4):
+            hint = ("; take splitting steps with conformal_splitting_step"
+                    if self.method == "splitting" else "")
+            raise ParamError(f"unknown integrator method {self.method!r}{hint}")
         if not self.max_steps >= 1:
             raise ParamError(f"max_steps must be at least 1, got {self.max_steps}")
         if not self.blowup_threshold > 0:
@@ -931,7 +932,7 @@ def conformal_splitting_step(m, x, h):
 
 
 def _fixed_step_paths(m, Y0, t0, t1, cfg, k, with_racc, node_check):
-    """Nodes of rk4 or splitting runs from the rows of Y0, one _Path per row."""
+    """Nodes of rk4 runs from the rows of Y0, one _Path per row."""
     rhs = _joint_rhs(m, k, with_racc)
     hist, steps = [Y0.copy()], np.zeros(len(Y0), dtype=int)
 
@@ -941,7 +942,7 @@ def _fixed_step_paths(m, Y0, t0, t1, cfg, k, with_racc, node_check):
 
     _, alive = _fixed_step_engine(
         m, np.array(Y0, order="F"), t1 - t0, cfg.h, k, with_racc, cfg.blowup_threshold,
-        on_step=on_step, splitting=cfg.method == SPLITTING,
+        on_step=on_step,
     )
     hist = np.array(hist)
     ts = t0 + np.minimum(cfg.h * np.arange(len(hist)), t1 - t0)
@@ -1005,15 +1006,13 @@ def _column_major(blocks):
     return np.concatenate(blocks, axis=1, out=np.empty((w, len(blocks[0]))).T)
 
 
-def _fixed_step_engine(m, Y, t, h, k=0, racc=False, blowup_threshold=1e8,
-                       on_step=None, splitting=False):
-    """Masked fixed-step integration of the rows of Y = [x | n*k tangent | r].
+def _fixed_step_engine(m, Y, t, h, k=0, racc=False, blowup_threshold=1e8, on_step=None):
+    """Masked RK4 integration of the rows of Y = [x | n*k tangent | r].
 
-    RK4 on the joint field, or with `splitting` one batched conformal
-    splitting step whose Jacobians carry the tangent columns.  A row dies,
-    frozen where it stopped, once its state is non-finite or a line
-    coordinate passes the threshold.  While every row lives the batch steps
-    whole, in place; the index of live rows is rebuilt only when one dies.
+    A row dies, frozen where it stopped, once its state is non-finite or a
+    line coordinate passes the threshold.  While every row lives the batch
+    steps whole, in place; the index of live rows is rebuilt only when one
+    dies.
 
     The batch is column-major: Y is the (N, w) view of a C-contiguous (w, N)
     buffer, and so are the three RK4 stage buffers and the gathered live
@@ -1035,30 +1034,10 @@ def _fixed_step_engine(m, Y, t, h, k=0, racc=False, blowup_threshold=1e8,
     n_steps = _n_steps(t, h)
     Y = np.asfortranarray(Y)
     n = m.dim
-    if not splitting:
-        rhs = _joint_rhs(m, k, racc)
-        # three (N, w) column-major buffers; the live rows step in their
-        # leading rows, through views made again only when the live rows change
-        buffers = np.empty((3,) + Y.shape[::-1]).transpose(0, 2, 1)
-
-        def advance(rows, hh):
-            return _rk4_step(rhs, rows, hh, stages)
-    elif racc:
-        raise KindError("splitting does not integrate the Lee-form channel")
-    else:
-        def advance(rows, hh):
-            try:
-                x, J = conformal_splitting_step(m, rows[:, :n], hh)
-            except ConvergenceError as exc:  # name the batch row and the time
-                row = exc.row if act is None else int(act[exc.row])
-                raise _row_failure(
-                    ConvergenceError, _MIDPOINT_FAILED, m.name, row, tau, exc.state
-                ) from exc
-            out = np.empty_like(rows)
-            out[:, :n] = x
-            F = np.ascontiguousarray(rows[:, n:]).reshape(len(rows), n, k)
-            out[:, n:] = (J @ F).reshape(len(rows), n * k)
-            return out
+    rhs = _joint_rhs(m, k, racc)
+    # three (N, w) column-major buffers; the live rows step in their
+    # leading rows, through views made again only when the live rows change
+    buffers = np.empty((3,) + Y.shape[::-1]).transpose(0, 2, 1)
     line_cols = _line_indices(m).tolist()
     # the line columns as one slice when they are adjacent, as in every
     # registered flow: a column-major block, screened in two calls
@@ -1068,16 +1047,15 @@ def _fixed_step_engine(m, Y, t, h, k=0, racc=False, blowup_threshold=1e8,
     line = (~m.spec.angle_mask).astype(float)  # inf or nan times 0 stays nan
     alive = np.all(np.isfinite(Y[:, :n]), axis=1)
     act = None if len(Y) and alive.all() else np.nonzero(alive)[0]
-    if not splitting:
-        stages = tuple(buffers[:, : len(Y) if act is None else len(act)])
+    stages = tuple(buffers[:, : len(Y) if act is None else len(act)])
     tau = 0.0
     for step in range(n_steps):
         hh = min(h, t - tau)
         stepped = None if act is None else alive
         if act is None:
-            Y = rows = advance(Y, hh)
+            Y = rows = _rk4_step(rhs, Y, hh, stages)
         elif len(act):
-            rows = advance(np.take(Y.T, act, axis=1).T, hh)  # column-major
+            rows = _rk4_step(rhs, np.take(Y.T, act, axis=1).T, hh, stages)  # column-major
             Y[act] = rows
         else:
             break
@@ -1091,8 +1069,7 @@ def _fixed_step_engine(m, Y, t, h, k=0, racc=False, blowup_threshold=1e8,
             alive = alive.copy()  # a mask on_step was given stays as it was
             alive[np.nonzero(alive)[0][dead]] = False
             act = np.nonzero(alive)[0]
-            if not splitting:
-                stages = tuple(buffers[:, : len(act)])
+            stages = tuple(buffers[:, : len(act)])
         if on_step is not None:
             on_step(step, Y, stepped)
     return Y, alive

@@ -34,7 +34,7 @@ from .errors import (
     StructureError,
     UnknownModelError,
 )
-from .geometry import ANGLE, LINE, CoordinateSpec, fd_gradient, fd_jacobian
+from .geometry import ANGLE, LINE, CoordinateSpec, fd_jacobian
 
 TWO_PI = 2.0 * math.pi
 
@@ -170,26 +170,6 @@ class ModelSpec:
         if self.DX is None:
             raise StructureError(f"{self.name} states no Jacobian DX")
         return self.DX(x)
-
-
-def eval_vector_field(m, x):
-    """Evaluate the flow field; the defining identity is certified in tests."""
-    if m.kind != FLOW:
-        raise KindError(f"{m.name} is a map model; it has no vector field")
-    return np.asarray(m.X(np.asarray(x, dtype=float)), dtype=float)
-
-
-def eval_observables(m, x):
-    """All defined observables at x; the two-form is always present."""
-    x = np.asarray(x, dtype=float)
-    out = {"Omega": np.asarray(m.Omega(x), dtype=float)}
-    if m.H is not None:
-        out["H"] = m.H(x)
-    if m.lam is not None:
-        out["lambda"] = np.asarray(m.lam(x), dtype=float)
-    if m.eta is not None:
-        out["eta"] = np.asarray(m.eta(x), dtype=float)
-    return out
 
 
 def conformal_hamiltonian_field(omega_eval, eta_eval, h_eval, dh_eval):
@@ -1227,36 +1207,33 @@ def _per_state(f, tail):
     return batched
 
 
-def contact_lift(H, beta, dH=None):
+def contact_lift(H, beta, dH):
     """Lift a contact Hamiltonian on flat T^1 T^2 to its twisted symplectization.
 
     The contact field X on (Y, alpha) solves alpha(X) = H and
     i_X d(alpha) = (dH.R) alpha - dH, with R = (cos 2 pi v, sin 2 pi v, 0)
     the Reeb field; the lifted conformal field appends the theta-component
     beta(X) - dH.R, so the Lee form (b1, b2, 0, -1) gives eta_X = dH.R.
-    beta is two finite numbers.  H takes the 3-vector (x1, x2, v); dH is its
-    analytic gradient, central differences when omitted.  DX takes the
-    Hessian of H from first differences of dH, else from central second
-    differences of H, since differencing the differenced gradient would
-    amplify its rounding.  The lift's evaluators take (..., 4) batches; H
-    and dH take one state, and `_per_state` maps them over the batch, each
-    entry equal to the single-state call.
+    beta is two finite numbers.  H takes the 3-vector (x1, x2, v) and dH
+    returns its analytic gradient; DX takes the Hessian of H from first
+    differences of dH.  The lift's evaluators take (..., 4) batches; H and
+    dH take one state, and `_per_state` maps them over the batch, each entry
+    equal to the single-state call.
     """
     b = np.asarray(beta, dtype=float) if _kind(beta, 0.0)[1] else None
     if b is None or b.shape != (2,) or not np.all(np.isfinite(b)):
         raise ParamError(f"contact_lift takes beta as two finite numbers, got {beta!r}")
+    if not (callable(H) and callable(dH)):
+        raise ParamError("contact_lift takes H and its gradient dH as callables")
     b1, b2 = float(b[0]), float(b[1])
     h_of = _per_state(lambda y: float(H(y)), ())
-    dh_of = None if dH is None else _per_state(lambda y: np.asarray(dH(y), dtype=float), (3,))
-
-    def grad_h(y):
-        return fd_gradient(h_of, y) if dh_of is None else dh_of(y)
+    dh_of = _per_state(lambda y: np.asarray(dH(y), dtype=float), (3,))
 
     def local(x):
         """y = (x1, x2, v), cos 2 pi v, sin 2 pi v and dH at the states x."""
         y = np.asarray(x, dtype=float)[..., :3]
         w = TWO_PI * y[..., 2]
-        return y, np.cos(w), np.sin(w), grad_h(y)
+        return y, np.cos(w), np.sin(w), dh_of(y)
 
     def X(x, out=None):
         y, c, s, g = local(x)
@@ -1271,29 +1248,10 @@ def contact_lift(H, beta, dH=None):
             out = np.empty_like(np.asarray(x, dtype=float))
         return np.concatenate([xc, theta_dot[..., None]], axis=-1, out=out)
 
-    def hessian(y):
-        """(H, its Hessian) at y."""
-        if dh_of is not None:
-            return h_of(y), fd_jacobian(dh_of, y)
-        # H at y and its 18 shifts for central second differences, step about eps**(1/4)
-        step, E = 1e-4, 1e-4 * np.eye(3)
-        lower = [(i, j) for i in range(3) for j in range(i)]
-        hv = h_of(np.stack(
-            [y] + [y + E[i] for i in range(3)] + [y - E[i] for i in range(3)]
-            + [y + si * E[i] + sj * E[j] for i, j in lower
-               for si, sj in ((1, 1), (1, -1), (-1, 1), (-1, -1))]))
-        hval, hs = hv[0], np.empty(y.shape[:-1] + (3, 3))
-        for i in range(3):
-            hs[..., i, i] = (hv[1 + i] - 2.0 * hval + hv[4 + i]) / step**2
-        for k, (i, j) in enumerate(lower):
-            pp, pm, mp, mm = hv[7 + 4 * k : 11 + 4 * k]
-            hs[..., i, j] = hs[..., j, i] = (pp - pm - mp + mm) / (4.0 * step**2)
-        return hval, hs
-
     def DX(x):
         # derivative of X's closed form; (c, s) depend on v = y[2]
         y, c, s, g = local(x)
-        hval, hs = hessian(y)
+        hval, hs = h_of(y), fd_jacobian(dh_of, y)
         C, S = c[..., None], s[..., None]
         J = np.zeros(y.shape[:-1] + (4, 4))
         J[..., 0, :3] = g * C - hs[..., 2, :] * S / TWO_PI
@@ -1314,7 +1272,7 @@ def contact_lift(H, beta, dH=None):
     def dH4(x):
         y = np.asarray(x, dtype=float)[..., :3]
         out = np.zeros(y.shape[:-1] + (4,))
-        out[..., :3] = grad_h(y)
+        out[..., :3] = dh_of(y)
         return out
 
     eta_vec = np.array([b1, b2, 0.0, -1.0])

@@ -68,7 +68,7 @@ def test_batched_initial_frames_and_backward_spans():
         integrate_flow(m, np.zeros((2, 3)), (0.0, 1.0))
 
 
-@pytest.mark.parametrize("method", ["rk4", "splitting"])
+@pytest.mark.parametrize("method", ["rk4"])
 def test_fixed_step_methods_batch_like_the_reference(method):
     m = instantiate_model("damped-mechanical", alpha=0.5, d=1, v_cos=1.0)
     cfg = IntegratorConfig(method=method, h=0.01)

@@ -311,6 +311,20 @@ def test_simulate_writes_initial_condition(tmp_path):
     assert float(first[2]) == 1.0
 
 
+def test_simulate_with_the_splitting_method_exits_one_and_writes_no_report(tmp_path, capsys):
+    cfg = write(
+        tmp_path, "split.cfg",
+        "run.operation = simulate\nmodel.name = damped-mechanical\n"
+        "integrator.method = splitting\nintegrator.h = 0.01\n",
+    )
+    out = tmp_path / "out"
+    assert main(["--config", cfg, "--out", str(out), "--no-timestamp"]) == EXIT_ERROR
+    assert capsys.readouterr().err == (
+        "error: unknown integrator method 'splitting';"
+        " take splitting steps with conformal_splitting_step\n")
+    assert list(out.iterdir()) == []
+
+
 def test_diagnose_nonexact_conformality(tmp_path):
     cfg = write(
         tmp_path, "diag.cfg",

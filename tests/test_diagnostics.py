@@ -10,7 +10,6 @@ from csdyn.diagnostics import (
     CheckResult,
     attractor_estimate,
     classify_ensemble,
-    classify_orbit,
     conformal_transport_check,
     escape_statistics,
     find_periodic_orbit,
@@ -799,7 +798,7 @@ def test_recurrence_scan_rejects_bad_span():
 
 def test_classify_theta2_dissipative():
     m = instantiate_model("t2-pair-theta2")
-    oc = classify_orbit(m, np.array([0.0, 0.3]), 10.0)
+    oc = classify_ensemble(m, np.array([0.0, 0.3])[None], 10.0)[0]
     assert oc.verdict == "dissipative"
     assert abs(oc.r_slope + FOUR_PI_SQ) < 0.01 * FOUR_PI_SQ
     assert oc.omega_H_max < 1e-6
@@ -807,7 +806,7 @@ def test_classify_theta2_dissipative():
 
 def test_classify_theta1_conservative():
     m = instantiate_model("t2-pair-theta1")
-    oc = classify_orbit(m, np.array([0.0, 0.0]), 10.0)
+    oc = classify_ensemble(m, np.array([0.0, 0.0])[None], 10.0)[0]
     assert oc.verdict == "conservative"
     assert oc.r_abs_max == 0.0
     assert oc.min_return_dist < 1e-3
@@ -821,7 +820,7 @@ def test_classify_closest_return_takes_the_short_way_across_the_wrap():
     th1 = math.asin(0.07 / (2.0 * math.sqrt(2.0) * math.pi)) / TWO_PI - 0.125 + 1.0
     x0 = np.array([th1, 0.3])
     assert m.X(x0)[1] == pytest.approx(-0.07, rel=1e-12)
-    oc = classify_orbit(m, x0, 10.0)
+    oc = classify_ensemble(m, x0[None], 10.0)[0]
     # the nearest return is the end of the settling window, t = 0.1
     assert oc.min_return_dist == pytest.approx(0.007, rel=1e-9)
     assert oc.verdict == "undetermined"
@@ -829,14 +828,14 @@ def test_classify_closest_return_takes_the_short_way_across_the_wrap():
 
 def test_classify_repelling_circle_undetermined():
     m = instantiate_model("t2-pair-theta2")
-    oc = classify_orbit(m, np.array([0.0, 0.5]), 10.0)
+    oc = classify_ensemble(m, np.array([0.0, 0.5])[None], 10.0)[0]
     assert oc.verdict == "undetermined"
 
 
 def test_classify_requires_pair_structure():
     m = instantiate_model("circle-linear", alpha=1.0)
     with pytest.raises(StructureError):
-        classify_orbit(m, np.array([0.1, 0.2]), 1.0)
+        classify_ensemble(m, np.array([0.1, 0.2])[None], 1.0)[0]
 
 
 def test_classify_rejects_a_map_model():

@@ -11,13 +11,11 @@ from hypothesis import example, given, settings, strategies as st
 from csdyn import diagnostics
 from csdyn.diagnostics import (
     classify_ensemble,
-    classify_orbit,
     conformal_transport_check,
 )
-from csdyn.errors import DimensionMismatchError, KindError, ParamError, StructureError
+from csdyn.errors import DimensionMismatchError, ParamError, StructureError
 from csdyn.flows import (
     IntegratorConfig,
-    _fixed_step_engine,
     flow_ensemble,
     integrate_flow,
     integrate_variational,
@@ -134,6 +132,13 @@ def test_integrator_config_rejects_a_bad_step(h):
         IntegratorConfig(method="rk4", h=h)
 
 
+def test_integrator_config_refuses_the_splitting_method():
+    # splitting steps are taken by conformal_splitting_step, not by an integrator
+    with pytest.raises(ParamError, match="'splitting'; take splitting steps with "
+                                         "conformal_splitting_step"):
+        IntegratorConfig(method="splitting", h=0.01)
+
+
 def test_fixed_step_outputs_are_c_ordered():
     """The engine's batch is column-major; what leaves it is C-ordered."""
     m = instantiate_model("t2-pair-theta2")
@@ -190,13 +195,6 @@ def test_classify_freezes_a_row_at_the_blowup_threshold(monkeypatch):
     assert calm == classify_ensemble(m, starts[1:], 0.95)[0]
 
 
-def test_backward_splitting_raises_kind_error():
-    m = instantiate_model("damped-mechanical", alpha=0.5, d=1, v_cos=1.0)
-    cfg = IntegratorConfig(method="splitting", h=0.01)
-    with pytest.raises(KindError):
-        integrate_flow(m, np.array([0.2, 0.3]), (1.0, 0.0), cfg)
-
-
 # ---------------------------------------------------------------------------
 # method="rk4" trajectories share the dense-output tail
 # ---------------------------------------------------------------------------
@@ -223,15 +221,6 @@ def test_rk4_honours_samples_and_times():
     ref = integrate_flow(m, x0, (0.0, 1.0), times=times)
     err = torus_distance(m.spec, picked.states, ref.states)
     assert np.all(err < 1e-6 * (1.0 + np.abs(ref.states[:, 1])))
-
-
-def test_splitting_trajectory_honours_samples_and_stays_conformal():
-    m = instantiate_model("damped-mechanical", alpha=0.5, d=1, v_cos=1.0)
-    cfg = IntegratorConfig(method="splitting", h=0.01)
-    traj = integrate_variational(m, np.array([0.2, 0.3]), (0.0, 1.0), cfg, samples=11)
-    assert len(traj.times) == 11
-    # the last sample is the last node: a product of exactly conformal steps
-    assert abs(np.linalg.det(traj.final_frame) - math.exp(-0.5)) < 1e-13
 
 
 def test_rk4_r_final_is_rk4_accurate():
@@ -428,16 +417,10 @@ ENGINE_CALLS = {
         lambda: instantiate_model("t2-pair-theta2"),
         lambda m, b: _classify_rows(m, b, 0.3),
     ),
-    "splitting": (
-        lambda: instantiate_model("damped-mechanical", alpha=0.5, d=1, v_cos=1.0),
-        lambda m, b: _fixed_step_engine(
-            m, np.array(b), 0.3, 0.01, blowup_threshold=1e3, splitting=True),
-    ),
 }
 
-# a row that passes the threshold of 1e3 on the way: the Riccati escape at
-# t ~ 0.17, or for the bounded pendulum a start past it (dies after one step)
-BLOWUP_ROWS = {"flow": (0.0, -1.0), "transport": (0.0, -1.0), "splitting": (0.0, 2e3)}
+# a row that passes the threshold of 1e3 on the way: the Riccati escape at t ~ 0.17
+BLOWUP_ROWS = {"flow": (0.0, -1.0), "transport": (0.0, -1.0)}
 
 
 @pytest.mark.parametrize("call", sorted(ENGINE_CALLS))
@@ -661,4 +644,4 @@ def test_classify_verdicts_follow_the_thresholds(monkeypatch):
 def test_classify_rejects_non_positive_horizon():
     m = instantiate_model("t2-pair-theta2")
     with pytest.raises(ParamError):
-        classify_orbit(m, np.array([0.1, 0.2]), 0.0)
+        classify_ensemble(m, np.array([0.1, 0.2])[None], 0.0)[0]

@@ -6,7 +6,6 @@ import pytest
 
 from csdyn.certificates import _FLOW_MODELS
 from csdyn.errors import (
-    KindError,
     ParamError,
     PoisonedStateError,
     StructureError,
@@ -26,8 +25,6 @@ from csdyn.models import (
     ModelSpec,
     conformal_hamiltonian_field,
     contact_lift,
-    eval_observables,
-    eval_vector_field,
     field_identity_residual,
     instantiate_model,
     rationally_dependent,
@@ -61,7 +58,7 @@ def test_radial_contraction_map():
 
 def test_circle_linear_field_value():
     m = instantiate_model("circle-linear", alpha=1.0)
-    x = eval_vector_field(m, np.array([0.25, 1.0]))
+    x = m.X(np.array([0.25, 1.0]))
     assert np.allclose(x, [1.0, -1.0], atol=1e-14)
 
 
@@ -104,12 +101,6 @@ def test_lee_twist_independence_gate():
     assert not rationally_dependent(math.sqrt(2.0), math.sqrt(3.0))
 
 
-def test_eval_vector_field_rejects_maps():
-    m = instantiate_model("radial-contraction", a=0.5)
-    with pytest.raises(KindError):
-        eval_vector_field(m, np.array([0.0, 1.0]))
-
-
 def test_theta2_field_on_invariant_circle():
     m = instantiate_model("t2-pair-theta2")
     assert np.allclose(m.X(np.array([0.3, 0.0])), [TWO_PI, 0.0], atol=1e-14)
@@ -127,12 +118,12 @@ def test_damped_critical_point_is_equilibrium():
     assert np.allclose(m.X(np.array([0.5, 0.0])), 0.0)
 
 
-def test_eval_observables_circle_linear():
+def test_circle_linear_observables():
     m = instantiate_model("circle-linear", alpha=1.0)
-    obs = eval_observables(m, np.array([0.25, 2.0]))
-    assert obs["H"] == pytest.approx(2.0)
-    assert np.allclose(obs["lambda"], [2.0, 0.0])
-    assert np.array_equal(obs["Omega"], np.array([[0.0, 1.0], [-1.0, 0.0]]))
+    x = np.array([0.25, 2.0])
+    assert m.H(x) == pytest.approx(2.0)
+    assert np.allclose(m.lam(x), [2.0, 0.0])
+    assert np.array_equal(m.Omega(x), np.array([[0.0, 1.0], [-1.0, 0.0]]))
 
 
 def test_theta1_lee_form_constant():
@@ -193,9 +184,11 @@ def test_defining_identity_at_random_states(name, params):
 def _identity_model(name, params):
     if name != "contact-lift":
         return instantiate_model(name, params)
-    # the lift maps the caller's one-state H over the batch and differences it for dH
+    # the lift maps the caller's one-state H and dH over the batch
     return contact_lift(
-        lambda y: np.cos(TWO_PI * y[..., 2]) + 0.3 * np.sin(TWO_PI * y[..., 0]), (0.5, -0.2)
+        lambda y: np.cos(TWO_PI * y[..., 2]) + 0.3 * np.sin(TWO_PI * y[..., 0]), (0.5, -0.2),
+        dH=lambda y: TWO_PI * np.array(
+            [0.3 * np.cos(TWO_PI * y[..., 0]), 0.0, -np.sin(TWO_PI * y[..., 2])]),
     )
 
 
@@ -341,7 +334,8 @@ def test_contact_lift_fiber_hamiltonian_against_contact_identities():
     # H(x, v) = cos(2 pi v); verify alpha(X) = H and
     # i_X d(alpha) = (dH.R) alpha - dH by central differences
     H3 = lambda y: math.cos(TWO_PI * y[2])
-    lifted = contact_lift(H3, (0.0, 0.0))
+    lifted = contact_lift(H3, (0.0, 0.0), dH=lambda y: np.array(
+        [0.0, 0.0, -TWO_PI * math.sin(TWO_PI * y[2])]))
     rng = np.random.default_rng(9)
     for x in sample_states(lifted, 25, rng):
         y = x[:3]
@@ -362,9 +356,8 @@ def test_contact_lift_fiber_hamiltonian_against_contact_identities():
 
 
 def test_contact_lift_evaluators_broadcast_over_a_batch():
-    # the caller's H takes one state; the lift maps it over any leading axes
-    H3 = lambda y: math.cos(TWO_PI * y[2]) + 0.3 * math.sin(TWO_PI * y[0])
-    lifted = contact_lift(H3, (0.5, 0.25))
+    # the caller's H and dH take one state; the lift maps them over any leading axes
+    lifted = _analytic_lift((0.5, 0.25))
     identity = lambda x: field_identity_residual(lifted, x)
     for lead in ((3,), (8, 8)):
         n = int(np.prod(lead))
@@ -378,26 +371,6 @@ def test_contact_lift_evaluators_broadcast_over_a_batch():
     assert type(identity(xs[0, 0])) is float
 
 
-@pytest.mark.parametrize("beta", [(0.0, 0.0), (0.5, -0.2)])
-def test_contact_lift_jacobian_without_dh_matches_the_analytic_lift(beta):
-    # without dH the lift's X differences H; its Jacobian must not difference
-    # that differenced field again (1.2e-4 off for this H and beta (0, 0))
-    H3 = lambda y: math.cos(TWO_PI * y[2]) + 0.3 * math.sin(TWO_PI * y[0])
-    dH3 = lambda y: TWO_PI * np.array(
-        [0.3 * math.cos(TWO_PI * y[0]), 0.0, -math.sin(TWO_PI * y[2])]
-    )
-    bare, exact = contact_lift(H3, beta), contact_lift(H3, beta, dH=dH3)
-    xs = sample_states(bare, 8, np.random.default_rng(11), 1.0)
-    # the analytic-dH field is smooth, so its central differences are exact
-    # to about 1e-9
-    reference = _central_differences(exact.X, xs)
-    J = bare.jacobian(xs)
-    assert J.shape == (8, 4, 4)
-    assert np.max(np.abs(J - reference)) < 1e-6
-    for x, row in zip(xs, J):
-        assert np.array_equal(bare.jacobian(x), row)
-
-
 @pytest.mark.parametrize("beta", [(0.1, 0.2, 0.3), (0.5,), (math.nan, 0.0), (0.0, -math.inf),
                                   0.5, ((0.1, 0.2),), (0.1, "x"), "ab", None])
 def test_contact_lift_takes_beta_as_two_finite_numbers(beta):
@@ -409,13 +382,20 @@ def test_contact_lift_takes_beta_as_two_finite_numbers(beta):
     assert lifted.params == {"beta": (1.0, 2.0)}
 
 
-@pytest.mark.parametrize("analytic", [False, True])
-def test_contact_lift_of_an_empty_batch_is_empty(analytic):
-    # the caller's H is never called; the lift's shapes come from the batch
+@pytest.mark.parametrize("H,dH", [(None, lambda y: np.zeros(3)), (lambda y: 1.0, None),
+                                  (1.0, np.zeros(3))], ids=["no-H", "no-dH", "arrays"])
+def test_contact_lift_takes_h_and_dh_as_callables(H, dH):
+    # refused when built, not with a bare TypeError at the first evaluation
+    with pytest.raises(ParamError, match="H and its gradient dH as callables"):
+        contact_lift(H, (0.5, 0.25), dH)
+
+
+def test_contact_lift_of_an_empty_batch_is_empty():
+    # the caller's H and dH are never called; the lift's shapes come from the batch
     def H3(y):
         raise AssertionError("H called on an empty batch")
 
-    lifted = contact_lift(H3, (0.5, 0.25), dH=H3 if analytic else None)
+    lifted = contact_lift(H3, (0.5, 0.25), dH=H3)
     xs = np.empty((0, 4))
     for f, tail in ((lifted.X, (4,)), (lifted.jacobian, (4, 4)), (lifted.H, ()),
                     (lifted.dH, (4,)), (lifted.eta_X, ()),
@@ -464,10 +444,10 @@ def _central_differences(f, xs, h=1e-6):
     return np.stack(cols, axis=-1)
 
 
-def _analytic_lift():
-    # analytic dH keeps X smooth; DX takes H's Hessian from first differences of dH
+def _analytic_lift(beta=(0.5, -0.2)):
+    # DX takes H's Hessian from first differences of dH
     return contact_lift(
-        lambda y: math.cos(TWO_PI * y[2]) + 0.3 * math.sin(TWO_PI * y[0]), (0.5, -0.2),
+        lambda y: math.cos(TWO_PI * y[2]) + 0.3 * math.sin(TWO_PI * y[0]), beta,
         dH=lambda y: TWO_PI * np.array(
             [0.3 * math.cos(TWO_PI * y[0]), 0.0, -math.sin(TWO_PI * y[2])]
         ),
@@ -475,9 +455,11 @@ def _analytic_lift():
 
 
 def _bare_lift():
-    # no dH: X differences the caller's H
+    # an H with x2 in its x1 harmonic, so that dH and the Hessian are dense
     return contact_lift(
-        lambda y: math.cos(TWO_PI * y[2]) + 0.3 * y[1] * math.sin(TWO_PI * y[0]), (0.5, -0.2))
+        lambda y: math.cos(TWO_PI * y[2]) + 0.3 * y[1] * math.sin(TWO_PI * y[0]), (0.5, -0.2),
+        dH=lambda y: np.array([0.3 * TWO_PI * y[1] * math.cos(TWO_PI * y[0]),
+                               0.3 * math.sin(TWO_PI * y[0]), -TWO_PI * math.sin(TWO_PI * y[2])]))
 
 
 JACOBIAN_CASES = FLOW_CASES + [("anosov-cover", {}), ("contact-lift", None)]
@@ -519,8 +501,7 @@ def test_contact_lift_eta_x_is_the_lee_form_on_its_field(lift):
 
 
 def test_analytic_lift_jacobian_is_within_1e_8_of_its_field_differences():
-    # the Hessian from first differences of dH; second differences of H
-    # would be about 3e-7 off
+    # the Hessian from first differences of dH
     m = _analytic_lift()
     xs = sample_states(m, 16, np.random.default_rng(11), 1.0)
     assert np.max(np.abs(m.DX(xs) - _central_differences(m.X, xs))) < 1e-8

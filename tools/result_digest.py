@@ -17,8 +17,7 @@ composed field; their lines are those of earlier versions, whose views
 stepped the negated fused field.
 The circle models' splitting code (X_sym through the midpoint, DX_sym) is
 digested by circle-linear's and circle-quadratic's splitting steps at
-h = 0.01 and 0.05, again with rows of zero momentum, and a circle-linear
-`method="splitting"` trajectory with tangent frames.
+h = 0.01 and 0.05, again with rows of zero momentum.
 The paths whose sums could round by the batch's memory layout are digested
 too: the composed tangent product of `transport_tangents` (np.einsum at
 dim 4) on a full Mane drift and on lee-twisted-t1t2, lee-twisted-t1t2's
@@ -37,14 +36,12 @@ nonexact-linear and on radial- and shear-contraction at a = 0.37, the
 `fd_exterior_derivative_one_form` at each state of `cert_structure_forms`.
 They follow the `all` line so that the lines above it stay those of earlier
 versions of this tool; the kernels are called one state at a time, as
-every version of them takes that.  Last come the contact lift's `X`, `DX`,
-`H` and `dH` on one seeded batch, for a caller's `H` that takes one state
-and no `dH` (so `X` differences `H` and `DX` is built from its second
-differences), and nonexact-linear's `lyapunov_spectrum` (its Jacobian is
-constant, so that line does not vary with the seed).  After them come the
-conformal pairs' `H` and `dH` on one seeded batch, and the flow
-`lyapunov_spectrum` of damped-mechanical and t2-pair-theta2 from a seeded
-state, with its running history.  Last come outputs shaped by tuning
+every version of them takes that.  Last come the contact lift's `H` on one
+seeded batch, for a caller's `H` that takes one state, and nonexact-linear's
+`lyapunov_spectrum` (its Jacobian is constant, so that line does not vary
+with the seed).  After them come the conformal pairs' `H` and `dH` on one
+seeded batch, and the flow `lyapunov_spectrum` of damped-mechanical and
+t2-pair-theta2 from a seeded state, with its running history.  Last come outputs shaped by tuning
 values that are module constants, not arguments: `unstable_manifold_cloud`'s
 points and frames on damped-mechanical at d = 1 (a polyline, k = 1) and
 on the coupled d = 2 model (shells, k = 2) over a seeded growth time,
@@ -287,7 +284,7 @@ def lean_digests(seed):
 
 
 def splitting_digests(seed):
-    """Splitting steps and a splitting trajectory on the circle models.
+    """Splitting steps on the circle models.
     circle-quadratic's momenta stay in [-0.5, 0.5]: the flow from a large |r|
     blows up within a step and the midpoint equation has no root."""
     rng = np.random.default_rng([seed, 19])
@@ -298,11 +295,6 @@ def splitting_digests(seed):
             states[:, 1] = rng.uniform(-0.5, 0.5, 1024)
             out = conformal_splitting_step(m, _at_rest(m, states), h)
             yield f"conformal_splitting_step.seed{seed}.{name}.h{h}.n1024", digest(list(out))
-    m = models.instantiate_model("circle-linear", alpha=1.0)
-    cfg = IntegratorConfig(method="splitting", h=0.01)
-    trajs = integrate_variational(m, models.sample_states(m, 8, rng, 1.0), (0.0, 2.0), cfg)
-    yield f"integrate_variational.seed{seed}.circle-linear.splitting.n8", digest(
-        [[tr.times, tr.states, tr.frames, tr.status] for tr in trajs])
 
 
 def layout_digests(seed):
@@ -365,13 +357,14 @@ def point_digests(seed):
 
 
 def lift_digests(seed):
-    """The contact lift's evaluators on a batch, and a map's Lyapunov spectrum."""
+    """The contact lift's H on a batch, and a map's Lyapunov spectrum."""
     rng = np.random.default_rng([seed, 37])
     lifted = models.contact_lift(
-        lambda y: math.cos(TWO_PI * y[2]) + 0.3 * y[1] * math.sin(TWO_PI * y[0]), (0.5, -0.2))
+        lambda y: math.cos(TWO_PI * y[2]) + 0.3 * y[1] * math.sin(TWO_PI * y[0]), (0.5, -0.2),
+        dH=lambda y: np.array([0.3 * TWO_PI * y[1] * math.cos(TWO_PI * y[0]),
+                               0.3 * math.sin(TWO_PI * y[0]), -TWO_PI * math.sin(TWO_PI * y[2])]))
     xs = models.sample_states(lifted, 64, rng)
-    for name in ("X", "DX", "H", "dH"):
-        yield f"contact_lift.seed{seed}.{name}.n64", digest(np.asarray(getattr(lifted, name)(xs)))
+    yield f"contact_lift.seed{seed}.H.n64", digest(np.asarray(lifted.H(xs)))
     m = models.instantiate_model("nonexact-linear")
     res = lyapunov_spectrum(m, models.sample_states(m, 1, rng)[0], T=100.0)
     yield f"lyapunov_spectrum.seed{seed}.nonexact-linear.T100", digest(
