@@ -172,14 +172,14 @@ def _op_diagnose_loop(cfg, t):
     return _report_diagnosis(cfg, "loop", loop_cohomology_check(m, loop, t))
 
 
-@_operation("attractor", integrator=("h", "blowup_threshold"),
-            t_relax=60.0, grid=33, eps=1e-3, box=None)
-def _op_attractor(cfg, t_relax, grid, eps, box):
+@_operation("attractor", integrator=("blowup_threshold",),
+            t_relax=60.0, grid=33, eps=1e-3, box=None, h=0.01)
+def _op_attractor(cfg, t_relax, grid, eps, box, h):
     m = _model(cfg)
     icfg = IntegratorConfig(**cfg.integrator)
     # without a box, the sublevel set of the model's trapping level
     est = attractor_estimate(
-        m, t_relax=t_relax, grid=grid, eps=eps, h=icfg.h, blowup_threshold=icfg.blowup_threshold,
+        m, t_relax=t_relax, grid=grid, eps=eps, h=h, blowup_threshold=icfg.blowup_threshold,
         box=None if box is None else _box(box, "attractor.box"),
     )
     write_cloud_csv(
@@ -207,7 +207,7 @@ def _op_attractor(cfg, t_relax, grid, eps, box):
                    f"invariance={est.invariance_residual:.3e}")
 
 
-@_operation("periodic", integrator=("rel_tol", "abs_tol", "blowup_threshold", "max_steps"),
+@_operation("periodic", integrator=_ALL_FIELDS,
             section_axis=0, section_offset=0.0, direction=0, guess=None, backward=False)
 def _op_periodic(cfg, section_axis, section_offset, direction, guess, backward):
     m = _model(cfg)

@@ -43,9 +43,6 @@ BLOWUP = "blowup"
 MAX_STEPS = "max-steps"
 STOPPED = "stopped"
 
-REFERENCE = "reference"
-RK4 = "rk4"
-
 # implicit midpoint: a row's fixed-point sweeps stop once its update is
 # <= MIDPOINT_TOL*(1+max|x|)
 MIDPOINT_TOL = 1e-14
@@ -163,22 +160,14 @@ _DOP_D = (
 
 @dataclass
 class IntegratorConfig:
-    method: str = REFERENCE
     rel_tol: float = 1e-10
     abs_tol: float = 1e-12
-    h: float = 0.01
     blowup_threshold: float = 1e8
     max_steps: int = 1_000_000
 
     def __post_init__(self):
         if not (0.0 < self.rel_tol <= 1e-2 and 0.0 < self.abs_tol <= 1e-2):
             raise ParamError("tolerances must lie in (0, 1e-2]")
-        if not (math.isfinite(self.h) and self.h > 0):
-            raise ParamError(f"step size must be finite and positive, got h={self.h}")
-        if self.method not in (REFERENCE, RK4):
-            hint = ("; take splitting steps with conformal_splitting_step"
-                    if self.method == "splitting" else "")
-            raise ParamError(f"unknown integrator method {self.method!r}{hint}")
         if not self.max_steps >= 1:
             raise ParamError(f"max_steps must be at least 1, got {self.max_steps}")
         if not self.blowup_threshold > 0:
@@ -246,34 +235,32 @@ class _Path:
     """Accepted nodes of one row: times, states and derivatives.  The row ends
     at t_end, inside the last segment after a blow-up.  A run that samples
     only its ends keeps the first node and the last step's two nodes; only
-    its last segment is then a step.  An adaptive path keeps its field `rhs`
-    and fills `ext`, the dense-output coefficients of segment i, when a
-    segment is first read (`_extend`); a fixed-step path (rhs None) is cubic
-    Hermite between nodes."""
+    its last segment is then a step.  A path keeps its field `rhs` and fills
+    `ext`, the dense-output coefficients of segment i, when a segment is
+    first read (`_extend`)."""
 
     ts: np.ndarray
     ys: np.ndarray
     fs: np.ndarray
     status: str
     t_end: float
+    stats: IntegrationStats
+    rhs: object
     t_escape: float | None = None
-    stats: IntegrationStats | None = None
-    rhs: object = None
     ext: dict = field(default_factory=dict)
 
 
 def _extend(paths, segments):
-    """Make the dense-output coefficients of the given segments of adaptive
-    paths (one array of segment indices per path), in one batch over all of
-    them; the paths share one rhs.  A segment's step is re-run from its
-    start node with step ts[i+1] - ts[i], the step the engine took, so its
-    stages are the engine's bit for bit."""
+    """Make the dense-output coefficients of the given segments of paths
+    (one array of segment indices per path), in one batch over all of them;
+    the paths share one rhs.  A segment's step is re-run from its start
+    node with step ts[i+1] - ts[i], the step the engine took, so its stages
+    are the engine's bit for bit."""
     todo = []
     for p, segs in zip(paths, segments):
-        if p.rhs is not None:
-            segs = [i for i in np.unique(segs).tolist() if i not in p.ext]
-            if segs:
-                todo.append((p, np.array(segs)))
+        segs = [i for i in np.unique(segs).tolist() if i not in p.ext]
+        if segs:
+            todo.append((p, np.array(segs)))
     if not todo:
         return
     y, f0, f1, h = (np.concatenate(parts) for parts in zip(*(
@@ -305,8 +292,7 @@ def _dense_coefficients(rhs, y, f0, f1, h):
 
 def _dense(p, i, t):
     """Dense output of segment i of path p at times t: DOP853's 7th-order
-    continuous extension on an adaptive path, the cubic Hermite interpolant
-    on a fixed-step path.  i and t are scalars or matching 1-D arrays.  The
+    continuous extension.  i and t are scalars or matching 1-D arrays.  The
     segments read are extended here unless a caller extended them already
     (in one batch over many paths, say); each distinct segment is looked up
     once."""
@@ -318,17 +304,16 @@ def _dense(p, i, t):
     dy = p.ys[i + 1] - y0
     b = h * p.fs[i] - dy
     c = dy - h * p.fs[i + 1] - b
-    if p.rhs is not None:
-        if np.ndim(i) == 0:  # one segment, as in a bisection
-            if i not in p.ext:
-                _extend([p], [[i]])
-            F = p.ext[i]
-        else:
-            segs, which = np.unique(i, return_inverse=True)
-            _extend([p], [segs])
-            F = np.stack([p.ext[j] for j in segs.tolist()])[which.reshape(np.shape(i))]
-        F0, F1, F2, F3 = np.moveaxis(F, -2, 0)
-        c = c + s1 * (F0 + s * (F1 + s1 * (F2 + s * F3)))
+    if np.ndim(i) == 0:  # one segment, as in a bisection
+        if i not in p.ext:
+            _extend([p], [[i]])
+        F = p.ext[i]
+    else:
+        segs, which = np.unique(i, return_inverse=True)
+        _extend([p], [segs])
+        F = np.stack([p.ext[j] for j in segs.tolist()])[which.reshape(np.shape(i))]
+    F0, F1, F2, F3 = np.moveaxis(F, -2, 0)
+    c = c + s1 * (F0 + s * (F1 + s1 * (F2 + s * F3)))
     return y0 + s * (dy + s1 * (b + s * c))
 
 
@@ -693,8 +678,13 @@ def _integrate_core(m, x0, t_span, cfg, with_frames, times, samples, initial_fra
         )
     X0 = np.atleast_2d(x0)
     cfg = cfg or IntegratorConfig()
+    if times is not None:
+        times = np.asarray(times, dtype=float)
+        lo, hi = min(t0, t1), max(t0, t1)
+        if not (times.ndim == 1 and np.all((times >= lo) & (times <= hi))):  # NaN too
+            raise ParamError(f"times must be a 1-D array inside [{lo}, {hi}], got {times}")
     if t1 < t0:
-        rev_times = None if times is None else np.sort(t0 - np.asarray(times, float))
+        rev_times = None if times is None else np.sort(t0 - times)
         trajs = [
             _reversed(t0, traj) for traj in _integrate_core(
                 time_reversed_view(m), X0, (0.0, t0 - t1), cfg, with_frames, rev_times,
@@ -702,6 +692,8 @@ def _integrate_core(m, x0, t_span, cfg, with_frames, times, samples, initial_fra
             )
         ]
         return trajs if x0.ndim == 2 else trajs[0]
+    if times is not None and not np.all(np.diff(times) > 0):
+        raise ParamError(f"times must increase, got {times}")
     N, n = X0.shape
     with_racc = m.eta is not None
     cols = [X0]
@@ -716,14 +708,11 @@ def _integrate_core(m, x0, t_span, cfg, with_frames, times, samples, initial_fra
         cols.append(np.zeros((N, 1)))
     Y0 = np.concatenate(cols, axis=1)
     k = n if with_frames else 0
-    node_check = _OrientationCheck(n) if with_frames else None
-    if cfg.method == REFERENCE:
-        paths = _dp_engine(
-            _joint_rhs(m, k, with_racc), t0, t1, Y0, cfg, _line_indices(m).tolist(),
-            m.name, ends_only=times is None and samples == 2, node_check=node_check,
-        )
-    else:
-        paths = _fixed_step_paths(m, Y0, t0, t1, cfg, k, with_racc, node_check)
+    paths = _dp_engine(
+        _joint_rhs(m, k, with_racc), t0, t1, Y0, cfg, _line_indices(m).tolist(), m.name,
+        ends_only=times is None and samples == 2,
+        node_check=_OrientationCheck(n) if with_frames else None,
+    )
     row_times = [_sample_times(p, t0, times, samples) for p in paths]
     where = [_segments(p, ts) for p, ts in zip(paths, row_times)]
     _extend(paths, [segs for _, segs in where])  # one batch over the rows
@@ -763,8 +752,7 @@ def _sample_times(p, t0, times, samples):
     requested ones up to t_end, with t_end appended."""
     if times is None:
         return np.linspace(t0, p.t_end, samples)
-    times = np.asarray(times, dtype=float)
-    times = times[(times >= t0) & (times <= p.t_end + 1e-15)]
+    times = times[times <= p.t_end + 1e-15]
     if len(times) == 0 or times[-1] < p.t_end:
         times = np.append(times, p.t_end)
     return times
@@ -831,7 +819,10 @@ def time_reversed_view(m):
 
 
 def integrate_flow(m, x0, t_span, cfg=None, samples=201, times=None):
-    """Dense-output trajectory over t_span at caller-requested sample times.
+    """Dense-output trajectory over t_span at `samples` even times, or at
+    `times`: increasing times inside the span (a backward span sorts them),
+    with the run's end appended.  A NaN, a time outside the span or times
+    that do not increase raise ParamError before any step.
 
     x0 of shape (N, dim) returns a list of N trajectories, each bit-identical
     to the call on its row alone.
@@ -931,44 +922,6 @@ def conformal_splitting_step(m, x, h):
     return z.reshape(x.shape), (contract @ J @ contract).reshape(x.shape + (m.dim,))
 
 
-def _fixed_step_paths(m, Y0, t0, t1, cfg, k, with_racc, node_check):
-    """Nodes of rk4 runs from the rows of Y0, one _Path per row."""
-    rhs = _joint_rhs(m, k, with_racc)
-    hist, steps = [Y0.copy()], np.zeros(len(Y0), dtype=int)
-
-    def on_step(step, Y, stepped):
-        hist.append(Y.copy())
-        np.add(steps, 1 if stepped is None else stepped, out=steps)
-
-    _, alive = _fixed_step_engine(
-        m, np.array(Y0, order="F"), t1 - t0, cfg.h, k, with_racc, cfg.blowup_threshold,
-        on_step=on_step,
-    )
-    hist = np.array(hist)
-    ts = t0 + np.minimum(cfg.h * np.arange(len(hist)), t1 - t0)
-    paths, lost = [], []
-    for row in range(len(Y0)):
-        # a row's path ends at the node of the last step it took
-        died, last = not alive[row], int(steps[row])
-        ys = np.ascontiguousarray(hist[: last + 1, row])
-        if not np.all(np.isfinite(ys[-1])):
-            raise _row_failure(
-                PoisonedStateError, "fixed-step state became non-finite", m.name,
-                row, float(ts[last]), ys[-1].copy(),
-            )
-        bad = np.nonzero(node_check(ys))[0] if node_check is not None else ()
-        if len(bad):
-            lost.append((row, float(ts[bad[0]]), ys[bad[0]]))
-        paths.append(_Path(
-            ts=ts[: last + 1], ys=ys, fs=rhs(ys),
-            status=BLOWUP if died else COMPLETED, t_end=float(ts[last]),
-            t_escape=float(ts[last]) if died else None,
-        ))
-    if lost:  # the first row whose frames lost orientation at a node
-        raise node_check.failure(m.name, *lost[0])
-    return paths
-
-
 def _rk4_step(rhs, x, h, stages):
     """x + (h/6)(k1 + 2 k2 + 2 k3 + k4), written over x, in that operation order.
 
@@ -1027,12 +980,10 @@ def _fixed_step_engine(m, Y, t, h, k=0, racc=False, blowup_threshold=1e8, on_ste
     must neither keep nor mutate Y: the next step overwrites it.  stepped is
     None when every row of Y took the step, else the boolean mask of the
     rows that did: the others died at an earlier step and are frozen where
-    they died.  The engine does not change a mask it passed.  Y is
-    overwritten when column-major and copied otherwise; returns (Y, alive),
-    Y column-major.
+    they died.  The engine does not change a mask it passed.  Y, built by
+    _column_major, is overwritten; returns (Y, alive).
     """
     n_steps = _n_steps(t, h)
-    Y = np.asfortranarray(Y)
     n = m.dim
     rhs = _joint_rhs(m, k, racc)
     # three (N, w) column-major buffers; the live rows step in their
@@ -1261,9 +1212,6 @@ def poincare_return(m, sec, x0, k, cfg=None):
     _require_flow(m)
     sec.check_dim(m.dim)
     cfg = cfg or IntegratorConfig()
-    if cfg.method != REFERENCE:
-        raise ParamError(
-            f"poincare_return needs method 'reference', got {cfg.method!r}")
     x0 = np.asarray(x0, dtype=float)
     max_step = min(0.2 / max(float(np.max(np.abs(m.X(x0)))), 1.0), 0.05)
     n = m.dim

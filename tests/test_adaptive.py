@@ -10,7 +10,12 @@ from hypothesis import given, settings, strategies as st
 
 from csdyn import flows
 from csdyn.diagnostics import conformal_transport_check
-from csdyn.errors import ConvergenceError, DimensionMismatchError, PoisonedStateError
+from csdyn.errors import (
+    ConvergenceError,
+    DimensionMismatchError,
+    ParamError,
+    PoisonedStateError,
+)
 from csdyn.flows import (
     BLOWUP,
     COMPLETED,
@@ -66,17 +71,6 @@ def test_batched_initial_frames_and_backward_spans():
         integrate_variational(m, xs, (0.0, 1.0), initial_frame=np.eye(3))
     with pytest.raises(DimensionMismatchError):
         integrate_flow(m, np.zeros((2, 3)), (0.0, 1.0))
-
-
-@pytest.mark.parametrize("method", ["rk4"])
-def test_fixed_step_methods_batch_like_the_reference(method):
-    m = instantiate_model("damped-mechanical", alpha=0.5, d=1, v_cos=1.0)
-    cfg = IntegratorConfig(method=method, h=0.01)
-    xs = sample_states(m, 3, np.random.default_rng(4), 1.0)
-    trajs = integrate_variational(m, xs, (0.0, 0.5), cfg, samples=6)
-    for x, traj in zip(xs, trajs):
-        alone = integrate_variational(m, x, (0.0, 0.5), cfg, samples=6)
-        assert_same_trajectory(traj, alone)
 
 
 @settings(max_examples=8, deadline=None)
@@ -243,18 +237,15 @@ def test_first_step_floor_scales_with_the_start_time(span):
 
 def test_a_start_frame_without_orientation_is_refused():
     """A start frame with det <= 0 raises the orientation ConvergenceError
-    for its row at t0, before any step, in either engine."""
+    for its row at t0, before any step."""
     m = instantiate_model("circle-linear", alpha=1.0)
     xs = np.array([[0.1, 0.2], [0.3, 0.4]])
     frames = np.array([np.eye(2), np.diag([-1.0, 1.0])])
-    for method in ("reference", "rk4"):
-        with pytest.raises(ConvergenceError, match="row 1: tangent frames lost orientation") as info:
-            integrate_variational(
-                m, xs, (0.0, 1.0), IntegratorConfig(method=method), initial_frame=frames
-            )
-        err = info.value
-        assert (err.row, err.model, err.t) == (1, "circle-linear", 0.0)
-        assert np.array_equal(err.state, xs[1])
+    with pytest.raises(ConvergenceError, match="row 1: tangent frames lost orientation") as info:
+        integrate_variational(m, xs, (0.0, 1.0), initial_frame=frames)
+    err = info.value
+    assert (err.row, err.model, err.t) == (1, "circle-linear", 0.0)
+    assert np.array_equal(err.state, xs[1])
 
 
 def test_a_step_to_a_reversed_frame_is_rejected(monkeypatch):
@@ -333,3 +324,84 @@ def test_stats_count_steps_and_field_evaluations():
     s = traj.stats
     assert traj.status == COMPLETED
     assert s.rhs_evals == 12 * (s.accepted + s.rejected) + 2
+
+# a value away from the default of each IntegratorConfig field, and the part
+# of an adaptive run it changes: the accepted nodes (seen in the stats), the
+# status and t_escape of a circle-quadratic blow-up row, the max-steps status
+CHANGED_FIELDS = {
+    "rel_tol": (1e-6, "nodes"),
+    "abs_tol": (1e-6, "nodes"),
+    "blowup_threshold": (1e3, "escape"),
+    "max_steps": (3, "status"),
+}
+
+
+def _adaptive_outcome(what, cfg):
+    if what == "escape":
+        m, x0, span = instantiate_model("circle-quadratic", alpha=1.0), (0.0, -1.0), (0.0, 2.0)
+    else:
+        m, x0, span = instantiate_model("circle-linear", alpha=1.0), (0.3, 0.2), (0.0, 1.0)
+    traj = integrate_flow(m, np.array(x0), span, cfg, samples=2)
+    return {"nodes": traj.stats, "escape": (traj.status, traj.t_escape),
+            "status": traj.status}[what]
+
+
+@pytest.mark.parametrize("field", [f.name for f in dataclasses.fields(IntegratorConfig)])
+def test_every_integrator_field_changes_an_adaptive_run(field):
+    """IntegratorConfig configures the adaptive engine only, so a field that
+    it ignores fails here."""
+    assert field in CHANGED_FIELDS, f"no adaptive run reads IntegratorConfig.{field}"
+    value, what = CHANGED_FIELDS[field]
+    default = _adaptive_outcome(what, IntegratorConfig())
+    changed = _adaptive_outcome(what, IntegratorConfig(**{field: value}))
+    assert changed != default
+    if field == "max_steps":
+        assert (default, changed) == (COMPLETED, MAX_STEPS)
+    if field == "blowup_threshold":
+        assert default[0] == changed[0] == BLOWUP and changed[1] < default[1]
+
+
+# sample times that are refused: a time outside the span (0, 1), a NaN, or
+# times that do not increase; before, the first three were dropped silently
+# and the last two came back in their order, then the run's end
+BAD_TIMES = {
+    "past-the-end": [0.5, 2.0],
+    "before-the-start": [-1.0, 0.5],
+    "nan": [math.nan, 0.2],
+    "decreasing": [0.75, 0.25],
+    "repeated": [0.2, 0.2],
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_TIMES))
+def test_bad_sample_times_are_refused_before_any_step(case):
+    m = instantiate_model("circle-linear", alpha=1.0)
+    calls = []
+
+    def counted(x, out=None):
+        calls.append(np.shape(x))
+        return m.X(x, out)
+
+    counting = dataclasses.replace(m, X=counted, X_DXv=None)
+    x0, times = np.array([0.3, 0.2]), BAD_TIMES[case]
+    for run in (integrate_flow, integrate_variational):
+        with pytest.raises(ParamError, match="times"):
+            run(counting, x0, (0.0, 1.0), times=times)
+        # a backward span sorts its times, but refuses the others
+        if case == "decreasing":
+            assert run(m, x0, (1.0, 0.0), times=times).times.tolist() == [0.0, 0.25, 0.75]
+        else:
+            with pytest.raises(ParamError, match="times"):
+                run(counting, x0, (1.0, 0.0), times=times)
+    assert calls == []
+
+
+def test_a_blown_up_row_ends_its_samples_at_its_escape():
+    """The requested times past a row's blow-up are not sampled; the row's
+    samples end at its t_escape, appended as the run's end."""
+    m = instantiate_model("circle-quadratic", alpha=1.0)
+    xs = np.array([[0.0, -1.0], [0.5, -1.0]])  # escapes near t = 0.17, relaxes
+    dead, calm = integrate_flow(m, xs, (0.0, 2.0), times=[0.1, 0.5, 2.0])
+    assert (dead.status, calm.status) == (BLOWUP, COMPLETED)
+    assert dead.times.tolist() == [0.1, dead.t_escape]
+    assert calm.times.tolist() == [0.1, 0.5, 2.0]

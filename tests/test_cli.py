@@ -46,7 +46,7 @@ def test_parse_config_rejects_duplicates():
      "basin.grid"),
     ("run.operation = basin\nmodel.name = damped-mechanical\n"
      "integrator.method = splitting\nintegrator.h = 0.5\n", "integrator.method"),
-    # Poincare returns run on the adaptive engine only: its method is fixed
+    # trajectories and Poincare returns have one integrator: no method to pick
     ("run.operation = periodic\nmodel.name = t2-pair-theta2\n"
      "integrator.method = reference\n", "integrator.method"),
 ])
@@ -58,16 +58,19 @@ def test_a_key_the_operation_does_not_read_is_a_config_error(tmp_path, capsys, t
     assert f"(line 3): key {key!r} is not read by" in capsys.readouterr().err
 
 
-_INTEGRATOR_VALUES = {"method": "reference", "rel_tol": 1e-9, "abs_tol": 1e-11, "h": 0.01,
-                      "blowup_threshold": 1e6, "max_steps": 1000}
+# the IntegratorConfig fields, and the retired method and h, which every
+# operation refuses
+_INTEGRATOR_VALUES = {"rel_tol": 1e-9, "abs_tol": 1e-11, "blowup_threshold": 1e6,
+                      "max_steps": 1000, "method": "reference", "h": 0.01}
+_ALL_FIELDS = ("rel_tol", "abs_tol", "blowup_threshold", "max_steps")
 # the IntegratorConfig fields each operation's code (or diagnose check's) passes on
 _INTEGRATOR_READS = {
-    "simulate": tuple(_INTEGRATOR_VALUES),
+    "simulate": _ALL_FIELDS,
     "diagnose.conformality": (),
-    "diagnose.transport": tuple(_INTEGRATOR_VALUES),
+    "diagnose.transport": _ALL_FIELDS,
     "diagnose.loop": (),
-    "attractor": ("h", "blowup_threshold"),
-    "periodic": ("rel_tol", "abs_tol", "blowup_threshold", "max_steps"),
+    "attractor": ("blowup_threshold",),
+    "periodic": _ALL_FIELDS,
     "classify": (), "escape": (), "basin": (), "verify": (), "list-models": (),
 }
 
@@ -219,9 +222,9 @@ def test_a_bad_value_exits_one_with_a_one_line_error(tmp_path, capsys, name):
     (None, "diagnose.t = 2.0"),
     ("conformality", "diagnose.t = 2.0"),
     ("conformality", "diagnose.x0 = (0.3, 0.8)"),
-    ("conformality", "integrator.h = 0.01"),
+    ("conformality", "integrator.rel_tol = 1e-10"),
     ("loop", "diagnose.x0 = (0.3, 0.8)"),
-    ("loop", "integrator.method = reference"),
+    ("loop", "integrator.max_steps = 1000000"),
 ])
 def test_a_key_its_diagnose_check_does_not_read_is_a_config_error(tmp_path, capsys, check,
                                                                    setting):
@@ -250,8 +253,7 @@ def test_an_unknown_diagnose_check_is_a_config_error_at_its_line(tmp_path, capsy
                                        "expected one of conformality, transport, loop\n")
 
 
-_TRANSPORT_INTEGRATORS = ("", "integrator.rel_tol = 1e-3\n",
-                          "integrator.method = rk4\nintegrator.h = 0.1\n")
+_TRANSPORT_INTEGRATORS = ("", "integrator.rel_tol = 1e-3\n")
 
 
 def test_diagnose_transport_reads_the_integrator_keys(tmp_path):
@@ -311,7 +313,7 @@ def test_simulate_writes_initial_condition(tmp_path):
     assert float(first[2]) == 1.0
 
 
-def test_simulate_with_the_splitting_method_exits_one_and_writes_no_report(tmp_path, capsys):
+def test_simulate_with_an_integrator_method_exits_one_and_writes_no_report(tmp_path, capsys):
     cfg = write(
         tmp_path, "split.cfg",
         "run.operation = simulate\nmodel.name = damped-mechanical\n"
@@ -320,9 +322,8 @@ def test_simulate_with_the_splitting_method_exits_one_and_writes_no_report(tmp_p
     out = tmp_path / "out"
     assert main(["--config", cfg, "--out", str(out), "--no-timestamp"]) == EXIT_ERROR
     assert capsys.readouterr().err == (
-        "error: unknown integrator method 'splitting';"
-        " take splitting steps with conformal_splitting_step\n")
-    assert list(out.iterdir()) == []
+        "config error (line 3): key 'integrator.method' is not read by 'simulate'\n")
+    assert not out.exists()
 
 
 def test_diagnose_nonexact_conformality(tmp_path):
@@ -456,6 +457,28 @@ def test_jobs_below_one_is_a_config_error(tmp_path, capsys):
     assert "run.jobs" in capsys.readouterr().err
     cfg = write(tmp_path, "cls0.cfg", text + "run.jobs = 0\n")
     assert run_config(cfg, out=str(tmp_path)) == EXIT_ERROR
+
+
+@pytest.mark.parametrize("h", ["0", "nan"])
+def test_a_bad_attractor_step_exits_one_and_writes_no_report(tmp_path, capsys, h):
+    cfg = write(tmp_path, "attr.cfg",
+                "run.operation = attractor\n" + _DAMPED + f"attractor.h = {h}\n")
+    out = tmp_path / "out"
+    assert main(["--config", cfg, "--out", str(out), "--no-timestamp"]) == EXIT_ERROR
+    assert capsys.readouterr().err == (
+        f"error: fixed-step integration needs a finite step h > 0, got h={float(h)}\n")
+    assert list(out.iterdir()) == []
+
+
+def test_the_attractor_steps_at_its_own_h(tmp_path):
+    text = ("run.operation = attractor\n" + _DAMPED
+            + "attractor.t_relax = 10.0\nattractor.grid = 5\n")
+    clouds = []
+    for i, keys in enumerate(("", "attractor.h = 0.01\n", "attractor.h = 0.02\n")):
+        out = tmp_path / str(i)
+        run_config(write(tmp_path, f"attr{i}.cfg", text + keys), out=str(out), timestamp=False)
+        clouds.append((out / "attractor_damped-mechanical.csv").read_text())
+    assert clouds[0] == clouds[1] != clouds[2]
 
 
 def test_attractor_operation(tmp_path):

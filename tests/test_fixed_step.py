@@ -1,5 +1,5 @@
-"""The fixed-step RK4 engine behind flow_ensemble, transport_tangents,
-classify_ensemble and the method="rk4" trajectories."""
+"""The fixed-step RK4 engine behind flow_ensemble, transport_tangents and
+classify_ensemble."""
 
 import dataclasses
 import math
@@ -15,7 +15,6 @@ from csdyn.diagnostics import (
 )
 from csdyn.errors import DimensionMismatchError, ParamError, StructureError
 from csdyn.flows import (
-    IntegratorConfig,
     flow_ensemble,
     integrate_flow,
     integrate_variational,
@@ -32,7 +31,6 @@ from csdyn.models import (
 )
 
 TWO_PI = 2.0 * math.pi
-RK4 = IntegratorConfig(method="rk4", h=0.01)
 
 
 def riccati_pair():
@@ -126,19 +124,6 @@ def test_fixed_step_runs_reject_a_batch_of_the_wrong_shape(name, states, vectors
             transport_tangents(m, states, np.ones_like(states), 0.01)
 
 
-@pytest.mark.parametrize("h", [0.0, -0.01, math.nan, math.inf, -math.inf])
-def test_integrator_config_rejects_a_bad_step(h):
-    with pytest.raises(ParamError):
-        IntegratorConfig(method="rk4", h=h)
-
-
-def test_integrator_config_refuses_the_splitting_method():
-    # splitting steps are taken by conformal_splitting_step, not by an integrator
-    with pytest.raises(ParamError, match="'splitting'; take splitting steps with "
-                                         "conformal_splitting_step"):
-        IntegratorConfig(method="splitting", h=0.01)
-
-
 def test_fixed_step_outputs_are_c_ordered():
     """The engine's batch is column-major; what leaves it is C-ordered."""
     m = instantiate_model("t2-pair-theta2")
@@ -195,66 +180,36 @@ def test_classify_freezes_a_row_at_the_blowup_threshold(monkeypatch):
     assert calm == classify_ensemble(m, starts[1:], 0.95)[0]
 
 
-# ---------------------------------------------------------------------------
-# method="rk4" trajectories share the dense-output tail
-# ---------------------------------------------------------------------------
-
-def test_rk4_variational_honours_initial_frame():
-    m = instantiate_model("circle-linear", alpha=1.0)
-    x0, F0 = np.array([0.13, 0.7]), np.diag([2.0, 3.0])
-    ref = integrate_variational(m, x0, (0.0, 1.0), samples=2, initial_frame=F0)
-    traj = integrate_variational(m, x0, (0.0, 1.0), RK4, samples=2, initial_frame=F0)
-    assert np.array_equal(traj.frames[0], F0)
-    # the frame grows to ~600 along this orbit; RK4 at h = 0.01 keeps 1e-6 relative
-    scale = np.max(np.abs(ref.final_frame))
-    assert np.max(np.abs(traj.final_frame - ref.final_frame)) < 1e-6 * scale
-
-
-def test_rk4_honours_samples_and_times():
-    m = instantiate_model("circle-linear", alpha=1.0)
-    x0 = np.array([0.13, 0.7])
-    traj = integrate_flow(m, x0, (0.0, 1.0), RK4, samples=11)
-    assert np.allclose(traj.times, np.linspace(0.0, 1.0, 11), rtol=0.0, atol=1e-15)
-    times = np.array([0.0, 0.123, 0.5])
-    picked = integrate_flow(m, x0, (0.0, 1.0), RK4, times=times)
-    assert np.array_equal(picked.times[:3], times) and picked.times[-1] == 1.0
-    ref = integrate_flow(m, x0, (0.0, 1.0), times=times)
-    err = torus_distance(m.spec, picked.states, ref.states)
-    assert np.all(err < 1e-6 * (1.0 + np.abs(ref.states[:, 1])))
-
-
-def test_rk4_r_final_is_rk4_accurate():
+def test_the_lee_channel_is_rk4_accurate():
+    """At h = 0.01 the Lee integral of flow_ensemble stays within 1e-3 of
+    the adaptive engine's."""
     m = instantiate_model("t2-pair-theta2")
     x0 = np.array([0.1, 0.2])
     ref = integrate_flow(m, x0, (0.0, 1.0), samples=2).r_final
-    _, _, r_batch = flow_ensemble(m, x0[None, :], 1.0, h=0.01, racc=True)
-    r_rk4 = integrate_flow(m, x0, (0.0, 1.0), RK4, samples=2).r_final
-    assert abs(r_rk4 - ref) < 1e-3
-    assert r_rk4 == pytest.approx(r_batch[0], abs=1e-12)
+    _, _, r = flow_ensemble(m, x0[None, :], 1.0, h=0.01, racc=True)
+    assert abs(r[0] - ref) < 1e-3
 
 
-def test_rk4_blowup_status_and_time():
+def test_a_blown_up_row_is_frozen_at_the_step_it_died_in():
+    """circle-quadratic from (0, -1) escapes at t* = log(2 pi / (2 pi - 1)):
+    its row keeps the state of the step in which its line coordinate passed
+    the threshold, within 0.02 of t*, and takes no later step; the other row
+    of the batch completes."""
     m = instantiate_model("circle-quadratic", alpha=1.0)
     t_star = math.log(TWO_PI / (TWO_PI - 1.0))
-    traj = integrate_flow(m, np.array([0.0, -1.0]), (0.0, 2.0), RK4)
-    assert traj.status == "blowup"
-    assert abs(traj.t_escape - t_star) < 0.02
-
-
-def test_rk4_blowup_path_ends_at_the_step_the_row_died_in():
-    """A row's rk4 path ends at the node of the step in which its line
-    coordinate passed the threshold, with that node's time and state; the
-    other row of the batch completes."""
-    m = instantiate_model("circle-quadratic", alpha=1.0)
     starts = np.array([[0.0, -1.0], [0.25, 0.1]])
-    seen = []
-    flow_ensemble(m, starts, 2.0, h=0.01,
-                  on_step=lambda k, y, stepped: seen.append(y[0].copy()))
-    k = next(i for i, y in enumerate(seen) if not abs(y[1]) <= RK4.blowup_threshold)
-    dead, calm = integrate_flow(m, starts, (0.0, 2.0), RK4, samples=2)
-    assert (dead.status, calm.status) == ("blowup", "completed")
-    assert dead.t_escape == dead.times[-1] == 0.01 * (k + 1)
-    assert dead.states[-1].tobytes() == seen[k].tobytes()
+    seen, took = [], []
+
+    def observe(k, y, stepped):
+        seen.append(y[0].copy())
+        took.append(stepped is None or bool(stepped[0]))
+
+    final, alive = flow_ensemble(m, starts, 2.0, h=0.01, on_step=observe)
+    k = next(i for i, y in enumerate(seen) if not abs(y[1]) <= 1e8)
+    assert alive.tolist() == [False, True]
+    assert abs(0.01 * (k + 1) - t_star) < 0.02
+    assert all(took[: k + 1]) and not any(took[k + 1 :])
+    assert final[0].tobytes() == m.spec.wrap(seen[k]).tobytes()
 
 
 # ---------------------------------------------------------------------------

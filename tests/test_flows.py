@@ -78,8 +78,6 @@ def test_integrate_flow_rejects_maps():
 
 
 MAP_REFUSALS = {
-    "rk4": lambda m, x: integrate_flow(
-        m, x, (0.0, 1.0), IntegratorConfig(method="rk4", h=0.01)),
     "variational": lambda m, x: integrate_variational(m, x, (0.0, 1.0)),
     "ensemble": lambda m, x: flow_ensemble(m, x[None], 1.0),
     "transport": lambda m, x: transport_tangents(m, x[None], np.array([[1.0, 0.0]]), 1.0),
@@ -717,15 +715,6 @@ def test_poincare_return_stops_at_its_kth_crossing():
     assert evals_one < len(reached)
 
 
-@pytest.mark.parametrize("method", ["rk4"])
-def test_poincare_return_rejects_fixed_step_methods(method):
-    m = instantiate_model("t2-pair-theta2")
-    sec = SectionSpec(axis=0, offset=0.0, direction=1)
-    cfg = IntegratorConfig(method=method, h=0.01)
-    with pytest.raises(ParamError, match=method):
-        poincare_return(m, sec, np.array([0.0, 0.0]), 1, cfg)
-
-
 def test_poisoned_field_raises():
     spec = CoordinateSpec((LINE, LINE))
     bad = ModelSpec(
@@ -754,9 +743,7 @@ def test_a_flow_without_dx_is_refused_before_any_step():
     x = np.array([0.1, 0.2])
     runs = [lambda: bare.jacobian(x),
             lambda: transport_tangents(bare, x[None], np.array([[1.0, 0.0]]), 1.0)]
-    runs += [lambda method=method: integrate_variational(
-        bare, x, (0.0, 1.0), IntegratorConfig(method=method, h=0.01))
-        for method in ("reference", "rk4")]
+    runs.append(lambda: integrate_variational(bare, x, (0.0, 1.0)))
     for run in runs:
         with pytest.raises(StructureError, match="circle-linear states no Jacobian DX"):
             run()
@@ -770,7 +757,6 @@ def test_a_lee_form_without_eta_x_is_refused_before_any_step():
     bare = dataclasses.replace(m, X=_counted_field(m, calls), eta_X=None, X_etaX=None)
     x = np.array([0.1, 0.2])
     for run in (lambda: integrate_flow(bare, x, (0.0, 1.0)),
-                lambda: integrate_flow(bare, x, (0.0, 1.0), IntegratorConfig(method="rk4")),
                 lambda: classify_ensemble(bare, x[None], 1.0),
                 lambda: flow_ensemble(bare, x[None], 1.0, racc=True)):
         with pytest.raises(StructureError, match="t2-pair-theta2 states no eta_X"):

@@ -22,8 +22,8 @@ The paths whose sums could round by the batch's memory layout are digested
 too: the composed tangent product of `transport_tangents` (np.einsum at
 dim 4) on a full Mane drift and on lee-twisted-t1t2, lee-twisted-t1t2's
 `classify_ensemble` at N = 1024 (the observer reduces every step on the
-engine's batch in place), `rk4` `integrate_variational` runs with k = n
-frames (DX @ F) on that Mane model and on damped-mechanical d = 2 with
+engine's batch in place), `integrate_variational` runs with k = n frames
+(DX @ F) on that Mane model and on damped-mechanical d = 2 with
 v_cross = 0.3 (a Jacobian with several nonzero entries per row, so each sum
 of DX @ F can round by the order of its terms), and a circle-quadratic
 `flow_ensemble` whose rows partly blow up mid-run (the engine then steps the
@@ -130,7 +130,6 @@ from csdyn.diagnostics import (
 )
 from csdyn.errors import ConvergenceError
 from csdyn.flows import (
-    IntegratorConfig,
     SectionSpec,
     conformal_splitting_step,
     flow_ensemble,
@@ -312,9 +311,8 @@ def layout_digests(seed):
     yield f"classify_ensemble.seed{seed}.lee-twisted-t1t2.n1024", digest(
         [[c.verdict, c.r_slope, c.omega_H_max, c.min_return_dist, c.r_abs_max] for c in res])
     m = models.instantiate_model("mane", MANE_FULL)
-    cfg = IntegratorConfig(method="rk4", h=0.01)
-    trajs = integrate_variational(m, models.sample_states(m, 64, rng, 1.0), (0.0, 1.0), cfg)
-    yield f"integrate_variational.seed{seed}.mane-full.rk4.n64", digest(
+    trajs = integrate_variational(m, models.sample_states(m, 64, rng, 1.0), (0.0, 1.0))
+    yield f"integrate_variational.seed{seed}.mane-full.reference.n64", digest(
         [[tr.times, tr.states, tr.frames, tr.status] for tr in trajs])
     # |r| ~ 3 on the circle-quadratic escapes within t = 1 where 2 pi r cos < -1
     m = models.instantiate_model("circle-quadratic", alpha=1.0)
@@ -322,8 +320,8 @@ def layout_digests(seed):
     yield f"flow_ensemble.seed{seed}.circle-quadratic.blowups.n1024", digest(list(out))
     # k = n frames under a Jacobian with several nonzero entries per row
     m = models.instantiate_model("damped-mechanical", ENSEMBLE_MODELS[0][1])
-    trajs = integrate_variational(m, models.sample_states(m, 64, rng, 1.0), (0.0, 1.0), cfg)
-    yield f"integrate_variational.seed{seed}.damped-mechanical-d2.rk4.n64", digest(
+    trajs = integrate_variational(m, models.sample_states(m, 64, rng, 1.0), (0.0, 1.0))
+    yield f"integrate_variational.seed{seed}.damped-mechanical-d2.reference.n64", digest(
         [[tr.times, tr.states, tr.frames, tr.status] for tr in trajs])
 
 
@@ -596,11 +594,10 @@ def screen_digests():
 
 
 def cli_configs(seed):
-    """Config text per run: each operation once (simulate also with rk4),
-    verify at scope geometry, every integrator field read at least once, and
-    last the loop and conformality checks of diagnose, each setting only the
-    keys its check declares (loop reads diagnose.t, conformality no key of
-    its own)."""
+    """Config text per run: each operation once, verify at scope geometry,
+    every integrator field read at least once, and last the loop and
+    conformality checks of diagnose, each setting only the keys its check
+    declares (loop reads diagnose.t, conformality no key of its own)."""
     rng = np.random.default_rng([seed, 31])
     q, p = rng.uniform(0.0, 1.0), rng.standard_normal()
     theta, r = rng.uniform(0.0, 1.0), rng.uniform(0.5, 1.5)
@@ -611,14 +608,9 @@ def cli_configs(seed):
         "simulate": (
             "run.operation = simulate\n" + damped
             + f"simulate.x0 = ({q!r}, {p!r})\nsimulate.t = 2.0\nsimulate.samples = 41\n"
-            "simulate.variational = true\nintegrator.method = reference\n"
+            "simulate.variational = true\n"
             "integrator.rel_tol = 1e-9\nintegrator.abs_tol = 1e-11\n"
             "integrator.blowup_threshold = 1e6\nintegrator.max_steps = 100000\n"
-        ),
-        "simulate-rk4": (
-            "run.operation = simulate\nmodel.name = circle-linear\n"
-            f"simulate.x0 = ({theta!r}, {r!r})\nsimulate.t = 1.0\nsimulate.samples = 11\n"
-            "integrator.method = rk4\nintegrator.h = 0.01\n"
         ),
         "periodic": (
             "run.operation = periodic\nmodel.name = t2-pair-theta2\n"
@@ -634,7 +626,7 @@ def cli_configs(seed):
         "attractor": (
             "run.operation = attractor\n" + damped
             + "attractor.t_relax = 20.0\nattractor.grid = 9\nattractor.eps = 1e-3\n"
-            "integrator.h = 0.01\nintegrator.blowup_threshold = 1e8\n"
+            "attractor.h = 0.01\nintegrator.blowup_threshold = 1e8\n"
         ),
         "basin": (
             "run.operation = basin\n" + damped
