@@ -172,14 +172,12 @@ def _op_diagnose_loop(cfg, t):
     return _report_diagnosis(cfg, "loop", loop_cohomology_check(m, loop, t))
 
 
-@_operation("attractor", integrator=("blowup_threshold",),
-            t_relax=60.0, grid=33, eps=1e-3, box=None, h=0.01)
+@_operation("attractor", t_relax=60.0, grid=33, eps=1e-3, box=None, h=0.01)
 def _op_attractor(cfg, t_relax, grid, eps, box, h):
     m = _model(cfg)
-    icfg = IntegratorConfig(**cfg.integrator)
     # without a box, the sublevel set of the model's trapping level
     est = attractor_estimate(
-        m, t_relax=t_relax, grid=grid, eps=eps, h=h, blowup_threshold=icfg.blowup_threshold,
+        m, t_relax=t_relax, grid=grid, eps=eps, h=h,
         box=None if box is None else _box(box, "attractor.box"),
     )
     write_cloud_csv(

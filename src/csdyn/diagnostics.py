@@ -53,8 +53,7 @@ _NEWTON_MAX_ITER = 50  # and its Newton steps
 _TRAP_GRID = 1024  # trapping_level's grid points per torus axis
 _INVARIANCE_T = 1.0  # attractor_estimate pushes its cloud this long
 _BASIN_CAPTURE = 1e-2  # emit_basin_grid's capture radius,
-_BASIN_H = 0.02  # RK4 step
-_BASIN_BLOWUP = 1e8  # and blow-up threshold
+_BASIN_H = 0.02  # and RK4 step
 _REFINE_MAX_ITER = 80  # refine_equilibrium's Gauss-Newton steps
 _REFINE_TOL = 1e-12  # and stopping residual
 _MANIFOLD_SEED_RADIUS = 1e-4  # unstable_manifold_cloud's seeds' offset,
@@ -246,13 +245,14 @@ def lyapunov_spectrum(m, x0, T=200.0):
     -alpha for exact models and the orbit's mean rotation for conformal
     pairs.  Exponents are flagged non-converged when the last-quarter drift
     exceeds 10% of scale.  A map runs int(T) >= 1 steps; its target is
-    log(a) (else 0), converged True.
+    log(a) (else 0), converged True.  A non-finite T raises ParamError.
     """
     n = m.dim
     if m.kind == MAP:
+        if not (math.isfinite(T) and T >= 1):
+            raise ParamError(f"a map's Lyapunov spectrum takes a finite T >= 1 step, "
+                             f"got T = {T!r}")
         n_steps = int(T)
-        if n_steps < 1:
-            raise ParamError(f"a map's Lyapunov spectrum takes T >= 1 step, got T = {T!r}")
         states = iterate_map(m, x0, n_steps).states[:-1]  # Df at each, in one call
         jacs = np.broadcast_to(np.asarray(m.Df(states), dtype=float), (n_steps, n, n))
         sums, history = _renormalized_logs(lambda k, Q: jacs[k] @ Q, n, n_steps, 1)
@@ -260,8 +260,8 @@ def lyapunov_spectrum(m, x0, T=200.0):
         target = math.log(m.ratio_a) if m.ratio_a else 0.0
         mean_rot, converged = None, True
     else:
-        if not T > 0:
-            raise ParamError(f"a flow's Lyapunov spectrum takes T > 0, got T = {T!r}")
+        if not (math.isfinite(T) and T > 0):
+            raise ParamError(f"a flow's Lyapunov spectrum takes a finite T > 0, got T = {T!r}")
         n_legs = max(1, int(round(T / _LYAPUNOV_LEG)))
         dt = T / n_legs
         x = np.asarray(x0, dtype=float)
@@ -481,13 +481,12 @@ def sample_box_grid(spec, box, grid):
     return _grid(axes)
 
 
-def attractor_estimate(m, R=None, t_relax=60.0, grid=33, box=None, eps=1e-3, h=0.01,
-                       blowup_threshold=1e8):
+def attractor_estimate(m, R=None, t_relax=60.0, grid=33, box=None, eps=1e-3, h=0.01):
     """Relax a grid sample of the trapping set and measure invariance.
 
     The grid has grid >= 1 points per axis; the cloud keeps one point per
     cell of side eps in (0, 1] and is pushed for _INVARIANCE_T.  Both runs
-    step RK4 at h with the blow-up threshold blowup_threshold.  With `box`
+    are flow_ensemble's RK4 at h.  With `box`
     given, one (lo, hi), lo < hi, per axis, that compact box is used instead
     of {H <= R+1}; any sample blowing up flags the estimate as not trapping
     rather than raising.
@@ -500,13 +499,13 @@ def attractor_estimate(m, R=None, t_relax=60.0, grid=33, box=None, eps=1e-3, h=0
         if R is None:
             R = trapping_level(m)
         seeds = sample_sublevel_grid(m, R, grid)
-    evolved, alive = flow_ensemble(m, seeds, t_relax, h, blowup_threshold)
+    evolved, alive = flow_ensemble(m, seeds, t_relax, h)
     escaped = int(np.sum(~alive))
     cloud = _dedup_cells(m.spec, evolved[alive], eps)
     if len(cloud) == 0:
         return AttractorEstimate(R, cloud, math.inf, _n_steps(t_relax, h), "not-trapping",
                                  escaped, 0)
-    pushed, alive2 = flow_ensemble(m, cloud, _INVARIANCE_T, h, blowup_threshold)
+    pushed, alive2 = flow_ensemble(m, cloud, _INVARIANCE_T, h)
     residual = float(np.max(_nearest_cloud_distance(m.spec, pushed[alive2], cloud)))
     status = "trapped" if (escaped == 0 and bool(np.all(alive2))) else "not-trapping"
     return AttractorEstimate(
@@ -523,8 +522,8 @@ def attractor_estimate(m, R=None, t_relax=60.0, grid=33, box=None, eps=1e-3, h=0
 def emit_basin_grid(m, grid, p_range, targets, t_max=60.0):
     """Label a (q, p) grid by the nearest target of the relaxed state.
 
-    RK4 at step _BASIN_H with blow-up threshold _BASIN_BLOWUP relaxes each
-    cell, captured by a target within _BASIN_CAPTURE.  Returns (labels,
+    flow_ensemble's RK4 at step _BASIN_H relaxes each cell, captured by a
+    target within _BASIN_CAPTURE.  Returns (labels,
     q_axis, p_axis): label k >= 1 means targets[k-1], 0 undetermined, -1
     escaped.  Only d = 1 cotangent models are gridded, on q in [0, 1) and
     p in [-p_range, p_range] with p_range > 0.
@@ -539,7 +538,7 @@ def emit_basin_grid(m, grid, p_range, targets, t_max=60.0):
     q_axis = np.linspace(0.0, 1.0, grid, endpoint=False)
     p_axis = np.linspace(-p_range, p_range, grid)
     mesh = _grid([q_axis, p_axis])
-    final, alive = flow_ensemble(m, mesh, t_max, h=_BASIN_H, blowup_threshold=_BASIN_BLOWUP)
+    final, alive = flow_ensemble(m, mesh, t_max, h=_BASIN_H)
     targets = np.asarray(targets, dtype=float)
     labels = np.zeros(len(mesh), dtype=np.int64)
     dists = np.stack(
@@ -580,11 +579,14 @@ def unstable_manifold_cloud(m, fixed_point, t_grow):
 
     One-dimensional unstable spaces return an arclength-resampled polyline
     (with unit tangents as 1-column frames), grown by flow_ensemble at its
-    default step and blow-up threshold; higher-dimensional ones return
+    default step; higher-dimensional ones return
     shells of transported points with orthonormal frames spanning the pushed
     unstable directions, grown on the adaptive engine at the default
-    IntegratorConfig.  The _MANIFOLD_* constants set its seeds and legs.
+    IntegratorConfig.  The _MANIFOLD_* constants set its seeds and legs;
+    t_grow is finite and >= 0 (ParamError otherwise).
     """
+    if not (math.isfinite(t_grow) and t_grow >= 0):
+        raise ParamError(f"a manifold grows for a finite t_grow >= 0, got t_grow = {t_grow!r}")
     fp = np.asarray(fixed_point, dtype=float)
     A = m.jacobian(fp)
     eigvals, eigvecs = np.linalg.eig(A)
@@ -842,10 +844,12 @@ def recurrence_scan(m, x0, t_max, dt):
     sample where the distance to x0 stops growing count.  Returns
     (distance, time), or (inf, nan) when the distance grows to t_max.
     A step of half a turn or more on an angle axis aliases (0.7 turn reads as
-    0.3 turn back): ParamError once dt * |X| at a sample reaches it.
+    0.3 turn back): ParamError once dt * |X| at a sample reaches it.  dt and
+    t_max are finite with 0 < dt <= t_max (ParamError otherwise).
     """
-    if t_max < dt:
-        raise ParamError("t_max must be at least dt")
+    if not (math.isfinite(t_max) and 0 < dt <= t_max):
+        raise ParamError(f"recurrence_scan takes a finite t_max and 0 < dt <= t_max, "
+                         f"got dt = {dt!r} and t_max = {t_max!r}")
     n = int(math.floor(t_max / dt + 1e-9))
     if n > 1e7:
         raise ParamError("too many recurrence samples (t_max/dt > 1e7)")
@@ -899,10 +903,10 @@ class OrbitClass:
 # raised the traced peak of cert_classification from 0.5 to 1.6 MB and ran
 # no faster than this one.
 _OBSERVER_BLOCK_BYTES = 64 * 1024
-# classify_ensemble's verdict codes 0, 1, 2, its RK4 step and blow-up
-# threshold, and its verdict thresholds
+# classify_ensemble's verdict codes 0, 1, 2, its RK4 step and its verdict
+# thresholds
 _VERDICTS = ("undetermined", "dissipative", "conservative")
-_CLASSIFY_H, _CLASSIFY_BLOWUP = 1e-3, 1e8
+_CLASSIFY_H = 1e-3
 _DISSIPATIVE_SLOPE, _DISSIPATIVE_H, _CONSERVATIVE_R, _RETURN_DIST = -0.1, 1e-3, 1e-4, 1e-3
 
 
@@ -929,7 +933,7 @@ def classify_ensemble(m, starts, T):
 
     Orbits run on the fixed-step RK4 engine at step _CLASSIFY_H with the Lee
     integral r_t as an extra channel; a row that dies (non-finite, or a line
-    coordinate past _CLASSIFY_BLOWUP) is undetermined.  A live row is
+    coordinate past flows.BLOWUP_THRESHOLD) is undetermined.  A live row is
     dissipative when its late r_t slope <= _DISSIPATIVE_SLOPE and late |H|
     <= _DISSIPATIVE_H, else conservative when max |r_t| <= _CONSERVATIVE_R
     and its return distance <= _RETURN_DIST.  Every statistic is a per-row
@@ -1022,9 +1026,7 @@ def classify_ensemble(m, starts, T):
             filled = 0
             masks.clear()
 
-    _, alive, _ = flow_ensemble(
-        m, starts, T, _CLASSIFY_H, _CLASSIFY_BLOWUP, racc=True, on_step=on_step
-    )
+    _, alive, _ = flow_ensemble(m, starts, T, _CLASSIFY_H, racc=True, on_step=on_step)
     if filled:  # the last block, or the steps before every row died
         fold(k0, buf[:filled], masks)
     previous = buf = None  # freed before the per-row results are built

@@ -50,6 +50,9 @@ MIDPOINT_MAX_SWEEPS = 50
 _MIDPOINT_FAILED = f"implicit midpoint did not converge in {MIDPOINT_MAX_SWEEPS} sweeps"
 _RETURN_CHUNK = 4.0  # poincare_return integrates in runs of this many time units
 _RETURN_T_MAX = 1e4  # and raises SectionError when its crossings take longer
+# a line coordinate past this magnitude is a blow-up: the fixed-step engine
+# reads it at each call, and IntegratorConfig takes it as its default
+BLOWUP_THRESHOLD = 1e8
 
 # Hairer's DOP853 8(5,3), as literal data from scipy's
 # integrate/_ivp/dop853_coefficients.py: the nonzero (stage, coefficient)
@@ -162,7 +165,7 @@ _DOP_D = (
 class IntegratorConfig:
     rel_tol: float = 1e-10
     abs_tol: float = 1e-12
-    blowup_threshold: float = 1e8
+    blowup_threshold: float = BLOWUP_THRESHOLD
     max_steps: int = 1_000_000
 
     def __post_init__(self):
@@ -669,6 +672,8 @@ def _integrate_core(m, x0, t_span, cfg, with_frames, times, samples, initial_fra
     """A Trajectory for a state x0 of shape (dim,), a list of N for a batch (N, dim)."""
     _require_flow(m)
     t0, t1 = float(t_span[0]), float(t_span[1])
+    if not (math.isfinite(t0) and math.isfinite(t1)):
+        raise ParamError(f"time span must be finite, got ({t0}, {t1})")
     if t0 == t1:
         raise ParamError("zero-length time span")
     x0 = np.asarray(x0, dtype=float)
@@ -802,27 +807,24 @@ def time_reversed_view(m):
     """The flow of -X as a ModelSpec; repelling orbits of m are attracting for it.
 
     -X has the defining identity of m with -alpha and -H (eta and lambda
-    stay), and X_H negates with it.  Splitting is off and -H is not
-    fiber-convex.  The view has no fused joint fields, so its joint field
-    composes the negated X, DX and eta_X.
+    stay).  -H is not fiber-convex, and the view does not split: it has no
+    X_sym and DX_sym.  It has no closed-form flow and no fused joint fields,
+    so its joint field composes the negated X, DX and eta_X.
     """
     _require_flow(m)
-    fe = m.flow_exact
     return replace(
         m, alpha=-m.alpha, X=_negated_field(m.X), DX=_negated(m.DX), H=_negated(m.H),
-        dH=_negated(m.dH), X_sym=_negated(m.X_sym), DX_sym=_negated(m.DX_sym),
-        eta_X=_negated(m.eta_X), X_DXv=None, X_etaX=None, cotangent_splittable=False,
-        fiber_convex=False, flow_exact=None if fe is None else (
-            lambda x, t: fe(x, -np.asarray(t, dtype=float))
-        ),
+        dH=_negated(m.dH), eta_X=_negated(m.eta_X), X_sym=None, DX_sym=None, X_DXv=None,
+        X_etaX=None, flow_exact=None, cotangent_splittable=False, fiber_convex=False,
     )
 
 
 def integrate_flow(m, x0, t_span, cfg=None, samples=201, times=None):
     """Dense-output trajectory over t_span at `samples` even times, or at
     `times`: increasing times inside the span (a backward span sorts them),
-    with the run's end appended.  A NaN, a time outside the span or times
-    that do not increase raise ParamError before any step.
+    with the run's end appended.  A non-finite span end, a NaN time, a time
+    outside the span or times that do not increase raise ParamError before
+    any step.
 
     x0 of shape (N, dim) returns a list of N trajectories, each bit-identical
     to the call on its row alone.
@@ -904,8 +906,8 @@ def conformal_splitting_step(m, x, h):
     """
     if not m.cotangent_splittable:
         raise KindError(f"{m.name} is not cotangent-splittable")
-    if h > 0.5:
-        raise ParamError("splitting step size must satisfy h <= 0.5")
+    if not (math.isfinite(h) and h <= 0.5):
+        raise ParamError(f"splitting step size must be finite and satisfy h <= 0.5, got h={h}")
     x = np.asarray(x, dtype=float)
     if x.shape[-1:] != (m.dim,):
         raise DimensionMismatchError(f"x must have shape (..., {m.dim}), got {x.shape}")
@@ -959,11 +961,11 @@ def _column_major(blocks):
     return np.concatenate(blocks, axis=1, out=np.empty((w, len(blocks[0]))).T)
 
 
-def _fixed_step_engine(m, Y, t, h, k=0, racc=False, blowup_threshold=1e8, on_step=None):
+def _fixed_step_engine(m, Y, t, h, k=0, racc=False, on_step=None):
     """Masked RK4 integration of the rows of Y = [x | n*k tangent | r].
 
     A row dies, frozen where it stopped, once its state is non-finite or a
-    line coordinate passes the threshold.  While every row lives the batch
+    line coordinate passes BLOWUP_THRESHOLD.  While every row lives the batch
     steps whole, in place; the index of live rows is rebuilt only when one
     dies.
 
@@ -985,6 +987,7 @@ def _fixed_step_engine(m, Y, t, h, k=0, racc=False, blowup_threshold=1e8, on_ste
     """
     n_steps = _n_steps(t, h)
     n = m.dim
+    blowup_threshold = BLOWUP_THRESHOLD
     rhs = _joint_rhs(m, k, racc)
     # three (N, w) column-major buffers; the live rows step in their
     # leading rows, through views made again only when the live rows change
@@ -1035,7 +1038,7 @@ def _state_batch(m, states):
     return X
 
 
-def transport_tangents(m, states, vectors, t, h=1e-3, blowup_threshold=1e8):
+def transport_tangents(m, states, vectors, t, h=1e-3):
     """Batched transport of one tangent vector per state along the flow.
 
     Fixed-step RK4 on the joint system (x, v) with v' = DX(x) v.  states and
@@ -1046,17 +1049,15 @@ def transport_tangents(m, states, vectors, t, h=1e-3, blowup_threshold=1e8):
     if np.shape(vectors) != states.shape:
         raise DimensionMismatchError(
             f"vectors must have the states' shape {states.shape}, got {np.shape(vectors)}")
-    Y, alive = _fixed_step_engine(
-        m, _column_major([states, vectors]), t, h, k=1, blowup_threshold=blowup_threshold
-    )
+    Y, alive = _fixed_step_engine(m, _column_major([states, vectors]), t, h, k=1)
     return m.spec.wrap(Y[:, :n]), np.ascontiguousarray(Y[:, n:]), alive
 
 
-def flow_ensemble(m, states, t, h=0.01, blowup_threshold=1e8, racc=False, on_step=None):
+def flow_ensemble(m, states, t, h=0.01, *, racc=False, on_step=None):
     """Vectorized fixed-step RK4 transport of an (N, dim) batch of states.
 
     Returns (final_states, alive_mask[, r_accum]), C-ordered.  Escaped
-    samples (line coordinates past the threshold) and non-finite ones are
+    samples (line coordinates past BLOWUP_THRESHOLD) and non-finite ones are
     frozen where they died.  Rows evolve independently, so results do not
     depend on how a caller slices the batch.  `on_step(step, Y, stepped)`
     is the engine's observer: it is called after every step with the
@@ -1068,9 +1069,7 @@ def flow_ensemble(m, states, t, h=0.01, blowup_threshold=1e8, racc=False, on_ste
     """
     X, n = _state_batch(m, states), m.dim
     Y = _column_major([X, np.zeros((len(X), 1))] if racc else [X])
-    Y, alive = _fixed_step_engine(
-        m, Y, t, h, racc=racc, blowup_threshold=blowup_threshold, on_step=on_step
-    )
+    Y, alive = _fixed_step_engine(m, Y, t, h, racc=racc, on_step=on_step)
     out = (m.spec.wrap(Y[:, :n]), alive)
     return out + (Y[:, n],) if racc else out
 
@@ -1079,12 +1078,12 @@ def flow_ensemble(m, states, t, h=0.01, blowup_threshold=1e8, racc=False, on_ste
 # maps
 # ---------------------------------------------------------------------------
 
-def iterate_map(m, x0, n, with_frames=False):
+def iterate_map(m, x0, n):
     """Orbit of a map model; negative n uses the closed-form inverse.
 
     Stored like a flow: times 0..n forward, and for n < 0 times n..0
-    ascending with the final iterate first, so final_state and final_frame
-    are f^n(x0) and D(f^n)(x0) either way.
+    ascending with the final iterate first, so final_state is f^n(x0)
+    either way.
     """
     if m.kind != MAP:
         raise KindError(f"{m.name} is not a map model")
@@ -1093,22 +1092,13 @@ def iterate_map(m, x0, n, with_frames=False):
     x = np.asarray(x0, dtype=float)
     step = m.f if n >= 0 else m.f_inv
     states = [m.spec.wrap(x)]
-    frames = [np.eye(m.dim)] if with_frames else None
-    for k in range(abs(n)):
-        x_new = np.asarray(step(x), dtype=float)
-        if with_frames:
-            if n >= 0:
-                J = np.asarray(m.Df(x), dtype=float)
-            else:
-                J = np.linalg.inv(np.asarray(m.Df(x_new), dtype=float))
-            frames.append(J @ frames[-1])
-        states.append(m.spec.wrap(x_new))
-        x = x_new
+    for _ in range(abs(n)):
+        x = np.asarray(step(x), dtype=float)
+        states.append(m.spec.wrap(x))
     order = slice(None, None, -1 if n < 0 else 1)
     return Trajectory(
         times=np.arange(min(n, 0), max(n, 0) + 1, dtype=float),
         states=np.array(states[order]),
-        frames=None if frames is None else np.array(frames[order]),
         backward=n < 0,
     )
 
@@ -1122,8 +1112,8 @@ def time_t_map(m, t):
     state alone.  A row that blows up raises BlowUpError with its t_escape.
     """
     _require_flow(m)
-    if t == 0:
-        raise ParamError("time-t map requires t != 0")
+    if not (math.isfinite(t) and t != 0):
+        raise ParamError(f"time-t map requires a finite t != 0, got t={t}")
 
     def _end(x, span, frames):
         x = np.asarray(x, dtype=float)
@@ -1196,7 +1186,8 @@ class SectionSpec:
 
 
 def poincare_return(m, sec, x0, k, cfg=None):
-    """First k directed section crossings with projected return Jacobians.
+    """First k directed section crossings with projected return Jacobians;
+    k is an integer >= 1 (ParamError before any step otherwise).
 
     Returns (crossings, jacobians, times, rotation_integrals); the last
     entry holds the accumulated Lee integral at each crossing (zeros when
@@ -1211,6 +1202,8 @@ def poincare_return(m, sec, x0, k, cfg=None):
     """
     _require_flow(m)
     sec.check_dim(m.dim)
+    if not (isinstance(k, (int, np.integer)) and not isinstance(k, bool) and k >= 1):
+        raise ParamError(f"poincare_return takes an integer k >= 1, got k={k!r}")
     cfg = cfg or IntegratorConfig()
     x0 = np.asarray(x0, dtype=float)
     max_step = min(0.2 / max(float(np.max(np.abs(m.X(x0)))), 1.0), 0.05)

@@ -62,7 +62,9 @@ class CoordinateSpec:
         bit-identical to b - a where no angle component passes +-0.5."""
         d = np.subtract(b, a)
         v = d[..., self._angles]  # a view when the angles are a slice
-        np.subtract(v, np.rint(v), out=v)
+        r = np.rint(v)
+        r += 0.0  # rint(-0.3) is -0.0, and -0.0 - -0.0 would give +0.0
+        np.subtract(v, r, out=v)
         if not isinstance(self._angles, slice):
             d[..., self._angles] = v
         return d

@@ -23,6 +23,7 @@ the eig^2 scaling of the torus-torus part).
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -61,8 +62,7 @@ class ModelSpec:
     the evaluators: lam, eta and grad_V are set.  cotangent_splittable is
     stored (a splittable flow is X = alpha Z + X_sym on T*T^d, with X/X_sym
     and DX/DX_sym one field and one Jacobian at alpha and at 0): a
-    time-reversed view keeps the negated X_sym but must not split, since
-    its grad_V is not negated.
+    time-reversed view has no X_sym and DX_sym and does not split.
 
     A flow's field `X(x, out=None)` writes the field of the states x
     (..., dim) into out, an array shaped like x that must not overlap it,
@@ -122,16 +122,12 @@ class ModelSpec:
     DX_sym: object = None
     grad_V: object = None       # mechanical models only
     hess_V: object = None
-    V: object = None            # mechanical potential
-    Y: object = None            # Mane drift field on the base, and its Jacobian
-    DY: object = None
     flow_exact: object = None   # closed-form flow (x, t) -> state, if any
     cotangent_splittable: bool = False
     fiber_convex: bool = False
     h_scales: bool = False      # H o phi_t = c_t H holds along the flow
     equilibria: tuple = ()
     frame: object = None        # tangent frame matrix (anosov cover)
-    warnings: tuple = ()
 
     def __post_init__(self):
         if self.kind not in (MAP, FLOW):
@@ -347,10 +343,6 @@ def _build_circle_linear(params):
     alpha = float(p["alpha"])
     if alpha <= 0:
         raise ParamError("circle-linear requires alpha > 0")
-    warnings = ()
-    if not alpha < TWO_PI:
-        # formula stays valid, but the saddle structure changes
-        warnings = (f"alpha={alpha} outside (0, 2*pi); saddle structure not guaranteed",)
 
     def _field(x, a, out=None):
         xt, ot, out = _columns(x, out)
@@ -401,7 +393,6 @@ def _build_circle_linear(params):
         "circle-linear", p, 1, alpha, _field, _dx, X_DXv=X_DXv, H=H, dH=dH,
         h_scales=True,  # H is fiberwise linear, so H o phi_t = exp(-alpha t) H
         equilibria=(np.array([0.0, 0.0]), np.array([0.5, 0.0])),
-        warnings=warnings,
     )
 
 
@@ -607,14 +598,12 @@ def _build_mane(params):
         q, pv = x[..., :d], x[..., d:]
         return np.concatenate([DYt_p(q, pv), pv + Y(q)], axis=-1)
 
-    return _cotangent_flow(
-        "mane", p, d, alpha, _field, _dx, H=H, dH=dH, fiber_convex=True, Y=Y, DY=DY,
-    )
+    return _cotangent_flow("mane", p, d, alpha, _field, _dx, H=H, dH=dH, fiber_convex=True)
 
 
 def _build_damped_mechanical(params):
     p = _get_params(
-        {"alpha": 0.5, "d": 1, "v_cos": 1.0, "v_sin": 0.0, "v_cross": 0.0},
+        {"alpha": 0.5, "d": 1, "v_cos": 1.0, "v_cross": 0.0},
         params,
         "damped-mechanical",
     )
@@ -628,33 +617,19 @@ def _build_damped_mechanical(params):
     if vx != 0.0 and d != 2:
         raise ParamError("the coupling term v_cross needs d = 2")
     vc = np.broadcast_to(np.asarray(p["v_cos"], dtype=float), (d,)).copy()
-    vs = np.broadcast_to(np.asarray(p["v_sin"], dtype=float), (d,)).copy()
-
-    # v_sin defaults to 0: a harmonic whose coefficients are all zero is left out
-    cos_on, sin_on = bool(vc.any()), bool(vs.any())
-
-    def _harmonics(w, cos_term, sin_term):
-        """cos_term(w) + sin_term(w), each evaluated only when its harmonic is on."""
-        if cos_on and sin_on:
-            return cos_term(w) + sin_term(w)
-        if cos_on:
-            return cos_term(w)
-        if sin_on:
-            return sin_term(w)
-        return np.zeros(w.shape)
+    # a cosine term whose coefficients are all zero is left out
+    cos_on = bool(vc.any())
 
     def V(q):
         w = TWO_PI * np.asarray(q, dtype=float)
-        out = np.sum(
-            _harmonics(w, lambda w: vc * np.cos(w), lambda w: vs * np.sin(w)), axis=-1
-        )
+        out = np.sum(vc * np.cos(w) if cos_on else np.zeros(w.shape), axis=-1)
         if vx:
             out = out + vx * np.cos(TWO_PI * (q[..., 0] - q[..., 1]))
         return out
 
     def grad_V(q):
         w = TWO_PI * np.asarray(q, dtype=float)
-        out = TWO_PI * _harmonics(w, lambda w: -vc * np.sin(w), lambda w: vs * np.cos(w))
+        out = TWO_PI * (-vc * np.sin(w) if cos_on else np.zeros(w.shape))
         if vx:
             cross = -vx * TWO_PI * np.sin(TWO_PI * (q[..., 0] - q[..., 1]))
             out[..., 0] += cross
@@ -664,9 +639,7 @@ def _build_damped_mechanical(params):
     def hess_V(q):
         q = np.asarray(q, dtype=float)
         w = TWO_PI * q
-        diag = (TWO_PI**2) * _harmonics(
-            w, lambda w: -vc * np.cos(w), lambda w: -vs * np.sin(w)
-        )
+        diag = (TWO_PI**2) * (-vc * np.cos(w) if cos_on else np.zeros(w.shape))
         out = np.zeros(q.shape[:-1] + (d, d))
         for i in range(d):
             out[..., i, i] = diag[..., i]
@@ -688,10 +661,10 @@ def _build_damped_mechanical(params):
         out[..., d:, d:] = -a * eye
         return out
 
-    n, nvc, nvs = 2 * d, -vc, -vs
-    # the block form's operands: coefficient columns, and 0-d arrays, which a
-    # ufunc takes faster than Python floats, with the same bits
-    nvc_col, vs_col, nvs_col = (_coefficients(v)[1] for v in (nvc, vs, nvs))
+    n, nvc = 2 * d, -vc
+    # the block form's operands: a coefficient column, and 0-d arrays, which
+    # a ufunc takes faster than Python floats, with the same bits
+    nvc_col = _coefficients(nvc)[1]
     two_pi, two_pi2, zero = np.array(TWO_PI), np.array(TWO_PI**2), np.array(0.0)
     k_sin, k_cos = np.array(-vx * TWO_PI), np.array(-vx * (TWO_PI**2))
     alpha0, nalpha0 = np.array(alpha), np.array(-alpha)
@@ -702,16 +675,11 @@ def _build_damped_mechanical(params):
         one."""
         q, pv, og = yt[:d], yt[d:n], ot[d:n]
         s = c = None
-        if cos_on or sin_on:
-            w = np.multiply(two_pi, q)
-            s = np.sin(w) if cos_on or tangent else None
-            c = np.cos(w, out=w) if sin_on or tangent else None
         if cos_on:
+            w = np.multiply(two_pi, q)
+            s = np.sin(w)
+            c = np.cos(w, out=w) if tangent else None
             np.multiply(nvc_col, s, out=og)
-            if sin_on:
-                np.add(og, vs_col * c, out=og)
-        elif sin_on:
-            np.multiply(vs_col, c, out=og)
         else:
             og[...] = 0.0
         np.multiply(two_pi, og, out=og)
@@ -729,14 +697,7 @@ def _build_damped_mechanical(params):
         if tangent:
             vq, vp = yt[n : n + d], yt[n + d :]
             np.add(vp, zero, out=ot[n : n + d])
-            if cos_on:
-                hv = np.multiply(nvc_col, c, out=c)
-                if sin_on:
-                    np.add(hv, np.multiply(nvs_col, s, out=s), out=hv)
-            elif sin_on:
-                hv = np.multiply(nvs_col, s, out=s)
-            else:
-                hv = np.zeros(q.shape)
+            hv = np.multiply(nvc_col, c, out=c) if cos_on else np.zeros(q.shape)
             np.multiply(two_pi2, hv, out=hv)
             if vx:
                 cc = np.multiply(k_cos, np.cos(u, out=u), out=u)
@@ -758,7 +719,7 @@ def _build_damped_mechanical(params):
         """X = (p, -grad V(q) - a p) of the states y, and with `tangent` the
         rows [X | DX v] of y = [x | v] (X_DXv), DX v = [v_p | -hess V(q) v_q
         - a v_p], from one sin and one cos pass of 2 pi q, each taken only
-        when a term needs it: on the (d, N) blocks of a column-major batch
+        when the cosine term is on: on the (d, N) blocks of a column-major batch
         (_block_field), else column by column (on numpy scalars for one
         state).  np.einsum sums each row of DX v from +0.0, so the products
         of DX's structural zeros, signed zeros on a finite block, are left
@@ -767,17 +728,16 @@ def _build_damped_mechanical(params):
         if yt.ndim == 2 and _contiguous_rows(yt, ot):
             return _block_field(yt, ot, out, a, tangent)
         q, pv = yt[:d], yt[d:n]
-        if cos_on or sin_on:
+        if cos_on:
             w = np.multiply(TWO_PI, q, order="C")  # contiguous rows
-            s = np.sin(w) if cos_on or tangent else None
-            c = np.cos(w) if sin_on or tangent else None
+            s = np.sin(w)
+            c = np.cos(w) if tangent else None
         if vx:
             u = TWO_PI * (q[0] - q[1])
             cross = -vx * TWO_PI * np.sin(u)
         ot[:d] = pv
         for i in range(d):
-            g = TWO_PI * (nvc[i] * s[i] + vs[i] * c[i] if cos_on and sin_on
-                          else nvc[i] * s[i] if cos_on else vs[i] * c[i] if sin_on else 0.0)
+            g = TWO_PI * (nvc[i] * s[i] if cos_on else 0.0)
             if vx:
                 g = g + cross if i == 0 else g - cross
             ot[d + i] = -g - a * pv[i] if a else -g
@@ -787,9 +747,7 @@ def _build_damped_mechanical(params):
                 cc = -vx * (TWO_PI**2) * np.cos(u)
             np.add(vp, 0.0, out=ot[n : n + d])
             for i in range(d):
-                hv = (TWO_PI**2) * (nvc[i] * c[i] + nvs[i] * s[i] if cos_on and sin_on
-                                    else nvc[i] * c[i] if cos_on
-                                    else nvs[i] * s[i] if sin_on else 0.0)
+                hv = (TWO_PI**2) * (nvc[i] * c[i] if cos_on else 0.0)
                 if vx:
                     hv = hv + cc
                 t = -hv * vq[i] + -a * vp[i]
@@ -808,16 +766,10 @@ def _build_damped_mechanical(params):
         q, pv = x[..., :d], x[..., d:]
         return np.concatenate([grad_V(q), pv], axis=-1)
 
-    # critical points of the separable potential, with p = 0; with coupling
-    # they stay critical only when the per-axis roots align modulo 1/2
-    eq = []
-    for i in range(d):
-        base = math.atan2(vs[i], vc[i]) / TWO_PI if (vc[i] or vs[i]) else 0.0
-        eq.append(sorted((base % 1.0, (base + 0.5) % 1.0)))
-    points = [[]]
-    for roots in eq:
-        points = [pt + [r] for pt in points for r in roots]
-    candidates = [np.array(pt + [0.0] * d) for pt in points]
+    # critical points of the separable potential, with p = 0: each axis's
+    # cosine is critical at 0 and 1/2; with coupling a point stays critical
+    # only where the coupling's gradient vanishes too
+    candidates = [np.array(pt + (0.0,) * d) for pt in itertools.product((0.0, 0.5), repeat=d)]
     equilibria = tuple(
         z for z in candidates if float(np.max(np.abs(grad_V(z[:d])))) < 1e-12
     )
@@ -825,7 +777,7 @@ def _build_damped_mechanical(params):
     return _cotangent_flow(
         "damped-mechanical", p, d, alpha, _field, _dx,
         X_DXv=lambda y, out=None: _field(y, alpha, out, tangent=True), H=H, dH=dH,
-        V=V, grad_V=grad_V, hess_V=hess_V, fiber_convex=True, equilibria=equilibria,
+        grad_V=grad_V, hess_V=hess_V, fiber_convex=True, equilibria=equilibria,
     )
 
 

@@ -23,6 +23,7 @@ from csdyn.flows import (
     IntegratorConfig,
     integrate_flow,
     integrate_variational,
+    time_t_map,
 )
 from csdyn.geometry import LINE, CoordinateSpec
 from csdyn.models import (
@@ -393,6 +394,28 @@ def test_bad_sample_times_are_refused_before_any_step(case):
         else:
             with pytest.raises(ParamError, match="times"):
                 run(counting, x0, (1.0, 0.0), times=times)
+    assert calls == []
+
+
+@pytest.mark.parametrize("span", [(0.0, math.nan), (0.0, math.inf), (math.nan, 1.0),
+                                  (-math.inf, 0.0)])
+def test_non_finite_spans_are_refused_before_any_step(span):
+    """Before, (0, nan) raised PoisonedStateError ("field evaluation returned
+    non-finite values"), and (0, inf) ran until a blow-up or max_steps; a
+    time-t map of a non-finite t is refused when it is built."""
+    m = instantiate_model("circle-linear", alpha=1.0)
+    calls = []
+
+    def counted(x, out=None):
+        calls.append(np.shape(x))
+        return m.X(x, out)
+
+    counting = dataclasses.replace(m, X=counted, X_DXv=None)
+    for run in (integrate_flow, integrate_variational):
+        with pytest.raises(ParamError, match="time span must be finite"):
+            run(counting, np.array([0.3, 0.2]), span)
+    with pytest.raises(ParamError, match="finite t"):
+        time_t_map(counting, span[1] - span[0])
     assert calls == []
 
 

@@ -69,7 +69,7 @@ _INTEGRATOR_READS = {
     "diagnose.conformality": (),
     "diagnose.transport": _ALL_FIELDS,
     "diagnose.loop": (),
-    "attractor": ("blowup_threshold",),
+    "attractor": (),
     "periodic": _ALL_FIELDS,
     "classify": (), "escape": (), "basin": (), "verify": (), "list-models": (),
 }
@@ -161,6 +161,10 @@ _BAD_CONFIGS = {
     "attractor-integrator.rel_tol": (
         "run.operation = attractor\n" + _DAMPED + "integrator.rel_tol = 1e-3\n",
         "config error (line 3): key 'integrator.rel_tol' is not read by 'attractor'"),
+    # the fixed-step engine's blow-up threshold is a constant of flows
+    "attractor-integrator.blowup_threshold": (
+        "run.operation = attractor\n" + _DAMPED + "integrator.blowup_threshold = 1e8\n",
+        "config error (line 3): key 'integrator.blowup_threshold' is not read by 'attractor'"),
     "periodic-integrator.h": (
         "run.operation = periodic\nmodel.name = t2-pair-theta2\nintegrator.h = 0.5\n",
         "config error (line 3): key 'integrator.h' is not read by 'periodic'"),

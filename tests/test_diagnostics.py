@@ -792,6 +792,40 @@ def test_recurrence_scan_rejects_bad_span():
         recurrence_scan(m, np.zeros(4), 0.5, 1.0)
 
 
+# values that raised ValueError, ZeroDivisionError or OverflowError, or
+# returned silently (recurrence_scan (inf, nan) at dt < 0,
+# unstable_manifold_cloud only its seeds at t_grow < 0), before each became
+# a ParamError naming it
+_LEE, _SADDLE = np.zeros(4), np.array([0.5, 0.0])
+BAD_HORIZONS = {
+    "recurrence-dt-nan": (
+        "lee-twisted-t1t2", lambda m: recurrence_scan(m, _LEE, 2.0, math.nan), "dt = nan"),
+    "recurrence-dt-zero": (
+        "lee-twisted-t1t2", lambda m: recurrence_scan(m, _LEE, 2.0, 0.0), "dt = 0.0"),
+    "recurrence-dt-negative": (
+        "lee-twisted-t1t2", lambda m: recurrence_scan(m, _LEE, 2.0, -0.1), "dt = -0.1"),
+    "recurrence-t_max-inf": (
+        "lee-twisted-t1t2", lambda m: recurrence_scan(m, _LEE, math.inf, 0.1), "t_max = inf"),
+    "lyapunov-map-nan": (
+        "shear-contraction", lambda m: lyapunov_spectrum(m, np.array([0.1, 0.2]), T=math.nan),
+        "T = nan"),
+    "lyapunov-flow-inf": (
+        "damped-mechanical", lambda m: lyapunov_spectrum(m, np.array([0.3, 0.1]), T=math.inf),
+        "T = inf"),
+    "manifold-nan": (
+        "circle-linear", lambda m: unstable_manifold_cloud(m, _SADDLE, math.nan), "t_grow = nan"),
+    "manifold-negative": (
+        "circle-linear", lambda m: unstable_manifold_cloud(m, _SADDLE, -1.0), "t_grow = -1.0"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_HORIZONS))
+def test_diagnostics_refuse_a_bad_horizon_by_name(case):
+    name, call, named = BAD_HORIZONS[case]
+    with pytest.raises(ParamError, match=named):
+        call(instantiate_model(name))
+
+
 # ---------------------------------------------------------------------------
 # classification
 # ---------------------------------------------------------------------------

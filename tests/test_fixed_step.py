@@ -8,13 +8,15 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from csdyn import diagnostics
+from csdyn import diagnostics, flows
 from csdyn.diagnostics import (
+    attractor_estimate,
     classify_ensemble,
     conformal_transport_check,
 )
 from csdyn.errors import DimensionMismatchError, ParamError, StructureError
 from csdyn.flows import (
+    BLOWUP_THRESHOLD,
     flow_ensemble,
     integrate_flow,
     integrate_variational,
@@ -53,6 +55,24 @@ def test_flow_ensemble_rejects_negative_time():
     m = instantiate_model("circle-linear", alpha=1.0)
     with pytest.raises(ParamError):
         flow_ensemble(m, np.array([[0.1, 0.2]]), -1.0)
+
+
+def test_a_blowup_threshold_argument_is_refused():
+    """The threshold is flows.BLOWUP_THRESHOLD: before, flow_ensemble took it
+    as its 5th argument, and a nan or negative one killed every row after
+    its first step; racc and on_step are keyword-only, so an old positional
+    threshold is not read as racc."""
+    m = instantiate_model("circle-linear", alpha=1.0)
+    states, vectors = np.array([[0.1, 0.2], [0.3, 0.4]]), np.ones((2, 2))
+    for bad in (math.nan, -1.0):
+        with pytest.raises(TypeError):
+            flow_ensemble(m, states, 1.0, 0.01, bad)
+        with pytest.raises(TypeError):
+            flow_ensemble(m, states, 1.0, blowup_threshold=bad)
+        with pytest.raises(TypeError):
+            transport_tangents(m, states, vectors, 1.0, 1e-3, bad)
+        with pytest.raises(TypeError):
+            attractor_estimate(m, blowup_threshold=bad)
 
 
 def test_transport_tangents_rejects_negative_time():
@@ -171,7 +191,7 @@ def test_classify_freezes_a_row_at_the_blowup_threshold(monkeypatch):
     [0.855, 0.95] of T = 0.95, where |H| = |r| is read."""
     m = riccati_pair()
     starts = np.array([[0.1, 1.0], [0.3, 0.0]])
-    monkeypatch.setattr(diagnostics, "_CLASSIFY_BLOWUP", 10.0)
+    monkeypatch.setattr(flows, "BLOWUP_THRESHOLD", 10.0)
     dead, calm = classify_ensemble(m, starts, 0.95)
     assert dead.verdict == "undetermined"
     # frozen where it crossed the threshold instead of running on to inf/nan
@@ -307,7 +327,7 @@ def test_time_reversed_view_is_a_model_spec():
     m = instantiate_model("mane", alpha=0.5, d=1, y0=0.5, y_sin=-0.5 / TWO_PI)
     view = time_reversed_view(m)
     assert isinstance(view, ModelSpec)
-    assert view.Y is m.Y
+    assert view.spec is m.spec and view.params is m.params
     x = np.array([0.3, -0.2])
     assert np.array_equal(view.X(x), -m.X(x))
     assert np.array_equal(view.jacobian(x), -m.jacobian(x))
@@ -321,9 +341,10 @@ def test_time_reversed_view_negates_alpha_and_hamiltonian():
     assert view.eta is m.eta and view.lam is m.lam
     traj = integrate_variational(view, (0.3, 0.2), (0, 1))
     assert conformal_transport_check(view, traj).residual < 1e-6
-    # the Liouville decomposition X = alpha*Z + X_H holds on the view too
+    # the Liouville decomposition X = alpha*Z + X_H holds on the view too,
+    # with -X_H its Hamiltonian part
     x = np.array([0.3, 0.2])
-    assert np.allclose(view.X(x) - view.X_sym(x), view.alpha * np.array([0.0, -0.2]))
+    assert np.allclose(view.X(x) + m.X_sym(x), view.alpha * np.array([0.0, -0.2]))
     mane = instantiate_model("mane", alpha=0.5, d=1, y0=0.5, y_sin=-0.5 / TWO_PI)
     assert mane.fiber_convex and not time_reversed_view(mane).fiber_convex
 
@@ -335,10 +356,11 @@ def test_time_reversed_view_satisfies_the_field_identity(name):
         assert field_identity_residual(view, x) <= 1e-12
 
 
-def test_time_reversed_view_reverses_closed_form_flow():
+def test_time_reversed_view_has_no_closed_form_flow():
+    """Nothing reads a view's flow_exact; replace would otherwise keep the
+    forward one."""
     m = instantiate_model("lee-twisted-t1t2")
-    x = np.array([0.1, 0.2, 0.3, 0.4])
-    assert np.array_equal(time_reversed_view(m).flow_exact(x, 0.7), m.flow_exact(x, -0.7))
+    assert m.flow_exact is not None and time_reversed_view(m).flow_exact is None
 
 
 # ---------------------------------------------------------------------------
@@ -358,15 +380,22 @@ def _classify_rows(m, batch, T):
     )
 
 
+def _at_threshold(threshold, run):
+    """run() with the fixed-step engine's blow-up threshold set to threshold."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(flows, "BLOWUP_THRESHOLD", threshold)
+        return run()
+
+
 ENGINE_CALLS = {
     "flow": (
         lambda: instantiate_model("circle-quadratic", alpha=1.0),
-        lambda m, b: flow_ensemble(m, b, 0.3, h=0.01, blowup_threshold=1e3),
+        lambda m, b: _at_threshold(1e3, lambda: flow_ensemble(m, b, 0.3, h=0.01)),
     ),
     "transport": (
         lambda: instantiate_model("circle-quadratic", alpha=1.0),
-        lambda m, b: transport_tangents(
-            m, b, np.ones_like(b), 0.3, h=0.01, blowup_threshold=1e3),
+        lambda m, b: _at_threshold(
+            1e3, lambda: transport_tangents(m, b, np.ones_like(b), 0.3, h=0.01)),
     ),
     "classify": (
         lambda: instantiate_model("t2-pair-theta2"),
@@ -509,7 +538,7 @@ def screen_pair():
                      kind=FLOW, params={}, X=X, Omega=lambda x: np.eye(4))
 
 
-_THR = 1e8
+_THR = BLOWUP_THRESHOLD
 _ABOVE = float(np.nextafter(_THR, np.inf))
 # (rows, which die): each batch also holds rows that live to T = 2
 SCREEN_CASES = {
@@ -534,11 +563,10 @@ def test_the_screen_kills_each_row_as_it_would_alone(case):
     rows, dying = SCREEN_CASES[case]
     starts = np.array(rows)
     with np.errstate(over="ignore", invalid="ignore"):
-        batch = flow_ensemble(m, starts, 2.0, h=0.01, blowup_threshold=_THR)
+        batch = flow_ensemble(m, starts, 2.0, h=0.01)
         assert np.nonzero(~batch[1])[0].tolist() == dying
         for i, x in enumerate(starts):
-            for a, b in zip(batch, flow_ensemble(m, x[None], 2.0, h=0.01,
-                                                 blowup_threshold=_THR)):
+            for a, b in zip(batch, flow_ensemble(m, x[None], 2.0, h=0.01)):
                 assert a[i : i + 1].tobytes() == b.tobytes()
     final = batch[0]
     if case == "second-line-column":  # frozen at the first step past it

@@ -162,6 +162,12 @@ def test_splitting_step_preconditions():
     m = instantiate_model("damped-mechanical", alpha=0.5, d=1, v_cos=1.0)
     with pytest.raises(ParamError):
         conformal_splitting_step(m, np.array([0.2, 0.3]), 0.7)
+    # before, h = nan passed the h <= 0.5 guard and returned nan states and
+    # Jacobians; a negative step stays a step
+    for h in (math.nan, -math.inf):
+        with pytest.raises(ParamError, match=f"finite.*h={h}"):
+            conformal_splitting_step(m, np.array([0.2, 0.3]), h)
+    assert np.isfinite(conformal_splitting_step(m, np.array([0.2, 0.3]), -0.01)[0]).all()
     m2 = instantiate_model("t2-pair-theta2")
     with pytest.raises(KindError):
         conformal_splitting_step(m2, np.array([0.2, 0.3]), 0.01)
@@ -172,7 +178,7 @@ def test_splitting_step_preconditions():
 SPLITTING_MODELS = {
     "verlet-d1": lambda: instantiate_model("damped-mechanical", alpha=0.5, d=1),
     "verlet-d2": lambda: instantiate_model(
-        "damped-mechanical", alpha=0.5, d=2, v_cos=(1.0, 0.5), v_sin=0.3, v_cross=0.4),
+        "damped-mechanical", alpha=0.5, d=2, v_cos=(1.0, 0.5), v_cross=0.4),
     "midpoint-mane": lambda: instantiate_model(
         "mane", alpha=0.5, d=1, y0=0.5, y_sin=-0.5 / TWO_PI),
     "midpoint-circle-quadratic": lambda: instantiate_model("circle-quadratic"),
@@ -267,7 +273,7 @@ def test_midpoint_without_a_real_root_is_still_refused():
 # about 0.8)
 SPLITTING_PROPERTY_MODELS = {
     "damped-mechanical": (lambda: instantiate_model(
-        "damped-mechanical", alpha=0.5, d=2, v_cos=(1.0, 0.5), v_sin=0.3, v_cross=0.4),
+        "damped-mechanical", alpha=0.5, d=2, v_cos=(1.0, 0.5), v_cross=0.4),
         lambda h: 2.0),
     "mane": (lambda: instantiate_model(
         "mane", alpha=0.5, d=2, y0=0.5, y_sin=-0.5 / TWO_PI, y_cos=0.1),
@@ -416,12 +422,11 @@ def test_fused_joint_field_matches_the_composed_one(name, k, racc, n_rows):
 
 DAMPED_CASES = {
     "d1": {"d": 1},
-    "d1-sin": {"d": 1, "v_cos": 0.5, "v_sin": 0.7},
     "d1-no-potential": {"d": 1, "v_cos": 0.0},
     "d2-cross": {"d": 2, "v_cos": (1.0, 1.0), "v_cross": 0.3},
-    "d2-sin-cross": {"d": 2, "v_cos": (1.0, 0.5), "v_sin": 0.3, "v_cross": 0.4},
     "d2-one-harmonic": {"d": 2, "v_cos": (1.0, 0.0)},
-    "d2-sin-only-cross": {"d": 2, "v_cos": 0.0, "v_sin": (0.0, 0.2), "v_cross": -1.1},
+    "d2-one-harmonic-cross": {"d": 2, "v_cos": (1.0, 0.0), "v_cross": 0.4},
+    "d2-cross-only": {"d": 2, "v_cos": 0.0, "v_cross": -1.1},
 }
 
 
@@ -573,17 +578,16 @@ def test_iterate_map_requires_inverse():
         iterate_map(bare, np.zeros(2), -1)
 
 
-def test_iterate_map_frames_accumulate():
+def test_iterate_map_stores_an_orbit_like_a_flow():
     """A backward orbit is stored like a backward flow: times -3..0
     ascending, the final iterate first."""
     m = instantiate_model("radial-contraction", a=0.5)
     for n, times, first in ((3, [0.0, 1.0, 2.0, 3.0], 0), (-3, [-3.0, -2.0, -1.0, 0.0], -1)):
-        traj = iterate_map(m, np.array([0.3, 1.0]), n, with_frames=True)
+        traj = iterate_map(m, np.array([0.3, 1.0]), n)
         assert np.array_equal(traj.final_state, [0.3, 0.5**n])
-        assert np.array_equal(traj.final_frame, np.diag([1.0, 0.5**n]))
         assert traj.times.tolist() == times
         assert np.array_equal(traj.states[first], [0.3, 1.0])
-        assert np.array_equal(traj.frames[first], np.eye(2))
+        assert traj.backward == (n < 0) and traj.frames is None
 
 
 def test_time_t_map_fixed_point_and_ratio():
@@ -713,6 +717,24 @@ def test_poincare_return_stops_at_its_kth_crossing():
     assert 1.0 < furthest_one < 1.0 + 0.05 * 7.0
     assert 3.0 < max(reached) < 3.0 + 0.05 * 7.0
     assert evals_one < len(reached)
+
+
+@pytest.mark.parametrize("k", [0, -1, 1.5])
+def test_poincare_return_refuses_k_before_any_step(k):
+    """Before, k = 0 integrated to t = 1e4 and then raised "only 62831 of 0
+    crossings found", and k = 1.5 never met its count either."""
+    m = instantiate_model("t2-pair-theta2")
+    calls = []
+
+    def counted(x, out=None):
+        calls.append(np.shape(x))
+        return m.X(x, out)
+
+    counting = dataclasses.replace(m, X=counted, X_etaX=None)
+    sec = SectionSpec(axis=0, offset=0.0, direction=1)
+    with pytest.raises(ParamError, match=f"integer k >= 1, got k={k!r}"):
+        poincare_return(counting, sec, np.array([0.0, 0.01]), k)
+    assert calls == []
 
 
 def test_poisoned_field_raises():

@@ -366,6 +366,7 @@ def test_delta_identities(x, y):
 @given(x=_STATE, y=_STATE)
 @example(x=[0.49, 0.1, 0.0, -0.49], y=[-0.49, 0.3, 3.0, 0.49])  # steps across +-0.5
 @example(x=[0.25, -0.0, 1.0, 0.0], y=[0.75, 0.0, -1.0, -0.5])   # half turns
+@example(x=[0.0, 0.3, 0.0, 0.0], y=[-0.0, 0.0, -0.0, 0.0])     # a -0.0 step stays -0.0
 def test_step_identities(x, y):
     x, y = np.array(x), np.array(y)
     for spec in WRAP_SPECS:
@@ -378,6 +379,17 @@ def test_step_identities(x, y):
         assert s[short].tobytes() == (y - x)[short].tobytes()
         assert spec.step(np.stack([x, y]), np.stack([y, x])).tobytes() == np.stack(
             [s, spec.step(y, x)]).tobytes()
+
+
+def test_step_keeps_a_negative_zero():
+    """b - a is -0.0 only for b = -0.0, a = +0.0; its nearest integer rint
+    is -0.0 too, which before turned the step into +0.0."""
+    for spec in WRAP_SPECS:
+        a, b = np.zeros(4), np.array([-0.0, 0.0, -0.0, 0.0])
+        s = spec.step(a, b)
+        assert s.tobytes() == (b - a).tobytes()
+        assert np.signbit(s).tolist() == [True, False, True, False]
+        assert spec.step(b, a).tobytes() == np.zeros(4).tobytes()
 
 
 # ---------------------------------------------------------------------------

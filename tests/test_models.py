@@ -70,6 +70,9 @@ def test_unknown_model_rejected():
 def test_unknown_parameter_rejected():
     with pytest.raises(ParamError):
         instantiate_model("circle-linear", alpha=1.0, beta=2.0)
+    # damped-mechanical's potential is a cosine: it takes no sine coefficient
+    with pytest.raises(ParamError, match="unknown parameter 'v_sin'"):
+        instantiate_model("damped-mechanical", v_cos=1.0, v_sin=0.4)
 
 
 @pytest.mark.parametrize("name,value", [("alpha", "abc"), ("alpha", True), ("d", 1.5)])
@@ -83,9 +86,8 @@ def test_contraction_ratio_domain():
         instantiate_model("radial-contraction", a=1.5)
 
 
-def test_circle_linear_alpha_out_of_range_warns_but_builds():
+def test_circle_linear_alpha_past_two_pi_builds():
     m = instantiate_model("circle-linear", alpha=7.0)
-    assert m.warnings
     assert np.all(np.isfinite(m.X(np.array([0.2, 0.3]))))
 
 
@@ -420,15 +422,15 @@ def test_model_spec_is_frozen():
     assert m.alpha == 1.0
 
 
-def test_auxiliary_fields_are_model_fields():
-    from csdyn.flows import time_reversed_view
-
-    mane = instantiate_model("mane", alpha=0.5, d=1, y0=0.5, y_sin=-0.5 / TWO_PI)
-    assert time_reversed_view(mane).Y is mane.Y
-    assert time_reversed_view(mane).DY is mane.DY
-    damped = instantiate_model("damped-mechanical", alpha=0.5, d=1, v_cos=1.0)
-    assert damped.V(np.array([0.0])) == pytest.approx(1.0)
-    assert instantiate_model("circle-linear").V is None
+@pytest.mark.parametrize("name", ["circle-linear", "mane", "damped-mechanical"])
+def test_time_reversed_view_has_no_splitting_parts(name):
+    """A view does not split: replace would otherwise keep the forward
+    X_sym and DX_sym."""
+    m = instantiate_model(name)
+    view = time_reversed_view(m)
+    assert m.cotangent_splittable and m.X_sym is not None and m.DX_sym is not None
+    assert not view.cotangent_splittable
+    assert view.X_sym is view.DX_sym is None
 
 
 # ---------------------------------------------------------------------------
@@ -575,7 +577,7 @@ def test_hamiltonian_part_jacobian_and_liouville_decomposition(name, params):
 LAYOUT_CASES = JACOBIAN_CASES[:-1] + [
     ("mane", {"alpha": 0.5, "d": 2, "y0": 0.3, "y_sin": ((0.4, -0.2), (0.1, 0.3)),
               "y_cos": ((0.0, 0.25), (-0.15, 0.0))}),
-    ("damped-mechanical", {"alpha": 0.5, "d": 2, "v_cos": (1.0, 0.0), "v_sin": (0.0, 0.6)}),
+    ("damped-mechanical", {"alpha": 0.5, "d": 2, "v_cos": (1.0, 0.0), "v_cross": 0.4}),
 ]
 
 
@@ -608,10 +610,10 @@ def test_evaluators_give_the_same_bytes_on_a_column_major_batch(name, params, re
                     c, np.empty_like(c)).tobytes()
 
 
-# with damped-mechanical's harmonics both on, sine only and neither on
+# with damped-mechanical's cosine term negative and off
 FIELD_CASES = LAYOUT_CASES + [
-    ("damped-mechanical", {"alpha": 0.5, "d": 1, "v_cos": 1.0, "v_sin": -0.4}),
-    ("damped-mechanical", {"alpha": 0.5, "d": 1, "v_cos": 0.0, "v_sin": 0.7}),
+    ("damped-mechanical", {"alpha": 0.5, "d": 1, "v_cos": -0.4}),
+    ("damped-mechanical", {"alpha": 0.5, "d": 1, "v_cos": 0.0}),
     ("damped-mechanical", {"alpha": 0.5, "d": 2, "v_cos": 0.0, "v_cross": 0.4}),
     ("contact-lift", None), ("contact-lift-bare", None),
 ]
@@ -660,33 +662,32 @@ def test_model_spec_rejects_retired_dx_batch():
 
 POTENTIAL_CASES = {
     "cos-only": {"d": 1, "v_cos": 1.0},
-    "sin-only": {"d": 1, "v_cos": 0.0, "v_sin": 0.7},
-    "both": {"d": 1, "v_cos": 1.0, "v_sin": -0.4},
     "neither": {"d": 1, "v_cos": 0.0},
-    "cross": {"d": 2, "v_cos": (1.0, 0.0), "v_sin": (0.0, 0.6), "v_cross": 0.4},
+    "cross": {"d": 2, "v_cos": (1.0, 0.0), "v_cross": 0.4},
+    "cross-only": {"d": 2, "v_cos": 0.0, "v_cross": -1.1},
+    "negative-cos": {"d": 1, "v_cos": -0.4},
 }
 
 
 def _full_potential(params):
-    """V, grad V and Hess V with every harmonic evaluated."""
+    """V, grad V and Hess V with the cosine term evaluated."""
     d = params["d"]
     vc = np.broadcast_to(np.asarray(params.get("v_cos", 1.0), dtype=float), (d,))
-    vs = np.broadcast_to(np.asarray(params.get("v_sin", 0.0), dtype=float), (d,))
     vx = params.get("v_cross", 0.0)
 
     def V(q):
         cross = vx * np.cos(TWO_PI * (q[..., 0] - q[..., -1]))
-        return np.sum(vc * np.cos(TWO_PI * q) + vs * np.sin(TWO_PI * q), -1) + cross
+        return np.sum(vc * np.cos(TWO_PI * q), -1) + cross
 
     def grad_V(q):
-        g = TWO_PI * (-vc * np.sin(TWO_PI * q) + vs * np.cos(TWO_PI * q))
+        g = TWO_PI * -vc * np.sin(TWO_PI * q)
         if d == 2:
             c = -vx * TWO_PI * np.sin(TWO_PI * (q[..., 0] - q[..., 1]))
             g = g + np.stack([c, -c], -1)
         return g
 
     def hess_V(q):
-        diag = TWO_PI**2 * (-vc * np.cos(TWO_PI * q) - vs * np.sin(TWO_PI * q))
+        diag = TWO_PI**2 * -vc * np.cos(TWO_PI * q)
         out = diag[..., :, None] * np.eye(d)
         if d == 2:
             c = -vx * TWO_PI**2 * np.cos(TWO_PI * (q[..., 0] - q[..., 1]))
@@ -705,7 +706,6 @@ def test_damped_mechanical_evaluators_match_the_full_formula(case):
     xs = sample_states(m, 24, np.random.default_rng(13), 1.0)
     q, p = xs[:, :d], xs[:, d:]
     close = dict(rtol=1e-13, atol=1e-12)
-    np.testing.assert_allclose(m.V(q), V(q), **close)
     np.testing.assert_allclose(m.grad_V(q), grad_V(q), **close)
     np.testing.assert_allclose(m.hess_V(q), hess_V(q), **close)
     np.testing.assert_allclose(m.H(xs), 0.5 * np.sum(p * p, -1) + V(q), **close)
@@ -715,11 +715,10 @@ def test_damped_mechanical_evaluators_match_the_full_formula(case):
     np.testing.assert_allclose(
         m.X_sym(xs), np.concatenate([p, -grad_V(q)], -1), **close)
     # derivatives against central differences of the evaluator one order up
-    assert np.max(np.abs(m.grad_V(q) - _central_differences(m.V, q))) < 1e-6
     assert np.max(np.abs(m.hess_V(q) - _central_differences(m.grad_V, q))) < 1e-5
     assert np.max(np.abs(m.dH(xs) - _central_differences(m.H, xs))) < 1e-6
     # a single state gives the row of the batch
-    for f, arg in ((m.V, q), (m.grad_V, q), (m.hess_V, q), (m.X, xs), (m.dH, xs)):
+    for f, arg in ((m.grad_V, q), (m.hess_V, q), (m.X, xs), (m.dH, xs)):
         assert np.array_equal(f(arg[5]), f(arg)[5])
 
 
@@ -733,25 +732,23 @@ def _column_damped_field(params, y, a, tangent=False):
     before its block form, the reference the fields match bit for bit."""
     d = params["d"]
     vc = np.broadcast_to(np.asarray(params.get("v_cos", 1.0), dtype=float), (d,))
-    vs = np.broadcast_to(np.asarray(params.get("v_sin", 0.0), dtype=float), (d,))
     vx = float(params.get("v_cross", 0.0))
-    cos_on, sin_on = bool(vc.any()), bool(vs.any())
-    n, nvc, nvs = 2 * d, -vc, -vs
+    cos_on = bool(vc.any())
+    n, nvc = 2 * d, -vc
     y = np.asarray(y, dtype=float)
     out = np.empty_like(y)
     yt, ot = y.T, out.T
     q, pv = yt[:d], yt[d:n]
-    if cos_on or sin_on:
+    if cos_on:
         w = np.multiply(TWO_PI, q, order="C")
-        s = np.sin(w) if cos_on or tangent else None
-        c = np.cos(w) if sin_on or tangent else None
+        s = np.sin(w)
+        c = np.cos(w) if tangent else None
     if vx:
         u = TWO_PI * (q[0] - q[1])
         cross = -vx * TWO_PI * np.sin(u)
     ot[:d] = pv
     for i in range(d):
-        g = TWO_PI * (nvc[i] * s[i] + vs[i] * c[i] if cos_on and sin_on
-                      else nvc[i] * s[i] if cos_on else vs[i] * c[i] if sin_on else 0.0)
+        g = TWO_PI * (nvc[i] * s[i] if cos_on else 0.0)
         if vx:
             g = g + cross if i == 0 else g - cross
         ot[d + i] = -g - a * pv[i] if a else -g
@@ -761,9 +758,7 @@ def _column_damped_field(params, y, a, tangent=False):
             cc = -vx * (TWO_PI**2) * np.cos(u)
         np.add(vp, 0.0, out=ot[n : n + d])
         for i in range(d):
-            hv = (TWO_PI**2) * (nvc[i] * c[i] + nvs[i] * s[i] if cos_on and sin_on
-                                else nvc[i] * c[i] if cos_on
-                                else nvs[i] * s[i] if sin_on else 0.0)
+            hv = (TWO_PI**2) * (nvc[i] * c[i] if cos_on else 0.0)
             if vx:
                 hv = hv + cc
             t = -hv * vq[i] + -a * vp[i]
@@ -815,7 +810,7 @@ def test_damped_mechanical_fields_are_the_column_kernel_bit_for_bit(case, rows, 
     """X, X_sym and X_DXv, on numpy scalars for one row and on (d, N)
     blocks for more, give the column kernel's bytes: signed zero momenta
     and tangents, either layout, one state, a batch of three axes, and the
-    time-reversed view."""
+    time-reversed view's X."""
     params = POTENTIAL_CASES[case]
     m = instantiate_model("damped-mechanical", alpha=0.5, **params)
     view, n = time_reversed_view(m), m.dim
@@ -823,9 +818,8 @@ def test_damped_mechanical_fields_are_the_column_kernel_bit_for_bit(case, rows, 
     for block in (y, y[0], y[None]):
         x = block[..., :n]
         for field, a in ((m.X, 0.5), (m.X_sym, 0.0)):
-            want = _column_damped_field(params, x, a)
-            assert field(x).tobytes() == want.tobytes()
-            assert (-want).tobytes() == (view.X if a else view.X_sym)(x).tobytes()
+            assert field(x).tobytes() == _column_damped_field(params, x, a).tobytes()
+        assert view.X(x).tobytes() == (-_column_damped_field(params, x, 0.5)).tobytes()
         want = _column_damped_field(params, block, 0.5, tangent=True)
         assert m.X_DXv(block).tobytes() == want.tobytes()
 
@@ -866,15 +860,23 @@ MANE_CASES = {
 }
 
 
-def _einsum_mane_field(m, x, a, out=None):
-    """(p + Y(q), -DY(q)^T p - a p) from the model's Y and DY, summed by
-    np.einsum: the formula the lean field replaced."""
+def _einsum_mane_field(params, x, a, out=None):
+    """(p + Y(q), -DY(q)^T p - a p) for Mane's drift Y(q) = y0 + y_sin
+    sin(2 pi q) + y_cos cos(2 pi q), with DY[..., i, j] = dY_i/dq_j, summed
+    by np.einsum: the formula the lean field replaced."""
     x = np.asarray(x, dtype=float)
-    d = m.d
+    d = params["d"]
+    y0 = np.broadcast_to(np.asarray(params.get("y0", 0.0), dtype=float), (d,))
+    y_sin, y_cos = (np.asarray(params.get(key, 0.0), dtype=float) for key in ("y_sin", "y_cos"))
+    y_sin, y_cos = (mat * np.eye(d) if mat.ndim == 0 else mat.reshape(d, d)
+                    for mat in (y_sin, y_cos))
     q, p = x[..., :d], x[..., d:]
+    s, c = np.sin(TWO_PI * q), np.cos(TWO_PI * q)
     out = np.empty(x.shape) if out is None else out
-    out[..., :d] = p + m.Y(q)
-    dyt_p = np.einsum("...j,...ji->...i", p, m.DY(q))
+    out[..., :d] = p + (y0 + np.einsum("ij,...j->...i", y_sin, s)
+                        + np.einsum("ij,...j->...i", y_cos, c))
+    dy = TWO_PI * (y_sin * c[..., None, :] - y_cos * s[..., None, :])
+    dyt_p = np.einsum("...j,...ji->...i", p, dy)
     out[..., d:] = -dyt_p - a * p if a else -dyt_p
     return out
 
@@ -903,16 +905,17 @@ def test_mane_field_matches_the_einsum_formula(case, n_rows):
     zero coefficients, equal the einsum formula bit for bit: on a batch
     row-major (column by column) and column-major (on its blocks), on its
     first row as a (1, dim) block and as one state, on the batch as one of
-    three axes, and on the time-reversed view."""
-    m = instantiate_model("mane", alpha=0.5, **MANE_CASES[case])
+    three axes, and X on the time-reversed view."""
+    params = {"alpha": 0.5, **MANE_CASES[case]}
+    m = instantiate_model("mane", params)
     view = time_reversed_view(m)
     x = _mane_states(m, n_rows, 2)
     with np.errstate(over="ignore", invalid="ignore"):  # the stiff case overflows
         for block in (x, np.asfortranarray(x), x[:1], x[0], x[None]):
             for field, a in ((m.X, m.alpha), (m.X_sym, 0.0)):
-                assert field(block).tobytes() == _einsum_mane_field(m, block, a).tobytes()
-            assert view.X(block).tobytes() == (-_einsum_mane_field(m, block, m.alpha)).tobytes()
-            assert view.X_sym(block).tobytes() == (-_einsum_mane_field(m, block, 0.0)).tobytes()
+                assert field(block).tobytes() == _einsum_mane_field(params, block, a).tobytes()
+            want = _einsum_mane_field(params, block, m.alpha)
+            assert view.X(block).tobytes() == (-want).tobytes()
 
 
 @pytest.mark.parametrize("case", sorted(MANE_CASES))
@@ -940,12 +943,13 @@ def test_mane_flow_with_an_overflowing_row_matches_the_einsum_formula():
     states behind, and the live rows are equal bit for bit, also on the
     time-reversed view.  The lean field is specified on finite blocks only,
     so the nan bits of the dead rows may differ."""
-    m = instantiate_model("mane", alpha=0.5, **MANE_CASES["d2-stiff"])
+    params = {"alpha": 0.5, **MANE_CASES["d2-stiff"]}
+    m = instantiate_model("mane", params)
     x = _mane_states(m, 33, 6)
     x[7:10, 2:] = 1e306  # the stage fields overflow, then the stages are non-finite
     reference = dataclasses.replace(
-        m, X=lambda x, out=None: _einsum_mane_field(m, x, m.alpha, out),
-        X_sym=lambda x: _einsum_mane_field(m, x, 0.0))
+        m, X=lambda x, out=None: _einsum_mane_field(params, x, m.alpha, out),
+        X_sym=lambda x: _einsum_mane_field(params, x, 0.0))
     with np.errstate(invalid="ignore", over="ignore"):
         for model, ref in ((m, reference), (time_reversed_view(m), time_reversed_view(reference))):
             lean = flow_ensemble(model, x, 0.05, h=0.01)

@@ -77,7 +77,8 @@ Last come the block kernels of Mane and damped-mechanical (more than one
 row of the fixed-step engine's column-major batch): `flow_ensemble` and
 `transport_tangents` at N = 2 and 33
 with rows of zero momentum, on Mane drifts with full and partly zero
-coefficients and on damped-mechanical's coupled and sine-only potentials;
+coefficients and on damped-mechanical's coupled potential with a zero
+cosine column and its potential with no cosine term;
 then, once for all seeds, the fixed-step engine's screen on a model whose
 rows die through its second line column, through a non-finite angle, and
 with a line coordinate at the threshold and just above it.
@@ -272,13 +273,16 @@ def lean_digests(seed):
         out = conformal_splitting_step(
             m, _at_rest(m, models.sample_states(m, 1024, rng, 1.0)), 0.05)
         yield f"conformal_splitting_step.seed{seed}.{label}.n1024", digest(list(out))
-    for params in ({"alpha": 0.5, "d": 1, "v_cos": 1.0, "v_sin": 0.4}, ENSEMBLE_MODELS[0][1]):
+    # the d = 1 run draws from rng as the sine-term model it replaced did, so
+    # the d = 2 lines stay those of earlier versions
+    for label, params in (("d1-cos", {"alpha": 0.5, "d": 1, "v_cos": 1.0}),
+                          ("d2", ENSEMBLE_MODELS[0][1])):
         m = models.instantiate_model("damped-mechanical", params)
         states = _at_rest(m, models.sample_states(m, 2049, rng, 1.0))
         vectors = rng.standard_normal((2049, m.dim))
-        for label, model in (("forward", m), ("reversed", time_reversed_view(m))):
+        for way, model in (("forward", m), ("reversed", time_reversed_view(m))):
             out = transport_tangents(model, states, vectors, 0.2, h=1e-3)
-            yield (f"transport_tangents.seed{seed}.damped-mechanical-d{m.d}.{label}.n2049",
+            yield (f"transport_tangents.seed{seed}.damped-mechanical-{label}.{way}.n2049",
                    digest(list(out)))
 
 
@@ -527,7 +531,8 @@ def analytic_lift_digests(seed):
 
 
 # the block kernels' cases: Mane drifts with full and partly zero
-# coefficients, and damped-mechanical's coupled and sine-only potentials
+# coefficients, and damped-mechanical's coupled potential with a zero cosine
+# column and its potential with no cosine term
 BLOCK_MODELS = (
     ("mane-d2-full", "mane", {"alpha": 0.5, "d": 2, "y0": (0.2, -0.0),
                               "y_sin": [[0.7, -0.3], [1.1, 0.4]],
@@ -535,10 +540,9 @@ BLOCK_MODELS = (
     ("mane-d2-mixed-zeros", "mane", {"alpha": 0.5, "d": 2, "y0": 0.1,
                                      "y_sin": [[0.0, 0.6], [0.8, 0.0]],
                                      "y_cos": [[0.3, 0.0], [0.0, 0.0]]}),
-    ("damped-mechanical-cross", "damped-mechanical",
-     {"alpha": 0.5, "d": 2, "v_cos": (1.0, 0.0), "v_sin": (0.0, 0.6), "v_cross": 0.4}),
-    ("damped-mechanical-sin-only", "damped-mechanical",
-     {"alpha": 0.5, "d": 1, "v_cos": 0.0, "v_sin": 0.7}),
+    ("damped-mechanical-cross-one-cos", "damped-mechanical",
+     {"alpha": 0.5, "d": 2, "v_cos": (1.0, 0.0), "v_cross": 0.4}),
+    ("damped-mechanical-no-cos", "damped-mechanical", {"alpha": 0.5, "d": 1, "v_cos": 0.0}),
 )
 
 
@@ -626,7 +630,7 @@ def cli_configs(seed):
         "attractor": (
             "run.operation = attractor\n" + damped
             + "attractor.t_relax = 20.0\nattractor.grid = 9\nattractor.eps = 1e-3\n"
-            "attractor.h = 0.01\nintegrator.blowup_threshold = 1e8\n"
+            "attractor.h = 0.01\n"
         ),
         "basin": (
             "run.operation = basin\n" + damped
