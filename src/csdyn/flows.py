@@ -924,21 +924,31 @@ def conformal_splitting_step(m, x, h):
     return z.reshape(x.shape), (contract @ J @ contract).reshape(x.shape + (m.dim,))
 
 
-def _rk4_step(rhs, x, h, stages):
-    """x + (h/6)(k1 + 2 k2 + 2 k3 + k4), written over x, in that operation order.
+def _rk4_weights(h):
+    """The multipliers 0.5 h, 2, h and h / 6 of an RK4 step of size h as 0-d
+    arrays, which a ufunc takes faster than Python floats, with the same
+    bits."""
+    return tuple(np.array(v) for v in (0.5 * h, 2.0, h, h / 6.0))
+
+
+def _rk4_step(rhs, x, weights, stages):
+    """x + (h/6)(k1 + 2 k2 + 2 k3 + k4), written over x, in that operation
+    order, with weights _rk4_weights(h), built once per step size.
 
     The weighted sum is accumulated stage by stage, so stages holds only
     three arrays shaped like x: the sum, the current k and the stage input.
+    Every ufunc writes into one of them, out passed positionally.
     """
     acc, k, z = stages
+    half_h, two, h, sixth_h = weights
     rhs(x, acc)
-    rhs(np.add(x, np.multiply(acc, 0.5 * h, out=z), out=z), k)
-    np.add(acc, np.multiply(k, 2.0, out=z), out=acc)
-    rhs(np.add(x, np.multiply(k, 0.5 * h, out=z), out=z), k)
-    np.add(acc, np.multiply(k, 2.0, out=z), out=acc)
-    rhs(np.add(x, np.multiply(k, h, out=z), out=z), k)
-    np.add(acc, k, out=acc)
-    return np.add(x, np.multiply(acc, h / 6.0, out=acc), out=x)
+    rhs(np.add(x, np.multiply(acc, half_h, z), z), k)
+    np.add(acc, np.multiply(k, two, z), acc)
+    rhs(np.add(x, np.multiply(k, half_h, z), z), k)
+    np.add(acc, np.multiply(k, two, z), acc)
+    rhs(np.add(x, np.multiply(k, h, z), z), k)
+    np.add(acc, k, acc)
+    return np.add(x, np.multiply(acc, sixth_h, acc), x)
 
 
 def _n_steps(t, h):
@@ -965,9 +975,13 @@ def _fixed_step_engine(m, Y, t, h, k=0, racc=False, on_step=None):
     """Masked RK4 integration of the rows of Y = [x | n*k tangent | r].
 
     A row dies, frozen where it stopped, once its state is non-finite or a
-    line coordinate passes BLOWUP_THRESHOLD.  While every row lives the batch
-    steps whole, in place; the index of live rows is rebuilt only when one
-    dies.
+    line coordinate passes BLOWUP_THRESHOLD.  A step is screened by one
+    call, the sum of squares of the live states (tangent and Lee columns
+    left out): below the threshold's square, no coordinate reaches the
+    threshold and every row lives; otherwise (nan, an overflow, or rows
+    large together but each within it) the exact per-row test decides.
+    While every row lives the batch steps whole, in place; the index of
+    live rows is rebuilt only when one dies.
 
     The batch is column-major: Y is the (N, w) view of a C-contiguous (w, N)
     buffer, and so are the three RK4 stage buffers and the gathered live
@@ -988,42 +1002,40 @@ def _fixed_step_engine(m, Y, t, h, k=0, racc=False, on_step=None):
     n_steps = _n_steps(t, h)
     n = m.dim
     blowup_threshold = BLOWUP_THRESHOLD
+    bound = blowup_threshold * blowup_threshold
     rhs = _joint_rhs(m, k, racc)
     # three (N, w) column-major buffers; the live rows step in their
     # leading rows, through views made again only when the live rows change
     buffers = np.empty((3,) + Y.shape[::-1]).transpose(0, 2, 1)
-    line_cols = _line_indices(m).tolist()
-    # the line columns as one slice when they are adjacent, as in every
-    # registered flow: a column-major block, screened in two calls
-    lines = line_cols
-    if line_cols and line_cols[-1] - line_cols[0] == len(line_cols) - 1:
-        lines = slice(line_cols[0], line_cols[-1] + 1)
     line = (~m.spec.angle_mask).astype(float)  # inf or nan times 0 stays nan
     alive = np.all(np.isfinite(Y[:, :n]), axis=1)
     act = None if len(Y) and alive.all() else np.nonzero(alive)[0]
     stages = tuple(buffers[:, : len(Y) if act is None else len(act)])
+    weights = _rk4_weights(h)
     tau = 0.0
     for step in range(n_steps):
         hh = min(h, t - tau)
+        w = weights if hh == h else _rk4_weights(hh)  # a short last step
         stepped = None if act is None else alive
         if act is None:
-            Y = rows = _rk4_step(rhs, Y, hh, stages)
+            Y = rows = _rk4_step(rhs, Y, w, stages)
         elif len(act):
-            rows = _rk4_step(rhs, np.take(Y.T, act, axis=1).T, hh, stages)  # column-major
+            rows = _rk4_step(rhs, np.take(Y.T, act, axis=1).T, w, stages)  # column-major
             Y[act] = rows
         else:
             break
         tau += hh
-        # whole-block screen first: per-row reductions over a few columns are slow
-        if not (math.isfinite(np.add.reduce(rows, axis=None)) and (not line_cols or (
-            np.maximum.reduce(block := rows[:, lines], axis=None) <= blowup_threshold
-            and np.minimum.reduce(block, axis=None) >= -blowup_threshold
-        ))):
+        # the states' columns as one flat view of the column-major block;
+        # strictly below the bound, so no rounded square reaches it, even
+        # where the bound overflowed to inf
+        s = rows.T[:n].reshape(-1)
+        if not np.dot(s, s) < bound:
             dead = ~(np.max(np.abs(rows[:, :n]) * line, axis=1) <= blowup_threshold)
-            alive = alive.copy()  # a mask on_step was given stays as it was
-            alive[np.nonzero(alive)[0][dead]] = False
-            act = np.nonzero(alive)[0]
-            stages = tuple(buffers[:, : len(act)])
+            if dead.any():
+                alive = alive.copy()  # a mask on_step was given stays as it was
+                alive[np.nonzero(alive)[0][dead]] = False
+                act = np.nonzero(alive)[0]
+                stages = tuple(buffers[:, : len(act)])
         if on_step is not None:
             on_step(step, Y, stepped)
     return Y, alive

@@ -70,15 +70,18 @@ class ModelSpec:
     x (np.empty_like).  Both calls give the same bits.  The integrators pass
     out, so a step allocates no field.
 
-    The fields of mane, damped-mechanical and the T^2 pairs (X, X_sym and
-    the fused fields) take one of two forms, with the same bits.  On a
-    column-major batch of more than one row, the fixed-step engine's layout,
-    they run as a straight-line chain of ufunc calls on the (k, N) blocks of
-    the transposed batch, the last call for each output block writing into
-    out (_contiguous_rows; the T^2 pairs' chains, on single columns, run on
-    any batch of more than one row).  Otherwise they run column by column:
-    on numpy scalars for one row, on strided columns for a row-major batch.
-    Mane's term lists, fixed when the model is built, drive both forms.
+    Every registered flow's fields (X, X_sym and the fused fields) run on
+    the row's Python floats for one state (_kernel).  Those of mane,
+    damped-mechanical, circle-linear and the T^2 pairs take one of two
+    forms, with the same bits.  On a column-major batch of more than one
+    row, the fixed-step engine's layout, they run as a straight-line chain
+    of ufunc calls on the (k, N) blocks of the transposed batch, the last
+    call for each output block writing into out (_contiguous_rows; the
+    chains of circle-linear and the T^2 pairs, on single columns, run on any
+    batch of more than one row).  Otherwise they run column by column, on
+    the row's floats for one state and on strided columns for a row-major
+    batch.  Mane's term lists, fixed when the model is built, drive both
+    forms.
 
     A flow states its Jacobian DX, and with a Lee form eta also eta_X, the
     scalar field eta(X): nothing differences X or contracts eta with X in
@@ -220,29 +223,69 @@ def _zero_eta_X(x):
     return np.zeros(np.asarray(x, dtype=float).shape[:-1])
 
 
-def _columns(x, out):
-    """(x.T, out.T, out) for a kernel writing the (..., dim) block out from x,
-    with out a new array laid out like x when None.  The rows of x.T and
-    out.T are the columns of the blocks: for one state, also a (1, dim)
-    block, numpy scalars, whose arithmetic costs a fraction of a ufunc call
-    on a one-element row."""
-    if out is None:
-        x = np.asarray(x, dtype=float)
-        out = np.empty_like(x)
-    if x.shape[:-1] == (1,):
-        return x[0], out[0], out
-    if x.ndim == 1:
-        return x, out, out
-    return x.T, out.T, out
+def _kernel(body):
+    """The field kernel k(x, out=None, *args) -> out of body(xt, ot, *args),
+    which writes the columns ot of the (..., dim) block out from the columns
+    xt of x; out is a new array laid out like x when None.
+
+    The columns are the rows of x.T and out.T, except for one state, shaped
+    (dim,) or (1, dim) in either layout: then xt is the row as Python floats
+    and ot a list as long, stored in out at once.  Float arithmetic, with
+    _sin and _cos, costs a fraction of a numpy scalar's and rounds as a
+    ufunc.  But where two nans meet, Python's float + and * keep either one,
+    by whether the interpreter has specialised the operation yet, so a row
+    whose result holds a nan is computed again as a one-row column-major
+    block: the same state always gives the same bytes."""
+    def kernel(x, out=None, *args):
+        if out is None:
+            x = np.asarray(x, dtype=float)
+            out = np.empty_like(x)
+        nd = x.ndim
+        if nd != 1 and (nd != 2 or len(x) != 1):
+            body(x.T, out.T, *args)
+            return out
+        row = x.tolist() if nd == 1 else x.tolist()[0]
+        ot = [0.0] * len(row)
+        body(row, ot, *args)
+        if math.isnan(sum(ot)):
+            ot = np.empty((len(row), 1))
+            body(np.reshape(row, (-1, 1)), ot, *args)
+            ot = ot[:, 0]
+        if nd == 1:
+            out[...] = ot
+        else:
+            out[0] = ot
+        return out
+
+    return kernel
+
+
+def _trig(scalar, ufunc):
+    def f(v):
+        """ufunc of v, a float or an array; of a float by the math module,
+        whose glibc sin and cos give numpy's bits (tests/test_models.py pins
+        this), and of +-inf, where math raises, numpy's nan."""
+        if isinstance(v, float):
+            try:
+                return scalar(v)
+            except ValueError:
+                return float(ufunc(v))
+        return ufunc(v)
+
+    return f
+
+
+_sin, _cos = _trig(math.sin, np.sin), _trig(math.cos, np.cos)
 
 
 def _contiguous_rows(xt, ot):
-    """Whether the (dim, N) blocks xt and ot from _columns have contiguous
-    rows, as the fixed-step engine's column-major batches do: then a
+    """Whether a kernel body's xt and ot (_kernel) are (dim, N) blocks with
+    contiguous rows, as the fixed-step engine's column-major batches give: then a
     kernel's (k, N) slices are ufunc operands as fast as one column.  A
     ufunc on a (k, N) slice of a row-major batch steps along k innermost,
     which costs more than k calls on its strided columns."""
-    return xt.strides[1] == ot.strides[1] == xt.itemsize
+    return (not isinstance(xt, list) and xt.ndim == 2
+            and xt.strides[1] == ot.strides[1] == xt.itemsize)
 
 
 def _coefficients(col):
@@ -318,7 +361,7 @@ def _contraction_map(name, params, axes, shift):
 
 def _cotangent_flow(name, params, d, alpha, field, jac, **kwargs):
     """A splittable flow X = alpha Z + X_H on T*T^d, Z = -p d/dp the Liouville
-    field: X(x, out) is field(x, alpha, out), X_sym(x) is field(x, 0.0), DX
+    field: X(x, out) is field(x, out, alpha), X_sym(x) is field(x, None, 0.0), DX
     and DX_sym are jac(x, a) at a = alpha and at a = 0; lambda = p dq and
     Omega is canonical."""
     return ModelSpec(
@@ -327,9 +370,9 @@ def _cotangent_flow(name, params, d, alpha, field, jac, **kwargs):
         kind=FLOW,
         params=params,
         alpha=alpha,
-        X=lambda x, out=None: field(x, alpha, out),
+        X=lambda x, out=None: field(x, out, alpha),
         DX=lambda x: jac(x, alpha),
-        X_sym=lambda x: field(x, 0.0),
+        X_sym=lambda x: field(x, None, 0.0),
         DX_sym=lambda x: jac(x, 0.0),
         lam=_tautological_lambda(d),
         Omega=_const(_canonical_omega(d)),
@@ -344,15 +387,29 @@ def _build_circle_linear(params):
     if alpha <= 0:
         raise ParamError("circle-linear requires alpha > 0")
 
-    def _field(x, a, out=None):
-        xt, ot, out = _columns(x, out)
-        w, r = TWO_PI * xt[0], xt[1]
-        ot[0] = np.sin(w)
-        c = np.cos(w)
-        # at a = 0 the Hamiltonian part's own product order: dropping a zero
-        # a from the first form could still flip the sign of a nan
-        ot[1] = -(a + TWO_PI * c) * r if a else -TWO_PI * c * r
-        return out
+    two_pi, ntwo_pi, two_pi2 = np.array(TWO_PI), np.array(-TWO_PI), np.array(TWO_PI * TWO_PI)
+    alpha0, zero = np.array(alpha), np.array(0.0)
+
+    @_kernel
+    def _field(xt, ot, a):
+        """(sin w, -(a + 2 pi cos w) r) with w = 2 pi theta: on the row's
+        floats for one state, else by ufuncs that write into the columns ot.
+        At a = 0 it takes the Hamiltonian part's own product order
+        -2 pi cos(w) r: dropping a zero a from the first form could still
+        flip the sign of a nan."""
+        if isinstance(xt, list):
+            w, r = TWO_PI * xt[0], xt[1]
+            c = _cos(w)
+            ot[:] = _sin(w), -(a + TWO_PI * c) * r if a else -TWO_PI * c * r
+            return
+        w = np.multiply(two_pi, xt[0], ot[0])
+        c = np.cos(w, ot[1])
+        np.sin(w, w)
+        if a:  # a is alpha or 0
+            np.negative(np.add(alpha0, np.multiply(two_pi, c, c), c), c)
+        else:
+            np.multiply(ntwo_pi, c, c)
+        np.multiply(c, xt[1], c)
 
     def _dx(x, a):
         x = np.asarray(x, dtype=float)
@@ -364,18 +421,27 @@ def _build_circle_linear(params):
         out[..., 1, 1] = -(a + TWO_PI * c)
         return out
 
-    def X_DXv(y, out=None):
-        # one sin/cos pair; each tangent sum starts from +0.0, as np.einsum's
-        # does, so DX's structural zero DX[0, 1] v1 is left out (finite y)
-        yt, ot, out = _columns(y, out)
-        w, r, v0, v1 = TWO_PI * yt[0], yt[1], yt[2], yt[3]
-        s, c = np.sin(w), np.cos(w)
-        g = -(alpha + TWO_PI * c)
-        ot[0] = s
-        ot[1] = g * r
-        ot[2] = TWO_PI * c * v0 + 0.0
-        ot[3] = (TWO_PI * TWO_PI * s * r * v0 + 0.0) + g * v1
-        return out
+    @_kernel
+    def X_DXv(yt, ot):
+        """[X | DX v] from one sin and cos pass, with 2 pi cos w taken once:
+        on the row's floats for one state, else by ufuncs that write into
+        the columns ot.  Each tangent sum starts from +0.0, as np.einsum's
+        does, so DX's structural zero DX[0, 1] v1 is left out (finite y)."""
+        if isinstance(yt, list):
+            w, r, v0, v1 = TWO_PI * yt[0], yt[1], yt[2], yt[3]
+            s, tc = _sin(w), TWO_PI * _cos(w)
+            g = -(alpha + tc)
+            ot[:] = s, g * r, tc * v0 + 0.0, (TWO_PI * TWO_PI * s * r * v0 + 0.0) + g * v1
+            return
+        r, v0, v1 = yt[1], yt[2], yt[3]
+        w = np.multiply(two_pi, yt[0], ot[0])
+        tc = np.multiply(two_pi, np.cos(w, ot[2]), ot[2])
+        s = np.sin(w, w)
+        g = np.negative(np.add(alpha0, tc, ot[1]), ot[1])
+        np.add(np.multiply(tc, v0, tc), zero, tc)
+        e = np.multiply(np.multiply(np.multiply(two_pi2, s, ot[3]), r, ot[3]), v0, ot[3])
+        np.add(np.add(e, zero, e), np.multiply(g, v1), e)
+        np.multiply(g, r, g)
 
     def H(x):
         x = np.asarray(x, dtype=float)
@@ -402,13 +468,12 @@ def _build_circle_quadratic(params):
     if alpha <= 0:
         raise ParamError("circle-quadratic requires alpha > 0")
 
-    def _field(x, a, out=None):
-        xt, ot, out = _columns(x, out)
+    @_kernel
+    def _field(xt, ot, a):
         w, r = TWO_PI * xt[0], xt[1]
-        ot[0] = 2.0 * r * np.sin(w)
-        c = np.cos(w)  # at a = 0 the Hamiltonian part's own product order
+        ot[0] = 2.0 * r * _sin(w)
+        c = _cos(w)  # at a = 0 the Hamiltonian part's own product order
         ot[1] = -a * r - TWO_PI * r * r * c if a else -TWO_PI * r * r * c
-        return out
 
     def _dx(x, a):
         x = np.asarray(x, dtype=float)
@@ -519,19 +584,19 @@ def _build_mane(params):
             acc = acc + k[i] * v[d - 1 - i if flip else i]
         return acc
 
-    def _field(x, a, out=None):
+    @_kernel
+    def _field(xt, ot, a):
         """(p + Y(q), -DY(q)^T p - a p) from one sin and one cos pass of
         2 pi q, each taken only when a term needs it, by the same operations
         on the (d, N) blocks of a column-major batch, else column by column
-        (on numpy scalars for one state)."""
-        xt, ot, out = _columns(x, out)
+        (on the row's floats for one state)."""
         q, pv = xt[:d], xt[d:]
-        w = None
-        if need_s or need_c:
-            w = np.multiply(two_pi, q)
-            s = np.sin(w, out=None if need_c else w) if need_s else None
-            c = np.cos(w, out=w) if need_c else None
-        if xt.ndim != 2 or not _contiguous_rows(xt, ot):
+        s = c = w = None
+        if not _contiguous_rows(xt, ot):
+            if need_s or need_c:
+                w = [TWO_PI * v for v in q]
+                s = [_sin(v) for v in w] if need_s else None
+                c = [_cos(v) for v in w] if need_c else None
             for i in range(d):
                 y = y0p[i]
                 if sin_terms:
@@ -549,7 +614,11 @@ def _build_mane(params):
                     e = e + t if n else t
                 e = -(e + 0.0)
                 ot[d + i] = e - a * pv[i] if a else e
-            return out
+            return
+        if need_s or need_c:
+            w = np.multiply(two_pi, q)
+            s = np.sin(w, out=None if need_c else w) if need_s else None
+            c = np.cos(w, out=w) if need_c else None
         oy, op = ot[:d], ot[d:]
         if sin_terms:
             np.add(_sum(sin_terms, s, oy), y0p_op, out=oy)
@@ -570,7 +639,6 @@ def _build_mane(params):
         np.negative(np.add(op, zero, out=op), out=op)
         if a:  # a is alpha or 0; w is spent
             np.subtract(op, np.multiply(alpha0, pv, out=w), out=op)
-        return out
 
     eye, diag = np.eye(d), (np.arange(d, 2 * d), np.arange(d))
 
@@ -661,7 +729,7 @@ def _build_damped_mechanical(params):
         out[..., d:, d:] = -a * eye
         return out
 
-    n, nvc = 2 * d, -vc
+    n, nvc = 2 * d, (-vc).tolist()
     # the block form's operands: a coefficient column, and 0-d arrays, which
     # a ufunc takes faster than Python floats, with the same bits
     nvc_col = _coefficients(nvc)[1]
@@ -669,7 +737,7 @@ def _build_damped_mechanical(params):
     k_sin, k_cos = np.array(-vx * TWO_PI), np.array(-vx * (TWO_PI**2))
     alpha0, nalpha0 = np.array(alpha), np.array(-alpha)
 
-    def _block_field(yt, ot, out, a, tangent):
+    def _block_field(yt, ot, a, tangent):
         """_field on the (d, N) blocks of a column-major batch: the same
         operations in the same order, each output block written by its last
         one."""
@@ -713,28 +781,27 @@ def _build_damped_mechanical(params):
                 np.multiply(cc, vq[0], out=t1)
                 np.add(hv, tmp, out=hv)
             np.add(hv, zero, out=ot[n + d :])
-        return out
 
-    def _field(y, a, out=None, tangent=False):
+    @_kernel
+    def _field(yt, ot, a, tangent=False):
         """X = (p, -grad V(q) - a p) of the states y, and with `tangent` the
         rows [X | DX v] of y = [x | v] (X_DXv), DX v = [v_p | -hess V(q) v_q
         - a v_p], from one sin and one cos pass of 2 pi q, each taken only
         when the cosine term is on: on the (d, N) blocks of a column-major batch
-        (_block_field), else column by column (on numpy scalars for one
+        (_block_field), else column by column (on the row's floats for one
         state).  np.einsum sums each row of DX v from +0.0, so the products
         of DX's structural zeros, signed zeros on a finite block, are left
         out and each sum ends with + 0.0."""
-        yt, ot, out = _columns(y, out)
-        if yt.ndim == 2 and _contiguous_rows(yt, ot):
-            return _block_field(yt, ot, out, a, tangent)
+        if _contiguous_rows(yt, ot):
+            return _block_field(yt, ot, a, tangent)
         q, pv = yt[:d], yt[d:n]
         if cos_on:
-            w = np.multiply(TWO_PI, q, order="C")  # contiguous rows
-            s = np.sin(w)
-            c = np.cos(w) if tangent else None
+            w = [TWO_PI * v for v in q]
+            s = [_sin(v) for v in w]
+            c = [_cos(v) for v in w] if tangent else None
         if vx:
             u = TWO_PI * (q[0] - q[1])
-            cross = -vx * TWO_PI * np.sin(u)
+            cross = -vx * TWO_PI * _sin(u)
         ot[:d] = pv
         for i in range(d):
             g = TWO_PI * (nvc[i] * s[i] if cos_on else 0.0)
@@ -744,9 +811,9 @@ def _build_damped_mechanical(params):
         if tangent:
             vq, vp = yt[n : n + d], yt[n + d :]
             if vx:
-                cc = -vx * (TWO_PI**2) * np.cos(u)
-            np.add(vp, 0.0, out=ot[n : n + d])
+                cc = -vx * (TWO_PI**2) * _cos(u)
             for i in range(d):
+                ot[n + i] = vp[i] + 0.0
                 hv = (TWO_PI**2) * (nvc[i] * c[i] if cos_on else 0.0)
                 if vx:
                     hv = hv + cc
@@ -754,7 +821,6 @@ def _build_damped_mechanical(params):
                 if vx:  # the Hessian's off-diagonal -cc enters DX as -(0.0 - cc) = cc
                     t = t + cc * vq[1 - i]
                 ot[n + d + i] = t + 0.0
-        return out
 
     def H(x):
         x = np.asarray(x, dtype=float)
@@ -776,7 +842,7 @@ def _build_damped_mechanical(params):
 
     return _cotangent_flow(
         "damped-mechanical", p, d, alpha, _field, _dx,
-        X_DXv=lambda y, out=None: _field(y, alpha, out, tangent=True), H=H, dH=dH,
+        X_DXv=lambda y, out=None: _field(y, out, alpha, True), H=H, dH=dH,
         grad_V=grad_V, hess_V=hess_V, fiber_convex=True, equilibria=equilibria,
     )
 
@@ -880,21 +946,20 @@ def _build_t2_pair_theta1(params):
     namp = -amp
     two_pi0, eighth0, namp0 = np.array(TWO_PI), np.array(0.125), np.array(namp)
 
-    def _field(y, out=None, lee=False):
+    @_kernel
+    def _field(yt, ot, lee=False):
         """X of the states y, and with `lee` the rows [X | eta(X)] of
         y = [x | r] (X_etaX): the field has no theta1 component, so
-        eta(X) = 0.  On numpy scalars for one state, else by ufuncs that
-        write into the columns of out."""
-        yt, ot, out = _columns(y, out)
+        eta(X) = 0.  On the row's floats for one state, else by ufuncs that
+        write into the columns ot."""
         ot[0] = 0.0
-        if yt.ndim == 1:
-            ot[1] = namp * np.sin(TWO_PI * (0.125 + yt[0]))
+        if isinstance(yt, list):
+            ot[1] = namp * _sin(TWO_PI * (0.125 + yt[0]))
         else:
             w = np.multiply(two_pi0, np.add(eighth0, yt[0], out=ot[1]), out=ot[1])
             np.multiply(namp0, np.sin(w, out=w), out=w)
         if lee:
             ot[2] = 0.0
-        return out
 
     def DX(x):
         th1 = np.asarray(x, dtype=float)[..., 0]
@@ -903,33 +968,32 @@ def _build_t2_pair_theta1(params):
         return out
 
     return _t2_pair("t2-pair-theta1", params, 0, _field, DX, _zero_eta_X,
-                    lambda y, out=None: _field(y, out, lee=True))
+                    lambda y, out=None: _field(y, out, True))
 
 
 def _build_t2_pair_theta2(params):
     ntwo_pi, lee_k = -TWO_PI, -TWO_PI * TWO_PI
     two_pi0, ntwo_pi0, lee_k0 = np.array(TWO_PI), np.array(ntwo_pi), np.array(lee_k)
 
-    def _field(y, out=None, lee=False):
+    @_kernel
+    def _field(yt, ot, lee=False):
         """X of the states y, and with `lee` the rows [X | eta(X)] of
-        y = [x | r] (X_etaX) from the same cos.  On numpy scalars for one
-        state, else by ufuncs that write into the columns of out."""
-        yt, ot, out = _columns(y, out)
-        if yt.ndim == 1:
+        y = [x | r] (X_etaX) from the same cos.  On the row's floats for one
+        state, else by ufuncs that write into the columns ot."""
+        if isinstance(yt, list):
             w = TWO_PI * yt[1]
-            c = np.cos(w)
+            c = _cos(w)
             ot[0] = TWO_PI * c
-            ot[1] = ntwo_pi * np.sin(w)
+            ot[1] = ntwo_pi * _sin(w)
             if lee:
                 ot[2] = lee_k * c
-            return out
+            return
         w = np.multiply(two_pi0, yt[1], out=ot[1])
         c = np.cos(w, out=ot[0])
         if lee:
             np.multiply(lee_k0, c, out=ot[2])
         np.multiply(two_pi0, c, out=c)
         np.multiply(ntwo_pi0, np.sin(w, out=w), out=w)
-        return out
 
     def DX(x):
         w = TWO_PI * np.asarray(x, dtype=float)[..., 1]
@@ -943,7 +1007,7 @@ def _build_t2_pair_theta2(params):
         return -TWO_PI * TWO_PI * np.cos(TWO_PI * x[..., 1])
 
     return _t2_pair("t2-pair-theta2", params, 1, _field, DX, eta_X,
-                    lambda y, out=None: _field(y, out, lee=True))
+                    lambda y, out=None: _field(y, out, True))
 
 
 def rationally_dependent(a1, a2):
@@ -999,15 +1063,14 @@ def _build_lee_twisted(params):
     spec = CoordinateSpec((ANGLE, ANGLE, ANGLE, ANGLE))  # (x1, x2, v, theta)
     eta_vec = np.array([a1, a2, 0.0, -1.0])
 
-    def X(x, out=None):
-        xt, ot, out = _columns(x, out)
+    @_kernel
+    def X(xt, ot):
         v = xt[2]
-        c, s = np.cos(TWO_PI * v), np.sin(TWO_PI * v)
+        c, s = _cos(TWO_PI * v), _sin(TWO_PI * v)
         ot[0] = c
         ot[1] = s
         ot[2] = 0.0
         ot[3] = a1 * c + a2 * s
-        return out
 
     def DX(x):
         v = np.asarray(x, dtype=float)[..., 2]
@@ -1076,12 +1139,11 @@ def _build_anosov_cover(params):
     f_inv_mat = np.linalg.inv(frame)
     omega_chart = f_inv_mat.T @ c_can @ f_inv_mat
 
-    def X(x, out=None):
-        xt, ot, out = _columns(x, out)
+    @_kernel
+    def X(xt, ot):
         ot[0] = ot[1] = 0.0
         ot[2] = 1.0
         ot[3] = rate * xt[3]
-        return out
 
     def DX(x):
         out = np.zeros(np.shape(x)[:-1] + (4, 4))

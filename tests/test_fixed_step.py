@@ -575,6 +575,24 @@ def test_the_screen_kills_each_row_as_it_would_alone(case):
         assert not np.all(np.isfinite(final[0, :2]))
 
 
+def test_a_screen_without_a_death_keeps_the_batch_stepping_whole():
+    """Two rows at r_0 = +-9e7: the states' sum of squares passes the
+    threshold's square 1e16 at every step, so the exact test runs, but no
+    coordinate passes 1e8.  The batch keeps stepping whole: on_step gets
+    stepped=None at every step, and each row is the bits of the row run
+    alone, whose screen never fires."""
+    m = screen_pair()
+    starts = np.array([[0.05, 0.1, 9e7, 0.25], [0.1, 0.05, -9e7, -1.0],
+                       [0.05, 0.1, 0.5, 0.25]])
+    seen = []
+    batch = flow_ensemble(m, starts, 2.0, h=0.01,
+                          on_step=lambda k, y, stepped: seen.append(stepped))
+    assert batch[1].all() and len(seen) == 200 and all(s is None for s in seen)
+    for i, x in enumerate(starts):
+        for a, b in zip(batch, flow_ensemble(m, x[None], 2.0, h=0.01)):
+            assert a[i : i + 1].tobytes() == b.tobytes()
+
+
 def test_rows_dying_mid_run_step_as_each_row_alone():
     """Rows escape at different steps, so the engine steps ever fewer live
     rows in the leading rows of its stage buffers; each row's flow (with

@@ -1,5 +1,9 @@
 import dataclasses
 import math
+import os
+import pickle
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -23,6 +27,8 @@ from csdyn.models import (
     FLOW,
     NONEXACT_RATIO,
     ModelSpec,
+    _cos,
+    _sin,
     conformal_hamiltonian_field,
     contact_lift,
     field_identity_residual,
@@ -959,3 +965,130 @@ def test_mane_flow_with_an_overflowing_row_matches_the_einsum_formula():
             live = lean[1]
             assert live.tobytes() == composed[1].tobytes()
             assert lean[0][live].tobytes() == composed[0][live].tobytes()
+
+
+# ---------------------------------------------------------------------------
+# one-state kernels on Python floats
+# ---------------------------------------------------------------------------
+
+def test_math_sin_and_cos_give_numpys_bits():
+    """A one-state kernel takes sin and cos of the row's floats from the
+    math module: on a seeded sample, signed zeros, a subnormal, 1e300 and
+    nan of either sign they give np.sin's and np.cos's bits, and the
+    kernels' helpers give numpy's nan at +-inf, where math raises."""
+    rng = np.random.default_rng(35)
+    v = np.concatenate([rng.uniform(-10.0, 10.0, 100000), rng.standard_normal(50000) * 1e6,
+                        rng.uniform(-1e300, 1e300, 50000),
+                        [0.0, -0.0, 5e-324, -5e-324, 1e300, -1e300, np.nan, -np.nan]])
+    floats = v.tolist()
+    for scalar, ufunc, helper in ((math.sin, np.sin, _sin), (math.cos, np.cos, _cos)):
+        assert np.array([scalar(x) for x in floats]).tobytes() == ufunc(v).tobytes()
+        assert np.array([helper(x) for x in floats]).tobytes() == ufunc(v).tobytes()
+        assert helper(v).tobytes() == ufunc(v).tobytes()
+        with np.errstate(invalid="ignore"):
+            for x in (np.inf, -np.inf):
+                with pytest.raises(ValueError):
+                    scalar(x)
+                assert np.array([helper(x)]).tobytes() == ufunc(np.array([x])).tobytes()
+
+
+# every registered flow, with damped-mechanical's cosine term negative and off
+ONE_ROW_CASES = [case for case in FIELD_CASES if case[1] is not None]
+SPECIAL_VALUES = (np.inf, -np.inf, np.nan, -np.nan, -0.0, 1e300, 5e-324)
+
+
+def _special_blocks(m, w, rng, rows=12):
+    """(rows, w) blocks holding a row of each special value, and a finite
+    row with each special value in each column, padded with finite rows."""
+    def finite(k):
+        y = rng.standard_normal((k, w))
+        y[:, : m.dim] = sample_states(m, k, rng, 1.0)
+        return y
+
+    special = [np.full(w, v) for v in SPECIAL_VALUES]
+    for j in range(w):
+        for v in SPECIAL_VALUES:
+            y = finite(1)[0]
+            y[j] = v
+            special.append(y)
+    y = np.concatenate([special, finite(-len(special) % rows)])
+    return np.split(y, len(y) // rows)
+
+
+def _nan_blind(a):
+    """a's bytes with each nan made np.nan: where two nans meet, a ufunc
+    keeps either one by the element's place in its loop, and Python's float
+    + and * by whether the interpreter has specialised the operation."""
+    a = np.array(a, dtype=float)
+    a[np.isnan(a)] = np.nan
+    return a.tobytes()
+
+
+def _one_state_shapes(block, i):
+    """Row i of block as one state: (w,), (1, w) row-major, and (1, w) in a
+    column-major batch, as the fixed-step engine hands it to a field."""
+    col = np.asfortranarray(block)
+    return block[i].copy(), block[i : i + 1].copy(), col[i : i + 1]
+
+
+@pytest.mark.parametrize("name,params", ONE_ROW_CASES, ids=lambda v: str(v)[:40])
+def test_one_state_gives_the_bytes_of_its_row_in_a_block(name, params):
+    """X, X_DXv and X_etaX of one state in each shape of _one_state_shapes,
+    with and without out, give the bytes of that row of a 12-row
+    column-major block, signed zeros, infs and overflows included, and nan
+    where it has nan: the path on Python floats rounds as the block's
+    ufuncs."""
+    m = instantiate_model(name, params)
+    rng = np.random.default_rng(36)
+    n = m.dim
+    for f, w in ((m.X, n), (m.X_DXv, 2 * n), (m.X_etaX, n + 1)):
+        if f is None:
+            continue
+        for block in _special_blocks(m, w, rng):
+            col = np.asfortranarray(block)
+            with np.errstate(invalid="ignore", over="ignore"):
+                ref = _nan_blind(f(col, np.empty_like(col)))
+                for i in range(len(block)):
+                    want = ref[8 * w * i : 8 * w * (i + 1)]
+                    for x in _one_state_shapes(block, i):
+                        assert _nan_blind(f(x)) == want, (i, x.shape, x.strides)
+                        out = np.empty_like(x) if x.ndim == 1 else np.empty((w, 12)).T[:1]
+                        assert f(x, out) is out
+                        assert _nan_blind(out) == want, (i, x.shape, x.strides)
+
+
+_COLD_RUN = """
+import pickle, sys
+import numpy as np
+from csdyn.models import instantiate_model
+out = []
+with np.errstate(invalid="ignore", over="ignore"):
+    for name, params, evaluator, rows in pickle.load(sys.stdin.buffer):
+        f = getattr(instantiate_model(name, params), evaluator)
+        out.append([f(x).tobytes() for x in rows])
+sys.stdout.buffer.write(pickle.dumps(out))
+"""
+
+
+def test_one_state_gives_the_same_bytes_in_a_new_interpreter():
+    """Where two nans meet, Python's float + and * keep the second nan until
+    the interpreter specialises the operation, and the first after: so a
+    one-state result holding a nan is computed on numpy arrays, and the
+    first calls in a new interpreter give the bytes of calls here."""
+    cases = []
+    for name, params in ONE_ROW_CASES:
+        m = instantiate_model(name, params)
+        for evaluator, w in (("X", m.dim), ("X_DXv", 2 * m.dim), ("X_etaX", m.dim + 1)):
+            if getattr(m, evaluator) is not None:
+                rows = np.concatenate(_special_blocks(m, w, np.random.default_rng(37)))
+                cases.append((name, params, evaluator, list(rows)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")]
+        + os.environ.get("PYTHONPATH", "").split(os.pathsep)))
+    done = subprocess.run([sys.executable, "-c", _COLD_RUN], input=pickle.dumps(cases),
+                          capture_output=True, env=env, check=True)
+    cold = pickle.loads(done.stdout)
+    with np.errstate(invalid="ignore", over="ignore"):
+        for (name, params, evaluator, rows), got in zip(cases, cold):
+            f = getattr(instantiate_model(name, params), evaluator)
+            assert [f(x).tobytes() for x in rows] == got, (name, params, evaluator)

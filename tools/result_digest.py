@@ -81,7 +81,11 @@ coefficients and on damped-mechanical's coupled potential with a zero
 cosine column and its potential with no cosine term;
 then, once for all seeds, the fixed-step engine's screen on a model whose
 rows die through its second line column, through a non-finite angle, and
-with a line coordinate at the threshold and just above it.
+with a line coordinate at the threshold and just above it.  Last, once for
+all seeds, come `X`, `X_DXv` and `X_etaX` of every flow above on one state
+at a time: a state of each of +-inf, nan of either sign, -0.0, 1e300 and
+5e-324 in every entry, and one with that value in a single entry, so that
+the one-state kernels' nan bits are pinned.
 Floats
 are hashed by their bits (`float.hex`), arrays by dtype, shape and bytes,
 so -0.0 and 0.0 differ.
@@ -597,6 +601,25 @@ def screen_digests():
             yield f"flow_ensemble.screen.{label}", digest(list(out))
 
 
+# the one-state kernels' extreme entries
+SPECIAL_VALUES = (np.inf, -np.inf, np.nan, -np.nan, -0.0, 1e300, 5e-324)
+
+
+def one_state_digests():
+    """X, X_DXv and X_etaX of each model of ONE_ROW_MODELS on one state at a
+    time, on states with entries from SPECIAL_VALUES."""
+    for label, name, params in ONE_ROW_MODELS:
+        m = models.instantiate_model(name, params)
+        for evaluator, w in (("X", m.dim), ("X_DXv", 2 * m.dim), ("X_etaX", m.dim + 1)):
+            f = getattr(m, evaluator)
+            if f is None:
+                continue
+            states = [np.full(w, v) for v in SPECIAL_VALUES] + [
+                np.where(np.arange(w) == j, v, 0.3) for j in range(w) for v in SPECIAL_VALUES]
+            with np.errstate(invalid="ignore", over="ignore"):
+                yield f"{evaluator}.one_state.{label}", digest([f(x) for x in states])
+
+
 def cli_configs(seed):
     """Config text per run: each operation once, verify at scope geometry,
     every integrator field read at least once, and last the loop and
@@ -719,6 +742,8 @@ def main(argv=None):
             for name, value in part(seed):
                 print(f"{value}  {name}", flush=True)
     for name, value in screen_digests():
+        print(f"{value}  {name}", flush=True)
+    for name, value in one_state_digests():
         print(f"{value}  {name}", flush=True)
 
 
