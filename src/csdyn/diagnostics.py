@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import InitVar, dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -25,7 +26,10 @@ from .errors import (
 from .flows import (
     BLOWUP,
     IntegratorConfig,
+    _column_major,
+    _fixed_step_engine,
     _n_steps,
+    _state_batch,
     flow_ensemble,
     integrate_flow,
     integrate_variational,
@@ -883,25 +887,21 @@ def recurrence_scan(m, x0, t_max, dt):
     return best
 
 
-@dataclass
-class OrbitClass:
+class OrbitClass(NamedTuple):
+    """One row of classify_ensemble.  omega_H_max is the largest |H| over the
+    last 10 % of steps (the name is the one the benchmark reads)."""
     verdict: str                # "dissipative" | "conservative" | "undetermined"
     r_slope: float
     omega_H_max: float
     min_return_dist: float
     r_abs_max: float
 
-    def __post_init__(self):
-        if self.verdict == "dissipative" and not (self.r_slope < 0):
-            raise ParamError("dissipative verdict requires a negative rotation slope")
-
 
 # classify_ensemble's observer copies the states of consecutive steps into a
-# block of at most this many bytes and reduces the block at once; a batch
-# whose single step needs more reduces every step in place.  The reduction's
-# temporaries take about six times the block: at N = 100 a 256 KiB block
-# raised the traced peak of cert_classification from 0.5 to 1.6 MB and ran
-# no faster than this one.
+# block of at most this many bytes (of one step where a step needs more) and
+# reduces the block at once.  The reduction's temporaries take about six
+# times the block: at N = 100 a 256 KiB block raised the traced peak of
+# cert_classification from 0.5 to 1.6 MB and ran no faster than this one.
 _OBSERVER_BLOCK_BYTES = 64 * 1024
 # classify_ensemble's verdict codes 0, 1, 2, its RK4 step and its verdict
 # thresholds
@@ -931,21 +931,22 @@ def _segment_distances(spec, a, b):
 def classify_ensemble(m, starts, T):
     """Vectorized finite-time conservative/dissipative classification.
 
-    Orbits run on the fixed-step RK4 engine at step _CLASSIFY_H with the Lee
-    integral r_t as an extra channel; a row that dies (non-finite, or a line
-    coordinate past flows.BLOWUP_THRESHOLD) is undetermined.  A live row is
+    starts is an (N, dim) batch.  Orbits run on the fixed-step RK4 engine at
+    step _CLASSIFY_H with the Lee integral r_t as an extra channel; a row
+    that dies (non-finite, or a line coordinate past
+    flows.BLOWUP_THRESHOLD) is undetermined.  A live row is
     dissipative when its late r_t slope <= _DISSIPATIVE_SLOPE and late |H|
     <= _DISSIPATIVE_H, else conservative when max |r_t| <= _CONSERVATIVE_R
     and its return distance <= _RETURN_DIST.  Every statistic is a per-row
     maximum, minimum or step-ordered sum over the steps the row took, up to
     the one it died in, so a row's result does not depend on its batch nor
-    on how the observer blocks the steps.
+    on how the observer blocks the steps.  Returns one OrbitClass per row.
     """
     if m.eta is None or m.H is None:
         raise StructureError("classification needs both eta and H")
     if not T > 0:
         raise ParamError("classification needs a positive horizon T")
-    starts = np.asarray(starts, dtype=float)
+    starts = _state_batch(m, starts)
     n_orb, dim = starts.shape
     n_steps = _n_steps(T, _CLASSIFY_H)
     # regression slope of r_t over the last half, summed in step order
@@ -1008,14 +1009,11 @@ def classify_ensemble(m, starts, T):
     step_bytes = max(1, 8 * n_orb * (dim + 1))
     block = max(1, min(n_steps, _OBSERVER_BLOCK_BYTES // step_bytes))
     # each step column-major like the engine's batch, so a step copies whole
-    buf = np.empty((block, dim + 1, n_orb)).transpose(0, 2, 1) if block > 1 else None
+    buf = np.empty((block, dim + 1, n_orb)).transpose(0, 2, 1)
     k0, filled, masks = 0, 0, []  # the first step held in buf, how many it holds, their masks
 
     def on_step(k, Y, stepped):
         nonlocal k0, filled
-        if buf is None:
-            fold(k, Y[None], [stepped])
-            return
         if not filled:
             k0 = k
         buf[filled] = Y
@@ -1026,10 +1024,11 @@ def classify_ensemble(m, starts, T):
             filled = 0
             masks.clear()
 
-    _, alive, _ = flow_ensemble(m, starts, T, _CLASSIFY_H, racc=True, on_step=on_step)
+    Y = _column_major([starts, np.zeros((n_orb, 1))])
+    Y, alive = _fixed_step_engine(m, Y, T, _CLASSIFY_H, racc=True, on_step=on_step)
     if filled:  # the last block, or the steps before every row died
         fold(k0, buf[:filled], masks)
-    previous = buf = None  # freed before the per-row results are built
+    previous = buf = Y = None  # freed before the per-row results are built
 
     slopes = r_moment / float(np.sum(ts_c * ts_c))
     # a dead row, and one that meets neither test, is undetermined (NaN
@@ -1037,10 +1036,7 @@ def classify_ensemble(m, starts, T):
     dissipative = alive & (slopes <= _DISSIPATIVE_SLOPE) & (h_abs_late <= _DISSIPATIVE_H)
     conservative = (alive & ~dissipative & (r_abs_max <= _CONSERVATIVE_R)
                     & (min_ret <= _RETURN_DIST))
-    verdicts = (dissipative + 2 * conservative).tolist()
-    return [
-        OrbitClass(_VERDICTS[v], *stats) for v, *stats in zip(
-            verdicts, slopes.tolist(), h_abs_late.tolist(), min_ret.tolist(),
-            r_abs_max.tolist(),
-        )
-    ]
+    # _make is tuple.__new__, which skips the Python-level __new__
+    names = map(_VERDICTS.__getitem__, (dissipative + 2 * conservative).tolist())
+    return list(map(OrbitClass._make, zip(names, slopes.tolist(), h_abs_late.tolist(),
+                                          min_ret.tolist(), r_abs_max.tolist())))

@@ -992,12 +992,14 @@ def _fixed_step_engine(m, Y, t, h, k=0, racc=False, on_step=None):
     terms, np.sum over 8 or more, matmul) rounds by layout, so it must read
     a C-ordered copy.  np.sum over fewer than 8 adds in sequence onto 0.0 in
     either layout, as geometry._sum_last does column by column.
-    `on_step(step, Y, stepped)` sees each step as a column-major view and
-    must neither keep nor mutate Y: the next step overwrites it.  stepped is
-    None when every row of Y took the step, else the boolean mask of the
-    rows that did: the others died at an earlier step and are frozen where
-    they died.  The engine does not change a mask it passed.  Y, built by
-    _column_major, is overwritten; returns (Y, alive).
+    `on_step(step, Y, stepped)`, classify_ensemble's observer, sees each
+    step's unwrapped states (with r as a last column when racc) as a
+    column-major view and must neither keep nor mutate Y: the next step
+    overwrites it.  stepped is None when every row of Y took the step, else
+    the boolean mask of the rows that did: the others died at an earlier
+    step and are frozen where they died.  The engine does not change a mask
+    it passed.  Y, built by _column_major, is overwritten; returns
+    (Y, alive).
     """
     n_steps = _n_steps(t, h)
     n = m.dim
@@ -1065,23 +1067,17 @@ def transport_tangents(m, states, vectors, t, h=1e-3):
     return m.spec.wrap(Y[:, :n]), np.ascontiguousarray(Y[:, n:]), alive
 
 
-def flow_ensemble(m, states, t, h=0.01, *, racc=False, on_step=None):
+def flow_ensemble(m, states, t, h=0.01, *, racc=False):
     """Vectorized fixed-step RK4 transport of an (N, dim) batch of states.
 
     Returns (final_states, alive_mask[, r_accum]), C-ordered.  Escaped
     samples (line coordinates past BLOWUP_THRESHOLD) and non-finite ones are
     frozen where they died.  Rows evolve independently, so results do not
-    depend on how a caller slices the batch.  `on_step(step, Y, stepped)`
-    is the engine's observer: it is called after every step with the
-    engine's column-major (N, n) batch of states, unwrapped, with the Lee
-    integral as an extra last column when `racc`, and with stepped None
-    when every row took the step, else the mask of the rows that did (a row
-    is read alone up to the step it died in).  It must neither mutate nor
-    keep Y (the next step overwrites it), so it copies what it keeps.
+    depend on how a caller slices the batch.
     """
     X, n = _state_batch(m, states), m.dim
     Y = _column_major([X, np.zeros((len(X), 1))] if racc else [X])
-    Y, alive = _fixed_step_engine(m, Y, t, h, racc=racc, on_step=on_step)
+    Y, alive = _fixed_step_engine(m, Y, t, h, racc=racc)
     out = (m.spec.wrap(Y[:, :n]), alive)
     return out + (Y[:, n],) if racc else out
 

@@ -387,28 +387,22 @@ def _build_circle_linear(params):
     if alpha <= 0:
         raise ParamError("circle-linear requires alpha > 0")
 
-    two_pi, ntwo_pi, two_pi2 = np.array(TWO_PI), np.array(-TWO_PI), np.array(TWO_PI * TWO_PI)
+    two_pi, two_pi2 = np.array(TWO_PI), np.array(TWO_PI * TWO_PI)
     alpha0, zero = np.array(alpha), np.array(0.0)
 
     @_kernel
     def _field(xt, ot, a):
         """(sin w, -(a + 2 pi cos w) r) with w = 2 pi theta: on the row's
-        floats for one state, else by ufuncs that write into the columns ot.
-        At a = 0 it takes the Hamiltonian part's own product order
-        -2 pi cos(w) r: dropping a zero a from the first form could still
-        flip the sign of a nan."""
+        floats for one state, else by ufuncs that write into the columns ot."""
         if isinstance(xt, list):
             w, r = TWO_PI * xt[0], xt[1]
             c = _cos(w)
-            ot[:] = _sin(w), -(a + TWO_PI * c) * r if a else -TWO_PI * c * r
+            ot[:] = _sin(w), -(a + TWO_PI * c) * r
             return
         w = np.multiply(two_pi, xt[0], ot[0])
         c = np.cos(w, ot[1])
         np.sin(w, w)
-        if a:  # a is alpha or 0
-            np.negative(np.add(alpha0, np.multiply(two_pi, c, c), c), c)
-        else:
-            np.multiply(ntwo_pi, c, c)
+        np.negative(np.add(a, np.multiply(two_pi, c, c), c), c)
         np.multiply(c, xt[1], c)
 
     def _dx(x, a):

@@ -36,7 +36,6 @@ from csdyn.errors import (
 from csdyn.flows import (
     SectionSpec,
     Trajectory,
-    flow_ensemble,
     integrate_flow,
     integrate_variational,
     time_t_map,
@@ -434,14 +433,14 @@ def test_attractor_estimate_damped_pendulum():
     assert sink < 1e-2
 
 
-def test_attractor_estimate_counts_the_steps_the_engine_takes():
+def test_attractor_estimate_counts_the_steps_the_engine_takes(observed_flow):
     """t_relax / h = 7.000000000000001 at h = 0.01: the engine takes 7 steps
     (ceil said 8).  A box whose every sample escapes ran its 500 steps too
     (it said 0)."""
     m = instantiate_model("damped-mechanical", alpha=0.5, d=1, v_cos=1.0)
     est = attractor_estimate(m, R=1.0, t_relax=0.07, grid=5)
     steps = []
-    flow_ensemble(m, np.zeros((1, 2)), 0.07, h=0.01,
+    observed_flow(m, np.zeros((1, 2)), 0.07, h=0.01,
                   on_step=lambda k, y, stepped: steps.append(k))
     assert est.iterations == len(steps) == 7
     m = instantiate_model("circle-quadratic", alpha=1.0)
@@ -878,3 +877,17 @@ def test_classify_rejects_a_map_model():
     m = time_t_map(instantiate_model("t2-pair-theta2"), 1.0)
     with pytest.raises(KindError):
         classify_ensemble(m, np.array([[0.1, 0.2]]), 1.0)
+
+
+@pytest.mark.parametrize("starts", [np.array([0.1, 0.2]), np.zeros((3, 3))],
+                         ids=["one-dimensional", "three-columns"])
+def test_classify_refuses_starts_of_the_wrong_shape(starts):
+    """starts is an (N, dim) batch: before, a single state raised a bare
+    ValueError (not enough values to unpack).  A model without eta or H
+    and a map are still refused first for what they are."""
+    with pytest.raises(DimensionMismatchError, match=r"\(N, 2\)"):
+        classify_ensemble(instantiate_model("t2-pair-theta2"), starts, 1.0)
+    with pytest.raises(StructureError):
+        classify_ensemble(instantiate_model("circle-linear", alpha=1.0), starts, 1.0)
+    with pytest.raises(KindError):
+        classify_ensemble(time_t_map(instantiate_model("t2-pair-theta2"), 1.0), starts, 1.0)

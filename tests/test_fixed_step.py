@@ -3,6 +3,7 @@ classify_ensemble."""
 
 import dataclasses
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from csdyn import diagnostics, flows
 from csdyn.diagnostics import (
+    OrbitClass,
     attractor_estimate,
     classify_ensemble,
     conformal_transport_check,
@@ -60,8 +62,8 @@ def test_flow_ensemble_rejects_negative_time():
 def test_a_blowup_threshold_argument_is_refused():
     """The threshold is flows.BLOWUP_THRESHOLD: before, flow_ensemble took it
     as its 5th argument, and a nan or negative one killed every row after
-    its first step; racc and on_step are keyword-only, so an old positional
-    threshold is not read as racc."""
+    its first step; racc is keyword-only, so an old positional threshold is
+    not read as racc."""
     m = instantiate_model("circle-linear", alpha=1.0)
     states, vectors = np.array([[0.1, 0.2], [0.3, 0.4]]), np.ones((2, 2))
     for bad in (math.nan, -1.0):
@@ -73,6 +75,13 @@ def test_a_blowup_threshold_argument_is_refused():
             transport_tangents(m, states, vectors, 1.0, 1e-3, bad)
         with pytest.raises(TypeError):
             attractor_estimate(m, blowup_threshold=bad)
+
+
+def test_flow_ensemble_takes_no_observer():
+    """The engine's observer is classify_ensemble's alone."""
+    m = instantiate_model("circle-linear", alpha=1.0)
+    with pytest.raises(TypeError):
+        flow_ensemble(m, np.array([[0.1, 0.2]]), 0.1, on_step=lambda k, y, stepped: None)
 
 
 def test_transport_tangents_rejects_negative_time():
@@ -91,13 +100,13 @@ BAD_SPANS = [
 
 
 @pytest.mark.parametrize("t,h", BAD_SPANS)
-def test_fixed_step_runs_reject_a_bad_horizon_or_step(t, h):
+def test_fixed_step_runs_reject_a_bad_horizon_or_step(t, h, observed_flow):
     m = instantiate_model("circle-linear", alpha=1.0)
     x = np.array([[0.1, 0.2]])
     with pytest.raises(ParamError):
         flow_ensemble(m, x, t, h=h)
     with pytest.raises(ParamError):
-        flow_ensemble(m, x, t, h=h, on_step=lambda k, y, stepped: None)
+        observed_flow(m, x, t, h=h, on_step=lambda k, y, stepped: None)
     with pytest.raises(ParamError):
         transport_tangents(m, x, np.ones_like(x), t, h=h)
     if t != 1.0:  # a bad horizon; classify_ensemble steps at its own h
@@ -105,13 +114,13 @@ def test_fixed_step_runs_reject_a_bad_horizon_or_step(t, h):
             classify_ensemble(instantiate_model("t2-pair-theta2"), x, t)
 
 
-def test_lee_channel_without_a_lee_form_is_a_structure_error():
+def test_lee_channel_without_a_lee_form_is_a_structure_error(observed_flow):
     """Before, circle-linear (no eta) raised a bare TypeError from the
     field at the first step."""
     m = instantiate_model("circle-linear", alpha=1.0)
     steps = []
     with pytest.raises(StructureError, match="circle-linear"):
-        flow_ensemble(m, np.array([[0.1, 0.2]]), 0.1, racc=True,
+        observed_flow(m, np.array([[0.1, 0.2]]), 0.1, racc=True,
                       on_step=lambda k, y, stepped: steps.append(k))
     assert steps == []
 
@@ -158,7 +167,7 @@ def test_fixed_step_outputs_are_c_ordered():
     ("damped-mechanical", {"alpha": 0.5, "d": 2, "v_cos": (1.0, 1.0), "v_cross": 0.3}, False),
     ("t2-pair-theta2", {}, True),
 ])
-def test_flow_ensemble_callback_sees_the_states_of_its_step(name, params, racc):
+def test_flow_ensemble_callback_sees_the_states_of_its_step(name, params, racc, observed_flow):
     """At every step the observer sees the unwrapped states of flow_ensemble
     run to that step, and with racc a last column that is the r it returns
     there.  h = 2**-7 keeps every partial horizon exact, so each shorter run
@@ -166,7 +175,7 @@ def test_flow_ensemble_callback_sees_the_states_of_its_step(name, params, racc):
     m = instantiate_model(name, params)
     x = sample_states(m, 16, np.random.default_rng(6), 1.0)
     h, seen = 2.0**-7, {}
-    final = flow_ensemble(m, x, 123 * h, h=h, racc=racc,
+    final = observed_flow(m, x, 123 * h, h=h, racc=racc,
                           on_step=lambda k, y, stepped: seen.setdefault(k, y.copy()))
     assert sorted(seen) == list(range(123))
     for k, y in seen.items():
@@ -210,7 +219,7 @@ def test_the_lee_channel_is_rk4_accurate():
     assert abs(r[0] - ref) < 1e-3
 
 
-def test_a_blown_up_row_is_frozen_at_the_step_it_died_in():
+def test_a_blown_up_row_is_frozen_at_the_step_it_died_in(observed_flow):
     """circle-quadratic from (0, -1) escapes at t* = log(2 pi / (2 pi - 1)):
     its row keeps the state of the step in which its line coordinate passed
     the threshold, within 0.02 of t*, and takes no later step; the other row
@@ -224,12 +233,45 @@ def test_a_blown_up_row_is_frozen_at_the_step_it_died_in():
         seen.append(y[0].copy())
         took.append(stepped is None or bool(stepped[0]))
 
-    final, alive = flow_ensemble(m, starts, 2.0, h=0.01, on_step=observe)
+    final, alive = observed_flow(m, starts, 2.0, h=0.01, on_step=observe)
     k = next(i for i, y in enumerate(seen) if not abs(y[1]) <= 1e8)
     assert alive.tolist() == [False, True]
     assert abs(0.01 * (k + 1) - t_star) < 0.02
     assert all(took[: k + 1]) and not any(took[k + 1 :])
     assert final[0].tobytes() == m.spec.wrap(seen[k]).tobytes()
+
+
+# (model, a start whose first step leaves a nan in its state): a large |r|
+# overflows on circle-quadratic, and a theta past 1e308 overflows in 2 pi theta
+NAN_DEATHS = [
+    ("circle-quadratic", [0.3, 1e100]),
+    ("circle-quadratic", [0.3, -1e200]),
+    ("t2-pair-theta2", [0.3, 1.7e308]),
+]
+
+
+@pytest.mark.parametrize("name,start", NAN_DEATHS)
+def test_a_row_dying_with_a_nan_is_the_bytes_of_the_row_alone(name, start):
+    """At each of the 12 places of a batch, a row that dies with a nan
+    state gives the bytes of the row run alone, its Lee channel (where the
+    model has one) and tangent included: the one-state kernels, which step
+    the row alone, keep the nan a ufunc gives."""
+    m = instantiate_model(name)
+    racc = m.eta is not None
+    base = sample_states(m, 12, np.random.default_rng(9), 1.0)
+    row = np.array([start])
+    with np.errstate(all="ignore"):
+        alone = (flow_ensemble(m, row, 0.05, h=0.01, racc=racc),
+                 transport_tangents(m, row, np.ones_like(row), 0.05, h=0.01))
+        assert not alone[0][1][0] and np.isnan(alone[0][0]).any()
+        for place in range(12):
+            batch = base.copy()
+            batch[place] = row[0]
+            runs = (flow_ensemble(m, batch, 0.05, h=0.01, racc=racc),
+                    transport_tangents(m, batch, np.ones_like(batch), 0.05, h=0.01))
+            for full, one in zip(runs, alone):
+                for a, b in zip(full, one):
+                    assert a[place : place + 1].tobytes() == b.tobytes(), place
 
 
 # ---------------------------------------------------------------------------
@@ -494,7 +536,7 @@ def test_classify_rows_are_bit_identical_for_any_observer_block(case, seed, n, s
 
 
 @pytest.mark.parametrize("n", [1, 7, 100])
-def test_classify_bits_do_not_depend_on_the_observer_block_size(n):
+def test_classify_bits_do_not_depend_on_the_observer_block_size(n, observed_flow):
     """Blocks of one step, of the default 64 KiB and of the whole run give
     the same bits, and the regression slope is the r_t moment added up
     step by step in step order."""
@@ -518,7 +560,7 @@ def test_classify_bits_do_not_depend_on_the_observer_block_size(n):
         if k + 1 >= half:
             np.add(moment, ts_c[k + 1 - half] * Y[:, m.dim], out=moment)
 
-    flow_ensemble(m, starts, T, diagnostics._CLASSIFY_H, racc=True, on_step=add)
+    observed_flow(m, starts, T, diagnostics._CLASSIFY_H, racc=True, on_step=add)
     slopes = moment / float(np.sum(ts_c * ts_c))
     assert np.frombuffer(results[0][1]).reshape(n, 4)[:, 0].tobytes() == slopes.tobytes()
 
@@ -575,7 +617,7 @@ def test_the_screen_kills_each_row_as_it_would_alone(case):
         assert not np.all(np.isfinite(final[0, :2]))
 
 
-def test_a_screen_without_a_death_keeps_the_batch_stepping_whole():
+def test_a_screen_without_a_death_keeps_the_batch_stepping_whole(observed_flow):
     """Two rows at r_0 = +-9e7: the states' sum of squares passes the
     threshold's square 1e16 at every step, so the exact test runs, but no
     coordinate passes 1e8.  The batch keeps stepping whole: on_step gets
@@ -585,7 +627,7 @@ def test_a_screen_without_a_death_keeps_the_batch_stepping_whole():
     starts = np.array([[0.05, 0.1, 9e7, 0.25], [0.1, 0.05, -9e7, -1.0],
                        [0.05, 0.1, 0.5, 0.25]])
     seen = []
-    batch = flow_ensemble(m, starts, 2.0, h=0.01,
+    batch = observed_flow(m, starts, 2.0, h=0.01,
                           on_step=lambda k, y, stepped: seen.append(stepped))
     assert batch[1].all() and len(seen) == 200 and all(s is None for s in seen)
     for i, x in enumerate(starts):
@@ -638,8 +680,33 @@ def test_classify_verdicts_follow_the_thresholds(monkeypatch):
     ]
     assert [c.verdict for c in out] == expected
     assert set(expected) == {"dissipative", "conservative", "undetermined"}
-    assert [dataclasses.replace(c, verdict="") for c in out] == [
-        dataclasses.replace(c, verdict="") for c in stats]
+    assert [c._replace(verdict="") for c in out] == [c._replace(verdict="") for c in stats]
+
+
+def test_classify_rows_are_plain_records_with_a_negative_dissipative_slope():
+    """Every row is an OrbitClass of one str and four Python floats, equal to
+    itself after a pickle round trip (the CLI's workers send them back so),
+    and a dissipative row's slope is at most _DISSIPATIVE_SLOPE < 0, as the
+    verdict rule guarantees."""
+    riccati = riccati_pair()
+    dying = _blowup_starts(riccati, 12, np.random.default_rng(4))
+    dying[::3, 1] = 0.5  # r(t) = 1 / (2 - t) stays bounded
+    runs = [(riccati, dying, 0.4)]
+    for name in ("t2-pair-theta1", "t2-pair-theta2"):
+        m = instantiate_model(name)
+        runs.append((m, sample_states(m, 24, np.random.default_rng(11), 1.0), 1.0))
+    verdicts = set()
+    for m, starts, T in runs:
+        rows = classify_ensemble(m, starts, T)
+        assert len(rows) == len(starts)
+        for row in rows:
+            assert type(row) is OrbitClass
+            assert [type(v) for v in row] == [str] + [float] * 4
+            if row.verdict == "dissipative":
+                assert row.r_slope <= diagnostics._DISSIPATIVE_SLOPE < 0
+            verdicts.add(row.verdict)
+        assert pickle.loads(pickle.dumps(rows)) == rows
+    assert verdicts == {"dissipative", "conservative", "undetermined"}
 
 
 def test_classify_rejects_non_positive_horizon():

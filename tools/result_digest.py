@@ -21,8 +21,8 @@ h = 0.01 and 0.05, again with rows of zero momentum.
 The paths whose sums could round by the batch's memory layout are digested
 too: the composed tangent product of `transport_tangents` (np.einsum at
 dim 4) on a full Mane drift and on lee-twisted-t1t2, lee-twisted-t1t2's
-`classify_ensemble` at N = 1024 (the observer reduces every step on the
-engine's batch in place), `integrate_variational` runs with k = n frames
+`classify_ensemble` at N = 1024 (the observer's block holds one step,
+which alone takes 40 KiB), `integrate_variational` runs with k = n frames
 (DX @ F) on that Mane model and on damped-mechanical d = 2 with
 v_cross = 0.3 (a Jacobian with several nonzero entries per row, so each sum
 of DX @ F can round by the order of its terms), and a circle-quadratic
@@ -306,7 +306,8 @@ def splitting_digests(seed):
 
 def layout_digests(seed):
     """Runs through the layout-sensitive paths: the composed tangent product,
-    the in-place classify observer, DX @ F and the gathered live rows."""
+    the classify observer on one-step blocks, DX @ F and the gathered live
+    rows."""
     rng = np.random.default_rng([seed, 23])
     for label, name, params in (("mane-full", "mane", MANE_FULL),
                                 ("lee-twisted-t1t2", "lee-twisted-t1t2", {})):
