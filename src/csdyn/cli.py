@@ -20,6 +20,7 @@ from . import certificates
 from .config import RUN_KEYS, load_config
 from .diagnostics import (
     CheckResult,
+    OrbitClasses,
     attractor_estimate,
     classify_ensemble,
     conformal_transport_check,
@@ -28,6 +29,7 @@ from .diagnostics import (
     find_periodic_orbit,
     loop_cohomology_check,
     map_conformality_ratios,
+    _VERDICTS,
     _worst,
 )
 from .errors import ConfigError, CsdynError, ParamError
@@ -257,21 +259,18 @@ def _op_classify(cfg, n, T):
         for i, j in blocks(len(starts), cfg.jobs)
     ]
     outs = deterministic_map(_classify_chunk, payloads, jobs=cfg.jobs)
-    results = [r for chunk in outs for r in chunk]
-    counts = {"dissipative": 0, "conservative": 0, "undetermined": 0}
-    for r in results:
-        counts[r.verdict] += 1
+    # the workers' columns, merged in block order
+    res = OrbitClasses(*(np.concatenate([getattr(o, f) for o in outs])
+                         for f in OrbitClasses.__slots__))
+    tally = dict(zip(_VERDICTS, np.bincount(res.code, minlength=len(_VERDICTS)).tolist()))
+    counts = {v: tally[v] for v in ("dissipative", "conservative", "undetermined")}
     write_json(_out_path(cfg, f"classify_{m.name}.json"), {
         "seed": cfg.seed, "model": m.name, "params": m.params,
         "counts": counts,
         "orbits": [
-            {
-                "x0": starts[i].tolist(),
-                "verdict": r.verdict,
-                "r_slope": r.r_slope,
-                "omega_H_max": r.omega_H_max,
-            }
-            for i, r in enumerate(results)
+            {"x0": x0, "verdict": _VERDICTS[code], "r_slope": r_slope, "omega_H_max": h_max}
+            for x0, code, r_slope, h_max in zip(starts.tolist(), res.code.tolist(),
+                                                res.r_slope.tolist(), res.omega_H_max.tolist())
         ],
     }, timestamp=cfg.timestamp)
     print(f"classify {m.name}: {counts}")

@@ -9,6 +9,7 @@ seeded per index so results are identical for any worker count.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import InitVar, dataclass, field
 from typing import NamedTuple
 
@@ -30,6 +31,7 @@ from .flows import (
     _fixed_step_engine,
     _n_steps,
     _state_batch,
+    _tiles,
     flow_ensemble,
     integrate_flow,
     integrate_variational,
@@ -910,6 +912,46 @@ _CLASSIFY_H = 1e-3
 _DISSIPATIVE_SLOPE, _DISSIPATIVE_H, _CONSERVATIVE_R, _RETURN_DIST = -0.1, 1e-3, 1e-4, 1e-3
 
 
+class OrbitClasses(Sequence):
+    """classify_ensemble's result, kept as columns of one value per row:
+    code, a uint8 verdict code (an index into _VERDICTS), and the float64
+    arrays r_slope, omega_H_max, min_return_dist and r_abs_max.  Item i is
+    row i as an OrbitClass of one str and four Python floats, built on
+    access.  Two results are equal when their columns hold the same bits,
+    so a row holding nan equals itself; a sequence of rows compares by the
+    bits of its values too."""
+    __slots__ = ("code",) + OrbitClass._fields[1:]
+
+    def __init__(self, code, r_slope, omega_H_max, min_return_dist, r_abs_max):
+        self.code = np.asarray(code, dtype=np.uint8)
+        self.r_slope, self.omega_H_max, self.min_return_dist, self.r_abs_max = (
+            np.asarray(v, dtype=float) for v in (r_slope, omega_H_max, min_return_dist, r_abs_max))
+
+    def __len__(self):
+        return len(self.code)
+
+    def __getitem__(self, i):
+        return OrbitClass(_VERDICTS[self.code.item(i)], self.r_slope.item(i),
+                          self.omega_H_max.item(i), self.min_return_dist.item(i),
+                          self.r_abs_max.item(i))
+
+    def __iter__(self):
+        # _make is tuple.__new__, which skips the Python-level __new__
+        names = map(_VERDICTS.__getitem__, self.code.tolist())
+        return map(OrbitClass._make, zip(names, self.r_slope.tolist(), self.omega_H_max.tolist(),
+                                         self.min_return_dist.tolist(), self.r_abs_max.tolist()))
+
+    def __eq__(self, other):
+        if not isinstance(other, OrbitClasses):
+            try:  # a sequence of rows, read as columns
+                names, *values = zip(*other) if len(other) else [()] * 5
+                other = OrbitClasses(list(map(_VERDICTS.index, names)), *values)
+            except (TypeError, ValueError):
+                return NotImplemented
+        return len(self) == len(other) and all(
+            getattr(self, f).tobytes() == getattr(other, f).tobytes() for f in self.__slots__)
+
+
 def _segment_distances(spec, a, b):
     """Distance from the origin to each linear segment a -> b, over (..., dim),
     and the segment parameter s in [0, 1] of the closest point a + s (b - a).
@@ -940,7 +982,9 @@ def classify_ensemble(m, starts, T):
     and its return distance <= _RETURN_DIST.  Every statistic is a per-row
     maximum, minimum or step-ordered sum over the steps the row took, up to
     the one it died in, so a row's result does not depend on its batch nor
-    on how the observer blocks the steps.  Returns one OrbitClass per row.
+    on how the observer blocks the steps.  The rows run in the engine's
+    tiles (flows._tiles), each with an observer of its own.  Returns an
+    OrbitClasses, one row per start.
     """
     if m.eta is None or m.H is None:
         raise StructureError("classification needs both eta and H")
@@ -951,13 +995,31 @@ def classify_ensemble(m, starts, T):
     n_steps = _n_steps(T, _CLASSIFY_H)
     # regression slope of r_t over the last half, summed in step order
     # (r_0 = 0 adds nothing); each row's sum is its own, whatever the batch
-    half = n_steps // 2
-    ts = _CLASSIFY_H * np.arange(n_steps + 1)[half:]
+    ts = _CLASSIFY_H * np.arange(n_steps + 1)[n_steps // 2 :]
     ts_c = ts - ts.mean()
-    r_moment = np.zeros(n_orb)
-    h_abs_late = np.zeros(n_orb)
-    r_abs_max = np.zeros(n_orb)
-    min_ret = np.full(n_orb, np.inf)
+    stats = np.empty((4, n_orb))
+    alive = np.empty(n_orb, dtype=bool)
+    for lo, hi in _tiles(n_orb, dim + 1):
+        alive[lo:hi] = _classify_tile(m, starts[lo:hi], T, n_steps, ts_c, stats[:, lo:hi])
+    r_moment, h_abs_late, min_ret, r_abs_max = stats
+    slopes = r_moment / float(np.sum(ts_c * ts_c))
+    # a dead row, and one that meets neither test, is undetermined (NaN
+    # compares False); dissipative comes first
+    dissipative = alive & (slopes <= _DISSIPATIVE_SLOPE) & (h_abs_late <= _DISSIPATIVE_H)
+    conservative = (alive & ~dissipative & (r_abs_max <= _CONSERVATIVE_R)
+                    & (min_ret <= _RETURN_DIST))
+    return OrbitClasses(dissipative + 2 * conservative, slopes, h_abs_late, min_ret, r_abs_max)
+
+
+def _classify_tile(m, starts, T, n_steps, ts_c, out):
+    """Run the rows of starts, one tile, on the engine with classify_ensemble's
+    observer.  Writes each row's r_t moment about ts_c, its late |H| max,
+    closest return and max |r_t| into out[0], out[1], out[2] and out[3];
+    returns the engine's alive mask."""
+    n_orb, dim = starts.shape
+    half = n_steps // 2
+    r_moment, h_abs_late, min_ret, r_abs_max = out
+    out[:] = [[0.0], [0.0], [np.inf], [0.0]]
     settle = max(1, int(0.01 * n_steps))
     late_start = int(0.9 * n_steps)
     previous = None  # displacement from the start at the last reduced step
@@ -1028,15 +1090,4 @@ def classify_ensemble(m, starts, T):
     Y, alive = _fixed_step_engine(m, Y, T, _CLASSIFY_H, racc=True, on_step=on_step)
     if filled:  # the last block, or the steps before every row died
         fold(k0, buf[:filled], masks)
-    previous = buf = Y = None  # freed before the per-row results are built
-
-    slopes = r_moment / float(np.sum(ts_c * ts_c))
-    # a dead row, and one that meets neither test, is undetermined (NaN
-    # compares False); dissipative comes first
-    dissipative = alive & (slopes <= _DISSIPATIVE_SLOPE) & (h_abs_late <= _DISSIPATIVE_H)
-    conservative = (alive & ~dissipative & (r_abs_max <= _CONSERVATIVE_R)
-                    & (min_ret <= _RETURN_DIST))
-    # _make is tuple.__new__, which skips the Python-level __new__
-    names = map(_VERDICTS.__getitem__, (dissipative + 2 * conservative).tolist())
-    return list(map(OrbitClass._make, zip(names, slopes.tolist(), h_abs_late.tolist(),
-                                          min_ret.tolist(), r_abs_max.tolist())))
+    return alive

@@ -53,6 +53,10 @@ _RETURN_T_MAX = 1e4  # and raises SectionError when its crossings take longer
 # a line coordinate past this magnitude is a blow-up: the fixed-step engine
 # reads it at each call, and IntegratorConfig takes it as its default
 BLOWUP_THRESHOLD = 1e8
+# a row tile of the fixed-step engine holds about this many bytes of its
+# four (N, w) arrays, the state and the three RK4 stages, and a batch whose
+# arrays take more than four tiles, half a 2 MiB L2, steps in tiles (_tiles)
+_TILE_BYTES = 256 * 1024
 
 # Hairer's DOP853 8(5,3), as literal data from scipy's
 # integrate/_ivp/dop853_coefficients.py: the nonzero (stage, coefficient)
@@ -1000,12 +1004,44 @@ def _fixed_step_engine(m, Y, t, h, k=0, racc=False, on_step=None):
     step and are frozen where they died.  The engine does not change a mask
     it passed.  Y, built by _column_major, is overwritten; returns
     (Y, alive).
+
+    Without an observer, a batch whose four (N, w) arrays (Y and the three
+    stage buffers) pass 4 * _TILE_BYTES, half a 2 MiB L2, steps in the
+    tiles of _tiles: each tile's rows are copied into a column-major block
+    of their own, with stage buffers of their own, and run every step
+    before the next tile starts, so the tile stays in L2 from step to step.
+    A row's bits do not depend on its tile: rows are computed apart from
+    their batch, and a tile starts at a multiple of 64 rows, so each row
+    keeps its lane in numpy's SIMD loops.
     """
     n_steps = _n_steps(t, h)
+    rhs = _joint_rhs(m, k, racc)
+    tiles = _tiles(*Y.shape) if on_step is None else [(0, len(Y))]
+    if len(tiles) == 1:
+        return _rk4_rows(m, rhs, Y, t, h, n_steps, on_step)
+    alive = np.empty(len(Y), dtype=bool)
+    for lo, hi in tiles:
+        Y[lo:hi], alive[lo:hi] = _rk4_rows(m, rhs, _column_major([Y[lo:hi]]), t, h, n_steps)
+    return Y, alive
+
+
+def _tiles(n_rows, width):
+    """Row bounds (lo, hi) of the tiles the fixed-step engine steps a batch
+    of n_rows rows of width floats in: the whole batch while its four
+    arrays take at most 4 * _TILE_BYTES, else tiles of about _TILE_BYTES
+    of them each, every one starting at a multiple of 64 rows."""
+    row_bytes = 4 * 8 * width
+    if n_rows * row_bytes <= 4 * _TILE_BYTES:
+        return [(0, n_rows)]
+    rows = max(64, _TILE_BYTES // row_bytes // 64 * 64)
+    return [(lo, min(lo + rows, n_rows)) for lo in range(0, n_rows, rows)]
+
+
+def _rk4_rows(m, rhs, Y, t, h, n_steps, on_step=None):
+    """The fixed-step engine's run of the column-major batch Y as one block."""
     n = m.dim
     blowup_threshold = BLOWUP_THRESHOLD
     bound = blowup_threshold * blowup_threshold
-    rhs = _joint_rhs(m, k, racc)
     # three (N, w) column-major buffers; the live rows step in their
     # leading rows, through views made again only when the live rows change
     buffers = np.empty((3,) + Y.shape[::-1]).transpose(0, 2, 1)

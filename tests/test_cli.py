@@ -432,8 +432,9 @@ def test_csv_floats_round_trip(tmp_path):
     assert float(first[1]) == 0.123456789012345
 
 
-def test_classify_operation_and_jobs_determinism(tmp_path):
-    # 70 starts: one block at --jobs 1, two or three blocks otherwise
+def test_classify_operation_and_jobs_determinism(tmp_path, capsys):
+    # 70 starts: one block at --jobs 1, two or three blocks otherwise; the
+    # workers' result columns are merged, and the counts read from the codes
     cfg = write(
         tmp_path, "cls.cfg",
         "run.operation = classify\n"
@@ -451,6 +452,10 @@ def test_classify_operation_and_jobs_determinism(tmp_path):
     payload = json.loads(outputs[0])
     assert (payload["schema"], payload["seed"], payload["model"]) == (1, 5, "t2-pair-theta2")
     assert len(payload["orbits"]) == 70 == sum(payload["counts"].values())
+    verdicts = [o["verdict"] for o in payload["orbits"]]
+    counts = {v: verdicts.count(v) for v in ("dissipative", "conservative", "undetermined")}
+    assert payload["counts"] == counts
+    assert capsys.readouterr().out.splitlines() == [f"classify t2-pair-theta2: {counts}"] * 3
     assert "checks" not in payload
 
 

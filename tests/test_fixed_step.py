@@ -12,6 +12,7 @@ from hypothesis import example, given, settings, strategies as st
 from csdyn import diagnostics, flows
 from csdyn.diagnostics import (
     OrbitClass,
+    OrbitClasses,
     attractor_estimate,
     classify_ensemble,
     conformal_transport_check,
@@ -713,3 +714,135 @@ def test_classify_rejects_non_positive_horizon():
     m = instantiate_model("t2-pair-theta2")
     with pytest.raises(ParamError):
         classify_ensemble(m, np.array([0.1, 0.2])[None], 0.0)[0]
+
+
+# ---------------------------------------------------------------------------
+# row tiles
+# ---------------------------------------------------------------------------
+
+DAMPED_D2 = {"alpha": 0.5, "d": 2, "v_cos": (1.0, 1.0), "v_cross": 0.3}
+# (column, value) of the starts that die: an angle past 1e308 goes nan
+# within a step, a line coordinate of 1e9 passes the blow-up threshold at
+# the first step and riccati-pair's r = 200 at t ~ 1/200, and a nan start
+# is dead before any step
+TILE_DEATHS = {
+    "damped-mechanical": ((0, 1.7e308), (2, 1e9)),
+    "t2-pair-theta2": ((1, 1.7e308), (0, np.nan)),
+    "riccati-pair": ((1, 1e9), (1, 200.0)),
+}
+
+
+def _classify_columns(m, batch, T):
+    res = classify_ensemble(m, batch, T)
+    return [getattr(res, f) for f in OrbitClasses.__slots__]
+
+
+# (model, width of the engine's batch, run)
+TILE_CASES = {
+    "flow": (lambda: instantiate_model("damped-mechanical", DAMPED_D2), 4,
+             lambda m, b: flow_ensemble(m, b, 0.05, h=0.01)),
+    "flow-racc": (lambda: instantiate_model("t2-pair-theta2"), 3,
+                  lambda m, b: flow_ensemble(m, b, 0.05, h=0.01, racc=True)),
+    "transport": (lambda: instantiate_model("damped-mechanical", DAMPED_D2), 8,
+                  lambda m, b: transport_tangents(m, b, np.ones_like(b), 0.05, h=0.01)),
+    "classify": (lambda: instantiate_model("t2-pair-theta2"), 3,
+                 lambda m, b: _classify_columns(m, b, 0.01)),
+    "classify-blowup": (riccati_pair, 3, lambda m, b: _classify_columns(m, b, 0.01)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(TILE_CASES))
+def test_tiles_give_the_bits_of_one_block(case):
+    """A batch past the gate steps in tiles, each starting at a multiple of
+    64 rows; with the tile constant set past any batch, the same call steps
+    it as one block and gives the same bits.  Rows die, by a blow-up or a
+    nan, at row 0, rows 63 and 64, each tile edge +-1 and the last row."""
+    build, width, run = TILE_CASES[case]
+    m = build()
+    n = 12000
+    tiles = flows._tiles(n, width)
+    assert len(tiles) > 2 and all(lo % 64 == 0 for lo, _ in tiles)
+    batch = sample_states(m, n, np.random.default_rng(17), 1.0)
+    dying = sorted({0, 63, 64, n - 1} | {lo + d for lo, _ in tiles[1:] for d in (-1, 0, 1)})
+    deaths = TILE_DEATHS[m.name]
+    for j, i in enumerate(dying):
+        col, value = deaths[j % len(deaths)]
+        batch[i, col] = value
+    with np.errstate(invalid="ignore", over="ignore"):
+        tiled = run(m, batch)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(flows, "_TILE_BYTES", 2**62)
+            assert flows._tiles(n, width) == [(0, n)]
+            whole = run(m, batch)
+    for a, b in zip(tiled, whole, strict=True):
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+    for out in tiled:
+        if out.dtype == bool:  # the alive mask: the dying rows, and only they, died
+            assert not out[dying].any() and out.sum() == n - len(dying)
+        if out.dtype == np.uint8:  # the verdict code: a dead row is undetermined
+            assert not out[dying].any()
+    values = np.concatenate([a[dying].ravel() for a in tiled if a.dtype.kind == "f"])
+    assert np.isnan(values).any() == (case != "classify-blowup")
+
+
+def test_a_batch_under_the_gate_steps_as_one_block(monkeypatch):
+    """A batch steps in tiles only when its four arrays (the state and three
+    RK4 stages) pass 4 * _TILE_BYTES, 1 MiB: the CLI basin's default
+    100 x 100 grid of damped-mechanical d = 1 states (625 KiB) and a batch
+    at the gate step as one block, one row more in tiles of 4096 rows."""
+    m = instantiate_model("damped-mechanical", alpha=0.5, v_cos=1.0)
+    step_rows = flows._rk4_rows
+    blocks = []
+
+    def spy(m, rhs, Y, *args):
+        blocks.append(Y.shape)
+        return step_rows(m, rhs, Y, *args)
+
+    monkeypatch.setattr(flows, "_rk4_rows", spy)
+    seen = {}
+    for n in (10000, 16384, 16385):
+        blocks.clear()
+        flow_ensemble(m, sample_states(m, n, np.random.default_rng(n), 1.0), 0.02)
+        seen[n] = list(blocks)
+    assert seen == {10000: [(10000, 2)], 16384: [(16384, 2)],
+                    16385: [(4096, 2)] * 4 + [(1, 2)]}
+
+
+def test_classify_result_is_columns_read_as_rows():
+    """classify_ensemble keeps its result as columns, a uint8 verdict code
+    and four float64 arrays; its items are OrbitClass rows of one str and
+    four Python floats with the bits of the columns' tolist().  It equals
+    another run and a list of its rows by bits, so rows that died with a
+    nan compare equal, and it survives a pickle round trip."""
+    m = instantiate_model("t2-pair-theta2")
+    starts = sample_states(m, 40, np.random.default_rng(21), 1.0)
+    starts[[3, 17], 1] = 1.7e308  # these rows die with a nan
+    with np.errstate(invalid="ignore", over="ignore"):
+        res, again = classify_ensemble(m, starts, 0.3), classify_ensemble(m, starts, 0.3)
+    assert type(res) is OrbitClasses and len(res) == 40
+    assert res.code.dtype == np.uint8 and res.code.shape == (40,)
+    for f in OrbitClass._fields[1:]:
+        assert getattr(res, f).dtype == np.float64 and getattr(res, f).shape == (40,)
+    assert np.isnan(res.r_abs_max[[3, 17]]).all()
+
+    def bits(row):
+        return row.verdict, np.array(row[1:]).tobytes()
+
+    rows = list(res)
+    names = [diagnostics._VERDICTS[c] for c in res.code.tolist()]
+    columns = zip(names, *(getattr(res, f).tolist() for f in OrbitClass._fields[1:]))
+    assert [bits(row) for row in rows] == [bits(OrbitClass(*c)) for c in columns]
+    assert all(type(row) is OrbitClass for row in rows)
+    assert {type(v) for row in rows for v in row[1:]} == {float}
+    for i in (0, 17, 39, -1, -23, -40):
+        assert type(res[i]) is OrbitClass and bits(res[i]) == bits(rows[i])
+    for i in (40, -41):
+        with pytest.raises(IndexError):
+            res[i]
+    assert res == res and res == again and res == rows and rows == res
+    assert res != rows[:-1] and res != rows[::-1] and res != "undetermined"
+    flipped = rows.copy()
+    flipped[5] = flipped[5]._replace(r_slope=-flipped[5].r_slope)
+    assert res != flipped
+    back = pickle.loads(pickle.dumps(res))
+    assert type(back) is OrbitClasses and back == res

@@ -1,9 +1,10 @@
 """List the functions of csdyn that no check, CLI run or benchmark pass runs.
 
 Traces, with `sys.setprofile`, the import of csdyn, `verify_suite("all", 7)`,
-every config of `result_digest.cli_configs(7)` run through `cli.main`, and one
-pass of each perfbench plan (cli, ensemble-small, ensemble-large, made in a
-temporary directory, the cli plan's `--jobs 1` classify reference first).
+every config of `result_digest.cli_configs(7)` run through `cli.main`, and two
+passes of each perfbench plan (cli, ensemble-small, ensemble-large, made in a
+temporary directory, the cli plan's `--jobs 1` classify reference first), as
+a benchmark run's checks compare each pass after the first with the first.
 Then prints `file:line name` for each code object of the csdyn package that
 never started, leaving out module and class bodies; the count goes to
 stderr.  Only this process is traced: the cli plan's classify at two jobs
@@ -98,7 +99,8 @@ def _perfbench():
     with tempfile.TemporaryDirectory() as tmp:
         workloads.prepare_cli(SEED, tmp)
         for name in PLANS:
-            for op in workloads.WORKLOADS[name](SEED, tmp).ops:
+            ops = workloads.WORKLOADS[name](SEED, tmp).ops
+            for op in ops + ops:  # a later pass's check compares it with the first
                 if (why := op.check(op.call())) is not None:
                     print(f"{name} {op.name}: {why}", file=sys.stderr)
 

@@ -85,7 +85,12 @@ with a line coordinate at the threshold and just above it.  Last, once for
 all seeds, come `X`, `X_DXv` and `X_etaX` of every flow above on one state
 at a time: a state of each of +-inf, nan of either sign, -0.0, 1e300 and
 5e-324 in every entry, and one with that value in a single entry, so that
-the one-state kernels' nan bits are pinned.
+the one-state kernels' nan bits are pinned.  Last come batches large
+enough that the fixed-step engine steps them in tiles, with rows that die
+(a nan, a blow-up, an overflow) next to every multiple of 64 rows, where a
+tile can start: damped-mechanical d = 2 `flow_ensemble` at N = 16384 and
+`transport_tangents` at N = 4160, and t2-pair-theta2's `classify_ensemble`
+at N = 16384 over T = 0.01.
 Floats
 are hashed by their bits (`float.hex`), arrays by dtype, shape and bytes,
 so -0.0 and 0.0 differ.
@@ -621,6 +626,46 @@ def one_state_digests():
                 yield f"{evaluator}.one_state.{label}", digest([f(x) for x in states])
 
 
+# (column, value) of the starts that die in tile_digests' batches: an
+# angle past 1e308 goes nan within a step, a momentum of 1e9 passes the
+# blow-up threshold at the first step, one of 1.7e308 overflows to inf
+TILE_DEATHS = {
+    "damped-mechanical": ((0, 1.7e308), (2, 1e9), (3, -1.7e308)),
+    "t2-pair-theta2": ((1, 1.7e308), (0, -1.7e308), (0, np.nan)),
+}
+
+
+def _dying(m, x):
+    """x with a start of TILE_DEATHS on every row i with i % 64 in (0, 1,
+    63), and on the last row: a neighbour of every tile edge the fixed-step
+    engine can choose, as each tile starts at a multiple of 64 rows."""
+    rows = [i for i in range(len(x)) if i % 64 in (0, 1, 63)] + [len(x) - 1]
+    deaths = TILE_DEATHS[m.name]
+    for j, i in enumerate(rows):
+        col, value = deaths[j % len(deaths)]
+        x[i, col] = value
+    return x
+
+
+def tile_digests(seed):
+    """Batches that the fixed-step engine steps in tiles, with rows dying
+    at every place a tile can start or end: damped-mechanical d = 2
+    `flow_ensemble` at N = 16384 and `transport_tangents` at N = 4160, and
+    t2-pair-theta2's `classify_ensemble` at N = 16384 over T = 0.01."""
+    rng = np.random.default_rng([seed, 37])
+    m = models.instantiate_model("damped-mechanical", ENSEMBLE_MODELS[0][1])
+    with np.errstate(invalid="ignore", over="ignore"):
+        out = flow_ensemble(m, _dying(m, models.sample_states(m, 16384, rng, 1.0)), 0.1, 0.01)
+        yield f"flow_ensemble.seed{seed}.damped-mechanical.dying.n16384", digest(list(out))
+        states = _dying(m, models.sample_states(m, 4160, rng, 1.0))
+        out = transport_tangents(m, states, rng.standard_normal((4160, m.dim)), 0.01)
+        yield f"transport_tangents.seed{seed}.damped-mechanical.dying.n4160", digest(list(out))
+        m = models.instantiate_model("t2-pair-theta2")
+        res = classify_ensemble(m, _dying(m, models.sample_states(m, 16384, rng, 1.0)), 0.01)
+    yield f"classify_ensemble.seed{seed}.t2-pair-theta2.dying.n16384", digest(
+        [[c.verdict, c.r_slope, c.omega_H_max, c.min_return_dist, c.r_abs_max] for c in res])
+
+
 def cli_configs(seed):
     """Config text per run: each operation once, verify at scope geometry,
     every integrator field read at least once, and last the loop and
@@ -746,6 +791,9 @@ def main(argv=None):
         print(f"{value}  {name}", flush=True)
     for name, value in one_state_digests():
         print(f"{value}  {name}", flush=True)
+    for seed in args.seeds:
+        for name, value in tile_digests(seed):
+            print(f"{value}  {name}", flush=True)
 
 
 if __name__ == "__main__":
