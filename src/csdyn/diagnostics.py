@@ -29,6 +29,7 @@ from .flows import (
     IntegratorConfig,
     _column_major,
     _fixed_step_engine,
+    _is_int,
     _n_steps,
     _state_batch,
     _tiles,
@@ -490,14 +491,14 @@ def sample_box_grid(spec, box, grid):
 def attractor_estimate(m, R=None, t_relax=60.0, grid=33, box=None, eps=1e-3, h=0.01):
     """Relax a grid sample of the trapping set and measure invariance.
 
-    The grid has grid >= 1 points per axis; the cloud keeps one point per
-    cell of side eps in (0, 1] and is pushed for _INVARIANCE_T.  Both runs
-    are flow_ensemble's RK4 at h.  With `box`
-    given, one (lo, hi), lo < hi, per axis, that compact box is used instead
-    of {H <= R+1}; any sample blowing up flags the estimate as not trapping
+    The grid has an integer grid >= 1 points per axis; the cloud keeps one
+    point per cell of side eps in (0, 1] and is pushed for _INVARIANCE_T.
+    Both runs are flow_ensemble's RK4 at h.  With `box` given, one
+    (lo, hi), lo < hi, per axis, that compact box is used instead of
+    {H <= R+1}; any sample blowing up flags the estimate as not trapping
     rather than raising.
     """
-    if not (grid >= 1 and 0.0 < eps <= 1.0):
+    if not (_is_int(grid) and grid >= 1 and 0.0 < eps <= 1.0):
         raise ParamError(f"an attractor takes grid >= 1 and eps in (0, 1], got {grid} and {eps}")
     if box is not None:
         seeds = sample_box_grid(m.spec, box, grid)
@@ -536,7 +537,7 @@ def emit_basin_grid(m, grid, p_range, targets, t_max=60.0):
     """
     if not targets:
         raise CsdynError("basin grid needs a non-empty target list")
-    if not (grid >= 1 and math.isfinite(p_range) and p_range > 0):
+    if not (_is_int(grid) and grid >= 1 and math.isfinite(p_range) and p_range > 0):
         raise ParamError(f"a basin grid takes grid >= 1 and a finite p_range > 0, "
                          f"got {grid} and {p_range}")
     if m.d != 1:
@@ -721,10 +722,10 @@ def _in_box_mask(spec, pts, box):
 def escape_statistics(m, box, n_steps, samples, seed, sample_override=None):
     """Backward-orbit escape counts for a map model over a compact box.
 
-    The box has one (lo, hi), lo < hi, per axis; n_steps and samples are at
-    least 1.  The samples are one uniform draw of `samples` states in the
-    box with the given seed, or the states of `sample_override`, which must
-    number `samples` (ParamError otherwise).  A sample escapes when its
+    The box has one (lo, hi), lo < hi, per axis; n_steps and samples are
+    integers >= 1.  The samples are one uniform draw of `samples` states in
+    the box with the given seed, or the states of `sample_override`, which
+    must number `samples` (ParamError otherwise).  A sample escapes when its
     backward orbit first leaves the box within n_steps.  Samples evolve
     batched but row-independently, so counts match any worker partition.
     """
@@ -734,7 +735,7 @@ def escape_statistics(m, box, n_steps, samples, seed, sample_override=None):
         raise ParamError(f"{m.name} provides no inverse map")
     box = tuple((float(lo), float(hi)) for lo, hi in box)
     _check_box(m.spec, box)
-    if not (n_steps >= 1 and samples >= 1):
+    if not (_is_int(n_steps) and _is_int(samples) and n_steps >= 1 and samples >= 1):
         raise ParamError(f"escape statistics needs n_steps >= 1 and samples >= 1, "
                          f"got {n_steps} and {samples}")
     if sample_override is None:
@@ -981,10 +982,10 @@ def classify_ensemble(m, starts, T):
     <= _DISSIPATIVE_H, else conservative when max |r_t| <= _CONSERVATIVE_R
     and its return distance <= _RETURN_DIST.  Every statistic is a per-row
     maximum, minimum or step-ordered sum over the steps the row took, up to
-    the one it died in, so a row's result does not depend on its batch nor
-    on how the observer blocks the steps.  The rows run in the engine's
-    tiles (flows._tiles), each with an observer of its own.  Returns an
-    OrbitClasses, one row per start.
+    the one it died in, and every nan is np.nan, so a row's result does not
+    depend on its batch nor on how the observer blocks the steps.  The rows
+    run in the engine's tiles (flows._tiles), each with an observer of its
+    own.  Returns an OrbitClasses, one row per start.
     """
     if m.eta is None or m.H is None:
         raise StructureError("classification needs both eta and H")
@@ -1001,6 +1002,7 @@ def classify_ensemble(m, starts, T):
     alive = np.empty(n_orb, dtype=bool)
     for lo, hi in _tiles(n_orb, dim + 1):
         alive[lo:hi] = _classify_tile(m, starts[lo:hi], T, n_steps, ts_c, stats[:, lo:hi])
+    np.copyto(stats, np.nan, where=np.isnan(stats))  # a nan's bits are not the row's own
     r_moment, h_abs_late, min_ret, r_abs_max = stats
     slopes = r_moment / float(np.sum(ts_c * ts_c))
     # a dead row, and one that meets neither test, is undetermined (NaN
@@ -1024,17 +1026,15 @@ def _classify_tile(m, starts, T, n_steps, ts_c, out):
     late_start = int(0.9 * n_steps)
     previous = None  # displacement from the start at the last reduced step
 
-    def fold(k0, Ys, stepped):
+    def fold(k0, Ys, died):
         """Fold the states Ys (steps, n_orb, dim + 1) of steps k0, k0 + 1, ...
-        and the engine's stepped mask of each (None: every row stepped).  A
-        row's statistics stop at the step it died in, as when it runs alone:
-        each value of a later step, where the row is frozen, is replaced by
-        one that leaves its statistic as it is."""
+        A row's statistics stop at the step it died in (died, the engine's),
+        as when it runs alone: each later value, where the row is frozen, is
+        replaced by one that leaves its statistic as it is."""
         nonlocal previous
         held = None  # True where a row did not take the step
-        if any(mask is not None for mask in stepped):
-            held = np.array([np.zeros(n_orb, bool) if mask is None else ~mask
-                             for mask in stepped])
+        if died.min() < k0 + len(Ys) - 1:
+            held = np.arange(k0, k0 + len(Ys))[:, None] > died
 
         def read(values, lo, fill):
             """values (steps k0 + lo, ..., n_orb), fill where a row was held."""
@@ -1072,22 +1072,21 @@ def _classify_tile(m, starts, T, n_steps, ts_c, out):
     block = max(1, min(n_steps, _OBSERVER_BLOCK_BYTES // step_bytes))
     # each step column-major like the engine's batch, so a step copies whole
     buf = np.empty((block, dim + 1, n_orb)).transpose(0, 2, 1)
-    k0, filled, masks = 0, 0, []  # the first step held in buf, how many it holds, their masks
+    k0, filled, died = 0, 0, None  # the first step held in buf, how many it holds
 
-    def on_step(k, Y, stepped):
-        nonlocal k0, filled
+    def on_step(k, Y, died_in):
+        nonlocal k0, filled, died
         if not filled:
             k0 = k
         buf[filled] = Y
-        masks.append(stepped)
+        died = died_in
         filled += 1
         if filled == block:
-            fold(k0, buf, masks)
+            fold(k0, buf, died)
             filled = 0
-            masks.clear()
 
     Y = _column_major([starts, np.zeros((n_orb, 1))])
     Y, alive = _fixed_step_engine(m, Y, T, _CLASSIFY_H, racc=True, on_step=on_step)
     if filled:  # the last block, or the steps before every row died
-        fold(k0, buf[:filled], masks)
+        fold(k0, buf[:filled], died)
     return alive

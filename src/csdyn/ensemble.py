@@ -18,10 +18,7 @@ The fixed-step engine cuts its batches so too.  Without an observer, a batch
 whose four (N, w) arrays (the state and the three RK4 stages) take more than
 1 MiB, half a 2 MiB L2, steps in row tiles of about 256 KiB of them
 (flows._TILE_BYTES), one tile after the other; classify_ensemble runs its
-rows in the same tiles.  A batch under that gate steps whole.  Each tile
-starts at a multiple of 64 rows: where two nans meet, a ufunc keeps one or
-the other by an element's place in its SIMD loop, so a row that dies with a
-nan keeps its bits only at the same place modulo the vector width.  The tile
+rows in the same tiles.  A batch under that gate steps whole.  The tile
 tests in tests/test_fixed_step.py compare tiled and untiled runs bit for
 bit.
 """

@@ -672,6 +672,11 @@ def _require_flow(m):
         raise KindError(f"{m.name} is not a flow model")
 
 
+def _is_int(v):
+    """Whether v is an int or a numpy integer, not a bool: a count's test."""
+    return isinstance(v, (int, np.integer)) and not isinstance(v, bool)
+
+
 def _integrate_core(m, x0, t_span, cfg, with_frames, times, samples, initial_frame):
     """A Trajectory for a state x0 of shape (dim,), a list of N for a batch (N, dim)."""
     _require_flow(m)
@@ -680,6 +685,8 @@ def _integrate_core(m, x0, t_span, cfg, with_frames, times, samples, initial_fra
         raise ParamError(f"time span must be finite, got ({t0}, {t1})")
     if t0 == t1:
         raise ParamError("zero-length time span")
+    if times is None and not (_is_int(samples) and samples >= 2):
+        raise ParamError(f"samples must be an integer >= 2, got samples={samples!r}")
     x0 = np.asarray(x0, dtype=float)
     if x0.ndim not in (1, 2) or x0.shape[-1] != m.dim:
         raise DimensionMismatchError(
@@ -824,11 +831,11 @@ def time_reversed_view(m):
 
 
 def integrate_flow(m, x0, t_span, cfg=None, samples=201, times=None):
-    """Dense-output trajectory over t_span at `samples` even times, or at
-    `times`: increasing times inside the span (a backward span sorts them),
-    with the run's end appended.  A non-finite span end, a NaN time, a time
-    outside the span or times that do not increase raise ParamError before
-    any step.
+    """Dense-output trajectory over t_span at `samples` even times, an
+    integer >= 2, or at `times`: increasing times inside the span (a
+    backward span sorts them), with the run's end appended.  A non-finite
+    span end, a bad `samples`, a NaN time, a time outside the span or times
+    that do not increase raise ParamError before any step.
 
     x0 of shape (N, dim) returns a list of N trajectories, each bit-identical
     to the call on its row alone.
@@ -996,23 +1003,20 @@ def _fixed_step_engine(m, Y, t, h, k=0, racc=False, on_step=None):
     terms, np.sum over 8 or more, matmul) rounds by layout, so it must read
     a C-ordered copy.  np.sum over fewer than 8 adds in sequence onto 0.0 in
     either layout, as geometry._sum_last does column by column.
-    `on_step(step, Y, stepped)`, classify_ensemble's observer, sees each
+    `on_step(step, Y, died)`, classify_ensemble's observer, sees each
     step's unwrapped states (with r as a last column when racc) as a
     column-major view and must neither keep nor mutate Y: the next step
-    overwrites it.  stepped is None when every row of Y took the step, else
-    the boolean mask of the rows that did: the others died at an earlier
-    step and are frozen where they died.  The engine does not change a mask
-    it passed.  Y, built by _column_major, is overwritten; returns
-    (Y, alive).
+    overwrites it.  died, updated in place, holds the step each row died in
+    (n_steps while it lives, -1 for a non-finite start): row i is frozen at
+    every step k > died[i].  Y, built by _column_major, is overwritten;
+    returns (Y, alive), each nan of Y written as np.nan, as a ufunc keeps
+    either of two nans that meet by the row's place in the batch.
 
     Without an observer, a batch whose four (N, w) arrays (Y and the three
     stage buffers) pass 4 * _TILE_BYTES, half a 2 MiB L2, steps in the
     tiles of _tiles: each tile's rows are copied into a column-major block
     of their own, with stage buffers of their own, and run every step
     before the next tile starts, so the tile stays in L2 from step to step.
-    A row's bits do not depend on its tile: rows are computed apart from
-    their batch, and a tile starts at a multiple of 64 rows, so each row
-    keeps its lane in numpy's SIMD loops.
     """
     n_steps = _n_steps(t, h)
     rhs = _joint_rhs(m, k, racc)
@@ -1026,35 +1030,33 @@ def _fixed_step_engine(m, Y, t, h, k=0, racc=False, on_step=None):
 
 
 def _tiles(n_rows, width):
-    """Row bounds (lo, hi) of the tiles the fixed-step engine steps a batch
-    of n_rows rows of width floats in: the whole batch while its four
-    arrays take at most 4 * _TILE_BYTES, else tiles of about _TILE_BYTES
-    of them each, every one starting at a multiple of 64 rows."""
+    """Row bounds (lo, hi) of the tiles the fixed-step engine steps a batch of
+    n_rows rows of width floats in: the whole batch while its four arrays
+    take at most 4 * _TILE_BYTES, else tiles of about _TILE_BYTES each."""
     row_bytes = 4 * 8 * width
     if n_rows * row_bytes <= 4 * _TILE_BYTES:
         return [(0, n_rows)]
-    rows = max(64, _TILE_BYTES // row_bytes // 64 * 64)
+    rows = max(1, _TILE_BYTES // row_bytes)
     return [(lo, min(lo + rows, n_rows)) for lo in range(0, n_rows, rows)]
 
 
 def _rk4_rows(m, rhs, Y, t, h, n_steps, on_step=None):
     """The fixed-step engine's run of the column-major batch Y as one block."""
     n = m.dim
-    blowup_threshold = BLOWUP_THRESHOLD
-    bound = blowup_threshold * blowup_threshold
+    bound = BLOWUP_THRESHOLD * BLOWUP_THRESHOLD
     # three (N, w) column-major buffers; the live rows step in their
     # leading rows, through views made again only when the live rows change
     buffers = np.empty((3,) + Y.shape[::-1]).transpose(0, 2, 1)
     line = (~m.spec.angle_mask).astype(float)  # inf or nan times 0 stays nan
-    alive = np.all(np.isfinite(Y[:, :n]), axis=1)
-    act = None if len(Y) and alive.all() else np.nonzero(alive)[0]
+    live = np.all(np.isfinite(Y[:, :n]), axis=1)
+    died = np.where(live, n_steps, -1)
+    act = None if len(Y) and live.all() else np.nonzero(live)[0]
     stages = tuple(buffers[:, : len(Y) if act is None else len(act)])
     weights = _rk4_weights(h)
     tau = 0.0
     for step in range(n_steps):
         hh = min(h, t - tau)
         w = weights if hh == h else _rk4_weights(hh)  # a short last step
-        stepped = None if act is None else alive
         if act is None:
             Y = rows = _rk4_step(rhs, Y, w, stages)
         elif len(act):
@@ -1068,15 +1070,15 @@ def _rk4_rows(m, rhs, Y, t, h, n_steps, on_step=None):
         # where the bound overflowed to inf
         s = rows.T[:n].reshape(-1)
         if not np.dot(s, s) < bound:
-            dead = ~(np.max(np.abs(rows[:, :n]) * line, axis=1) <= blowup_threshold)
+            dead = ~(np.max(np.abs(rows[:, :n]) * line, axis=1) <= BLOWUP_THRESHOLD)
             if dead.any():
-                alive = alive.copy()  # a mask on_step was given stays as it was
-                alive[np.nonzero(alive)[0][dead]] = False
-                act = np.nonzero(alive)[0]
+                died[np.nonzero(died == n_steps)[0][dead]] = step
+                act = np.nonzero(died == n_steps)[0]
                 stages = tuple(buffers[:, : len(act)])
         if on_step is not None:
-            on_step(step, Y, stepped)
-    return Y, alive
+            on_step(step, Y, died)
+    np.copyto(Y, np.nan, where=np.isnan(Y))
+    return Y, died == n_steps
 
 
 def _state_batch(m, states):
@@ -1108,8 +1110,8 @@ def flow_ensemble(m, states, t, h=0.01, *, racc=False):
 
     Returns (final_states, alive_mask[, r_accum]), C-ordered.  Escaped
     samples (line coordinates past BLOWUP_THRESHOLD) and non-finite ones are
-    frozen where they died.  Rows evolve independently, so results do not
-    depend on how a caller slices the batch.
+    frozen where they died.  Rows evolve independently and every nan is
+    np.nan, so no row's bytes depend on how a caller slices the batch.
     """
     X, n = _state_batch(m, states), m.dim
     Y = _column_major([X, np.zeros((len(X), 1))] if racc else [X])
@@ -1131,6 +1133,8 @@ def iterate_map(m, x0, n):
     """
     if m.kind != MAP:
         raise KindError(f"{m.name} is not a map model")
+    if not _is_int(n):
+        raise ParamError(f"iterate_map takes an integer n, got n={n!r}")
     if n < 0 and m.f_inv is None:
         raise KindError(f"{m.name} provides no inverse")
     x = np.asarray(x0, dtype=float)
@@ -1225,8 +1229,8 @@ class SectionSpec:
 
     def check_dim(self, dim):
         """Raise SectionError unless the axis is one of a dim-dimensional model's."""
-        if not 0 <= self.axis < dim:
-            raise SectionError(f"section axis {self.axis} is outside 0..{dim - 1}")
+        if not (_is_int(self.axis) and 0 <= self.axis < dim):
+            raise SectionError(f"section axis {self.axis!r} is outside 0..{dim - 1}")
 
 
 def poincare_return(m, sec, x0, k, cfg=None):
@@ -1246,7 +1250,7 @@ def poincare_return(m, sec, x0, k, cfg=None):
     """
     _require_flow(m)
     sec.check_dim(m.dim)
-    if not (isinstance(k, (int, np.integer)) and not isinstance(k, bool) and k >= 1):
+    if not (_is_int(k) and k >= 1):
         raise ParamError(f"poincare_return takes an integer k >= 1, got k={k!r}")
     cfg = cfg or IntegratorConfig()
     x0 = np.asarray(x0, dtype=float)

@@ -233,9 +233,9 @@ def _kernel(body):
     and ot a list as long, stored in out at once.  Float arithmetic, with
     _sin and _cos, costs a fraction of a numpy scalar's and rounds as a
     ufunc.  But where two nans meet, Python's float + and * keep either one,
-    by whether the interpreter has specialised the operation yet, so a row
-    whose result holds a nan is computed again as a one-row column-major
-    block: the same state always gives the same bytes."""
+    by whether the interpreter has specialised the operation yet, so each
+    nan of the result is written as math.nan, np.nan's bits: the same state
+    always gives the same bytes."""
     def kernel(x, out=None, *args):
         if out is None:
             x = np.asarray(x, dtype=float)
@@ -248,9 +248,7 @@ def _kernel(body):
         ot = [0.0] * len(row)
         body(row, ot, *args)
         if math.isnan(sum(ot)):
-            ot = np.empty((len(row), 1))
-            body(np.reshape(row, (-1, 1)), ot, *args)
-            ot = ot[:, 0]
+            ot = [math.nan if math.isnan(v) else v for v in ot]
         if nd == 1:
             out[...] = ot
         else:
@@ -264,12 +262,12 @@ def _trig(scalar, ufunc):
     def f(v):
         """ufunc of v, a float or an array; of a float by the math module,
         whose glibc sin and cos give numpy's bits (tests/test_models.py pins
-        this), and of +-inf, where math raises, numpy's nan."""
+        this), and of +-inf, where math raises, math.nan."""
         if isinstance(v, float):
             try:
                 return scalar(v)
             except ValueError:
-                return float(ufunc(v))
+                return math.nan
         return ufunc(v)
 
     return f

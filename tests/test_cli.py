@@ -206,6 +206,10 @@ _BAD_CONFIGS = {
         "run.operation = escape\nmodel.name = shear-contraction\n"
         "escape.box = (0.0, 1.0, -1.0, 1.0)\nescape.samples = 0\n",
         "error: escape statistics needs n_steps >= 1 and samples >= 1, got 100 and 0"),
+    # before, this wrote the start as a one-row CSV
+    "simulate.samples-one": (
+        "run.operation = simulate\n" + _DAMPED + "simulate.samples = 1\n",
+        "error: samples must be an integer >= 2, got samples=1"),
     "basin.p_range": (
         "run.operation = basin\n" + _DAMPED + "basin.grid = 3\nbasin.p_range = -3.0\n",
         "error: a basin grid takes grid >= 1 and a finite p_range > 0, got 3 and -3.0"),

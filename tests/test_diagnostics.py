@@ -11,6 +11,7 @@ from csdyn.diagnostics import (
     attractor_estimate,
     classify_ensemble,
     conformal_transport_check,
+    emit_basin_grid,
     escape_statistics,
     find_periodic_orbit,
     isotropy_defect,
@@ -31,6 +32,7 @@ from csdyn.errors import (
     KindError,
     NonHyperbolicError,
     ParamError,
+    SectionError,
     StructureError,
 )
 from csdyn.flows import (
@@ -38,6 +40,8 @@ from csdyn.flows import (
     Trajectory,
     integrate_flow,
     integrate_variational,
+    iterate_map,
+    poincare_return,
     time_t_map,
 )
 from csdyn.geometry import conformality_ratio_estimate, torus_distance
@@ -441,7 +445,7 @@ def test_attractor_estimate_counts_the_steps_the_engine_takes(observed_flow):
     est = attractor_estimate(m, R=1.0, t_relax=0.07, grid=5)
     steps = []
     observed_flow(m, np.zeros((1, 2)), 0.07, h=0.01,
-                  on_step=lambda k, y, stepped: steps.append(k))
+                  on_step=lambda k, y, died: steps.append(k))
     assert est.iterations == len(steps) == 7
     m = instantiate_model("circle-quadratic", alpha=1.0)
     est = attractor_estimate(m, box=((0.0, 1.0), (-4.0, -2.0)), t_relax=5.0, grid=5)
@@ -668,6 +672,52 @@ def test_escape_rejects_out_of_range_sizes(n_steps, samples, override):
     with pytest.raises(ParamError):
         escape_statistics(m, ((0.0, 1.0), (-1.0, 1.0)), n_steps, samples, seed=0,
                           sample_override=override)
+
+
+def _damped():
+    return instantiate_model("damped-mechanical", alpha=0.5, d=1, v_cos=1.0)
+
+
+def _shear():
+    return instantiate_model("shear-contraction", a=0.5)
+
+
+_BOX = ((0.0, 1.0), (-1.0, 1.0))
+# (call, error) with one count that is not an integer; before, each raised a
+# bare TypeError, and the section axis "tuple indices must be integers"
+NON_INTEGER_COUNTS = {
+    "escape-n_steps": (lambda: escape_statistics(_shear(), _BOX, 2.5, 10, seed=0), ParamError),
+    "escape-samples": (lambda: escape_statistics(_shear(), _BOX, 5, 2.5, seed=0), ParamError),
+    "escape-samples-bool": (lambda: escape_statistics(_shear(), _BOX, 5, True, seed=0),
+                            ParamError),
+    "attractor-grid": (lambda: attractor_estimate(_damped(), R=1.0, t_relax=1.0, grid=2.5),
+                       ParamError),
+    "basin-grid": (lambda: emit_basin_grid(_damped(), 2.5, 3.0, [[0.5, 0.0]]), ParamError),
+    "iterate_map-n": (lambda: iterate_map(_shear(), np.array([0.1, 0.2]), 2.5), ParamError),
+    "iterate_map-n-bool": (lambda: iterate_map(_shear(), np.array([0.1, 0.2]), True),
+                           ParamError),
+    "section-axis": (lambda: poincare_return(instantiate_model("t2-pair-theta2"),
+                                             SectionSpec(axis=1.5), np.array([0.1, 0.2]), 1),
+                     SectionError),
+}
+
+
+@pytest.mark.parametrize("case", sorted(NON_INTEGER_COUNTS))
+def test_a_count_that_is_not_an_integer_is_a_typed_error(case, monkeypatch):
+    """Each count is an int or a numpy integer, not a bool, and anything else
+    raises before any work: no flow or map step is taken."""
+    call, error = NON_INTEGER_COUNTS[case]
+
+    def no_step(*args, **kwargs):
+        raise AssertionError("work started")
+
+    for name in ("flow_ensemble", "poincare_return", "sample_box_grid", "sample_sublevel_grid"):
+        monkeypatch.setattr(diagnostics, name, no_step)
+    if case == "section-axis":
+        monkeypatch.setattr("csdyn.flows._dp_engine", no_step)
+    with pytest.raises(error):
+        call()
+    assert len(iterate_map(_shear(), np.array([0.1, 0.2]), np.int64(3)).states) == 4
 
 
 def test_escape_requires_map_model():

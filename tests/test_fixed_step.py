@@ -82,7 +82,7 @@ def test_flow_ensemble_takes_no_observer():
     """The engine's observer is classify_ensemble's alone."""
     m = instantiate_model("circle-linear", alpha=1.0)
     with pytest.raises(TypeError):
-        flow_ensemble(m, np.array([[0.1, 0.2]]), 0.1, on_step=lambda k, y, stepped: None)
+        flow_ensemble(m, np.array([[0.1, 0.2]]), 0.1, on_step=lambda k, y, died: None)
 
 
 def test_transport_tangents_rejects_negative_time():
@@ -107,7 +107,7 @@ def test_fixed_step_runs_reject_a_bad_horizon_or_step(t, h, observed_flow):
     with pytest.raises(ParamError):
         flow_ensemble(m, x, t, h=h)
     with pytest.raises(ParamError):
-        observed_flow(m, x, t, h=h, on_step=lambda k, y, stepped: None)
+        observed_flow(m, x, t, h=h, on_step=lambda k, y, died: None)
     with pytest.raises(ParamError):
         transport_tangents(m, x, np.ones_like(x), t, h=h)
     if t != 1.0:  # a bad horizon; classify_ensemble steps at its own h
@@ -122,7 +122,7 @@ def test_lee_channel_without_a_lee_form_is_a_structure_error(observed_flow):
     steps = []
     with pytest.raises(StructureError, match="circle-linear"):
         observed_flow(m, np.array([[0.1, 0.2]]), 0.1, racc=True,
-                      on_step=lambda k, y, stepped: steps.append(k))
+                      on_step=lambda k, y, died: steps.append(k))
     assert steps == []
 
 
@@ -177,7 +177,7 @@ def test_flow_ensemble_callback_sees_the_states_of_its_step(name, params, racc, 
     x = sample_states(m, 16, np.random.default_rng(6), 1.0)
     h, seen = 2.0**-7, {}
     final = observed_flow(m, x, 123 * h, h=h, racc=racc,
-                          on_step=lambda k, y, stepped: seen.setdefault(k, y.copy()))
+                          on_step=lambda k, y, died: seen.setdefault(k, y.copy()))
     assert sorted(seen) == list(range(123))
     for k, y in seen.items():
         assert y.shape == (16, m.dim + racc)
@@ -230,9 +230,9 @@ def test_a_blown_up_row_is_frozen_at_the_step_it_died_in(observed_flow):
     starts = np.array([[0.0, -1.0], [0.25, 0.1]])
     seen, took = [], []
 
-    def observe(k, y, stepped):
+    def observe(k, y, died):
         seen.append(y[0].copy())
-        took.append(stepped is None or bool(stepped[0]))
+        took.append(not k > died[0])
 
     final, alive = observed_flow(m, starts, 2.0, h=0.01, on_step=observe)
     k = next(i for i, y in enumerate(seen) if not abs(y[1]) <= 1e8)
@@ -255,8 +255,9 @@ NAN_DEATHS = [
 def test_a_row_dying_with_a_nan_is_the_bytes_of_the_row_alone(name, start):
     """At each of the 12 places of a batch, a row that dies with a nan
     state gives the bytes of the row run alone, its Lee channel (where the
-    model has one) and tangent included: the one-state kernels, which step
-    the row alone, keep the nan a ufunc gives."""
+    model has one) and tangent included: the engine publishes each nan as
+    np.nan, and the one-state kernels, which step the row alone, give
+    math.nan, which has its bits."""
     m = instantiate_model(name)
     racc = m.eta is not None
     base = sample_states(m, 12, np.random.default_rng(9), 1.0)
@@ -273,6 +274,61 @@ def test_a_row_dying_with_a_nan_is_the_bytes_of_the_row_alone(name, start):
             for full, one in zip(runs, alone):
                 for a, b in zip(full, one):
                     assert a[place : place + 1].tobytes() == b.tobytes(), place
+
+
+def _nans(outputs):
+    """The nans of the float arrays among outputs, as their bytes."""
+    a = np.concatenate([np.ravel(o) for o in outputs if np.asarray(o).dtype.kind == "f"])
+    return a[np.isnan(a)].tobytes()
+
+
+def test_every_published_nan_is_np_nan():
+    """Each nan returned by flow_ensemble with the Lee channel,
+    transport_tangents, classify_ensemble's columns and the one-state X,
+    X_DXv and X_etaX has np.nan's bytes, whatever nan the arithmetic made
+    (an invalid operation's nan has its sign bit set on x86).  Among the
+    tangents is circle-linear's row from |v| = 1e308, which stays alive
+    while its tangent overflows to nan."""
+    nan = np.array(np.nan).tobytes()
+    rng = np.random.default_rng(38)
+    with np.errstate(all="ignore"):
+        for name, start in NAN_DEATHS:
+            m = instantiate_model(name)
+            batch = sample_states(m, 12, rng, 1.0)
+            batch[[2, 9]] = start
+            runs = (flow_ensemble(m, batch, 0.05, h=0.01, racc=m.eta is not None),
+                    transport_tangents(m, batch, np.ones_like(batch), 0.05, h=0.01))
+            for out in runs:
+                alive = next(o for o in out if o.dtype == bool)
+                assert not alive[[2, 9]].any()
+                got = _nans(out)
+                assert got and got == nan * (len(got) // 8)
+        m = instantiate_model("circle-linear", alpha=1.0)
+        states = sample_states(m, 12, rng, 1.0)
+        vectors = np.ones_like(states)
+        vectors[4] = [1e308, -1e308]
+        out = transport_tangents(m, states, vectors, 0.5)
+        assert out[2].all() and np.isnan(out[1][4]).any()
+        got = _nans(out)
+        assert got == nan * (len(got) // 8)
+        m = instantiate_model("t2-pair-theta2")
+        starts = sample_states(m, 12, rng, 1.0)
+        starts[[3, 7], 1] = 1.7e308
+        got = _nans(_classify_columns(m, starts, 0.3))
+        assert got and got == nan * (len(got) // 8)
+        seen = 0
+        for name in ("circle-linear", "circle-quadratic", "t2-pair-theta1", "t2-pair-theta2",
+                     "damped-mechanical", "mane", "lee-twisted-t1t2"):
+            m = instantiate_model(name)
+            for f, w in ((m.X, m.dim), (m.X_DXv, 2 * m.dim), (m.X_etaX, m.dim + 1)):
+                for v in (np.inf, -np.inf, np.nan, -np.nan) if f is not None else ():
+                    for j in range(w):
+                        x = np.full(w, 0.3)
+                        x[j] = v
+                        got = _nans([f(x), f(x[None])])
+                        assert got == nan * (len(got) // 8), (name, w, j, v)
+                        seen += len(got)
+        assert seen
 
 
 # ---------------------------------------------------------------------------
@@ -557,7 +613,7 @@ def test_classify_bits_do_not_depend_on_the_observer_block_size(n, observed_flow
     ts_c = ts - ts.mean()
     moment = np.zeros(n)
 
-    def add(k, Y, stepped):
+    def add(k, Y, died):
         if k + 1 >= half:
             np.add(moment, ts_c[k + 1 - half] * Y[:, m.dim], out=moment)
 
@@ -621,16 +677,16 @@ def test_the_screen_kills_each_row_as_it_would_alone(case):
 def test_a_screen_without_a_death_keeps_the_batch_stepping_whole(observed_flow):
     """Two rows at r_0 = +-9e7: the states' sum of squares passes the
     threshold's square 1e16 at every step, so the exact test runs, but no
-    coordinate passes 1e8.  The batch keeps stepping whole: on_step gets
-    stepped=None at every step, and each row is the bits of the row run
-    alone, whose screen never fires."""
+    coordinate passes 1e8.  The batch keeps stepping whole: on_step sees
+    every row alive (died = n_steps) at every step, and each row is the
+    bits of the row run alone, whose screen never fires."""
     m = screen_pair()
     starts = np.array([[0.05, 0.1, 9e7, 0.25], [0.1, 0.05, -9e7, -1.0],
                        [0.05, 0.1, 0.5, 0.25]])
     seen = []
     batch = observed_flow(m, starts, 2.0, h=0.01,
-                          on_step=lambda k, y, stepped: seen.append(stepped))
-    assert batch[1].all() and len(seen) == 200 and all(s is None for s in seen)
+                          on_step=lambda k, y, died: seen.append(died.tolist()))
+    assert batch[1].all() and len(seen) == 200 and all(d == [200] * 3 for d in seen)
     for i, x in enumerate(starts):
         for a, b in zip(batch, flow_ensemble(m, x[None], 2.0, h=0.01)):
             assert a[i : i + 1].tobytes() == b.tobytes()
@@ -752,16 +808,20 @@ TILE_CASES = {
 
 
 @pytest.mark.parametrize("case", sorted(TILE_CASES))
-def test_tiles_give_the_bits_of_one_block(case):
-    """A batch past the gate steps in tiles, each starting at a multiple of
-    64 rows; with the tile constant set past any batch, the same call steps
-    it as one block and gives the same bits.  Rows die, by a blow-up or a
-    nan, at row 0, rows 63 and 64, each tile edge +-1 and the last row."""
+def test_tiles_give_the_bits_of_one_block(case, monkeypatch):
+    """A batch past the gate steps in tiles, here of a size 3 rows short of
+    a multiple of 64, so tiles start off the multiples of 64; with the tile
+    constant set past any batch, the same call steps it as one block and
+    gives the same bits.  Rows die, by a blow-up or a nan, at row 0, rows
+    63 and 64, each tile edge +-1 and the last row."""
     build, width, run = TILE_CASES[case]
     m = build()
     n = 12000
+    row_bytes = 4 * 8 * width
+    monkeypatch.setattr(flows, "_TILE_BYTES",
+                        (flows._TILE_BYTES // row_bytes // 64 * 64 - 3) * row_bytes)
     tiles = flows._tiles(n, width)
-    assert len(tiles) > 2 and all(lo % 64 == 0 for lo, _ in tiles)
+    assert len(tiles) > 2 and any(lo % 64 for lo, _ in tiles)
     batch = sample_states(m, n, np.random.default_rng(17), 1.0)
     dying = sorted({0, 63, 64, n - 1} | {lo + d for lo, _ in tiles[1:] for d in (-1, 0, 1)})
     deaths = TILE_DEATHS[m.name]

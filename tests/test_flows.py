@@ -99,6 +99,23 @@ def test_integrate_flow_rejects_zero_span():
         integrate_flow(m, np.array([0.1, 0.1]), (1.0, 1.0))
 
 
+@pytest.mark.parametrize("samples", [1, 0, -3, 1.5, True])
+@pytest.mark.parametrize("fn", [integrate_flow, integrate_variational])
+def test_samples_is_an_integer_of_at_least_two(fn, samples, monkeypatch):
+    """Before, samples = 1 (and True) returned the start as final_state, 0 an
+    empty Trajectory, -3 a bare ValueError and 1.5 a bare TypeError; now
+    each is a ParamError before any step, backward spans included."""
+    m = instantiate_model("damped-mechanical", alpha=0.5, d=1, v_cos=1.0)
+
+    def no_step(*args, **kwargs):
+        raise AssertionError("the engine ran")
+
+    monkeypatch.setattr(flows, "_dp_engine", no_step)
+    for span in ((0.0, 1.0), (1.0, 0.0)):
+        with pytest.raises(ParamError, match="samples must be an integer >= 2"):
+            fn(m, np.array([0.1, 0.2]), span, samples=samples)
+
+
 def test_damped_energy_never_increases():
     m = instantiate_model("damped-mechanical", alpha=0.5, d=1, v_cos=1.0)
     traj = integrate_flow(m, np.array([0.23, 1.7]), (0.0, 50.0), samples=501)

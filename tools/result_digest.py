@@ -87,8 +87,9 @@ at a time: a state of each of +-inf, nan of either sign, -0.0, 1e300 and
 5e-324 in every entry, and one with that value in a single entry, so that
 the one-state kernels' nan bits are pinned.  Last come batches large
 enough that the fixed-step engine steps them in tiles, with rows that die
-(a nan, a blow-up, an overflow) next to every multiple of 64 rows, where a
-tile can start: damped-mechanical d = 2 `flow_ensemble` at N = 16384 and
+(a nan, a blow-up, an overflow) next to every multiple of 64 rows, where
+earlier versions of the engine started their tiles: damped-mechanical
+d = 2 `flow_ensemble` at N = 16384 and
 `transport_tangents` at N = 4160, and t2-pair-theta2's `classify_ensemble`
 at N = 16384 over T = 0.01.
 Floats
@@ -637,8 +638,8 @@ TILE_DEATHS = {
 
 def _dying(m, x):
     """x with a start of TILE_DEATHS on every row i with i % 64 in (0, 1,
-    63), and on the last row: a neighbour of every tile edge the fixed-step
-    engine can choose, as each tile starts at a multiple of 64 rows."""
+    63), and on the last row: a neighbour of every tile edge at a multiple
+    of 64 rows."""
     rows = [i for i in range(len(x)) if i % 64 in (0, 1, 63)] + [len(x) - 1]
     deaths = TILE_DEATHS[m.name]
     for j, i in enumerate(rows):
@@ -649,7 +650,7 @@ def _dying(m, x):
 
 def tile_digests(seed):
     """Batches that the fixed-step engine steps in tiles, with rows dying
-    at every place a tile can start or end: damped-mechanical d = 2
+    next to every multiple of 64 rows (_dying): damped-mechanical d = 2
     `flow_ensemble` at N = 16384 and `transport_tangents` at N = 4160, and
     t2-pair-theta2's `classify_ensemble` at N = 16384 over T = 0.01."""
     rng = np.random.default_rng([seed, 37])
